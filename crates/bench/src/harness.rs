@@ -24,30 +24,54 @@ impl Default for BenchOpts {
     }
 }
 
+const USAGE: &str = "[--scale X] [--seed N] [--quick] [--trace-out PATH]";
+
 /// Parse `--scale X`, `--seed N`, `--quick`, `--trace-out PATH` from
-/// argv; unknown flags are returned for figure-specific handling.
+/// argv; unknown flags are returned for figure-specific handling. A
+/// malformed value prints a usage error and exits with status 2.
 pub fn parse_args() -> (BenchOpts, Vec<String>) {
+    let mut argv = std::env::args();
+    let program = argv.next().unwrap_or_else(|| "figure".to_string());
+    parse_args_from(argv).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}\nusage: {program} {USAGE}");
+        std::process::exit(2);
+    })
+}
+
+/// [`parse_args`] over an explicit argument list (program name
+/// excluded), returning the usage error instead of exiting.
+fn parse_args_from(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(BenchOpts, Vec<String>), String> {
     let mut opts = BenchOpts::default();
     let mut rest = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
-                opts.scale =
-                    args.next().and_then(|v| v.parse().ok()).expect("--scale needs a number");
+                opts.scale = flag_value(&mut args, "--scale")?;
+                if !(opts.scale.is_finite() && opts.scale > 0.0) {
+                    return Err(format!("--scale needs a positive number, got {}", opts.scale));
+                }
             }
-            "--seed" => {
-                opts.seed =
-                    args.next().and_then(|v| v.parse().ok()).expect("--seed needs a number");
-            }
+            "--seed" => opts.seed = flag_value(&mut args, "--seed")?,
             "--quick" => opts.quick = true,
             "--trace-out" => {
-                opts.trace_out = Some(args.next().expect("--trace-out needs a path"));
+                opts.trace_out = Some(args.next().ok_or("--trace-out needs a path")?);
             }
             other => rest.push(other.to_string()),
         }
     }
-    (opts, rest)
+    Ok((opts, rest))
+}
+
+/// The next argument, parsed as the number `flag` takes.
+fn flag_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("{flag} needs a number"))?;
+    v.parse().map_err(|_| format!("{flag} needs a number, got {v:?}"))
 }
 
 /// Print a fixed-width table.
@@ -105,6 +129,37 @@ mod tests {
         let o = BenchOpts::default();
         assert!(o.scale > 0.0);
         assert!(!o.quick);
+    }
+
+    fn parse(args: &[&str]) -> Result<(BenchOpts, Vec<String>), String> {
+        parse_args_from(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn parses_flags_and_passes_unknown_ones_through() {
+        let (o, rest) =
+            parse(&["--scale", "0.5", "--seed", "7", "--quick", "--trace-out", "t.json", "--x"])
+                .unwrap();
+        assert_eq!((o.scale, o.seed, o.quick), (0.5, 7, true));
+        assert_eq!(o.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(rest, vec!["--x".to_string()]);
+    }
+
+    #[test]
+    fn malformed_values_are_usage_errors() {
+        for args in [
+            &["--scale"][..],
+            &["--scale", "abc"],
+            &["--scale", "0"],
+            &["--scale", "-1"],
+            &["--scale", "NaN"],
+            &["--seed"],
+            &["--seed", "-3"],
+            &["--seed", "1.5"],
+            &["--trace-out"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} must be rejected");
+        }
     }
 
     #[test]

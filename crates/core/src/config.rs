@@ -121,14 +121,14 @@ pub struct DbConfig {
     /// `ADAPTDB_JOIN_MEM` environment variable; see
     /// [`DbConfig::env_join_mem`].
     pub join_mem_budget_blocks: Option<usize>,
-    /// In-flight depth of the pipelined fetch backend: scans prefetch
-    /// the manifest and reducers prefetch shuffle runs with up to this
-    /// many block reads outstanding, charged max-of-window latency on
-    /// the overlap breakdown. `1` disables pipelining (serial I/O —
-    /// identical accounting to the pre-pipelining engine); block
-    /// *counts* are the same at every setting. Defaults honor the
-    /// `ADAPTDB_FETCH_WINDOW` environment variable; see
-    /// [`DbConfig::env_fetch_window`].
+    /// Depth of the fetch streams every scan, hyper-join probe leg, and
+    /// shuffle reducer reads through: up to this many block reads
+    /// outstanding, charged max-of-window latency on the overlap
+    /// breakdown. `1` is a one-deep stream that reads one block at a
+    /// time, when it is needed — serial I/O, hiding nothing. Block
+    /// *counts*, rows, and row order are the same at every setting.
+    /// Defaults honor the `ADAPTDB_FETCH_WINDOW` environment variable;
+    /// see [`DbConfig::env_fetch_window`].
     pub fetch_window: usize,
     /// Admission-scheduling policy the server runs
     /// ([`SchedPolicy::Fifo`] | [`SchedPolicy::Lanes`] |

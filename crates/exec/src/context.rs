@@ -40,10 +40,11 @@ pub struct ExecContext<'a> {
     pub threads: usize,
     /// How shuffle phases fan out and replicate their spilled runs.
     pub shuffle: ShuffleOptions,
-    /// In-flight depth of pipelined block fetches (scans and reducer
-    /// run fetches go through a `FetchStream` of this window). `1` =
-    /// serial I/O, the pre-pipelining behavior; block *counts* are
-    /// identical at every window, only overlapped latency differs.
+    /// In-flight depth of the `FetchStream` every scan, hyper-join probe
+    /// leg, and reducer run fetch reads through. `1` is a one-deep
+    /// stream — serial I/O, nothing hidden; block *counts* and row
+    /// order are identical at every window, only overlapped latency
+    /// differs.
     pub fetch_window: usize,
     /// Per-reducer build-side memory budget for hash joins, in blocks.
     /// A build side that would exceed it is spilled to scratch and
@@ -73,8 +74,8 @@ pub struct ExecContext<'a> {
 pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 
 impl<'a> ExecContext<'a> {
-    /// Context with an explicit thread budget (serial I/O; widen with
-    /// [`ExecContext::with_fetch_window`]).
+    /// Context with an explicit thread budget (fetch window 1, serial
+    /// I/O; widen with [`ExecContext::with_fetch_window`]).
     pub fn new(store: &'a BlockStore, clock: &'a SimClock, threads: usize) -> Self {
         ExecContext {
             store,

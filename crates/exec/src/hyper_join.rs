@@ -6,15 +6,18 @@
 //! blocks through it. No shuffle: probe blocks are read (possibly more
 //! than once across groups — that is `C_HyJ`), never rewritten.
 //!
-//! With `ExecContext::fetch_window > 1` the probe leg overlaps its
-//! reads on a pipelined [`adaptdb_storage::FetchStream`] pinned to the
-//! group's node, reassembling completions into plan order — block
-//! counts and output are identical to the serial leg, only simulated
-//! latency overlaps. With `ExecContext::columnar` probe blocks stay
-//! lazily decoded: predicates evaluate column-wise into a selection
-//! bitset, the join key column alone is decoded for a batch probe, and
-//! only the matching probe rows are ever materialized (in
-//! morsel-sized gathers shared with the scan path).
+//! The probe leg reads through the shared ordered-fetch helper: the
+//! group's probe blocks stream through an
+//! [`adaptdb_storage::FetchStream`] of the context's window, pinned to
+//! the group's node, and come back in plan order — a window of 1 reads
+//! one block at a time, a wider one overlaps reads; block counts and
+//! output are identical either way. Build reads stay plain serial
+//! reads: windowing them would change the simulated seconds. With
+//! `ExecContext::columnar` probe blocks stay lazily decoded:
+//! predicates evaluate column-wise into a selection bitset, the join
+//! key column alone is decoded for a batch probe, and only the
+//! matching probe rows are ever materialized (in morsel-sized gathers
+//! shared with the scan path).
 
 use adaptdb_common::{AttrId, BitSet, PredicateSet, Result, Row};
 use adaptdb_join::{HyperJoinPlan, JoinSide};
@@ -23,7 +26,7 @@ use adaptdb_storage::LazyBlock;
 use crate::context::ExecContext;
 use crate::hash_table::JoinHashTable;
 use crate::parallel;
-use crate::scan::{gather_morsels, select_lazy};
+use crate::scan::{fetch_ordered, gather_morsels, select_lazy};
 
 /// Everything needed to execute one hyper-join.
 #[derive(Debug, Clone)]
@@ -138,37 +141,17 @@ fn run_group(
             ctx.clock.record_rows(scanned, kept);
         }
     }
-    let mut out = Vec::new();
-    if ctx.fetch_window > 1 && !probe_blocks.is_empty() {
-        // Overlap the probe leg: stream the group's probe blocks
-        // through a fetch window pinned to the group's node, slotting
-        // completions back into plan order before probing. Read counts
-        // and classification are identical to the serial leg.
-        let mut stream = ctx.store.fetch_stream(probe_table, ctx.clock, ctx.fetch_window);
-        for (i, &b) in probe_blocks.iter().enumerate() {
-            stream.push(b, Some(node), i as u64);
-        }
-        let mut slots: Vec<Option<LazyBlock>> = Vec::new();
-        slots.resize_with(probe_blocks.len(), || None);
-        while let Some(completion) = stream.next_completion() {
-            let c = completion?;
-            slots[c.tag as usize] = Some(c.payload);
-        }
-        for lazy in slots {
-            let lazy = lazy.expect("every pushed fetch completes");
-            probe_block(ctx, &table, lazy, probe_attr, probe_preds, build_side, &mut out)?;
-        }
-    } else {
-        for &b in probe_blocks {
-            let (lazy, _) = ctx.store.read_lazy_classified(probe_table, b, node, ctx.clock)?;
-            probe_block(ctx, &table, lazy, probe_attr, probe_preds, build_side, &mut out)?;
-        }
-    }
-    Ok(out)
+    // Probe windows are not traced: the caller's `hyper-join` span
+    // already reports the leg's block reads.
+    let probed =
+        fetch_ordered(ctx.with_trace(None), probe_table, probe_blocks, Some(node), |lazy| {
+            probe_block(ctx, &table, lazy, probe_attr, probe_preds, build_side)
+        })?;
+    Ok(probed.concat())
 }
 
 /// Probe one (lazily-read) block against the group's hash table,
-/// appending joined rows in `left ⋈ right` column order.
+/// returning joined rows in `left ⋈ right` column order.
 fn probe_block(
     ctx: ExecContext<'_>,
     table: &JoinHashTable,
@@ -176,8 +159,8 @@ fn probe_block(
     probe_attr: AttrId,
     probe_preds: &PredicateSet,
     build_side: JoinSide,
-    out: &mut Vec<Row>,
-) -> Result<()> {
+) -> Result<Vec<Row>> {
+    let mut out = Vec::new();
     if ctx.columnar {
         // Late materialization: selection bitset from the predicate
         // columns, batch-probe the key column, then gather only the
@@ -222,7 +205,7 @@ fn probe_block(
         }
         ctx.clock.record_rows(scanned, kept);
     }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -423,8 +406,8 @@ mod tests {
         }
     }
 
-    /// The pipelined probe leg records overlapped fetches; the serial
-    /// leg records none. Counts stay equal either way (pinned above).
+    /// The probe leg reads through the fetch stream; at window 1 the
+    /// stream hides nothing. Counts stay equal either way (pinned above).
     #[test]
     fn pipelined_probe_leg_overlaps_fetches() {
         let (store, left, right) = setup(64, 8);
@@ -447,7 +430,7 @@ mod tests {
         assert!(ov.fetches > 0, "probe blocks must go through the fetch stream");
         let c2 = SimClock::new();
         hyper_join(ExecContext::single(&store, &c2), spec).unwrap();
-        assert_eq!(c2.overlap_snapshot().fetches, 0);
+        assert_eq!(c2.overlap_snapshot().hidden(), 0);
     }
 
     #[test]

@@ -8,6 +8,8 @@ use crossbeam::channel;
 
 /// Apply `f` to every item, using up to `threads` workers; results come
 /// back in input order. Errors short-circuit to the first (by index).
+/// If `f` panics on a worker, the panic propagates with its original
+/// payload.
 pub fn map_ordered<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -26,23 +28,32 @@ where
     drop(tx);
     let (out_tx, out_rx) = channel::unbounded::<(usize, R)>();
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            let rx = rx.clone();
-            let out_tx = out_tx.clone();
-            let f = &f;
-            s.spawn(move || {
-                while let Ok((i, item)) = rx.recv() {
-                    let r = f(item);
-                    if out_tx.send((i, r)).is_err() {
-                        break;
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let rx = rx.clone();
+                let out_tx = out_tx.clone();
+                let f = &f;
+                s.spawn(move || {
+                    while let Ok((i, item)) = rx.recv() {
+                        let r = f(item);
+                        if out_tx.send((i, r)).is_err() {
+                            break;
+                        }
                     }
-                }
-            });
-        }
+                })
+            })
+            .collect();
         drop(out_tx);
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
         while let Ok((i, r)) = out_rx.recv() {
             slots[i] = Some(r);
+        }
+        // A panicking operator leaves its slot empty: re-raise its own
+        // payload rather than a second, uninformative panic below.
+        for w in workers {
+            if let Err(payload) = w.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
         slots.into_iter().map(|s| s.expect("worker delivered every slot")).collect()
     })
@@ -75,6 +86,21 @@ mod tests {
     fn more_threads_than_items() {
         let out = map_ordered(vec![5], 16, |x| x * x);
         assert_eq!(out, vec![25]);
+    }
+
+    #[test]
+    fn worker_panic_propagates_its_own_payload() {
+        let items: Vec<u32> = (0..16).collect();
+        let err = std::panic::catch_unwind(|| {
+            map_ordered(items, 4, |x| {
+                if x == 5 {
+                    panic!("operator failed on item 5");
+                }
+                x
+            })
+        })
+        .unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"operator failed on item 5"));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Type-1 block processing: scan + filter.
 //!
-//! With `ExecContext::fetch_window > 1` the scan issues
-//! **manifest-ordered prefetch**: each worker streams its share of the
-//! manifest through a pipelined [`adaptdb_storage::FetchStream`] (up to
-//! `fetch_window` reads in flight, overlapped latency charged
-//! max-of-window) and reassembles completions back into manifest order,
-//! so pipelining changes simulated wall-clock but never row order,
-//! counts, or results.
+//! Every scan reads through `fetch_ordered`: each worker streams its
+//! contiguous share of the manifest through an
+//! [`adaptdb_storage::FetchStream`] of the context's `fetch_window` and
+//! reassembles completions back into manifest order. A window of `w`
+//! keeps up to `w` reads in flight, charged max-of-window; a window of
+//! 1 is a one-deep stream that reads one block at a time, exactly as a
+//! serial reader does. The window changes simulated latency, never row
+//! order, counts, or results.
 //!
 //! With `ExecContext::columnar` the filter stage switches from
 //! row-at-a-time to **late materialization**: predicates evaluate
@@ -17,11 +18,12 @@
 //! composes in a fixed order: partition tree (upstream `lookup`) →
 //! zone maps (block min/max metadata, counted on
 //! `IoStats::zone_skipped`, no I/O charged) → selection bitset within
-//! each surviving block. Both scan paths consult the same metadata and
-//! charge the same clocks, so rows, row order, and every simulated
+//! each surviving block. Both filter stages read the same blocks
+//! through the same streams, so rows, row order, and every simulated
 //! count are bit-identical with the feature on or off.
 
 use adaptdb_common::{BitSet, BlockId, PredicateSet, Result, Row};
+use adaptdb_dfs::NodeId;
 use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
@@ -55,7 +57,8 @@ pub fn scan_blocks(
     Ok(out)
 }
 
-/// Scan body shared by the traced wrapper above.
+/// Scan body shared by the traced wrapper above: zone skip, then one
+/// fetch stream per worker, then the row or columnar filter stage.
 fn scan_inner(
     ctx: ExecContext<'_>,
     table: &str,
@@ -76,64 +79,72 @@ fn scan_inner(
         ctx.clock.record_zone_skips(skipped);
     }
     if ctx.columnar {
-        return scan_columnar(ctx, table, to_read, preds);
+        // Stage A: lazy read + column-wise selection, manifest order;
+        // stage B gathers only the selected rows.
+        let selected = fetch_chunked(ctx, table, &to_read, |lazy| {
+            let sel = select_lazy(&lazy, preds)?;
+            ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
+            Ok((lazy, sel))
+        })?;
+        return gather_morsels(ctx, &selected);
     }
-    if ctx.fetch_window > 1 {
-        return scan_pipelined(ctx, table, to_read, preds);
-    }
-    let results = parallel::map_ordered(to_read, ctx.threads, |b| -> Result<Vec<Row>> {
-        let node = ctx.store.preferred_node(table, b)?;
-        let block = ctx.store.read_block(table, b, node, ctx.clock)?;
+    let per_block = fetch_chunked(ctx, table, &to_read, |lazy| {
+        let block = lazy.into_block()?;
         let scanned = block.rows.len();
         let rows: Vec<Row> = block.rows.into_iter().filter(|r| preds.matches(r)).collect();
         ctx.clock.record_rows(scanned, rows.len());
         Ok(rows)
-    });
-    let mut out = Vec::new();
-    for r in results {
+    })?;
+    Ok(per_block.concat())
+}
+
+/// Split the manifest into one contiguous chunk per worker and read
+/// each chunk through [`fetch_ordered`] (reads issue at each block's
+/// preferred node); results come back in manifest order.
+fn fetch_chunked<T: Send>(
+    ctx: ExecContext<'_>,
+    table: &str,
+    blocks: &[BlockId],
+    f: impl Fn(LazyBlock) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    if blocks.is_empty() {
+        return Ok(Vec::new());
+    }
+    let chunks: Vec<&[BlockId]> =
+        blocks.chunks(blocks.len().div_ceil(ctx.threads.max(1))).collect();
+    let mut out = Vec::with_capacity(blocks.len());
+    for r in parallel::map_ordered(chunks, ctx.threads, |chunk| {
+        fetch_ordered(ctx, table, chunk, None, &f)
+    }) {
         out.extend(r?);
     }
     Ok(out)
 }
 
-/// Pipelined scan body: split the manifest into one contiguous chunk
-/// per worker; each worker multiplexes its chunk through a fetch
-/// stream (reads issue at the block's preferred node, exactly like the
-/// serial scan) and slots completions back into manifest order.
-fn scan_pipelined(
+/// The ordered-fetch helper every pipelined read leg shares: push
+/// `blocks` of `table` into one [`adaptdb_storage::FetchStream`] of
+/// the context's window, read from `reader` (`None` = each block's
+/// preferred node), apply `f` to each payload as it completes, and
+/// return the results in `blocks` order — completions may arrive out
+/// of order (locals first within a window), outputs never do.
+pub(crate) fn fetch_ordered<T>(
     ctx: ExecContext<'_>,
     table: &str,
-    to_read: Vec<BlockId>,
-    preds: &PredicateSet,
-) -> Result<Vec<Row>> {
-    if to_read.is_empty() {
-        return Ok(Vec::new());
+    blocks: &[BlockId],
+    reader: Option<NodeId>,
+    mut f: impl FnMut(LazyBlock) -> Result<T>,
+) -> Result<Vec<T>> {
+    let mut stream = ctx.store.fetch_stream(table, ctx.clock, ctx.fetch_window);
+    stream.set_trace(ctx.worker_trace());
+    for (i, &b) in blocks.iter().enumerate() {
+        stream.push(b, reader, i as u64);
     }
-    let chunk_len = to_read.len().div_ceil(ctx.threads.max(1));
-    let chunks: Vec<Vec<BlockId>> = to_read.chunks(chunk_len).map(<[BlockId]>::to_vec).collect();
-    let results = parallel::map_ordered(chunks, ctx.threads, |chunk| -> Result<Vec<Row>> {
-        let mut stream = ctx.store.fetch_stream(table, ctx.clock, ctx.fetch_window);
-        stream.set_trace(ctx.worker_trace());
-        for (i, &b) in chunk.iter().enumerate() {
-            stream.push(b, None, i as u64);
-        }
-        let mut slots: Vec<Vec<Row>> = vec![Vec::new(); chunk.len()];
-        while let Some(completion) = stream.next_completion() {
-            let c = completion?;
-            let tag = c.tag;
-            let block = c.into_block()?;
-            let scanned = block.rows.len();
-            let rows: Vec<Row> = block.rows.into_iter().filter(|r| preds.matches(r)).collect();
-            ctx.clock.record_rows(scanned, rows.len());
-            slots[tag as usize] = rows;
-        }
-        Ok(slots.concat())
-    });
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
+    let mut slots: Vec<Option<T>> = blocks.iter().map(|_| None).collect();
+    while let Some(completion) = stream.next_completion() {
+        let c = completion?;
+        slots[c.tag as usize] = Some(f(c.payload)?);
     }
-    Ok(out)
+    Ok(slots.into_iter().map(|s| s.expect("every pushed fetch completes")).collect())
 }
 
 /// Evaluate `preds` column-wise over a lazily-decoded block: decode
@@ -150,69 +161,6 @@ pub(crate) fn select_lazy(lazy: &LazyBlock, preds: &PredicateSet) -> Result<BitS
         sel.intersect_with(&col.eval(p.op, &p.value));
     }
     Ok(sel)
-}
-
-/// Columnar scan body: stage A reads blocks lazily (serial reads or a
-/// pipelined fetch stream, exactly mirroring the row path's I/O shape)
-/// and evaluates predicates into per-block selection bitsets; stage B
-/// flattens the selected blocks into `morsel_rows`-sized row ranges and
-/// gathers only selected rows, morsels dispatched through
-/// [`parallel::map_ordered`] so output order equals manifest order.
-fn scan_columnar(
-    ctx: ExecContext<'_>,
-    table: &str,
-    to_read: Vec<BlockId>,
-    preds: &PredicateSet,
-) -> Result<Vec<Row>> {
-    if to_read.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Stage A: lazy read + column-wise selection, manifest order.
-    let selected: Vec<(LazyBlock, BitSet)> = if ctx.fetch_window > 1 {
-        let chunk_len = to_read.len().div_ceil(ctx.threads.max(1));
-        let chunks: Vec<Vec<BlockId>> =
-            to_read.chunks(chunk_len).map(<[BlockId]>::to_vec).collect();
-        let results = parallel::map_ordered(
-            chunks,
-            ctx.threads,
-            |chunk| -> Result<Vec<(LazyBlock, BitSet)>> {
-                let mut stream = ctx.store.fetch_stream(table, ctx.clock, ctx.fetch_window);
-                stream.set_trace(ctx.worker_trace());
-                for (i, &b) in chunk.iter().enumerate() {
-                    stream.push(b, None, i as u64);
-                }
-                let mut slots: Vec<Option<(LazyBlock, BitSet)>> = Vec::new();
-                slots.resize_with(chunk.len(), || None);
-                while let Some(completion) = stream.next_completion() {
-                    let c = completion?;
-                    let sel = select_lazy(&c.payload, preds)?;
-                    ctx.clock.record_rows(c.payload.row_count(), sel.count_ones());
-                    slots[c.tag as usize] = Some((c.payload, sel));
-                }
-                Ok(slots.into_iter().map(|s| s.expect("every pushed fetch completes")).collect())
-            },
-        );
-        let mut flat = Vec::with_capacity(to_read.len());
-        for r in results {
-            flat.extend(r?);
-        }
-        flat
-    } else {
-        let results =
-            parallel::map_ordered(to_read, ctx.threads, |b| -> Result<(LazyBlock, BitSet)> {
-                let node = ctx.store.preferred_node(table, b)?;
-                let (lazy, _) = ctx.store.read_lazy_classified(table, b, node, ctx.clock)?;
-                let sel = select_lazy(&lazy, preds)?;
-                ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
-                Ok((lazy, sel))
-            });
-        let mut flat = Vec::new();
-        for r in results {
-            flat.push(r?);
-        }
-        flat
-    };
-    gather_morsels(ctx, &selected)
 }
 
 /// Stage B of columnar execution, shared with the hyper-join probe leg:

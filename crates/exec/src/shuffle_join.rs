@@ -9,8 +9,15 @@
 //! `C_SJ = 3` block-I/Os (read + shuffle write + fetch-back), with the
 //! fetch leg split local/remote by real placement instead of being
 //! charged flat-local as the old in-process shuffle did.
-
-use std::cell::RefCell;
+//!
+//! Every shuffle — block or row input, with or without a retained hot
+//! build — runs through one streaming exchange: each map task's runs
+//! are pushed into per-reducer fetch streams as the task finishes, and
+//! reducers drain their streams before joining. The stream's window is
+//! the only knob: at 1 nothing is read ahead and every fetch happens in
+//! the reduce phase, one run at a time; a wider window prefetches while
+//! later map tasks still run and overlaps fetch latency. Rows, block
+//! counts, and the shuffle breakdown are the same at every window.
 
 use adaptdb_common::{AttrId, BlockId, PredicateSet, Result, Row};
 use adaptdb_dfs::{secs_to_us, ReadKind, SimClock, SpanGuard};
@@ -179,190 +186,79 @@ pub fn shuffle_join(ctx: ExecContext<'_>, spec: ShuffleJoinSpec<'_>) -> Result<V
         (Some(c), Some(k)) => c.lookup_build(k),
         _ => None,
     };
-    let result = match hot {
-        Some(hot) => {
-            if let Some(s) = &span {
-                s.attr_i("hot_build_reuse_blocks", hot.spill_blocks as i64);
-            }
-            // Reuse is charged as cache hits: one per run block the
-            // original query spilled — the fetch leg the reuse replaces
-            // (its spill-write leg is simply avoided).
-            for _ in 0..hot.spill_blocks {
-                ctx.clock.record_cache_hit(ReadKind::Local, 0);
-            }
-            hot_exchange(&svc, ctx, &spec, build_left, &hot)
+    if let Some(hot) = &hot {
+        if let Some(s) = &span {
+            s.attr_i("hot_build_reuse_blocks", hot.spill_blocks as i64);
         }
-        None => {
-            let mut collected = cache.as_ref().map(|_| vec![Vec::new(); svc.partitions()]);
-            let out = cold_exchange(&svc, ctx, &spec, build_left, collected.as_deref_mut());
-            match out {
-                Ok((rows, build_side)) => {
-                    if let (Some(c), Some(k), Some(collected), Some(side)) =
-                        (cache, key, collected, build_side)
-                    {
-                        let spill_blocks = side.runs.iter().map(Vec::len).sum();
-                        c.insert_build(
-                            k,
-                            HotBuild { rows: collected, hist: side.rows, spill_blocks },
-                        );
-                    }
-                    Ok(rows)
-                }
-                Err(e) => Err(e),
-            }
+        // Reuse is charged as cache hits: one per run block the
+        // original query spilled — the fetch leg the reuse replaces
+        // (its spill-write leg is simply avoided).
+        for _ in 0..hot.spill_blocks {
+            ctx.clock.record_cache_hit(ReadKind::Local, 0);
         }
-    };
+    }
+    // A cold run with the cache on captures the build side's
+    // per-partition rows (and its histogram and spill footprint) so the
+    // hot-build cache can retain them.
+    let mut collected =
+        (cache.is_some() && hot.is_none()).then(|| vec![Vec::new(); svc.partitions()]);
+    let mut build_side = None;
+    let result = exchange(
+        &svc,
+        spec.left_attr,
+        spec.right_attr,
+        hot.as_deref().map(|h| (h, build_left)),
+        |right, on_task| {
+            let (table, blocks, attr, preds) = if right {
+                (spec.right_table, spec.right_blocks, spec.right_attr, spec.right_preds)
+            } else {
+                (spec.left_table, spec.left_blocks, spec.left_attr, spec.left_preds)
+            };
+            if right == build_left {
+                return svc.spill_blocks_collecting(table, blocks, attr, preds, on_task, None);
+            }
+            if let Some(hot) = &hot {
+                // The retained side spills nothing; its histogram is
+                // the one the original query produced, so the split
+                // plan matches the cold run's.
+                return Ok(ShuffledSide {
+                    runs: vec![Vec::new(); svc.partitions()],
+                    rows: hot.hist.clone(),
+                });
+            }
+            let collect = collected.as_deref_mut();
+            let side = svc.spill_blocks_collecting(table, blocks, attr, preds, on_task, collect)?;
+            if collected.is_some() {
+                build_side = Some(side.clone());
+            }
+            Ok(side)
+        },
+    );
+    if let (Ok(_), Some(c), Some(k), Some(rows), Some(side)) =
+        (&result, cache, key, collected, build_side)
+    {
+        let spill_blocks = side.runs.iter().map(Vec::len).sum();
+        c.insert_build(k, HotBuild { rows, hist: side.rows, spill_blocks });
+    }
     svc.cleanup();
     drop(span);
     result
 }
 
-/// The cold (no hot build) exchange: today's serial or pipelined data
-/// flow, optionally capturing the build side's per-partition rows into
-/// `collect` so the hot-build cache can retain them. Returns the joined
-/// rows plus the build side (for its histogram and spill footprint)
-/// when collection was requested.
-fn cold_exchange<'a>(
+/// The one exchange behind every shuffle. Per-reducer
+/// [`adaptdb_storage::FetchStream`]s open before the map phase;
+/// `spill(right, on_task)` runs one side's map phase (left, then right)
+/// and calls `on_task` as each map task finishes, which pushes that
+/// task's runs into the reducers' streams. Reducers then drain their
+/// streams — in partition order, in parallel — and join. `hot`
+/// substitutes a retained build for one side (`true` = the left): that
+/// side announces no runs, and its rows come from the build instead.
+fn exchange<'a>(
     svc: &ShuffleService<'a>,
-    ctx: ExecContext<'a>,
-    spec: &ShuffleJoinSpec<'_>,
-    build_left: bool,
-    collect: Option<&mut [Vec<Row>]>,
-) -> Result<(Vec<Row>, Option<ShuffledSide>)> {
-    let want_build = collect.is_some();
-    let collect = RefCell::new(collect);
-    let build_out = RefCell::new(None);
-    // Spill one side; the build side also feeds the collector and
-    // records its `ShuffledSide` for the caller.
-    let spill = |on_task: &mut dyn FnMut(&ShuffledSide), left: bool| -> Result<ShuffledSide> {
-        let (table, blocks, attr, preds) = if left {
-            (spec.left_table, spec.left_blocks, spec.left_attr, spec.left_preds)
-        } else {
-            (spec.right_table, spec.right_blocks, spec.right_attr, spec.right_preds)
-        };
-        let is_build = left == build_left && want_build;
-        let mut guard = collect.borrow_mut();
-        let c = if is_build { guard.as_deref_mut() } else { None };
-        let side = svc.spill_blocks_collecting(table, blocks, attr, preds, on_task, c)?;
-        drop(guard);
-        if is_build {
-            *build_out.borrow_mut() = Some(side.clone());
-        }
-        Ok(side)
-    };
-    let rows = if ctx.fetch_window > 1 {
-        pipelined_exchange(
-            svc,
-            ctx.threads,
-            spec.left_attr,
-            spec.right_attr,
-            |_, on_task| spill(on_task, true),
-            |_, on_task| spill(on_task, false),
-            None,
-        )
-    } else {
-        (|| {
-            let (left, right) = {
-                let (_mctx, mspan) = ctx.traced("map-spill");
-                let before = mspan.as_ref().map(|_| ctx.clock.shuffle_snapshot());
-                let left = spill(&mut |_| {}, true)?;
-                let right = spill(&mut |_| {}, false)?;
-                annotate_map(&mspan, ctx.clock, before);
-                (left, right)
-            };
-            traced_reduce(ctx, || {
-                reduce_join(svc, ctx.threads, &left, &right, spec.left_attr, spec.right_attr, None)
-            })
-        })()
-    }?;
-    Ok((rows, build_out.into_inner()))
-}
-
-/// The hot exchange: the build side's per-partition rows come from a
-/// retained [`HotBuild`] — no map spill, no reducer fetch for that side
-/// — while the other side shuffles normally. Split planning sees the
-/// retained histogram (identical to the one the original query
-/// produced), so the plan matches the cold run's.
-fn hot_exchange<'a>(
-    svc: &ShuffleService<'a>,
-    ctx: ExecContext<'a>,
-    spec: &ShuffleJoinSpec<'_>,
-    build_left: bool,
-    hot: &HotBuild,
-) -> Result<Vec<Row>> {
-    let fabricated =
-        ShuffledSide { runs: vec![Vec::new(); svc.partitions()], rows: hot.hist.clone() };
-    let spill_other = |on_task: &mut dyn FnMut(&ShuffledSide)| -> Result<ShuffledSide> {
-        let (table, blocks, attr, preds) = if build_left {
-            (spec.right_table, spec.right_blocks, spec.right_attr, spec.right_preds)
-        } else {
-            (spec.left_table, spec.left_blocks, spec.left_attr, spec.left_preds)
-        };
-        svc.spill_blocks_observed(table, blocks, attr, preds, on_task)
-    };
-    if ctx.fetch_window > 1 {
-        if build_left {
-            pipelined_exchange(
-                svc,
-                ctx.threads,
-                spec.left_attr,
-                spec.right_attr,
-                |_, _| Ok(fabricated),
-                |_, on_task| spill_other(on_task),
-                Some((hot, true)),
-            )
-        } else {
-            pipelined_exchange(
-                svc,
-                ctx.threads,
-                spec.left_attr,
-                spec.right_attr,
-                |_, on_task| spill_other(on_task),
-                |_, _| Ok(fabricated),
-                Some((hot, false)),
-            )
-        }
-    } else {
-        let (left, right) = {
-            let (_mctx, mspan) = ctx.traced("map-spill");
-            let before = mspan.as_ref().map(|_| ctx.clock.shuffle_snapshot());
-            let other = spill_other(&mut |_| {})?;
-            annotate_map(&mspan, ctx.clock, before);
-            if build_left {
-                (fabricated, other)
-            } else {
-                (other, fabricated)
-            }
-        };
-        traced_reduce(ctx, || {
-            reduce_join(
-                svc,
-                ctx.threads,
-                &left,
-                &right,
-                spec.left_attr,
-                spec.right_attr,
-                Some((hot, build_left)),
-            )
-        })
-    }
-}
-
-/// The pipelined exchange: per-reducer [`adaptdb_storage::FetchStream`]s
-/// are created *before* the map phases, each map task's finished runs
-/// are pushed the moment the task completes (so reducer prefetch
-/// overlaps the rest of the map phase), and reducers drain their
-/// streams — up to `fetch_window` fetches in flight, charged
-/// max-of-window — before hash-joining. Byte/block counts and the
-/// joined row multiset are identical to the serial exchange.
-fn pipelined_exchange<'a>(
-    svc: &ShuffleService<'a>,
-    threads: usize,
     left_attr: AttrId,
     right_attr: AttrId,
-    spill_left: impl FnOnce(&ShuffleService<'a>, &mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
-    spill_right: impl FnOnce(&ShuffleService<'a>, &mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
     hot: Option<(&HotBuild, bool)>,
+    mut spill: impl FnMut(bool, &mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
 ) -> Result<Vec<Row>> {
     let ctx = svc.ctx();
     let mut streams = svc.partition_streams();
@@ -379,22 +275,20 @@ fn pipelined_exchange<'a>(
         let before = mspan.as_ref().map(|_| ctx.clock.shuffle_snapshot());
         let mut seen = vec![0usize; svc.partitions()];
         let left =
-            spill_left(svc, &mut |side| svc.push_new_runs(&mut streams, side, &mut seen, false))?;
+            spill(false, &mut |side| svc.push_new_runs(&mut streams, side, &mut seen, false))?;
         seen.fill(0);
         let right =
-            spill_right(svc, &mut |side| svc.push_new_runs(&mut streams, side, &mut seen, true))?;
+            spill(true, &mut |side| svc.push_new_runs(&mut streams, side, &mut seen, true))?;
         annotate_map(&mspan, ctx.clock, before);
         (left, right)
     };
     // Both histograms are complete once the spills return, so the split
     // plan is known before any stream is drained.
     let plan = svc.split_plan(&left, &right);
-    // Reduce: each partition drains its (already in-flight) stream and
-    // joins; partitions run in parallel, output in partition order.
     traced_reduce(ctx, || {
         let tasks: Vec<_> = streams.into_iter().enumerate().collect();
         let results =
-            parallel::map_ordered(tasks, threads, |(p, mut stream)| -> Result<Vec<Row>> {
+            parallel::map_ordered(tasks, ctx.threads, |(p, mut stream)| -> Result<Vec<Row>> {
                 let (mut l, mut r) = svc.drain_partition(&mut stream)?;
                 if let Some((build, build_left)) = hot {
                     // The hot side announced no runs, so its drained
@@ -415,46 +309,10 @@ fn pipelined_exchange<'a>(
     })
 }
 
-/// Reduce phase shared by the block- and row-input shuffles: each
-/// reducer fetches both sides' runs for its partition and hash-joins
-/// them under the context's memory budget, splitting hot partitions
-/// per the histogram-driven plan. Partitions run in parallel; output
-/// order is partition order.
-#[allow(clippy::too_many_arguments)]
-fn reduce_join(
-    svc: &ShuffleService<'_>,
-    threads: usize,
-    left: &ShuffledSide,
-    right: &ShuffledSide,
-    left_attr: AttrId,
-    right_attr: AttrId,
-    hot: Option<(&HotBuild, bool)>,
-) -> Result<Vec<Row>> {
-    let plan = svc.split_plan(left, right);
-    let tasks: Vec<usize> = (0..svc.partitions()).collect();
-    let results = parallel::map_ordered(tasks, threads, |p| -> Result<Vec<Row>> {
-        match hot {
-            None => reduce_partition(svc, p, plan[p], left, right, left_attr, right_attr),
-            Some((build, build_left)) => {
-                // The hot side spilled no runs; its rows come straight
-                // from the retained build instead of a fetch.
-                let l = if build_left { build.rows[p].clone() } else { svc.fetch(p, left)? };
-                let r = if build_left { svc.fetch(p, right)? } else { build.rows[p].clone() };
-                join_partition(svc, p, plan[p], l, r, left_attr, right_attr, left, right)
-            }
-        }
-    });
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
-    }
-    Ok(out)
-}
-
-/// One reduce task: fetch both sides of partition `p` and join them
-/// under the memory budget, fanning out over `split_k` sub-tasks when
-/// the split plan marked the partition heavy. Public so benchmarks can
-/// run reduce tasks one at a time and read per-task clock deltas.
+/// One reduce task: stream both sides' runs of partition `p` and join
+/// them under the memory budget, fanning out over `split_k` sub-tasks
+/// when the split plan marked the partition heavy. Public so benchmarks
+/// can run reduce tasks one at a time and read per-task clock deltas.
 pub fn reduce_partition(
     svc: &ShuffleService<'_>,
     p: usize,
@@ -464,13 +322,12 @@ pub fn reduce_partition(
     left_attr: AttrId,
     right_attr: AttrId,
 ) -> Result<Vec<Row>> {
-    let l = svc.fetch(p, left)?;
-    let r = svc.fetch(p, right)?;
+    let (l, r) = svc.fetch_partition(p, left, right)?;
     join_partition(svc, p, split_k, l, r, left_attr, right_attr, left, right)
 }
 
-/// Join one partition's fetched rows, shared by the serial and
-/// pipelined exchanges so their accounting is identical.
+/// Join one partition's fetched rows, shared by the exchange and
+/// [`reduce_partition`] so their accounting is identical.
 ///
 /// Unsplit (`split_k <= 1`): one budgeted join. Split: the bigger side
 /// is divided round-robin over `split_k` sub-tasks, each of which
@@ -709,31 +566,11 @@ pub fn shuffle_join_rows(
         rows_per_block,
         "mid",
     )?;
-    let result = if ctx.fetch_window > 1 {
-        pipelined_exchange(
-            &svc,
-            ctx.threads,
-            left_attr,
-            right_attr,
-            |svc, on_task| svc.spill_rows_observed(left, left_attr, on_task),
-            |svc, on_task| svc.spill_rows_observed(right, right_attr, on_task),
-            None,
-        )
-    } else {
-        (|| {
-            let (l, r) = {
-                let (_mctx, mspan) = ctx.traced("map-spill");
-                let before = mspan.as_ref().map(|_| ctx.clock.shuffle_snapshot());
-                let l = svc.spill_rows(left, left_attr)?;
-                let r = svc.spill_rows(right, right_attr)?;
-                annotate_map(&mspan, ctx.clock, before);
-                (l, r)
-            };
-            traced_reduce(ctx, || {
-                reduce_join(&svc, ctx.threads, &l, &r, left_attr, right_attr, None)
-            })
-        })()
-    };
+    let mut inputs = [left, right];
+    let result = exchange(&svc, left_attr, right_attr, None, |right, on_task| {
+        let attr = if right { right_attr } else { left_attr };
+        svc.spill_rows_observed(std::mem::take(&mut inputs[usize::from(right)]), attr, on_task)
+    });
     svc.cleanup();
     drop(span);
     result

@@ -28,15 +28,20 @@
 //! dropped wholesale when the join finishes, so concurrent queries on a
 //! shared store never collide.
 //!
-//! **Pipelining.** With `ExecContext::fetch_window > 1` the exchange is
-//! streamed: map-side runs become visible to reducers as each map task
-//! finishes ([`ShuffleService::spill_blocks_observed`] announces every
-//! task's new runs), and each reducer fetches its runs through a
-//! [`FetchStream`] — up to `fetch_window` fetches in flight, remote
-//! transfers overlapping local reads, charged max-of-window on the
-//! clock's [`adaptdb_common::OverlapStats`] breakdown. Block counts and
-//! row results are identical to the serial exchange; only simulated
-//! fetch latency shrinks.
+//! **Streaming.** Reducers fetch their runs through [`FetchStream`]s
+//! at every window: map-side runs become visible to reducers as each
+//! map task finishes ([`ShuffleService::spill_blocks_collecting`] and
+//! [`ShuffleService::spill_rows_observed`] announce every task's new
+//! runs, [`ShuffleService::push_new_runs`] queues them), and each
+//! reducer drains its stream with
+//! [`ShuffleService::drain_partition`]. `fetch_window` sets the
+//! stream's depth: at 1 a stream reads nothing ahead, so each run is
+//! fetched when its reducer drains, one at a time; at `w > 1` up to
+//! `w` fetches are in flight, remote transfers overlapping local reads,
+//! charged max-of-window on the clock's
+//! [`adaptdb_common::OverlapStats`] breakdown. Block counts and row
+//! results are the same at every window; only simulated fetch latency
+//! shrinks.
 
 #![warn(missing_docs)]
 
@@ -140,34 +145,24 @@ impl<'a> ShuffleService<'a> {
         attr: AttrId,
         preds: &PredicateSet,
     ) -> Result<ShuffledSide> {
-        self.spill_blocks_observed(table, blocks, attr, preds, &mut |_| {})
+        self.spill_blocks_collecting(table, blocks, attr, preds, &mut |_| {}, None)
     }
 
-    /// [`ShuffleService::spill_blocks`] with streamed run visibility:
-    /// `on_task` is invoked after **each map task** finishes, with the
-    /// side accumulated so far — runs spilled by completed tasks are
-    /// already real DFS blocks at that point, so a pipelined reducer
-    /// can begin prefetching them while later map tasks still execute
-    /// (instead of waiting for the whole map phase, the serial
-    /// behavior). Runs lists only ever grow, so observers track a
-    /// per-partition high-water mark to find the new entries.
-    pub fn spill_blocks_observed(
-        &self,
-        table: &str,
-        blocks: &[BlockId],
-        attr: AttrId,
-        preds: &PredicateSet,
-        on_task: &mut dyn FnMut(&ShuffledSide),
-    ) -> Result<ShuffledSide> {
-        self.spill_blocks_collecting(table, blocks, attr, preds, on_task, None)
-    }
-
-    /// [`ShuffleService::spill_blocks_observed`] that additionally
-    /// copies every routed row into `collect[partition]` — the exact
-    /// per-partition row sets the reducers will fetch, captured for
-    /// free during the map phase (no extra I/O, the rows pass through
-    /// the mapper anyway). The hot-build cache retains them so a later
-    /// identical shuffle can skip this side's spill *and* fetch.
+    /// [`ShuffleService::spill_blocks`] with streamed run visibility
+    /// and an optional row capture. `on_task` is invoked after **each
+    /// map task** finishes, with the side accumulated so far — runs
+    /// spilled by completed tasks are already real DFS blocks at that
+    /// point, so a reducer stream can begin prefetching them while
+    /// later map tasks still execute. Runs lists only ever grow, so
+    /// observers track a per-partition high-water mark to find the new
+    /// entries.
+    ///
+    /// `collect`, when given, additionally receives a copy of every
+    /// routed row in `collect[partition]` — the exact per-partition row
+    /// sets the reducers will fetch, captured for free during the map
+    /// phase (no extra I/O, the rows pass through the mapper anyway).
+    /// The hot-build cache retains them so a later identical shuffle
+    /// can skip this side's spill *and* fetch.
     pub fn spill_blocks_collecting(
         &self,
         table: &str,
@@ -211,15 +206,9 @@ impl<'a> ShuffleService<'a> {
     /// results in multi-way plans, §4.3). The rows are treated as
     /// distributed across the live nodes — contiguous slices per node,
     /// as the previous phase's reducers would have left them — then
-    /// spilled exactly like [`ShuffleService::spill_blocks`].
-    pub fn spill_rows(&self, rows: Vec<Row>, attr: AttrId) -> Result<ShuffledSide> {
-        self.spill_rows_observed(rows, attr, &mut |_| {})
-    }
-
-    /// [`ShuffleService::spill_rows`] with streamed run visibility —
-    /// the row-input counterpart of
-    /// [`ShuffleService::spill_blocks_observed`]: `on_task` fires after
-    /// each node's map task spills.
+    /// spilled exactly like [`ShuffleService::spill_blocks`], with
+    /// `on_task` fired after each node's map task spills (see
+    /// [`ShuffleService::spill_blocks_collecting`]).
     pub fn spill_rows_observed(
         &self,
         rows: Vec<Row>,
@@ -290,39 +279,41 @@ impl<'a> ShuffleService<'a> {
         alive[(start + j) % alive.len()]
     }
 
-    /// Reduce-side fetch of one partition's runs: every run block is
+    /// Reduce-side fetch of partition `partition`'s runs from both
+    /// sides through one stream (left runs, then right): every run is
     /// read from the reducer's node, classified local/remote by the
-    /// DFS, and tagged on the shuffle breakdown.
-    pub fn fetch(&self, partition: usize, side: &ShuffledSide) -> Result<Vec<Row>> {
-        let node = self.reducer_node(partition);
-        let mut rows = Vec::new();
-        for &id in &side.runs[partition] {
-            let (block, kind) =
-                self.ctx.store.read_block_classified(&self.scratch, id, node, self.ctx.clock)?;
-            self.ctx.clock.record_shuffle_fetch(kind);
-            rows.extend(block.rows);
-        }
-        Ok(rows)
+    /// DFS, and tagged on the shuffle breakdown. Returns `(left, right)`
+    /// rows, for callers that reduce partitions one at a time.
+    pub(crate) fn fetch_partition(
+        &self,
+        partition: usize,
+        left: &ShuffledSide,
+        right: &ShuffledSide,
+    ) -> Result<(Vec<Row>, Vec<Row>)> {
+        let mut stream = self.partition_stream();
+        self.push_runs(&mut stream, partition, &left.runs[partition], false);
+        self.push_runs(&mut stream, partition, &right.runs[partition], true);
+        self.drain_partition(&mut stream)
     }
 
-    /// One pipelined [`FetchStream`] per reducer, each reading from its
-    /// reducer's node with the context's `fetch_window` in-flight
-    /// depth. Fill them with [`ShuffleService::push_new_runs`] as map
-    /// tasks announce runs, then drain with
-    /// [`ShuffleService::drain_partition`].
+    /// One [`FetchStream`] per reducer, each reading from its reducer's
+    /// node with the context's `fetch_window` in-flight depth. Fill
+    /// them with [`ShuffleService::push_new_runs`] as map tasks announce
+    /// runs, then drain with [`ShuffleService::drain_partition`].
     pub fn partition_streams(&self) -> Vec<FetchStream<'a>> {
-        (0..self.partitions)
-            .map(|_| {
-                self.ctx.store.fetch_stream(&self.scratch, self.ctx.clock, self.ctx.fetch_window)
-            })
-            .collect()
+        (0..self.partitions).map(|_| self.partition_stream()).collect()
+    }
+
+    fn partition_stream(&self) -> FetchStream<'a> {
+        self.ctx.store.fetch_stream(&self.scratch, self.ctx.clock, self.ctx.fetch_window)
     }
 
     /// Push every run `side` has announced beyond `seen`'s per-partition
-    /// high-water mark into that partition's stream (reads issue
-    /// eagerly as windows fill — the reducer-side prefetch). `right`
-    /// tags the requests so [`ShuffleService::drain_partition`] can
-    /// split the two sides of a join back apart.
+    /// high-water mark into that partition's stream (at `fetch_window >
+    /// 1` reads issue eagerly as windows fill — the reducer-side
+    /// prefetch). `right` tags the requests so
+    /// [`ShuffleService::drain_partition`] can split the two sides of a
+    /// join back apart.
     pub fn push_new_runs(
         &self,
         streams: &mut [FetchStream<'a>],
@@ -331,21 +322,33 @@ impl<'a> ShuffleService<'a> {
         right: bool,
     ) {
         for (p, runs) in side.runs.iter().enumerate() {
-            let node = self.reducer_node(p);
-            for &id in &runs[seen[p]..] {
-                let tag = if right { RIGHT_SIDE_TAG | id as u64 } else { id as u64 };
-                streams[p].push(id, Some(node), tag);
-            }
+            self.push_runs(&mut streams[p], p, &runs[seen[p]..], right);
             seen[p] = runs.len();
+        }
+    }
+
+    /// Queue `runs` on partition `partition`'s stream, read from its
+    /// reducer's node and tagged with their side.
+    fn push_runs(
+        &self,
+        stream: &mut FetchStream<'a>,
+        partition: usize,
+        runs: &[BlockId],
+        right: bool,
+    ) {
+        let node = self.reducer_node(partition);
+        for &id in runs {
+            let tag = if right { RIGHT_SIDE_TAG | id as u64 } else { id as u64 };
+            stream.push(id, Some(node), tag);
         }
     }
 
     /// Drain one reducer's stream to completion, tagging every fetch on
     /// the shuffle breakdown, and return `(left, right)` rows split by
-    /// the side tag. Rows arrive in completion order — locals before
-    /// remotes within each in-flight window — which is exactly the
-    /// "join what has arrived while the rest transfers" order a real
-    /// pipelined reducer sees.
+    /// the side tag. Rows arrive in completion order — push order at
+    /// window 1, locals before remotes within each in-flight window
+    /// above it — which is exactly the "join what has arrived while the
+    /// rest transfers" order a real pipelined reducer sees.
     pub fn drain_partition(&self, stream: &mut FetchStream<'a>) -> Result<(Vec<Row>, Vec<Row>)> {
         let mut left = Vec::new();
         let mut right = Vec::new();
@@ -535,6 +538,11 @@ mod tests {
     use adaptdb_dfs::SimClock;
     use adaptdb_storage::BlockStore;
 
+    /// Fetch one side of partition `p` through the reducer's stream.
+    fn fetch(svc: &ShuffleService<'_>, p: usize, side: &ShuffledSide) -> Vec<Row> {
+        svc.fetch_partition(p, side, &ShuffledSide::empty(svc.partitions())).unwrap().0
+    }
+
     /// `n` blocks of `per_block` rows, written round-robin across nodes.
     fn setup(nodes: usize, n: i64, per_block: i64) -> (BlockStore, Vec<BlockId>) {
         let store = BlockStore::new(nodes, 1, 1);
@@ -581,7 +589,7 @@ mod tests {
         // Now actually fetch and compare the clock's classification.
         let mut total = 0usize;
         for p in 0..svc.partitions() {
-            total += svc.fetch(p, &side).unwrap().len();
+            total += fetch(&svc, p, &side).len();
         }
         assert_eq!(total, 400, "shuffle conserves rows");
         let sh = clock.shuffle_snapshot();
@@ -612,7 +620,7 @@ mod tests {
         assert_eq!(sh.blocks_spilled, 0);
         // Fetch of an empty side charges nothing either.
         for p in 0..svc.partitions() {
-            assert!(svc.fetch(p, &side).unwrap().is_empty());
+            assert!(fetch(&svc, p, &side).is_empty());
         }
         assert_eq!(clock.shuffle_snapshot().fetches(), 0);
         svc.cleanup();
@@ -643,10 +651,10 @@ mod tests {
         let ctx = ExecContext::single(&store, &clock);
         let svc = ShuffleService::new(ctx, 4, 10, "mid").unwrap();
         let rows: Vec<Row> = (0..100i64).map(|i| row![i]).collect();
-        let side = svc.spill_rows(rows, 0).unwrap();
+        let side = svc.spill_rows_observed(rows, 0, &mut |_| {}).unwrap();
         let mut got = 0usize;
         for p in 0..svc.partitions() {
-            got += svc.fetch(p, &side).unwrap().len();
+            got += fetch(&svc, p, &side).len();
         }
         assert_eq!(got, 100);
         let sh = clock.shuffle_snapshot();
@@ -654,7 +662,7 @@ mod tests {
         assert!(sh.runs_written > 4, "intermediates spread over nodes: {}", sh.runs_written);
         assert!(sh.remote_fetches > 0, "cross-node intermediates fetch remotely");
         // Empty input is free.
-        let empty = svc.spill_rows(Vec::new(), 0).unwrap();
+        let empty = svc.spill_rows_observed(Vec::new(), 0, &mut |_| {}).unwrap();
         assert!(empty.runs.iter().all(Vec::is_empty));
         svc.cleanup();
     }
@@ -667,7 +675,7 @@ mod tests {
         let svc = ShuffleService::new(ctx, 4, 10, "t").unwrap();
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
         for p in 0..svc.partitions() {
-            svc.fetch(p, &side).unwrap();
+            fetch(&svc, p, &side);
         }
         let sh = clock.shuffle_snapshot();
         assert_eq!(sh.remote_fetches, 0);
@@ -683,7 +691,7 @@ mod tests {
         let svc = ShuffleService::new(base, 4, 100, "t").unwrap();
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
         for p in 0..4 {
-            svc.fetch(p, &side).unwrap();
+            fetch(&svc, p, &side);
         }
         let lone = c1.shuffle_snapshot().locality_fraction();
         svc.cleanup();
@@ -697,7 +705,7 @@ mod tests {
         let svc = ShuffleService::new(full, 4, 100, "t").unwrap();
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
         for p in 0..4 {
-            svc.fetch(p, &side).unwrap();
+            fetch(&svc, p, &side);
         }
         let everywhere = c2.shuffle_snapshot().locality_fraction();
         svc.cleanup();
@@ -726,7 +734,7 @@ mod tests {
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
         let mut rows = 0usize;
         for p in 0..svc.partitions() {
-            rows += svc.fetch(p, &side).unwrap().len();
+            rows += fetch(&svc, p, &side).len();
         }
         assert_eq!(rows, 80);
         // Runs were written on live nodes only.

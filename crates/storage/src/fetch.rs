@@ -27,9 +27,11 @@
 //! (the DFS classifies such reads `Remote`), so a node dying
 //! mid-stream degrades locality, not correctness.
 //!
-//! `window = 1` degenerates to serial fetching with identical
-//! accounting to [`crate::BlockStore::read_block_classified`], which is
-//! what the serial-vs-pipelined equivalence tests pin.
+//! `window = 1` is serial fetching: nothing is read ahead, and each
+//! request is probed and read when the consumer asks for it, with
+//! accounting identical to [`crate::BlockStore::read_block_classified`]
+//! (each read is also one overlap window that hides nothing), so a
+//! window-1 stream stands in for a serial read loop.
 
 use std::collections::VecDeque;
 
@@ -82,6 +84,7 @@ impl FetchCompletion {
 /// window is pending (so prefetch begins while the producer is still
 /// queueing — e.g. while map tasks are still spilling runs), and lazily
 /// on [`FetchStream::next_completion`] for the final partial window.
+/// A window of 1 never prefetches (see [`FetchStream::push`]).
 #[derive(Debug)]
 pub struct FetchStream<'a> {
     store: &'a BlockStore,
@@ -162,22 +165,23 @@ impl<'a> FetchStream<'a> {
     /// latency charge shrinks. A probe that cannot classify the read
     /// (all replicas dead) falls through to the normal pending path so
     /// failures surface exactly as they do with the cache off.
+    ///
+    /// A stream of window 1 has no second slot to read ahead with, so
+    /// it only queues here: the probe and the read both happen in
+    /// [`FetchStream::next_completion`], one request at a time — the
+    /// same sequence of cache and DFS accesses, at the same points, as
+    /// a loop of [`BlockStore::read_block`] calls.
     pub fn push(&mut self, id: BlockId, reader: Option<NodeId>, tag: u64) {
-        if self.store.cache_enabled() {
-            let gid = GlobalBlockId::new(self.table.as_str(), id);
-            let node = reader.or_else(|| self.store.dfs().preferred_node(&gid).ok());
-            if let Some(node) = node {
-                if let Some((bytes, _)) = self.store.cache_probe(&gid, node, self.clock) {
-                    let completion = self
-                        .store
-                        .parse_memoized(&gid, bytes)
-                        .map(|payload| FetchCompletion { tag, kind: ReadKind::CacheHit, payload });
-                    self.ready.push_back(completion);
-                    return;
-                }
-            }
+        let req = FetchRequest { id, reader, tag };
+        if self.window == 1 {
+            self.pending.push_back(req);
+            return;
         }
-        self.pending.push_back(FetchRequest { id, reader, tag });
+        if let Some(hit) = self.probe_cache(&req) {
+            self.ready.push_back(hit);
+            return;
+        }
+        self.pending.push_back(req);
         if self.pending.len() >= self.window {
             self.issue_window();
         }
@@ -189,9 +193,38 @@ impl<'a> FetchStream<'a> {
     /// failed requests come last (they "complete" at error detection).
     pub fn next_completion(&mut self) -> Option<Result<FetchCompletion>> {
         if self.ready.is_empty() && !self.pending.is_empty() {
-            self.issue_window();
+            if self.window == 1 {
+                let req = self.pending[0];
+                match self.probe_cache(&req) {
+                    Some(hit) => {
+                        self.pending.pop_front();
+                        self.ready.push_back(hit);
+                    }
+                    None => self.issue_window(),
+                }
+            } else {
+                self.issue_window();
+            }
         }
         self.ready.pop_front()
+    }
+
+    /// Serve `req` from the reader's block cache if it is resident
+    /// there (hit/miss charged on the clock); `None` when no cache is
+    /// attached, the block is not resident, or the read cannot be
+    /// classified (so failures take the normal fetch path).
+    fn probe_cache(&self, req: &FetchRequest) -> Option<Result<FetchCompletion>> {
+        if !self.store.cache_enabled() {
+            return None;
+        }
+        let gid = GlobalBlockId::new(self.table.as_str(), req.id);
+        let node = req.reader.or_else(|| self.store.dfs().preferred_node(&gid).ok())?;
+        let (bytes, _) = self.store.cache_probe(&gid, node, self.clock)?;
+        Some(self.store.parse_memoized(&gid, bytes).map(|payload| FetchCompletion {
+            tag: req.tag,
+            kind: ReadKind::CacheHit,
+            payload,
+        }))
     }
 
     /// Issue up to one window of pending requests: classify and decode
@@ -287,6 +320,8 @@ mod tests {
         for (i, &id) in ids.iter().enumerate() {
             stream.push(id, Some(0), i as u64);
         }
+        // Nothing is read ahead of the consumer at window 1.
+        assert_eq!((stream.issued(), piped.snapshot().reads()), (0, 0));
         let got = drain(&mut stream);
         assert_eq!(got.len(), 4);
         // Identical I/O counts, identical order (no reordering at w=1),

@@ -131,50 +131,58 @@ fn zipfian_reaccess_hits_and_hot_build_reuse_preserve_rows() {
         ("x", adaptdb_common::ValueType::Int),
     ]);
     let dim_schema = adaptdb_common::Schema::from_pairs(&[("k", adaptdb_common::ValueType::Int)]);
-    let build = |cache_blocks: usize| {
-        let config = DbConfig {
-            nodes: 4,
-            replication: 1,
-            rows_per_block: 32,
-            threads: 1,
-            cache_blocks_per_node: cache_blocks,
-            seed: 11,
-            ..DbConfig::default()
+    // The hot exchange reads through the fetch stream at every window:
+    // pin both the one-deep and the overlapped stream.
+    for fetch_window in [1, 4] {
+        let build = |cache_blocks: usize| {
+            let config = DbConfig {
+                nodes: 4,
+                replication: 1,
+                rows_per_block: 32,
+                threads: 1,
+                fetch_window,
+                cache_blocks_per_node: cache_blocks,
+                seed: 11,
+                ..DbConfig::default()
+            };
+            let mut db = Database::new(config.with_mode(Mode::Amoeba));
+            db.create_table("f", schema.clone(), vec![0]).unwrap();
+            db.create_table("d", dim_schema.clone(), vec![0]).unwrap();
+            let mut rng = derived(11, "zipf-cache");
+            db.load_rows("f", zipf::zipf_rows(1024, 64, 1.1, &mut rng)).unwrap();
+            db.load_rows("d", zipf::key_rows(64)).unwrap();
+            db
         };
-        let mut db = Database::new(config.with_mode(Mode::Amoeba));
-        db.create_table("f", schema.clone(), vec![0]).unwrap();
-        db.create_table("d", dim_schema.clone(), vec![0]).unwrap();
-        let mut rng = derived(11, "zipf-cache");
-        db.load_rows("f", zipf::zipf_rows(1024, 64, 1.1, &mut rng)).unwrap();
-        db.load_rows("d", zipf::key_rows(64)).unwrap();
-        db
-    };
-    let mut off = build(0);
-    let mut on = build(CACHE_BLOCKS);
+        let mut off = build(0);
+        let mut on = build(CACHE_BLOCKS);
 
-    let q = Query::Join(adaptdb_common::JoinQuery::new(
-        ScanQuery::full("f"),
-        ScanQuery::full("d"),
-        0,
-        0,
-    ));
-    let mut spilled_on = Vec::new();
-    let mut spilled_off = Vec::new();
-    for pass in 0..3 {
-        // Pass 0 is cold: no reuse possible, strict invariant applies.
-        check_pair(&mut off, &mut on, &q, pass == 0);
-        let (r_off, r_on) = (off.run(&q).unwrap(), on.run(&q).unwrap());
-        assert_eq!(sorted(r_off.rows), sorted(r_on.rows));
-        spilled_off.push(r_off.stats.shuffle.blocks_spilled);
-        spilled_on.push(r_on.stats.shuffle.blocks_spilled);
+        let q = Query::Join(adaptdb_common::JoinQuery::new(
+            ScanQuery::full("f"),
+            ScanQuery::full("d"),
+            0,
+            0,
+        ));
+        let mut spilled_on = Vec::new();
+        let mut spilled_off = Vec::new();
+        for pass in 0..3 {
+            // Pass 0 is cold: no reuse possible, strict invariant applies.
+            check_pair(&mut off, &mut on, &q, pass == 0);
+            let (r_off, r_on) = (off.run(&q).unwrap(), on.run(&q).unwrap());
+            assert_eq!(sorted(r_off.rows), sorted(r_on.rows));
+            spilled_off.push(r_off.stats.shuffle.blocks_spilled);
+            spilled_on.push(r_on.stats.shuffle.blocks_spilled);
+        }
+        let report = on.store().cache().expect("cache enabled").report();
+        assert!(
+            report.build_hits > 0,
+            "w={fetch_window}: identical repeated joins must reuse the hot build"
+        );
+        assert!(
+            spilled_on.last().unwrap() < spilled_off.last().unwrap(),
+            "w={fetch_window}: hot-build reuse must spill less than the uncached twin: {spilled_on:?} vs {spilled_off:?}"
+        );
+        assert!(report.hits > 0);
     }
-    let report = on.store().cache().expect("cache enabled").report();
-    assert!(report.build_hits > 0, "identical repeated joins must reuse the hot build");
-    assert!(
-        spilled_on.last().unwrap() < spilled_off.last().unwrap(),
-        "hot-build reuse must spill less than the uncached twin: {spilled_on:?} vs {spilled_off:?}"
-    );
-    assert!(report.hits > 0);
 }
 
 /// Mid-run adaptation: a forced repartition retires blocks under a warm
