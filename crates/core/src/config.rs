@@ -156,22 +156,17 @@ pub struct DbConfig {
     /// default) keeps the configured window unconditionally. Block
     /// counts and results are identical at every setting.
     pub fetch_pace_wait_ms: Option<f64>,
-    /// Columnar execution: blocks are written in the columnar `ADB2`
-    /// wire format and scans/hyper-join probes evaluate predicates
-    /// column-wise into selection bitsets over lazily-decoded payloads,
-    /// materializing only selected rows in morsel-sized gathers. Purely
-    /// a wall-clock optimization: rows, row order, block boundaries,
-    /// block counts, and every simulated stat are bit-identical with it
-    /// off (the default), and legacy `ADB1` blocks remain readable
-    /// either way. Defaults honor the `ADAPTDB_COLUMNAR` environment
-    /// variable; see [`DbConfig::env_columnar`].
+    /// Deprecated no-op, read nowhere. The engine has one data plane:
+    /// blocks are written `ADB2` and every filtered read materialises
+    /// late. The field stays only so configurations that spell it out
+    /// keep compiling.
+    #[deprecated(note = "no effect: the columnar data plane is the only one")]
     pub columnar: bool,
-    /// Morsel size in rows for columnar scan/probe work: selected row
+    /// Morsel size in rows for a scan's gather stage: selected row
     /// ranges split into cache-sized morsels dispatched through the
     /// ordered parallel executor (deterministic output order at any
-    /// thread count). Irrelevant when `columnar` is off. Defaults honor
-    /// the `ADAPTDB_MORSEL_ROWS` environment variable; see
-    /// [`DbConfig::env_morsel_rows`].
+    /// thread count). Defaults honor the `ADAPTDB_MORSEL_ROWS`
+    /// environment variable; see [`DbConfig::env_morsel_rows`].
     pub morsel_rows: usize,
     /// Query-lifecycle tracing: when on, every query run through
     /// [`crate::Database`] or the server collects a span tree
@@ -230,6 +225,7 @@ pub struct DbConfig {
 }
 
 impl Default for DbConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         DbConfig {
             nodes: 10,
@@ -249,7 +245,7 @@ impl Default for DbConfig {
             batch_cost_blocks: 64,
             maint_pace_wait_ms: 5.0,
             fetch_pace_wait_ms: None,
-            columnar: DbConfig::env_columnar(),
+            columnar: false,
             morsel_rows: DbConfig::env_morsel_rows().unwrap_or(adaptdb_exec::DEFAULT_MORSEL_ROWS),
             trace: DbConfig::env_trace(),
             ingest_fold_blocks: DbConfig::env_ingest_fold().unwrap_or(8),
@@ -296,21 +292,10 @@ impl DbConfig {
         SchedPolicy::parse(&std::env::var("ADAPTDB_SCHED").ok()?)
     }
 
-    /// The `ADAPTDB_COLUMNAR` override: `1` / `true` / `on` enables
-    /// columnar block encoding and column-wise execution (anything
-    /// else, or unset, leaves it off). Never changes results, block
-    /// counts, or simulated costs — only wall-clock.
-    pub fn env_columnar() -> bool {
-        matches!(
-            std::env::var("ADAPTDB_COLUMNAR").map(|v| v.trim().to_ascii_lowercase()).as_deref(),
-            Ok("1") | Ok("true") | Ok("on")
-        )
-    }
-
     /// The `ADAPTDB_MORSEL_ROWS` override, if set to a positive
-    /// integer: the morsel size (in rows) for columnar scan/probe
-    /// gathers. Like `ADAPTDB_THREADS`, this never changes results —
-    /// morsels reassemble in input order.
+    /// integer: the morsel size (in rows) for scan gathers. Like
+    /// `ADAPTDB_THREADS`, this never changes results — morsels
+    /// reassemble in input order.
     pub fn env_morsel_rows() -> Option<usize> {
         std::env::var("ADAPTDB_MORSEL_ROWS").ok()?.trim().parse::<usize>().ok().filter(|m| *m > 0)
     }
@@ -473,10 +458,9 @@ mod tests {
     }
 
     #[test]
+    #[allow(deprecated)]
     fn columnar_defaults_off_and_morsel_positive() {
-        if std::env::var("ADAPTDB_COLUMNAR").is_err() {
-            assert!(!DbConfig::default().columnar, "columnar is opt-in");
-        }
+        assert!(!DbConfig::default().columnar, "the deprecated flag defaults off");
         if std::env::var("ADAPTDB_MORSEL_ROWS").is_err() {
             assert_eq!(DbConfig::default().morsel_rows, adaptdb_exec::DEFAULT_MORSEL_ROWS);
         }

@@ -93,7 +93,6 @@ impl Database {
     /// Create a database over a fresh simulated cluster.
     pub fn new(config: DbConfig) -> Self {
         let store = Arc::new(BlockStore::new(config.nodes, config.replication, config.seed));
-        store.set_columnar(config.columnar);
         store.enable_cache(config.cache_blocks_per_node, config.cost.remote_read_penalty);
         let rng = rng::derived(config.seed, "database");
         Database {

@@ -505,7 +505,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::{DbConfig, Mode};
-    use adaptdb_common::{row, JoinQuery, PredicateSet, ScanQuery, Schema, ValueType};
+    use adaptdb_common::{row, JoinQuery, PredicateSet, Row, ScanQuery, Schema, ValueType};
 
     fn db(mode: Mode) -> Database {
         // fetch_window pinned explicitly so the env override
@@ -644,39 +644,34 @@ mod tests {
     }
 
     /// The zone-map projection uses the scan's exact runtime check, so
-    /// `EXPLAIN ANALYZE` must show estimate == measured — with columnar
-    /// execution on or off.
+    /// `EXPLAIN ANALYZE` must show estimate == measured, and the scan
+    /// must return exactly the naive filter of the loaded rows.
     #[test]
     fn zone_skip_projection_matches_runtime() {
         use adaptdb_common::{CmpOp, Predicate};
-        for columnar in [false, true] {
-            let mut d = Database::new(
-                DbConfig { rows_per_block: 10, fetch_window: 4, columnar, ..DbConfig::small() }
-                    .with_mode(Mode::Fixed),
-            );
-            let schema = Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)]);
-            // The tree only knows attribute 0 (`k`); `x` is invisible
-            // to tree pruning but clustered enough for zone maps.
-            d.create_table("l", schema, vec![0]).unwrap();
-            d.load_two_phase("l", (0..200i64).map(|i| row![i % 100, i]).collect(), 0, None)
-                .unwrap();
-            // A predicate on the non-partitioned attribute (`x`): the
-            // tree cannot prune on it, the zone maps can.
-            let q = Query::Scan(ScanQuery::new(
-                "l",
-                PredicateSet::none().and(Predicate::new(1, CmpOp::Lt, 20i64)),
-            ));
-            let report = d.explain_analyze(&q).unwrap();
-            assert!(
-                report.explain.est_zone_skipped > 0,
-                "columnar={columnar}: zone maps must project skips"
-            );
-            assert_eq!(
-                report.stats.query_io.zone_skipped, report.explain.est_zone_skipped,
-                "columnar={columnar}"
-            );
-            assert!(report.to_string().contains("zone maps"));
-        }
+        let mut d = Database::new(
+            DbConfig { rows_per_block: 10, fetch_window: 4, ..DbConfig::small() }
+                .with_mode(Mode::Fixed),
+        );
+        let schema = Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)]);
+        // The tree only knows attribute 0 (`k`); `x` is invisible to
+        // tree pruning but clustered enough for zone maps.
+        d.create_table("l", schema, vec![0]).unwrap();
+        let loaded: Vec<Row> = (0..200i64).map(|i| row![i % 100, i]).collect();
+        d.load_two_phase("l", loaded.clone(), 0, None).unwrap();
+        // A predicate on the non-partitioned attribute (`x`): the tree
+        // cannot prune on it, the zone maps can.
+        let preds = PredicateSet::none().and(Predicate::new(1, CmpOp::Lt, 20i64));
+        let q = Query::Scan(ScanQuery::new("l", preds.clone()));
+        let report = d.explain_analyze(&q).unwrap();
+        assert!(report.explain.est_zone_skipped > 0, "zone maps must project skips");
+        assert_eq!(report.stats.query_io.zone_skipped, report.explain.est_zone_skipped);
+        assert!(report.to_string().contains("zone maps"));
+        let mut got = d.run(&q).unwrap().rows;
+        let mut expect: Vec<Row> = loaded.into_iter().filter(|r| preds.matches(r)).collect();
+        got.sort_by(|a, b| a.values().cmp(b.values()));
+        expect.sort_by(|a, b| a.values().cmp(b.values()));
+        assert_eq!(got, expect);
     }
 
     #[test]

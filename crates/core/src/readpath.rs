@@ -47,7 +47,6 @@ fn exec_ctx<'a, S: SnapshotSource>(
         .with_shuffle(src.config().shuffle_options())
         .with_fetch_window(src.config().fetch_window)
         .with_join_mem_budget(src.config().join_mem_budget_blocks)
-        .with_columnar(src.config().columnar)
         .with_morsel_rows(src.config().morsel_rows)
         .with_trace(trace)
 }

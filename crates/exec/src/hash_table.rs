@@ -72,7 +72,7 @@ impl JoinHashTable {
     /// Probe a whole key column in one call: for every index set in
     /// `sel`, look up that key and return `(row_index, matching build
     /// rows)` for the indices that hit, in ascending index order. This
-    /// is the columnar probe entry point — the caller materializes
+    /// is the hyper-join probe leg's entry point — the caller materializes
     /// probe rows only for the returned indices (late materialization),
     /// and the ascending order makes multi-threaded morsel runs
     /// deterministic.

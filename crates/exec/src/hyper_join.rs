@@ -12,12 +12,13 @@
 //! the group's node, and come back in plan order — a window of 1 reads
 //! one block at a time, a wider one overlaps reads; block counts and
 //! output are identical either way. Build reads stay plain serial
-//! reads: windowing them would change the simulated seconds. With
-//! `ExecContext::columnar` probe blocks stay lazily decoded:
-//! predicates evaluate column-wise into a selection bitset, the join
-//! key column alone is decoded for a batch probe, and only the
-//! matching probe rows are ever materialized (in morsel-sized gathers
-//! shared with the scan path).
+//! reads: windowing them would change the simulated seconds.
+//!
+//! Both legs materialise late. A build block is selected column-wise
+//! and only its surviving rows are gathered into the hash table. A
+//! probe block stays lazily decoded: predicates evaluate into a
+//! selection bitset, the join key column alone is decoded for a batch
+//! probe, and only the probe rows that matched are ever materialised.
 
 use adaptdb_common::{AttrId, BitSet, PredicateSet, Result, Row};
 use adaptdb_join::{HyperJoinPlan, JoinSide};
@@ -26,7 +27,7 @@ use adaptdb_storage::LazyBlock;
 use crate::context::ExecContext;
 use crate::hash_table::JoinHashTable;
 use crate::parallel;
-use crate::scan::{fetch_ordered, gather_morsels, select_lazy};
+use crate::scan::{fetch_ordered, read_selected, select_block};
 
 /// Everything needed to execute one hyper-join.
 #[derive(Debug, Clone)]
@@ -117,28 +118,8 @@ fn run_group(
 
     let mut table = JoinHashTable::new();
     for &b in build_blocks {
-        let (lazy, _) = ctx.store.read_lazy_classified(build_table, b, node, ctx.clock)?;
-        if ctx.columnar {
-            // Column-wise filter, then gather only the surviving rows
-            // into the hash table (same insertion order as the row
-            // loop, so bucket order — and output order — match).
-            let sel = select_lazy(&lazy, build_preds)?;
-            ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
-            let selected = [(lazy, sel)];
-            for row in gather_morsels(ExecContext { threads: 1, ..ctx }, &selected)? {
-                table.insert(build_attr, row);
-            }
-        } else {
-            let block = lazy.into_block()?;
-            let scanned = block.rows.len();
-            let mut kept = 0usize;
-            for row in block.rows {
-                if build_preds.matches(&row) {
-                    kept += 1;
-                    table.insert(build_attr, row);
-                }
-            }
-            ctx.clock.record_rows(scanned, kept);
+        for row in read_selected(ctx, build_table, b, node, build_preds)? {
+            table.insert(build_attr, row);
         }
     }
     // Probe windows are not traced: the caller's `hyper-join` span
@@ -160,50 +141,26 @@ fn probe_block(
     probe_preds: &PredicateSet,
     build_side: JoinSide,
 ) -> Result<Vec<Row>> {
+    // Selection bitset from the predicate columns, batch-probe the key
+    // column, then gather only the probe rows that actually matched.
+    let sel = select_block(ctx, &lazy, probe_preds)?;
+    let keys = lazy.column(probe_attr as usize)?;
+    let hits = table.probe_batch(&keys, &sel);
+    let mut matched = BitSet::new(lazy.row_count());
+    for &(i, _) in &hits {
+        matched.set(i);
+    }
+    let probe_rows = lazy.gather_range(0, lazy.row_count(), &matched)?;
+    debug_assert_eq!(probe_rows.len(), hits.len());
     let mut out = Vec::new();
-    if ctx.columnar {
-        // Late materialization: selection bitset from the predicate
-        // columns, batch-probe the key column, then gather only the
-        // probe rows that actually matched.
-        let sel = select_lazy(&lazy, probe_preds)?;
-        ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
-        let keys = lazy.column(probe_attr as usize)?;
-        let hits = table.probe_batch(&keys, &sel);
-        let mut matched = BitSet::new(lazy.row_count());
-        for &(i, _) in &hits {
-            matched.set(i);
+    for ((_, build_rows), probe_row) in hits.iter().zip(&probe_rows) {
+        for build_row in *build_rows {
+            // Normalize output to left ⋈ right column order.
+            out.push(match build_side {
+                JoinSide::Left => build_row.concat(probe_row),
+                JoinSide::Right => probe_row.concat(build_row),
+            });
         }
-        let selected = [(lazy, matched)];
-        let probe_rows = gather_morsels(ExecContext { threads: 1, ..ctx }, &selected)?;
-        debug_assert_eq!(probe_rows.len(), hits.len());
-        for ((_, build_rows), probe_row) in hits.iter().zip(&probe_rows) {
-            for build_row in *build_rows {
-                let joined = match build_side {
-                    JoinSide::Left => build_row.concat(probe_row),
-                    JoinSide::Right => probe_row.concat(build_row),
-                };
-                out.push(joined);
-            }
-        }
-    } else {
-        let block = lazy.into_block()?;
-        let scanned = block.rows.len();
-        let mut kept = 0usize;
-        for row in block.rows {
-            if !probe_preds.matches(&row) {
-                continue;
-            }
-            kept += 1;
-            for build_row in table.probe(row.get(probe_attr)) {
-                // Normalize output to left ⋈ right column order.
-                let joined = match build_side {
-                    JoinSide::Left => build_row.concat(&row),
-                    JoinSide::Right => row.concat(build_row),
-                };
-                out.push(joined);
-            }
-        }
-        ctx.clock.record_rows(scanned, kept);
     }
     Ok(out)
 }
@@ -362,16 +319,13 @@ mod tests {
         assert_eq!(rows.len(), 10);
     }
 
-    /// Columnar probing and the pipelined probe leg must both be row-,
-    /// order-, and count-identical to the serial row-at-a-time join,
-    /// at every fetch window / thread count / morsel size — including
+    /// The join must return the naive reference's rows — a filter plus
+    /// hash join over the loaded rows — in the same order and with the
+    /// same counts at every fetch window / thread count / morsel size,
     /// with predicates filtering both sides.
     #[test]
     fn columnar_and_pipelined_probe_match_row_join() {
         let (store, left, right) = setup(64, 8);
-        store.set_columnar(true);
-        // Re-written blocks above are row-format; also join works when
-        // later spills would be columnar. Predicates exercise selection.
         let JoinDecision::Hyper(p) = plan(&left, &right, 2, &CostParams::default()) else {
             panic!("expected hyper-join")
         };
@@ -386,21 +340,36 @@ mod tests {
             right_preds: rpreds,
             plan: &p,
         };
-        let base_clock = SimClock::new();
-        let expect = hyper_join(ExecContext::single(&store, &base_clock), spec(&lp, &rp)).unwrap();
+        let mut reference = JoinHashTable::new();
+        for k in 0..64i64 {
+            let r = row![k, k * 100];
+            if rp.matches(&r) {
+                reference.insert(0, r);
+            }
+        }
+        let mut expect: Vec<Row> = (0..64i64)
+            .map(|k| row![k, k * 10])
+            .filter(|l| lp.matches(l))
+            .flat_map(|l| reference.probe(l.get(0)).iter().map(|r| l.concat(r)).collect::<Vec<_>>())
+            .collect();
         assert_eq!(expect.len(), 48);
+        let base_clock = SimClock::new();
+        let first = hyper_join(ExecContext::single(&store, &base_clock), spec(&lp, &rp)).unwrap();
         let base_io = base_clock.take();
-        for columnar in [false, true] {
-            for window in [1, 4] {
-                for threads in [1, 4] {
+        let mut sorted = first.clone();
+        sorted.sort_by(|a, b| a.values().cmp(b.values()));
+        expect.sort_by(|a, b| a.values().cmp(b.values()));
+        assert_eq!(sorted, expect);
+        for window in [1, 4] {
+            for threads in [1, 4] {
+                for morsel in [3, 1024] {
                     let clock = SimClock::new();
                     let ctx = ExecContext::new(&store, &clock, threads)
                         .with_fetch_window(window)
-                        .with_columnar(columnar)
-                        .with_morsel_rows(3);
+                        .with_morsel_rows(morsel);
                     let got = hyper_join(ctx, spec(&lp, &rp)).unwrap();
-                    assert_eq!(got, expect, "c={columnar} w={window} t={threads}");
-                    assert_eq!(clock.take(), base_io, "c={columnar} w={window} t={threads}");
+                    assert_eq!(got, first, "w={window} t={threads} m={morsel}");
+                    assert_eq!(clock.take(), base_io, "w={window} t={threads} m={morsel}");
                 }
             }
         }

@@ -9,18 +9,19 @@
 //! serial reader does. The window changes simulated latency, never row
 //! order, counts, or results.
 //!
-//! With `ExecContext::columnar` the filter stage switches from
-//! row-at-a-time to **late materialization**: predicates evaluate
-//! column-wise over lazily-decoded `ADB2` payloads into a selection
-//! [`BitSet`], then only the selected rows are gathered, split into
-//! `morsel_rows`-sized morsels dispatched through
-//! [`parallel::map_ordered`] (deterministic input order). Pruning
-//! composes in a fixed order: partition tree (upstream `lookup`) →
-//! zone maps (block min/max metadata, counted on
-//! `IoStats::zone_skipped`, no I/O charged) → selection bitset within
-//! each surviving block. Both filter stages read the same blocks
-//! through the same streams, so rows, row order, and every simulated
-//! count are bit-identical with the feature on or off.
+//! Every filtered block read — scans here, the hyper-join build and
+//! probe legs, the step-join build, and the shuffle map side — is
+//! **late-materialising**: predicates evaluate column-wise over the
+//! lazily-decoded block into a selection [`BitSet`] (`select_block`),
+//! then only the selected rows are gathered. Scans split the gather
+//! into `morsel_rows`-sized morsels dispatched through
+//! [`parallel::map_ordered`] (deterministic input order); single-block
+//! readers gather in one call (`read_selected`). Pruning composes in
+//! a fixed order: partition tree (upstream `lookup`) → zone maps
+//! (block min/max metadata, counted on `IoStats::zone_skipped`, no I/O
+//! charged) → selection bitset within each surviving block. Legacy
+//! `ADB1` blocks take the same path: their rows decode at parse time
+//! and the selection projects them.
 
 use adaptdb_common::{BitSet, BlockId, PredicateSet, Result, Row};
 use adaptdb_dfs::NodeId;
@@ -58,7 +59,8 @@ pub fn scan_blocks(
 }
 
 /// Scan body shared by the traced wrapper above: zone skip, then one
-/// fetch stream per worker, then the row or columnar filter stage.
+/// fetch stream per worker selecting each block as it arrives, then
+/// the morsel gather.
 fn scan_inner(
     ctx: ExecContext<'_>,
     table: &str,
@@ -67,7 +69,7 @@ fn scan_inner(
 ) -> Result<Vec<Row>> {
     // Zone-map skip first: per-column min/max metadata excludes whole
     // blocks before any read is issued (no I/O charged, only the
-    // `zone_skipped` tally — identical with columnar on or off).
+    // `zone_skipped` tally).
     let mut to_read = Vec::with_capacity(blocks.len());
     for &b in blocks {
         if ctx.store.with_block_meta(table, b, |m| preds.may_match(&m.ranges))? {
@@ -78,24 +80,11 @@ fn scan_inner(
     if skipped > 0 {
         ctx.clock.record_zone_skips(skipped);
     }
-    if ctx.columnar {
-        // Stage A: lazy read + column-wise selection, manifest order;
-        // stage B gathers only the selected rows.
-        let selected = fetch_chunked(ctx, table, &to_read, |lazy| {
-            let sel = select_lazy(&lazy, preds)?;
-            ctx.clock.record_rows(lazy.row_count(), sel.count_ones());
-            Ok((lazy, sel))
-        })?;
-        return gather_morsels(ctx, &selected);
-    }
-    let per_block = fetch_chunked(ctx, table, &to_read, |lazy| {
-        let block = lazy.into_block()?;
-        let scanned = block.rows.len();
-        let rows: Vec<Row> = block.rows.into_iter().filter(|r| preds.matches(r)).collect();
-        ctx.clock.record_rows(scanned, rows.len());
-        Ok(rows)
+    let selected = fetch_chunked(ctx, table, &to_read, |lazy| {
+        let sel = select_block(ctx, &lazy, preds)?;
+        Ok((lazy, sel))
     })?;
-    Ok(per_block.concat())
+    gather_morsels(ctx, &selected)
 }
 
 /// Split the manifest into one contiguous chunk per worker and read
@@ -147,10 +136,15 @@ pub(crate) fn fetch_ordered<T>(
     Ok(slots.into_iter().map(|s| s.expect("every pushed fetch completes")).collect())
 }
 
-/// Evaluate `preds` column-wise over a lazily-decoded block: decode
-/// only the predicate columns, AND the per-predicate bitsets. Rows
-/// never materialize here.
-pub(crate) fn select_lazy(lazy: &LazyBlock, preds: &PredicateSet) -> Result<BitSet> {
+/// Stage A of late materialisation: evaluate `preds` column-wise over
+/// a lazily-decoded block — only the predicate columns decode, one
+/// bitset per predicate, ANDed — and charge the block's scanned and
+/// selected rows. Rows never materialize here.
+pub(crate) fn select_block(
+    ctx: ExecContext<'_>,
+    lazy: &LazyBlock,
+    preds: &PredicateSet,
+) -> Result<BitSet> {
     let n = lazy.row_count();
     let mut sel = BitSet::all_set(n);
     for p in preds.predicates() {
@@ -160,17 +154,32 @@ pub(crate) fn select_lazy(lazy: &LazyBlock, preds: &PredicateSet) -> Result<BitS
         let col = lazy.column(p.attr as usize)?;
         sel.intersect_with(&col.eval(p.op, &p.value));
     }
+    ctx.clock.record_rows(n, sel.count_ones());
     Ok(sel)
 }
 
-/// Stage B of columnar execution, shared with the hyper-join probe leg:
-/// split each block's row space into `morsel_rows`-sized ranges,
-/// gather each morsel's selected rows in parallel, and concatenate in
-/// block-then-row order (deterministic at any thread count).
-pub(crate) fn gather_morsels(
+/// The late-materialising read of one block outside a fetch stream:
+/// read block `id` of `table` from `reader` (charged and classified
+/// like every read), select it, and gather the selected rows in row
+/// order. The hyper-join and step-join builds and the shuffle map side
+/// read through this.
+pub(crate) fn read_selected(
     ctx: ExecContext<'_>,
-    selected: &[(LazyBlock, BitSet)],
+    table: &str,
+    id: BlockId,
+    reader: NodeId,
+    preds: &PredicateSet,
 ) -> Result<Vec<Row>> {
+    let (lazy, _) = ctx.store.read_lazy_classified(table, id, reader, ctx.clock)?;
+    let sel = select_block(ctx, &lazy, preds)?;
+    lazy.gather_range(0, lazy.row_count(), &sel)
+}
+
+/// Stage B of a scan: split each block's row space into
+/// `morsel_rows`-sized ranges, gather each morsel's selected rows in
+/// parallel, and concatenate in block-then-row order (deterministic at
+/// any thread count).
+fn gather_morsels(ctx: ExecContext<'_>, selected: &[(LazyBlock, BitSet)]) -> Result<Vec<Row>> {
     let morsel = ctx.morsel_rows.max(1);
     let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
     for (bi, (lazy, _)) in selected.iter().enumerate() {
@@ -200,14 +209,21 @@ mod tests {
     use adaptdb_dfs::SimClock;
     use adaptdb_storage::BlockStore;
 
+    /// Three blocks of ten one-column rows: 0..10, 100..110, 200..210.
+    fn corpus() -> Vec<Vec<Row>> {
+        [0i64, 100, 200].iter().map(|&base| (base..base + 10).map(|i| row![i]).collect()).collect()
+    }
+
     fn setup() -> (BlockStore, Vec<BlockId>) {
         let store = BlockStore::new(4, 1, 1);
-        let mut ids = Vec::new();
-        for base in [0i64, 100, 200] {
-            let rows = (base..base + 10).map(|i| row![i]).collect();
-            ids.push(store.write_block("t", rows, 1, None));
-        }
+        let ids = corpus().into_iter().map(|rows| store.write_block("t", rows, 1, None)).collect();
         (store, ids)
+    }
+
+    /// The naive reference: every loaded row that passes `preds`, in
+    /// load order — no blocks, no zone maps, no streams.
+    fn reference(preds: &PredicateSet) -> Vec<Row> {
+        corpus().concat().into_iter().filter(|r| preds.matches(r)).collect()
     }
 
     #[test]
@@ -304,73 +320,72 @@ mod tests {
         assert_eq!(clock.snapshot().reads(), 1, "skipped blocks are never prefetched");
     }
 
-    /// Columnar blocks on disk, wide config sweep: the columnar scan
-    /// must be row-, order-, and count-identical to the row scan at
-    /// every fetch window / thread count / morsel size.
+    /// Wide config sweep: the scan must return the reference's rows in
+    /// order, with the same counts at every fetch window / thread count
+    /// / morsel size.
     #[test]
-    fn columnar_scan_matches_row_scan_across_configs() {
+    fn scan_matches_reference_filter_across_configs() {
         let (store, ids) = setup();
         let preds = PredicateSet::none()
             .and(Predicate::new(0, CmpOp::Ge, 3i64))
             .and(Predicate::new(0, CmpOp::Lt, 206i64));
-        let c_row = SimClock::new();
-        let expect = scan_blocks(ExecContext::single(&store, &c_row), "t", &ids, &preds).unwrap();
-        let row_io = c_row.take();
-        // Re-encode the same logical blocks columnar in a second store.
-        let cstore = BlockStore::new(4, 1, 1);
-        cstore.set_columnar(true);
-        for base in [0i64, 100, 200] {
-            let rows = (base..base + 10).map(|i| row![i]).collect();
-            cstore.write_block("t", rows, 1, None);
-        }
+        let expect = reference(&preds);
+        assert_eq!(expect.len(), 7 + 10 + 6);
         for window in [1, 4] {
             for threads in [1, 4] {
                 for morsel in [1, 3, 1024] {
                     let clock = SimClock::new();
-                    let ctx = ExecContext::new(&cstore, &clock, threads)
+                    let ctx = ExecContext::new(&store, &clock, threads)
                         .with_fetch_window(window)
-                        .with_columnar(true)
                         .with_morsel_rows(morsel);
                     let got = scan_blocks(ctx, "t", &ids, &preds).unwrap();
                     assert_eq!(got, expect, "w={window} t={threads} m={morsel}");
-                    assert_eq!(clock.take(), row_io, "w={window} t={threads} m={morsel}");
+                    let io = clock.take();
+                    assert_eq!(io.reads(), 3, "w={window} t={threads} m={morsel}");
+                    assert_eq!(io.zone_skipped, 0, "w={window} t={threads} m={morsel}");
+                    assert_eq!(io.rows_scanned, 30, "w={window} t={threads} m={morsel}");
+                    assert_eq!(io.rows_out, expect.len(), "w={window} t={threads} m={morsel}");
                 }
             }
         }
     }
 
-    /// Columnar execution also reads legacy row-format (`ADB1`) blocks:
-    /// the lazy parse falls back to eager rows and everything above it
-    /// is unchanged.
+    /// Legacy row-format (`ADB1`) blocks, restored the way old journals
+    /// restore them, scan exactly like the `ADB2` blocks the store
+    /// writes: the lazy parse falls back to eager rows and everything
+    /// above it is unchanged.
     #[test]
     fn columnar_scan_reads_row_format_blocks() {
         let (store, ids) = setup();
+        let old = BlockStore::new(4, 1, 1);
+        for (&id, rows) in ids.iter().zip(corpus()) {
+            let node = store.preferred_node("t", id).unwrap();
+            let bytes =
+                adaptdb_storage::codec::encode_block(&adaptdb_storage::Block::new(id, rows));
+            old.restore_block("t", id, 1, vec![node], bytes).unwrap();
+        }
         let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Lt, 105i64));
-        let c_row = SimClock::new();
-        let expect = scan_blocks(ExecContext::single(&store, &c_row), "t", &ids, &preds).unwrap();
-        let c_col = SimClock::new();
-        let got =
-            scan_blocks(ExecContext::single(&store, &c_col).with_columnar(true), "t", &ids, &preds)
-                .unwrap();
-        assert_eq!(got, expect);
-        assert_eq!(c_row.take(), c_col.take());
+        let c_new = SimClock::new();
+        let got_new = scan_blocks(ExecContext::single(&store, &c_new), "t", &ids, &preds).unwrap();
+        let c_old = SimClock::new();
+        let got_old = scan_blocks(ExecContext::single(&old, &c_old), "t", &ids, &preds).unwrap();
+        assert_eq!(got_new, reference(&preds));
+        assert_eq!(got_old, got_new);
+        assert_eq!(c_old.take(), c_new.take());
     }
 
-    /// Zone-map skips are tallied (identically in both modes) without
-    /// charging any I/O or simulated time for the skipped blocks.
+    /// Zone-map skips are tallied without charging any I/O or
+    /// simulated time for the skipped blocks.
     #[test]
     fn zone_map_skips_are_counted_not_charged() {
         let (store, ids) = setup();
-        for columnar in [false, true] {
-            let clock = SimClock::new();
-            let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Ge, 200i64));
-            let ctx = ExecContext::single(&store, &clock).with_columnar(columnar);
-            let rows = scan_blocks(ctx, "t", &ids, &preds).unwrap();
-            assert_eq!(rows.len(), 10);
-            let io = clock.take();
-            assert_eq!(io.zone_skipped, 2, "columnar={columnar}");
-            assert_eq!(io.reads(), 1, "columnar={columnar}");
-        }
+        let clock = SimClock::new();
+        let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Ge, 200i64));
+        let rows = scan_blocks(ExecContext::single(&store, &clock), "t", &ids, &preds).unwrap();
+        assert_eq!(rows, reference(&preds));
+        let io = clock.take();
+        assert_eq!(io.zone_skipped, 2);
+        assert_eq!(io.reads(), 1);
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //!
 //! 1. **Map.** Input blocks are placed on nodes by the locality-aware
 //!    [`TaskScheduler`] (one map task per node). Each map task reads
-//!    its blocks (charged local/remote like every other read), filters,
-//!    hash-partitions each record by the join attribute, and **spills**
-//!    one run per reducer as genuine DFS blocks through the storage
-//!    writer path — primary replica on the mapper's node, replication
-//!    from [`crate::context::ShuffleOptions`] (1 by default, the
-//!    Spark/MapReduce shuffle-file convention).
+//!    its blocks (charged local/remote like every other read), filters
+//!    them late-materialising (predicate columns select, only surviving
+//!    rows are gathered), hash-partitions each record by the join
+//!    attribute, and **spills** one run per reducer as genuine DFS
+//!    blocks through the storage writer path — primary replica on the
+//!    mapper's node, replication from
+//!    [`crate::context::ShuffleOptions`] (1 by default, the
+//!    Spark/MapReduce shuffle-file convention). Runs are written in
+//!    the store's one block format, `ADB2`.
 //! 2. **Reduce.** Reducers are placed round-robin over the live nodes
 //!    by the scheduler. Each reducer *fetches* its runs through the
 //!    same [`ReadKind`] cost model as everything else: local when a
@@ -53,6 +56,7 @@ use adaptdb_storage::writer::BucketId;
 use adaptdb_storage::{FetchStream, PartitionedWriter};
 
 use crate::context::ExecContext;
+use crate::scan::read_selected;
 
 /// Tag bit marking a fetch-stream request as a *right*-side run (the
 /// low bits carry the run's [`BlockId`]); see
@@ -181,20 +185,13 @@ impl<'a> ShuffleService<'a> {
         for (node, blks) in per_node {
             let mut mapper = MapTask::new(self, node);
             for b in blks {
-                let block = self.ctx.store.read_block(table, b, node, self.ctx.clock)?;
-                let scanned = block.rows.len();
-                let mut kept = 0usize;
-                for row in block.rows {
-                    if preds.matches(&row) {
-                        kept += 1;
-                        let hash = row.get(attr).stable_hash();
-                        if let Some(c) = collect.as_deref_mut() {
-                            c[(hash % self.partitions as u64) as usize].push(row.clone());
-                        }
-                        mapper.push(hash, row);
+                for row in read_selected(self.ctx, table, b, node, preds)? {
+                    let hash = row.get(attr).stable_hash();
+                    if let Some(c) = collect.as_deref_mut() {
+                        c[(hash % self.partitions as u64) as usize].push(row.clone());
                     }
+                    mapper.push(hash, row);
                 }
-                self.ctx.clock.record_rows(scanned, kept);
             }
             mapper.spill(&mut side)?;
             on_task(&side);

@@ -7,13 +7,16 @@
 //! join, in which both tempLO and customer need to be shuffled". This
 //! module implements exactly that: the intermediate pays one shuffle
 //! (spill + re-read), the stored side is read once per group through its
-//! hyper-join schedule, and nothing else moves.
+//! hyper-join schedule, and nothing else moves. Stored build blocks are
+//! read late-materialising, like every filtered block read: the
+//! predicate columns select, and only surviving rows are gathered.
 
 use adaptdb_common::{AttrId, BlockId, PredicateSet, Result, Row, ValueRange};
 
 use crate::context::ExecContext;
 use crate::hash_table::JoinHashTable;
 use crate::parallel;
+use crate::scan::read_selected;
 
 /// One group of the stored side's schedule: its blocks plus the union of
 /// their join-attribute ranges (used to route intermediate rows).
@@ -89,16 +92,9 @@ fn run_group(
     let node = ctx.store.preferred_node(table, blocks[0])?;
     let mut ht = JoinHashTable::new();
     for &b in blocks {
-        let block = ctx.store.read_block(table, b, node, ctx.clock)?;
-        let scanned = block.rows.len();
-        let mut kept = 0usize;
-        for row in block.rows {
-            if preds.matches(&row) {
-                kept += 1;
-                ht.insert(table_attr, row);
-            }
+        for row in read_selected(ctx, table, b, node, preds)? {
+            ht.insert(table_attr, row);
         }
-        ctx.clock.record_rows(scanned, kept);
     }
     let mut out = Vec::new();
     for probe in probes {

@@ -5,21 +5,8 @@
 //! one tag byte per value. No external serialization framework — a
 //! storage manager's on-disk format should be explicit.
 //!
-//! Two formats coexist, distinguished by magic. The original
-//! row-oriented `ADB1`:
-//!
-//! ```text
-//! block  := "ADB1" id(u32) row_count(u32) row*
-//! row    := arity(u16) value*
-//! value  := tag(u8) payload
-//!   tag 0 = Int    payload i64 LE
-//!   tag 1 = Double payload f64 bits LE
-//!   tag 2 = Str    payload len(u32) + UTF-8 bytes
-//!   tag 3 = Date   payload i32 LE
-//!   tag 4 = Bool   payload u8
-//! ```
-//!
-//! and the columnar `ADB2` ([`encode_block_columnar`]): a per-column
+//! Two formats coexist, distinguished by magic. The store writes only
+//! the columnar `ADB2` ([`encode_block_columnar`]): a per-column
 //! directory followed by contiguous per-column payloads, so a reader
 //! can decode a single column — or a single row range — without
 //! touching the rest of the block ([`LazyBlock`]):
@@ -36,13 +23,30 @@
 //!              tag 255 Mixed  per cell ADB1 value encoding
 //! ```
 //!
-//! `Mixed` columns (heterogeneous cell types) and ragged row sets
-//! (mixed arity, which fall back to whole-block `ADB1`) keep the
-//! columnar writer lossless for any input [`decode_block`] accepts.
+//! The original row-oriented `ADB1` is decode-only — blocks in older
+//! journals — plus the fallback for row sets `ADB2` cannot lay out
+//! (mixed arity, or arity 0 with rows):
+//!
+//! ```text
+//! block  := "ADB1" id(u32) row_count(u32) row*
+//! row    := arity(u16) value*
+//! value  := tag(u8) payload
+//!   tag 0 = Int    payload i64 LE
+//!   tag 1 = Double payload f64 bits LE
+//!   tag 2 = Str    payload len(u32) + UTF-8 bytes
+//!   tag 3 = Date   payload i32 LE
+//!   tag 4 = Bool   payload u8
+//! ```
+//!
+//! `Mixed` columns (heterogeneous cell types) and the `ADB1` fallback
+//! keep the writer lossless for any input [`decode_block`] accepts.
+//! Both directions copy each cell once: the encoder writes columns
+//! straight from the rows, and decoding writes cells straight into
+//! row vectors.
 
 use std::sync::Arc;
 
-use adaptdb_common::{ColumnVec, Error, RecordBatch, Result, Row, Value};
+use adaptdb_common::{ColumnVec, Error, Result, Row, Value};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::block::Block;
@@ -56,30 +60,30 @@ pub const BLOCK_MAGIC_V2: &[u8; 4] = b"ADB2";
 /// Directory tag of a heterogeneous (`Mixed`) column in `ADB2`.
 const COL_TAG_MIXED: u8 = 255;
 
-/// Append the encoding of one value.
-pub fn encode_value(buf: &mut BytesMut, v: &Value) {
+/// The wire tag of a value (also the `ADB2` directory tag of a typed
+/// column holding it).
+fn value_tag(v: &Value) -> u8 {
     match v {
-        Value::Int(x) => {
-            buf.put_u8(0);
-            buf.put_i64_le(*x);
-        }
-        Value::Double(x) => {
-            buf.put_u8(1);
-            buf.put_u64_le(x.to_bits());
-        }
+        Value::Int(_) => 0,
+        Value::Double(_) => 1,
+        Value::Str(_) => 2,
+        Value::Date(_) => 3,
+        Value::Bool(_) => 4,
+    }
+}
+
+/// Append the encoding of one value.
+pub fn encode_value(buf: &mut impl BufMut, v: &Value) {
+    buf.put_u8(value_tag(v));
+    match v {
+        Value::Int(x) => buf.put_i64_le(*x),
+        Value::Double(x) => buf.put_u64_le(x.to_bits()),
         Value::Str(s) => {
-            buf.put_u8(2);
             buf.put_u32_le(s.len() as u32);
             buf.put_slice(s.as_bytes());
         }
-        Value::Date(d) => {
-            buf.put_u8(3);
-            buf.put_i32_le(*d);
-        }
-        Value::Bool(b) => {
-            buf.put_u8(4);
-            buf.put_u8(*b as u8);
-        }
+        Value::Date(d) => buf.put_i32_le(*d),
+        Value::Bool(b) => buf.put_u8(*b as u8),
     }
 }
 
@@ -150,7 +154,9 @@ pub fn decode_row(buf: &mut Bytes) -> Result<Row> {
     Ok(Row::new(values))
 }
 
-/// Encode a whole block.
+/// Encode a whole block in the row-oriented `ADB1` format (the
+/// fallback [`encode_block_columnar`] uses; the store never calls it
+/// directly).
 pub fn encode_block(block: &Block) -> Bytes {
     let mut buf = BytesMut::with_capacity(64 + block.rows.len() * 32);
     buf.put_slice(BLOCK_MAGIC);
@@ -222,78 +228,66 @@ fn skip_value(buf: &mut Bytes) -> Result<()> {
     Ok(())
 }
 
-/// Encode a block columnar (`ADB2`). Ragged row sets (mixed arity)
-/// cannot be laid out column-major, so they fall back to whole-block
-/// `ADB1` — [`decode_block`] dispatches on magic, making the fallback
-/// invisible to readers.
+/// Encode a block columnar (`ADB2`), the format the store writes.
+/// Each column's cells are written straight from the rows into one
+/// buffer. Ragged row sets (mixed arity) cannot be laid out
+/// column-major, and arity-0 rows have no column to carry their count,
+/// so both fall back to whole-block `ADB1` — [`decode_block`]
+/// dispatches on magic, making the fallback invisible to readers.
 pub fn encode_block_columnar(block: &Block) -> Bytes {
-    let Some(batch) = RecordBatch::try_from_rows(&block.rows) else {
-        return encode_block(block);
-    };
-    // Arity-0 rows carry no columns to lay out; keep them in ADB1 so
-    // the row count survives the round trip.
-    if batch.num_columns() == 0 && batch.num_rows() > 0 {
+    let rows = &block.rows;
+    let arity = rows.first().map_or(0, Row::arity);
+    if rows.iter().any(|r| r.arity() != arity) || (arity == 0 && !rows.is_empty()) {
         return encode_block(block);
     }
-    let encoded: Vec<(u8, BytesMut)> = batch.columns().iter().map(encode_column).collect();
-    let payload_len: usize = encoded.iter().map(|(_, p)| p.len()).sum();
-    let mut buf = BytesMut::with_capacity(14 + encoded.len() * 5 + payload_len);
+    // Typed payloads are exactly the cells' row-semantic size; Mixed
+    // ones add a tag byte per cell and grow the buffer once if needed.
+    let payload: usize = rows.iter().map(|r| r.byte_size() - 8).sum();
+    let dir = 14;
+    let mut buf = Vec::with_capacity(dir + arity * 5 + payload);
     buf.put_slice(BLOCK_MAGIC_V2);
     buf.put_u32_le(block.id);
-    buf.put_u32_le(batch.num_rows() as u32);
-    buf.put_u16_le(batch.num_columns() as u16);
-    for (tag, payload) in &encoded {
-        buf.put_u8(*tag);
-        buf.put_u32_le(payload.len() as u32);
+    buf.put_u32_le(rows.len() as u32);
+    buf.put_u16_le(arity as u16);
+    // Directory entries are patched in as each payload is written.
+    buf.resize(dir + arity * 5, 0);
+    for a in 0..arity {
+        let start = buf.len();
+        let tag = encode_column(&mut buf, rows, a);
+        let len = (buf.len() - start) as u32;
+        let entry = dir + a * 5;
+        buf[entry] = tag;
+        buf[entry + 1..entry + 5].copy_from_slice(&len.to_le_bytes());
     }
-    for (_, payload) in encoded {
-        buf.put_slice(&payload);
-    }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
-/// Encode one column as its `ADB2` directory tag plus payload bytes.
-fn encode_column(col: &ColumnVec) -> (u8, BytesMut) {
-    let mut buf = BytesMut::with_capacity(col.len() * 8);
-    match col {
-        ColumnVec::Int(v) => {
-            for x in v {
-                buf.put_i64_le(*x);
-            }
-            (0, buf)
-        }
-        ColumnVec::Double(v) => {
-            for x in v {
-                buf.put_u64_le(x.to_bits());
-            }
-            (1, buf)
-        }
-        ColumnVec::Str(v) => {
-            for s in v {
+/// Append attribute `a` of `rows` (non-empty, uniform arity) as one
+/// `ADB2` column payload and return its directory tag: the first
+/// cell's type when every cell shares it, `Mixed` otherwise.
+fn encode_column(buf: &mut Vec<u8>, rows: &[Row], a: usize) -> u8 {
+    let start = buf.len();
+    let tag = value_tag(&rows[0].values()[a]);
+    for r in rows {
+        match (tag, &r.values()[a]) {
+            (0, Value::Int(x)) => buf.put_i64_le(*x),
+            (1, Value::Double(x)) => buf.put_u64_le(x.to_bits()),
+            (2, Value::Str(s)) => {
                 buf.put_u32_le(s.len() as u32);
                 buf.put_slice(s.as_bytes());
             }
-            (2, buf)
-        }
-        ColumnVec::Date(v) => {
-            for x in v {
-                buf.put_i32_le(*x);
+            (3, Value::Date(x)) => buf.put_i32_le(*x),
+            (4, Value::Bool(x)) => buf.put_u8(*x as u8),
+            _ => {
+                buf.truncate(start);
+                for r in rows {
+                    encode_value(buf, &r.values()[a]);
+                }
+                return COL_TAG_MIXED;
             }
-            (3, buf)
-        }
-        ColumnVec::Bool(v) => {
-            for x in v {
-                buf.put_u8(*x as u8);
-            }
-            (4, buf)
-        }
-        ColumnVec::Mixed(v) => {
-            for x in v {
-                encode_value(&mut buf, x);
-            }
-            (COL_TAG_MIXED, buf)
         }
     }
+    tag
 }
 
 /// Location of one column's payload inside a lazy block.
@@ -405,19 +399,23 @@ impl LazyBlock {
         for _ in 0..col_count {
             let tag = buf.get_u8();
             let len = buf.get_u32_le() as usize;
-            let width = match tag {
-                0 | 1 => Some(8),
-                3 => Some(4),
-                4 => Some(1),
-                2 | COL_TAG_MIXED => None,
+            // Fixed-width payloads must match the row count exactly;
+            // variable-width ones must at least hold every cell's
+            // smallest encoding (a Str length, a tagged Bool), which
+            // bounds the untrusted row count by the bytes present.
+            let (width, exact) = match tag {
+                0 | 1 => (8, true),
+                3 => (4, true),
+                4 => (1, true),
+                2 => (4, false),
+                COL_TAG_MIXED => (2, false),
                 other => return Err(Error::Codec(format!("unknown column tag {other}"))),
             };
-            if let Some(w) = width {
-                if len != w * rows {
-                    return Err(Error::Codec(format!(
-                        "column payload length {len} != {w}×{rows} rows"
-                    )));
-                }
+            let need = rows.saturating_mul(width);
+            if (exact && len != need) || len < need {
+                return Err(Error::Codec(format!(
+                    "column payload length {len} does not fit {rows} rows of tag {tag}"
+                )));
             }
             cols.push(ColRegion { tag, start: offset, end: offset + len });
             offset += len;
@@ -427,6 +425,11 @@ impl LazyBlock {
                 "column payloads occupy {} bytes, directory claims {offset}",
                 buf.remaining()
             )));
+        }
+        // A zero-column block still carries a row count on the wire;
+        // only rows == 0 survives that round trip.
+        if col_count == 0 && rows != 0 {
+            return Err(Error::Codec(format!("{rows} rows but no columns")));
         }
         let dir = Arc::new(ColDirectory {
             rows,
@@ -492,7 +495,9 @@ impl LazyBlock {
     /// block-wide selection `sel`, in ascending row order. Fixed-width
     /// columns seek directly to each selected cell; variable-width
     /// columns (Str, Mixed) skip-walk their payload, advancing past
-    /// unselected cells without allocating.
+    /// unselected cells without allocating. A range that ends at the
+    /// last row also checks that every variable-width payload is used
+    /// up, so a gather rejects exactly the blocks a full decode does.
     pub fn gather_range(
         &self,
         start: usize,
@@ -505,166 +510,147 @@ impl LazyBlock {
         let picked: Vec<usize> = (start..end).filter(|&i| sel.get(i)).collect();
         match &self.inner {
             LazyInner::Rows(rows) => Ok(picked.iter().map(|&i| rows[i].clone()).collect()),
-            LazyInner::Columnar { dir, bytes } => {
-                let cols = &dir.cols;
-                let mut out: Vec<Vec<Value>> =
-                    picked.iter().map(|_| Vec::with_capacity(cols.len())).collect();
-                for col in cols {
-                    let mut payload = bytes.slice(col.start..col.end);
-                    match col.tag {
-                        0 => {
-                            for (j, &i) in picked.iter().enumerate() {
-                                let b: [u8; 8] = payload[i * 8..i * 8 + 8].try_into().unwrap();
-                                out[j].push(Value::Int(i64::from_le_bytes(b)));
-                            }
-                        }
-                        1 => {
-                            for (j, &i) in picked.iter().enumerate() {
-                                let b: [u8; 8] = payload[i * 8..i * 8 + 8].try_into().unwrap();
-                                out[j].push(Value::Double(f64::from_bits(u64::from_le_bytes(b))));
-                            }
-                        }
-                        3 => {
-                            for (j, &i) in picked.iter().enumerate() {
-                                let b: [u8; 4] = payload[i * 4..i * 4 + 4].try_into().unwrap();
-                                out[j].push(Value::Date(i32::from_le_bytes(b)));
-                            }
-                        }
-                        4 => {
-                            for (j, &i) in picked.iter().enumerate() {
-                                out[j].push(Value::Bool(payload[i] != 0));
-                            }
-                        }
-                        2 => {
-                            let mut next = picked.iter().zip(0..).peekable();
-                            for i in 0..end {
-                                if payload.remaining() < 4 {
-                                    return Err(Error::Codec("truncated Str length".into()));
-                                }
-                                let len = payload.get_u32_le() as usize;
-                                if payload.remaining() < len {
-                                    return Err(Error::Codec("truncated Str payload".into()));
-                                }
-                                match next.peek() {
-                                    Some(&(&p, j)) if p == i => {
-                                        let raw = payload.split_to(len);
-                                        let s = std::str::from_utf8(&raw).map_err(|e| {
-                                            Error::Codec(format!("invalid UTF-8 in Str: {e}"))
-                                        })?;
-                                        out[j].push(Value::Str(s.to_string()));
-                                        next.next();
-                                    }
-                                    _ => payload.advance(len),
-                                }
-                            }
-                        }
-                        COL_TAG_MIXED => {
-                            let mut next = picked.iter().zip(0..).peekable();
-                            for i in 0..end {
-                                match next.peek() {
-                                    Some(&(&p, j)) if p == i => {
-                                        out[j].push(decode_value(&mut payload)?);
-                                        next.next();
-                                    }
-                                    _ => skip_value(&mut payload)?,
-                                }
-                            }
-                        }
-                        other => return Err(Error::Codec(format!("unknown column tag {other}"))),
-                    }
-                }
-                Ok(picked.into_iter().zip(out).map(|(_, values)| Row::new(values)).collect())
-            }
+            LazyInner::Columnar { dir, bytes } => gather_columns(dir, bytes, &picked, end),
         }
     }
 
     /// Decode everything to a [`Block`] — the eager path, used by
-    /// consumers that need whole rows (joins, repartitioning, spill
-    /// fetch-back).
+    /// consumers that need whole rows (shuffle reducers,
+    /// repartitioning, spill fetch-back). `ADB2` payloads decode
+    /// straight into rows, one copy per cell.
     pub fn into_block(self) -> Result<Block> {
         match self.inner {
             LazyInner::Rows(rows) => Ok(Block::new(self.id, rows)),
             LazyInner::Columnar { dir, bytes } => {
-                let rows = dir.rows;
-                let mut columns = Vec::with_capacity(dir.cols.len());
-                for col in &dir.cols {
-                    columns.push(decode_column(col.tag, rows, bytes.slice(col.start..col.end))?);
-                }
-                let batch = RecordBatch::from_columns(columns);
-                // A zero-column batch still carries a row count on the
-                // wire; only rows == 0 survives that round trip.
-                if batch.num_columns() == 0 && rows != 0 {
-                    return Err(Error::Codec(format!("{rows} rows but no columns")));
-                }
-                Ok(Block::new(self.id, batch.to_rows()))
+                let all: Vec<usize> = (0..dir.rows).collect();
+                Ok(Block::new(self.id, gather_columns(&dir, &bytes, &all, dir.rows)?))
             }
         }
     }
 }
 
-/// Decode one full column payload.
-fn decode_column(tag: u8, rows: usize, mut payload: Bytes) -> Result<ColumnVec> {
+/// Split `n` bytes off the front of `p`, or fail as a truncated `what`.
+fn take<'p>(p: &mut &'p [u8], n: usize, what: &str) -> Result<&'p [u8]> {
+    if p.len() < n {
+        return Err(Error::Codec(format!("truncated {what}")));
+    }
+    let (head, rest) = p.split_at(n);
+    *p = rest;
+    Ok(head)
+}
+
+/// One UTF-8 `Str` cell, copied once into its `String`.
+fn str_cell(raw: &[u8]) -> Result<String> {
+    std::str::from_utf8(raw)
+        .map(str::to_owned)
+        .map_err(|e| Error::Codec(format!("invalid UTF-8 in Str: {e}")))
+}
+
+/// The fixed-width cell at row `i` of a payload of `W`-byte cells
+/// (lengths were validated against the row count at parse time).
+#[inline]
+fn cell<const W: usize>(payload: &[u8], i: usize) -> [u8; W] {
+    payload[i * W..i * W + W].try_into().unwrap()
+}
+
+/// Rows at the ascending indices `picked` (all below `end`) of a
+/// columnar payload, decoded column by column straight into row
+/// vectors. When `end` is the block's last row, variable-width
+/// payloads must be used up exactly.
+fn gather_columns(
+    dir: &ColDirectory,
+    bytes: &Bytes,
+    picked: &[usize],
+    end: usize,
+) -> Result<Vec<Row>> {
+    let mut out: Vec<Vec<Value>> =
+        picked.iter().map(|_| Vec::with_capacity(dir.cols.len())).collect();
+    for col in &dir.cols {
+        let payload = &bytes[col.start..col.end];
+        match col.tag {
+            0 => {
+                for (o, &i) in out.iter_mut().zip(picked) {
+                    o.push(Value::Int(i64::from_le_bytes(cell(payload, i))));
+                }
+            }
+            1 => {
+                for (o, &i) in out.iter_mut().zip(picked) {
+                    o.push(Value::Double(f64::from_bits(u64::from_le_bytes(cell(payload, i)))));
+                }
+            }
+            3 => {
+                for (o, &i) in out.iter_mut().zip(picked) {
+                    o.push(Value::Date(i32::from_le_bytes(cell(payload, i))));
+                }
+            }
+            4 => {
+                for (o, &i) in out.iter_mut().zip(picked) {
+                    o.push(Value::Bool(payload[i] != 0));
+                }
+            }
+            2 => {
+                let mut p = payload;
+                let mut next = picked.iter().zip(out.iter_mut()).peekable();
+                for i in 0..end {
+                    let len = u32::from_le_bytes(cell(take(&mut p, 4, "Str length")?, 0)) as usize;
+                    let raw = take(&mut p, len, "Str payload")?;
+                    if let Some((_, o)) = next.next_if(|(k, _)| **k == i) {
+                        o.push(Value::Str(str_cell(raw)?));
+                    }
+                }
+                if end == dir.rows && !p.is_empty() {
+                    return Err(Error::Codec("trailing bytes after Str column".into()));
+                }
+            }
+            COL_TAG_MIXED => {
+                let mut p = bytes.slice(col.start..col.end);
+                let mut next = picked.iter().zip(out.iter_mut()).peekable();
+                for i in 0..end {
+                    match next.next_if(|(k, _)| **k == i) {
+                        Some((_, o)) => o.push(decode_value(&mut p)?),
+                        None => skip_value(&mut p)?,
+                    }
+                }
+                if end == dir.rows && p.has_remaining() {
+                    return Err(Error::Codec("trailing bytes after Mixed column".into()));
+                }
+            }
+            other => return Err(Error::Codec(format!("unknown column tag {other}"))),
+        }
+    }
+    Ok(out.into_iter().map(Row::new).collect())
+}
+
+/// Decode one full column payload into a typed vector (the predicate
+/// and join-key columns of late materialization).
+fn decode_column(tag: u8, rows: usize, bytes: Bytes) -> Result<ColumnVec> {
+    let payload = &bytes[..];
     match tag {
-        0 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(payload.get_i64_le());
-            }
-            Ok(ColumnVec::Int(v))
-        }
-        1 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(f64::from_bits(payload.get_u64_le()));
-            }
-            Ok(ColumnVec::Double(v))
-        }
-        3 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(payload.get_i32_le());
-            }
-            Ok(ColumnVec::Date(v))
-        }
-        4 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(payload.get_u8() != 0);
-            }
-            Ok(ColumnVec::Bool(v))
-        }
+        0 => Ok(ColumnVec::Int((0..rows).map(|i| i64::from_le_bytes(cell(payload, i))).collect())),
+        1 => Ok(ColumnVec::Double(
+            (0..rows).map(|i| f64::from_bits(u64::from_le_bytes(cell(payload, i)))).collect(),
+        )),
+        3 => Ok(ColumnVec::Date((0..rows).map(|i| i32::from_le_bytes(cell(payload, i))).collect())),
+        4 => Ok(ColumnVec::Bool(payload.iter().map(|&b| b != 0).collect())),
         2 => {
-            // Variable-width payloads are not length-validated by the
-            // directory (only fixed-width ones are), so the row count
-            // is untrusted here: cap the preallocation by the payload
-            // size (every cell carries at least its 4-byte length).
-            let mut v = Vec::with_capacity(rows.min(payload.remaining() / 4));
+            let mut p = payload;
+            let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                if payload.remaining() < 4 {
-                    return Err(Error::Codec("truncated Str length".into()));
-                }
-                let len = payload.get_u32_le() as usize;
-                if payload.remaining() < len {
-                    return Err(Error::Codec("truncated Str payload".into()));
-                }
-                let raw = payload.split_to(len);
-                let s = std::str::from_utf8(&raw)
-                    .map_err(|e| Error::Codec(format!("invalid UTF-8 in Str: {e}")))?;
-                v.push(s.to_string());
+                let len = u32::from_le_bytes(cell(take(&mut p, 4, "Str length")?, 0)) as usize;
+                v.push(str_cell(take(&mut p, len, "Str payload")?)?);
             }
-            if payload.has_remaining() {
+            if !p.is_empty() {
                 return Err(Error::Codec("trailing bytes after Str column".into()));
             }
             Ok(ColumnVec::Str(v))
         }
         COL_TAG_MIXED => {
-            // Untrusted count, same as Str: the smallest ADB1 value
-            // (a Bool) is 2 bytes.
-            let mut v = Vec::with_capacity(rows.min(payload.remaining() / 2));
+            let mut p = bytes;
+            let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                v.push(decode_value(&mut payload)?);
+                v.push(decode_value(&mut p)?);
             }
-            if payload.has_remaining() {
+            if p.has_remaining() {
                 return Err(Error::Codec("trailing bytes after Mixed column".into()));
             }
             Ok(ColumnVec::Mixed(v))
@@ -911,6 +897,107 @@ mod tests {
         raw.put_u32_le(8); // should be 16 for 2 rows
         raw.put_u64_le(0);
         assert!(LazyBlock::parse(raw.freeze()).is_err());
+    }
+
+    /// Blocks that pin the `ADB2` wire format: every column tag (Int,
+    /// Double with `-0.0` and NaN, Str with empty and multi-byte UTF-8,
+    /// Date, Bool, Mixed), an empty block, and both `ADB1` fallbacks
+    /// (ragged arity; arity 0 with rows).
+    fn golden_blocks() -> Vec<Block> {
+        vec![
+            Block::new(
+                0x0102_0304,
+                vec![
+                    Row::new(vec![
+                        Value::Int(1),
+                        Value::Double(-0.0),
+                        Value::Str(String::new()),
+                        Value::Date(-5),
+                        Value::Bool(true),
+                        Value::Int(3),
+                    ]),
+                    Row::new(vec![
+                        Value::Int(-2),
+                        Value::Double(f64::NAN),
+                        Value::Str("h\u{e9}llo \u{2713}".into()),
+                        Value::Date(19_000),
+                        Value::Bool(false),
+                        Value::Str("x".into()),
+                    ]),
+                    Row::new(vec![
+                        Value::Int(i64::MAX),
+                        Value::Double(1.5),
+                        Value::Str("abc".into()),
+                        Value::Date(0),
+                        Value::Bool(true),
+                        Value::Double(2.25),
+                    ]),
+                    Row::new(vec![
+                        Value::Int(i64::MIN),
+                        Value::Double(f64::INFINITY),
+                        Value::Str("\u{1f600}".into()),
+                        Value::Date(i32::MAX),
+                        Value::Bool(false),
+                        Value::Date(7),
+                    ]),
+                    Row::new(vec![
+                        Value::Int(0),
+                        Value::Double(-1e300),
+                        Value::Str("z".into()),
+                        Value::Date(1),
+                        Value::Bool(true),
+                        Value::Bool(true),
+                    ]),
+                ],
+            ),
+            Block::new(9, vec![]),
+            Block::new(5, vec![row![1i64], row![2i64, "a"]]),
+            Block::new(6, vec![Row::new(vec![]), Row::new(vec![])]),
+        ]
+    }
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Durable journals store these bytes: the encoder must reproduce
+    /// them exactly, and they must decode back to the same rows.
+    #[test]
+    fn adb2_wire_format_is_pinned() {
+        const GOLDEN: [&str; 4] = [
+            "414442320403020105000000060000280000000128000000022600000003140000000405000000ff1f0000000100000000000000feffffffffffffffffffffffffffff7f000000000000008000000000000000000000000000000080000000000000f87f000000000000f83f000000000000f07f9c7500883ce437fe000000000a00000068c3a96c6c6f20e29c930300000061626304000000f09f9880010000007afbffffff384a000000000000ffffff7f01000000010001000100030000000000000002010000007801000000000000024003070000000401",
+            "4144423209000000000000000000",
+            "41444231050000000200000001000001000000000000000200000200000000000000020100000061",
+            "41444231060000000200000000000000",
+        ];
+        for (block, want) in golden_blocks().into_iter().zip(GOLDEN) {
+            let enc = encode_block_columnar(&block);
+            assert_eq!(hex(&enc), want, "block {} encoding drifted", block.id);
+            assert_eq!(decode_block(enc).unwrap(), block);
+        }
+    }
+
+    /// A variable-width region longer than its cells passes the
+    /// directory check, but every decode path must reject it — the
+    /// gather included.
+    #[test]
+    fn overlong_variable_width_column_is_rejected_by_every_path() {
+        for last in [Value::Str("bb".into()), Value::Int(2)] {
+            // Column 1 is Str when both cells are strings, Mixed otherwise.
+            let block = Block::new(1, vec![row![1i64, "aa"], Row::new(vec![Value::Int(2), last])]);
+            let enc = encode_block_columnar(&block);
+            // Grow the last column's directory length by one and append
+            // the extra byte at the end of its payload.
+            let mut raw = enc.to_vec();
+            let entry = 14 + 5;
+            let len = u32::from_le_bytes(raw[entry + 1..entry + 5].try_into().unwrap());
+            raw[entry + 1..entry + 5].copy_from_slice(&(len + 1).to_le_bytes());
+            raw.push(0);
+            let lazy = LazyBlock::parse(Bytes::from(raw)).unwrap();
+            let all = adaptdb_common::BitSet::all_set(2);
+            assert!(matches!(lazy.column(1), Err(Error::Codec(_))));
+            assert!(matches!(lazy.gather_range(0, 2, &all), Err(Error::Codec(_))));
+            assert!(matches!(lazy.into_block(), Err(Error::Codec(_))));
+        }
     }
 
     use adaptdb_common::{ColumnVec, Row, Value};

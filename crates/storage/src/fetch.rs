@@ -61,10 +61,10 @@ pub struct FetchCompletion {
     pub tag: u64,
     /// How the DFS classified the read (remote on fail-over).
     pub kind: ReadKind,
-    /// The fetched payload. Row-format (`ADB1`) blocks arrive fully
-    /// decoded inside the lazy wrapper; columnar (`ADB2`) blocks arrive
-    /// header-validated with columns still undecoded, so a columnar
-    /// consumer can materialize only what its selection needs.
+    /// The fetched payload. Columnar (`ADB2`) blocks arrive
+    /// header-validated with columns still undecoded, so the consumer
+    /// can materialize only what its selection needs; legacy row-format
+    /// (`ADB1`) blocks arrive fully decoded inside the lazy wrapper.
     pub payload: LazyBlock,
 }
 

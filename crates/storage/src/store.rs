@@ -1,8 +1,11 @@
 //! The table-qualified block store over the simulated DFS.
 //!
-//! Rows live encoded (see [`crate::codec`]); metadata ([`BlockMeta`])
-//! stays in memory like a catalog would keep it. Every read is
-//! classified local/remote by the DFS and recorded on a [`SimClock`].
+//! Rows live encoded (see [`crate::codec`]): every write encodes the
+//! columnar `ADB2` format, and reads dispatch on magic, so `ADB1`
+//! blocks restored from older journals keep decoding beside them.
+//! Metadata ([`BlockMeta`]) stays in memory like a catalog would keep
+//! it. Every read is classified local/remote by the DFS and recorded
+//! on a [`SimClock`].
 //!
 //! The store is internally synchronized: reads take `&self` and brief
 //! shared locks, writes take `&self` and brief exclusive locks, so a
@@ -13,7 +16,7 @@
 //! repartitioning pass, only behind individual map operations.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use adaptdb_common::{BlockId, Error, GlobalBlockId, Result, Row};
@@ -38,11 +41,6 @@ pub struct BlockStore {
     /// must keep this at zero; [`BlockStore::unaccounted_reads`] lets
     /// callers assert that in debug builds.
     unaccounted: AtomicUsize,
-    /// Encode new blocks columnar (`ADB2`) instead of row-oriented
-    /// (`ADB1`). Reads always dispatch on magic, so flipping this
-    /// mid-lifetime leaves existing blocks decodable — the formats
-    /// coexist freely within one store.
-    columnar: AtomicBool,
     /// Durable manifest journal, when the database runs with a real-file
     /// backend. While attached, every non-scratch block write, remove,
     /// and table drop is logged write-ahead of the catalog commit that
@@ -71,7 +69,6 @@ impl BlockStore {
             meta: RwLock::new(HashMap::new()),
             next_id: Mutex::new(HashMap::new()),
             unaccounted: AtomicUsize::new(0),
-            columnar: AtomicBool::new(false),
             journal: RwLock::new(None),
             cache: RwLock::new(None),
             dirs: RwLock::new(HashMap::new()),
@@ -118,21 +115,6 @@ impl BlockStore {
         if let Some(j) = self.journal.read().as_ref() {
             j.append(&make()).expect("manifest journal append failed");
         }
-    }
-
-    /// Switch the on-write encoding: `true` = columnar `ADB2`, `false`
-    /// (the default) = row-oriented `ADB1`. Block *boundaries*, ids,
-    /// metadata, and every simulated count are identical either way —
-    /// sizing uses the canonical row-semantic byte size, never the
-    /// encoded length.
-    pub fn set_columnar(&self, on: bool) {
-        self.columnar.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether new blocks are encoded columnar (see
-    /// [`BlockStore::set_columnar`]).
-    pub fn columnar(&self) -> bool {
-        self.columnar.load(Ordering::Relaxed)
     }
 
     /// Shared access to the underlying simulated DFS (a read guard —
@@ -184,15 +166,11 @@ impl BlockStore {
         let id = self.allocate_id(table);
         let block = Block::new(id, rows);
         let meta = block.compute_meta(arity);
-        let encoded = if self.columnar() {
-            codec::encode_block_columnar(&block)
-        } else {
-            codec::encode_block(&block)
-        };
+        let encoded = codec::encode_block_columnar(&block);
         // The DFS is sized with the canonical row-semantic byte size
         // (Σ `Row::byte_size`, same figure as `meta.byte_size`), not
         // the encoded length — so placement and any byte accounting
-        // are bit-identical across block formats.
+        // are the same for a block restored from `ADB1` bytes.
         let gid = GlobalBlockId::new(table, id);
         let placement = {
             let mut dfs = self.dfs.write();
@@ -635,44 +613,47 @@ mod tests {
         assert_eq!(s.unaccounted_reads(), 2);
     }
 
+    /// Writes always encode `ADB2`; `ADB1` bytes restored through the
+    /// journal path decode to the same rows, metadata and DFS sizing.
     #[test]
-    fn columnar_flag_switches_encoding_not_semantics() {
+    fn writes_adb2_and_restored_adb1_reads_identically() {
         let rows = vec![row![1i64, "aa", 1.5], row![2i64, "bb", 2.5]];
-        let s_row = store();
-        let s_col = store();
-        s_col.set_columnar(true);
-        assert!(!s_row.columnar());
-        assert!(s_col.columnar());
-        let id_r = s_row.write_block("t", rows.clone(), 3, None);
-        let id_c = s_col.write_block("t", rows.clone(), 3, None);
-        assert_eq!(id_r, id_c);
-        // The stored bytes differ by magic...
-        let raw_r = s_row.block_bytes(&GlobalBlockId::new("t", id_r)).unwrap();
-        let raw_c = s_col.block_bytes(&GlobalBlockId::new("t", id_c)).unwrap();
-        assert_eq!(&raw_r[0..4], codec::BLOCK_MAGIC);
-        assert_eq!(&raw_c[0..4], codec::BLOCK_MAGIC_V2);
-        // ...but decoded rows, metadata, and DFS sizing are identical.
+        let s_new = store();
+        let s_old = store();
+        let id = s_new.write_block("t", rows.clone(), 3, Some(0));
+        let raw_new = s_new.block_bytes(&GlobalBlockId::new("t", id)).unwrap();
+        assert_eq!(&raw_new[0..4], codec::BLOCK_MAGIC_V2);
+        let raw_old = codec::encode_block(&Block::new(id, rows));
+        assert_eq!(&raw_old[0..4], codec::BLOCK_MAGIC);
+        s_old.restore_block("t", id, 3, vec![0], raw_old).unwrap();
+        // Decoded rows, metadata, and DFS sizing are identical.
         let clock = SimClock::new();
-        let b_r = s_row.read_block("t", id_r, 0, &clock).unwrap();
-        let b_c = s_col.read_block("t", id_c, 0, &clock).unwrap();
-        assert_eq!(b_r, b_c);
-        assert_eq!(s_row.block_meta("t", id_r).unwrap(), s_col.block_meta("t", id_c).unwrap());
-        assert_eq!(s_row.dfs().logical_bytes(), s_col.dfs().logical_bytes());
+        let b_new = s_new.read_block("t", id, 0, &clock).unwrap();
+        let b_old = s_old.read_block("t", id, 0, &clock).unwrap();
+        assert_eq!(b_new, b_old);
+        assert_eq!(s_new.block_meta("t", id).unwrap(), s_old.block_meta("t", id).unwrap());
+        assert_eq!(s_new.dfs().logical_bytes(), s_old.dfs().logical_bytes());
+        // Both formats read lazily with the same accounting.
+        let (lazy_new, kind_new) = s_new.read_lazy_classified("t", id, 0, &clock).unwrap();
+        let (lazy_old, kind_old) = s_old.read_lazy_classified("t", id, 0, &clock).unwrap();
+        assert_eq!((kind_new, kind_old), (ReadKind::Local, ReadKind::Local));
+        assert_eq!(lazy_new.column(1).unwrap(), lazy_old.column(1).unwrap());
+        assert_eq!(clock.snapshot().local_reads, 4);
     }
 
     #[test]
     fn lazy_read_charges_and_classifies_like_eager() {
         let s = store();
-        s.set_columnar(true);
         let id = s.write_block("t", vec![row![1i64, "x"], row![2i64, "y"]], 2, Some(0));
         let clock = SimClock::new();
         let (lazy, kind) = s.read_lazy_classified("t", id, 0, &clock).unwrap();
         assert_eq!(kind, ReadKind::Local);
         assert_eq!(lazy.row_count(), 2);
         assert_eq!(clock.snapshot().local_reads, 1);
-        // Mixed formats coexist: flip the flag, write ADB1, read both.
-        s.set_columnar(false);
-        let id2 = s.write_block("t", vec![row![3i64, "z"]], 2, Some(0));
+        // Formats coexist: an ADB1 block restored beside it reads too.
+        let id2 = id + 1;
+        let old = codec::encode_block(&Block::new(id2, vec![row![3i64, "z"]]));
+        s.restore_block("t", id2, 2, vec![0], old).unwrap();
         let (lazy2, _) = s.read_lazy_classified("t", id2, 0, &clock).unwrap();
         assert_eq!(lazy2.row_count(), 1);
         assert_eq!(lazy.into_block().unwrap().rows[0], row![1i64, "x"]);

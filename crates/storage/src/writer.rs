@@ -11,9 +11,9 @@
 //! [`BlockStore::write_block_with`]) — the paper's per-block `Range_t`
 //! metadata, which the scan path uses to skip whole blocks before any
 //! decode. Block boundaries are decided by *row count* against the
-//! canonical row-semantic byte size, never by encoded length, so the
-//! row (`ADB1`) and columnar (`ADB2`) formats produce identical block
-//! boundaries, ids, and metadata for the same input.
+//! canonical row-semantic byte size, never by encoded length, so
+//! block boundaries, ids, and metadata do not depend on the wire
+//! format (`ADB2`, or `ADB1` restored from an older journal).
 
 use std::collections::BTreeMap;
 

@@ -3,7 +3,8 @@
 //! arbitrary or bit-flipped input, and must never hand back rows from
 //! a block whose header was corrupted into claiming a different shape
 //! than its payload delivers — corrupt input errors, it does not
-//! "succeed".
+//! "succeed". A full gather and a full decode accept exactly the same
+//! blocks and return the same rows, on valid and corrupt input alike.
 
 use adaptdb_common::{BitSet, Row, Value};
 use adaptdb_storage::codec::{decode_block, encode_block, encode_block_columnar};
@@ -28,6 +29,30 @@ fn arb_block(arity: usize) -> impl Strategy<Value = Block> {
         .prop_map(|(id, rows)| Block::new(id, rows))
 }
 
+/// Blocks with one typed column per `ADB2` tag (Int, Double, Str with
+/// multi-byte UTF-8, Date, Bool) plus a heterogeneous (Mixed) column.
+fn arb_typed_block() -> impl Strategy<Value = Block> {
+    let cells = (any::<i64>(), any::<f64>(), "[a-z]{0,8}", any::<i32>(), any::<bool>(), 0u8..5);
+    (any::<u32>(), prop::collection::vec(cells, 0..40)).prop_map(|(id, cells)| {
+        let rows = cells
+            .into_iter()
+            .map(|(i, d, s, date, b, pick)| {
+                let s = s.replace('e', "\u{e9}").replace('x', "\u{2713}");
+                let typed = [
+                    Value::Int(i),
+                    Value::Double(d),
+                    Value::Str(s),
+                    Value::Date(date),
+                    Value::Bool(b),
+                ];
+                let mixed = typed[pick as usize].clone();
+                Row::new(typed.into_iter().chain([mixed]).collect())
+            })
+            .collect();
+        Block::new(id, rows)
+    })
+}
+
 /// Drive every decode entry point over one byte string. Nothing here
 /// may panic; each call either errors or returns well-formed data.
 fn exercise(bytes: &[u8]) {
@@ -43,17 +68,16 @@ fn exercise(bytes: &[u8]) {
         }
         // Out-of-range column access errors, never panics.
         let _ = lazy.column(cols + 1);
-        // A corrupt header can *claim* billions of rows (a block with
-        // only variable-width columns defers count validation to
-        // decode time). Bound what the harness itself materializes; the
-        // decode calls above and below still exercise the corrupt count.
-        if n <= 4096 {
-            let all = BitSet::from_indices(n, &(0..n).collect::<Vec<_>>());
-            if let Ok(rows) = lazy.gather_range(0, n, &all) {
-                assert!(rows.len() <= n, "gather cannot invent rows");
-            }
+        // Parse bounds the row count by the bytes present, so even a
+        // corrupt header cannot make the harness allocate much.
+        assert!(n <= bytes.len(), "{n} rows claimed over {} bytes", bytes.len());
+        let all = BitSet::all_set(n);
+        let gathered = lazy.gather_range(0, n, &all).ok();
+        if let Some(rows) = &gathered {
+            assert!(rows.len() <= n, "gather cannot invent rows");
         }
-        let _ = lazy.into_block();
+        let decoded = lazy.into_block().ok().map(|b| b.rows);
+        assert_eq!(gathered, decoded, "a full gather must agree with a full decode");
     }
 }
 
@@ -101,6 +125,21 @@ proptest! {
         let bit = pos as usize % (garbled.len() * 8);
         garbled[bit / 8] ^= 1 << (bit % 8);
         exercise(&garbled);
+    }
+
+    /// On valid blocks of every column tag, in either format, a full
+    /// gather returns exactly the rows a full decode does, and both
+    /// round-trip the encoded block.
+    #[test]
+    fn into_block_equals_full_gather(block in arb_typed_block()) {
+        for enc in [encode_block_columnar(&block), encode_block(&block)] {
+            let lazy = LazyBlock::parse(enc).unwrap();
+            let n = lazy.row_count();
+            let gathered = lazy.gather_range(0, n, &BitSet::all_set(n)).unwrap();
+            let decoded = lazy.into_block().unwrap();
+            prop_assert_eq!(&gathered, &decoded.rows);
+            prop_assert_eq!(&decoded, &block);
+        }
     }
 
     /// A header corrupted into claiming a huge row count must error

@@ -1,22 +1,26 @@
-//! Columnar-vs-row equivalence acceptance tests.
+//! The columnar engine against a naive reference executor.
 //!
-//! The columnar block format (`ADB2`) and the column-wise execution
-//! paths (selection bitsets, zone-map skipping, morsel-driven gathers,
-//! batch probes) change *how* bytes are laid out and rows are
-//! materialized — never what a query returns or what it costs in the
-//! simulated currency. These tests pin that end-to-end: on TPC-H and on
-//! Zipfian synthetic joins, columnar on must be row-identical to
-//! columnar off with bit-identical `IoStats` (including
-//! `zone_skipped`), `ShuffleStats`, block boundaries, and per-block
-//! byte sizes; zone-map skipping must never drop a qualifying row under
-//! randomized predicates; and legacy `ADB1` blocks must keep decoding
-//! inside a columnar database.
+//! Blocks are written in the columnar `ADB2` format and every filtered
+//! read materialises late (selection bitsets, zone-map skipping,
+//! morsel-driven gathers, batch probes). These tests check the engine
+//! against a reference that knows nothing of trees, blocks or the DFS:
+//! a filter plus hash join over the rows the generator loaded. On
+//! TPC-H and on Zipfian synthetic joins the engine must return the
+//! reference's rows; zone-map skipping must never drop a qualifying
+//! row under randomized predicates; and legacy `ADB1` blocks — written
+//! the way old journals restore them — must read with rows and
+//! accounting bit-identical to `ADB2` ones.
+
+use std::collections::BTreeMap;
 
 use adaptdb::{Database, DbConfig, Mode};
-use adaptdb_common::{row, CmpOp, Predicate, PredicateSet, Query, Row, ScanQuery, Value};
+use adaptdb_common::{
+    row, CmpOp, GlobalBlockId, Predicate, PredicateSet, Query, Row, ScanQuery, Value,
+};
 use adaptdb_dfs::SimClock;
 use adaptdb_exec::{scan_blocks, shuffle_join, ExecContext, ShuffleJoinSpec, ShuffleOptions};
-use adaptdb_storage::BlockStore;
+use adaptdb_storage::codec::encode_block;
+use adaptdb_storage::{Block, BlockStore};
 use adaptdb_workloads::tpch::{li, Template, TpchGen};
 use adaptdb_workloads::zipf;
 use proptest::prelude::*;
@@ -28,8 +32,11 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
 
 const TPCH_TABLES: [&str; 5] = ["lineitem", "orders", "customer", "part", "supplier"];
 
-fn tpch_db(columnar: bool, mode: Mode) -> Database {
-    let gen = TpchGen::new(0.02, 5);
+fn tpch_gen() -> TpchGen {
+    TpchGen::new(0.02, 5)
+}
+
+fn tpch_db(mode: Mode) -> Database {
     let config = DbConfig {
         nodes: 4,
         replication: 2,
@@ -38,111 +45,165 @@ fn tpch_db(columnar: bool, mode: Mode) -> Database {
         threads: 1,
         adapt_selections: false,
         fetch_window: 4,
-        columnar,
         morsel_rows: 24, // several morsels per block
         seed: 5,
         ..DbConfig::default()
     };
     let mut db = Database::new(config.with_mode(mode));
-    gen.load_converged(&mut db, li::ORDERKEY).unwrap();
+    tpch_gen().load_converged(&mut db, li::ORDERKEY).unwrap();
     db
 }
 
-/// Satellite pin: the canonical byte-size definition makes block
-/// boundaries, per-block row counts, byte sizes, and zone maps
-/// *identical* across formats — the writer flushes on the same row
-/// budget and meters the same logical bytes whichever encoding it
-/// emits.
-#[test]
-fn block_boundaries_and_metadata_are_format_invariant() {
-    let row_db = tpch_db(false, Mode::Adaptive);
-    let col_db = tpch_db(true, Mode::Adaptive);
-    for t in TPCH_TABLES {
-        let row_blocks = row_db.table(t).unwrap().all_blocks();
-        let col_blocks = col_db.table(t).unwrap().all_blocks();
-        assert_eq!(row_blocks, col_blocks, "{t}: block ids/boundaries diverged");
-        assert!(!row_blocks.is_empty(), "{t}: corpus must load blocks");
-        for &b in &row_blocks {
-            let rm = row_db
-                .store()
-                .with_block_meta(t, b, |m| (m.row_count, m.byte_size, format!("{:?}", m.ranges)))
-                .unwrap();
-            let cm = col_db
-                .store()
-                .with_block_meta(t, b, |m| (m.row_count, m.byte_size, format!("{:?}", m.ranges)))
-                .unwrap();
-            assert_eq!(rm, cm, "{t}/{b}: block metadata diverged across formats");
+/// The rows the generator loaded, by table name.
+fn tpch_rows(gen: &TpchGen) -> BTreeMap<&'static str, Vec<Row>> {
+    BTreeMap::from([
+        ("lineitem", gen.lineitem()),
+        ("orders", gen.orders()),
+        ("customer", gen.customer()),
+        ("part", gen.part()),
+        ("supplier", gen.supplier()),
+    ])
+}
+
+/// Equi-join by building a map over `right` (output `left ++ right`).
+fn hash_join(left: Vec<Row>, right: Vec<Row>, la: u16, ra: u16) -> Vec<Row> {
+    let mut map: BTreeMap<Value, Vec<Row>> = BTreeMap::new();
+    for r in right {
+        map.entry(r.get(ra).clone()).or_default().push(r);
+    }
+    left.iter()
+        .flat_map(|l| map.get(l.get(la)).into_iter().flatten().map(move |r| l.concat(r)))
+        .collect()
+}
+
+/// The naive reference executor: filter each scanned table, then
+/// hash-join left to right (multi-way steps append the stored table's
+/// columns to the intermediate's).
+fn reference(tables: &BTreeMap<&str, Vec<Row>>, q: &Query) -> Vec<Row> {
+    let scan = |s: &ScanQuery| -> Vec<Row> {
+        tables[s.table.as_str()].iter().filter(|r| s.predicates.matches(r)).cloned().collect()
+    };
+    match q {
+        Query::Scan(s) => scan(s),
+        Query::Join(j) => hash_join(scan(&j.left), scan(&j.right), j.left_attr, j.right_attr),
+        Query::MultiJoin { first, steps } => {
+            let mut rows =
+                hash_join(scan(&first.left), scan(&first.right), first.left_attr, first.right_attr);
+            for step in steps {
+                rows = hash_join(rows, scan(&step.table), step.intermediate_attr, step.table_attr);
+            }
+            rows
         }
     }
 }
 
-/// TPC-H end-to-end (scans + every join template, adaptation and
-/// migrations included): columnar execution must return the same rows
-/// with bit-identical I/O, shuffle, and repartition accounting —
-/// `IoStats` equality covers `zone_skipped` too.
+/// Rewrite every live block of `tables` as `ADB1` bytes through
+/// `restore_block` — the path blocks from older journals take — with
+/// the same id, arity and replicas.
+fn rewrite_as_adb1(store: &BlockStore, tables: &[&str]) {
+    for &t in tables {
+        for id in store.block_ids(t) {
+            let rows = store.read_block_unaccounted(t, id).unwrap().rows;
+            let arity = store.with_block_meta(t, id, |m| m.ranges.len()).unwrap();
+            let replicas = store.dfs().locate(&GlobalBlockId::new(t, id)).unwrap().replicas.clone();
+            let bytes = encode_block(&Block::new(id, rows));
+            store.restore_block(t, id, arity, replicas, bytes).unwrap();
+        }
+    }
+}
+
+/// Every live block's rows, across the whole table.
+fn stored_rows(store: &BlockStore, table: &str) -> Vec<Row> {
+    let ids = store.block_ids(table);
+    ids.into_iter().flat_map(|id| store.read_block_unaccounted(table, id).unwrap().rows).collect()
+}
+
+/// The canonical byte-size definition makes block boundaries,
+/// per-block row counts, byte sizes, and zone maps independent of the
+/// wire format: metadata derived from the `ADB2` rows at write time
+/// equals metadata re-derived from the same rows' `ADB1` bytes, and
+/// the blocks hold exactly the generator's rows.
 #[test]
-fn tpch_columnar_matches_row_format_bit_identically() {
+fn block_boundaries_and_metadata_are_format_invariant() {
+    let db = tpch_db(Mode::Adaptive);
+    let adb1 = tpch_db(Mode::Adaptive);
+    rewrite_as_adb1(adb1.store(), &TPCH_TABLES);
+    let loaded = tpch_rows(&tpch_gen());
+    for t in TPCH_TABLES {
+        let blocks = db.table(t).unwrap().all_blocks();
+        assert!(!blocks.is_empty(), "{t}: corpus must load blocks");
+        assert_eq!(blocks, adb1.table(t).unwrap().all_blocks(), "{t}: boundaries diverged");
+        let meta = |d: &Database, b| {
+            d.store()
+                .with_block_meta(t, b, |m| (m.row_count, m.byte_size, format!("{:?}", m.ranges)))
+                .unwrap()
+        };
+        for &b in &blocks {
+            assert_eq!(meta(&db, b), meta(&adb1, b), "{t}/{b}: metadata diverged across formats");
+        }
+        assert_eq!(sorted(stored_rows(db.store(), t)), sorted(loaded[t].clone()), "{t}: rows");
+    }
+    assert_eq!(db.store().dfs().logical_bytes(), adb1.store().dfs().logical_bytes());
+}
+
+/// TPC-H end-to-end (scans + every join template, adaptation and
+/// migrations included): the engine must return the reference's rows,
+/// and after the workload the stored blocks must still hold exactly
+/// the loaded rows.
+#[test]
+fn tpch_templates_match_reference_executor() {
+    let loaded = tpch_rows(&tpch_gen());
     for mode in [Mode::Adaptive, Mode::Amoeba] {
-        let mut row_db = tpch_db(false, mode);
-        let mut col_db = tpch_db(true, mode);
+        let mut db = tpch_db(mode);
         let mut q_rng = adaptdb_common::rng::derived(5, "columnar-equivalence");
         let queries: Vec<Query> =
             Template::all().iter().map(|t| t.instantiate(&mut q_rng)).collect();
         for (i, q) in queries.iter().enumerate() {
-            let r = row_db.run(q).unwrap();
-            let c = col_db.run(q).unwrap();
-            assert_eq!(sorted(r.rows.clone()), sorted(c.rows.clone()), "template {i} diverged");
-            assert_eq!(r.stats.strategy, c.stats.strategy, "template {i}: plans diverged");
-            assert_eq!(r.stats.query_io, c.stats.query_io, "template {i}: I/O diverged");
-            assert_eq!(r.stats.shuffle, c.stats.shuffle, "template {i}: shuffle diverged");
-            assert_eq!(
-                r.stats.repartition_io, c.stats.repartition_io,
-                "template {i}: migration diverged"
-            );
+            let got = db.run(q).unwrap();
+            assert_eq!(sorted(got.rows), sorted(reference(&loaded, q)), "{mode:?} template {i}");
         }
-        // Post-workload: migrations wrote new blocks — boundaries must
-        // still agree block for block.
         for t in TPCH_TABLES {
             assert_eq!(
-                row_db.table(t).unwrap().all_blocks(),
-                col_db.table(t).unwrap().all_blocks(),
-                "{t}: boundaries diverged after adaptation"
+                sorted(stored_rows(db.store(), t)),
+                sorted(loaded[t].clone()),
+                "{mode:?} {t}: rows lost or duplicated by adaptation"
             );
         }
     }
 }
 
 /// A selective scan on an attribute the tree does not index: zone maps
-/// must actually skip blocks (same tally both formats), and the scan
-/// must return identical rows.
+/// must actually skip blocks — the same tally over `ADB1` blocks — and
+/// the scan must return the reference's rows.
 #[test]
 fn tpch_selective_scan_skips_zones_identically() {
-    let mut row_db = tpch_db(false, Mode::Fixed);
-    let mut col_db = tpch_db(true, Mode::Fixed);
+    let mut db = tpch_db(Mode::Fixed);
+    let mut adb1 = tpch_db(Mode::Fixed);
+    rewrite_as_adb1(adb1.store(), &TPCH_TABLES);
     // lineitem is partitioned on orderkey; shipdate is only visible to
     // the per-block zone maps.
     let q = Query::Scan(ScanQuery::new(
         "lineitem",
         PredicateSet::none().and(Predicate::new(li::SHIPDATE, CmpOp::Lt, Value::Date(80))),
     ));
-    let r = row_db.run(&q).unwrap();
-    let c = col_db.run(&q).unwrap();
-    assert_eq!(sorted(r.rows), sorted(c.rows));
-    assert_eq!(r.stats.query_io, c.stats.query_io);
+    let r = db.run(&q).unwrap();
+    let o = adb1.run(&q).unwrap();
+    assert_eq!(sorted(r.rows.clone()), sorted(reference(&tpch_rows(&tpch_gen()), &q)));
+    assert_eq!(r.rows, o.rows);
+    assert_eq!(r.stats.query_io, o.stats.query_io);
     assert!(r.stats.query_io.zone_skipped > 0, "zone maps must exclude whole blocks");
 }
 
-/// Zipfian synthetic join on the raw executor surface: columnar on/off
-/// must agree row for row and count for count, skew mitigations
-/// included.
+/// Zipfian synthetic join on the raw executor surface, skew
+/// mitigations included: the engine must return the reference join,
+/// with rows and counts identical over `ADB2` and `ADB1` blocks.
 #[test]
 fn zipfian_shuffle_join_is_format_invariant() {
-    let mk = |columnar: bool| {
+    let mut rng = adaptdb_common::rng::derived(9, "columnar-zipf");
+    let fact = zipf::zipf_rows(2000, 100, 1.1, &mut rng);
+    let dim = zipf::key_rows(100);
+    let run = |adb1: bool| {
         let store = BlockStore::new(4, 1, 9);
-        store.set_columnar(columnar);
-        let mut rng = adaptdb_common::rng::derived(9, "columnar-zipf");
-        let fact = zipf::zipf_rows(2000, 100, 1.1, &mut rng);
-        let dim = zipf::key_rows(100);
         let mut lids = Vec::new();
         let mut rids = Vec::new();
         for chunk in fact.chunks(50) {
@@ -151,10 +212,9 @@ fn zipfian_shuffle_join_is_format_invariant() {
         for chunk in dim.chunks(50) {
             rids.push(store.write_block("r", chunk.to_vec(), 2, None));
         }
-        (store, lids, rids)
-    };
-    let run = |columnar: bool| {
-        let (store, lids, rids) = mk(columnar);
+        if adb1 {
+            rewrite_as_adb1(&store, &["l", "r"]);
+        }
         let clock = SimClock::new();
         let ctx = ExecContext::new(&store, &clock, 2)
             .with_shuffle(ShuffleOptions {
@@ -163,7 +223,6 @@ fn zipfian_shuffle_join_is_format_invariant() {
                 split_threshold: Some(2.0),
             })
             .with_fetch_window(4)
-            .with_columnar(columnar)
             .with_morsel_rows(16);
         let none = PredicateSet::none();
         let rows = shuffle_join(
@@ -183,22 +242,23 @@ fn zipfian_shuffle_join_is_format_invariant() {
         .unwrap();
         (sorted(rows), clock.snapshot(), clock.shuffle_snapshot())
     };
-    let (row_rows, row_io, row_sh) = run(false);
-    let (col_rows, col_io, col_sh) = run(true);
-    assert_eq!(row_rows.len(), 2000, "every fact row matches exactly one dim key");
-    assert_eq!(row_rows, col_rows);
-    assert_eq!(row_io, col_io);
-    assert_eq!(row_sh, col_sh);
+    let (rows, io, sh) = run(false);
+    let (old_rows, old_io, old_sh) = run(true);
+    assert_eq!(rows.len(), 2000, "every fact row matches exactly one dim key");
+    assert_eq!(rows, sorted(hash_join(fact.clone(), dim.clone(), 0, 0)));
+    assert_eq!(rows, old_rows);
+    assert_eq!(io, old_io);
+    assert_eq!(sh, old_sh);
 }
 
-/// Legacy compatibility: a columnar database keeps reading `ADB1`
-/// blocks. The corpus is loaded with the legacy writer, then the
-/// engine runs columnar over it — and once adaptation migrates blocks,
-/// the table holds both wire formats at once. Results and accounting
-/// must match an all-row database throughout.
+/// Legacy compatibility: the engine keeps reading `ADB1` blocks. One
+/// database has every loaded block rewritten as `ADB1` through
+/// `restore_block`; once adaptation migrates blocks it holds both wire
+/// formats at once. Results and accounting must match an all-`ADB2`
+/// database throughout.
 #[test]
 fn adb1_blocks_decode_inside_a_columnar_database() {
-    let mk = |columnar_engine: bool| {
+    let mk = |adb1: bool| {
         let gen = TpchGen::new(0.01, 13);
         let config = DbConfig {
             nodes: 4,
@@ -207,30 +267,31 @@ fn adb1_blocks_decode_inside_a_columnar_database() {
             buffer_blocks: 8,
             threads: 1,
             fetch_window: 4,
-            columnar: columnar_engine,
+            // The rewrite replaces block bytes in place; a cache could
+            // still hold the `ADB2` bytes read during the load.
+            cache_blocks_per_node: 0,
             seed: 13,
             ..DbConfig::default()
         };
         let mut db = Database::new(config.with_mode(Mode::Adaptive));
-        // Force the on-disk corpus to the legacy row format even when
-        // the engine is columnar: every loaded block is ADB1.
-        db.store().set_columnar(false);
         gen.load_converged(&mut db, li::ORDERKEY).unwrap();
-        db.store().set_columnar(columnar_engine);
+        if adb1 {
+            rewrite_as_adb1(db.store(), &TPCH_TABLES);
+        }
         db
     };
-    let mut row_db = mk(false);
-    let mut col_db = mk(true);
+    let mut new_db = mk(false);
+    let mut old_db = mk(true);
     let mut q_rng = adaptdb_common::rng::derived(13, "columnar-legacy");
-    // Join templates trigger migrations, so the columnar database ends
+    // Join templates trigger migrations, so the rewritten database ends
     // up with ADB1 originals next to freshly-written ADB2 blocks.
     for (i, t) in Template::all().iter().enumerate() {
         let q = t.instantiate(&mut q_rng);
-        let r = row_db.run(&q).unwrap();
-        let c = col_db.run(&q).unwrap();
-        assert_eq!(sorted(r.rows), sorted(c.rows), "template {i} diverged on mixed formats");
-        assert_eq!(r.stats.query_io, c.stats.query_io, "template {i}: I/O diverged");
-        assert_eq!(r.stats.shuffle, c.stats.shuffle, "template {i}: shuffle diverged");
+        let r = new_db.run(&q).unwrap();
+        let o = old_db.run(&q).unwrap();
+        assert_eq!(sorted(r.rows), sorted(o.rows), "template {i} diverged on mixed formats");
+        assert_eq!(r.stats.query_io, o.stats.query_io, "template {i}: I/O diverged");
+        assert_eq!(r.stats.shuffle, o.stats.shuffle, "template {i}: shuffle diverged");
     }
 }
 
@@ -238,16 +299,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Zone-map skipping never drops a qualifying row: for random data
-    /// and random predicates, the scan (columnar and row, serial and
-    /// pipelined) returns exactly the brute-force filter of the full
-    /// corpus, in insertion order.
+    /// and random predicates, the scan (over `ADB2` or `ADB1` blocks,
+    /// serial and pipelined) returns exactly the brute-force filter of
+    /// the full corpus, in insertion order.
     #[test]
     fn zone_map_skipping_never_drops_rows(
         keys in prop::collection::vec(-50i64..50, 1..120),
         attr in 0u16..3,
         op_pick in 0u8..6,
         bound in -60i64..60,
-        columnar_blocks in any::<bool>(),
+        adb1_blocks in any::<bool>(),
     ) {
         let op = [CmpOp::Eq, CmpOp::Neq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
             [op_pick as usize];
@@ -266,23 +327,24 @@ proptest! {
         let expect: Vec<Row> = rows.iter().filter(|r| preds.matches(r)).cloned().collect();
 
         let store = BlockStore::new(2, 1, 1);
-        store.set_columnar(columnar_blocks);
         let mut ids = Vec::new();
         for chunk in rows.chunks(16) {
-            ids.push(store.write_block("t", chunk.to_vec(), 1, None));
+            ids.push(store.write_block("t", chunk.to_vec(), 3, None));
         }
-        for columnar_exec in [false, true] {
-            for window in [1usize, 4] {
+        if adb1_blocks {
+            rewrite_as_adb1(&store, &["t"]);
+        }
+        for window in [1usize, 4] {
+            for morsel in [5usize, 1024] {
                 let clock = SimClock::new();
                 let ctx = ExecContext::single(&store, &clock)
                     .with_fetch_window(window)
-                    .with_columnar(columnar_exec)
-                    .with_morsel_rows(5);
+                    .with_morsel_rows(morsel);
                 let got = scan_blocks(ctx, "t", &ids, &preds).unwrap();
                 prop_assert_eq!(
                     &got, &expect,
-                    "exec columnar={} window={} dropped or invented rows",
-                    columnar_exec, window
+                    "adb1={} window={} morsel={} dropped or invented rows",
+                    adb1_blocks, window, morsel
                 );
             }
         }
