@@ -1,21 +1,20 @@
-//! Typed column vectors and record batches.
+//! Typed column vectors.
 //!
-//! The row-at-a-time executor holds one boxed [`Value`] per cell; the
-//! columnar path stores each attribute as a contiguous typed vector
-//! ([`ColumnVec`]) and a block's worth of them as a [`RecordBatch`].
-//! Conversion to and from `Vec<Row>` is lossless: today's `Value`
-//! semantics have no NULLs, so the "validity story" is trivially
-//! all-present — a heterogeneous column simply falls back to the
-//! [`ColumnVec::Mixed`] variant instead of inventing nullability.
+//! A [`crate::Row`] holds one boxed [`Value`] per cell; the columnar
+//! read path decodes each attribute a query touches into a contiguous
+//! typed vector ([`ColumnVec`]). Conversion from and to values is
+//! lossless: today's `Value` semantics have no NULLs, so the "validity
+//! story" is trivially all-present — a heterogeneous column simply
+//! falls back to the [`ColumnVec::Mixed`] variant instead of inventing
+//! nullability.
 //!
 //! Predicates evaluate column-wise into a selection [`BitSet`]
 //! (per-predicate vectors combined with word-level AND), reproducing
-//! [`Predicate::matches`] bit for bit — including `Value`'s cross-type
-//! rank comparisons and `total_cmp` double ordering.
+//! [`crate::Predicate::matches`] bit for bit — including `Value`'s
+//! cross-type rank comparisons and `total_cmp` double ordering.
 
 use crate::bitset::BitSet;
-use crate::predicate::{CmpOp, Predicate, PredicateSet};
-use crate::row::Row;
+use crate::predicate::CmpOp;
 use crate::value::{Value, ValueType};
 use std::cmp::Ordering;
 
@@ -23,7 +22,7 @@ use std::cmp::Ordering;
 ///
 /// The typed variants cover homogeneous columns (the common case for
 /// generated and TPC-H data); [`ColumnVec::Mixed`] keeps arbitrary
-/// `Value` mixtures representable so `Vec<Row>` → batch → `Vec<Row>`
+/// `Value` mixtures representable so cells → column → cells
 /// is lossless for any input.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnVec {
@@ -138,6 +137,25 @@ impl ColumnVec {
         }
     }
 
+    /// Compare cell `i` with `lit` under [`Value`]'s order (`total_cmp`
+    /// for doubles, type rank across types) without building a
+    /// [`Value`] for the cell.
+    #[inline]
+    pub fn cmp_at(&self, i: usize, lit: &Value) -> Ordering {
+        match (self, lit) {
+            (ColumnVec::Int(v), Value::Int(c)) => v[i].cmp(c),
+            (ColumnVec::Double(v), Value::Double(c)) => v[i].total_cmp(c),
+            (ColumnVec::Str(v), Value::Str(c)) => v[i].as_str().cmp(c.as_str()),
+            (ColumnVec::Date(v), Value::Date(c)) => v[i].cmp(c),
+            (ColumnVec::Bool(v), Value::Bool(c)) => v[i].cmp(c),
+            (ColumnVec::Mixed(v), c) => v[i].cmp(c),
+            (typed, c) => {
+                let t = typed.value_type().expect("Mixed is matched above");
+                t.rank().cmp(&c.value_type().rank())
+            }
+        }
+    }
+
     /// Same row-semantic footprint as summing [`Value::byte_size`] over
     /// the cells — the canonical sizing definition shared with the row
     /// path (see `Row::byte_size`).
@@ -154,8 +172,8 @@ impl ColumnVec {
 
     /// Evaluate one comparison against every cell, returning a
     /// selection vector with bit `i` set iff cell `i` matches.
-    /// Bit-for-bit equivalent to calling [`Predicate::matches`] per
-    /// row: same-type cells compare natively (`total_cmp` for
+    /// Bit-for-bit equivalent to calling [`crate::Predicate::matches`]
+    /// per row: same-type cells compare natively (`total_cmp` for
     /// doubles), differently-typed cells fall back to `Value`'s fixed
     /// cross-type rank — a constant for a whole typed column, so those
     /// columns fill in O(words).
@@ -222,105 +240,12 @@ impl ColumnVec {
     }
 }
 
-/// A block's worth of rows stored column-major: one [`ColumnVec`] per
-/// attribute, all the same length.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordBatch {
-    columns: Vec<ColumnVec>,
-    rows: usize,
-}
-
-impl RecordBatch {
-    /// Build a batch from rows. Returns `None` when the rows are
-    /// ragged (mixed arity) — callers fall back to the row
-    /// representation, keeping the conversion lossless for any input.
-    pub fn try_from_rows(rows: &[Row]) -> Option<RecordBatch> {
-        let Some(first) = rows.first() else {
-            return Some(RecordBatch { columns: Vec::new(), rows: 0 });
-        };
-        let arity = first.arity();
-        if rows.iter().any(|r| r.arity() != arity) {
-            return None;
-        }
-        let columns = (0..arity)
-            .map(|a| {
-                ColumnVec::from_values(
-                    rows.iter().map(|r| r.get(a as crate::schema::AttrId).clone()).collect(),
-                )
-            })
-            .collect();
-        Some(RecordBatch { columns, rows: rows.len() })
-    }
-
-    /// Build a batch directly from columns (all must share one length).
-    pub fn from_columns(columns: Vec<ColumnVec>) -> RecordBatch {
-        let rows = columns.first().map_or(0, ColumnVec::len);
-        assert!(columns.iter().all(|c| c.len() == rows), "column length mismatch");
-        RecordBatch { columns, rows }
-    }
-
-    /// Number of rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Column at attribute position `a`.
-    pub fn column(&self, a: usize) -> &ColumnVec {
-        &self.columns[a]
-    }
-
-    /// All columns.
-    pub fn columns(&self) -> &[ColumnVec] {
-        &self.columns
-    }
-
-    /// Row `i` rematerialized.
-    pub fn row_at(&self, i: usize) -> Row {
-        Row::new(self.columns.iter().map(|c| c.value_at(i)).collect())
-    }
-
-    /// Rematerialize every row — the lossless inverse of
-    /// [`RecordBatch::try_from_rows`].
-    pub fn to_rows(&self) -> Vec<Row> {
-        (0..self.rows).map(|i| self.row_at(i)).collect()
-    }
-
-    /// Evaluate a predicate conjunction column-wise: one selection
-    /// vector per predicate, combined with word-level AND
-    /// ([`BitSet::intersect_with`]). Bit `i` set iff
-    /// [`PredicateSet::matches`] would accept row `i`.
-    pub fn select(&self, preds: &PredicateSet) -> BitSet {
-        let mut sel = BitSet::all_set(self.rows);
-        for p in preds.predicates() {
-            let Predicate { attr, op, value } = p;
-            sel.intersect_with(&self.columns[*attr as usize].eval(*op, value));
-        }
-        sel
-    }
-
-    /// Rows at the selected indices, in ascending row order.
-    pub fn gather(&self, sel: &BitSet) -> Vec<Row> {
-        sel.iter_ones().map(|i| self.row_at(i)).collect()
-    }
-
-    /// Row-semantic footprint: identical to summing `Row::byte_size`
-    /// over [`RecordBatch::to_rows`] (each row carries a fixed 8-byte
-    /// overhead in that definition). Block-sizing decisions use this
-    /// one canonical figure in both formats.
-    pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(ColumnVec::byte_size).sum::<usize>() + self.rows * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicate::{Predicate, PredicateSet};
     use crate::row;
+    use crate::row::Row;
 
     fn sample_rows() -> Vec<Row> {
         vec![
@@ -330,40 +255,48 @@ mod tests {
         ]
     }
 
+    fn columns(rows: &[Row]) -> Vec<ColumnVec> {
+        (0..rows[0].arity())
+            .map(|a| ColumnVec::from_values(rows.iter().map(|r| r.values()[a].clone()).collect()))
+            .collect()
+    }
+
+    /// Column-wise conjunction: one selection per predicate, ANDed.
+    fn select(cols: &[ColumnVec], rows: usize, preds: &PredicateSet) -> BitSet {
+        let mut sel = BitSet::all_set(rows);
+        for Predicate { attr, op, value } in preds.predicates() {
+            sel.intersect_with(&cols[*attr as usize].eval(*op, value));
+        }
+        sel
+    }
+
     #[test]
     fn round_trip_is_lossless() {
         let rows = sample_rows();
-        let batch = RecordBatch::try_from_rows(&rows).unwrap();
-        assert_eq!(batch.num_rows(), 3);
-        assert_eq!(batch.num_columns(), 4);
-        assert_eq!(batch.to_rows(), rows);
+        let cols = columns(&rows);
         // Typed columns for homogeneous input.
-        assert_eq!(batch.column(0).value_type(), Some(ValueType::Int));
-        assert_eq!(batch.column(2).value_type(), Some(ValueType::Str));
+        assert_eq!(cols[0].value_type(), Some(ValueType::Int));
+        assert_eq!(cols[2].value_type(), Some(ValueType::Str));
+        for (i, r) in rows.iter().enumerate() {
+            let back: Vec<Value> = cols.iter().map(|c| c.value_at(i)).collect();
+            assert_eq!(&back[..], r.values());
+        }
     }
 
     #[test]
     fn mixed_columns_round_trip() {
-        let rows = vec![row![1i64, "x"], row![2.5, "y"]];
-        let batch = RecordBatch::try_from_rows(&rows).unwrap();
-        assert_eq!(batch.column(0).value_type(), None);
-        assert_eq!(batch.to_rows(), rows);
-    }
-
-    #[test]
-    fn ragged_rows_are_rejected() {
-        let rows = vec![row![1i64], row![1i64, 2i64]];
-        assert!(RecordBatch::try_from_rows(&rows).is_none());
-        // Empty input is a valid empty batch.
-        let empty = RecordBatch::try_from_rows(&[]).unwrap();
-        assert_eq!(empty.num_rows(), 0);
-        assert!(empty.to_rows().is_empty());
+        let values = vec![Value::Int(1), Value::Double(2.5), Value::Str("x".into())];
+        let col = ColumnVec::from_values(values.clone());
+        assert_eq!(col.value_type(), None);
+        assert_eq!((0..3).map(|i| col.value_at(i)).collect::<Vec<_>>(), values);
+        // An empty input is an empty Mixed column.
+        assert!(ColumnVec::from_values(Vec::new()).is_empty());
     }
 
     #[test]
     fn select_matches_row_evaluation() {
         let rows = sample_rows();
-        let batch = RecordBatch::try_from_rows(&rows).unwrap();
+        let cols = columns(&rows);
         let cases = vec![
             PredicateSet::none(),
             PredicateSet::none().and(Predicate::new(0, CmpOp::Ge, 2i64)),
@@ -380,7 +313,7 @@ mod tests {
             PredicateSet::none().and(Predicate::new(0, CmpOp::Gt, "z")),
         ];
         for preds in cases {
-            let sel = batch.select(&preds);
+            let sel = select(&cols, rows.len(), &preds);
             for (i, r) in rows.iter().enumerate() {
                 assert_eq!(sel.get(i), preds.matches(r), "preds {preds:?} row {i}");
             }
@@ -389,32 +322,52 @@ mod tests {
 
     #[test]
     fn nan_selects_like_total_cmp() {
-        let rows = sample_rows();
-        let batch = RecordBatch::try_from_rows(&rows).unwrap();
+        let col = &columns(&sample_rows())[1];
         // total_cmp: NaN > 2.5, and NaN == NaN.
-        let gt = batch.select(&PredicateSet::none().and(Predicate::new(1, CmpOp::Gt, 2.5)));
+        let gt = col.eval(CmpOp::Gt, &Value::Double(2.5));
         assert_eq!(gt.iter_ones().collect::<Vec<_>>(), vec![2]);
-        let eq = batch.select(&PredicateSet::none().and(Predicate::new(1, CmpOp::Eq, f64::NAN)));
+        let eq = col.eval(CmpOp::Eq, &Value::Double(f64::NAN));
         assert_eq!(eq.iter_ones().collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
-    fn gather_returns_selected_rows_in_order() {
-        let rows = sample_rows();
-        let batch = RecordBatch::try_from_rows(&rows).unwrap();
-        let sel = BitSet::from_indices(3, &[0, 2]);
-        assert_eq!(batch.gather(&sel), vec![rows[0].clone(), rows[2].clone()]);
+    fn cmp_at_matches_value_order() {
+        let cells = [
+            Value::Int(-1),
+            Value::Double(-0.0),
+            Value::Double(0.0),
+            Value::Double(f64::NAN),
+            Value::Str(String::new()),
+            Value::Str("b".into()),
+            Value::Date(3),
+            Value::Bool(true),
+        ];
+        let mut cols: Vec<ColumnVec> =
+            cells.iter().map(|v| ColumnVec::from_values(vec![v.clone()])).collect();
+        cols.push(ColumnVec::from_values(cells.to_vec()));
+        for col in &cols {
+            for i in 0..col.len() {
+                for lit in &cells {
+                    assert_eq!(
+                        col.cmp_at(i, lit),
+                        col.value_at(i).cmp(lit),
+                        "{col:?}[{i}] vs {lit:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn byte_size_matches_row_definition() {
-        let rows = sample_rows();
-        let batch = RecordBatch::try_from_rows(&rows).unwrap();
-        let row_total: usize = rows.iter().map(Row::byte_size).sum();
-        assert_eq!(batch.byte_size(), row_total);
-        // Mixed columns agree too.
-        let rows = vec![row![1i64, "x"], row![2.5, "y"]];
-        let batch = RecordBatch::try_from_rows(&rows).unwrap();
-        assert_eq!(batch.byte_size(), rows.iter().map(Row::byte_size).sum::<usize>());
+        for rows in [sample_rows(), vec![row![1i64, "x"], row![2.5, "y"]]] {
+            let cols = columns(&rows);
+            let row_total: usize = rows.iter().map(Row::byte_size).sum();
+            // Each row carries a fixed 8-byte overhead in that definition.
+            assert_eq!(
+                cols.iter().map(ColumnVec::byte_size).sum::<usize>() + rows.len() * 8,
+                row_total
+            );
+        }
     }
 }

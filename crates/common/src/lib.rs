@@ -16,10 +16,9 @@
 //!   `Ranget`), used both for tree pruning and for hyper-join overlap
 //!   computation.
 //! * [`bitset::BitSet`] — the fixed-width bit vectors `v_i` of §4.1.1.
-//! * [`column::ColumnVec`] / [`column::RecordBatch`] — typed column
-//!   vectors and column-major batches, losslessly convertible to and
-//!   from `Vec<Row>`, with column-wise predicate evaluation into a
-//!   selection [`bitset::BitSet`].
+//! * [`column::ColumnVec`] — typed column vectors, losslessly
+//!   convertible to and from cell values, with column-wise predicate
+//!   evaluation into a selection [`bitset::BitSet`].
 //! * [`query::JoinQuery`] — the query objects the storage manager plans.
 //! * [`cost::CostParams`] — the I/O cost model of §4.2 (Eq. 1 and 2).
 //! * [`stats`] — per-query execution statistics (block reads, shuffle
@@ -69,7 +68,7 @@ impl GlobalBlockId {
 }
 
 pub use bitset::BitSet;
-pub use column::{ColumnVec, RecordBatch};
+pub use column::ColumnVec;
 pub use cost::CostParams;
 pub use error::{Error, Result};
 pub use predicate::{CmpOp, Predicate, PredicateSet};

@@ -708,6 +708,7 @@ impl Database {
             self.config.rows_per_block,
             existing,
             self.retire_mode,
+            self.config.threads,
         )?;
         self.pending_retire.extend(outcome.retired.iter().map(|b| (table.to_string(), *b)));
         Ok(outcome)

@@ -23,10 +23,11 @@
 //!   locality-classified fetch-backs, the `C_SJ = 3` pattern of Eq. 1),
 //!   then join each partition,
 //! * [`repartition`] — Type-2 blocks: scan *and* re-route rows into a new
-//!   partitioning tree through a buffered writer,
+//!   partitioning tree through a buffered writer, column-wise and
+//!   without building rows,
 //! * [`aggregate`] — the small aggregation layer used by examples and
 //!   workloads,
-//! * [`parallel`] — a scoped worker pool shared by the operators.
+//! * [`parallel`] — the process-wide worker pool shared by the operators.
 
 #![warn(missing_docs)]
 

@@ -43,13 +43,20 @@
 //! Both directions copy each cell once: the encoder writes columns
 //! straight from the rows, and decoding writes cells straight into
 //! row vectors.
+//!
+//! **One typed write pass.** The encoder also builds the block's
+//! [`BlockMeta`]: one walk per column writes the cells and widens that
+//! column's zone map with typed comparisons ([`encode_block_with_meta`]).
+//! Its cells can come from rows or, for migrations, from other blocks'
+//! still-encoded columns ([`RawColumn`], [`encode_gathered`]): cells are
+//! then copied payload to payload, and no value or row is built.
 
 use std::sync::Arc;
 
-use adaptdb_common::{ColumnVec, Error, Result, Row, Value};
+use adaptdb_common::{BlockId, ColumnVec, Error, Result, Row, Value, ValueRange};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::block::Block;
+use crate::block::{widen, Block, BlockMeta, Zone};
 
 /// Magic prefix of a row-oriented (`ADB1`) encoded block.
 pub const BLOCK_MAGIC: &[u8; 4] = b"ADB1";
@@ -228,66 +235,289 @@ fn skip_value(buf: &mut Bytes) -> Result<()> {
     Ok(())
 }
 
-/// Encode a block columnar (`ADB2`), the format the store writes.
-/// Each column's cells are written straight from the rows into one
-/// buffer. Ragged row sets (mixed arity) cannot be laid out
-/// column-major, and arity-0 rows have no column to carry their count,
-/// so both fall back to whole-block `ADB1` — [`decode_block`]
-/// dispatches on magic, making the fallback invisible to readers.
+/// Encode a block columnar (`ADB2`), the format the store writes —
+/// the bytes half of [`encode_block_with_meta`].
 pub fn encode_block_columnar(block: &Block) -> Bytes {
-    let rows = &block.rows;
-    let arity = rows.first().map_or(0, Row::arity);
-    if rows.iter().any(|r| r.arity() != arity) || (arity == 0 && !rows.is_empty()) {
-        return encode_block(block);
-    }
-    // Typed payloads are exactly the cells' row-semantic size; Mixed
-    // ones add a tag byte per cell and grow the buffer once if needed.
-    let payload: usize = rows.iter().map(|r| r.byte_size() - 8).sum();
-    let dir = 14;
-    let mut buf = Vec::with_capacity(dir + arity * 5 + payload);
-    buf.put_slice(BLOCK_MAGIC_V2);
-    buf.put_u32_le(block.id);
-    buf.put_u32_le(rows.len() as u32);
-    buf.put_u16_le(arity as u16);
-    // Directory entries are patched in as each payload is written.
-    buf.resize(dir + arity * 5, 0);
-    for a in 0..arity {
-        let start = buf.len();
-        let tag = encode_column(&mut buf, rows, a);
-        let len = (buf.len() - start) as u32;
-        let entry = dir + a * 5;
-        buf[entry] = tag;
-        buf[entry + 1..entry + 5].copy_from_slice(&len.to_le_bytes());
-    }
-    Bytes::from(buf)
+    encode_block_with_meta(block, 0).0
 }
 
-/// Append attribute `a` of `rows` (non-empty, uniform arity) as one
-/// `ADB2` column payload and return its directory tag: the first
-/// cell's type when every cell shares it, `Mixed` otherwise.
-fn encode_column(buf: &mut Vec<u8>, rows: &[Row], a: usize) -> u8 {
-    let start = buf.len();
-    let tag = value_tag(&rows[0].values()[a]);
-    for r in rows {
-        match (tag, &r.values()[a]) {
-            (0, Value::Int(x)) => buf.put_i64_le(*x),
-            (1, Value::Double(x)) => buf.put_u64_le(x.to_bits()),
-            (2, Value::Str(s)) => {
-                buf.put_u32_le(s.len() as u32);
-                buf.put_slice(s.as_bytes());
-            }
-            (3, Value::Date(x)) => buf.put_i32_le(*x),
-            (4, Value::Bool(x)) => buf.put_u8(*x as u8),
-            _ => {
-                buf.truncate(start);
-                for r in rows {
-                    encode_value(buf, &r.values()[a]);
+/// Encode a block columnar (`ADB2`) and compute its [`BlockMeta`] for a
+/// schema of `arity` columns in the same pass: one walk per column
+/// writes the cells and widens that column's zone map, and the byte
+/// size falls out of the payload lengths. Ragged row sets (mixed
+/// arity) cannot be laid out column-major, and arity-0 rows have no
+/// column to carry their count, so both fall back to whole-block
+/// `ADB1` and [`Block::compute_meta`] — [`decode_block`] dispatches on
+/// magic, making the fallback invisible to readers.
+pub fn encode_block_with_meta(block: &Block, arity: usize) -> (Bytes, BlockMeta) {
+    let rows = &block.rows;
+    let cols = rows.first().map_or(0, Row::arity);
+    if rows.iter().any(|r| r.arity() != cols) || (cols == 0 && !rows.is_empty()) {
+        return (encode_block(block), block.compute_meta(arity));
+    }
+    write_columns(block.id, rows.len(), cols, arity, |a, sink| {
+        for r in rows {
+            sink.value(&r.values()[a]);
+        }
+    })
+}
+
+/// Encode the rows picked by `chunks` — each a block's still-encoded
+/// columns (all blocks with the same column count) and ascending row
+/// indices into them — as one `ADB2` block, with its [`BlockMeta`] for
+/// `arity` schema columns. The bytes and metadata equal
+/// [`encode_block_with_meta`] over the same rows materialized in chunk
+/// order, but no row or value is built: each output column copies its
+/// cells straight from the source payloads, widening its zone map on
+/// the way.
+pub fn encode_gathered(
+    id: BlockId,
+    chunks: &[(&[RawColumn], &[u32])],
+    arity: usize,
+) -> (Bytes, BlockMeta) {
+    let rows = chunks.iter().map(|(_, picked)| picked.len()).sum();
+    let cols = chunks.first().map_or(0, |(src, _)| src.len());
+    assert!(
+        chunks.iter().all(|(src, _)| src.len() == cols) && (cols > 0 || rows == 0),
+        "gathered chunks need one non-zero column count"
+    );
+    // No rows, no columns: the layout an empty row block gets.
+    let cols = if rows == 0 { 0 } else { cols };
+    write_columns(id, rows, cols, arity, |a, sink| {
+        for (src, picked) in chunks {
+            sink.gather(&src[a], picked);
+        }
+    })
+}
+
+/// Lay out an `ADB2` block of `rows` rows and `cols` columns, letting
+/// `fill` push column `a`'s cells into its [`ColumnSink`], and build
+/// the block's [`BlockMeta`] for `arity` schema columns alongside.
+fn write_columns<'a>(
+    id: BlockId,
+    rows: usize,
+    cols: usize,
+    arity: usize,
+    mut fill: impl FnMut(usize, &mut ColumnSink<'a>),
+) -> (Bytes, BlockMeta) {
+    let dir = 14;
+    let mut buf = Vec::with_capacity(dir + cols * (5 + rows * 8));
+    buf.put_slice(BLOCK_MAGIC_V2);
+    buf.put_u32_le(id);
+    buf.put_u32_le(rows as u32);
+    buf.put_u16_le(cols as u16);
+    // Directory entries are patched in as each payload is written.
+    buf.resize(dir + cols * 5, 0);
+    let mut ranges = Vec::with_capacity(arity);
+    let mut byte_size = rows * 8;
+    for a in 0..cols {
+        let mut sink = ColumnSink { start: buf.len(), buf, zone: Zone::Empty, cells: 0 };
+        fill(a, &mut sink);
+        let tag = sink.tag();
+        let len = sink.buf.len() - sink.start;
+        buf = sink.buf;
+        // A Mixed payload spends one tag byte per cell beyond the
+        // cells' row-semantic size; typed payloads are exactly it.
+        byte_size += if tag == COL_TAG_MIXED { len - sink.cells } else { len };
+        let entry = dir + a * 5;
+        buf[entry] = tag;
+        buf[entry + 1..entry + 5].copy_from_slice(&(len as u32).to_le_bytes());
+        if a < arity {
+            ranges.push(sink.zone.into_range());
+        }
+    }
+    ranges.resize(arity, ValueRange::empty());
+    (Bytes::from(buf), BlockMeta { id, row_count: rows, byte_size, ranges })
+}
+
+/// One `ADB2` column being appended to a block buffer, together with
+/// its zone map. Cells arrive one at a time, typed or as [`Value`]s;
+/// while they share a type they are written as typed cells, and the
+/// first cell of another type rewrites what is there as a `Mixed`
+/// payload (each cell's `ADB1` value encoding is its tag byte followed
+/// by exactly its typed bytes).
+struct ColumnSink<'a> {
+    buf: Vec<u8>,
+    /// Where this column's payload starts in `buf`.
+    start: usize,
+    zone: Zone<'a>,
+    cells: usize,
+}
+
+/// The tight loop of `ColumnSink::gather` for a fixed-width typed
+/// column of `$w`-byte cells: an empty zone is seeded from the first
+/// cell, then — if the zone holds `$variant` — each picked cell widens
+/// the bounds and is copied as is. Evaluates to whether it took the
+/// cells.
+macro_rules! gather_fixed {
+    ($sink:ident, $p:ident, $picked:ident, $variant:ident, $w:literal, $decode:expr, $cmp:expr) => {{
+        if let (Zone::Empty, Some(&first)) = (&$sink.zone, $picked.first()) {
+            let x = $decode(cell::<$w>($p, first as usize));
+            $sink.zone = Zone::$variant(x, x);
+        }
+        match &mut $sink.zone {
+            Zone::$variant(lo, hi) => {
+                let (mut l, mut h) = (*lo, *hi);
+                $sink.buf.reserve($picked.len() * $w);
+                for &i in $picked {
+                    let c = cell::<$w>($p, i as usize);
+                    widen(&mut l, &mut h, $decode(c), $cmp);
+                    $sink.buf.extend_from_slice(&c);
                 }
-                return COL_TAG_MIXED;
+                (*lo, *hi) = (l, h);
+                $sink.cells += $picked.len();
+                true
+            }
+            _ => false,
+        }
+    }};
+}
+
+impl<'a> ColumnSink<'a> {
+    /// Write one cell as typed bytes when it keeps the column uniform
+    /// (`fits`), or as `Mixed` otherwise.
+    #[inline]
+    fn push(
+        &mut self,
+        fits: bool,
+        write: impl FnOnce(&mut Vec<u8>),
+        value: impl FnOnce() -> Value,
+    ) {
+        self.cells += 1;
+        if fits {
+            write(&mut self.buf);
+        } else {
+            self.mixed(&value());
+        }
+    }
+
+    #[inline]
+    fn int(&mut self, x: i64) {
+        let fits = self.zone.int(x);
+        self.push(fits, |b| b.put_i64_le(x), || Value::Int(x));
+    }
+
+    #[inline]
+    fn double(&mut self, x: f64) {
+        let fits = self.zone.double(x);
+        self.push(fits, |b| b.put_u64_le(x.to_bits()), || Value::Double(x));
+    }
+
+    /// A `Str` cell given by its UTF-8 bytes.
+    #[inline]
+    fn str(&mut self, s: &'a [u8]) {
+        let fits = self.zone.str(s);
+        let write = |b: &mut Vec<u8>| {
+            b.put_u32_le(s.len() as u32);
+            b.put_slice(s);
+        };
+        self.push(fits, write, || Value::Str(String::from_utf8_lossy(s).into_owned()));
+    }
+
+    /// A `Str` cell in its encoded form — length prefix, then the UTF-8
+    /// bytes — copied in one piece.
+    #[inline]
+    fn str_cell(&mut self, c: &'a [u8]) {
+        let s = &c[4..];
+        let fits = self.zone.str(s);
+        self.push(fits, |b| b.put_slice(c), || Value::Str(String::from_utf8_lossy(s).into_owned()));
+    }
+
+    #[inline]
+    fn date(&mut self, x: i32) {
+        let fits = self.zone.date(x);
+        self.push(fits, |b| b.put_i32_le(x), || Value::Date(x));
+    }
+
+    #[inline]
+    fn bool(&mut self, x: bool) {
+        let fits = self.zone.bool(x);
+        self.push(fits, |b| b.put_u8(x as u8), || Value::Bool(x));
+    }
+
+    /// Append one cell of any type.
+    #[inline]
+    fn value(&mut self, v: &'a Value) {
+        match v {
+            Value::Int(x) => self.int(*x),
+            Value::Double(x) => self.double(*x),
+            Value::Str(s) => self.str(s.as_bytes()),
+            Value::Date(x) => self.date(*x),
+            Value::Bool(x) => self.bool(*x),
+        }
+    }
+
+    /// Append the cells `picked` of a still-encoded column. While the
+    /// zone is empty or holds the column's type, a fixed-width column
+    /// is widened and copied in one tight loop; anything else goes
+    /// cell by cell.
+    fn gather(&mut self, col: &'a RawColumn, picked: &[u32]) {
+        let p: &'a [u8] = &col.payload;
+        let done = match col.tag {
+            0 => gather_fixed!(self, p, picked, Int, 8, i64::from_le_bytes, i64::cmp),
+            1 => {
+                let decode = |c| f64::from_bits(u64::from_le_bytes(c));
+                gather_fixed!(self, p, picked, Double, 8, decode, f64::total_cmp)
+            }
+            3 => gather_fixed!(self, p, picked, Date, 4, i32::from_le_bytes, i32::cmp),
+            _ => false,
+        };
+        if !done {
+            for &i in picked {
+                let (tag, c) = col.cell(i as usize);
+                self.value_cell(tag, c);
             }
         }
     }
-    tag
+
+    /// Append a cell given by its value tag and typed encoding
+    /// ([`RawColumn::cell`]).
+    fn value_cell(&mut self, tag: u8, c: &'a [u8]) {
+        match tag {
+            0 => self.int(i64::from_le_bytes(fixed(c))),
+            1 => self.double(f64::from_bits(u64::from_le_bytes(fixed(c)))),
+            2 => self.str_cell(c),
+            3 => self.date(i32::from_le_bytes(fixed(c))),
+            _ => self.bool(c[0] != 0),
+        }
+    }
+
+    /// The column's directory tag: the shared cell type, or `Mixed`.
+    fn tag(&self) -> u8 {
+        match self.zone {
+            Zone::Empty | Zone::Mixed(_) => COL_TAG_MIXED,
+            Zone::Int(..) => 0,
+            Zone::Double(..) => 1,
+            Zone::Str(..) => 2,
+            Zone::Date(..) => 3,
+            Zone::Bool(..) => 4,
+        }
+    }
+
+    /// Append a cell whose type breaks the column's uniformity (or
+    /// arrives after it broke), re-encoding the typed prefix as `Mixed`
+    /// on the first such cell.
+    #[cold]
+    fn mixed(&mut self, v: &Value) {
+        if !self.zone.is_mixed() {
+            let tag = self.tag();
+            let typed = self.buf.split_off(self.start);
+            let mut p = &typed[..];
+            while !p.is_empty() {
+                let width = match tag {
+                    0 | 1 => 8,
+                    3 => 4,
+                    4 => 1,
+                    _ => 4 + u32::from_le_bytes(cell(p, 0)) as usize,
+                };
+                self.buf.push(tag);
+                self.buf.extend_from_slice(&p[..width]);
+                p = &p[width..];
+            }
+        }
+        self.zone.demote().insert(v);
+        encode_value(&mut self.buf, v);
+    }
 }
 
 /// Location of one column's payload inside a lazy block.
@@ -514,6 +744,20 @@ impl LazyBlock {
         }
     }
 
+    /// Every column left encoded, for copying cells into other blocks
+    /// ([`encode_gathered`]); `None` for a row-format (`ADB1`) payload.
+    pub fn raw_columns(&self) -> Result<Option<Vec<RawColumn>>> {
+        match &self.inner {
+            LazyInner::Rows(_) => Ok(None),
+            LazyInner::Columnar { dir, bytes } => dir
+                .cols
+                .iter()
+                .map(|c| RawColumn::new(c.tag, dir.rows, bytes.slice(c.start..c.end)))
+                .collect::<Result<_>>()
+                .map(Some),
+        }
+    }
+
     /// Decode everything to a [`Block`] — the eager path, used by
     /// consumers that need whole rows (shuffle reducers,
     /// repartitioning, spill fetch-back). `ADB2` payloads decode
@@ -527,6 +771,87 @@ impl LazyBlock {
             }
         }
     }
+}
+
+/// One `ADB2` column left encoded: its directory tag, its payload, and
+/// where each cell of a variable-width column starts. Copying cells
+/// from it into another block ([`encode_gathered`]) moves bytes without
+/// building values. Building one walks a variable-width payload once,
+/// checking it exactly as a full decode would.
+#[derive(Debug, Clone)]
+pub struct RawColumn {
+    tag: u8,
+    payload: Bytes,
+    /// Cell boundaries (`rows + 1` of them) of a `Str` or `Mixed`
+    /// column; empty for fixed-width columns.
+    bounds: Vec<u32>,
+}
+
+impl RawColumn {
+    fn new(tag: u8, rows: usize, payload: Bytes) -> Result<RawColumn> {
+        let mut bounds = Vec::new();
+        if tag == 2 || tag == COL_TAG_MIXED {
+            bounds.reserve(rows + 1);
+            bounds.push(0);
+        }
+        if tag == 2 {
+            let mut p: &[u8] = &payload;
+            for _ in 0..rows {
+                let len = u32::from_le_bytes(cell(take(&mut p, 4, "Str length")?, 0)) as usize;
+                std::str::from_utf8(take(&mut p, len, "Str payload")?)
+                    .map_err(|e| Error::Codec(format!("invalid UTF-8 in Str: {e}")))?;
+                bounds.push((payload.len() - p.len()) as u32);
+            }
+            if !p.is_empty() {
+                return Err(Error::Codec("trailing bytes after Str column".into()));
+            }
+        } else if tag == COL_TAG_MIXED {
+            let mut rest = payload.clone();
+            for _ in 0..rows {
+                decode_value(&mut rest)?;
+                bounds.push((payload.len() - rest.len()) as u32);
+            }
+            if rest.has_remaining() {
+                return Err(Error::Codec("trailing bytes after Mixed column".into()));
+            }
+        }
+        Ok(RawColumn { tag, payload, bounds })
+    }
+
+    /// Cell `i` as its value tag and typed encoding (a `Str` cell keeps
+    /// its length prefix; a `Mixed` cell drops its tag byte).
+    #[inline]
+    fn cell(&self, i: usize) -> (u8, &[u8]) {
+        let width = match self.tag {
+            0 | 1 => 8,
+            3 => 4,
+            4 => 1,
+            _ => {
+                let c = &self.payload[self.bounds[i] as usize..self.bounds[i + 1] as usize];
+                return if self.tag == 2 { (2, c) } else { (c[0], &c[1..]) };
+            }
+        };
+        (self.tag, &self.payload[i * width..(i + 1) * width])
+    }
+
+    /// Cell `i` decoded to a [`Value`].
+    pub fn value(&self, i: usize) -> Value {
+        let (tag, c) = self.cell(i);
+        match tag {
+            0 => Value::Int(i64::from_le_bytes(fixed(c))),
+            1 => Value::Double(f64::from_bits(u64::from_le_bytes(fixed(c)))),
+            2 => Value::Str(String::from_utf8_lossy(&c[4..]).into_owned()),
+            3 => Value::Date(i32::from_le_bytes(fixed(c))),
+            _ => Value::Bool(c[0] != 0),
+        }
+    }
+}
+
+/// A fixed-width cell's bytes as an array (its width was checked when
+/// the column was framed).
+#[inline]
+fn fixed<const W: usize>(c: &[u8]) -> [u8; W] {
+    cell(c, 0)
 }
 
 /// Split `n` bytes off the front of `p`, or fail as a truncated `what`.
@@ -995,10 +1320,153 @@ mod tests {
             let lazy = LazyBlock::parse(Bytes::from(raw)).unwrap();
             let all = adaptdb_common::BitSet::all_set(2);
             assert!(matches!(lazy.column(1), Err(Error::Codec(_))));
+            assert!(matches!(lazy.raw_columns(), Err(Error::Codec(_))));
             assert!(matches!(lazy.gather_range(0, 2, &all), Err(Error::Codec(_))));
             assert!(matches!(lazy.into_block(), Err(Error::Codec(_))));
         }
     }
 
+    /// The encoder before the fused pass: each column written straight
+    /// from the rows, restarting as `Mixed` on the first odd cell.
+    fn reference_encode(block: &Block) -> Bytes {
+        let rows = &block.rows;
+        let arity = rows.first().map_or(0, Row::arity);
+        if rows.iter().any(|r| r.arity() != arity) || (arity == 0 && !rows.is_empty()) {
+            return encode_block(block);
+        }
+        let mut buf = Vec::new();
+        buf.put_slice(BLOCK_MAGIC_V2);
+        buf.put_u32_le(block.id);
+        buf.put_u32_le(rows.len() as u32);
+        buf.put_u16_le(arity as u16);
+        buf.resize(14 + arity * 5, 0);
+        for a in 0..arity {
+            let start = buf.len();
+            let first = value_tag(&rows[0].values()[a]);
+            let uniform = rows.iter().all(|r| value_tag(&r.values()[a]) == first);
+            for r in rows {
+                let v = &r.values()[a];
+                if uniform {
+                    let mut one = Vec::new();
+                    encode_value(&mut one, v);
+                    buf.extend_from_slice(&one[1..]);
+                } else {
+                    encode_value(&mut buf, v);
+                }
+            }
+            let len = (buf.len() - start) as u32;
+            buf[14 + a * 5] = if uniform { first } else { COL_TAG_MIXED };
+            buf[14 + a * 5 + 1..14 + a * 5 + 5].copy_from_slice(&len.to_le_bytes());
+        }
+        Bytes::from(buf)
+    }
+
+    /// The zone maps before the fused pass: one `ValueRange::insert`
+    /// per cell.
+    fn reference_meta(block: &Block, arity: usize) -> BlockMeta {
+        let mut ranges = vec![ValueRange::empty(); arity];
+        let mut bytes = 0;
+        for row in &block.rows {
+            bytes += row.byte_size();
+            for (a, v) in row.values().iter().enumerate().take(arity) {
+                ranges[a].insert(v);
+            }
+        }
+        BlockMeta { id: block.id, row_count: block.rows.len(), byte_size: bytes, ranges }
+    }
+
+    /// A random cell of type `t` (0..5), or of a random type for 5.
+    fn random_cell(rng: &mut impl RngExt, t: u32) -> Value {
+        let t = if t == 5 { rng.random_range(0..5u32) } else { t };
+        match t {
+            0 => Value::Int(rng.random_range(-3..4i64)),
+            1 => Value::Double(
+                [-0.0, 0.0, f64::NAN, -f64::NAN, 1.5, -2.25, f64::INFINITY]
+                    [rng.random_range(0..7usize)],
+            ),
+            2 => Value::Str(
+                ["", "a", "ab", "h\u{e9}", "\u{1f600}x", "z"][rng.random_range(0..6usize)].into(),
+            ),
+            3 => Value::Date(rng.random_range(-2..3i32)),
+            _ => Value::Bool(rng.random_range(0..2u32) == 1),
+        }
+    }
+
+    /// A random block: typed and mixed columns over every cell type,
+    /// sometimes empty, sometimes ragged.
+    fn random_block(rng: &mut impl RngExt, id: u32) -> Block {
+        let cols = rng.random_range(0..5usize);
+        let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..6u32)).collect();
+        let n = rng.random_range(0..12usize);
+        let mut rows: Vec<Row> = (0..n)
+            .map(|_| Row::new(types.iter().map(|&t| random_cell(rng, t)).collect()))
+            .collect();
+        if n > 1 && rng.random_range(0..8u32) == 0 {
+            rows[n - 1] = Row::new(vec![Value::Int(1); cols + 1]);
+        }
+        Block::new(id, rows)
+    }
+
+    #[test]
+    fn fused_pass_equals_encode_plus_compute_meta() {
+        let mut rng = adaptdb_common::rng::seeded(11);
+        for case in 0..2000u32 {
+            let block = random_block(&mut rng, case);
+            let arity = rng.random_range(0..6usize);
+            let (bytes, meta) = encode_block_with_meta(&block, arity);
+            assert_eq!(bytes, reference_encode(&block), "bytes of {block:?}");
+            let want = reference_meta(&block, arity);
+            assert_eq!(meta, want, "meta of {block:?}");
+            assert_eq!(format!("{meta:?}"), format!("{want:?}"), "bitwise meta of {block:?}");
+            assert_eq!(block.compute_meta(arity), want);
+        }
+    }
+
+    #[test]
+    fn gathered_encoding_equals_the_materialized_rows() {
+        let mut rng = adaptdb_common::rng::seeded(12);
+        for case in 0..1000u32 {
+            let cols = rng.random_range(1..5usize);
+            let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..6u32)).collect();
+            let sources: Vec<Vec<Row>> = (0..rng.random_range(1..4usize))
+                .map(|_| {
+                    let n = rng.random_range(1..10usize);
+                    (0..n)
+                        .map(|_| {
+                            Row::new(types.iter().map(|&t| random_cell(&mut rng, t)).collect())
+                        })
+                        .collect()
+                })
+                .collect();
+            let columns: Vec<Vec<RawColumn>> = sources
+                .iter()
+                .map(|rows| {
+                    let enc = encode_block_columnar(&Block::new(0, rows.clone()));
+                    LazyBlock::parse(enc).unwrap().raw_columns().unwrap().unwrap()
+                })
+                .collect();
+            let picks: Vec<Vec<u32>> = sources
+                .iter()
+                .map(|rows| {
+                    (0..rows.len() as u32).filter(|_| rng.random_range(0..3u32) > 0).collect()
+                })
+                .collect();
+            let chunks: Vec<(&[RawColumn], &[u32])> =
+                columns.iter().zip(&picks).map(|(c, p)| (&c[..], &p[..])).collect();
+            let rows: Vec<Row> = sources
+                .iter()
+                .zip(&picks)
+                .flat_map(|(src, p)| p.iter().map(|&i| src[i as usize].clone()))
+                .collect();
+            let arity = rng.random_range(0..6usize);
+            let block = Block::new(case, rows);
+            let (bytes, meta) = encode_gathered(case, &chunks, arity);
+            assert_eq!(bytes, reference_encode(&block), "bytes of {block:?}");
+            let want = reference_meta(&block, arity);
+            assert_eq!(format!("{meta:?}"), format!("{want:?}"), "meta of {block:?}");
+        }
+    }
+
     use adaptdb_common::{ColumnVec, Row, Value};
+    use rand::RngExt;
 }

@@ -163,10 +163,40 @@ impl BlockStore {
         writer: Option<NodeId>,
         replication: Option<usize>,
     ) -> BlockId {
+        self.write_encoded(table, arity, writer, replication, |id| {
+            codec::encode_block_with_meta(&Block::new(id, rows), arity)
+        })
+    }
+
+    /// Write one block made of the rows `chunks` pick out of other
+    /// blocks' still-encoded columns ([`codec::encode_gathered`]) — the
+    /// repartitioner's write, which never materializes a row. Stores exactly what
+    /// [`BlockStore::write_block_with`] would for those rows.
+    pub fn write_gathered(
+        &self,
+        table: &str,
+        chunks: &[(&[codec::RawColumn], &[u32])],
+        arity: usize,
+        writer: Option<NodeId>,
+        replication: Option<usize>,
+    ) -> BlockId {
+        self.write_encoded(table, arity, writer, replication, |id| {
+            codec::encode_gathered(id, chunks, arity)
+        })
+    }
+
+    /// Allocate an id, let `encode` produce the block's bytes and
+    /// metadata for it, then place, store and journal the block.
+    fn write_encoded(
+        &self,
+        table: &str,
+        arity: usize,
+        writer: Option<NodeId>,
+        replication: Option<usize>,
+        encode: impl FnOnce(BlockId) -> (Bytes, BlockMeta),
+    ) -> BlockId {
         let id = self.allocate_id(table);
-        let block = Block::new(id, rows);
-        let meta = block.compute_meta(arity);
-        let encoded = codec::encode_block_columnar(&block);
+        let (encoded, meta) = encode(id);
         // The DFS is sized with the canonical row-semantic byte size
         // (Σ `Row::byte_size`, same figure as `meta.byte_size`), not
         // the encoded length — so placement and any byte accounting
@@ -399,10 +429,16 @@ impl BlockStore {
     /// calls here are tallied so [`BlockStore::unaccounted_reads`] can
     /// expose accounting leaks in debug assertions.
     pub fn read_block_unaccounted(&self, table: &str, id: BlockId) -> Result<Block> {
+        codec::decode_block(self.encoded_block_unaccounted(table, id)?)
+    }
+
+    /// A block's encoded bytes, without accounting — for tests that
+    /// compare what two write paths stored. Tallied like
+    /// [`BlockStore::read_block_unaccounted`].
+    pub fn encoded_block_unaccounted(&self, table: &str, id: BlockId) -> Result<Bytes> {
         self.unaccounted.fetch_add(1, Ordering::Relaxed);
         let gid = GlobalBlockId::new(table, id);
-        let bytes = self.data.read().get(&gid).cloned().ok_or(Error::UnknownBlock(id))?;
-        codec::decode_block(bytes)
+        self.data.read().get(&gid).cloned().ok_or(Error::UnknownBlock(id))
     }
 
     /// How many reads bypassed clock accounting over the store's

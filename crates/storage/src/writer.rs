@@ -7,13 +7,18 @@
 //! maps buckets to block lists.
 //!
 //! Every flush records per-column min/max **zone maps** in the block's
-//! [`crate::BlockMeta`] (via `Block::compute_meta` inside
-//! [`BlockStore::write_block_with`]) — the paper's per-block `Range_t`
-//! metadata, which the scan path uses to skip whole blocks before any
-//! decode. Block boundaries are decided by *row count* against the
+//! [`crate::BlockMeta`] — the paper's per-block `Range_t` metadata,
+//! which the scan path uses to skip whole blocks before any decode.
+//! [`BlockStore::write_block_with`] builds them in the same walk over
+//! each column that encodes it ([`crate::codec::encode_block_with_meta`]).
+//! Block boundaries are decided by *row count* against the
 //! canonical row-semantic byte size, never by encoded length, so
 //! block boundaries, ids, and metadata do not depend on the wire
 //! format (`ADB2`, or `ADB1` restored from an older journal).
+//!
+//! This writer buffers rows. The repartitioner keeps the same flush
+//! discipline over column slices instead (`exec::repartition`), so
+//! migrating blocks never turns cells back into rows.
 
 use std::collections::BTreeMap;
 

@@ -36,10 +36,27 @@ pub fn median_cut(sorted: &[Value]) -> Option<Value> {
     Some(sorted[idx].clone())
 }
 
-/// Median cut of an attribute over unsorted sample rows.
+/// Median cut of an attribute over unsorted sample rows: the cut
+/// [`median_cut`] takes from the sorted values, found by selection over
+/// borrowed cells instead of cloning and sorting them all.
 pub fn median_cut_of(rows: &[&Row], attr: AttrId) -> Option<Value> {
-    let sorted = sorted_attr_values(rows, attr);
-    median_cut(&sorted)
+    let mut vals: Vec<&Value> = rows.iter().map(|r| r.get(attr)).collect();
+    if vals.len() < 2 {
+        return None;
+    }
+    let (lower, median, upper) = vals.select_nth_unstable((rows.len() - 1) / 2);
+    let median: &Value = median;
+    let min = lower.iter().copied().min().map_or(median, |m| m.min(median));
+    let max = upper.iter().copied().max().map_or(median, |m| m.max(median));
+    if min == max {
+        return None;
+    }
+    if median != max {
+        return Some(median.clone());
+    }
+    // The median is the maximum (heavy upper skew): back off to the
+    // largest smaller value, which only the lower part can hold.
+    lower.iter().copied().filter(|v| *v < max).max().cloned()
 }
 
 /// The `2^levels` quantile cut points used by two-phase partitioning:
@@ -66,6 +83,7 @@ pub fn recursive_medians(sorted: &[Value], levels: usize) -> Vec<Value> {
 mod tests {
     use super::*;
     use adaptdb_common::row;
+    use rand::RngExt;
 
     fn ints(vals: &[i64]) -> Vec<Value> {
         vals.iter().map(|v| Value::Int(*v)).collect()
@@ -107,6 +125,33 @@ mod tests {
     fn recursive_medians_zero_levels_is_empty() {
         let sorted: Vec<Value> = (0..8i64).map(Value::Int).collect();
         assert!(recursive_medians(&sorted, 0).is_empty());
+    }
+
+    #[test]
+    fn selection_median_equals_sorted_median() {
+        let mut rng = adaptdb_common::rng::seeded(5);
+        let pool = [
+            Value::Int(1),
+            Value::Int(2),
+            Value::Double(-0.0),
+            Value::Double(0.0),
+            Value::Double(f64::NAN),
+            Value::Str(String::new()),
+            Value::Str("b".into()),
+            Value::Date(1),
+            Value::Bool(false),
+        ];
+        for _ in 0..2000 {
+            let n = rng.random_range(0..12usize);
+            let distinct = rng.random_range(1..pool.len() + 1);
+            let rows: Vec<Row> = (0..n)
+                .map(|_| Row::new(vec![pool[rng.random_range(0..distinct)].clone()]))
+                .collect();
+            let refs: Vec<&Row> = rows.iter().collect();
+            let want = median_cut(&sorted_attr_values(&refs, 0));
+            let got = median_cut_of(&refs, 0);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "rows {rows:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Tree nodes and predicate-pruned descent.
 
-use adaptdb_common::{AttrId, CmpOp, Predicate, Row, Value};
+use adaptdb_common::{AttrId, CmpOp, ColumnVec, Predicate, Row, Value};
 
 /// Identifier of a partitioning-tree leaf bucket (re-exported from the
 /// storage writer so the two layers agree).
@@ -53,6 +53,24 @@ impl Node {
                     left.route(row)
                 } else {
                     right.route(row)
+                }
+            }
+        }
+    }
+
+    /// Route row `i` of a block given as decoded columns — `cols[a]`
+    /// holds attribute `a` for every attribute the subtree splits on —
+    /// to the bucket [`Node::route`] sends that row to: each split
+    /// compares the cell with its cut by [`ColumnVec::cmp_at`], the
+    /// same `≤` under `Value`'s order, without building a row.
+    pub fn route_column_row(&self, cols: &[Option<ColumnVec>], i: usize) -> BucketId {
+        let mut node = self;
+        loop {
+            match node {
+                Node::Leaf { bucket } => return *bucket,
+                Node::Internal { attr, cut, left, right } => {
+                    let col = cols[*attr as usize].as_ref().expect("split column decoded");
+                    node = if col.cmp_at(i, cut).is_le() { left } else { right };
                 }
             }
         }

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use adaptdb_common::{AttrId, Error, PredicateSet, Result, Row};
+use adaptdb_common::{AttrId, ColumnVec, Error, PredicateSet, Result, Row};
 use adaptdb_storage::codec;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -77,6 +77,15 @@ impl PartitionTree {
     /// Route a row to its bucket.
     pub fn route(&self, row: &Row) -> BucketId {
         self.root.route(row)
+    }
+
+    /// Route the `rows` rows of a block given as decoded columns —
+    /// `cols[a]` holds attribute `a` for every attribute in
+    /// [`PartitionTree::attr_histogram`] — returning each row's bucket:
+    /// the column-wise [`PartitionTree::route`] (see
+    /// [`Node::route_column_row`]).
+    pub fn route_columns(&self, cols: &[Option<ColumnVec>], rows: usize) -> Vec<BucketId> {
+        (0..rows).map(|i| self.root.route_column_row(cols, i)).collect()
     }
 
     /// The paper's `lookup(T, q)`: buckets that may contain matches.
@@ -257,6 +266,20 @@ mod tests {
             ));
             assert!(t.lookup(&q).contains(&bucket));
         }
+    }
+
+    #[test]
+    fn column_routing_matches_row_routing() {
+        let t = sample_tree();
+        let rows: Vec<Row> = [(50i64, 0.2), (50, 0.9), (150, 0.2), (100, f64::NAN), (7, -0.0)]
+            .iter()
+            .map(|&(a, b)| row![a, b])
+            .collect();
+        let cols: Vec<Option<ColumnVec>> = (0..2)
+            .map(|a| Some(ColumnVec::from_values(rows.iter().map(|r| r.get(a).clone()).collect())))
+            .collect();
+        let want: Vec<BucketId> = rows.iter().map(|r| t.route(r)).collect();
+        assert_eq!(t.route_columns(&cols, rows.len()), want);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! blocks and return the same rows, on valid and corrupt input alike.
 
 use adaptdb_common::{BitSet, Row, Value};
-use adaptdb_storage::codec::{decode_block, encode_block, encode_block_columnar};
+use adaptdb_storage::codec::{
+    decode_block, encode_block, encode_block_columnar, encode_block_with_meta, encode_gathered,
+};
 use adaptdb_storage::{Block, LazyBlock};
 use proptest::prelude::*;
 
@@ -76,8 +78,26 @@ fn exercise(bytes: &[u8]) {
         if let Some(rows) = &gathered {
             assert!(rows.len() <= n, "gather cannot invent rows");
         }
-        let decoded = lazy.into_block().ok().map(|b| b.rows);
+        let raw = lazy.raw_columns();
+        let decoded = lazy.clone().into_block().ok().map(|b| b.rows);
         assert_eq!(gathered, decoded, "a full gather must agree with a full decode");
+        // Framing a block for a migration copy accepts exactly what a
+        // full decode accepts, and copying every row re-encodes the
+        // decoded rows byte for byte.
+        match raw {
+            Ok(Some(raw)) => {
+                let rows = decoded.expect("framed columns decode");
+                let picked: Vec<u32> = (0..n as u32).collect();
+                let block = Block::new(lazy.id(), rows);
+                assert_eq!(
+                    encode_gathered(lazy.id(), &[(&raw[..], &picked[..])], cols),
+                    encode_block_with_meta(&block, cols),
+                    "copying cells must equal re-encoding the rows"
+                );
+            }
+            Ok(None) => {}
+            Err(_) => assert!(decoded.is_none(), "framing rejected a decodable block"),
+        }
     }
 }
 
