@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the columnar (`ADB2`) codec path: the
 //! per-block work the morsel-driven scan actually does — parse the
-//! header, decode one predicate column, gather the few surviving rows —
-//! against the row path's full-block decode it replaces.
+//! header, select on the predicate columns, gather the few surviving
+//! rows — against the row path's full-block decode it replaces.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -32,6 +32,26 @@ fn block(rows: usize, seed: u64) -> Block {
     )
 }
 
+/// A Q19-shaped lineitem block: quantity, then ship instruction and
+/// ship mode drawn from their TPC-H domains.
+fn q19_block(rows: usize, seed: u64) -> Block {
+    const INSTRUCT: [&str; 4] = ["DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"];
+    const MODE: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
+    let mut rng = seeded(seed);
+    Block::new(
+        0,
+        (0..rows)
+            .map(|_| {
+                Row::new(vec![
+                    Value::Int(rng.random_range(1..51)),
+                    Value::Str(INSTRUCT[rng.random_range(0..4usize)].into()),
+                    Value::Str(MODE[rng.random_range(0..7usize)].into()),
+                ])
+            })
+            .collect(),
+    )
+}
+
 fn bench_columnar(c: &mut Criterion) {
     let b200 = block(200, 3);
     let row_bytes = encode_block(&b200);
@@ -52,6 +72,26 @@ fn bench_columnar(c: &mut Criterion) {
             let lazy = LazyBlock::parse(col_bytes.clone()).unwrap();
             let col = lazy.column(0).unwrap();
             let sel = col.eval(CmpOp::Lt, &Value::Int(10_000));
+            black_box(lazy.gather_range(0, lazy.row_count(), &sel).unwrap())
+        })
+    });
+    // Q19's lineitem selection on the encoded cells: two Str equalities
+    // compared as bytes plus an Int range, narrowing one bitset, then
+    // the gather of the survivors.
+    let q19_bytes = encode_block_columnar(&q19_block(200, 5));
+    let preds = [
+        (1, CmpOp::Eq, Value::Str("DELIVER IN PERSON".into())),
+        (2, CmpOp::Eq, Value::Str("AIR".into())),
+        (0, CmpOp::Ge, Value::Int(10)),
+        (0, CmpOp::Le, Value::Int(20)),
+    ];
+    c.bench_function("columnar_select_str_eq_200rows", |bch| {
+        bch.iter(|| {
+            let lazy = LazyBlock::parse(q19_bytes.clone()).unwrap();
+            let mut sel = BitSet::all_set(lazy.row_count());
+            for (attr, op, lit) in &preds {
+                lazy.filter_into(*attr, *op, lit, &mut sel).unwrap();
+            }
             black_box(lazy.gather_range(0, lazy.row_count(), &sel).unwrap())
         })
     });

@@ -127,6 +127,23 @@ impl BitSet {
         }
     }
 
+    /// Clear every set bit `i` for which `keep(i)` is false, visiting
+    /// set bits only, in ascending order — how a predicate over encoded
+    /// cells narrows a running selection in place.
+    #[inline]
+    pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            let mut rest = *word;
+            while rest != 0 {
+                let tz = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if !keep(wi * 64 + tz) {
+                    *word &= !(1u64 << tz);
+                }
+            }
+        }
+    }
+
     /// `δ(self ∨ other)` without allocating — the inner-loop quantity of
     /// the bottom-up algorithm (Fig. 6): cost of adding a block to a
     /// partially-built partition.
@@ -190,6 +207,18 @@ impl std::fmt::Display for BitSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn retain_visits_set_bits_only() {
+        let mut s = BitSet::from_indices(130, &[0, 3, 64, 65, 129]);
+        let mut seen = Vec::new();
+        s.retain(|i| {
+            seen.push(i);
+            i % 2 == 1
+        });
+        assert_eq!(seen, vec![0, 3, 64, 65, 129]);
+        assert_eq!(s.iter_ones().collect::<Vec<_>>(), vec![3, 65, 129]);
+    }
 
     #[test]
     fn figure_4_vectors() {

@@ -40,20 +40,6 @@ pub enum ColumnVec {
     Mixed(Vec<Value>),
 }
 
-/// Apply a comparison operator to an already-computed [`Ordering`] —
-/// the single definition both row and columnar evaluation reduce to.
-#[inline]
-fn op_matches(op: CmpOp, ord: Ordering) -> bool {
-    match op {
-        CmpOp::Eq => ord == Ordering::Equal,
-        CmpOp::Neq => ord != Ordering::Equal,
-        CmpOp::Lt => ord == Ordering::Less,
-        CmpOp::Le => ord != Ordering::Greater,
-        CmpOp::Gt => ord == Ordering::Greater,
-        CmpOp::Ge => ord != Ordering::Less,
-    }
-}
-
 impl ColumnVec {
     /// Build a column from cell values: a typed vector when every cell
     /// shares one type, [`ColumnVec::Mixed`] otherwise. An empty input
@@ -185,49 +171,49 @@ impl ColumnVec {
         if let Some(t) = self.value_type() {
             if t != lit.value_type() {
                 let ord = t.rank().cmp(&lit.value_type().rank());
-                return if op_matches(op, ord) { BitSet::all_set(n) } else { BitSet::new(n) };
+                return if op.accepts(ord) { BitSet::all_set(n) } else { BitSet::new(n) };
             }
         }
         let mut sel = BitSet::new(n);
         match (self, lit) {
             (ColumnVec::Int(v), Value::Int(c)) => {
                 for (i, x) in v.iter().enumerate() {
-                    if op_matches(op, x.cmp(c)) {
+                    if op.accepts(x.cmp(c)) {
                         sel.set(i);
                     }
                 }
             }
             (ColumnVec::Double(v), Value::Double(c)) => {
                 for (i, x) in v.iter().enumerate() {
-                    if op_matches(op, x.total_cmp(c)) {
+                    if op.accepts(x.total_cmp(c)) {
                         sel.set(i);
                     }
                 }
             }
             (ColumnVec::Str(v), Value::Str(c)) => {
                 for (i, x) in v.iter().enumerate() {
-                    if op_matches(op, x.as_str().cmp(c.as_str())) {
+                    if op.accepts(x.as_str().cmp(c.as_str())) {
                         sel.set(i);
                     }
                 }
             }
             (ColumnVec::Date(v), Value::Date(c)) => {
                 for (i, x) in v.iter().enumerate() {
-                    if op_matches(op, x.cmp(c)) {
+                    if op.accepts(x.cmp(c)) {
                         sel.set(i);
                     }
                 }
             }
             (ColumnVec::Bool(v), Value::Bool(c)) => {
                 for (i, x) in v.iter().enumerate() {
-                    if op_matches(op, x.cmp(c)) {
+                    if op.accepts(x.cmp(c)) {
                         sel.set(i);
                     }
                 }
             }
             (ColumnVec::Mixed(v), c) => {
                 for (i, x) in v.iter().enumerate() {
-                    if op_matches(op, x.cmp(c)) {
+                    if op.accepts(x.cmp(c)) {
                         sel.set(i);
                     }
                 }

@@ -6,6 +6,8 @@
 //! repartitioning decisions (predicate attributes are hints for new
 //! tree structure).
 
+use std::cmp::Ordering;
+
 use crate::range::ValueRange;
 use crate::row::Row;
 use crate::schema::AttrId;
@@ -26,6 +28,23 @@ pub enum CmpOp {
     Gt,
     /// `attr >= v`
     Ge,
+}
+
+impl CmpOp {
+    /// Does a cell that compares `ord` against the literal satisfy the
+    /// operator? The single definition columnar and encoded-cell
+    /// evaluation both reduce to.
+    #[inline]
+    pub fn accepts(self, ord: Ordering) -> bool {
+        match self {
+            CmpOp::Eq => ord == Ordering::Equal,
+            CmpOp::Neq => ord != Ordering::Equal,
+            CmpOp::Lt => ord == Ordering::Less,
+            CmpOp::Le => ord != Ordering::Greater,
+            CmpOp::Gt => ord == Ordering::Greater,
+            CmpOp::Ge => ord != Ordering::Less,
+        }
+    }
 }
 
 /// A single-attribute comparison, e.g. `shipdate >= '1994-01-01'`.

@@ -28,9 +28,9 @@ pub enum ValueType {
 
 impl ValueType {
     /// The fixed cross-type ordering rank [`Value`]'s `Ord` uses when
-    /// two values have different types. Exposed crate-internally so the
-    /// columnar evaluator can reproduce cross-type comparisons exactly.
-    pub(crate) fn rank(self) -> u8 {
+    /// two values have different types. Public so the columnar and
+    /// encoded-cell evaluators reproduce cross-type comparisons exactly.
+    pub fn rank(self) -> u8 {
         match self {
             ValueType::Bool => 0,
             ValueType::Int => 1,

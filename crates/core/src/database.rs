@@ -731,7 +731,7 @@ impl Database {
 
     /// Smooth repartitioning toward `attr` for one table (Fig. 11).
     fn smooth_migrate(&mut self, table: &str, attr: AttrId, clock: &SimClock) -> Result<()> {
-        let config = self.config.clone();
+        let config = &self.config;
         let ts = self.tables.get(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
         let total_rows = self.manifest_rows(ts, table);
         let ts = self.tables.get_mut(table).expect("table exists");
@@ -825,7 +825,7 @@ impl Database {
         attr: AttrId,
         clock: &SimClock,
     ) -> Result<()> {
-        let config = self.config.clone();
+        let config = &self.config;
         let ts = self.tables.get(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
         let total_rows = self.manifest_rows(ts, table);
         let ts = self.tables.get_mut(table).expect("table exists");
@@ -863,12 +863,14 @@ impl Database {
         Ok(())
     }
 
-    /// Amoeba-style selection adaptation on the table's largest tree,
-    /// rate-limited to once per window of queries.
+    /// Amoeba-style selection adaptation on the table's largest tree.
+    /// Only an *applied* plan starts a cool-down of one window of
+    /// queries; a proposal that comes back empty is retried after the
+    /// next query, which is why its candidate subtrees are memoised per
+    /// table ([`TableState::propose_selection`]).
     fn adapt_selections(&mut self, table: &str, clock: &SimClock) -> Result<()> {
-        let config = self.config.clone();
         if let Some(&last) = self.last_selection_adapt.get(table) {
-            if self.queries_run.saturating_sub(last) < config.window_size {
+            if self.queries_run.saturating_sub(last) < self.config.window_size {
                 return Ok(());
             }
         }
@@ -879,9 +881,9 @@ impl Database {
         if ts.trees()[idx].block_count() == 0 {
             return Ok(());
         }
-        let adapter = Adapter::new(AdaptConfig { seed: config.seed, ..AdaptConfig::default() });
-        let Some(plan) = adapter.propose(&ts.trees()[idx].tree, ts.sample.rows(), &ts.window)
-        else {
+        let adapter =
+            Adapter::new(AdaptConfig { seed: self.config.seed, ..AdaptConfig::default() });
+        let Some(plan) = ts.propose_selection(idx, &adapter) else {
             return Ok(());
         };
         let affected: Vec<BlockId> = plan
@@ -1084,6 +1086,26 @@ mod tests {
         }
         assert!(adapted, "selection adaptation should have fired");
         assert!(reads_last <= reads_first, "{reads_last} vs {reads_first}");
+    }
+
+    /// Amoeba's candidate memo is state of one `Database`: a second
+    /// database over the same data and query builds its own candidates
+    /// instead of reusing the first one's.
+    #[test]
+    fn selection_candidates_are_memoised_per_database() {
+        let q = Query::Scan(ScanQuery::new(
+            "l",
+            PredicateSet::none().and(Predicate::new(1, CmpOp::Lt, 40i64)),
+        ));
+        let builds = |d: &Database| d.tables["l"].candidate_builds();
+        let mut a = db(Mode::Amoeba);
+        a.run(&q).unwrap();
+        assert_eq!(builds(&a), 1);
+        let mut b = db(Mode::Amoeba);
+        assert_eq!(builds(&b), 0);
+        b.run(&q).unwrap();
+        assert_eq!(builds(&b), 1, "a fresh database must build its own candidates");
+        assert_eq!(builds(&a), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use adaptdb_common::{AttrId, BlockId, PredicateSet, Schema};
 use adaptdb_storage::writer::BucketId;
 use adaptdb_storage::Reservoir;
-use adaptdb_tree::{PartitionTree, QueryWindow};
+use adaptdb_tree::{Adapter, CandidateMemo, PartitionTree, QueryWindow, RepartitionPlan};
 
 /// One partitioning tree of a table plus the blocks currently stored
 /// under it. During smooth repartitioning a table has several of these —
@@ -142,12 +142,17 @@ pub struct TableState {
     /// The current layout. Private so every mutation goes through the
     /// copy-on-write accessors below.
     snapshot: Arc<TableSnapshot>,
-    /// Reservoir sample used for cut-point selection (§3.1).
-    pub sample: Reservoir,
+    /// Reservoir sample used for cut-point selection (§3.1). It changes
+    /// only through `offer`, never by replacement: the candidate memo
+    /// takes `seen()` as the sample's version.
+    pub(crate) sample: Reservoir,
     /// Recent-query window for this table (§3.2).
     pub window: QueryWindow,
     /// Attributes eligible as selection-partitioning candidates.
     pub candidate_attrs: Vec<AttrId>,
+    /// Amoeba's candidate subtrees from the last selection proposal,
+    /// reused while the tree, sample and window order are unchanged.
+    candidates: CandidateMemo,
 }
 
 impl TableState {
@@ -165,6 +170,7 @@ impl TableState {
             sample,
             window,
             candidate_attrs,
+            candidates: CandidateMemo::default(),
         }
     }
 
@@ -183,6 +189,7 @@ impl TableState {
             sample,
             window,
             candidate_attrs,
+            candidates: CandidateMemo::default(),
         }
     }
 
@@ -272,6 +279,31 @@ impl TableState {
     /// `lookup` across every tree.
     pub fn lookup_blocks(&self, preds: &PredicateSet) -> Vec<BlockId> {
         self.snapshot.lookup_blocks(preds)
+    }
+
+    /// Amoeba's proposal (§3.2) for tree `idx` over this table's sample
+    /// and window. Candidate subtrees come from the table's memo while
+    /// the tree, the sample (versioned by the rows offered to it —
+    /// `offer` is the reservoir's only mutator) and the window's
+    /// attribute order are unchanged.
+    pub(crate) fn propose_selection(
+        &mut self,
+        idx: usize,
+        adapter: &Adapter,
+    ) -> Option<RepartitionPlan> {
+        adapter.propose_with(
+            &self.snapshot.trees[idx].tree,
+            self.sample.rows(),
+            self.sample.seen() as u64,
+            &self.window,
+            &mut self.candidates,
+        )
+    }
+
+    /// How many times the selection proposal rebuilt its candidates.
+    #[cfg(test)]
+    pub(crate) fn candidate_builds(&self) -> usize {
+        self.candidates.builds()
     }
 
     /// Drop trees that no longer hold any blocks (migration completed —

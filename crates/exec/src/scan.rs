@@ -11,12 +11,14 @@
 //!
 //! Every filtered block read — scans here, the hyper-join build and
 //! probe legs, the step-join build, and the shuffle map side — is
-//! **late-materialising**: predicates evaluate column-wise over the
-//! lazily-decoded block into a selection [`BitSet`] (`select_block`),
-//! then only the selected rows are gathered. Scans split the gather
-//! into `morsel_rows`-sized morsels dispatched through
-//! [`parallel::map_ordered`] (deterministic input order); single-block
-//! readers gather in one call (`read_selected`). Pruning composes in
+//! **late-materialising**: predicates evaluate on the block's still
+//! encoded predicate columns into a selection [`BitSet`]
+//! (`select_block`; fixed-width cells read in place, `Str` cells
+//! compared as bytes, no value built), then only the selected rows are
+//! gathered. Scans split the gather into `morsel_rows`-sized morsels
+//! dispatched through [`parallel::map_ordered`] (deterministic input
+//! order); single-block readers gather in one call (`read_selected`).
+//! Pruning composes in
 //! a fixed order: partition tree (upstream `lookup`) → zone maps
 //! (block min/max metadata, counted on `IoStats::zone_skipped`, no I/O
 //! charged) → selection bitset within each surviving block. Legacy
@@ -136,10 +138,11 @@ pub(crate) fn fetch_ordered<T>(
     Ok(slots.into_iter().map(|s| s.expect("every pushed fetch completes")).collect())
 }
 
-/// Stage A of late materialisation: evaluate `preds` column-wise over
-/// a lazily-decoded block — only the predicate columns decode, one
-/// bitset per predicate, ANDed — and charge the block's scanned and
-/// selected rows. Rows never materialize here.
+/// Stage A of late materialisation: narrow one selection bitset by
+/// each of `preds` in turn, on the predicate columns' encoded cells
+/// ([`LazyBlock::filter_into`]; nothing decodes), stopping once no row
+/// survives, and charge the block's scanned and selected rows. Rows
+/// never materialize here.
 pub(crate) fn select_block(
     ctx: ExecContext<'_>,
     lazy: &LazyBlock,
@@ -151,8 +154,7 @@ pub(crate) fn select_block(
         if sel.count_ones() == 0 {
             break;
         }
-        let col = lazy.column(p.attr as usize)?;
-        sel.intersect_with(&col.eval(p.op, &p.value));
+        lazy.filter_into(p.attr as usize, p.op, &p.value, &mut sel)?;
     }
     ctx.clock.record_rows(n, sel.count_ones());
     Ok(sel)

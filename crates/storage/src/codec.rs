@@ -50,10 +50,20 @@
 //! Its cells can come from rows or, for migrations, from other blocks'
 //! still-encoded columns ([`RawColumn`], [`encode_gathered`]): cells are
 //! then copied payload to payload, and no value or row is built.
+//!
+//! **Predicates on encoded cells.** A filtered read narrows its
+//! selection on the `ADB2` payload itself ([`LazyBlock::filter_into`]):
+//! fixed-width cells are read where they lie, `Str` cells compare as
+//! bytes, and the column is never decoded. That needs no per-read
+//! checks: parsing walks each variable-width column once (framing,
+//! UTF-8, exact length) and records what a full decode would reject,
+//! and every read path — column decode, predicate, gather, framing for
+//! a copy — returns that error for a faulty column, so each rejects
+//! exactly the corrupt blocks a full decode does.
 
 use std::sync::Arc;
 
-use adaptdb_common::{BlockId, ColumnVec, Error, Result, Row, Value, ValueRange};
+use adaptdb_common::{BlockId, CmpOp, ColumnVec, Error, Result, Row, Value, ValueRange, ValueType};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::block::{widen, Block, BlockMeta, Zone};
@@ -121,9 +131,7 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
             let len = buf.get_u32_le() as usize;
             need!(len, "Str payload");
             let bytes = buf.split_to(len);
-            let s = std::str::from_utf8(&bytes)
-                .map_err(|e| Error::Codec(format!("invalid UTF-8 in Str: {e}")))?;
-            Ok(Value::Str(s.to_string()))
+            Ok(Value::Str(utf8(&bytes)?.to_owned()))
         }
         3 => {
             need!(4, "Date");
@@ -209,8 +217,9 @@ fn decode_block_v1(mut buf: Bytes) -> Result<Block> {
 }
 
 /// Skip one ADB1-encoded value without materializing it, advancing
-/// `buf`. Used by the lazy reader to walk variable-width payloads past
-/// unselected cells.
+/// `buf`, but rejecting exactly what [`decode_value`] rejects (a `Str`
+/// is checked for UTF-8). Used to check `Mixed` payloads at parse and
+/// to walk them past unselected cells.
 fn skip_value(buf: &mut Bytes) -> Result<()> {
     if buf.remaining() < 1 {
         return Err(Error::Codec("truncated value tag".into()));
@@ -230,6 +239,9 @@ fn skip_value(buf: &mut Bytes) -> Result<()> {
     };
     if buf.remaining() < fixed {
         return Err(Error::Codec("truncated value payload".into()));
+    }
+    if tag == 2 {
+        check_utf8(&buf[..fixed])?;
     }
     buf.advance(fixed);
     Ok(())
@@ -520,18 +532,34 @@ impl<'a> ColumnSink<'a> {
     }
 }
 
-/// Location of one column's payload inside a lazy block.
-#[derive(Debug, Clone, Copy)]
+/// Location of one column's payload inside a lazy block, and what
+/// parse found wrong with its cells, if anything.
+#[derive(Debug, Clone)]
 struct ColRegion {
     tag: u8,
     start: usize,
     end: usize,
+    /// The error a full decode of this column would raise ([`check_cells`]),
+    /// returned by every read that touches it (boxed: directories are
+    /// memoised per live block, and sound columns are the norm).
+    fault: Option<Box<Error>>,
+}
+
+impl ColRegion {
+    /// This column's payload within the block's payload bytes, or its
+    /// fault.
+    fn payload<'b>(&self, bytes: &'b [u8]) -> Result<&'b [u8]> {
+        match &self.fault {
+            Some(e) => Err(Error::clone(e)),
+            None => Ok(&bytes[self.start..self.end]),
+        }
+    }
 }
 
 /// The validated column directory of an `ADB2` block: where each
-/// column's payload lives, plus enough framing (total encoded length,
-/// payload offset) to re-attach the directory to the same encoded bytes
-/// without re-validating them.
+/// column's payload lives and whether its cells decode, plus enough
+/// framing (total encoded length, payload offset) to re-attach the
+/// directory to the same encoded bytes without re-validating them.
 ///
 /// Blocks are immutable and block ids are never reused, so a directory
 /// memoized per [`adaptdb_common::GlobalBlockId`] stays valid for the
@@ -555,11 +583,13 @@ pub struct ColDirectory {
 /// `ADB1` blocks decode eagerly at parse time — the row format offers
 /// no partial access, and eager decoding keeps error behavior
 /// identical to the pre-columnar read path. `ADB2` blocks only
-/// validate the header and column directory; individual columns
-/// ([`LazyBlock::column`]) and selected row ranges
+/// validate the header and column directory and check each
+/// variable-width column's cells once; predicates evaluate on
+/// the encoded columns ([`LazyBlock::filter_into`]), and individual
+/// columns ([`LazyBlock::column`]) and selected row ranges
 /// ([`LazyBlock::gather_range`]) decode on demand, which is what makes
-/// late materialization (decode the predicate columns, then only the
-/// selected rows) cheap.
+/// late materialization (select on the predicate columns, then decode
+/// only the selected rows) cheap.
 #[derive(Debug, Clone)]
 pub struct LazyBlock {
     id: u32,
@@ -578,9 +608,12 @@ enum LazyInner {
 impl LazyBlock {
     /// Parse an encoded block in either format. `ADB2` headers and
     /// directories are validated here (bad magic, truncation, length
-    /// mismatches, trailing bytes); `ADB1` payloads are fully decoded,
-    /// so any codec error in either format still surfaces at parse
-    /// time or at first column access — never silently.
+    /// mismatches, trailing bytes), and each variable-width column is
+    /// walked once as a full decode would walk it: a column whose cells
+    /// are misframed or not UTF-8 keeps its error, and every later read
+    /// that touches the column returns it. `ADB1` payloads are fully
+    /// decoded, so any codec error in either format still surfaces at
+    /// parse time or at first access — never silently.
     pub fn parse(buf: Bytes) -> Result<LazyBlock> {
         LazyBlock::parse_with_directory(buf, None).map(|(lazy, _)| lazy)
     }
@@ -647,7 +680,7 @@ impl LazyBlock {
                     "column payload length {len} does not fit {rows} rows of tag {tag}"
                 )));
             }
-            cols.push(ColRegion { tag, start: offset, end: offset + len });
+            cols.push(ColRegion { tag, start: offset, end: offset + len, fault: None });
             offset += len;
         }
         if buf.remaining() != offset {
@@ -660,6 +693,9 @@ impl LazyBlock {
         // only rows == 0 survives that round trip.
         if col_count == 0 && rows != 0 {
             return Err(Error::Codec(format!("{rows} rows but no columns")));
+        }
+        for c in &mut cols {
+            c.fault = check_cells(c.tag, rows, buf.slice(c.start..c.end)).err().map(Box::new);
         }
         let dir = Arc::new(ColDirectory {
             rows,
@@ -715,19 +751,91 @@ impl LazyBlock {
                 Ok(ColumnVec::from_values(values))
             }
             LazyInner::Columnar { dir, bytes } => match dir.cols.get(idx) {
-                Some(col) => decode_column(col.tag, dir.rows, bytes.slice(col.start..col.end)),
+                Some(col) => {
+                    col.payload(bytes)?;
+                    decode_column(col.tag, dir.rows, bytes.slice(col.start..col.end))
+                }
                 None => Err(Error::Codec(format!("column {idx} out of range"))),
             },
         }
+    }
+
+    /// AND `column idx <op> lit` into the running selection `sel` (one
+    /// bit per row), in place — stage A of late materialisation.
+    /// Bit-for-bit the selection `column(idx)?.eval(op, lit)` would
+    /// give, and an error on exactly the blocks `column(idx)` rejects,
+    /// but a typed `ADB2` column is read where it lies: fixed-width
+    /// cells at the selected rows only (doubles by `total_cmp`), and
+    /// `Str` cells as raw bytes against the literal's bytes (UTF-8 byte
+    /// order is `str` order) — no `String` is built. A literal of another
+    /// type compares by the fixed type rank, one answer for the whole
+    /// column. `Mixed` columns and `ADB1` rows decode and evaluate.
+    pub fn filter_into(
+        &self,
+        idx: usize,
+        op: CmpOp,
+        lit: &Value,
+        sel: &mut adaptdb_common::BitSet,
+    ) -> Result<()> {
+        let n = self.row_count();
+        assert_eq!(sel.len(), n, "selection width mismatch");
+        let (p, tag) = match &self.inner {
+            LazyInner::Columnar { dir, bytes } => match dir.cols.get(idx) {
+                Some(c) if c.tag != COL_TAG_MIXED => (c.payload(bytes)?, c.tag),
+                Some(_) => return self.filter_decoded(idx, op, lit, sel),
+                None => return Err(Error::Codec(format!("column {idx} out of range"))),
+            },
+            LazyInner::Rows(_) => return self.filter_decoded(idx, op, lit, sel),
+        };
+        let ty = tag_type(tag);
+        let same_type = ty == lit.value_type();
+        match (tag, lit) {
+            (2, _) => {
+                let want = if let Value::Str(c) = lit { Some(c.as_bytes()) } else { None };
+                let mut rest = p;
+                for i in 0..n {
+                    let s = str_frame(&mut rest)?;
+                    if want.is_some_and(|c| sel.get(i) && !op.accepts(s.cmp(c))) {
+                        sel.clear(i);
+                    }
+                }
+            }
+            (0, Value::Int(c)) => sel.retain(|i| op.accepts(i64::from_le_bytes(cell(p, i)).cmp(c))),
+            (1, Value::Double(c)) => sel.retain(|i| {
+                op.accepts(f64::from_bits(u64::from_le_bytes(cell(p, i))).total_cmp(c))
+            }),
+            (3, Value::Date(c)) => {
+                sel.retain(|i| op.accepts(i32::from_le_bytes(cell(p, i)).cmp(c)))
+            }
+            (4, Value::Bool(c)) => sel.retain(|i| op.accepts((p[i] != 0).cmp(c))),
+            _ => debug_assert!(!same_type, "typed column vs same-type literal handled above"),
+        }
+        if !same_type && !op.accepts(ty.rank().cmp(&lit.value_type().rank())) {
+            *sel = adaptdb_common::BitSet::new(n);
+        }
+        Ok(())
+    }
+
+    /// [`LazyBlock::filter_into`] for the payloads it does not read in
+    /// place: decode the column, evaluate, intersect.
+    fn filter_decoded(
+        &self,
+        idx: usize,
+        op: CmpOp,
+        lit: &Value,
+        sel: &mut adaptdb_common::BitSet,
+    ) -> Result<()> {
+        sel.intersect_with(&self.column(idx)?.eval(op, lit));
+        Ok(())
     }
 
     /// Materialize rows `start..end` whose bit is set in the
     /// block-wide selection `sel`, in ascending row order. Fixed-width
     /// columns seek directly to each selected cell; variable-width
     /// columns (Str, Mixed) skip-walk their payload, advancing past
-    /// unselected cells without allocating. A range that ends at the
-    /// last row also checks that every variable-width payload is used
-    /// up, so a gather rejects exactly the blocks a full decode does.
+    /// unselected cells without allocating. Any gather of a block with
+    /// a faulty column fails with that column's error, so every gather
+    /// rejects exactly the blocks a full decode does.
     pub fn gather_range(
         &self,
         start: usize,
@@ -740,7 +848,7 @@ impl LazyBlock {
         let picked: Vec<usize> = (start..end).filter(|&i| sel.get(i)).collect();
         match &self.inner {
             LazyInner::Rows(rows) => Ok(picked.iter().map(|&i| rows[i].clone()).collect()),
-            LazyInner::Columnar { dir, bytes } => gather_columns(dir, bytes, &picked, end),
+            LazyInner::Columnar { dir, bytes } => gather_columns(dir, bytes, &picked),
         }
     }
 
@@ -752,7 +860,10 @@ impl LazyBlock {
             LazyInner::Columnar { dir, bytes } => dir
                 .cols
                 .iter()
-                .map(|c| RawColumn::new(c.tag, dir.rows, bytes.slice(c.start..c.end)))
+                .map(|c| {
+                    c.payload(bytes)?;
+                    RawColumn::new(c.tag, dir.rows, bytes.slice(c.start..c.end))
+                })
                 .collect::<Result<_>>()
                 .map(Some),
         }
@@ -767,7 +878,7 @@ impl LazyBlock {
             LazyInner::Rows(rows) => Ok(Block::new(self.id, rows)),
             LazyInner::Columnar { dir, bytes } => {
                 let all: Vec<usize> = (0..dir.rows).collect();
-                Ok(Block::new(self.id, gather_columns(&dir, &bytes, &all, dir.rows)?))
+                Ok(Block::new(self.id, gather_columns(&dir, &bytes, &all)?))
             }
         }
     }
@@ -776,8 +887,7 @@ impl LazyBlock {
 /// One `ADB2` column left encoded: its directory tag, its payload, and
 /// where each cell of a variable-width column starts. Copying cells
 /// from it into another block ([`encode_gathered`]) moves bytes without
-/// building values. Building one walks a variable-width payload once,
-/// checking it exactly as a full decode would.
+/// building values. Only columns that parse found sound are framed.
 #[derive(Debug, Clone)]
 pub struct RawColumn {
     tag: u8,
@@ -790,29 +900,21 @@ pub struct RawColumn {
 impl RawColumn {
     fn new(tag: u8, rows: usize, payload: Bytes) -> Result<RawColumn> {
         let mut bounds = Vec::new();
-        if tag == 2 || tag == COL_TAG_MIXED {
+        if tag == 2 {
             bounds.reserve(rows + 1);
             bounds.push(0);
-        }
-        if tag == 2 {
             let mut p: &[u8] = &payload;
             for _ in 0..rows {
-                let len = u32::from_le_bytes(cell(take(&mut p, 4, "Str length")?, 0)) as usize;
-                std::str::from_utf8(take(&mut p, len, "Str payload")?)
-                    .map_err(|e| Error::Codec(format!("invalid UTF-8 in Str: {e}")))?;
+                str_frame(&mut p)?;
                 bounds.push((payload.len() - p.len()) as u32);
             }
-            if !p.is_empty() {
-                return Err(Error::Codec("trailing bytes after Str column".into()));
-            }
         } else if tag == COL_TAG_MIXED {
+            bounds.reserve(rows + 1);
+            bounds.push(0);
             let mut rest = payload.clone();
             for _ in 0..rows {
-                decode_value(&mut rest)?;
+                skip_value(&mut rest)?;
                 bounds.push((payload.len() - rest.len()) as u32);
-            }
-            if rest.has_remaining() {
-                return Err(Error::Codec("trailing bytes after Mixed column".into()));
             }
         }
         Ok(RawColumn { tag, payload, bounds })
@@ -864,11 +966,68 @@ fn take<'p>(p: &mut &'p [u8], n: usize, what: &str) -> Result<&'p [u8]> {
     Ok(head)
 }
 
-/// One UTF-8 `Str` cell, copied once into its `String`.
-fn str_cell(raw: &[u8]) -> Result<String> {
-    std::str::from_utf8(raw)
-        .map(str::to_owned)
-        .map_err(|e| Error::Codec(format!("invalid UTF-8 in Str: {e}")))
+/// The bytes of one `Str` cell as a `str`, or a codec error if they
+/// are not UTF-8.
+fn utf8(raw: &[u8]) -> Result<&str> {
+    std::str::from_utf8(raw).map_err(|e| Error::Codec(format!("invalid UTF-8 in Str: {e}")))
+}
+
+/// Check that a `Str` cell's bytes are UTF-8, taking the word-wise
+/// ASCII test first (the common case, and much cheaper per short cell).
+#[inline]
+fn check_utf8(raw: &[u8]) -> Result<()> {
+    if raw.is_ascii() {
+        return Ok(());
+    }
+    utf8(raw).map(|_| ())
+}
+
+/// The bytes of the next cell of a `Str` payload — a length prefix,
+/// then that many bytes — checked for truncation only, advancing `p`.
+#[inline]
+fn str_frame<'p>(p: &mut &'p [u8]) -> Result<&'p [u8]> {
+    let len = u32::from_le_bytes(cell(take(p, 4, "Str length")?, 0)) as usize;
+    take(p, len, "Str payload")
+}
+
+/// Walk a variable-width (`Str` or `Mixed`) payload of `rows` cells
+/// the way a full decode would — each cell framed, each string UTF-8,
+/// the payload used up exactly — building nothing. Parse runs it once
+/// per column, so reads of a sound column need not repeat the checks.
+fn check_cells(tag: u8, rows: usize, payload: Bytes) -> Result<()> {
+    match tag {
+        2 => {
+            let mut p: &[u8] = &payload;
+            for _ in 0..rows {
+                check_utf8(str_frame(&mut p)?)?;
+            }
+            if !p.is_empty() {
+                return Err(Error::Codec("trailing bytes after Str column".into()));
+            }
+        }
+        COL_TAG_MIXED => {
+            let mut p = payload;
+            for _ in 0..rows {
+                skip_value(&mut p)?;
+            }
+            if p.has_remaining() {
+                return Err(Error::Codec("trailing bytes after Mixed column".into()));
+            }
+        }
+        _ => {}
+    }
+    Ok(())
+}
+
+/// The cell type of a typed `ADB2` column tag.
+fn tag_type(tag: u8) -> ValueType {
+    match tag {
+        0 => ValueType::Int,
+        1 => ValueType::Double,
+        2 => ValueType::Str,
+        3 => ValueType::Date,
+        _ => ValueType::Bool,
+    }
 }
 
 /// The fixed-width cell at row `i` of a payload of `W`-byte cells
@@ -878,18 +1037,17 @@ fn cell<const W: usize>(payload: &[u8], i: usize) -> [u8; W] {
     payload[i * W..i * W + W].try_into().unwrap()
 }
 
-/// Rows at the ascending indices `picked` (all below `end`) of a
-/// columnar payload, decoded column by column straight into row
-/// vectors. When `end` is the block's last row, variable-width
-/// payloads must be used up exactly.
-fn gather_columns(
-    dir: &ColDirectory,
-    bytes: &Bytes,
-    picked: &[usize],
-    end: usize,
-) -> Result<Vec<Row>> {
+/// Rows at the ascending indices `picked` of a columnar payload,
+/// decoded column by column straight into row vectors; a faulty column
+/// fails the gather.
+fn gather_columns(dir: &ColDirectory, bytes: &Bytes, picked: &[usize]) -> Result<Vec<Row>> {
     let mut out: Vec<Vec<Value>> =
         picked.iter().map(|_| Vec::with_capacity(dir.cols.len())).collect();
+    for col in &dir.cols {
+        col.payload(bytes)?;
+    }
+    // Variable-width payloads are walked up to the last picked cell.
+    let end = picked.last().map_or(0, |&i| i + 1);
     for col in &dir.cols {
         let payload = &bytes[col.start..col.end];
         match col.tag {
@@ -917,14 +1075,10 @@ fn gather_columns(
                 let mut p = payload;
                 let mut next = picked.iter().zip(out.iter_mut()).peekable();
                 for i in 0..end {
-                    let len = u32::from_le_bytes(cell(take(&mut p, 4, "Str length")?, 0)) as usize;
-                    let raw = take(&mut p, len, "Str payload")?;
+                    let raw = str_frame(&mut p)?;
                     if let Some((_, o)) = next.next_if(|(k, _)| **k == i) {
-                        o.push(Value::Str(str_cell(raw)?));
+                        o.push(Value::Str(utf8(raw)?.to_owned()));
                     }
-                }
-                if end == dir.rows && !p.is_empty() {
-                    return Err(Error::Codec("trailing bytes after Str column".into()));
                 }
             }
             COL_TAG_MIXED => {
@@ -936,9 +1090,6 @@ fn gather_columns(
                         None => skip_value(&mut p)?,
                     }
                 }
-                if end == dir.rows && p.has_remaining() {
-                    return Err(Error::Codec("trailing bytes after Mixed column".into()));
-                }
             }
             other => return Err(Error::Codec(format!("unknown column tag {other}"))),
         }
@@ -946,8 +1097,8 @@ fn gather_columns(
     Ok(out.into_iter().map(Row::new).collect())
 }
 
-/// Decode one full column payload into a typed vector (the predicate
-/// and join-key columns of late materialization).
+/// Decode one full column payload (of a column parse found sound) into
+/// a typed vector — the join-key columns of late materialization.
 fn decode_column(tag: u8, rows: usize, bytes: Bytes) -> Result<ColumnVec> {
     let payload = &bytes[..];
     match tag {
@@ -961,11 +1112,7 @@ fn decode_column(tag: u8, rows: usize, bytes: Bytes) -> Result<ColumnVec> {
             let mut p = payload;
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                let len = u32::from_le_bytes(cell(take(&mut p, 4, "Str length")?, 0)) as usize;
-                v.push(str_cell(take(&mut p, len, "Str payload")?)?);
-            }
-            if !p.is_empty() {
-                return Err(Error::Codec("trailing bytes after Str column".into()));
+                v.push(utf8(str_frame(&mut p)?)?.to_owned());
             }
             Ok(ColumnVec::Str(v))
         }
@@ -974,9 +1121,6 @@ fn decode_column(tag: u8, rows: usize, bytes: Bytes) -> Result<ColumnVec> {
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
                 v.push(decode_value(&mut p)?);
-            }
-            if p.has_remaining() {
-                return Err(Error::Codec("trailing bytes after Mixed column".into()));
             }
             Ok(ColumnVec::Mixed(v))
         }
@@ -1323,6 +1467,92 @@ mod tests {
             assert!(matches!(lazy.raw_columns(), Err(Error::Codec(_))));
             assert!(matches!(lazy.gather_range(0, 2, &all), Err(Error::Codec(_))));
             assert!(matches!(lazy.into_block(), Err(Error::Codec(_))));
+        }
+    }
+
+    /// A `Str` cell that is not UTF-8 fails every read path, a gather
+    /// that skips it included — whether the column is `Str` or `Mixed`.
+    #[test]
+    fn invalid_utf8_is_rejected_by_every_path() {
+        for first in [Value::Str("aa".into()), Value::Int(7)] {
+            let block = Block::new(1, vec![Row::new(vec![Value::Int(1), first]), row![2i64, "bb"]]);
+            let mut raw = encode_block_columnar(&block).to_vec();
+            let at = raw.len() - 2;
+            raw[at..].copy_from_slice(&[0xFF, 0xFE]);
+            let lazy = LazyBlock::parse(Bytes::from(raw)).unwrap();
+            let first_only = adaptdb_common::BitSet::from_indices(2, &[0]);
+            assert!(matches!(lazy.gather_range(0, 2, &first_only), Err(Error::Codec(_))));
+            assert!(matches!(lazy.column(1), Err(Error::Codec(_))));
+            assert!(matches!(lazy.raw_columns(), Err(Error::Codec(_))));
+            let mut sel = first_only.clone();
+            let lit = Value::Str("aa".into());
+            assert!(matches!(lazy.filter_into(1, CmpOp::Eq, &lit, &mut sel), Err(Error::Codec(_))));
+            assert!(matches!(lazy.into_block(), Err(Error::Codec(_))));
+        }
+    }
+
+    /// What `filter_into` must equal: decode the column, evaluate,
+    /// intersect with the incoming selection.
+    fn reference_filter(
+        lazy: &LazyBlock,
+        idx: usize,
+        op: CmpOp,
+        lit: &Value,
+        incoming: &adaptdb_common::BitSet,
+    ) -> Result<adaptdb_common::BitSet> {
+        let mut sel = incoming.clone();
+        sel.intersect_with(&lazy.column(idx)?.eval(op, lit));
+        Ok(sel)
+    }
+
+    /// The kernel against the reference on one parsed block: every
+    /// column (and one past the last), every op, a literal of every
+    /// type, a random incoming selection. Errors must coincide.
+    fn check_filter_agrees(lazy: &LazyBlock, rng: &mut impl RngExt) {
+        const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Neq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        let n = lazy.row_count();
+        for idx in 0..=lazy.num_columns() {
+            for op in OPS {
+                for t in 0..5 {
+                    let lit = random_cell(rng, t);
+                    let picks: Vec<usize> =
+                        (0..n).filter(|_| rng.random_range(0..4u32) > 0).collect();
+                    let incoming = adaptdb_common::BitSet::from_indices(n, &picks);
+                    let want = reference_filter(lazy, idx, op, &lit, &incoming);
+                    let mut got = incoming.clone();
+                    match (lazy.filter_into(idx, op, &lit, &mut got), want) {
+                        (Ok(()), Ok(want)) => {
+                            assert_eq!(got, want, "column {idx} {op:?} {lit:?}")
+                        }
+                        (Err(_), Err(_)) => {}
+                        (got, want) => panic!(
+                            "column {idx} {op:?} {lit:?}: kernel {got:?}, reference {want:?}"
+                        ),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn filter_into_equals_decode_then_eval() {
+        let mut rng = adaptdb_common::rng::seeded(13);
+        for case in 0..600u32 {
+            let block = random_block(&mut rng, case);
+            for enc in [encode_block_columnar(&block), encode_block(&block)] {
+                check_filter_agrees(&LazyBlock::parse(enc.clone()).unwrap(), &mut rng);
+                // Corrupt one payload byte (past the header): wherever
+                // the damage lands, kernel and decode must agree on
+                // rejecting it.
+                if enc.len() > 14 {
+                    let mut raw = enc.to_vec();
+                    let at = rng.random_range(14..raw.len());
+                    raw[at] = [0xFF, 0x80, 0x00, 0xC3][rng.random_range(0..4usize)];
+                    if let Ok(lazy) = LazyBlock::parse(Bytes::from(raw)) {
+                        check_filter_agrees(&lazy, &mut rng);
+                    }
+                }
+            }
         }
     }
 

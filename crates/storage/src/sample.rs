@@ -107,6 +107,27 @@ mod tests {
         assert_eq!(a.rows(), b.rows());
     }
 
+    /// `seen()` versions the sample: `offer` (which `extend` calls) is
+    /// the only way to change the rows, and it bumps `seen` on every
+    /// call, kept or not — so one reservoir at one `seen` always holds
+    /// the same rows. Adaptation keys its memoised candidates on it.
+    #[test]
+    fn seen_versions_the_rows() {
+        let mut r = Reservoir::new(4, 3);
+        let mut snapshots: Vec<Vec<Row>> = vec![r.rows().to_vec()];
+        for i in 0..200i64 {
+            r.offer(row![i]);
+            assert_eq!(r.seen(), snapshots.len(), "every offer bumps seen");
+            snapshots.push(r.rows().to_vec());
+        }
+        // Replaying the same offers revisits the same (seen, rows) pairs.
+        let mut again = Reservoir::new(4, 3);
+        for (i, rows) in snapshots.iter().enumerate().skip(1) {
+            again.offer(row![(i - 1) as i64]);
+            assert_eq!(again.rows(), &rows[..]);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {

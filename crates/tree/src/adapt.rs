@@ -10,6 +10,14 @@
 //!
 //! Two-phase trees are adapted *below* their join levels only — the join
 //! phase is owned by the smooth-repartitioning optimizer (§5.2).
+//!
+//! A proposal is two steps. *Candidate generation* rebuilds a subtree
+//! from the sample at every site; it reads only the tree, the sample,
+//! the window's attribute-priority order and the seed, so a
+//! [`CandidateMemo`] keeps its result under that exact key and the next
+//! call with the same key builds nothing. *Scoring* — each candidate's
+//! block reads over the window, the best net choice, the plan — runs on
+//! every call, since predicate constants change query by query.
 
 use adaptdb_common::rng;
 use adaptdb_common::{AttrId, Row};
@@ -86,6 +94,49 @@ struct Site<'a> {
     rows: Vec<&'a Row>,
 }
 
+/// One candidate transformation: the site it replaces and the subtree
+/// rebuilt there from the sample, its leaves labelled `0..n` in build
+/// order until a plan relabels them.
+#[derive(Debug)]
+struct Candidate {
+    /// Path of left(false)/right(true) turns from the root to the site.
+    path: Vec<bool>,
+    /// Leaves of the site's current subtree (the buckets rewritten).
+    leaves: usize,
+    replacement: Node,
+}
+
+/// Everything candidate generation reads, compared exactly (the
+/// rewrite bound follows from the tree and the adapter's config).
+#[derive(Debug)]
+struct CandidateKey {
+    tree: PartitionTree,
+    sample_version: u64,
+    attr_priority: Vec<AttrId>,
+    seed: u64,
+    max_rewrite: usize,
+}
+
+/// The candidate subtrees of the last [`Adapter::propose_with`] call,
+/// with the exact key they were built for: the tree, a version of the
+/// sample, the window's attribute-priority order and the adapter seed.
+/// A call whose key matches reuses them and builds no subtree; any
+/// other call rebuilds and replaces the entry. The key holds no copy
+/// of the sample rows — the caller's version stands for them, so it
+/// must change whenever the rows do.
+#[derive(Debug, Default)]
+pub struct CandidateMemo {
+    entry: Option<(CandidateKey, Vec<Candidate>)>,
+    builds: usize,
+}
+
+impl CandidateMemo {
+    /// How many times candidates were (re)built — one per miss.
+    pub fn builds(&self) -> usize {
+        self.builds
+    }
+}
+
 impl Adapter {
     /// Adapter with explicit configuration.
     pub fn new(config: AdaptConfig) -> Self {
@@ -100,6 +151,25 @@ impl Adapter {
         sample: &[Row],
         window: &QueryWindow,
     ) -> Option<RepartitionPlan> {
+        self.propose_with(tree, sample, 0, window, &mut CandidateMemo::default())
+    }
+
+    /// [`Adapter::propose`] in two parts. *Candidate generation* — the
+    /// sites below the join levels and a subtree rebuilt from the
+    /// sample at each — is a pure function of the tree, the sample,
+    /// the window's attribute-priority order and the seed, so it is
+    /// taken from `memo` when those match (`sample_version` stands for
+    /// the sample rows) and rebuilt into it otherwise. *Scoring* — each
+    /// candidate's benefit over the window, the best net choice and the
+    /// plan — runs on every call. The plan equals a fresh `propose`.
+    pub fn propose_with(
+        &self,
+        tree: &PartitionTree,
+        sample: &[Row],
+        sample_version: u64,
+        window: &QueryWindow,
+        memo: &mut CandidateMemo,
+    ) -> Option<RepartitionPlan> {
         if window.is_empty() {
             return None;
         }
@@ -111,54 +181,45 @@ impl Adapter {
         let total_buckets = tree.bucket_count();
         let max_rewrite =
             ((total_buckets as f64 * self.config.max_rewrite_fraction).floor() as usize).max(2);
-
-        // Enumerate candidate sites below the join levels.
-        let refs: Vec<&Row> = sample.iter().collect();
-        let mut sites = Vec::new();
-        collect_sites(tree.root(), tree.join_levels(), 0, Vec::new(), refs, &mut sites);
+        let hit = memo.entry.as_ref().is_some_and(|(k, _)| {
+            k.sample_version == sample_version
+                && k.seed == self.config.seed
+                && k.max_rewrite == max_rewrite
+                && k.attr_priority == attr_priority
+                && k.tree == *tree
+        });
+        if !hit {
+            let candidates = self.candidates(tree, sample, &attr_priority, max_rewrite);
+            let key = CandidateKey {
+                tree: tree.clone(),
+                sample_version,
+                attr_priority,
+                seed: self.config.seed,
+                max_rewrite,
+            };
+            memo.entry = Some((key, candidates));
+            memo.builds += 1;
+        }
+        let (_, candidates) = memo.entry.as_ref().expect("filled above");
 
         let mut best: Option<(f64, RepartitionPlan)> = None;
-        for site in &sites {
-            let leaves = site.node.leaf_count();
-            if leaves > max_rewrite {
-                continue;
-            }
-            let depth = subtree_target_depth(site.node);
-            if depth == 0 {
-                continue;
-            }
-            // Build the replacement subtree over the window's attributes.
-            let mut rng = rng::derived(self.config.seed, "adapt");
-            let mut next_placeholder: BucketId = 0;
-            let mut path_counts = vec![0usize; tree.arity()];
-            let mut global_counts = vec![0usize; tree.arity()];
-            let replacement = upfront::build_subtree(
-                &site.rows,
-                &attr_priority,
-                depth,
-                &mut path_counts,
-                &mut global_counts,
-                &mut rng,
-                &mut next_placeholder,
-            );
-            if replacement == *site.node {
-                continue;
-            }
+        for c in candidates {
+            let site = node_at(tree.root(), &c.path);
             // Estimate benefit: window block reads through old vs new subtree.
             let mut old_reads = 0usize;
             let mut new_reads = 0usize;
             for e in window.iter() {
                 let mut v = Vec::new();
-                site.node.collect_matching(e.predicates.predicates(), &mut v);
+                site.collect_matching(e.predicates.predicates(), &mut v);
                 old_reads += v.len();
                 v.clear();
-                replacement.collect_matching(e.predicates.predicates(), &mut v);
+                c.replacement.collect_matching(e.predicates.predicates(), &mut v);
                 new_reads += v.len();
             }
             // Rewriting keeps block count roughly constant; cost scales
             // with the leaves rewritten.
             let est_benefit = old_reads as f64 - new_reads as f64;
-            let est_cost = leaves as f64 * self.config.rewrite_cost_per_bucket;
+            let est_cost = c.leaves as f64 * self.config.rewrite_cost_per_bucket;
             let net = est_benefit - est_cost;
             if net < self.config.min_net_benefit
                 || est_benefit < est_cost * self.config.benefit_cost_ratio
@@ -169,13 +230,12 @@ impl Adapter {
                 // Materialize the plan: clone the tree, allocate real bucket
                 // ids, splice the replacement in.
                 let mut new_tree = tree.clone();
-                let n_new = replacement.leaf_count();
-                let fresh = new_tree.allocate_buckets(n_new);
-                let mut relabeled = replacement.clone();
+                let fresh = new_tree.allocate_buckets(c.replacement.leaf_count());
+                let mut relabeled = c.replacement.clone();
                 relabel_leaves(&mut relabeled, &fresh);
                 let mut old_buckets = Vec::new();
-                site.node.collect_buckets(&mut old_buckets);
-                splice(new_tree.root_mut(), &site.path, relabeled);
+                site.collect_buckets(&mut old_buckets);
+                splice(new_tree.root_mut(), &c.path, relabeled);
                 let plan = RepartitionPlan {
                     new_tree,
                     old_buckets,
@@ -187,6 +247,47 @@ impl Adapter {
             }
         }
         best.map(|(_, p)| p)
+    }
+
+    /// Candidate generation: every site below the join levels small
+    /// enough to rewrite, with the subtree the sample rows routed there
+    /// built over `attr_priority` — kept when it differs from what is
+    /// there now.
+    fn candidates(
+        &self,
+        tree: &PartitionTree,
+        sample: &[Row],
+        attr_priority: &[AttrId],
+        max_rewrite: usize,
+    ) -> Vec<Candidate> {
+        let refs: Vec<&Row> = sample.iter().collect();
+        let mut sites = Vec::new();
+        collect_sites(tree.root(), tree.join_levels(), 0, Vec::new(), refs, &mut sites);
+        let mut out = Vec::new();
+        for site in sites {
+            let leaves = site.node.leaf_count();
+            if leaves > max_rewrite {
+                continue;
+            }
+            // Build the replacement subtree over the window's attributes.
+            let mut rng = rng::derived(self.config.seed, "adapt");
+            let mut next_placeholder: BucketId = 0;
+            let mut path_counts = vec![0usize; tree.arity()];
+            let mut global_counts = vec![0usize; tree.arity()];
+            let replacement = upfront::build_subtree(
+                &site.rows,
+                attr_priority,
+                subtree_target_depth(site.node),
+                &mut path_counts,
+                &mut global_counts,
+                &mut rng,
+                &mut next_placeholder,
+            );
+            if replacement != *site.node {
+                out.push(Candidate { path: site.path, leaves, replacement });
+            }
+        }
+        out
     }
 }
 
@@ -239,6 +340,20 @@ fn relabel_leaves(node: &mut Node, fresh: &[BucketId]) {
     }
     let mut next = 0;
     rec(node, fresh, &mut next);
+}
+
+/// The subtree at `path`.
+fn node_at<'a>(root: &'a Node, path: &[bool]) -> &'a Node {
+    let mut cur = root;
+    for &go_right in path {
+        match cur {
+            Node::Internal { left, right, .. } => {
+                cur = if go_right { right } else { left };
+            }
+            Node::Leaf { .. } => panic!("site path descends through a leaf"),
+        }
+    }
+    cur
 }
 
 /// Replace the subtree at `path` with `replacement`.
@@ -384,6 +499,114 @@ mod tests {
         if let Some(plan) = Adapter::new(cfg).propose(&tree, &rows, &w) {
             assert!(plan.old_buckets.len() <= (tree.bucket_count() / 4).max(2));
         }
+    }
+
+    /// A plan's fields, with the estimates bitwise.
+    fn plan_key(p: &RepartitionPlan) -> (PartitionTree, Vec<BucketId>, Vec<BucketId>, u64, u64) {
+        (
+            p.new_tree.clone(),
+            p.old_buckets.clone(),
+            p.new_buckets.clone(),
+            p.est_benefit.to_bits(),
+            p.est_cost.to_bits(),
+        )
+    }
+
+    /// Over random trees, samples and window sequences — with the
+    /// sample growing and plans applied along the way — the memoised
+    /// proposal equals a fresh one at every step, and it does hit.
+    #[test]
+    fn memoised_propose_equals_fresh_propose() {
+        let mut rng = seeded(21);
+        let mut plans = 0;
+        for case in 0..12u64 {
+            let arity = rng.random_range(2..5usize);
+            let mut rows = sample(rng.random_range(1000..3000), arity, 100 + case);
+            let mut version = 0u64;
+            let attrs: Vec<AttrId> = (0..rng.random_range(1..arity) as AttrId).collect();
+            let mut tree =
+                UpfrontPartitioner::new(arity, attrs, rng.random_range(2..6), case).build(&rows);
+            let adapter = Adapter::new(AdaptConfig {
+                max_rewrite_fraction: [0.25, 0.5, 1.0][rng.random_range(0..3usize)],
+                seed: case,
+                ..Default::default()
+            });
+            let mut window = QueryWindow::new(rng.random_range(2..8));
+            let mut memo = CandidateMemo::default();
+            let mut calls = 0;
+            // The window mostly queries one attribute, which shifts now
+            // and then — the pattern adaptation exists for.
+            let mut focus = rng.random_range(0..arity) as AttrId;
+            for _ in 0..40 {
+                if rng.random_range(0..12u32) == 0 {
+                    focus = rng.random_range(0..arity) as AttrId;
+                }
+                let attr = if rng.random_range(0..5u32) == 0 {
+                    rng.random_range(0..arity) as AttrId
+                } else {
+                    focus
+                };
+                let cut = rng.random_range(0..2_000i64);
+                window.push(WindowEntry {
+                    join_attr: None,
+                    predicates: PredicateSet::none().and(Predicate::new(attr, CmpOp::Lt, cut)),
+                });
+                if rng.random_range(0..10u32) == 0 {
+                    rows.extend(sample(5, arity, 1000 + version));
+                    version += 1;
+                }
+                let fresh = adapter.propose(&tree, &rows, &window);
+                let memoised = adapter.propose_with(&tree, &rows, version, &window, &mut memo);
+                calls += 1;
+                assert_eq!(fresh.as_ref().map(plan_key), memoised.as_ref().map(plan_key));
+                if let Some(plan) = memoised {
+                    plans += 1;
+                    if rng.random_range(0..2u32) == 0 {
+                        tree = plan.new_tree;
+                    }
+                }
+            }
+            assert!(
+                memo.builds() < calls,
+                "case {case}: {} builds in {calls} calls",
+                memo.builds()
+            );
+        }
+        assert!(plans > 0, "the sequences must exercise non-empty plans");
+    }
+
+    /// The memo key is exact: an identical call reuses the candidates,
+    /// and a new sample version, a replaced tree, or a new attribute
+    /// order each rebuild them.
+    #[test]
+    fn memo_rebuilds_on_sample_tree_or_priority_change() {
+        let rows = sample(2000, 3, 9);
+        let tree = UpfrontPartitioner::new(3, vec![0], 4, 2).build(&rows);
+        let adapter = Adapter::new(AdaptConfig { max_rewrite_fraction: 1.0, ..Default::default() });
+        let mut memo = CandidateMemo::default();
+        let w1 = window_on(1, 4, 4);
+        adapter.propose_with(&tree, &rows, 0, &w1, &mut memo);
+        assert_eq!(memo.builds(), 1);
+        // Same inputs, other cut constants: same attribute order — a hit.
+        let mut w1b = window_on(1, 4, 4);
+        w1b.push(WindowEntry {
+            join_attr: None,
+            predicates: PredicateSet::none().and(Predicate::new(1, CmpOp::Ge, 7i64)),
+        });
+        adapter.propose_with(&tree, &rows, 0, &w1b, &mut memo);
+        assert_eq!(memo.builds(), 1, "an unchanged key must not rebuild");
+        // A sample offer bumps the version.
+        adapter.propose_with(&tree, &rows, 1, &w1, &mut memo);
+        assert_eq!(memo.builds(), 2, "a new sample version must rebuild");
+        // A replaced tree.
+        let other = UpfrontPartitioner::new(3, vec![2], 4, 2).build(&rows);
+        adapter.propose_with(&other, &rows, 1, &w1, &mut memo);
+        assert_eq!(memo.builds(), 3, "a replaced tree must rebuild");
+        // A changed attribute-priority order.
+        adapter.propose_with(&other, &rows, 1, &window_on(2, 4, 4), &mut memo);
+        assert_eq!(memo.builds(), 4, "a new priority order must rebuild");
+        adapter.propose_with(&other, &rows, 1, &window_on(2, 4, 4), &mut memo);
+        assert_eq!(memo.builds(), 4);
     }
 
     #[test]

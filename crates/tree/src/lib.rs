@@ -32,7 +32,7 @@ pub mod two_phase;
 pub mod upfront;
 pub mod window;
 
-pub use adapt::{AdaptConfig, Adapter, RepartitionPlan};
+pub use adapt::{AdaptConfig, Adapter, CandidateMemo, RepartitionPlan};
 pub use node::Node;
 pub use tree::PartitionTree;
 pub use two_phase::TwoPhaseBuilder;

@@ -4,9 +4,11 @@
 //! a block whose header was corrupted into claiming a different shape
 //! than its payload delivers — corrupt input errors, it does not
 //! "succeed". A full gather and a full decode accept exactly the same
-//! blocks and return the same rows, on valid and corrupt input alike.
+//! blocks and return the same rows, on valid and corrupt input alike,
+//! and a predicate on the encoded cells selects and rejects exactly
+//! what decoding the column and evaluating does.
 
-use adaptdb_common::{BitSet, Row, Value};
+use adaptdb_common::{BitSet, CmpOp, Row, Value};
 use adaptdb_storage::codec::{
     decode_block, encode_block, encode_block_columnar, encode_block_with_meta, encode_gathered,
 };
@@ -55,6 +57,36 @@ fn arb_typed_block() -> impl Strategy<Value = Block> {
     })
 }
 
+/// The encoded-cell predicate kernel selects exactly what decoding
+/// column `c` and evaluating does (ANDed into an every-other-row
+/// selection), and errors on exactly the same bytes — for every op and
+/// a literal of every type.
+fn filter_agrees(lazy: &LazyBlock, c: usize) {
+    let n = lazy.row_count();
+    let incoming = BitSet::from_indices(n, &(0..n).step_by(2).collect::<Vec<_>>());
+    let lits = [
+        Value::Int(0),
+        Value::Double(0.0),
+        Value::Str("m".into()),
+        Value::Date(0),
+        Value::Bool(true),
+    ];
+    let ops = [CmpOp::Eq, CmpOp::Neq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+    for (lit, op) in lits.iter().zip(ops.iter().cycle()) {
+        let want = lazy.column(c).map(|col| {
+            let mut sel = incoming.clone();
+            sel.intersect_with(&col.eval(*op, lit));
+            sel
+        });
+        let mut got = incoming.clone();
+        match (lazy.filter_into(c, *op, lit, &mut got), want) {
+            (Ok(()), Ok(want)) => assert_eq!(got, want, "column {c} {op:?} {lit:?}"),
+            (Err(_), Err(_)) => {}
+            (got, want) => panic!("column {c}: kernel {got:?}, decode {want:?}"),
+        }
+    }
+}
+
 /// Drive every decode entry point over one byte string. Nothing here
 /// may panic; each call either errors or returns well-formed data.
 fn exercise(bytes: &[u8]) {
@@ -67,6 +99,7 @@ fn exercise(bytes: &[u8]) {
             if let Ok(col) = lazy.column(c) {
                 assert_eq!(col.len(), n, "a decoded column must match the row count");
             }
+            filter_agrees(&lazy, c);
         }
         // Out-of-range column access errors, never panics.
         let _ = lazy.column(cols + 1);
@@ -153,6 +186,7 @@ proptest! {
     #[test]
     fn into_block_equals_full_gather(block in arb_typed_block()) {
         for enc in [encode_block_columnar(&block), encode_block(&block)] {
+            exercise(&enc);
             let lazy = LazyBlock::parse(enc).unwrap();
             let n = lazy.row_count();
             let gathered = lazy.gather_range(0, n, &BitSet::all_set(n)).unwrap();
