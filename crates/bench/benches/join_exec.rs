@@ -1,12 +1,30 @@
-//! Criterion end-to-end join microbenchmark: hyper-join vs shuffle join
-//! executing for real on the storage engine (the kernel behind Fig. 1).
+//! Criterion join microbenchmarks.
+//!
+//! `hyper_join_sf005` and `shuffle_join_sf005` run lineitem ⋈ orders
+//! end to end through `Database::run` (the kernel behind Fig. 1).
+//!
+//! `hyper_join_5_matches_per_key` is one hyper-join whose every probe
+//! row meets five build rows, so each probe row is copied into four
+//! outputs and moved into the fifth.
+//!
+//! `shuffle_map_lineitem_32_blocks` is a shuffle's map phase alone
+//! (`ShuffleService::spill_blocks`): 32 lineitem blocks of 200 rows
+//! on 10 nodes, hash-partitioned on `l_partkey` into 10 reducer runs
+//! per map task at two threads; the runs are dropped after each
+//! iteration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use adaptdb::{Database, DbConfig, Mode};
-use adaptdb_common::{JoinQuery, Query, ScanQuery};
+use adaptdb_common::{row, BlockId, JoinQuery, PredicateSet, Query, Row, ScanQuery};
+use adaptdb_dfs::SimClock;
+use adaptdb_exec::{hyper_join, ExecContext, HyperJoinSpec, ShuffleService};
+use adaptdb_join::{HyperJoinPlan, JoinSide};
+use adaptdb_storage::BlockStore;
 use adaptdb_workloads::tpch::{li, ord, TpchGen};
+
+const ROWS_PER_BLOCK: usize = 200;
 
 fn join_query() -> Query {
     Query::Join(JoinQuery::new(
@@ -39,5 +57,73 @@ fn bench_join_exec(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_join_exec);
+fn bench_multi_match_hyper_join(c: &mut Criterion) {
+    const KEYS: i64 = 2000;
+    const MATCHES: i64 = 5;
+    let store = BlockStore::new(4, 1, 1);
+    let write = |table: &str, rows: Vec<Row>| -> Vec<BlockId> {
+        rows.chunks(ROWS_PER_BLOCK).map(|c| store.write_block(table, c.to_vec(), 3, None)).collect()
+    };
+    // Build blocks hold 40 keys × 5 rows; probe blocks 200 keys × 1 row,
+    // so build group g (five blocks) overlaps exactly probe block g.
+    let build: Vec<Row> =
+        (0..KEYS * MATCHES).map(|i| row![i / MATCHES, i, format!("build-{i:06}")]).collect();
+    let probe: Vec<Row> =
+        (0..KEYS).map(|k| row![k, format!("probe-payload-{k:06}"), k as f64 * 0.5]).collect();
+    let build_ids = write("b", build);
+    let probe_ids = write("p", probe);
+    let groups: Vec<Vec<BlockId>> = build_ids.chunks(MATCHES as usize).map(<[_]>::to_vec).collect();
+    let probes: Vec<Vec<BlockId>> = probe_ids.iter().map(|&b| vec![b]).collect();
+    assert_eq!(groups.len(), probes.len());
+    let plan = HyperJoinPlan {
+        build_side: JoinSide::Left,
+        groups,
+        probes,
+        est_build_reads: build_ids.len(),
+        est_probe_reads: probe_ids.len(),
+        c_hyj: 1.0,
+    };
+    let none = PredicateSet::none();
+    let clock = SimClock::new();
+    c.bench_function("hyper_join_5_matches_per_key", |b| {
+        b.iter(|| {
+            let spec = HyperJoinSpec {
+                left_table: "b",
+                right_table: "p",
+                left_attr: 0,
+                right_attr: 0,
+                left_preds: &none,
+                right_preds: &none,
+                plan: &plan,
+            };
+            let rows = hyper_join(ExecContext::new(&store, &clock, 2), spec).unwrap();
+            assert_eq!(rows.len(), (KEYS * MATCHES) as usize);
+            black_box(rows.len())
+        })
+    });
+}
+
+fn bench_shuffle_map(c: &mut Criterion) {
+    const BLOCKS: usize = 32;
+    let rows = TpchGen::new(0.3, 5).lineitem();
+    let arity = TpchGen::lineitem_schema().len();
+    let store = BlockStore::new(10, 3, 1);
+    let blocks: Vec<BlockId> = rows[..BLOCKS * ROWS_PER_BLOCK]
+        .chunks(ROWS_PER_BLOCK)
+        .map(|chunk| store.write_block("lineitem", chunk.to_vec(), arity, None))
+        .collect();
+    let none = PredicateSet::none();
+    let clock = SimClock::new();
+    let ctx = ExecContext::new(&store, &clock, 2);
+    let svc = ShuffleService::new(ctx, 10, ROWS_PER_BLOCK, "bench").unwrap();
+    c.bench_function("shuffle_map_lineitem_32_blocks", |b| {
+        b.iter(|| {
+            let side = svc.spill_blocks("lineitem", &blocks, li::PARTKEY, &none).unwrap();
+            svc.cleanup();
+            black_box(side.rows.iter().sum::<usize>())
+        })
+    });
+}
+
+criterion_group!(benches, bench_join_exec, bench_multi_match_hyper_join, bench_shuffle_map);
 criterion_main!(benches);

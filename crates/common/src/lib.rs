@@ -81,4 +81,4 @@ pub use telemetry::{
     chrome_trace_json, AttrValue, Histogram, Journal, JournalEvent, MetricsRegistry, Span, SpanId,
     Trace, Tracer,
 };
-pub use value::{Value, ValueType};
+pub use value::{stable_hash_bytes, Value, ValueType};

@@ -40,11 +40,28 @@ impl Row {
         self.values.iter().map(Value::byte_size).sum::<usize>() + 8
     }
 
-    /// Concatenate two rows (join output).
+    /// Concatenate two rows (join output), copying both.
     pub fn concat(&self, other: &Row) -> Row {
         let mut values = Vec::with_capacity(self.values.len() + other.values.len());
         values.extend_from_slice(&self.values);
         values.extend_from_slice(&other.values);
+        Row::new(values)
+    }
+
+    /// `self ++ right` (join output), reusing `self`'s values: only
+    /// `right`'s are copied.
+    pub fn append(mut self, right: &Row) -> Row {
+        self.values.reserve_exact(right.values.len());
+        self.values.extend_from_slice(&right.values);
+        self
+    }
+
+    /// `left ++ self` (join output), moving `self`'s values behind a
+    /// copy of `left`'s.
+    pub fn prepend(self, left: &Row) -> Row {
+        let mut values = Vec::with_capacity(left.values.len() + self.values.len());
+        values.extend_from_slice(&left.values);
+        values.extend(self.values);
         Row::new(values)
     }
 
@@ -86,6 +103,16 @@ mod tests {
         let b = row![2i64, 3i64];
         let c = a.concat(&b);
         assert_eq!(c.values(), &[Value::Int(1), Value::Int(2), Value::Int(3)]);
+    }
+
+    #[test]
+    fn append_and_prepend_equal_concat() {
+        let a = row![1i64, "x"];
+        let b = row![2.5, "yz", 3i64];
+        assert_eq!(a.clone().append(&b), a.concat(&b));
+        assert_eq!(b.clone().prepend(&a), a.concat(&b));
+        assert_eq!(row![].append(&a), a);
+        assert_eq!(row![].prepend(&a), a);
     }
 
     #[test]

@@ -139,28 +139,41 @@ impl Value {
     /// (FNV-1a) instead of `DefaultHasher` so shuffle assignment is stable
     /// across runs and Rust versions — experiments must be reproducible.
     pub fn stable_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        #[inline]
-        fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-            h
-        }
         match self {
-            Value::Int(v) => fnv(OFFSET ^ 1, &v.to_le_bytes()),
-            Value::Double(v) => fnv(OFFSET ^ 2, &v.to_bits().to_le_bytes()),
-            Value::Str(s) => fnv(OFFSET ^ 3, s.as_bytes()),
-            Value::Date(v) => fnv(OFFSET ^ 4, &v.to_le_bytes()),
-            Value::Bool(v) => fnv(OFFSET ^ 5, &[*v as u8]),
+            Value::Int(v) => stable_hash_bytes(ValueType::Int, &v.to_le_bytes()),
+            Value::Double(v) => stable_hash_bytes(ValueType::Double, &v.to_bits().to_le_bytes()),
+            Value::Str(s) => stable_hash_bytes(ValueType::Str, s.as_bytes()),
+            Value::Date(v) => stable_hash_bytes(ValueType::Date, &v.to_le_bytes()),
+            Value::Bool(v) => stable_hash_bytes(ValueType::Bool, &[*v as u8]),
         }
     }
 
     pub(crate) fn type_rank(&self) -> u8 {
         self.value_type().rank()
     }
+}
+
+/// [`Value::stable_hash`] of a value of type `ty` given by its
+/// canonical bytes: an `Int`'s `i64`, a `Double`'s bits or a `Date`'s
+/// `i32`, each little-endian, a `Str`'s UTF-8 bytes, or a `Bool` as one
+/// byte `0`/`1`. Hashing encoded cells this way builds no value.
+#[inline]
+pub fn stable_hash_bytes(ty: ValueType, bytes: &[u8]) -> u64 {
+    const OFFSET: u64 = 0xcbf29ce484222325;
+    const PRIME: u64 = 0x100000001b3;
+    let seed = match ty {
+        ValueType::Int => 1,
+        ValueType::Double => 2,
+        ValueType::Str => 3,
+        ValueType::Date => 4,
+        ValueType::Bool => 5,
+    };
+    let mut h = OFFSET ^ seed;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(PRIME);
+    }
+    h
 }
 
 impl PartialOrd for Value {

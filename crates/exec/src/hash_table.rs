@@ -108,6 +108,17 @@ impl JoinHashTable {
     }
 }
 
+/// Push `probe ⋈ m` for every build row `m` of `matches`, in order —
+/// probe columns first when `probe_left` — moving the probe row into
+/// the last output and copying it only for the earlier ones.
+pub(crate) fn join_into(out: &mut Vec<Row>, probe: Row, matches: &[Row], probe_left: bool) {
+    let Some((last, rest)) = matches.split_last() else { return };
+    for m in rest {
+        out.push(if probe_left { probe.concat(m) } else { m.concat(&probe) });
+    }
+    out.push(if probe_left { probe.append(last) } else { probe.prepend(last) });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +183,23 @@ mod tests {
         let hits = t.probe_batch(&keys, &some);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, 2);
+    }
+
+    #[test]
+    fn join_into_moves_the_probe_into_its_last_match() {
+        let matches = [row![1i64, "a"], row![1i64, "b"], row![1i64, "c"]];
+        let probe = row!["p", 1i64];
+        for n in 0..=matches.len() {
+            for probe_left in [true, false] {
+                let mut out = Vec::new();
+                join_into(&mut out, probe.clone(), &matches[..n], probe_left);
+                let want: Vec<Row> = matches[..n]
+                    .iter()
+                    .map(|m| if probe_left { probe.concat(m) } else { m.concat(&probe) })
+                    .collect();
+                assert_eq!(out, want, "n={n} probe_left={probe_left}");
+            }
+        }
     }
 
     #[test]

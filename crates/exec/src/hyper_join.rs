@@ -19,13 +19,16 @@
 //! probe block stays lazily decoded: predicates evaluate into a
 //! selection bitset, the join key column alone is decoded for a batch
 //! probe, and only the probe rows that matched are ever materialised.
+//! Each output row is built once: a gathered probe row is moved into
+//! its last match and copied only for earlier matches of its key, and
+//! the groups' outputs are concatenated by moving them.
 
 use adaptdb_common::{AttrId, BitSet, PredicateSet, Result, Row};
 use adaptdb_join::{HyperJoinPlan, JoinSide};
 use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
-use crate::hash_table::JoinHashTable;
+use crate::hash_table::{join_into, JoinHashTable};
 use crate::parallel;
 use crate::scan::{fetch_ordered, read_selected, select_block};
 
@@ -128,11 +131,16 @@ fn run_group(
         fetch_ordered(ctx.with_trace(None), probe_table, probe_blocks, Some(node), |lazy| {
             probe_block(ctx, &table, lazy, probe_attr, probe_preds, build_side)
         })?;
-    Ok(probed.concat())
+    let mut out = Vec::with_capacity(probed.iter().map(Vec::len).sum());
+    for rows in probed {
+        out.extend(rows);
+    }
+    Ok(out)
 }
 
 /// Probe one (lazily-read) block against the group's hash table,
-/// returning joined rows in `left ⋈ right` column order.
+/// returning joined rows in `left ⋈ right` column order. Each gathered
+/// probe row is moved into its last output row.
 fn probe_block(
     ctx: ExecContext<'_>,
     table: &JoinHashTable,
@@ -153,14 +161,10 @@ fn probe_block(
     let probe_rows = lazy.gather_range(0, lazy.row_count(), &matched)?;
     debug_assert_eq!(probe_rows.len(), hits.len());
     let mut out = Vec::new();
-    for ((_, build_rows), probe_row) in hits.iter().zip(&probe_rows) {
-        for build_row in *build_rows {
-            // Normalize output to left ⋈ right column order.
-            out.push(match build_side {
-                JoinSide::Left => build_row.concat(probe_row),
-                JoinSide::Right => probe_row.concat(build_row),
-            });
-        }
+    // Normalize output to left ⋈ right column order.
+    let probe_left = build_side == JoinSide::Right;
+    for ((_, build_rows), probe_row) in hits.iter().zip(probe_rows) {
+        join_into(&mut out, probe_row, build_rows, probe_left);
     }
     Ok(out)
 }

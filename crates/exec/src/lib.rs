@@ -33,6 +33,7 @@
 
 pub mod aggregate;
 pub mod context;
+mod gather;
 pub mod hash_table;
 pub mod hyper_join;
 pub mod parallel;

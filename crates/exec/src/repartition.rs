@@ -11,11 +11,13 @@
 //! split partitions the row indices reaching it by one typed `≤ cut`
 //! comparison per row ([`PartitionTree::route_columns`]). Source and
 //! absorbed-tail blocks keep their other columns encoded
-//! ([`RawColumn`]), and each output block copies its cells straight
-//! from those payloads into the `ADB2` encoder, which builds the
-//! block's zone maps in the same pass ([`BlockStore::write_gathered`]).
-//! A row-format (`ADB1`) block restored from an older journal has no
-//! columns to copy; the output blocks it feeds are written from rows.
+//! ([`adaptdb_storage::codec::RawColumn`]), and the gather writer the
+//! shuffle map side shares (`exec::gather`) copies each output block's
+//! cells straight from those payloads into the `ADB2` encoder, which
+//! builds the block's zone maps in the same pass
+//! ([`BlockStore::write_gathered`]). A row-format (`ADB1`) block
+//! restored from an older journal has no columns to copy; the output
+//! blocks it feeds are written from rows.
 //!
 //! **Append semantics.** On HDFS the repartitioners append to the target
 //! bucket's existing file ("several repartitioners across the cluster may
@@ -34,13 +36,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use adaptdb_common::{AttrId, BlockId, ColumnVec, Result, Row};
+use adaptdb_common::{AttrId, BlockId, ColumnVec, Result};
 use adaptdb_dfs::{NodeId, SimClock, TaskScheduler};
-use adaptdb_storage::codec::RawColumn;
 use adaptdb_storage::writer::BucketId;
 use adaptdb_storage::{BlockStore, LazyBlock};
 use adaptdb_tree::PartitionTree;
 
+use crate::gather::{GatherWriter, Source};
 use crate::parallel;
 
 /// When the source (and absorbed tail) blocks are physically deleted.
@@ -180,7 +182,7 @@ pub fn repartition_blocks_with(
     // the leftovers are written last, in bucket order, from the last
     // node — so block ids, boundaries and placements match one global
     // writer.
-    let mut writer = GatherWriter::new(store, table, target_tree.arity(), rows_per_block);
+    let mut writer = GatherWriter::new(store, table, target_tree.arity(), rows_per_block, None);
     let mut unmerged: BTreeSet<BucketId> = tails.keys().copied().collect();
     for mine in routed.chunk_by(|a, b| a.0 == b.0) {
         writer.node = Some(mine[0].0);
@@ -252,118 +254,10 @@ impl Routes {
     }
 }
 
-/// A block framed for migration.
-enum Source {
-    /// Its columns, still encoded — every `ADB2` block.
-    Columns(Vec<RawColumn>),
-    /// Its decoded rows — a row-format (`ADB1`) block restored from an
-    /// older journal.
-    Rows(Vec<Row>),
-}
-
-impl Source {
-    fn frame(lazy: LazyBlock) -> Result<Source> {
-        match lazy.raw_columns()? {
-            Some(cols) => Ok(Source::Columns(cols)),
-            None => Ok(Source::Rows(lazy.into_block()?.rows)),
-        }
-    }
-
-    fn row(&self, i: u32) -> Row {
-        let i = i as usize;
-        match self {
-            Source::Columns(cols) => Row::new(cols.iter().map(|c| c.value(i)).collect()),
-            Source::Rows(rows) => rows[i].clone(),
-        }
-    }
-}
-
-/// Rows `.1` of source `.0`.
-type Chunk<'s> = (&'s Source, &'s [u32]);
-
-/// The buffered partition writer over framed sources: a bucket's
-/// buffer holds slices of source row indices rather than rows, and a
-/// flush gathers them into one block.
-struct GatherWriter<'s> {
-    store: &'s BlockStore,
-    table: &'s str,
-    arity: usize,
-    rows_per_block: usize,
-    /// The node subsequent flushes are written from.
-    node: Option<NodeId>,
-    /// Per bucket: rows held, and the source slices holding them.
-    buffers: BTreeMap<BucketId, (usize, Vec<Chunk<'s>>)>,
-    written: BTreeMap<BucketId, Vec<BlockId>>,
-}
-
-impl<'s> GatherWriter<'s> {
-    fn new(store: &'s BlockStore, table: &'s str, arity: usize, rows_per_block: usize) -> Self {
-        assert!(rows_per_block > 0, "rows_per_block must be positive");
-        GatherWriter {
-            store,
-            table,
-            arity,
-            rows_per_block,
-            node: None,
-            buffers: BTreeMap::new(),
-            written: BTreeMap::new(),
-        }
-    }
-
-    /// Append `picked` rows of `source` to `bucket`, writing a block
-    /// each time the bucket's buffer reaches the budget.
-    fn push(&mut self, bucket: BucketId, source: &'s Source, mut picked: &'s [u32]) {
-        while !picked.is_empty() {
-            let (held, chunks) = self.buffers.entry(bucket).or_default();
-            let take = picked.len().min(self.rows_per_block - *held);
-            chunks.push((source, &picked[..take]));
-            *held += take;
-            picked = &picked[take..];
-            if *held == self.rows_per_block {
-                let chunks = std::mem::take(chunks);
-                *held = 0;
-                self.flush(bucket, &chunks);
-            }
-        }
-    }
-
-    fn flush(&mut self, bucket: BucketId, chunks: &[Chunk<'_>]) {
-        let columns: Option<Vec<(&[RawColumn], &[u32])>> = chunks
-            .iter()
-            .map(|(source, picked)| match source {
-                Source::Columns(cols) => Some((&cols[..], *picked)),
-                Source::Rows(_) => None,
-            })
-            .collect();
-        let (store, table, arity, node) = (self.store, self.table, self.arity, self.node);
-        let id = match columns {
-            Some(cols) if cols.iter().all(|(c, _)| c.len() == cols[0].0.len()) => {
-                store.write_gathered(table, &cols, arity, node, None)
-            }
-            _ => {
-                let rows = chunks.iter().flat_map(|(s, p)| p.iter().map(|&i| s.row(i))).collect();
-                store.write_block_with(table, rows, arity, node, None)
-            }
-        };
-        self.written.entry(bucket).or_default().push(id);
-    }
-
-    /// Write every partial buffer, in bucket order, and return the
-    /// bucket → blocks map.
-    fn finish(mut self) -> BTreeMap<BucketId, Vec<BlockId>> {
-        for (bucket, (_, chunks)) in std::mem::take(&mut self.buffers) {
-            if !chunks.is_empty() {
-                self.flush(bucket, &chunks);
-            }
-        }
-        self.written
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptdb_common::{row, CmpOp, Predicate, PredicateSet, Value};
+    use adaptdb_common::{row, CmpOp, Predicate, PredicateSet, Row, Value};
     use adaptdb_tree::Node;
     use std::collections::BTreeSet;
 

@@ -15,7 +15,8 @@
 //! encoded predicate columns into a selection [`BitSet`]
 //! (`select_block`; fixed-width cells read in place, `Str` cells
 //! compared as bytes, no value built), then only the selected rows are
-//! gathered. Scans split the gather into `morsel_rows`-sized morsels
+//! gathered — or, on the shuffle map side, copied cell by cell into
+//! the spilled runs without ever becoming rows. Scans split the gather into `morsel_rows`-sized morsels
 //! dispatched through [`parallel::map_ordered`] (deterministic input
 //! order); single-block readers gather in one call (`read_selected`).
 //! Pruning composes in
@@ -163,8 +164,7 @@ pub(crate) fn select_block(
 /// The late-materialising read of one block outside a fetch stream:
 /// read block `id` of `table` from `reader` (charged and classified
 /// like every read), select it, and gather the selected rows in row
-/// order. The hyper-join and step-join builds and the shuffle map side
-/// read through this.
+/// order. The hyper-join and step-join builds read through this.
 pub(crate) fn read_selected(
     ctx: ExecContext<'_>,
     table: &str,

@@ -24,7 +24,7 @@ use adaptdb_dfs::{secs_to_us, ReadKind, SimClock, SpanGuard};
 use adaptdb_storage::{BuildKey, HotBuild};
 
 use crate::context::ExecContext;
-use crate::hash_table::JoinHashTable;
+use crate::hash_table::{join_into, JoinHashTable};
 use crate::parallel;
 use crate::shuffle_service::{ShuffleService, ShuffledSide};
 
@@ -356,26 +356,20 @@ fn join_partition(
     let left_small = left_rows.len() <= right_rows.len();
     let small_runs = if left_small { &left_side.runs[p] } else { &right_side.runs[p] };
     svc.charge_broadcasts(p, split_k, small_runs)?;
-    let round_robin = |rows: &[Row], j: usize| -> Vec<Row> {
-        rows.iter().skip(j).step_by(split_k).cloned().collect()
-    };
+    // Deal the bigger side round-robin over the sub-tasks (moving its
+    // rows), and hand every sub-task the whole smaller side: a copy for
+    // all but the last, which takes the original.
+    let (mut small, big) =
+        if left_small { (left_rows, right_rows) } else { (right_rows, left_rows) };
+    let mut shares: Vec<Vec<Row>> = (0..split_k).map(|_| Vec::new()).collect();
+    for (i, row) in big.into_iter().enumerate() {
+        shares[i % split_k].push(row);
+    }
     let mut out = Vec::new();
-    for j in 0..split_k {
-        if left_small {
-            let subset = round_robin(&right_rows, j);
-            out.extend(budgeted_join(svc, p, 0, left_rows.clone(), subset, left_attr, right_attr)?);
-        } else {
-            let subset = round_robin(&left_rows, j);
-            out.extend(budgeted_join(
-                svc,
-                p,
-                0,
-                subset,
-                right_rows.clone(),
-                left_attr,
-                right_attr,
-            )?);
-        }
+    for (j, share) in shares.into_iter().enumerate() {
+        let whole = if j + 1 == split_k { std::mem::take(&mut small) } else { small.clone() };
+        let (l, r) = if left_small { (whole, share) } else { (share, whole) };
+        out.extend(budgeted_join(svc, p, 0, l, r, left_attr, right_attr)?);
     }
     Ok(out)
 }
@@ -428,13 +422,13 @@ fn budgeted_join(
     let budget_rows = match svc.ctx().join_mem_budget_blocks {
         None => {
             svc.ctx().clock.record_reducer_peak(build_len.div_ceil(rpb));
-            return Ok(hash_join_rows(left, &right, left_attr, right_attr));
+            return Ok(hash_join_rows(left, right, left_attr, right_attr));
         }
         Some(blocks) => blocks.max(1) * rpb,
     };
     if build_len <= budget_rows {
         svc.ctx().clock.record_reducer_peak(build_len.div_ceil(rpb));
-        return Ok(hash_join_rows(left, &right, left_attr, right_attr));
+        return Ok(hash_join_rows(left, right, left_attr, right_attr));
     }
     if depth >= MAX_RECURSION_DEPTH {
         return Ok(block_nested_loop(svc, left, right, left_attr, right_attr, budget_rows));
@@ -482,25 +476,24 @@ fn block_nested_loop(
 ) -> Vec<Row> {
     let rpb = svc.rows_per_block();
     let chunk_rows = budget_rows.max(1);
-    let mut out = Vec::new();
-    if left.len() <= right.len() {
-        for chunk in left.chunks(chunk_rows) {
-            svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
-            let table = JoinHashTable::build(chunk.to_vec(), left_attr);
-            for r in &right {
-                for l in table.probe(r.get(right_attr)) {
-                    out.push(l.concat(r));
-                }
-            }
-        }
+    let left_build = left.len() <= right.len();
+    let (build, probe, build_attr, probe_attr) = if left_build {
+        (left, right, left_attr, right_attr)
     } else {
-        for chunk in right.chunks(chunk_rows) {
-            svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
-            let table = JoinHashTable::build(chunk.to_vec(), right_attr);
-            for l in &left {
-                for r in table.probe(l.get(left_attr)) {
-                    out.push(l.concat(r));
-                }
+        (right, left, right_attr, left_attr)
+    };
+    let mut out = Vec::new();
+    let mut build = build.into_iter();
+    loop {
+        let chunk: Vec<Row> = build.by_ref().take(chunk_rows).collect();
+        if chunk.is_empty() {
+            break;
+        }
+        svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
+        let table = JoinHashTable::build(chunk, build_attr);
+        for row in &probe {
+            for m in table.probe(row.get(probe_attr)) {
+                out.push(if left_build { m.concat(row) } else { row.concat(m) });
             }
         }
     }
@@ -508,34 +501,29 @@ fn block_nested_loop(
 }
 
 /// Plain in-memory hash join (used by reducers and by multi-way join
-/// steps over intermediate results).
+/// steps over intermediate results). Builds on the smaller side (the
+/// left on a tie) and probes with the other in its order; output rows
+/// are `left ++ right`, and each probe row is moved into its last
+/// match.
 pub fn hash_join_rows(
     left: Vec<Row>,
-    right: &[Row],
+    right: Vec<Row>,
     left_attr: AttrId,
     right_attr: AttrId,
 ) -> Vec<Row> {
-    // Build on the smaller side to bound memory, preserving output order
-    // semantics (left columns first).
-    if left.len() <= right.len() {
-        let table = JoinHashTable::build(left, left_attr);
-        let mut out = Vec::new();
-        for r in right {
-            for l in table.probe(r.get(right_attr)) {
-                out.push(l.concat(r));
-            }
-        }
-        out
+    let left_build = left.len() <= right.len();
+    let (build, probe, build_attr, probe_attr) = if left_build {
+        (left, right, left_attr, right_attr)
     } else {
-        let table = JoinHashTable::build(right.to_vec(), right_attr);
-        let mut out = Vec::new();
-        for l in &left {
-            for r in table.probe(l.get(left_attr)) {
-                out.push(l.concat(r));
-            }
-        }
-        out
+        (right, left, right_attr, left_attr)
+    };
+    let table = JoinHashTable::build(build, build_attr);
+    let mut out = Vec::new();
+    for row in probe {
+        let matches = table.probe(row.get(probe_attr));
+        join_into(&mut out, row, matches, !left_build);
     }
+    out
 }
 
 /// Shuffle join over two already-materialized row sets (intermediate
@@ -830,7 +818,7 @@ mod tests {
     fn hash_join_rows_handles_duplicates_and_misses() {
         let left = vec![row![1i64, 10i64], row![1i64, 11i64], row![2i64, 12i64]];
         let right = vec![row![1i64, 100i64], row![3i64, 101i64]];
-        let mut out = hash_join_rows(left, &right, 0, 0);
+        let mut out = hash_join_rows(left, right, 0, 0);
         out.sort_by_key(|r| r.get(1).as_int().unwrap());
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].values()[1], Value::Int(10));
@@ -943,6 +931,153 @@ mod tests {
         // separately, never on local/remote_fetches.
         assert_eq!(sh.fetches(), sh.blocks_spilled);
         assert_eq!(c_plain.shuffle_snapshot().split_partitions, 0);
+    }
+
+    /// The nested-loop join in [`hash_join_rows`]'s output order, on
+    /// column 0 of both sides.
+    fn nested_loop(left: &[Row], right: &[Row]) -> Vec<Row> {
+        let mut out = Vec::new();
+        if left.len() <= right.len() {
+            for r in right {
+                for l in left.iter().filter(|l| l.get(0) == r.get(0)) {
+                    out.push(l.concat(r));
+                }
+            }
+        } else {
+            for l in left {
+                for r in right.iter().filter(|r| l.get(0) == r.get(0)) {
+                    out.push(l.concat(r));
+                }
+            }
+        }
+        out
+    }
+
+    /// The budgeted join over borrowed inputs, copying every row it
+    /// passes on: Grace groups by the salted hash, the block-nested
+    /// loop at the cap, and nested loops at the leaves.
+    fn reference_budgeted(
+        left: &[Row],
+        right: &[Row],
+        budget_rows: Option<usize>,
+        depth: usize,
+    ) -> Vec<Row> {
+        let build_len = left.len().min(right.len());
+        let Some(budget) = budget_rows.filter(|&b| build_len > b) else {
+            return nested_loop(left, right);
+        };
+        let mut out = Vec::new();
+        if depth >= MAX_RECURSION_DEPTH {
+            if left.len() <= right.len() {
+                for chunk in left.chunks(budget) {
+                    out.extend(nested_loop(chunk, right));
+                }
+            } else {
+                for chunk in right.chunks(budget) {
+                    for l in left {
+                        for r in chunk.iter().filter(|r| l.get(0) == r.get(0)) {
+                            out.push(l.concat(r));
+                        }
+                    }
+                }
+            }
+            return out;
+        }
+        let fanout = build_len.div_ceil(budget).clamp(2, 8);
+        let group = |rows: &[Row], g: usize| -> Vec<Row> {
+            let of = |r: &Row| (salted(r.get(0).stable_hash(), depth) % fanout as u64) as usize;
+            rows.iter().filter(|r| of(r) == g).cloned().collect()
+        };
+        for g in 0..fanout {
+            let (lg, rg) = (group(left, g), group(right, g));
+            if !lg.is_empty() && !rg.is_empty() {
+                out.extend(reference_budgeted(&lg, &rg, budget_rows, depth + 1));
+            }
+        }
+        out
+    }
+
+    /// One reduce task over borrowed inputs: `split_k` round-robin
+    /// shares of the bigger side, each against a copy of the smaller.
+    fn reference_partition(
+        left: &[Row],
+        right: &[Row],
+        split_k: usize,
+        budget_rows: Option<usize>,
+    ) -> Vec<Row> {
+        if split_k <= 1 {
+            return reference_budgeted(left, right, budget_rows, 0);
+        }
+        let share = |rows: &[Row], j| -> Vec<Row> {
+            rows.iter().skip(j).step_by(split_k).cloned().collect()
+        };
+        let mut out = Vec::new();
+        for j in 0..split_k {
+            if left.len() <= right.len() {
+                out.extend(reference_budgeted(left, &share(right, j), budget_rows, 0));
+            } else {
+                out.extend(reference_budgeted(&share(left, j), right, budget_rows, 0));
+            }
+        }
+        out
+    }
+
+    /// The reduce side keeps its exact output order on every path —
+    /// plain, split across sub-tasks, Grace-repartitioned under a
+    /// memory budget, and block-nested-loop at the recursion cap — with
+    /// 0, 1, 2 and 5 matches per key plus a hot key on both sides.
+    #[test]
+    fn split_and_budgeted_reduce_matches_nested_loop_in_order() {
+        let store = BlockStore::new(2, 1, 3);
+        let mut left: Vec<Row> = Vec::new();
+        for copy in 0..5 {
+            for k in 0..40i64 {
+                if copy < [0, 1, 2, 5][(k % 4) as usize] {
+                    left.push(row![k, format!("l{k}.{copy}")]);
+                }
+            }
+        }
+        left.extend((0..30i64).map(|i| row![7i64, format!("hot{i}")]));
+        let mut right: Vec<Row> = (0..60i64).map(|i| row![(i * 7) % 44, -i]).collect();
+        right.extend((0..15i64).map(|i| row![7i64, 1000 + i]));
+        let rpb = 10;
+        let write = |t: &str, rows: &[Row]| -> Vec<BlockId> {
+            rows.chunks(rpb).map(|c| store.write_block(t, c.to_vec(), 2, None)).collect()
+        };
+        let (lids, rids) = (write("l", &left), write("r", &right));
+        let none = PredicateSet::none();
+        let partitions = coalesced_partitions(4, lids.len().min(rids.len()), 2);
+        assert_eq!(partitions, 4);
+        let (mut splits, mut spilled, mut capped) = (false, false, false);
+        for split_threshold in [None, Some(1.5)] {
+            for budget in [None, Some(1), Some(2), Some(4)] {
+                let clock = SimClock::new();
+                let mut ctx = ctx_with(&store, &clock, 1, 4).with_join_mem_budget(budget);
+                ctx.shuffle.split_threshold = split_threshold;
+                let got = shuffle_join(ctx, spec(&lids, &rids, &none, rpb)).unwrap();
+                let sh = clock.shuffle_snapshot();
+                splits |= sh.split_partitions > 0;
+                spilled |= sh.build_blocks_spilled > 0;
+                capped |= sh.max_recursion_depth == MAX_RECURSION_DEPTH;
+
+                let ref_clock = SimClock::new();
+                let mut ref_ctx = ctx_with(&store, &ref_clock, 1, 4);
+                ref_ctx.shuffle.split_threshold = split_threshold;
+                let svc = ShuffleService::new(ref_ctx, partitions, rpb, "ref").unwrap();
+                let l = svc.spill_blocks("l", &lids, 0, &none).unwrap();
+                let r = svc.spill_blocks("r", &rids, 0, &none).unwrap();
+                let plan = svc.split_plan(&l, &r);
+                let mut want = Vec::new();
+                for (p, &k) in plan.iter().enumerate() {
+                    let (lp, rp) = svc.fetch_partition(p, &l, &r).unwrap();
+                    want.extend(reference_partition(&lp, &rp, k, budget.map(|b| b * rpb)));
+                }
+                svc.cleanup();
+                assert!(want.len() > 450, "{} outputs", want.len());
+                assert_eq!(got, want, "split {split_threshold:?} budget {budget:?}");
+            }
+        }
+        assert!(splits && spilled && capped, "split {splits} spill {spilled} cap {capped}");
     }
 
     #[test]

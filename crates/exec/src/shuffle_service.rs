@@ -8,15 +8,25 @@
 //!
 //! 1. **Map.** Input blocks are placed on nodes by the locality-aware
 //!    [`TaskScheduler`] (one map task per node). Each map task reads
-//!    its blocks (charged local/remote like every other read), filters
-//!    them late-materialising (predicate columns select, only surviving
-//!    rows are gathered), hash-partitions each record by the join
-//!    attribute, and **spills** one run per reducer as genuine DFS
-//!    blocks through the storage writer path — primary replica on the
-//!    mapper's node, replication from
+//!    its blocks in order (charged local/remote like every other
+//!    read), then maps them on the worker pool without building a row:
+//!    the predicate columns select, each selected row's join-key cell
+//!    is hashed where it is encoded
+//!    ([`adaptdb_storage::codec::RawColumn::stable_hash`], equal to
+//!    [`adaptdb_common::Value::stable_hash`]), and the other columns
+//!    stay framed but encoded. The task then **spills** one run per
+//!    reducer as genuine DFS blocks through the gather writer the
+//!    repartitioner also uses, which copies cells payload to payload —
+//!    primary replica on the mapper's node, replication from
 //!    [`crate::context::ShuffleOptions`] (1 by default, the
-//!    Spark/MapReduce shuffle-file convention). Runs are written in
-//!    the store's one block format, `ADB2`.
+//!    Spark/MapReduce shuffle-file convention). Writes happen on the
+//!    calling thread in the order a row-at-a-time writer would issue
+//!    them (a partition's block the moment its buffer fills, in row
+//!    arrival order; leftovers at task end in partition order), so run
+//!    ids, bytes and replica draws do not depend on the thread count.
+//!    Runs are written in the store's one block format, `ADB2`. Row
+//!    inputs ([`ShuffleService::spill_rows_observed`]) go through the
+//!    row writer instead.
 //! 2. **Reduce.** Reducers are placed round-robin over the live nodes
 //!    by the scheduler. Each reducer *fetches* its runs through the
 //!    same [`ReadKind`] cost model as everything else: local when a
@@ -48,15 +58,18 @@
 
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use adaptdb_common::{AttrId, BlockId, GlobalBlockId, PredicateSet, Result, Row};
 use adaptdb_dfs::{NodeId, ReadKind, TaskScheduler};
 use adaptdb_storage::writer::BucketId;
-use adaptdb_storage::{FetchStream, PartitionedWriter};
+use adaptdb_storage::{FetchStream, LazyBlock, PartitionedWriter};
 
 use crate::context::ExecContext;
-use crate::scan::read_selected;
+use crate::gather::{GatherWriter, Source};
+use crate::parallel;
+use crate::scan::select_block;
 
 /// Tag bit marking a fetch-stream request as a *right*-side run (the
 /// low bits carry the run's [`BlockId`]); see
@@ -181,19 +194,51 @@ impl<'a> ShuffleService<'a> {
             let dfs = self.ctx.store.dfs();
             TaskScheduler::new(&dfs).map_tasks_by_node(table, blocks)?
         };
+        let keep_rows = collect.is_some();
         let mut side = ShuffledSide::empty(self.partitions);
         for (node, blks) in per_node {
-            let mut mapper = MapTask::new(self, node);
+            let mut reads = Vec::with_capacity(blks.len());
             for b in blks {
-                for row in read_selected(self.ctx, table, b, node, preds)? {
-                    let hash = row.get(attr).stable_hash();
-                    if let Some(c) = collect.as_deref_mut() {
-                        c[(hash % self.partitions as u64) as usize].push(row.clone());
-                    }
-                    mapper.push(hash, row);
+                reads.push(self.ctx.store.read_lazy_classified(table, b, node, self.ctx.clock)?.0);
+            }
+            let mapped = parallel::map_ordered(reads, self.ctx.threads, |lazy| {
+                MappedBlock::map(self, lazy, attr, preds, keep_rows)
+            });
+            let mapped: Vec<MappedBlock> = mapped.into_iter().collect::<Result<_>>()?;
+            // Writes replay the row-at-a-time task's order: stretches of
+            // each block in arrival order, flushing a partition's block
+            // the moment its buffer fills.
+            let mut rows = vec![0usize; self.partitions];
+            let mut writer: Option<GatherWriter<'_>> = None;
+            for m in &mapped {
+                for &(p, start, end) in &m.stretches {
+                    let picked = &m.order[start..end];
+                    rows[p as usize] += picked.len();
+                    let arity = m.source.arity(picked[0]);
+                    writer
+                        .get_or_insert_with(|| {
+                            GatherWriter::new(
+                                self.ctx.store,
+                                &self.scratch,
+                                arity,
+                                self.rows_per_block,
+                                Some(node),
+                            )
+                            .with_replication(Some(self.ctx.shuffle.replication))
+                        })
+                        .push(p, &m.source, picked);
                 }
             }
-            mapper.spill(&mut side)?;
+            let runs = writer.map(GatherWriter::finish);
+            if let Some(c) = collect.as_deref_mut() {
+                for m in mapped {
+                    let mut gathered = m.rows.expect("rows are kept while collecting").into_iter();
+                    for &(p, start, end) in &m.stretches {
+                        c[p as usize].extend(gathered.by_ref().take(end - start));
+                    }
+                }
+            }
+            self.account_task(&mut side, rows, runs)?;
             on_task(&side);
         }
         Ok(side)
@@ -453,6 +498,30 @@ impl<'a> ShuffleService<'a> {
         Ok(back)
     }
 
+    /// Close one map task: add its row histogram to `side`, then charge
+    /// each partition's runs as spilled (in partition order) and append
+    /// them to the side's run lists. `runs` is `None` when the task
+    /// routed no row: no phantom runs.
+    fn account_task(
+        &self,
+        side: &mut ShuffledSide,
+        rows: Vec<usize>,
+        runs: Option<BTreeMap<BucketId, Vec<BlockId>>>,
+    ) -> Result<()> {
+        for (p, n) in rows.iter().enumerate() {
+            side.rows[p] += n;
+        }
+        for (p, blks) in runs.into_iter().flatten() {
+            let mut bytes = 0usize;
+            for &b in &blks {
+                bytes += self.ctx.store.with_block_meta(&self.scratch, b, |m| m.byte_size)?;
+            }
+            self.ctx.clock.record_shuffle_spill(blks.len(), bytes);
+            side.runs[p as usize].extend(blks);
+        }
+        Ok(())
+    }
+
     /// The execution context this shuffle runs under.
     pub(crate) fn ctx(&self) -> ExecContext<'a> {
         self.ctx
@@ -506,25 +575,50 @@ impl<'s, 'a> MapTask<'s, 'a> {
         writer.push(p, row);
     }
 
-    /// Flush the task's runs, charge the spill, and hand the run block
-    /// lists (plus the row histogram) to the side being built.
+    /// Flush the task's runs and account them (see
+    /// [`ShuffleService::account_task`]).
     fn spill(self, side: &mut ShuffledSide) -> Result<()> {
-        for (p, n) in self.rows.iter().enumerate() {
-            side.rows[p] += n;
-        }
-        let Some(writer) = self.writer else {
-            return Ok(()); // Nothing matched on this node: no phantom runs.
-        };
-        for (p, blks) in writer.finish() {
-            let mut bytes = 0usize;
-            for &b in &blks {
-                bytes +=
-                    self.svc.ctx.store.with_block_meta(&self.svc.scratch, b, |m| m.byte_size)?;
+        self.svc.account_task(side, self.rows, self.writer.map(PartitionedWriter::finish))
+    }
+}
+
+/// One stored block on the map side, mapped on the pool: its selected
+/// rows in arrival order, cut into maximal stretches bound for one
+/// partition, over the block's still-encoded columns.
+struct MappedBlock {
+    source: Source,
+    /// Selected row indices, ascending.
+    order: Vec<u32>,
+    /// `(partition, start, end)`: `order[start..end]` goes to
+    /// `partition`; consecutive stretches differ in partition.
+    stretches: Vec<(BucketId, usize, usize)>,
+    /// The selected rows materialized, when the side is collected.
+    rows: Option<Vec<Row>>,
+}
+
+impl MappedBlock {
+    /// Select `lazy`, hash each selected row's join-key cell where it is
+    /// encoded, and frame the block's columns for the gather writer.
+    fn map(
+        svc: &ShuffleService<'_>,
+        lazy: LazyBlock,
+        attr: AttrId,
+        preds: &PredicateSet,
+        keep_rows: bool,
+    ) -> Result<MappedBlock> {
+        let sel = select_block(svc.ctx, &lazy, preds)?;
+        let rows = keep_rows.then(|| lazy.gather_range(0, lazy.row_count(), &sel)).transpose()?;
+        let source = Source::frame(lazy)?;
+        let order: Vec<u32> = sel.iter_ones().map(|i| i as u32).collect();
+        let mut stretches: Vec<(BucketId, usize, usize)> = Vec::new();
+        for (at, &i) in order.iter().enumerate() {
+            let p = (source.stable_hash(attr as usize, i) % svc.partitions as u64) as BucketId;
+            match stretches.last_mut() {
+                Some((q, _, end)) if *q == p => *end = at + 1,
+                _ => stretches.push((p, at, at + 1)),
             }
-            self.svc.ctx.clock.record_shuffle_spill(blks.len(), bytes);
-            side.runs[p as usize].extend(blks);
         }
-        Ok(())
+        Ok(MappedBlock { source, order, stretches, rows })
     }
 }
 
@@ -745,4 +839,186 @@ mod tests {
         drop(dfs);
         svc.cleanup();
     }
+
+    /// The stored-block map side before the column rewrite, kept as the
+    /// reference: per map task, read, select and gather each block's
+    /// rows, hash each row's key value, and push the row through
+    /// [`PartitionedWriter`] (via [`MapTask`]).
+    fn reference_spill(
+        svc: &ShuffleService<'_>,
+        table: &str,
+        blocks: &[BlockId],
+        attr: AttrId,
+        preds: &PredicateSet,
+        on_task: &mut dyn FnMut(&ShuffledSide),
+        mut collect: Option<&mut [Vec<Row>]>,
+    ) -> Result<ShuffledSide> {
+        let per_node = {
+            let dfs = svc.ctx.store.dfs();
+            TaskScheduler::new(&dfs).map_tasks_by_node(table, blocks)?
+        };
+        let mut side = ShuffledSide::empty(svc.partitions);
+        for (node, blks) in per_node {
+            let mut mapper = MapTask::new(svc, node);
+            for b in blks {
+                for row in crate::scan::read_selected(svc.ctx, table, b, node, preds)? {
+                    let hash = row.get(attr).stable_hash();
+                    if let Some(c) = collect.as_deref_mut() {
+                        c[(hash % svc.partitions as u64) as usize].push(row.clone());
+                    }
+                    mapper.push(hash, row);
+                }
+            }
+            mapper.spill(&mut side)?;
+            on_task(&side);
+        }
+        Ok(side)
+    }
+
+    /// A random cell of type `t` (0..5: Int, Double, Str, Date, Bool),
+    /// or of a random type for `t = 5` (a Mixed column).
+    fn random_cell(rng: &mut impl RngExt, t: u32) -> Value {
+        let t = if t == 5 { rng.random_range(0..5u32) } else { t };
+        match t {
+            0 => Value::Int(rng.random_range(-6..7i64)),
+            1 => Value::Double([-0.0, 0.0, f64::NAN, 1.5, -2.5][rng.random_range(0..5usize)]),
+            2 => Value::Str(
+                ["", "a", "b", "h\u{e9}", "\u{1f600}", "zz"][rng.random_range(0..6usize)].into(),
+            ),
+            3 => Value::Date(rng.random_range(-3..4i32)),
+            _ => Value::Bool(rng.random_range(0..2u32) == 1),
+        }
+    }
+
+    /// Every block of `table`: id, bytes, metadata and replica set.
+    fn scratch_snapshot(
+        store: &BlockStore,
+        table: &str,
+    ) -> Vec<(BlockId, Vec<u8>, String, Vec<NodeId>)> {
+        let dfs = store.dfs();
+        store
+            .block_ids(table)
+            .into_iter()
+            .map(|id| {
+                let bytes = store.encoded_block_unaccounted(table, id).unwrap().to_vec();
+                let meta = format!("{:?}", store.block_meta(table, id).unwrap());
+                let gid = GlobalBlockId::new(table, id);
+                (id, bytes, meta, dfs.locate(&gid).unwrap().replicas.clone())
+            })
+            .collect()
+    }
+
+    /// The column map side writes exactly what the row-at-a-time
+    /// reference writes — run bytes, run lists, histograms, placements,
+    /// block ids (so write order), per-task announcements, I/O and
+    /// shuffle tallies, and the collected rows — at spill replication 1
+    /// and 3, with `ADB1` source blocks, with and without collection,
+    /// at every thread count.
+    #[test]
+    fn column_map_side_matches_the_row_reference() {
+        let mut rng = adaptdb_common::rng::seeded(23);
+        let (mut adb1_cases, mut replicated_cases, mut collected_cases) = (0, 0, 0);
+        for case in 0..240u64 {
+            let cols = rng.random_range(1..5usize);
+            let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..6u32)).collect();
+            let attr = rng.random_range(0..cols) as AttrId;
+            let rows_per_block = rng.random_range(1..7usize);
+            let partitions = rng.random_range(1..6usize);
+            let replication = if case % 2 == 0 { 1 } else { 3 };
+            let collect = case % 3 == 0;
+            let threads = 1 + (case % 3) as usize;
+            let mut script: Vec<(Vec<Row>, Option<NodeId>)> = Vec::new();
+            let mut adb1 = false;
+            for _ in 0..rng.random_range(1..8usize) {
+                let n = rng.random_range(0..14usize);
+                let mut rows: Vec<Row> = (0..n)
+                    .map(|_| Row::new(types.iter().map(|&t| random_cell(&mut rng, t)).collect()))
+                    .collect();
+                if n > 1 && rng.random_range(0..6u32) == 0 {
+                    // Ragged rows: stored as an `ADB1` block.
+                    rows[0] = Row::new(vec![Value::Int(0); cols + 1]);
+                    adb1 = true;
+                }
+                let node = (rng.random_range(0..3u32) > 0).then(|| rng.random_range(0..4u16));
+                script.push((rows, node));
+            }
+            let mut preds = PredicateSet::none();
+            for _ in 0..rng.random_range(0..3usize) {
+                let op = [CmpOp::Lt, CmpOp::Le, CmpOp::Eq, CmpOp::Ge, CmpOp::Gt]
+                    [rng.random_range(0..5usize)];
+                let a = rng.random_range(0..cols) as AttrId;
+                let t = types[a as usize];
+                preds = preds.and(Predicate::new(a, op, random_cell(&mut rng, t)));
+            }
+            adb1_cases += usize::from(adb1);
+            replicated_cases += usize::from(replication > 1);
+            collected_cases += usize::from(collect);
+            let run = |column: bool| {
+                let store = BlockStore::new(4, 1 + (case % 3) as usize, case);
+                let blocks: Vec<BlockId> = script
+                    .iter()
+                    .map(|(rows, node)| store.write_block("t", rows.clone(), cols, *node))
+                    .collect();
+                let clock = SimClock::new();
+                let ctx = ExecContext::new(&store, &clock, threads).with_shuffle(
+                    crate::context::ShuffleOptions {
+                        partitions: None,
+                        replication,
+                        split_threshold: None,
+                    },
+                );
+                let svc = ShuffleService::new(ctx, partitions, rows_per_block, "t").unwrap();
+                let mut tasks = Vec::new();
+                let mut on_task = |s: &ShuffledSide| tasks.push((s.runs.clone(), s.rows.clone()));
+                let mut collected = collect.then(|| vec![Vec::new(); partitions]);
+                let side = if column {
+                    svc.spill_blocks_collecting(
+                        "t",
+                        &blocks,
+                        attr,
+                        &preds,
+                        &mut on_task,
+                        collected.as_deref_mut(),
+                    )
+                } else {
+                    reference_spill(
+                        &svc,
+                        "t",
+                        &blocks,
+                        attr,
+                        &preds,
+                        &mut on_task,
+                        collected.as_deref_mut(),
+                    )
+                }
+                .unwrap();
+                let written = scratch_snapshot(&store, svc.scratch_table());
+                (
+                    side.runs,
+                    side.rows,
+                    tasks,
+                    collected,
+                    written,
+                    clock.snapshot(),
+                    clock.shuffle_snapshot(),
+                )
+            };
+            let want = run(false);
+            let got = run(true);
+            assert_eq!(got.0, want.0, "case {case}: runs");
+            assert_eq!(got.1, want.1, "case {case}: histogram");
+            assert_eq!(got.2, want.2, "case {case}: per-task announcements");
+            assert_eq!(got.3, want.3, "case {case}: collected rows");
+            assert_eq!(got.4.len(), want.4.len(), "case {case}: run block count");
+            for (g, w) in got.4.iter().zip(&want.4) {
+                assert_eq!(g, w, "case {case}: run block {}", w.0);
+            }
+            assert_eq!(got.5, want.5, "case {case}: io");
+            assert_eq!(got.6, want.6, "case {case}: shuffle tallies");
+        }
+        assert!(adb1_cases > 20 && replicated_cases > 20 && collected_cases > 20);
+    }
+
+    use adaptdb_common::Value;
+    use rand::RngExt;
 }

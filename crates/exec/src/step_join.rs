@@ -9,12 +9,14 @@
 //! (spill + re-read), the stored side is read once per group through its
 //! hyper-join schedule, and nothing else moves. Stored build blocks are
 //! read late-materialising, like every filtered block read: the
-//! predicate columns select, and only surviving rows are gathered.
+//! predicate columns select, and only surviving rows are gathered. An
+//! intermediate row is moved, not copied, into the last group whose
+//! range holds its key and into its last output row.
 
 use adaptdb_common::{AttrId, BlockId, PredicateSet, Result, Row, ValueRange};
 
 use crate::context::ExecContext;
-use crate::hash_table::JoinHashTable;
+use crate::hash_table::{join_into, JoinHashTable};
 use crate::parallel;
 use crate::scan::read_selected;
 
@@ -52,16 +54,19 @@ pub fn hyper_step_join(
         ctx.clock.record_read(adaptdb_dfs::ReadKind::Local);
     }
     // Route intermediate rows to groups by range. A probe row may fall
-    // into several groups when ranges overlap; build rows live in
-    // exactly one group, so no duplicate outputs arise.
+    // into several groups when ranges overlap (it is copied into all
+    // but the last of them and moved into that one); build rows live
+    // in exactly one group, so no duplicate outputs arise.
     let mut routed: Vec<Vec<Row>> = vec![Vec::new(); groups.len()];
     for row in intermediate {
         let key = row.get(intermediate_attr);
-        for (g, group) in groups.iter().enumerate() {
+        let Some(last) = groups.iter().rposition(|g| g.range.contains(key)) else { continue };
+        for (g, group) in groups[..last].iter().enumerate() {
             if group.range.contains(key) {
                 routed[g].push(row.clone());
             }
         }
+        routed[last].push(row);
     }
     let tasks: Vec<(StepGroup, Vec<Row>)> = groups.into_iter().zip(routed).collect();
     let results = parallel::map_ordered(tasks, ctx.threads, |(group, probes)| {
@@ -98,9 +103,8 @@ fn run_group(
     }
     let mut out = Vec::new();
     for probe in probes {
-        for build in ht.probe(probe.get(intermediate_attr)) {
-            out.push(probe.concat(build));
-        }
+        let matches = ht.probe(probe.get(intermediate_attr));
+        join_into(&mut out, probe, matches, true);
     }
     Ok(out)
 }

@@ -63,7 +63,9 @@
 
 use std::sync::Arc;
 
-use adaptdb_common::{BlockId, CmpOp, ColumnVec, Error, Result, Row, Value, ValueRange, ValueType};
+use adaptdb_common::{
+    stable_hash_bytes, BlockId, CmpOp, ColumnVec, Error, Result, Row, Value, ValueRange, ValueType,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::block::{widen, Block, BlockMeta, Zone};
@@ -936,6 +938,18 @@ impl RawColumn {
         (self.tag, &self.payload[i * width..(i + 1) * width])
     }
 
+    /// [`Value::stable_hash`] of cell `i`, hashed from its encoded
+    /// bytes: no value (in particular no `String`) is built.
+    #[inline]
+    pub fn stable_hash(&self, i: usize) -> u64 {
+        let (tag, c) = self.cell(i);
+        match tag {
+            2 => stable_hash_bytes(ValueType::Str, &c[4..]),
+            4 => stable_hash_bytes(ValueType::Bool, &[(c[0] != 0) as u8]),
+            t => stable_hash_bytes(tag_type(t), c),
+        }
+    }
+
     /// Cell `i` decoded to a [`Value`].
     pub fn value(&self, i: usize) -> Value {
         let (tag, c) = self.cell(i);
@@ -1695,6 +1709,46 @@ mod tests {
             let want = reference_meta(&block, arity);
             assert_eq!(format!("{meta:?}"), format!("{want:?}"), "meta of {block:?}");
         }
+    }
+
+    /// The encoded-cell hash equals `Value::stable_hash` cell for cell,
+    /// for every column type (`Mixed` included), NaN and signed-zero
+    /// doubles, and empty or multi-byte strings.
+    #[test]
+    fn raw_cell_hash_equals_value_hash() {
+        let mut rng = adaptdb_common::rng::seeded(13);
+        let mut tags = [0usize; 256];
+        for case in 0..2000u32 {
+            let block = random_block(&mut rng, case);
+            let lazy = LazyBlock::parse(encode_block_columnar(&block)).unwrap();
+            let Some(cols) = lazy.raw_columns().unwrap() else { continue };
+            for (a, col) in cols.iter().enumerate() {
+                tags[col.tag as usize] += 1;
+                for (i, row) in block.rows.iter().enumerate() {
+                    let v = row.get(a as adaptdb_common::AttrId);
+                    assert_eq!(col.stable_hash(i), v.stable_hash(), "case {case} {v:?}");
+                }
+            }
+        }
+        for tag in [0, 1, 2, 3, 4, COL_TAG_MIXED] {
+            assert!(tags[tag as usize] > 50, "tag {tag} exercised {} times", tags[tag as usize]);
+        }
+        // The specials, one typed column each.
+        let specials = [
+            Value::Double(0.0),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Double(-f64::NAN),
+            Value::Str(String::new()),
+            Value::Str("h\u{e9}\u{1f600}".into()),
+        ];
+        for v in specials {
+            let block = Block::new(0, vec![Row::new(vec![v.clone()])]);
+            let lazy = LazyBlock::parse(encode_block_columnar(&block)).unwrap();
+            let col = &lazy.raw_columns().unwrap().unwrap()[0];
+            assert_eq!(col.stable_hash(0), v.stable_hash(), "{v:?}");
+        }
+        assert_ne!(Value::Double(0.0).stable_hash(), Value::Double(-0.0).stable_hash());
     }
 
     use adaptdb_common::{ColumnVec, Row, Value};

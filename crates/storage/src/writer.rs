@@ -16,9 +16,11 @@
 //! block boundaries, ids, and metadata do not depend on the wire
 //! format (`ADB2`, or `ADB1` restored from an older journal).
 //!
-//! This writer buffers rows. The repartitioner keeps the same flush
-//! discipline over column slices instead (`exec::repartition`), so
-//! migrating blocks never turns cells back into rows.
+//! This writer buffers rows; the upfront load and the shuffle of row
+//! inputs use it. The repartitioner and the shuffle map side over
+//! stored blocks keep the same flush discipline over column slices
+//! instead (the gather writer in `adaptdb-exec`), so routing stored
+//! blocks never turns cells back into rows.
 
 use std::collections::BTreeMap;
 

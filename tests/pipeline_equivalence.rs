@@ -156,7 +156,7 @@ fn failed_node_fetch_failover_mid_stream() {
         let mut rows = Vec::new();
         for mut stream in streams {
             let (l, r) = svc.drain_partition(&mut stream).unwrap();
-            rows.extend(adaptdb_exec::hash_join_rows(l, &r, 0, 0));
+            rows.extend(adaptdb_exec::hash_join_rows(l, r, 0, 0));
         }
         let sh = clock.shuffle_snapshot();
         svc.cleanup();

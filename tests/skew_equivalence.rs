@@ -49,7 +49,7 @@ fn in_process_reference(
     let rp = read_side(right);
     let mut out = Vec::new();
     for (l, r) in lp.into_iter().zip(rp) {
-        out.extend(hash_join_rows(l, &r, 0, 0));
+        out.extend(hash_join_rows(l, r, 0, 0));
     }
     out
 }
