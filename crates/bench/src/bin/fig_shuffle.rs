@@ -234,7 +234,7 @@ fn table_rows(cells: &[Cell]) -> Vec<Vec<String>> {
 
 fn main() {
     let (opts, _) = parse_args();
-    let trace_on = opts.trace_out.is_some() || DbConfig::env_trace();
+    let trace_on = opts.trace_out.is_some() || DbConfig::default().trace;
     let node_counts: &[usize] = if opts.quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let replications: &[usize] = if opts.quick { &[1, 4] } else { &[1, 2, 4] };
     let windows: &[usize] = if opts.quick { &[1, 4] } else { &[1, 2, 4, 8] };

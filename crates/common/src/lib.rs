@@ -78,7 +78,6 @@ pub use row::Row;
 pub use schema::{AttrId, Field, Schema};
 pub use stats::{CacheStats, IngestStats, IoStats, OverlapStats, QueryStats, ShuffleStats};
 pub use telemetry::{
-    chrome_trace_json, AttrValue, Histogram, Journal, JournalEvent, MetricsRegistry, Span, SpanId,
-    Trace, Tracer,
+    chrome_trace_json, AttrValue, Histogram, Journal, JournalEvent, Span, SpanId, Trace, Tracer,
 };
 pub use value::{stable_hash_bytes, Value, ValueType};

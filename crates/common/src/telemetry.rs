@@ -16,7 +16,6 @@
 //!   `count`/`sum`/`min`/`max` (so means stay exact) and bucketed
 //!   quantiles at O(log range) memory, replacing sorted-`Vec`
 //!   percentile math in the server and bench paths.
-//! * [`MetricsRegistry`] — named counters, gauges, and histograms.
 //! * Exporters — [`chrome_trace_json`] renders traces in the Chrome
 //!   trace-event format (loadable in `chrome://tracing` / Perfetto),
 //!   and [`Journal`] accumulates JSON-lines events for maintenance /
@@ -191,113 +190,6 @@ impl Histogram {
         for (&idx, &n) in &other.buckets {
             *self.buckets.entry(idx).or_insert(0) += n;
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Metrics registry
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-/// A thread-safe registry of named counters, gauges, and histograms.
-///
-/// Names are free-form dotted paths (`"shuffle.spill_blocks"`). The
-/// registry is deliberately schemaless: subsystems register nothing up
-/// front, they just record, and [`MetricsRegistry::snapshot`] returns a
-/// deterministic (name-sorted) view.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
-}
-
-/// A point-in-time copy of a [`MetricsRegistry`], sorted by name.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    /// Monotone counters, by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Last-write or max-tracked gauges, by name.
-    pub gauges: BTreeMap<String, f64>,
-    /// Histograms, by name.
-    pub histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        MetricsRegistry::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Add `n` to the counter `name` (creating it at 0).
-    pub fn counter_add(&self, name: &str, n: u64) {
-        let mut g = self.lock();
-        *g.counters.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Set the gauge `name` to `v`.
-    pub fn gauge_set(&self, name: &str, v: f64) {
-        let mut g = self.lock();
-        g.gauges.insert(name.to_string(), v);
-    }
-
-    /// Raise the gauge `name` to `v` if `v` is larger (high-water mark).
-    pub fn gauge_max(&self, name: &str, v: f64) {
-        let mut g = self.lock();
-        let e = g.gauges.entry(name.to_string()).or_insert(f64::NEG_INFINITY);
-        if v > *e {
-            *e = v;
-        }
-    }
-
-    /// Record one sample into the histogram `name`.
-    pub fn observe(&self, name: &str, v: f64) {
-        let mut g = self.lock();
-        g.histograms.entry(name.to_string()).or_default().record(v);
-    }
-
-    /// Copy out the current state, sorted by name.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = self.lock();
-        MetricsSnapshot {
-            counters: g.counters.clone(),
-            gauges: g.gauges.clone(),
-            histograms: g.histograms.clone(),
-        }
-    }
-}
-
-impl MetricsSnapshot {
-    /// Render as aligned `name value` lines (counters, then gauges,
-    /// then histograms as `count/mean/p50/p95/p99/max`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            out.push_str(&format!("counter {k} {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            out.push_str(&format!("gauge {k} {}\n", fmt_f64(*v)));
-        }
-        for (k, h) in &self.histograms {
-            out.push_str(&format!(
-                "hist {k} count={} mean={} p50={} p95={} p99={} max={}\n",
-                h.count(),
-                fmt_f64(h.mean()),
-                fmt_f64(h.quantile(0.50)),
-                fmt_f64(h.quantile(0.95)),
-                fmt_f64(h.quantile(0.99)),
-                fmt_f64(h.max()),
-            ));
-        }
-        out
     }
 }
 
@@ -729,21 +621,6 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, both);
-    }
-
-    #[test]
-    fn registry_round_trip() {
-        let r = MetricsRegistry::new();
-        r.counter_add("q.count", 2);
-        r.counter_add("q.count", 3);
-        r.gauge_max("mem.peak", 4.0);
-        r.gauge_max("mem.peak", 2.0);
-        r.observe("lat", 10.0);
-        let s = r.snapshot();
-        assert_eq!(s.counters["q.count"], 5);
-        assert_eq!(s.gauges["mem.peak"], 4.0);
-        assert_eq!(s.histograms["lat"].count(), 1);
-        assert!(s.render().contains("counter q.count 5"));
     }
 
     #[test]

@@ -24,12 +24,10 @@ pub enum Mode {
     Fixed,
 }
 
-/// Admission-scheduling policy of the serving runtime — which
-/// `Scheduler` implementation `crates/server` feeds the worker pool
-/// through. Selectable per server via `ServerOptions::sched`, per
-/// process via the `ADAPTDB_SCHED` environment variable
-/// (`fifo` | `lanes` | `fair`), defaulting to FIFO (the pre-scheduler
-/// behavior).
+/// Admission-scheduling policy of the serving runtime: how the one
+/// admission queue in `crates/server` assigns each job a
+/// `(queue, session)` slot. Selectable per server via
+/// `ServerOptions::sched`, defaulting to FIFO.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
     /// One FIFO queue, no lanes: every admitted query runs in arrival
@@ -37,8 +35,8 @@ pub enum SchedPolicy {
     #[default]
     Fifo,
     /// Priority lanes (interactive > batch > maintenance) with
-    /// cost-based classification, per-lane capacity, and deadline
-    /// promotion.
+    /// cost-based classification, per-lane capacity, deadline
+    /// promotion, and a maintenance starvation cap.
     Lanes,
     /// The same lane priority, with deficit-weighted round-robin
     /// across sessions (fair share) inside each lane.
@@ -46,17 +44,6 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// Parse the `ADAPTDB_SCHED` spelling: `fifo`, `lanes`, `fair`
-    /// (case-insensitive).
-    pub fn parse(s: &str) -> Option<SchedPolicy> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "fifo" => Some(SchedPolicy::Fifo),
-            "lanes" => Some(SchedPolicy::Lanes),
-            "fair" => Some(SchedPolicy::Fair),
-            _ => None,
-        }
-    }
-
     /// Stable lower-case name (`"fifo"`, `"lanes"`, `"fair"`).
     pub fn name(self) -> &'static str {
         match self {
@@ -117,9 +104,11 @@ pub struct DbConfig {
     /// the overflow to scratch and recursively repartitions it
     /// (Grace-style), falling back to block-nested-loop at the
     /// recursion cap. `None` (the default) is unbounded — the
-    /// pre-budget join, bit-identical block counts. Defaults honor the
-    /// `ADAPTDB_JOIN_MEM` environment variable; see
-    /// [`DbConfig::env_join_mem`].
+    /// pre-budget join, bit-identical block counts. Unlike the other
+    /// overrides, changing it changes the I/O *plan* (budgeted builds
+    /// spill and re-read overflow), but never a query's rows. Defaults
+    /// honor the `ADAPTDB_JOIN_MEM` environment variable (a positive
+    /// integer).
     pub join_mem_budget_blocks: Option<usize>,
     /// Depth of the fetch streams every scan, hyper-join probe leg, and
     /// shuffle reducer reads through: up to this many block reads
@@ -127,15 +116,14 @@ pub struct DbConfig {
     /// breakdown. `1` is a one-deep stream that reads one block at a
     /// time, when it is needed — serial I/O, hiding nothing. Block
     /// *counts*, rows, and row order are the same at every setting.
-    /// Defaults honor the `ADAPTDB_FETCH_WINDOW` environment variable;
-    /// see [`DbConfig::env_fetch_window`].
+    /// Defaults honor the `ADAPTDB_FETCH_WINDOW` environment variable
+    /// (a positive integer).
     pub fetch_window: usize,
     /// Admission-scheduling policy the server runs
     /// ([`SchedPolicy::Fifo`] | [`SchedPolicy::Lanes`] |
     /// [`SchedPolicy::Fair`]). Pure scheduling: never changes any
-    /// query's result, only the order work is admitted in. Defaults
-    /// honor the `ADAPTDB_SCHED` environment variable; see
-    /// [`DbConfig::env_sched`].
+    /// query's result, only the order work is admitted in. Defaults to
+    /// [`SchedPolicy::Fifo`].
     pub sched: SchedPolicy,
     /// Cost-classification threshold: a query whose cheap estimate
     /// ([`crate::cost::estimate_query`]) projects at least this many
@@ -166,7 +154,7 @@ pub struct DbConfig {
     /// ranges split into cache-sized morsels dispatched through the
     /// ordered parallel executor (deterministic output order at any
     /// thread count). Defaults honor the `ADAPTDB_MORSEL_ROWS`
-    /// environment variable; see [`DbConfig::env_morsel_rows`].
+    /// environment variable (a positive integer).
     pub morsel_rows: usize,
     /// Query-lifecycle tracing: when on, every query run through
     /// [`crate::Database`] or the server collects a span tree
@@ -175,15 +163,15 @@ pub struct DbConfig {
     /// is observational only — it never charges a clock, so every
     /// stat, block count, and result is bit-identical with it off
     /// (the default). Defaults honor the `ADAPTDB_TRACE` environment
-    /// variable; see [`DbConfig::env_trace`].
+    /// variable (`1`/`true`/`on` or `0`/`false`/`off`).
     pub trace: bool,
     /// Delta-fold threshold for the ingest path: once a table has
     /// accumulated at least this many unfolded delta blocks, the next
     /// adaptation pass folds them into the partition tree (a
     /// repartition of just the deltas, costed on the maintenance
     /// clock). Smaller = tighter query plans, more background I/O.
-    /// Defaults honor the `ADAPTDB_INGEST_FOLD` environment variable;
-    /// see [`DbConfig::env_ingest_fold`].
+    /// Defaults honor the `ADAPTDB_INGEST_FOLD` environment variable
+    /// (a positive integer).
     pub ingest_fold_blocks: usize,
     /// Merge appended rows into a partial delta tail block instead of
     /// always opening a new block: the tail is read back (charged),
@@ -200,8 +188,7 @@ pub struct DbConfig {
     /// local/remote I/O tallies — so rows *and* every non-cache counter
     /// are bit-identical with the cache off. `0` (the default) disables
     /// caching entirely: today's exact behavior. Defaults honor the
-    /// `ADAPTDB_CACHE` environment variable; see
-    /// [`DbConfig::env_cache`].
+    /// `ADAPTDB_CACHE` environment variable (a non-negative integer).
     pub cache_blocks_per_node: usize,
     /// Durable-journal directory: when set, every block write/remove
     /// and every committed catalog snapshot is logged to a write-ahead
@@ -209,16 +196,17 @@ pub struct DbConfig {
     /// [`crate::Database::open_durable`] can recover the last committed
     /// snapshot after a crash. `None` (the default) keeps the purely
     /// in-memory `SimDfs`. Defaults honor the `ADAPTDB_DURABLE_PATH`
-    /// environment variable; see [`DbConfig::env_durable_path`].
+    /// environment variable (a non-empty path).
     pub durable_path: Option<String>,
     /// Cost model for simulated seconds and plan comparison.
     pub cost: CostParams,
     /// System variant.
     pub mode: Mode,
     /// Worker threads for execution (scan/join fan-out and, in the
-    /// server, the client-facing executor pool). Defaults honor the
-    /// `ADAPTDB_THREADS` environment variable; see
-    /// [`DbConfig::env_threads`].
+    /// server, the client-facing executor pool). Row order is
+    /// thread-count-invariant, so this only changes wall-clock
+    /// parallelism. Defaults honor the `ADAPTDB_THREADS` environment
+    /// variable (a positive integer).
     pub threads: usize,
     /// Master seed; all randomness derives from it.
     pub seed: u64,
@@ -239,106 +227,62 @@ impl Default for DbConfig {
             shuffle_partitions: None,
             shuffle_replication: 1,
             shuffle_split_threshold: Some(4.0),
-            join_mem_budget_blocks: DbConfig::env_join_mem(),
-            fetch_window: DbConfig::env_fetch_window().unwrap_or(4),
-            sched: DbConfig::env_sched().unwrap_or_default(),
+            join_mem_budget_blocks: env_override("ADAPTDB_JOIN_MEM", positive),
+            fetch_window: env_override("ADAPTDB_FETCH_WINDOW", positive).unwrap_or(4),
+            sched: SchedPolicy::Fifo,
             batch_cost_blocks: 64,
             maint_pace_wait_ms: 5.0,
             fetch_pace_wait_ms: None,
             columnar: false,
-            morsel_rows: DbConfig::env_morsel_rows().unwrap_or(adaptdb_exec::DEFAULT_MORSEL_ROWS),
-            trace: DbConfig::env_trace(),
-            ingest_fold_blocks: DbConfig::env_ingest_fold().unwrap_or(8),
+            morsel_rows: env_override("ADAPTDB_MORSEL_ROWS", positive)
+                .unwrap_or(adaptdb_exec::DEFAULT_MORSEL_ROWS),
+            trace: env_override("ADAPTDB_TRACE", switch).unwrap_or(false),
+            ingest_fold_blocks: env_override("ADAPTDB_INGEST_FOLD", positive).unwrap_or(8),
             ingest_merge_tail: true,
-            cache_blocks_per_node: DbConfig::env_cache().unwrap_or(0),
-            durable_path: DbConfig::env_durable_path(),
+            cache_blocks_per_node: env_override("ADAPTDB_CACHE", |v| v.parse().ok()).unwrap_or(0),
+            durable_path: env_override("ADAPTDB_DURABLE_PATH", |v| {
+                (!v.is_empty()).then(|| v.to_string())
+            }),
             cost: CostParams::default(),
             mode: Mode::Adaptive,
-            threads: DbConfig::env_threads().unwrap_or(2),
+            threads: env_override("ADAPTDB_THREADS", positive).unwrap_or(2),
             seed: 42,
         }
     }
 }
 
+/// The `var` environment override: `None` when unset, else the value
+/// `parse` reads from it (trimmed). A value `parse` rejects — malformed
+/// or out of range — panics with the variable and the value, so a typo
+/// never silently falls back to the default.
+fn env_override<T>(var: &str, parse: fn(&str) -> Option<T>) -> Option<T> {
+    let raw = match std::env::var(var) {
+        Ok(raw) => raw,
+        Err(std::env::VarError::NotPresent) => return None,
+        Err(std::env::VarError::NotUnicode(raw)) => panic!("{var}={raw:?} is not valid UTF-8"),
+    };
+    Some(parse_override(var, &raw, parse).unwrap_or_else(|msg| panic!("{msg}")))
+}
+
+/// The pure half of [`env_override`]: `raw` parsed, or a message naming
+/// `var` and `raw`.
+fn parse_override<T>(var: &str, raw: &str, parse: fn(&str) -> Option<T>) -> Result<T, String> {
+    parse(raw.trim()).ok_or_else(|| format!("malformed environment override {var}={raw:?}"))
+}
+
+fn positive(v: &str) -> Option<usize> {
+    v.parse().ok().filter(|n| *n > 0)
+}
+
+fn switch(v: &str) -> Option<bool> {
+    match v.to_ascii_lowercase().as_str() {
+        "1" | "true" | "on" => Some(true),
+        "0" | "false" | "off" => Some(false),
+        _ => None,
+    }
+}
+
 impl DbConfig {
-    /// The `ADAPTDB_THREADS` override, if set to a positive integer.
-    /// Row order is thread-count-invariant (the executor merges in
-    /// input order), so this only changes wall-clock parallelism —
-    /// call sites should use this instead of hard-coding counts.
-    pub fn env_threads() -> Option<usize> {
-        std::env::var("ADAPTDB_THREADS").ok()?.trim().parse::<usize>().ok().filter(|t| *t > 0)
-    }
-
-    /// The `ADAPTDB_FETCH_WINDOW` override, if set to a positive
-    /// integer: the in-flight depth of pipelined block fetches
-    /// (`1` = serial I/O). Like `ADAPTDB_THREADS`, this never changes
-    /// results or block counts — only how much fetch latency overlaps.
-    pub fn env_fetch_window() -> Option<usize> {
-        std::env::var("ADAPTDB_FETCH_WINDOW").ok()?.trim().parse::<usize>().ok().filter(|w| *w > 0)
-    }
-
-    /// The `ADAPTDB_JOIN_MEM` override, if set to a positive integer:
-    /// the per-reducer build-memory budget in blocks. Unlike the other
-    /// overrides this changes the I/O *plan* (budgeted builds spill and
-    /// re-read overflow), but never a query's rows.
-    pub fn env_join_mem() -> Option<usize> {
-        std::env::var("ADAPTDB_JOIN_MEM").ok()?.trim().parse::<usize>().ok().filter(|b| *b > 0)
-    }
-
-    /// The `ADAPTDB_SCHED` override, if set to a recognized policy
-    /// name (`fifo` | `lanes` | `fair`). Like the other overrides this
-    /// never changes results — only the order queries are admitted in.
-    pub fn env_sched() -> Option<SchedPolicy> {
-        SchedPolicy::parse(&std::env::var("ADAPTDB_SCHED").ok()?)
-    }
-
-    /// The `ADAPTDB_MORSEL_ROWS` override, if set to a positive
-    /// integer: the morsel size (in rows) for scan gathers. Like
-    /// `ADAPTDB_THREADS`, this never changes results — morsels
-    /// reassemble in input order.
-    pub fn env_morsel_rows() -> Option<usize> {
-        std::env::var("ADAPTDB_MORSEL_ROWS").ok()?.trim().parse::<usize>().ok().filter(|m| *m > 0)
-    }
-
-    /// The `ADAPTDB_TRACE` override: `1` / `true` / `on` enables
-    /// query-lifecycle tracing (anything else, or unset, leaves it
-    /// off). Tracing never changes results, counts, or simulated
-    /// costs — it only collects span trees.
-    pub fn env_trace() -> bool {
-        matches!(
-            std::env::var("ADAPTDB_TRACE").map(|v| v.trim().to_ascii_lowercase()).as_deref(),
-            Ok("1") | Ok("true") | Ok("on")
-        )
-    }
-
-    /// The `ADAPTDB_INGEST_FOLD` override, if set to a positive
-    /// integer: the delta-block count at which the next adaptation
-    /// pass folds a table's deltas into its partition tree. Changes
-    /// *when* background fold I/O happens, never any query's rows.
-    pub fn env_ingest_fold() -> Option<usize> {
-        std::env::var("ADAPTDB_INGEST_FOLD").ok()?.trim().parse::<usize>().ok().filter(|n| *n > 0)
-    }
-
-    /// The `ADAPTDB_CACHE` override, if set to a non-negative integer:
-    /// the per-node block-cache budget in blocks (`0` = off). Caching
-    /// never changes a query's rows, and hits land on the dedicated
-    /// cache breakdown — the local/remote I/O tallies are identical at
-    /// every setting.
-    pub fn env_cache() -> Option<usize> {
-        std::env::var("ADAPTDB_CACHE").ok()?.trim().parse::<usize>().ok()
-    }
-
-    /// The `ADAPTDB_DURABLE_PATH` override, if set to a non-empty
-    /// path: the directory the write-ahead manifest journal lives in.
-    /// Purely a durability feature — results and simulated costs are
-    /// identical with it unset.
-    pub fn env_durable_path() -> Option<String> {
-        std::env::var("ADAPTDB_DURABLE_PATH")
-            .ok()
-            .map(|p| p.trim().to_string())
-            .filter(|p| !p.is_empty())
-    }
-
     /// A small configuration suited to unit tests and doc examples:
     /// 4 nodes, no replication, tiny blocks.
     pub fn small() -> Self {
@@ -347,7 +291,7 @@ impl DbConfig {
             replication: 1,
             rows_per_block: 16,
             buffer_blocks: 2,
-            threads: DbConfig::env_threads().unwrap_or(1),
+            threads: env_override("ADAPTDB_THREADS", positive).unwrap_or(1),
             ..DbConfig::default()
         }
     }
@@ -442,15 +386,11 @@ mod tests {
     }
 
     #[test]
-    fn sched_policy_parse_and_defaults() {
-        assert_eq!(SchedPolicy::parse("fifo"), Some(SchedPolicy::Fifo));
-        assert_eq!(SchedPolicy::parse(" LANES "), Some(SchedPolicy::Lanes));
-        assert_eq!(SchedPolicy::parse("fair"), Some(SchedPolicy::Fair));
-        assert_eq!(SchedPolicy::parse("priority"), None);
+    fn sched_policy_names_and_defaults() {
+        assert_eq!(SchedPolicy::Fifo.to_string(), "fifo");
+        assert_eq!(SchedPolicy::Lanes.to_string(), "lanes");
         assert_eq!(SchedPolicy::Fair.to_string(), "fair");
-        if std::env::var("ADAPTDB_SCHED").is_err() {
-            assert_eq!(DbConfig::default().sched, SchedPolicy::Fifo);
-        }
+        assert_eq!(DbConfig::default().sched, SchedPolicy::Fifo);
         let c = DbConfig::default();
         assert!(c.batch_cost_blocks > 0);
         assert!(c.maint_pace_wait_ms > 0.0);
@@ -500,5 +440,23 @@ mod tests {
         }
         let serial = DbConfig { fetch_window: 1, ..DbConfig::small() };
         assert_eq!(serial.fetch_window, 1);
+    }
+
+    #[test]
+    fn env_overrides_parse_or_name_the_bad_value() {
+        assert_eq!(parse_override("ADAPTDB_THREADS", " 4 ", positive), Ok(4));
+        for bad in ["abc", "0", "-1", "", "4x"] {
+            let err = parse_override("ADAPTDB_THREADS", bad, positive).unwrap_err();
+            assert!(err.contains("ADAPTDB_THREADS") && err.contains(&format!("{bad:?}")), "{err}");
+        }
+        for (raw, on) in [("1", true), ("TRUE", true), (" on ", true), ("0", false)] {
+            assert_eq!(parse_override("ADAPTDB_TRACE", raw, switch), Ok(on), "{raw}");
+        }
+        assert_eq!(parse_override("ADAPTDB_TRACE", "False", switch), Ok(false));
+        assert_eq!(parse_override("ADAPTDB_TRACE", "off", switch), Ok(false));
+        for bad in ["yes", "2", ""] {
+            let err = parse_override("ADAPTDB_TRACE", bad, switch).unwrap_err();
+            assert!(err.contains("ADAPTDB_TRACE") && err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 }

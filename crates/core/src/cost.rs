@@ -37,8 +37,9 @@ pub enum Lane {
     /// reach [`DbConfig::batch_cost_blocks`].
     Batch,
     /// Background work explicitly tagged by the submitter (never
-    /// auto-classified). Lowest priority: runs only when the other
-    /// lanes are empty.
+    /// auto-classified). Lowest priority: under the lane policies it
+    /// runs when the other lanes are empty, or when the maintenance
+    /// starvation cap forces a turn.
     Maintenance,
 }
 

@@ -562,6 +562,7 @@ impl Database {
     pub fn run(&mut self, query: &Query) -> Result<QueryResult> {
         let started = Instant::now();
         let unaccounted_before = self.store.unaccounted_reads();
+        readpath::check_attrs(self, query)?;
         self.record_observation(query)?;
 
         let tracer = self.config.trace.then(adaptdb_common::Tracer::new);

@@ -38,6 +38,45 @@ pub trait SnapshotSource {
     fn snapshot(&self, table: &str) -> Result<Arc<TableSnapshot>>;
 }
 
+/// Check that every attribute `query` names lies inside its table's
+/// schema: predicate attributes, join attributes, and each multi-join
+/// step's attribute into the accumulated output (the concatenated
+/// columns of every table joined before it). A bad index is an
+/// [`Error::Plan`] here, before observation, cost estimate, or
+/// execution see it. Tables the source does not know are left for
+/// execution to report as [`Error::UnknownTable`].
+pub fn check_attrs<S: SnapshotSource>(src: &S, query: &Query) -> Result<()> {
+    let width = |table: &str| src.snapshot(table).ok().map(|s| s.schema.len());
+    let check = |what: &str, table: &str, attr: AttrId, width: Option<usize>| match width {
+        Some(w) if usize::from(attr) >= w => Err(Error::Plan(format!(
+            "{what} attribute {attr} out of range for {table} ({w} columns)"
+        ))),
+        _ => Ok(()),
+    };
+    for scan in query.scans() {
+        let w = width(&scan.table);
+        for p in scan.predicates.predicates() {
+            check("predicate", &scan.table, p.attr, w)?;
+        }
+    }
+    let (first, steps) = match query {
+        Query::Scan(_) => return Ok(()),
+        Query::Join(j) => (j, &[][..]),
+        Query::MultiJoin { first, steps } => (first, &steps[..]),
+    };
+    let (lw, rw) = (width(&first.left.table), width(&first.right.table));
+    check("join", &first.left.table, first.left_attr, lw)?;
+    check("join", &first.right.table, first.right_attr, rw)?;
+    let mut joined = lw.zip(rw).map(|(l, r)| l + r);
+    for step in steps {
+        let w = width(&step.table.table);
+        check("join", &step.table.table, step.table_attr, w)?;
+        check("intermediate join", "the joined output", step.intermediate_attr, joined)?;
+        joined = joined.zip(w).map(|(j, w)| j + w);
+    }
+    Ok(())
+}
+
 fn exec_ctx<'a, S: SnapshotSource>(
     src: &'a S,
     clock: &'a SimClock,

@@ -11,9 +11,9 @@
 //!   `Arc`s it touches for its whole run, so it always sees one
 //!   consistent layout, and an adaptation installing a new layout is a
 //!   single pointer swap — readers never block behind a rewrite.
-//! * **Cost-aware scheduling.** Admission goes through a pluggable
-//!   [`scheduler::Scheduler`] policy ([`adaptdb::SchedPolicy`]:
-//!   FIFO, priority lanes, or per-session fair share). Every
+//! * **Cost-aware scheduling.** Admission goes through one
+//!   [`scheduler::Scheduler`] queue, which an [`adaptdb::SchedPolicy`]
+//!   sets to FIFO, priority lanes, or per-session fair share. Every
 //!   submission is classified into a [`Lane`] by a cheap cost estimate
 //!   ([`adaptdb::cost::estimate_query`] — tree lookups only), so a
 //!   scan storm lands in the batch lane and cannot starve point
@@ -63,6 +63,7 @@ pub mod metrics;
 pub mod queue;
 pub mod scheduler;
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -82,7 +83,7 @@ pub use metrics::{LaneReport, ServerReport, SessionStats};
 
 use metrics::Metrics;
 use queue::SchedQueue;
-use scheduler::JobMeta;
+use scheduler::{JobMeta, Scheduler};
 
 /// DRR quantum (cost blocks granted per rotation) of the fair-share
 /// policy when [`ServerOptions::fair_quantum`] is unset.
@@ -112,7 +113,7 @@ pub(crate) struct Shared {
     inbox: StdMutex<Vec<Query>>,
     inbox_signal: Condvar,
     queue: SchedQueue<Job>,
-    /// The FIFO bound, or per-lane bound under lane-aware policies.
+    /// The FIFO bound, or per-lane bound under the lane policies.
     queue_capacity: usize,
     metrics: Metrics,
     /// Executor pool width (the divisor of the admission wait estimate).
@@ -279,23 +280,29 @@ pub fn paced_fetch_window(configured: usize, est_wait_ms: f64, threshold_ms: f64
 
 /// The per-query reader view: resolves snapshots from the published map
 /// and pins each table's `Arc` for the duration of the query, so one
-/// query never sees two generations of the same table. Owns its config
-/// so per-query overrides (the paced fetch window) never touch the
-/// server-wide settings.
+/// query never sees two generations of the same table. Borrows the
+/// server-wide config, and owns a copy only when a per-query override
+/// (the paced fetch window) differs from it.
 struct QueryView<'a> {
     shared: &'a Shared,
-    config: DbConfig,
+    config: Cow<'a, DbConfig>,
     pinned: RefCell<BTreeMap<String, Arc<TableSnapshot>>>,
 }
 
 impl<'a> QueryView<'a> {
     fn new(shared: &'a Shared) -> Self {
-        QueryView { shared, config: shared.config.clone(), pinned: RefCell::new(BTreeMap::new()) }
+        QueryView {
+            shared,
+            config: Cow::Borrowed(&shared.config),
+            pinned: RefCell::new(BTreeMap::new()),
+        }
     }
 
     fn with_fetch_window(shared: &'a Shared, fetch_window: usize) -> Self {
         let mut view = QueryView::new(shared);
-        view.config.fetch_window = fetch_window;
+        if fetch_window != shared.config.fetch_window {
+            view.config.to_mut().fetch_window = fetch_window;
+        }
         view
     }
 }
@@ -326,11 +333,11 @@ pub struct ServerOptions {
     /// `DbConfig::threads` (which honors `ADAPTDB_THREADS`).
     pub workers: Option<usize>,
     /// Admission-queue capacity: the FIFO bound, or the *per-lane*
-    /// bound under lane-aware policies (so a batch storm backpressures
+    /// bound under the lane policies (so a batch storm backpressures
     /// batch producers only). Defaults to `4 × workers`.
     pub queue_capacity: Option<usize>,
     /// Admission-scheduling policy. Defaults to the engine's
-    /// `DbConfig::sched` (which honors `ADAPTDB_SCHED`).
+    /// `DbConfig::sched`.
     pub sched: Option<SchedPolicy>,
     /// DRR quantum for [`SchedPolicy::Fair`], in cost-block units.
     /// Defaults to [`DEFAULT_FAIR_QUANTUM`].
@@ -351,8 +358,9 @@ pub struct SubmitOptions {
     /// estimate (`batch_cost_blocks` threshold); explicitly tagging
     /// [`Lane::Maintenance`] is the only way into that lane.
     pub lane: Option<Lane>,
-    /// Latency deadline. Lane-aware policies promote the query ahead
-    /// of lane order once half the deadline has elapsed in the queue.
+    /// Latency deadline. Under the lane policies a batch or
+    /// maintenance query is promoted ahead of lane order once half the
+    /// deadline has elapsed in the queue.
     pub deadline: Option<Duration>,
     /// Session scheduling weight under [`SchedPolicy::Fair`]: scales
     /// the session's per-rotation DRR credit, so a weight-4 session is
@@ -406,7 +414,7 @@ impl DbServer {
             published: RwLock::new(published),
             inbox: StdMutex::new(Vec::new()),
             inbox_signal: Condvar::new(),
-            queue: SchedQueue::new(scheduler::build(policy, capacity, quantum)),
+            queue: SchedQueue::new(Scheduler::new(policy, capacity, quantum)),
             queue_capacity: capacity,
             metrics: Metrics::new(),
             workers: worker_count,
@@ -693,11 +701,17 @@ fn submit(
     query: &Query,
     opts: SubmitOptions,
 ) -> (Result<QueryResult>, Lane) {
+    // An attribute outside its table's schema would panic a worker
+    // mid-plan; reject it before it is estimated or queued.
+    let view = QueryView::new(shared);
+    if let Err(e) = readpath::check_attrs(&view, query) {
+        return (Err(e), opts.lane.unwrap_or(Lane::Interactive));
+    }
     // The cheap cost estimate (tree lookups only): the classification
     // and fair-share weighting signal. An estimation error (e.g.
     // unknown table) is not surfaced here — the query is admitted
     // interactive and the executor reports the real error.
-    let est = cost::estimate_query(&QueryView::new(shared), query).unwrap_or_default();
+    let est = cost::estimate_query(&view, query).unwrap_or_default();
     let lane = opts.lane.unwrap_or_else(|| est.lane(&shared.config));
     // Seed the cold-start queue-wait prior: before any query finishes,
     // the admission estimate is the only service-time signal available.
@@ -758,7 +772,7 @@ fn worker_loop(shared: &Shared) {
         // Per-query span tree when tracing is on. The simulated clock
         // starts at zero per query; admission wait is wall time, not
         // simulated, so it rides as a zero-duration span attribute.
-        let params = shared.config.cost.clone();
+        let params = &shared.config.cost;
         let tracer = shared.config.trace.then(adaptdb_common::Tracer::new);
         let root = tracer.as_ref().map(|t| {
             let root = t.start("query", None, 0);
@@ -773,7 +787,7 @@ fn worker_loop(shared: &Shared) {
         });
         let trace_ctx = tracer.as_ref().zip(root).map(|(t, root)| adaptdb_dfs::TraceCtx {
             tracer: t,
-            params: &params,
+            params,
             parent: root,
             base_us: 0,
         });
@@ -797,7 +811,7 @@ fn worker_loop(shared: &Shared) {
                         t.attr_i(root, "cache_hits", stats.cache.hits() as i64);
                         t.attr_i(root, "cache_misses", stats.cache.misses as i64);
                     }
-                    t.end(root, adaptdb_dfs::secs_to_us(stats.query_io.simulated_secs(&params)));
+                    t.end(root, adaptdb_dfs::secs_to_us(stats.query_io.simulated_secs(params)));
                     Arc::new(t.finish())
                 });
                 QueryResult { rows, stats, trace }

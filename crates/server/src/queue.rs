@@ -1,16 +1,17 @@
-//! The blocking admission queue around a [`Scheduler`] policy.
+//! The blocking admission queue around the [`Scheduler`].
 //!
-//! `push` blocks while the policy reports no room for the job's lane —
-//! that is the server's backpressure: clients cannot submit faster
-//! than the worker pool drains, and under lane-aware policies a batch
-//! storm backpressures batch producers without touching interactive
-//! admission. `pop` blocks while empty and returns `None` once the
-//! queue is closed and drained, which is how workers learn to exit.
+//! `push` blocks while the scheduler reports no room in the job's
+//! queue — that is the server's backpressure: clients cannot submit
+//! faster than the worker pool drains, and under the lane policies a
+//! batch storm backpressures batch producers without touching
+//! interactive admission. `pop` blocks while empty and returns `None`
+//! once the queue is closed and drained, which is how workers learn to
+//! exit.
 //!
 //! Built on `std::sync` (Mutex + two Condvars) rather than the
-//! crossbeam shim because the shim's channel is unbounded. The policy
-//! itself ([`crate::scheduler`]) is a plain data structure; all
-//! waiting lives here.
+//! crossbeam shim because the shim's channel is unbounded. The
+//! scheduler itself ([`crate::scheduler`]) is a plain data structure;
+//! all waiting lives here.
 
 use std::sync::{Condvar, Mutex};
 
@@ -19,13 +20,13 @@ use adaptdb::cost::{Lane, LANE_COUNT};
 use crate::scheduler::{JobMeta, Scheduler};
 
 struct State<T> {
-    policy: Box<dyn Scheduler<T>>,
+    scheduler: Scheduler<T>,
     closed: bool,
 }
 
 /// Bounded blocking admission queue shared by producers (client
-/// sessions) and consumers (executor workers), ordered by a pluggable
-/// [`Scheduler`] policy.
+/// sessions) and consumers (executor workers), ordered by a
+/// [`Scheduler`].
 pub struct SchedQueue<T> {
     state: Mutex<State<T>>,
     not_full: Condvar,
@@ -33,23 +34,23 @@ pub struct SchedQueue<T> {
 }
 
 impl<T: Send> SchedQueue<T> {
-    /// A queue ordered (and capacity-bounded) by `policy`.
-    pub fn new(policy: Box<dyn Scheduler<T>>) -> Self {
+    /// A queue ordered (and capacity-bounded) by `scheduler`.
+    pub fn new(scheduler: Scheduler<T>) -> Self {
         SchedQueue {
-            state: Mutex::new(State { policy, closed: false }),
+            state: Mutex::new(State { scheduler, closed: false }),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
         }
     }
 
-    /// The active policy's name (`"fifo"` | `"lanes"` | `"fair"`).
+    /// The scheduling policy's name (`"fifo"` | `"lanes"` | `"fair"`).
     pub fn policy_name(&self) -> &'static str {
-        self.state.lock().unwrap().policy.name()
+        self.state.lock().unwrap().scheduler.name()
     }
 
     /// Currently queued jobs.
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().policy.len()
+        self.state.lock().unwrap().scheduler.len()
     }
 
     /// True when nothing is queued.
@@ -59,43 +60,43 @@ impl<T: Send> SchedQueue<T> {
 
     /// Queued jobs per lane (gauges).
     pub fn lane_depths(&self) -> [usize; LANE_COUNT] {
-        self.state.lock().unwrap().policy.lane_depths()
+        self.state.lock().unwrap().scheduler.lane_depths()
     }
 
     /// Per-lane counts of jobs that would run before a new arrival in
-    /// `lane` under the active policy.
+    /// `lane` under the scheduling policy.
     pub fn depths_ahead(&self, lane: Lane) -> [usize; LANE_COUNT] {
-        self.state.lock().unwrap().policy.depths_ahead(lane)
+        self.state.lock().unwrap().scheduler.depths_ahead(lane)
     }
 
-    /// Enqueue, blocking while the job's lane is at capacity. Returns
+    /// Enqueue, blocking while the job's queue is at capacity. Returns
     /// the item back if the queue has been closed.
     pub fn push(&self, item: T, meta: JobMeta) -> Result<(), T> {
         let mut state = self.state.lock().unwrap();
-        while !state.policy.has_room(&meta) && !state.closed {
+        while !state.scheduler.has_room(&meta) && !state.closed {
             state = self.not_full.wait(state).unwrap();
         }
         if state.closed {
             return Err(item);
         }
-        state.policy.push(item, meta);
+        state.scheduler.push(item, meta);
         drop(state);
         self.not_empty.notify_one();
         Ok(())
     }
 
-    /// Dequeue the policy's next job, blocking while empty. `None`
+    /// Dequeue the scheduler's next job, blocking while empty. `None`
     /// means closed and drained.
     pub fn pop(&self) -> Option<(T, JobMeta)> {
         let mut state = self.state.lock().unwrap();
         loop {
-            if let Some(job) = state.policy.pop() {
+            if let Some(job) = state.scheduler.pop() {
                 drop(state);
                 // Producers wait on *heterogeneous* predicates (their
-                // own lane's capacity), so notify_one could wake a
-                // producer whose lane is still full and strand the one
-                // whose lane just freed. Wake them all; each re-checks
-                // its own lane.
+                // own queue's capacity), so notify_one could wake a
+                // producer whose queue is still full and strand the one
+                // whose queue just freed. Wake them all; each re-checks
+                // its own queue.
                 self.not_full.notify_all();
                 return Some(job);
             }
@@ -118,11 +119,11 @@ impl<T: Send> SchedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Fifo;
+    use adaptdb::SchedPolicy;
     use std::sync::Arc;
 
     fn fifo_queue(capacity: usize) -> SchedQueue<usize> {
-        SchedQueue::new(Box::new(Fifo::new(capacity)))
+        SchedQueue::new(Scheduler::new(SchedPolicy::Fifo, capacity, 8.0))
     }
 
     fn meta() -> JobMeta {
@@ -206,14 +207,13 @@ mod tests {
 
     #[test]
     fn freed_interactive_slot_wakes_the_interactive_producer() {
-        use crate::scheduler::PriorityLanes;
         use std::time::Duration;
         // Per-lane capacities mean producers block on *different*
         // predicates: freeing an interactive slot must wake the
         // interactive producer even if a batch producer is also
         // waiting (notify_one could hand the wakeup to the wrong one).
         let q: Arc<SchedQueue<u32>> =
-            Arc::new(SchedQueue::new(Box::new(PriorityLanes::new([1, 1, 1]))));
+            Arc::new(SchedQueue::new(Scheduler::new(SchedPolicy::Lanes, 1, 8.0)));
         q.push(1, JobMeta::new(1, Lane::Interactive, 1, None)).unwrap();
         q.push(2, JobMeta::new(1, Lane::Batch, 9, None)).unwrap();
         let qb = q.clone();
@@ -242,8 +242,7 @@ mod tests {
 
     #[test]
     fn lane_aware_backpressure_is_per_lane() {
-        use crate::scheduler::PriorityLanes;
-        let q: SchedQueue<u32> = SchedQueue::new(Box::new(PriorityLanes::new([2, 1, 1])));
+        let q: SchedQueue<u32> = SchedQueue::new(Scheduler::new(SchedPolicy::Lanes, 1, 8.0));
         q.push(1, JobMeta::new(1, Lane::Batch, 9, None)).unwrap();
         // Batch lane full — but interactive admission proceeds without
         // blocking.

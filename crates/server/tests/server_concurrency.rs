@@ -2,9 +2,11 @@
 //! parallel clients, snapshot isolation during background adaptation,
 //! graceful shutdown, and garbage-collection invariants.
 
-use adaptdb::{Database, DbConfig, Mode};
+use adaptdb::{Database, DbConfig, Mode, SchedPolicy};
 use adaptdb_common::{row, JoinQuery, Query, Row, ScanQuery, Schema, ValueType};
 use adaptdb_server::{DbServer, ServerOptions};
+
+const POLICIES: [SchedPolicy; 3] = [SchedPolicy::Fifo, SchedPolicy::Lanes, SchedPolicy::Fair];
 
 fn schema2() -> Schema {
     Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)])
@@ -51,64 +53,126 @@ fn concurrent_clients_match_serial_results() {
     let expected: Vec<Vec<Row>> =
         queries.iter().map(|q| sorted(serial.run(q).unwrap().rows)).collect();
 
-    // Four client threads each run the full mix against one server.
-    let server = DbServer::start_with(
-        loaded_db(Mode::Adaptive, 1),
-        ServerOptions { workers: Some(4), queue_capacity: Some(8), ..Default::default() },
-    );
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let mut session = server.session();
-            let queries = &queries;
-            let expected = &expected;
-            s.spawn(move || {
-                for (q, want) in queries.iter().zip(expected) {
-                    let got = sorted(session.run(q).unwrap().rows);
-                    assert_eq!(&got, want, "concurrent result diverged from serial");
-                }
-                assert_eq!(session.stats().queries, queries.len());
-            });
-        }
-    });
-    let report = server.report();
-    assert_eq!(report.queries, 4 * queries.len() as u64);
-    assert_eq!(report.errors, 0);
+    // Under every policy, four client threads each run the full mix
+    // against one server.
+    for policy in POLICIES {
+        let server = DbServer::start_with(
+            loaded_db(Mode::Adaptive, 1),
+            ServerOptions {
+                workers: Some(4),
+                queue_capacity: Some(8),
+                sched: Some(policy),
+                ..Default::default()
+            },
+        );
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let mut session = server.session();
+                let queries = &queries;
+                let expected = &expected;
+                s.spawn(move || {
+                    for (q, want) in queries.iter().zip(expected) {
+                        let got = sorted(session.run(q).unwrap().rows);
+                        assert_eq!(&got, want, "{policy}: concurrent result diverged from serial");
+                    }
+                    assert_eq!(session.stats().queries, queries.len());
+                });
+            }
+        });
+        let report = server.report();
+        assert_eq!(report.policy, policy.name());
+        assert_eq!(report.queries, 4 * queries.len() as u64);
+        assert_eq!(report.errors, 0);
+    }
 }
 
 #[test]
 fn serving_continues_while_adaptation_runs_in_background() {
     // Adaptive mode with joins on a fresh upfront layout forces smooth
-    // migration; clients must keep getting exact results throughout.
-    let server = DbServer::start_with(
-        loaded_db(Mode::Adaptive, 1),
-        ServerOptions { workers: Some(4), queue_capacity: Some(16), ..Default::default() },
-    );
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let mut session = server.session();
-            s.spawn(move || {
-                for _ in 0..10 {
-                    let res = session.run(&join_query()).unwrap();
-                    assert_eq!(res.rows.len(), 400);
-                    for r in &res.rows {
-                        assert_eq!(r.get(2).as_int().unwrap(), r.get(0).as_int().unwrap());
+    // migration; clients must keep getting exact results throughout,
+    // under every policy.
+    for policy in POLICIES {
+        let server = DbServer::start_with(
+            loaded_db(Mode::Adaptive, 1),
+            ServerOptions {
+                workers: Some(4),
+                queue_capacity: Some(16),
+                sched: Some(policy),
+                ..Default::default()
+            },
+        );
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                let mut session = server.session();
+                s.spawn(move || {
+                    for _ in 0..10 {
+                        let res = session.run(&join_query()).unwrap();
+                        assert_eq!(res.rows.len(), 400);
+                        for r in &res.rows {
+                            assert_eq!(r.get(2).as_int().unwrap(), r.get(0).as_int().unwrap());
+                        }
                     }
-                }
-            });
+                });
+            }
+        });
+        server.drain_maintenance();
+        let report = server.report();
+        assert!(
+            report.maintenance_io.writes > 0,
+            "{policy}: background adaptation must have migrated blocks: {report}"
+        );
+        // The engine converged to join-attribute trees, exactly like serial.
+        server.with_engine(|db| {
+            for t in ["l", "r"] {
+                assert!(db.table(t).unwrap().tree_for_join_attr(0).is_some(), "{t} not adapted");
+            }
+        });
+    }
+}
+
+#[test]
+fn out_of_range_attributes_are_plan_errors_not_worker_panics() {
+    use adaptdb_common::{CmpOp, Error, JoinStep, Predicate, PredicateSet};
+    use std::time::Duration;
+    let full = ScanQuery::full;
+    // Both tables have two columns, so a two-table join has four.
+    let step = |intermediate_attr, table_attr| Query::MultiJoin {
+        first: JoinQuery::new(full("l"), full("r"), 0, 0),
+        steps: vec![JoinStep { intermediate_attr, table: full("r"), table_attr }],
+    };
+    let bad = vec![
+        Query::Join(JoinQuery::new(full("l"), full("r"), 7, 0)),
+        Query::Join(JoinQuery::new(full("l"), full("r"), 0, 2)),
+        Query::Scan(ScanQuery::new("l", PredicateSet::none().and(Predicate::new(9, CmpOp::Lt, 5)))),
+        step(4, 0),
+        step(2, 2),
+    ];
+    for mode in [Mode::Adaptive, Mode::Fixed] {
+        let mut db = loaded_db(mode, 1);
+        for q in &bad {
+            assert!(matches!(db.run(q), Err(Error::Plan(_))), "{mode:?}: {q:?}");
+        }
+        assert_eq!(db.run(&step(2, 0)).unwrap().rows.len(), 400, "{mode:?}: in-range step");
+    }
+    // One worker: a panic there would leave nothing to serve the valid
+    // query, so wait with a timeout instead of hanging.
+    let server = std::sync::Arc::new(DbServer::start_with(
+        loaded_db(Mode::Adaptive, 1),
+        ServerOptions { workers: Some(1), ..Default::default() },
+    ));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let client = std::sync::Arc::clone(&server);
+    let client_thread = std::thread::spawn(move || {
+        for q in bad.iter().chain([&join_query()]) {
+            tx.send(client.run(q).map(|r| r.rows.len())).unwrap();
         }
     });
-    server.drain_maintenance();
-    let report = server.report();
-    assert!(
-        report.maintenance_io.writes > 0,
-        "background adaptation must have migrated blocks: {report}"
-    );
-    // The engine converged to join-attribute trees, exactly like serial.
-    server.with_engine(|db| {
-        for t in ["l", "r"] {
-            assert!(db.table(t).unwrap().tree_for_join_attr(0).is_some(), "{t} not adapted");
-        }
-    });
+    let answer = || rx.recv_timeout(Duration::from_secs(60)).expect("server stopped answering");
+    for _ in 0..5 {
+        assert!(matches!(answer(), Err(Error::Plan(_))));
+    }
+    assert_eq!(answer().unwrap(), 400, "a valid query after the bad ones still answers");
+    client_thread.join().expect("client thread");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! [`Database`] — including while background adaptation is migrating
 //! blocks under the running queries.
 
-use adaptdb::{Database, DbConfig, Mode};
+use adaptdb::{Database, DbConfig, Mode, SchedPolicy};
 use adaptdb_common::rng;
 use adaptdb_common::{row, JoinQuery, Query, Row, ScanQuery, Schema, ValueType};
 use adaptdb_server::{DbServer, ServerOptions};
@@ -60,34 +60,37 @@ fn clients_match_serial_while_adaptation_is_in_flight() {
     // join tree while queries executed.
     assert!(serial.table("l").unwrap().tree_for_join_attr(0).is_some());
 
-    // The same engine state served concurrently.
-    let server = DbServer::start_with(
-        synthetic_db(),
-        ServerOptions {
-            workers: Some(CLIENTS),
-            queue_capacity: Some(CLIENTS * 2),
-            ..Default::default()
-        },
-    );
-    std::thread::scope(|s| {
-        for _ in 0..CLIENTS {
-            let mut session = server.session();
-            let queries = &queries;
-            let expected = &expected;
-            s.spawn(move || {
-                for (i, (q, want)) in queries.iter().zip(expected).enumerate() {
-                    let got = sorted(session.run(q).unwrap().rows);
-                    assert_eq!(&got, want, "query {i}: concurrent rows diverged from serial");
-                }
-            });
-        }
-    });
-    // Adaptation really ran in the background while clients queried.
-    server.drain_maintenance();
-    let report = server.report();
-    assert!(report.maintenance_io.writes > 0, "no background migration happened: {report}");
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.queries, (CLIENTS * queries.len()) as u64);
+    // The same engine state served concurrently, under every policy.
+    for policy in [SchedPolicy::Fifo, SchedPolicy::Lanes, SchedPolicy::Fair] {
+        let server = DbServer::start_with(
+            synthetic_db(),
+            ServerOptions {
+                workers: Some(CLIENTS),
+                queue_capacity: Some(CLIENTS * 2),
+                sched: Some(policy),
+                ..Default::default()
+            },
+        );
+        std::thread::scope(|s| {
+            for _ in 0..CLIENTS {
+                let mut session = server.session();
+                let queries = &queries;
+                let expected = &expected;
+                s.spawn(move || {
+                    for (i, (q, want)) in queries.iter().zip(expected).enumerate() {
+                        let got = sorted(session.run(q).unwrap().rows);
+                        assert_eq!(&got, want, "{policy} query {i}: rows diverged from serial");
+                    }
+                });
+            }
+        });
+        // Adaptation really ran in the background while clients queried.
+        server.drain_maintenance();
+        let report = server.report();
+        assert!(report.maintenance_io.writes > 0, "{policy}: no background migration: {report}");
+        assert_eq!(report.errors, 0);
+        assert_eq!(report.queries, (CLIENTS * queries.len()) as u64);
+    }
 }
 
 #[test]
