@@ -32,11 +32,13 @@ fn block(rows: usize, seed: u64) -> Block {
     )
 }
 
+const INSTRUCT: [&str; 4] = ["DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"];
+const MODE: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
+const FLAG: [&str; 3] = ["R", "A", "N"];
+
 /// A Q19-shaped lineitem block: quantity, then ship instruction and
 /// ship mode drawn from their TPC-H domains.
 fn q19_block(rows: usize, seed: u64) -> Block {
-    const INSTRUCT: [&str; 4] = ["DELIVER IN PERSON", "COLLECT COD", "NONE", "TAKE BACK RETURN"];
-    const MODE: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
     let mut rng = seeded(seed);
     Block::new(
         0,
@@ -46,6 +48,25 @@ fn q19_block(rows: usize, seed: u64) -> Block {
                     Value::Int(rng.random_range(1..51)),
                     Value::Str(INSTRUCT[rng.random_range(0..4usize)].into()),
                     Value::Str(MODE[rng.random_range(0..7usize)].into()),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Lineitem's three `Str` columns — ship instruction, ship mode,
+/// return flag — drawn from their TPC-H domains: every cell of a full
+/// gather is a string.
+fn str_block(rows: usize, seed: u64) -> Block {
+    let mut rng = seeded(seed);
+    Block::new(
+        0,
+        (0..rows)
+            .map(|_| {
+                Row::new(vec![
+                    Value::Str(INSTRUCT[rng.random_range(0..4usize)].into()),
+                    Value::Str(MODE[rng.random_range(0..7usize)].into()),
+                    Value::Str(FLAG[rng.random_range(0..3usize)].into()),
                 ])
             })
             .collect(),
@@ -101,6 +122,16 @@ fn bench_columnar(c: &mut Criterion) {
     c.bench_function("columnar_full_gather_200rows", |bch| {
         bch.iter(|| {
             let lazy = LazyBlock::parse(col_bytes.clone()).unwrap();
+            let all = BitSet::all_set(lazy.row_count());
+            black_box(lazy.gather_range(0, lazy.row_count(), &all).unwrap())
+        })
+    });
+    // The same full gather where every cell is a string: the cost of
+    // building (and dropping) 600 `Str` cells.
+    let str_bytes = encode_block_columnar(&str_block(200, 7));
+    c.bench_function("columnar_full_gather_str_200rows", |bch| {
+        bch.iter(|| {
+            let lazy = LazyBlock::parse(str_bytes.clone()).unwrap();
             let all = BitSet::all_set(lazy.row_count());
             black_box(lazy.gather_range(0, lazy.row_count(), &all).unwrap())
         })

@@ -15,7 +15,7 @@
 
 use crate::bitset::BitSet;
 use crate::predicate::CmpOp;
-use crate::value::{Value, ValueType};
+use crate::value::{Str, Value, ValueType};
 use std::cmp::Ordering;
 
 /// A single column stored as a contiguous typed vector.
@@ -31,7 +31,7 @@ pub enum ColumnVec {
     /// Homogeneous [`ValueType::Double`] column.
     Double(Vec<f64>),
     /// Homogeneous [`ValueType::Str`] column.
-    Str(Vec<String>),
+    Str(Vec<Str>),
     /// Homogeneous [`ValueType::Date`] column.
     Date(Vec<i32>),
     /// Homogeneous [`ValueType::Bool`] column.
@@ -65,7 +65,7 @@ impl ColumnVec {
             ValueType::Str => ColumnVec::Str(
                 values
                     .into_iter()
-                    .map(|v| if let Value::Str(x) = v { x } else { String::new() })
+                    .map(|v| if let Value::Str(x) = v { x } else { Str::default() })
                     .collect(),
             ),
             ValueType::Date => ColumnVec::Date(
@@ -110,7 +110,8 @@ impl ColumnVec {
         }
     }
 
-    /// Cell `i` as a [`Value`] (clones string payloads).
+    /// Cell `i` as a [`Value`] (clones string payloads; only those
+    /// longer than [`Str::INLINE_CAP`] allocate).
     #[inline]
     pub fn value_at(&self, i: usize) -> Value {
         match self {
@@ -323,7 +324,7 @@ mod tests {
             Value::Double(-0.0),
             Value::Double(0.0),
             Value::Double(f64::NAN),
-            Value::Str(String::new()),
+            Value::Str(Str::default()),
             Value::Str("b".into()),
             Value::Date(3),
             Value::Bool(true),

@@ -6,7 +6,8 @@
 //!
 //! * [`value::Value`] — the dynamically-typed cell values stored in rows,
 //!   with a *total* order (doubles use IEEE `total_cmp`) so they can be
-//!   used as partitioning cut points.
+//!   used as partitioning cut points. String cells are [`value::Str`]s,
+//!   which keep strings of up to 22 bytes inline.
 //! * [`schema::Schema`] — table schemas; attributes are addressed by dense
 //!   [`schema::AttrId`]s.
 //! * [`row::Row`] — row-oriented tuples.
@@ -80,4 +81,4 @@ pub use stats::{CacheStats, IngestStats, IoStats, OverlapStats, QueryStats, Shuf
 pub use telemetry::{
     chrome_trace_json, AttrValue, Histogram, Journal, JournalEvent, Span, SpanId, Trace, Tracer,
 };
-pub use value::{stable_hash_bytes, Value, ValueType};
+pub use value::{stable_hash_bytes, Str, Value, ValueType};

@@ -4,11 +4,140 @@
 //! with attribute A ≤ p go left"). That requires a total order over every
 //! value type, including doubles — we use IEEE-754 `total_cmp` so NaNs have
 //! a consistent position instead of poisoning comparisons.
+//!
+//! String cells are [`Str`]s, not `String`s. A `Str` of up to
+//! [`Str::INLINE_CAP`] = 22 bytes keeps its bytes inside the value itself;
+//! a longer one is a `Box<str>`. 22 is the most that fits beside a length
+//! byte and the variant tag in 24 bytes, the size of a `String` — so
+//! `Value` stays 24 bytes, and every TPC-H string column the generators
+//! write (ship modes, instructions, flags, segments, brands, containers)
+//! is built, cloned, decoded and dropped without touching the heap.
+//! Everything observable about a `Str` — order, equality, hashes, byte
+//! size, `Debug`/`Display` text — is exactly that of the same `String`.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
 use crate::error::{Error, Result};
+
+/// An immutable UTF-8 string cell: inline up to [`Str::INLINE_CAP`]
+/// bytes, boxed beyond.
+///
+/// Layout: the inline form is a length byte plus a 22-byte buffer, the
+/// boxed form a `Box<str>` (pointer and length, 16 bytes); with the
+/// variant tag both fit in 24 bytes, and the tag's unused values leave
+/// room for [`Value`]'s own tag, so `size_of::<Value>()` is 24 — the
+/// same as with a `String` payload. Which form a string takes depends
+/// only on its length, and `Str` derefs to `str`: it orders, compares,
+/// hashes and prints exactly like the `String` it replaces.
+#[derive(Clone)]
+pub struct Str(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `buf[..len]` holds the UTF-8 bytes; `len ≤ INLINE_CAP`.
+    Inline { len: u8, buf: [u8; Str::INLINE_CAP] },
+    /// Strings longer than `INLINE_CAP` bytes.
+    Heap(Box<str>),
+}
+
+impl Str {
+    /// Longest string, in bytes, stored inline.
+    pub const INLINE_CAP: usize = 22;
+
+    /// The string's contents.
+    #[inline]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, buf } => {
+                // SAFETY: `buf[..len]` is a copy of a whole `&str` made in
+                // `From<&str>` and never written afterwards, so it is valid
+                // UTF-8.
+                unsafe { std::str::from_utf8_unchecked(&buf[..*len as usize]) }
+            }
+            Repr::Heap(s) => s,
+        }
+    }
+}
+
+impl From<&str> for Str {
+    #[inline]
+    fn from(s: &str) -> Self {
+        if s.len() <= Str::INLINE_CAP {
+            let mut buf = [0u8; Str::INLINE_CAP];
+            buf[..s.len()].copy_from_slice(s.as_bytes());
+            Str(Repr::Inline { len: s.len() as u8, buf })
+        } else {
+            Str(Repr::Heap(s.into()))
+        }
+    }
+}
+
+impl From<String> for Str {
+    fn from(s: String) -> Self {
+        if s.len() <= Str::INLINE_CAP {
+            Str::from(s.as_str())
+        } else {
+            Str(Repr::Heap(s.into_boxed_str()))
+        }
+    }
+}
+
+impl Default for Str {
+    fn default() -> Self {
+        Str::from("")
+    }
+}
+
+impl Deref for Str {
+    type Target = str;
+    #[inline]
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Str {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Str {}
+
+impl PartialOrd for Str {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Str {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl Hash for Str {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl fmt::Debug for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Str {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
 
 /// The type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,7 +194,7 @@ pub enum Value {
     /// See [`ValueType::Double`].
     Double(f64),
     /// See [`ValueType::Str`].
-    Str(String),
+    Str(Str),
     /// See [`ValueType::Date`].
     Date(i32),
     /// See [`ValueType::Bool`].
@@ -83,6 +212,10 @@ impl PartialEq for Value {
 }
 
 impl Eq for Value {}
+
+// A `Str` payload must not make cells bigger than the `String` it
+// replaced: rows are `Vec<Value>`, so every byte here is paid per cell.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl Value {
     /// The runtime type of this value.
@@ -119,7 +252,7 @@ impl Value {
     /// Extract a string slice, failing on other types.
     pub fn as_str(&self) -> Result<&str> {
         match self {
-            Value::Str(s) => Ok(s),
+            Value::Str(s) => Ok(s.as_str()),
             other => Err(Error::TypeMismatch { expected: "Str", got: other.value_type().name() }),
         }
     }
@@ -229,12 +362,12 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 impl From<bool> for Value {

@@ -12,7 +12,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<i64>().prop_map(Value::Int),
         any::<f64>().prop_map(Value::Double),
-        "[a-z]{0,12}".prop_map(Value::Str),
+        "[a-z]{0,12}".prop_map(Value::from),
         any::<i32>().prop_map(Value::Date),
         any::<bool>().prop_map(Value::Bool),
     ]

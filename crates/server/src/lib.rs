@@ -66,6 +66,7 @@ pub mod scheduler;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
@@ -750,6 +751,84 @@ fn submit(
     (res, lane)
 }
 
+/// The message a panic was raised with, for the failed query's error.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    let msg = match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => payload.downcast_ref::<&str>().map_or("unknown panic", |s| s).to_string(),
+    };
+    format!("query panicked: {msg}")
+}
+
+/// Run one admitted query on the snapshot read path.
+fn execute(
+    shared: &Shared,
+    query: &Query,
+    meta: &JobMeta,
+    queue_wait: Duration,
+    fetch_window: usize,
+) -> Result<QueryResult> {
+    #[cfg(test)]
+    tests::panic_if_trigger(query);
+    let unaccounted_before = shared.store.unaccounted_reads();
+    let clock = SimClock::new();
+    let view = QueryView::with_fetch_window(shared, fetch_window);
+    // Per-query span tree when tracing is on. The simulated clock
+    // starts at zero per query; admission wait is wall time, not
+    // simulated, so it rides as a zero-duration span attribute.
+    let params = &shared.config.cost;
+    let tracer = shared.config.trace.then(adaptdb_common::Tracer::new);
+    let root = tracer.as_ref().map(|t| {
+        let root = t.start("query", None, 0);
+        let w = t.start("admission-wait", Some(root), 0);
+        t.attr_f(w, "wall_ms", queue_wait.as_secs_f64() * 1e3);
+        t.attr_s(w, "lane", meta.lane.name());
+        if meta.promoted {
+            t.attr_i(w, "promoted", 1);
+        }
+        t.end(w, 0);
+        root
+    });
+    let trace_ctx = tracer.as_ref().zip(root).map(|(t, root)| adaptdb_dfs::TraceCtx {
+        tracer: t,
+        params,
+        parent: root,
+        base_us: 0,
+    });
+    let result = readpath::execute_query_traced(&view, query, &clock, trace_ctx).map(
+        |(rows, strategy, c_hyj)| {
+            let mut stats = QueryStats::empty(strategy);
+            stats.query_io = clock.snapshot();
+            stats.shuffle = clock.shuffle_snapshot();
+            stats.overlap = clock.overlap_snapshot();
+            stats.cache = clock.cache_snapshot();
+            stats.estimated_c_hyj = c_hyj;
+            // Submit-to-finish, so admission wait shows up under load.
+            stats.wall_secs = meta.submitted.elapsed().as_secs_f64();
+            stats.queue_wait_secs = queue_wait.as_secs_f64();
+            let trace = tracer.map(|t| {
+                let root = root.expect("root exists when tracing");
+                t.attr_s(root, "strategy", &format!("{strategy:?}"));
+                t.attr_i(root, "rows", rows.len() as i64);
+                t.attr_i(root, "blocks_read", stats.query_io.reads() as i64);
+                if stats.cache.lookups() > 0 {
+                    t.attr_i(root, "cache_hits", stats.cache.hits() as i64);
+                    t.attr_i(root, "cache_misses", stats.cache.misses as i64);
+                }
+                t.end(root, adaptdb_dfs::secs_to_us(stats.query_io.simulated_secs(params)));
+                Arc::new(t.finish())
+            });
+            QueryResult { rows, stats, trace }
+        },
+    );
+    debug_assert_eq!(
+        shared.store.unaccounted_reads(),
+        unaccounted_before,
+        "a server read path skipped clock accounting"
+    );
+    result
+}
+
 fn worker_loop(shared: &Shared) {
     while let Some((Job { query, reply }, meta)) = shared.queue.pop() {
         shared.metrics.begin();
@@ -766,67 +845,20 @@ fn worker_loop(shared: &Shared) {
             ),
             None => shared.config.fetch_window,
         };
-        let unaccounted_before = shared.store.unaccounted_reads();
-        let clock = SimClock::new();
-        let view = QueryView::with_fetch_window(shared, fetch_window);
-        // Per-query span tree when tracing is on. The simulated clock
-        // starts at zero per query; admission wait is wall time, not
-        // simulated, so it rides as a zero-duration span attribute.
-        let params = &shared.config.cost;
-        let tracer = shared.config.trace.then(adaptdb_common::Tracer::new);
-        let root = tracer.as_ref().map(|t| {
-            let root = t.start("query", None, 0);
-            let w = t.start("admission-wait", Some(root), 0);
-            t.attr_f(w, "wall_ms", queue_wait.as_secs_f64() * 1e3);
-            t.attr_s(w, "lane", meta.lane.name());
-            if meta.promoted {
-                t.attr_i(w, "promoted", 1);
-            }
-            t.end(w, 0);
-            root
-        });
-        let trace_ctx = tracer.as_ref().zip(root).map(|(t, root)| adaptdb_dfs::TraceCtx {
-            tracer: t,
-            params,
-            parent: root,
-            base_us: 0,
-        });
-        let result = readpath::execute_query_traced(&view, &query, &clock, trace_ctx).map(
-            |(rows, strategy, c_hyj)| {
-                let mut stats = QueryStats::empty(strategy);
-                stats.query_io = clock.snapshot();
-                stats.shuffle = clock.shuffle_snapshot();
-                stats.overlap = clock.overlap_snapshot();
-                stats.cache = clock.cache_snapshot();
-                stats.estimated_c_hyj = c_hyj;
-                // Submit-to-finish, so admission wait shows up under load.
-                stats.wall_secs = meta.submitted.elapsed().as_secs_f64();
-                stats.queue_wait_secs = queue_wait.as_secs_f64();
-                let trace = tracer.map(|t| {
-                    let root = root.expect("root exists when tracing");
-                    t.attr_s(root, "strategy", &format!("{strategy:?}"));
-                    t.attr_i(root, "rows", rows.len() as i64);
-                    t.attr_i(root, "blocks_read", stats.query_io.reads() as i64);
-                    if stats.cache.lookups() > 0 {
-                        t.attr_i(root, "cache_hits", stats.cache.hits() as i64);
-                        t.attr_i(root, "cache_misses", stats.cache.misses as i64);
-                    }
-                    t.end(root, adaptdb_dfs::secs_to_us(stats.query_io.simulated_secs(params)));
-                    Arc::new(t.finish())
-                });
-                QueryResult { rows, stats, trace }
-            },
-        );
-        debug_assert_eq!(
-            shared.store.unaccounted_reads(),
-            unaccounted_before,
-            "a server read path skipped clock accounting"
-        );
+        // A panic while running the query fails that query, not the
+        // worker: without the catch the thread dies, the client sees a
+        // dropped reply, and a one-worker server never answers again.
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            execute(shared, &query, &meta, queue_wait, fetch_window)
+        }))
+        .unwrap_or_else(|payload| Err(Error::Plan(panic_message(payload))));
         let ok = result.is_ok();
         if let Ok(r) = &result {
             shared.metrics.note_shuffle(&r.stats.shuffle);
             // Feed the window/adaptation machinery off the hot path;
             // the query is owned here, so no clone on the serving path.
+            // A failed query is not observed: replaying a panicking one
+            // on the maintenance thread would panic there too.
             shared.push_observation(query);
         }
         shared.metrics.record(
@@ -846,6 +878,52 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adaptdb_common::{row, JoinQuery, ScanQuery, Schema, ValueType};
+
+    /// A scan of this table panics inside the worker's read path.
+    const PANIC_TABLE: &str = "panic-in-read-path";
+
+    pub(super) fn panic_if_trigger(query: &Query) {
+        if matches!(query, Query::Scan(s) if s.table == PANIC_TABLE) {
+            panic!("read path failed on {PANIC_TABLE}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_query_fails_alone_and_the_worker_keeps_serving() {
+        let mut db = Database::new(DbConfig { rows_per_block: 8, ..DbConfig::small() });
+        let schema = Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)]);
+        db.create_table("l", schema.clone(), vec![0, 1]).unwrap();
+        db.create_table("r", schema, vec![0, 1]).unwrap();
+        db.load_rows("l", (0..64i64).map(|i| row![i % 32, i])).unwrap();
+        db.load_rows("r", (0..32i64).map(|i| row![i, i * 2])).unwrap();
+        // One worker: if the panic killed it, nothing would answer the
+        // next query, so wait with a timeout instead of hanging.
+        let server = Arc::new(DbServer::start_with(
+            db,
+            ServerOptions { workers: Some(1), ..Default::default() },
+        ));
+        let join = Query::Join(JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 0, 0));
+        let queries = [Query::Scan(ScanQuery::full(PANIC_TABLE)), join];
+        let (tx, rx) = mpsc::channel();
+        let client = Arc::clone(&server);
+        let client_thread = std::thread::spawn(move || {
+            for q in &queries {
+                tx.send(client.run(q).map(|r| r.rows.len())).unwrap();
+            }
+        });
+        let answer = || rx.recv_timeout(Duration::from_secs(60)).expect("server stopped answering");
+        match answer() {
+            Err(Error::Plan(msg)) => assert!(msg.contains(PANIC_TABLE), "{msg}"),
+            other => panic!("expected the panic as an error, got {other:?}"),
+        }
+        assert_eq!(answer().unwrap(), 64, "the next query is served");
+        client_thread.join().expect("client thread");
+        server.drain_maintenance();
+        let report = server.report();
+        assert_eq!(report.in_flight, 0, "the failed query left the in-flight gauge");
+        assert_eq!(report.errors, 1);
+    }
 
     #[test]
     fn paced_window_shrinks_with_pressure() {

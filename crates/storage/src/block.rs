@@ -7,7 +7,7 @@
 
 use std::cmp::Ordering;
 
-use adaptdb_common::{BlockId, Row, Value, ValueRange};
+use adaptdb_common::{BlockId, Row, Str, Value, ValueRange};
 
 /// An in-memory block of rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,9 +74,10 @@ pub(crate) enum Zone<'a> {
 }
 
 /// A `Str` value from bytes that came from a `String` or a validated
-/// `ADB2` cell.
-fn utf8_value(bytes: &[u8]) -> Value {
-    Value::Str(String::from_utf8_lossy(bytes).into_owned())
+/// `ADB2` cell: valid UTF-8, so the lossy conversion borrows and a short
+/// string is copied straight into its inline cell.
+pub(crate) fn utf8_value(bytes: &[u8]) -> Value {
+    Value::Str(Str::from(&*String::from_utf8_lossy(bytes)))
 }
 
 /// Widen `[lo, hi]` to include `x` under `cmp`.

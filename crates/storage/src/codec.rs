@@ -68,7 +68,7 @@ use adaptdb_common::{
 };
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use crate::block::{widen, Block, BlockMeta, Zone};
+use crate::block::{utf8_value, widen, Block, BlockMeta, Zone};
 
 /// Magic prefix of a row-oriented (`ADB1`) encoded block.
 pub const BLOCK_MAGIC: &[u8; 4] = b"ADB1";
@@ -133,7 +133,7 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
             let len = buf.get_u32_le() as usize;
             need!(len, "Str payload");
             let bytes = buf.split_to(len);
-            Ok(Value::Str(utf8(&bytes)?.to_owned()))
+            Ok(Value::Str(utf8(&bytes)?.into()))
         }
         3 => {
             need!(4, "Date");
@@ -425,7 +425,7 @@ impl<'a> ColumnSink<'a> {
             b.put_u32_le(s.len() as u32);
             b.put_slice(s);
         };
-        self.push(fits, write, || Value::Str(String::from_utf8_lossy(s).into_owned()));
+        self.push(fits, write, || utf8_value(s));
     }
 
     /// A `Str` cell in its encoded form — length prefix, then the UTF-8
@@ -434,7 +434,7 @@ impl<'a> ColumnSink<'a> {
     fn str_cell(&mut self, c: &'a [u8]) {
         let s = &c[4..];
         let fits = self.zone.str(s);
-        self.push(fits, |b| b.put_slice(c), || Value::Str(String::from_utf8_lossy(s).into_owned()));
+        self.push(fits, |b| b.put_slice(c), || utf8_value(s));
     }
 
     #[inline]
@@ -956,7 +956,7 @@ impl RawColumn {
         match tag {
             0 => Value::Int(i64::from_le_bytes(fixed(c))),
             1 => Value::Double(f64::from_bits(u64::from_le_bytes(fixed(c)))),
-            2 => Value::Str(String::from_utf8_lossy(&c[4..]).into_owned()),
+            2 => utf8_value(&c[4..]),
             3 => Value::Date(i32::from_le_bytes(fixed(c))),
             _ => Value::Bool(c[0] != 0),
         }
@@ -1091,7 +1091,7 @@ fn gather_columns(dir: &ColDirectory, bytes: &Bytes, picked: &[usize]) -> Result
                 for i in 0..end {
                     let raw = str_frame(&mut p)?;
                     if let Some((_, o)) = next.next_if(|(k, _)| **k == i) {
-                        o.push(Value::Str(utf8(raw)?.to_owned()));
+                        o.push(Value::Str(utf8(raw)?.into()));
                     }
                 }
             }
@@ -1126,7 +1126,7 @@ fn decode_column(tag: u8, rows: usize, bytes: Bytes) -> Result<ColumnVec> {
             let mut p = payload;
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                v.push(utf8(str_frame(&mut p)?)?.to_owned());
+                v.push(utf8(str_frame(&mut p)?)?.into());
             }
             Ok(ColumnVec::Str(v))
         }
@@ -1159,7 +1159,7 @@ mod tests {
             7,
             vec![
                 row![1i64, 2.5, "hello", true],
-                Row::new(vec![Value::Date(19000), Value::Str(String::new())]),
+                Row::new(vec![Value::Date(19000), Value::Str("".into())]),
             ],
         ));
     }
@@ -1235,7 +1235,7 @@ mod tests {
                 Row::new(vec![
                     Value::Int(-4),
                     Value::Double(f64::NAN),
-                    Value::Str(String::new()),
+                    Value::Str("".into()),
                     Value::Bool(false),
                 ]),
             ],
@@ -1394,7 +1394,7 @@ mod tests {
                     Row::new(vec![
                         Value::Int(1),
                         Value::Double(-0.0),
-                        Value::Str(String::new()),
+                        Value::Str("".into()),
                         Value::Date(-5),
                         Value::Bool(true),
                         Value::Int(3),
@@ -1739,7 +1739,7 @@ mod tests {
             Value::Double(-0.0),
             Value::Double(f64::NAN),
             Value::Double(-f64::NAN),
-            Value::Str(String::new()),
+            Value::Str("".into()),
             Value::Str("h\u{e9}\u{1f600}".into()),
         ];
         for v in specials {

@@ -136,7 +136,7 @@ mod tests {
             Value::Double(-0.0),
             Value::Double(0.0),
             Value::Double(f64::NAN),
-            Value::Str(String::new()),
+            Value::Str("".into()),
             Value::Str("b".into()),
             Value::Date(1),
             Value::Bool(false),

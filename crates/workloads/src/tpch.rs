@@ -248,7 +248,7 @@ impl TpchGen {
             .map(|k| {
                 Row::new(vec![
                     Value::Int(k),
-                    Value::Str(format!(
+                    Value::from(format!(
                         "Brand#{}{}",
                         rng.random_range(1..6),
                         rng.random_range(1..6)

@@ -19,7 +19,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<i64>().prop_map(Value::Int),
         any::<f64>().prop_map(Value::Double),
-        "[a-zA-Z0-9 ]{0,16}".prop_map(Value::Str),
+        "[a-zA-Z0-9 ]{0,16}".prop_map(Value::from),
         any::<i32>().prop_map(Value::Date),
         any::<bool>().prop_map(Value::Bool),
     ]
@@ -45,7 +45,7 @@ fn arb_typed_block() -> impl Strategy<Value = Block> {
                 let typed = [
                     Value::Int(i),
                     Value::Double(d),
-                    Value::Str(s),
+                    Value::from(s),
                     Value::Date(date),
                     Value::Bool(b),
                 ];

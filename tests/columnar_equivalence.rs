@@ -319,7 +319,7 @@ proptest! {
             .map(|&k| row![k, k + 7, format!("s{:+04}", k)])
             .collect();
         let value = if attr == 2 {
-            Value::Str(format!("s{:+04}", bound))
+            Value::from(format!("s{:+04}", bound))
         } else {
             Value::Int(bound)
         };

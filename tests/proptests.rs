@@ -11,7 +11,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<i64>().prop_map(Value::Int),
         any::<f64>().prop_map(Value::Double),
-        "[a-zA-Z0-9 ]{0,24}".prop_map(Value::Str),
+        "[a-zA-Z0-9 ]{0,24}".prop_map(Value::from),
         any::<i32>().prop_map(Value::Date),
         any::<bool>().prop_map(Value::Bool),
     ]
