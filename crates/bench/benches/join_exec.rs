@@ -12,6 +12,12 @@
 //! on 10 nodes, hash-partitioned on `l_partkey` into 10 reducer runs
 //! per map task at two threads; the runs are dropped after each
 //! iteration.
+//!
+//! `shuffle_reduce_low_match` is one reduce task alone
+//! (`reduce_partition`): it fetches 32 probe runs of 200 five-column
+//! rows and 4 build runs, and one probe row in eight has a partner —
+//! the shape of a selective shuffle join, where most shuffled rows
+//! find none.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -19,7 +25,7 @@ use std::hint::black_box;
 use adaptdb::{Database, DbConfig, Mode};
 use adaptdb_common::{row, BlockId, JoinQuery, PredicateSet, Query, Row, ScanQuery};
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{hyper_join, ExecContext, HyperJoinSpec, ShuffleService};
+use adaptdb_exec::{hyper_join, reduce_partition, ExecContext, HyperJoinSpec, ShuffleService};
 use adaptdb_join::{HyperJoinPlan, JoinSide};
 use adaptdb_storage::BlockStore;
 use adaptdb_workloads::tpch::{li, ord, TpchGen};
@@ -125,5 +131,41 @@ fn bench_shuffle_map(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_join_exec, bench_multi_match_hyper_join, bench_shuffle_map);
+fn bench_shuffle_reduce(c: &mut Criterion) {
+    const PROBE_ROWS: i64 = 32 * ROWS_PER_BLOCK as i64;
+    let store = BlockStore::new(4, 1, 1);
+    let write = |table: &str, rows: Vec<Row>, arity| -> Vec<BlockId> {
+        rows.chunks(ROWS_PER_BLOCK)
+            .map(|c| store.write_block(table, c.to_vec(), arity, None))
+            .collect()
+    };
+    let probe: Vec<Row> = (0..PROBE_ROWS)
+        .map(|i| row![i, i % 97, format!("probe-comment-{i:08}"), i as f64 * 0.5, "SHIP"])
+        .collect();
+    let build: Vec<Row> = (0..PROBE_ROWS / 8).map(|k| row![k * 8, format!("b{k}")]).collect();
+    let (probe_ids, build_ids) = (write("p", probe, 5), write("b", build, 2));
+    let none = PredicateSet::none();
+    let clock = SimClock::new();
+    // One reducer, fed from one map task per node.
+    let svc = ShuffleService::new(ExecContext::single(&store, &clock), 1, ROWS_PER_BLOCK, "bench")
+        .unwrap();
+    let build = svc.spill_blocks("b", &build_ids, 0, &none).unwrap();
+    let probe = svc.spill_blocks("p", &probe_ids, 0, &none).unwrap();
+    c.bench_function("shuffle_reduce_low_match", |b| {
+        b.iter(|| {
+            let rows = reduce_partition(&svc, 0, 1, &build, &probe, 0, 0).unwrap();
+            assert_eq!(rows.len(), (PROBE_ROWS / 8) as usize);
+            black_box(rows.len())
+        })
+    });
+    svc.cleanup();
+}
+
+criterion_group!(
+    benches,
+    bench_join_exec,
+    bench_multi_match_hyper_join,
+    bench_shuffle_map,
+    bench_shuffle_reduce
+);
 criterion_main!(benches);

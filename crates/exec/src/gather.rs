@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use adaptdb_common::{BlockId, Result, Row};
+use adaptdb_common::{BlockId, Result, Row, ValueRange};
 use adaptdb_dfs::NodeId;
 use adaptdb_storage::codec::RawColumn;
 use adaptdb_storage::writer::BucketId;
@@ -35,6 +35,27 @@ impl Source {
             Some(cols) => Ok(Source::Columns(cols)),
             None => Ok(Source::Rows(lazy.into_block()?.rows)),
         }
+    }
+
+    /// Frame a stored block together with its zone maps (its
+    /// `BlockMeta::ranges`), so a flush that takes all of its rows
+    /// first copies each column's payload whole
+    /// ([`RawColumn::with_range`]) — the repartitioner's absorbed tails.
+    pub(crate) fn frame_stored(lazy: LazyBlock, ranges: Vec<ValueRange>) -> Result<Source> {
+        Ok(match Source::frame(lazy)? {
+            Source::Columns(cols) => {
+                let mut ranges = ranges.into_iter();
+                Source::Columns(
+                    cols.into_iter()
+                        .map(|c| match ranges.next() {
+                            Some(r) => c.with_range(r),
+                            None => c,
+                        })
+                        .collect(),
+                )
+            }
+            rows => rows,
+        })
     }
 
     /// Row `i` materialized.

@@ -1,4 +1,5 @@
-//! Join hash tables.
+//! Join hash tables, and the probe kernel both hash joins stream their
+//! probe side through (`probe_block`).
 //!
 //! Keys are [`Value`]s; hashing goes through [`Value::stable_hash`] with a
 //! pass-through `Hasher` (the value hash is already well-mixed FNV-1a),
@@ -8,7 +9,8 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use adaptdb_common::{AttrId, BitSet, ColumnVec, Row, Value};
+use adaptdb_common::{AttrId, BitSet, ColumnVec, Result, Row, Value};
+use adaptdb_storage::LazyBlock;
 
 /// A `Hasher` that passes through the 64-bit value written into it.
 #[derive(Default)]
@@ -72,10 +74,9 @@ impl JoinHashTable {
     /// Probe a whole key column in one call: for every index set in
     /// `sel`, look up that key and return `(row_index, matching build
     /// rows)` for the indices that hit, in ascending index order. This
-    /// is the hyper-join probe leg's entry point — the caller materializes
-    /// probe rows only for the returned indices (late materialization),
-    /// and the ascending order makes multi-threaded morsel runs
-    /// deterministic.
+    /// is `probe_block`'s lookup — the caller materializes probe rows
+    /// only for the returned indices (late materialization), and the
+    /// ascending order makes multi-threaded runs deterministic.
     ///
     /// `sel` must be as wide as `keys`.
     pub fn probe_batch<'t>(&'t self, keys: &ColumnVec, sel: &BitSet) -> Vec<(usize, &'t [Row])> {
@@ -117,6 +118,37 @@ pub(crate) fn join_into(out: &mut Vec<Row>, probe: Row, matches: &[Row], probe_l
         out.push(if probe_left { probe.concat(m) } else { m.concat(&probe) });
     }
     out.push(if probe_left { probe.append(last) } else { probe.prepend(last) });
+}
+
+/// The one probe kernel over still-encoded blocks, shared by the
+/// hyper-join probe leg and the shuffle reducers: the rows `sel`
+/// selects of `lazy` probe `table` on key column `attr` (decoded alone,
+/// no other cell touched), only the rows that hit are gathered, and
+/// `probe ⋈ m` is pushed for each match in ascending row order (see
+/// [`join_into`]; probe columns first when `probe_left`). A run that
+/// matches nothing costs its key column and no row. The gather runs
+/// even then, so a block with a faulty column fails here exactly as a
+/// full decode would.
+pub(crate) fn probe_block(
+    out: &mut Vec<Row>,
+    table: &JoinHashTable,
+    lazy: &LazyBlock,
+    attr: AttrId,
+    sel: &BitSet,
+    probe_left: bool,
+) -> Result<()> {
+    let keys = lazy.column(attr as usize)?;
+    let hits = table.probe_batch(&keys, sel);
+    let mut matched = BitSet::new(lazy.row_count());
+    for &(i, _) in &hits {
+        matched.set(i);
+    }
+    let rows = lazy.gather_range(0, lazy.row_count(), &matched)?;
+    debug_assert_eq!(rows.len(), hits.len());
+    for ((_, build_rows), row) in hits.iter().zip(rows) {
+        join_into(out, row, build_rows, probe_left);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -17,18 +17,20 @@
 //! Both legs materialise late. A build block is selected column-wise
 //! and only its surviving rows are gathered into the hash table. A
 //! probe block stays lazily decoded: predicates evaluate into a
-//! selection bitset, the join key column alone is decoded for a batch
-//! probe, and only the probe rows that matched are ever materialised.
-//! Each output row is built once: a gathered probe row is moved into
-//! its last match and copied only for earlier matches of its key, and
-//! the groups' outputs are concatenated by moving them.
+//! selection bitset, and the selected rows go through the probe kernel
+//! the shuffle reducers share (`hash_table::probe_block`): the
+//! join key column alone is decoded for a batch probe, and only the
+//! probe rows that matched are ever materialised. Each output row is
+//! built once: a gathered probe row is moved into its last match and
+//! copied only for earlier matches of its key, and the groups' outputs
+//! are concatenated by moving them.
 
-use adaptdb_common::{AttrId, BitSet, PredicateSet, Result, Row};
+use adaptdb_common::{AttrId, PredicateSet, Result, Row};
 use adaptdb_join::{HyperJoinPlan, JoinSide};
 use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
-use crate::hash_table::{join_into, JoinHashTable};
+use crate::hash_table::{probe_block, JoinHashTable};
 use crate::parallel;
 use crate::scan::{fetch_ordered, read_selected, select_block};
 
@@ -129,7 +131,7 @@ fn run_group(
     // already reports the leg's block reads.
     let probed =
         fetch_ordered(ctx.with_trace(None), probe_table, probe_blocks, Some(node), |lazy| {
-            probe_block(ctx, &table, lazy, probe_attr, probe_preds, build_side)
+            probe_selected(ctx, &table, lazy, probe_attr, probe_preds, build_side)
         })?;
     let mut out = Vec::with_capacity(probed.iter().map(Vec::len).sum());
     for rows in probed {
@@ -139,9 +141,9 @@ fn run_group(
 }
 
 /// Probe one (lazily-read) block against the group's hash table,
-/// returning joined rows in `left ⋈ right` column order. Each gathered
-/// probe row is moved into its last output row.
-fn probe_block(
+/// returning joined rows in `left ⋈ right` column order: the block's
+/// predicates select, then the shared kernel probes the selected rows.
+fn probe_selected(
     ctx: ExecContext<'_>,
     table: &JoinHashTable,
     lazy: LazyBlock,
@@ -149,23 +151,11 @@ fn probe_block(
     probe_preds: &PredicateSet,
     build_side: JoinSide,
 ) -> Result<Vec<Row>> {
-    // Selection bitset from the predicate columns, batch-probe the key
-    // column, then gather only the probe rows that actually matched.
     let sel = select_block(ctx, &lazy, probe_preds)?;
-    let keys = lazy.column(probe_attr as usize)?;
-    let hits = table.probe_batch(&keys, &sel);
-    let mut matched = BitSet::new(lazy.row_count());
-    for &(i, _) in &hits {
-        matched.set(i);
-    }
-    let probe_rows = lazy.gather_range(0, lazy.row_count(), &matched)?;
-    debug_assert_eq!(probe_rows.len(), hits.len());
     let mut out = Vec::new();
     // Normalize output to left ⋈ right column order.
     let probe_left = build_side == JoinSide::Right;
-    for ((_, build_rows), probe_row) in hits.iter().zip(probe_rows) {
-        join_into(&mut out, probe_row, build_rows, probe_left);
-    }
+    probe_block(&mut out, table, &lazy, probe_attr, &sel, probe_left)?;
     Ok(out)
 }
 

@@ -39,7 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use adaptdb_common::{AttrId, BlockId, ColumnVec, Result};
 use adaptdb_dfs::{NodeId, SimClock, TaskScheduler};
 use adaptdb_storage::writer::BucketId;
-use adaptdb_storage::{BlockStore, LazyBlock};
+use adaptdb_storage::{BlockMeta, BlockStore, LazyBlock};
 use adaptdb_tree::PartitionTree;
 
 use crate::gather::{GatherWriter, Source};
@@ -157,14 +157,15 @@ pub fn repartition_blocks_with(
         let Some(tail) = existing.get(&bucket).and_then(|v| v.last()).copied() else {
             continue;
         };
-        if store.with_block_meta(table, tail, |m| m.row_count)? >= rows_per_block {
+        let underfull = |m: &BlockMeta| (m.row_count < rows_per_block).then(|| m.ranges.clone());
+        let Some(ranges) = store.with_block_meta(table, tail, underfull)? else {
             continue;
-        }
+        };
         let node = store.preferred_node(table, tail)?;
         let (lazy, _) = store.read_lazy_classified(table, tail, node, clock)?;
         clock.record_rows(lazy.row_count(), 0);
         let all = (0..lazy.row_count() as u32).collect();
-        tails.insert(bucket, (tail, Source::frame(lazy)?, all));
+        tails.insert(bucket, (tail, Source::frame_stored(lazy, ranges)?, all));
     }
     // Every read succeeded: only now retire the sources and the tails.
     let absorbed: Vec<BlockId> = tails.values().map(|(id, _, _)| *id).collect();

@@ -18,13 +18,26 @@
 //! the reduce phase, one run at a time; a wider window prefetches while
 //! later map tasks still run and overlaps fetch latency. Rows, block
 //! counts, and the shuffle breakdown are the same at every window.
+//!
+//! A reducer materialises late. Its drained runs stay encoded; only
+//! the build side — the smaller by row count, the left on a tie — is
+//! gathered into rows, so the memory budget and the reducer-memory
+//! gauge measure exactly what a reducer holds. The probe side streams
+//! run by run through the probe kernel the hyper-join shares
+//! (`hash_table::probe_block`): the run's key column is
+//! probed, and only rows that match are gathered, each output row
+//! built once. The probe side streams on every path: a split
+//! partition's round-robin shares and a budgeted join's Grace groups
+//! are selections over the runs (groups hash each row's key cell
+//! without gathering the row), and the block-nested-loop leaf streams
+//! the runs past each build chunk. A retained hot build keeps its rows.
 
-use adaptdb_common::{AttrId, BlockId, PredicateSet, Result, Row};
+use adaptdb_common::{AttrId, BitSet, BlockId, PredicateSet, Result, Row};
 use adaptdb_dfs::{secs_to_us, ReadKind, SimClock, SpanGuard};
-use adaptdb_storage::{BuildKey, HotBuild};
+use adaptdb_storage::{BuildKey, HotBuild, LazyBlock};
 
 use crate::context::ExecContext;
-use crate::hash_table::{join_into, JoinHashTable};
+use crate::hash_table::{join_into, probe_block, JoinHashTable};
 use crate::parallel;
 use crate::shuffle_service::{ShuffleService, ShuffledSide};
 
@@ -289,16 +302,16 @@ fn exchange<'a>(
         let tasks: Vec<_> = streams.into_iter().enumerate().collect();
         let results =
             parallel::map_ordered(tasks, ctx.threads, |(p, mut stream)| -> Result<Vec<Row>> {
-                let (mut l, mut r) = svc.drain_partition(&mut stream)?;
-                if let Some((build, build_left)) = hot {
-                    // The hot side announced no runs, so its drained
-                    // half is empty: substitute the retained rows.
-                    if build_left {
-                        l = build.rows[p].clone();
-                    } else {
-                        r = build.rows[p].clone();
+                let (l, r) = svc.drain_partition(&mut stream)?;
+                // The hot side announced no runs, so its drained half is
+                // empty: the retained rows stand in for it.
+                let side = |runs, is_left| match hot {
+                    Some((build, build_left)) if build_left == is_left => {
+                        Side::Rows(build.rows[p].clone())
                     }
-                }
+                    _ => Side::runs(runs),
+                };
+                let (l, r) = (side(&l, true), side(&r, false));
                 join_partition(svc, p, plan[p], l, r, left_attr, right_attr, &left, &right)
             });
         let mut out = Vec::new();
@@ -323,10 +336,160 @@ pub fn reduce_partition(
     right_attr: AttrId,
 ) -> Result<Vec<Row>> {
     let (l, r) = svc.fetch_partition(p, left, right)?;
-    join_partition(svc, p, split_k, l, r, left_attr, right_attr, left, right)
+    let (l_side, r_side) = (Side::runs(&l), Side::runs(&r));
+    join_partition(svc, p, split_k, l_side, r_side, left_attr, right_attr, left, right)
 }
 
-/// Join one partition's fetched rows, shared by the exchange and
+/// One join side of a reduce (sub-)task.
+#[derive(Clone)]
+enum Side<'r> {
+    /// Rows already gathered: a retained hot build, or a build group
+    /// read back from its spill.
+    Rows(Vec<Row>),
+    /// Fetched runs, still encoded, in arrival order.
+    Runs(Vec<Run<'r>>),
+}
+
+/// The rows `sel` picks of one fetched run (`rows` of them).
+#[derive(Clone)]
+struct Run<'r> {
+    block: &'r LazyBlock,
+    sel: BitSet,
+    rows: usize,
+}
+
+/// How [`Side::deal`] assigns a side's `i`-th row to one of `k` parts.
+#[derive(Clone, Copy)]
+enum Deal {
+    /// Part `i % k`: a split partition's shares.
+    RoundRobin,
+    /// The row's join key, hashed and salted for recursion level
+    /// `depth`: a budgeted join's Grace groups.
+    Salted { attr: AttrId, depth: usize },
+}
+
+impl Deal {
+    /// The part of row `i`, whose key cell in column `a` hashes to
+    /// `key_hash(a)` (called only when the deal reads keys).
+    fn part(self, i: usize, k: usize, key_hash: impl FnOnce(AttrId) -> u64) -> usize {
+        match self {
+            Deal::RoundRobin => i % k,
+            Deal::Salted { attr, depth } => (salted(key_hash(attr), depth) % k as u64) as usize,
+        }
+    }
+}
+
+impl<'r> Side<'r> {
+    /// Every row of `runs`, in order.
+    fn runs(runs: &'r [LazyBlock]) -> Side<'r> {
+        Side::Runs(
+            runs.iter()
+                .map(|block| {
+                    let rows = block.row_count();
+                    Run { block, sel: BitSet::all_set(rows), rows }
+                })
+                .collect(),
+        )
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Side::Rows(rows) => rows.len(),
+            Side::Runs(runs) => runs.iter().map(|r| r.rows).sum(),
+        }
+    }
+
+    /// The side's rows, in order — done only to a build side.
+    fn gather(self) -> Result<Vec<Row>> {
+        let n = self.len();
+        match self {
+            Side::Rows(rows) => Ok(rows),
+            Side::Runs(runs) => {
+                let mut out = Vec::with_capacity(n);
+                for r in runs {
+                    out.extend(r.block.gather_range(0, r.block.row_count(), &r.sel)?);
+                }
+                Ok(out)
+            }
+        }
+    }
+
+    /// Split the side into `k` parts by `by`, each keeping the side's
+    /// row order. Runs stay encoded: a part takes a run with the
+    /// selection of the rows dealt to it, hashing each row's key cell
+    /// without gathering the row.
+    fn deal(self, k: usize, by: Deal) -> Result<Vec<Side<'r>>> {
+        match self {
+            Side::Rows(rows) => {
+                let mut parts: Vec<Vec<Row>> = (0..k).map(|_| Vec::new()).collect();
+                for (i, row) in rows.into_iter().enumerate() {
+                    parts[by.part(i, k, |a| row.get(a).stable_hash())].push(row);
+                }
+                Ok(parts.into_iter().map(Side::Rows).collect())
+            }
+            Side::Runs(runs) => {
+                let mut parts: Vec<Vec<Run<'r>>> = (0..k).map(|_| Vec::new()).collect();
+                let mut i = 0;
+                for run in runs {
+                    let keys = match by {
+                        Deal::Salted { attr, .. } => Some(run.block.column(attr as usize)?),
+                        Deal::RoundRobin => None,
+                    };
+                    let n = run.block.row_count();
+                    let mut sels: Vec<BitSet> = (0..k).map(|_| BitSet::new(n)).collect();
+                    for r in run.sel.iter_ones() {
+                        let j = by.part(i, k, |_| {
+                            keys.as_ref()
+                                .expect("salted deals decode keys")
+                                .value_at(r)
+                                .stable_hash()
+                        });
+                        sels[j].set(r);
+                        i += 1;
+                    }
+                    for (part, sel) in parts.iter_mut().zip(sels) {
+                        let rows = sel.count_ones();
+                        if rows > 0 {
+                            part.push(Run { block: run.block, sel, rows });
+                        }
+                    }
+                }
+                Ok(parts.into_iter().map(Side::Runs).collect())
+            }
+        }
+    }
+
+    /// Probe `table` with every row of this side on key `attr`, in
+    /// order, pushing `probe ⋈ m` per match (probe columns first when
+    /// `probe_left`). Runs go through the probe kernel, gathering only
+    /// rows that match; gathered rows are copied only when they match.
+    fn probe(
+        &self,
+        out: &mut Vec<Row>,
+        table: &JoinHashTable,
+        attr: AttrId,
+        probe_left: bool,
+    ) -> Result<()> {
+        match self {
+            Side::Rows(rows) => {
+                for row in rows {
+                    let matches = table.probe(row.get(attr));
+                    if !matches.is_empty() {
+                        join_into(out, row.clone(), matches, probe_left);
+                    }
+                }
+            }
+            Side::Runs(runs) => {
+                for r in runs {
+                    probe_block(out, table, r.block, attr, &r.sel, probe_left)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Join one partition's fetched sides, shared by the exchange and
 /// [`reduce_partition`] so their accounting is identical.
 ///
 /// Unsplit (`split_k <= 1`): one budgeted join. Split: the bigger side
@@ -342,32 +505,31 @@ fn join_partition(
     svc: &ShuffleService<'_>,
     p: usize,
     split_k: usize,
-    left_rows: Vec<Row>,
-    right_rows: Vec<Row>,
+    left: Side<'_>,
+    right: Side<'_>,
     left_attr: AttrId,
     right_attr: AttrId,
     left_side: &ShuffledSide,
     right_side: &ShuffledSide,
 ) -> Result<Vec<Row>> {
     if split_k <= 1 {
-        return budgeted_join(svc, p, 0, left_rows, right_rows, left_attr, right_attr);
+        return budgeted_join(svc, p, 0, left, right, left_attr, right_attr);
     }
     svc.ctx().clock.record_partition_split();
-    let left_small = left_rows.len() <= right_rows.len();
+    let left_small = left.len() <= right.len();
     let small_runs = if left_small { &left_side.runs[p] } else { &right_side.runs[p] };
     svc.charge_broadcasts(p, split_k, small_runs)?;
-    // Deal the bigger side round-robin over the sub-tasks (moving its
-    // rows), and hand every sub-task the whole smaller side: a copy for
-    // all but the last, which takes the original.
-    let (mut small, big) =
-        if left_small { (left_rows, right_rows) } else { (right_rows, left_rows) };
-    let mut shares: Vec<Vec<Row>> = (0..split_k).map(|_| Vec::new()).collect();
-    for (i, row) in big.into_iter().enumerate() {
-        shares[i % split_k].push(row);
-    }
+    // Deal the bigger side's rows round-robin over the sub-tasks, and
+    // hand every sub-task the whole smaller side: a copy for all but
+    // the last, which takes the original.
+    let (mut small, big) = if left_small { (left, right) } else { (right, left) };
     let mut out = Vec::new();
-    for (j, share) in shares.into_iter().enumerate() {
-        let whole = if j + 1 == split_k { std::mem::take(&mut small) } else { small.clone() };
+    for (j, share) in big.deal(split_k, Deal::RoundRobin)?.into_iter().enumerate() {
+        let whole = if j + 1 == split_k {
+            std::mem::replace(&mut small, Side::Rows(Vec::new()))
+        } else {
+            small.clone()
+        };
         let (l, r) = if left_small { (whole, share) } else { (share, whole) };
         out.extend(budgeted_join(svc, p, 0, l, r, left_attr, right_attr)?);
     }
@@ -397,7 +559,7 @@ fn salted(hash: u64, depth: usize) -> u64 {
 /// Trade-offs for a Robust Dynamic Hybrid Hash Join":
 ///
 /// * no budget, or the build side fits → plain in-memory join
-///   ([`hash_join_rows`], bit-identical to the pre-budget engine);
+///   ([`hash_join`]);
 /// * over budget below the cap → partition *both* sides by a salted
 ///   key hash, spill each build-side group to scratch and read it back
 ///   (Grace-style, charged as build-spill writes + ordinary reads),
@@ -405,57 +567,46 @@ fn salted(hash: u64, depth: usize) -> u64 {
 /// * over budget at the cap → block-nested-loop: build-side chunks of
 ///   at most the budget, each probed by the full probe side.
 ///
-/// The probe side stays materialized throughout (only the build table
-/// is budgeted — the documented simplification); every path records
-/// the peak build size on the reducer-memory gauge.
+/// Only the build side (the smaller by row count, the left on a tie)
+/// is ever gathered into rows, so the budget and the reducer-memory
+/// gauge, which every path records the peak build size on, measure
+/// what a reducer holds. The probe side streams: its runs stay encoded
+/// through the Grace split (each group selects its rows of a run) and
+/// are probed run by run.
 fn budgeted_join(
     svc: &ShuffleService<'_>,
     p: usize,
     depth: usize,
-    left: Vec<Row>,
-    right: Vec<Row>,
+    left: Side<'_>,
+    right: Side<'_>,
     left_attr: AttrId,
     right_attr: AttrId,
 ) -> Result<Vec<Row>> {
     let rpb = svc.rows_per_block();
     let build_len = left.len().min(right.len());
-    let budget_rows = match svc.ctx().join_mem_budget_blocks {
-        None => {
-            svc.ctx().clock.record_reducer_peak(build_len.div_ceil(rpb));
-            return Ok(hash_join_rows(left, right, left_attr, right_attr));
-        }
-        Some(blocks) => blocks.max(1) * rpb,
-    };
-    if build_len <= budget_rows {
+    let budget = svc.ctx().join_mem_budget_blocks.map(|blocks| blocks.max(1) * rpb);
+    let Some(budget_rows) = budget.filter(|&rows| build_len > rows) else {
         svc.ctx().clock.record_reducer_peak(build_len.div_ceil(rpb));
-        return Ok(hash_join_rows(left, right, left_attr, right_attr));
-    }
+        return hash_join(left, right, left_attr, right_attr);
+    };
     if depth >= MAX_RECURSION_DEPTH {
-        return Ok(block_nested_loop(svc, left, right, left_attr, right_attr, budget_rows));
+        return block_nested_loop(svc, left, right, left_attr, right_attr, budget_rows);
     }
     svc.ctx().clock.record_recursion_depth(depth + 1);
     let fanout = build_len.div_ceil(budget_rows).clamp(2, 8);
     let left_build = left.len() <= right.len();
-    let split = |rows: Vec<Row>, attr: AttrId| -> Vec<Vec<Row>> {
-        let mut groups = vec![Vec::new(); fanout];
-        for row in rows {
-            let g = (salted(row.get(attr).stable_hash(), depth) % fanout as u64) as usize;
-            groups[g].push(row);
-        }
-        groups
-    };
-    let lgroups = split(left, left_attr);
-    let rgroups = split(right, right_attr);
+    let lgroups = left.deal(fanout, Deal::Salted { attr: left_attr, depth })?;
+    let rgroups = right.deal(fanout, Deal::Salted { attr: right_attr, depth })?;
     let mut out = Vec::new();
     for (lg, rg) in lgroups.into_iter().zip(rgroups) {
-        if lg.is_empty() || rg.is_empty() {
+        if lg.len() == 0 || rg.len() == 0 {
             continue; // No possible matches: the group never touches disk.
         }
         // Grace-style: the build side's group goes through scratch.
         let (lg, rg) = if left_build {
-            (svc.spill_and_reload_build(p, lg)?, rg)
+            (Side::Rows(svc.spill_and_reload_build(p, lg.gather()?)?), rg)
         } else {
-            (lg, svc.spill_and_reload_build(p, rg)?)
+            (lg, Side::Rows(svc.spill_and_reload_build(p, rg.gather()?)?))
         };
         out.extend(budgeted_join(svc, p, depth + 1, lg, rg, left_attr, right_attr)?);
     }
@@ -463,17 +614,17 @@ fn budgeted_join(
 }
 
 /// The budget-honoring leaf fallback: hash-build at most `budget_rows`
-/// of the smaller side at a time and probe the entire other side per
-/// chunk. Quadratic in passes but bounded in memory at any skew (a
+/// of the smaller side at a time and stream the entire other side past
+/// each chunk. Quadratic in passes but bounded in memory at any skew (a
 /// single key bigger than the budget lands here by construction).
 fn block_nested_loop(
     svc: &ShuffleService<'_>,
-    left: Vec<Row>,
-    right: Vec<Row>,
+    left: Side<'_>,
+    right: Side<'_>,
     left_attr: AttrId,
     right_attr: AttrId,
     budget_rows: usize,
-) -> Vec<Row> {
+) -> Result<Vec<Row>> {
     let rpb = svc.rows_per_block();
     let chunk_rows = budget_rows.max(1);
     let left_build = left.len() <= right.len();
@@ -483,7 +634,7 @@ fn block_nested_loop(
         (right, left, right_attr, left_attr)
     };
     let mut out = Vec::new();
-    let mut build = build.into_iter();
+    let mut build = build.gather()?.into_iter();
     loop {
         let chunk: Vec<Row> = build.by_ref().take(chunk_rows).collect();
         if chunk.is_empty() {
@@ -491,39 +642,52 @@ fn block_nested_loop(
         }
         svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
         let table = JoinHashTable::build(chunk, build_attr);
-        for row in &probe {
-            for m in table.probe(row.get(probe_attr)) {
-                out.push(if left_build { m.concat(row) } else { row.concat(m) });
-            }
-        }
+        probe.probe(&mut out, &table, probe_attr, !left_build)?;
     }
-    out
+    Ok(out)
 }
 
-/// Plain in-memory hash join (used by reducers and by multi-way join
-/// steps over intermediate results). Builds on the smaller side (the
-/// left on a tie) and probes with the other in its order; output rows
-/// are `left ++ right`, and each probe row is moved into its last
-/// match.
-pub fn hash_join_rows(
-    left: Vec<Row>,
-    right: Vec<Row>,
+/// In-memory hash join of two sides: build on the smaller (the left on
+/// a tie), probe with the other in its order; output rows are `left ++
+/// right`. Gathered probe rows are moved into their last match.
+fn hash_join(
+    left: Side<'_>,
+    right: Side<'_>,
     left_attr: AttrId,
     right_attr: AttrId,
-) -> Vec<Row> {
+) -> Result<Vec<Row>> {
     let left_build = left.len() <= right.len();
     let (build, probe, build_attr, probe_attr) = if left_build {
         (left, right, left_attr, right_attr)
     } else {
         (right, left, right_attr, left_attr)
     };
-    let table = JoinHashTable::build(build, build_attr);
+    let table = JoinHashTable::build(build.gather()?, build_attr);
     let mut out = Vec::new();
-    for row in probe {
-        let matches = table.probe(row.get(probe_attr));
-        join_into(&mut out, row, matches, !left_build);
+    match probe {
+        Side::Rows(rows) => {
+            for row in rows {
+                let matches = table.probe(row.get(probe_attr));
+                join_into(&mut out, row, matches, !left_build);
+            }
+        }
+        runs => runs.probe(&mut out, &table, probe_attr, !left_build)?,
     }
-    out
+    Ok(out)
+}
+
+/// Plain in-memory hash join over rows: the reducers' join with both
+/// sides already gathered. Builds on the smaller side (the left on a tie)
+/// and probes with the other in its order; output rows are `left ++
+/// right`, and each probe row is moved into its last match.
+pub fn hash_join_rows(
+    left: Vec<Row>,
+    right: Vec<Row>,
+    left_attr: AttrId,
+    right_attr: AttrId,
+) -> Vec<Row> {
+    hash_join(Side::Rows(left), Side::Rows(right), left_attr, right_attr)
+        .expect("joining gathered rows decodes nothing")
 }
 
 /// Shuffle join over two already-materialized row sets (intermediate
@@ -570,6 +734,7 @@ mod tests {
     use adaptdb_common::{row, CmpOp, Predicate, Value};
     use adaptdb_dfs::SimClock;
     use adaptdb_storage::BlockStore;
+    use rand::RngExt;
 
     fn setup(n: i64, per_block: i64) -> (BlockStore, Vec<BlockId>, Vec<BlockId>) {
         let store = BlockStore::new(4, 1, 1);
@@ -1070,6 +1235,7 @@ mod tests {
                 let mut want = Vec::new();
                 for (p, &k) in plan.iter().enumerate() {
                     let (lp, rp) = svc.fetch_partition(p, &l, &r).unwrap();
+                    let (lp, rp) = (row_reducer::decode(lp), row_reducer::decode(rp));
                     want.extend(reference_partition(&lp, &rp, k, budget.map(|b| b * rpb)));
                 }
                 svc.cleanup();
@@ -1078,6 +1244,379 @@ mod tests {
             }
         }
         assert!(splits && spilled && capped, "split {splits} spill {spilled} cap {capped}");
+    }
+
+    /// The row reducer this module replaced, kept verbatim as the
+    /// reference: every fetched run is decoded into rows, and the
+    /// budgeted join, split and block-nested-loop work on row vectors.
+    mod row_reducer {
+        use super::super::*;
+        use crate::shuffle_service::RIGHT_SIDE_TAG;
+        use adaptdb_storage::FetchStream;
+
+        /// Every row of `runs`, in order.
+        pub(super) fn decode(runs: Vec<LazyBlock>) -> Vec<Row> {
+            runs.into_iter().flat_map(|run| run.into_block().unwrap().rows).collect()
+        }
+
+        pub(super) fn drain_partition<'a>(
+            svc: &ShuffleService<'a>,
+            stream: &mut FetchStream<'a>,
+        ) -> Result<(Vec<Row>, Vec<Row>)> {
+            let mut left = Vec::new();
+            let mut right = Vec::new();
+            while let Some(completion) = stream.next_completion() {
+                let c = completion?;
+                svc.ctx().clock.record_shuffle_fetch(c.kind);
+                let side = c.tag & RIGHT_SIDE_TAG;
+                let rows = c.into_block()?.rows;
+                if side != 0 {
+                    right.extend(rows);
+                } else {
+                    left.extend(rows);
+                }
+            }
+            Ok((left, right))
+        }
+
+        pub(super) fn exchange<'a>(
+            svc: &ShuffleService<'a>,
+            left_attr: AttrId,
+            right_attr: AttrId,
+            hot: Option<(&HotBuild, bool)>,
+            mut spill: impl FnMut(bool, &mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
+        ) -> Result<Vec<Row>> {
+            let ctx = svc.ctx();
+            let mut streams = svc.partition_streams();
+            if let Some(t) = ctx.worker_trace() {
+                for s in &mut streams {
+                    s.set_trace(Some(t));
+                }
+            }
+            let (left, right) = {
+                let (_mctx, mspan) = ctx.traced("map-spill");
+                let before = mspan.as_ref().map(|_| ctx.clock.shuffle_snapshot());
+                let mut seen = vec![0usize; svc.partitions()];
+                let left = spill(false, &mut |side| {
+                    svc.push_new_runs(&mut streams, side, &mut seen, false)
+                })?;
+                seen.fill(0);
+                let right = spill(true, &mut |side| {
+                    svc.push_new_runs(&mut streams, side, &mut seen, true)
+                })?;
+                annotate_map(&mspan, ctx.clock, before);
+                (left, right)
+            };
+            let plan = svc.split_plan(&left, &right);
+            traced_reduce(ctx, || {
+                let tasks: Vec<_> = streams.into_iter().enumerate().collect();
+                let results = parallel::map_ordered(
+                    tasks,
+                    ctx.threads,
+                    |(p, mut stream)| -> Result<Vec<Row>> {
+                        let (mut l, mut r) = drain_partition(svc, &mut stream)?;
+                        if let Some((build, build_left)) = hot {
+                            if build_left {
+                                l = build.rows[p].clone();
+                            } else {
+                                r = build.rows[p].clone();
+                            }
+                        }
+                        join_partition(svc, p, plan[p], l, r, left_attr, right_attr, &left, &right)
+                    },
+                );
+                let mut out = Vec::new();
+                for r in results {
+                    out.extend(r?);
+                }
+                Ok(out)
+            })
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn join_partition(
+            svc: &ShuffleService<'_>,
+            p: usize,
+            split_k: usize,
+            left_rows: Vec<Row>,
+            right_rows: Vec<Row>,
+            left_attr: AttrId,
+            right_attr: AttrId,
+            left_side: &ShuffledSide,
+            right_side: &ShuffledSide,
+        ) -> Result<Vec<Row>> {
+            if split_k <= 1 {
+                return budgeted_join(svc, p, 0, left_rows, right_rows, left_attr, right_attr);
+            }
+            svc.ctx().clock.record_partition_split();
+            let left_small = left_rows.len() <= right_rows.len();
+            let small_runs = if left_small { &left_side.runs[p] } else { &right_side.runs[p] };
+            svc.charge_broadcasts(p, split_k, small_runs)?;
+            let (mut small, big) =
+                if left_small { (left_rows, right_rows) } else { (right_rows, left_rows) };
+            let mut shares: Vec<Vec<Row>> = (0..split_k).map(|_| Vec::new()).collect();
+            for (i, row) in big.into_iter().enumerate() {
+                shares[i % split_k].push(row);
+            }
+            let mut out = Vec::new();
+            for (j, share) in shares.into_iter().enumerate() {
+                let whole =
+                    if j + 1 == split_k { std::mem::take(&mut small) } else { small.clone() };
+                let (l, r) = if left_small { (whole, share) } else { (share, whole) };
+                out.extend(budgeted_join(svc, p, 0, l, r, left_attr, right_attr)?);
+            }
+            Ok(out)
+        }
+
+        fn budgeted_join(
+            svc: &ShuffleService<'_>,
+            p: usize,
+            depth: usize,
+            left: Vec<Row>,
+            right: Vec<Row>,
+            left_attr: AttrId,
+            right_attr: AttrId,
+        ) -> Result<Vec<Row>> {
+            let rpb = svc.rows_per_block();
+            let build_len = left.len().min(right.len());
+            let budget_rows = match svc.ctx().join_mem_budget_blocks {
+                None => {
+                    svc.ctx().clock.record_reducer_peak(build_len.div_ceil(rpb));
+                    return Ok(hash_join_rows(left, right, left_attr, right_attr));
+                }
+                Some(blocks) => blocks.max(1) * rpb,
+            };
+            if build_len <= budget_rows {
+                svc.ctx().clock.record_reducer_peak(build_len.div_ceil(rpb));
+                return Ok(hash_join_rows(left, right, left_attr, right_attr));
+            }
+            if depth >= MAX_RECURSION_DEPTH {
+                return Ok(block_nested_loop(svc, left, right, left_attr, right_attr, budget_rows));
+            }
+            svc.ctx().clock.record_recursion_depth(depth + 1);
+            let fanout = build_len.div_ceil(budget_rows).clamp(2, 8);
+            let left_build = left.len() <= right.len();
+            let split = |rows: Vec<Row>, attr: AttrId| -> Vec<Vec<Row>> {
+                let mut groups = vec![Vec::new(); fanout];
+                for row in rows {
+                    let g = (salted(row.get(attr).stable_hash(), depth) % fanout as u64) as usize;
+                    groups[g].push(row);
+                }
+                groups
+            };
+            let lgroups = split(left, left_attr);
+            let rgroups = split(right, right_attr);
+            let mut out = Vec::new();
+            for (lg, rg) in lgroups.into_iter().zip(rgroups) {
+                if lg.is_empty() || rg.is_empty() {
+                    continue;
+                }
+                let (lg, rg) = if left_build {
+                    (svc.spill_and_reload_build(p, lg)?, rg)
+                } else {
+                    (lg, svc.spill_and_reload_build(p, rg)?)
+                };
+                out.extend(budgeted_join(svc, p, depth + 1, lg, rg, left_attr, right_attr)?);
+            }
+            Ok(out)
+        }
+
+        fn block_nested_loop(
+            svc: &ShuffleService<'_>,
+            left: Vec<Row>,
+            right: Vec<Row>,
+            left_attr: AttrId,
+            right_attr: AttrId,
+            budget_rows: usize,
+        ) -> Vec<Row> {
+            let rpb = svc.rows_per_block();
+            let chunk_rows = budget_rows.max(1);
+            let left_build = left.len() <= right.len();
+            let (build, probe, build_attr, probe_attr) = if left_build {
+                (left, right, left_attr, right_attr)
+            } else {
+                (right, left, right_attr, left_attr)
+            };
+            let mut out = Vec::new();
+            let mut build = build.into_iter();
+            loop {
+                let chunk: Vec<Row> = build.by_ref().take(chunk_rows).collect();
+                if chunk.is_empty() {
+                    break;
+                }
+                svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
+                let table = JoinHashTable::build(chunk, build_attr);
+                for row in &probe {
+                    for m in table.probe(row.get(probe_attr)) {
+                        out.push(if left_build { m.concat(row) } else { row.concat(m) });
+                    }
+                }
+            }
+            out
+        }
+
+        fn hash_join_rows(
+            left: Vec<Row>,
+            right: Vec<Row>,
+            left_attr: AttrId,
+            right_attr: AttrId,
+        ) -> Vec<Row> {
+            let left_build = left.len() <= right.len();
+            let (build, probe, build_attr, probe_attr) = if left_build {
+                (left, right, left_attr, right_attr)
+            } else {
+                (right, left, right_attr, left_attr)
+            };
+            let table = JoinHashTable::build(build, build_attr);
+            let mut out = Vec::new();
+            for row in probe {
+                let matches = table.probe(row.get(probe_attr));
+                join_into(&mut out, row, matches, !left_build);
+            }
+            out
+        }
+    }
+
+    /// One seeded reduce-side case: a key of class `k % 4` has 0, 1, 2
+    /// or 5 right-side partners, left keys repeat 1–3 times, a hot key
+    /// sits on both sides, and keys are `Int` or `Str` cells.
+    fn reducer_case(seed: u64) -> (Vec<Row>, Vec<Row>) {
+        let mut rng = adaptdb_common::rng::seeded(seed);
+        let str_keys = seed % 2 == 1;
+        let key = |k: i64| -> Value {
+            if str_keys {
+                // Past the inline limit every eighth key.
+                let pad = if k % 8 == 0 { "-padded-beyond-the-inline-cell" } else { "" };
+                Value::Str(format!("k{k}{pad}").as_str().into())
+            } else {
+                Value::Int(k)
+            }
+        };
+        let keys = rng.random_range(20..40i64);
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for k in 0..keys {
+            for c in 0..rng.random_range(1..4) {
+                left.push(Row::new(vec![key(k), Value::Int(k * 10 + c), format!("l{k}").into()]));
+            }
+            for c in 0..[0, 1, 2, 5][(k % 4) as usize] {
+                right.push(Row::new(vec![key(k), Value::Str(format!("r{k}.{c}").as_str().into())]));
+            }
+        }
+        let hot = key(1);
+        for i in 0..rng.random_range(20..40i64) {
+            left.push(Row::new(vec![hot.clone(), Value::Int(-i), "hot".into()]));
+        }
+        for i in 0..rng.random_range(10..20i64) {
+            right.push(Row::new(vec![hot.clone(), Value::Str(format!("h{i}").as_str().into())]));
+        }
+        // Shuffle arrival order so runs interleave keys.
+        for rows in [&mut left, &mut right] {
+            for i in (1..rows.len()).rev() {
+                rows.swap(i, rng.random_range(0..=i));
+            }
+        }
+        (left, right)
+    }
+
+    /// The reducer over encoded runs returns the row reducer's rows in
+    /// the same order, with identical block I/O and every shuffle
+    /// tally (splits, broadcasts, build spills, recursion depth, peak
+    /// reducer memory), at budgets ∞, 4 and 1, with splitting off and
+    /// on, with a retained hot build standing in for either side, at
+    /// one to three threads.
+    #[test]
+    fn run_reducer_matches_the_row_reducer() {
+        let rpb = 6;
+        let (mut splits, mut spilled, mut capped, mut hot_cases) = (false, false, false, 0);
+        for seed in 0..6u64 {
+            let (left, right) = reducer_case(seed);
+            let store = BlockStore::new(3, 1, seed);
+            let write = |t: &str, rows: &[Row], arity| -> Vec<BlockId> {
+                rows.chunks(rpb).map(|c| store.write_block(t, c.to_vec(), arity, None)).collect()
+            };
+            let (lids, rids) = (write("l", &left, 3), write("r", &right, 2));
+            let none = PredicateSet::none();
+            let partitions = 4;
+            let tables = [("l", &lids), ("r", &rids)];
+            // A retained build of each side, as a cold run would keep it.
+            let retained: Vec<HotBuild> = tables
+                .iter()
+                .map(|(t, ids)| {
+                    let clock = SimClock::new();
+                    let svc = ShuffleService::new(
+                        ExecContext::single(&store, &clock),
+                        partitions,
+                        rpb,
+                        "hot",
+                    )
+                    .unwrap();
+                    let mut rows = vec![Vec::new(); partitions];
+                    let side = svc
+                        .spill_blocks_collecting(t, ids, 0, &none, &mut |_| {}, Some(&mut rows))
+                        .unwrap();
+                    svc.cleanup();
+                    HotBuild {
+                        rows,
+                        spill_blocks: side.runs.iter().map(Vec::len).sum(),
+                        hist: side.rows,
+                    }
+                })
+                .collect();
+            for budget in [None, Some(4), Some(1)] {
+                for split_threshold in [None, Some(1.5)] {
+                    for hot_side in [None, Some(true), Some(false)] {
+                        let threads = 1 + (seed as usize + budget.unwrap_or(0)) % 3;
+                        let hot = hot_side.map(|l| (&retained[usize::from(!l)], l));
+                        let run = |reference: bool| {
+                            let clock = SimClock::new();
+                            let ctx = ExecContext::new(&store, &clock, threads)
+                                .with_shuffle(crate::context::ShuffleOptions {
+                                    partitions: None,
+                                    replication: 1,
+                                    split_threshold,
+                                })
+                                .with_join_mem_budget(budget);
+                            let svc = ShuffleService::new(ctx, partitions, rpb, "eq").unwrap();
+                            let spill = |right: bool, on_task: &mut dyn FnMut(&ShuffledSide)| {
+                                if let Some((h, l)) = hot {
+                                    if l != right {
+                                        return Ok(ShuffledSide {
+                                            runs: vec![Vec::new(); partitions],
+                                            rows: h.hist.clone(),
+                                        });
+                                    }
+                                }
+                                let (t, ids) = tables[usize::from(right)];
+                                svc.spill_blocks_collecting(t, ids, 0, &none, on_task, None)
+                            };
+                            let rows = if reference {
+                                row_reducer::exchange(&svc, 0, 0, hot, spill)
+                            } else {
+                                exchange(&svc, 0, 0, hot, spill)
+                            }
+                            .unwrap();
+                            svc.cleanup();
+                            (rows, clock.snapshot(), clock.shuffle_snapshot())
+                        };
+                        let want = run(true);
+                        let got = run(false);
+                        let case = format!(
+                            "seed {seed} budget {budget:?} split {split_threshold:?} hot {hot_side:?}"
+                        );
+                        assert!(!want.0.is_empty(), "{case}: empty join");
+                        assert_eq!(got.0, want.0, "{case}: rows");
+                        assert_eq!(got.1, want.1, "{case}: io");
+                        assert_eq!(got.2, want.2, "{case}: shuffle tallies");
+                        splits |= want.2.split_partitions > 0;
+                        spilled |= want.2.build_blocks_spilled > 0;
+                        capped |= want.2.max_recursion_depth == MAX_RECURSION_DEPTH;
+                        hot_cases += usize::from(hot.is_some());
+                    }
+                }
+            }
+        }
+        assert!(splits && spilled && capped, "split {splits} spill {spilled} cap {capped}");
+        assert!(hot_cases > 0);
     }
 
     #[test]

@@ -55,6 +55,11 @@
 //! [`adaptdb_common::OverlapStats`] breakdown. Block counts and row
 //! results are the same at every window; only simulated fetch latency
 //! shrinks.
+//!
+//! **Late materialisation.** A drained run stays encoded: the reducer
+//! ([`mod@crate::shuffle_join`]) gathers only its build side into rows and
+//! streams the probe side's runs through the shared probe kernel, which
+//! decodes a run's key column and gathers just the rows that match.
 
 #![warn(missing_docs)]
 
@@ -74,7 +79,7 @@ use crate::scan::select_block;
 /// Tag bit marking a fetch-stream request as a *right*-side run (the
 /// low bits carry the run's [`BlockId`]); see
 /// [`ShuffleService::push_new_runs`].
-const RIGHT_SIDE_TAG: u64 = 1 << 63;
+pub(crate) const RIGHT_SIDE_TAG: u64 = 1 << 63;
 
 /// Distinguishes scratch namespaces across concurrent shuffles on one
 /// shared store (the server runs many queries at once).
@@ -324,14 +329,15 @@ impl<'a> ShuffleService<'a> {
     /// Reduce-side fetch of partition `partition`'s runs from both
     /// sides through one stream (left runs, then right): every run is
     /// read from the reducer's node, classified local/remote by the
-    /// DFS, and tagged on the shuffle breakdown. Returns `(left, right)`
-    /// rows, for callers that reduce partitions one at a time.
+    /// DFS, and tagged on the shuffle breakdown. Returns the `(left,
+    /// right)` runs still encoded, for callers that reduce partitions
+    /// one at a time.
     pub(crate) fn fetch_partition(
         &self,
         partition: usize,
         left: &ShuffledSide,
         right: &ShuffledSide,
-    ) -> Result<(Vec<Row>, Vec<Row>)> {
+    ) -> Result<(Vec<LazyBlock>, Vec<LazyBlock>)> {
         let mut stream = self.partition_stream();
         self.push_runs(&mut stream, partition, &left.runs[partition], false);
         self.push_runs(&mut stream, partition, &right.runs[partition], true);
@@ -386,23 +392,25 @@ impl<'a> ShuffleService<'a> {
     }
 
     /// Drain one reducer's stream to completion, tagging every fetch on
-    /// the shuffle breakdown, and return `(left, right)` rows split by
-    /// the side tag. Rows arrive in completion order — push order at
-    /// window 1, locals before remotes within each in-flight window
-    /// above it — which is exactly the "join what has arrived while the
-    /// rest transfers" order a real pipelined reducer sees.
-    pub fn drain_partition(&self, stream: &mut FetchStream<'a>) -> Result<(Vec<Row>, Vec<Row>)> {
+    /// the shuffle breakdown, and return the `(left, right)` runs split
+    /// by the side tag, still encoded: nothing is decoded here. Runs
+    /// arrive in completion order — push order at window 1, locals
+    /// before remotes within each in-flight window above it — which is
+    /// exactly the "join what has arrived while the rest transfers"
+    /// order a real pipelined reducer sees.
+    pub fn drain_partition(
+        &self,
+        stream: &mut FetchStream<'a>,
+    ) -> Result<(Vec<LazyBlock>, Vec<LazyBlock>)> {
         let mut left = Vec::new();
         let mut right = Vec::new();
         while let Some(completion) = stream.next_completion() {
             let c = completion?;
             self.ctx.clock.record_shuffle_fetch(c.kind);
-            let side = c.tag & RIGHT_SIDE_TAG;
-            let rows = c.into_block()?.rows;
-            if side != 0 {
-                right.extend(rows);
+            if c.tag & RIGHT_SIDE_TAG != 0 {
+                right.push(c.payload);
             } else {
-                left.extend(rows);
+                left.push(c.payload);
             }
         }
         Ok((left, right))
@@ -629,9 +637,12 @@ mod tests {
     use adaptdb_dfs::SimClock;
     use adaptdb_storage::BlockStore;
 
-    /// Fetch one side of partition `p` through the reducer's stream.
+    /// Fetch one side of partition `p` through the reducer's stream,
+    /// decoded.
     fn fetch(svc: &ShuffleService<'_>, p: usize, side: &ShuffledSide) -> Vec<Row> {
-        svc.fetch_partition(p, side, &ShuffledSide::empty(svc.partitions())).unwrap().0
+        let (runs, _) =
+            svc.fetch_partition(p, side, &ShuffledSide::empty(svc.partitions())).unwrap();
+        runs.into_iter().flat_map(|run| run.into_block().unwrap().rows).collect()
     }
 
     /// `n` blocks of `per_block` rows, written round-robin across nodes.

@@ -78,7 +78,7 @@ use adaptdb::{Database, DbConfig, QueryResult, RetireMode, SchedPolicy, TableSna
 use adaptdb_common::{Error, Query, QueryStats, Result, Row};
 use adaptdb_dfs::SimClock;
 use adaptdb_storage::BlockStore;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 
 pub use metrics::{LaneReport, ServerReport, SessionStats};
 
@@ -108,8 +108,13 @@ pub(crate) struct Shared {
     /// never touch it.
     engine: Mutex<Database>,
     /// The snapshots readers pin. Swapped atomically per table by
-    /// maintenance; the lock is held only for map lookup/replace.
+    /// maintenance; the lock is held only for map lookup/replace, and
+    /// writers take it through [`Shared::publish_lock`].
     published: RwLock<BTreeMap<String, Arc<TableSnapshot>>>,
+    /// Write acquisitions of `published`, for tests that pin when the
+    /// readers' lock is contended.
+    #[cfg(test)]
+    publish_writes: AtomicU64,
     /// Executed queries awaiting window bookkeeping + adaptation.
     inbox: StdMutex<Vec<Query>>,
     inbox_signal: Condvar,
@@ -230,6 +235,17 @@ impl Shared {
 
     pub(crate) fn published(&self) -> &RwLock<BTreeMap<String, Arc<TableSnapshot>>> {
         &self.published
+    }
+
+    /// The write lock on the published map, taken only to install new
+    /// snapshots. Every writer holds the engine mutex while it holds
+    /// this, so swaps are totally ordered.
+    pub(crate) fn publish_lock(
+        &self,
+    ) -> RwLockWriteGuard<'_, BTreeMap<String, Arc<TableSnapshot>>> {
+        #[cfg(test)]
+        self.publish_writes.fetch_add(1, Ordering::SeqCst);
+        self.published.write()
     }
 
     pub(crate) fn store(&self) -> &Arc<BlockStore> {
@@ -413,6 +429,8 @@ impl DbServer {
             config,
             engine: Mutex::new(db),
             published: RwLock::new(published),
+            #[cfg(test)]
+            publish_writes: AtomicU64::new(0),
             inbox: StdMutex::new(Vec::new()),
             inbox_signal: Condvar::new(),
             queue: SchedQueue::new(Scheduler::new(policy, capacity, quantum)),
@@ -569,7 +587,7 @@ impl DbServer {
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         let mut engine = self.shared.engine.lock();
         let out = f(&mut engine);
-        let mut published = self.shared.published.write();
+        let mut published = self.shared.publish_lock();
         for name in engine.table_names() {
             if let std::collections::btree_map::Entry::Vacant(slot) = published.entry(name) {
                 let snap = engine.table(slot.key()).expect("listed table exists").snapshot_arc();
@@ -668,7 +686,7 @@ fn append_rows(shared: &Shared, table: &str, rows: Vec<Row>) -> Result<usize> {
     let delta_blocks = ts.delta().len();
     let fresh = ts.snapshot_arc();
     {
-        let mut published = shared.published.write();
+        let mut published = shared.publish_lock();
         match published.get_mut(table) {
             Some(slot) if !Arc::ptr_eq(slot, &fresh) => {
                 let displaced = std::mem::replace(slot, fresh);
@@ -923,6 +941,33 @@ mod tests {
         let report = server.report();
         assert_eq!(report.in_flight, 0, "the failed query left the in-flight gauge");
         assert_eq!(report.errors, 1);
+    }
+
+    /// A `Fixed` server never changes a layout, so its maintenance
+    /// passes find every published snapshot current and leave the
+    /// readers' lock alone.
+    #[test]
+    fn idle_maintenance_passes_take_no_publish_write_lock() {
+        let config =
+            DbConfig { rows_per_block: 8, mode: adaptdb::Mode::Fixed, ..DbConfig::small() };
+        let mut db = Database::new(config);
+        let schema = Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)]);
+        db.create_table("l", schema.clone(), vec![0, 1]).unwrap();
+        db.create_table("r", schema, vec![0, 1]).unwrap();
+        db.load_rows("l", (0..64i64).map(|i| row![i % 32, i])).unwrap();
+        db.load_rows("r", (0..32i64).map(|i| row![i, i * 2])).unwrap();
+        let server = DbServer::start(db);
+        let join = Query::Join(JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 0, 0));
+        let passes_before = server.shared.maintenance_passes.load(Ordering::SeqCst);
+        for _ in 0..4 {
+            for _ in 0..3 {
+                assert_eq!(server.run(&join).unwrap().rows.len(), 64);
+            }
+            server.drain_maintenance();
+        }
+        let passes = server.shared.maintenance_passes.load(Ordering::SeqCst) - passes_before;
+        assert!(passes >= 8, "only {passes} maintenance passes ran");
+        assert_eq!(server.shared.publish_writes.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -135,10 +135,27 @@ fn adapt_and_publish(shared: &Shared, queries: &[adaptdb_common::Query]) -> Opti
     // still be pinned by a pre-append reader.
     let mut guards = shared.take_append_guards();
     let mut swapped: Vec<String> = Vec::new();
-    {
-        let mut published = shared.published().write();
-        for name in engine.table_names() {
-            let fresh = engine.table(&name).expect("listed table exists").snapshot_arc();
+    let current: Vec<(String, Arc<TableSnapshot>)> = engine
+        .table_names()
+        .into_iter()
+        .map(|name| {
+            let snap = engine.table(&name).expect("listed table exists").snapshot_arc();
+            (name, snap)
+        })
+        .collect();
+    // Every writer of the published map holds the engine mutex, as this
+    // pass does, so the map cannot change between this check and the
+    // write below: a pass that changed no layout (always, in `Fixed`
+    // mode) never blocks a reader.
+    let stale = {
+        let published = shared.published().read();
+        current
+            .iter()
+            .any(|(name, fresh)| !published.get(name).is_some_and(|slot| Arc::ptr_eq(slot, fresh)))
+    };
+    if stale {
+        let mut published = shared.publish_lock();
+        for (name, fresh) in current {
             match published.get_mut(&name) {
                 Some(slot) if !Arc::ptr_eq(slot, &fresh) => {
                     guards.push(std::mem::replace(slot, fresh));

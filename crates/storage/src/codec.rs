@@ -461,11 +461,22 @@ impl<'a> ColumnSink<'a> {
         }
     }
 
-    /// Append the cells `picked` of a still-encoded column. While the
-    /// zone is empty or holds the column's type, a fixed-width column
-    /// is widened and copied in one tight loop; anything else goes
-    /// cell by cell.
+    /// Append the cells `picked` of a still-encoded column. The whole
+    /// of a column that carries its stored zone map, gathered into an
+    /// empty sink, is copied in one piece and the zone taken from the
+    /// stored range. Otherwise, while the zone is empty or holds the
+    /// column's type, a fixed-width column is widened and copied in one
+    /// tight loop; anything else goes cell by cell.
     fn gather(&mut self, col: &'a RawColumn, picked: &[u32]) {
+        let whole = self.cells == 0
+            && picked.len() == col.rows
+            && picked.first() == Some(&0)
+            && picked.last() == Some(&(col.rows as u32 - 1));
+        if whole && self.seed_zone(col) {
+            self.buf.extend_from_slice(&col.payload);
+            self.cells = col.rows;
+            return;
+        }
         let p: &'a [u8] = &col.payload;
         let done = match col.tag {
             0 => gather_fixed!(self, p, picked, Int, 8, i64::from_le_bytes, i64::cmp),
@@ -482,6 +493,23 @@ impl<'a> ColumnSink<'a> {
                 self.value_cell(tag, c);
             }
         }
+    }
+
+    /// Take an empty sink's zone from `col`'s stored range, when the
+    /// column is typed (not `Bool`, whose bytes the cell path
+    /// normalises) and the range's bounds are of its type.
+    fn seed_zone(&mut self, col: &'a RawColumn) -> bool {
+        let Some((lo, hi)) = col.range.as_ref().and_then(|r| r.min().zip(r.max())) else {
+            return false;
+        };
+        self.zone = match (col.tag, lo, hi) {
+            (0, Value::Int(l), Value::Int(h)) => Zone::Int(*l, *h),
+            (1, Value::Double(l), Value::Double(h)) => Zone::Double(*l, *h),
+            (2, Value::Str(l), Value::Str(h)) => Zone::Str(l.as_bytes(), h.as_bytes()),
+            (3, Value::Date(l), Value::Date(h)) => Zone::Date(*l, *h),
+            _ => return false,
+        };
+        true
     }
 
     /// Append a cell given by its value tag and typed encoding
@@ -872,8 +900,8 @@ impl LazyBlock {
     }
 
     /// Decode everything to a [`Block`] — the eager path, used by
-    /// consumers that need whole rows (shuffle reducers,
-    /// repartitioning, spill fetch-back). `ADB2` payloads decode
+    /// consumers that need whole rows (`ADB1` repartition sources, a
+    /// reducer's build-spill fetch-back). `ADB2` payloads decode
     /// straight into rows, one copy per cell.
     pub fn into_block(self) -> Result<Block> {
         match self.inner {
@@ -893,10 +921,14 @@ impl LazyBlock {
 #[derive(Debug, Clone)]
 pub struct RawColumn {
     tag: u8,
+    rows: usize,
     payload: Bytes,
     /// Cell boundaries (`rows + 1` of them) of a `Str` or `Mixed`
     /// column; empty for fixed-width columns.
     bounds: Vec<u32>,
+    /// The column's stored zone map entry, when the caller attached it
+    /// ([`RawColumn::with_range`]).
+    range: Option<ValueRange>,
 }
 
 impl RawColumn {
@@ -919,7 +951,18 @@ impl RawColumn {
                 bounds.push((payload.len() - rest.len()) as u32);
             }
         }
-        Ok(RawColumn { tag, payload, bounds })
+        Ok(RawColumn { tag, rows, payload, bounds, range: None })
+    }
+
+    /// Attach the column's stored zone map entry (its block's
+    /// [`BlockMeta::ranges`] entry). A gather that takes every cell of
+    /// the column into a fresh output column then copies the payload in
+    /// one piece and starts the output's zone from `range`, instead of
+    /// copying and comparing cell by cell. `range` must be the one the
+    /// block was written with.
+    pub fn with_range(mut self, range: ValueRange) -> RawColumn {
+        self.range = Some(range);
+        self
     }
 
     /// Cell `i` as its value tag and typed encoding (a `Str` cell keeps
@@ -1666,6 +1709,9 @@ mod tests {
         }
     }
 
+    /// Gathered blocks are byte-for-byte the encoding of their rows, and
+    /// carry the same metadata — also when the first chunk is a whole
+    /// block copied with its stored zone maps.
     #[test]
     fn gathered_encoding_equals_the_materialized_rows() {
         let mut rng = adaptdb_common::rng::seeded(12);
@@ -1682,17 +1728,29 @@ mod tests {
                         .collect()
                 })
                 .collect();
+            // Every other case leads with a whole stored block carrying
+            // its zone maps, as an absorbed tail does.
+            let whole_first = case % 2 == 0;
             let columns: Vec<Vec<RawColumn>> = sources
                 .iter()
-                .map(|rows| {
-                    let enc = encode_block_columnar(&Block::new(0, rows.clone()));
-                    LazyBlock::parse(enc).unwrap().raw_columns().unwrap().unwrap()
+                .enumerate()
+                .map(|(s, rows)| {
+                    let (enc, meta) = encode_block_with_meta(&Block::new(0, rows.clone()), cols);
+                    let raw = LazyBlock::parse(enc).unwrap().raw_columns().unwrap().unwrap();
+                    if s > 0 || !whole_first {
+                        return raw;
+                    }
+                    raw.into_iter().zip(meta.ranges).map(|(c, r)| c.with_range(r)).collect()
                 })
                 .collect();
             let picks: Vec<Vec<u32>> = sources
                 .iter()
-                .map(|rows| {
-                    (0..rows.len() as u32).filter(|_| rng.random_range(0..3u32) > 0).collect()
+                .enumerate()
+                .map(|(s, rows)| {
+                    let all = s == 0 && whole_first;
+                    (0..rows.len() as u32)
+                        .filter(|_| all || rng.random_range(0..3u32) > 0)
+                        .collect()
                 })
                 .collect();
             let chunks: Vec<(&[RawColumn], &[u32])> =

@@ -16,7 +16,7 @@ use adaptdb_exec::{
     ShuffleJoinSpec, ShuffleOptions, ShuffleService, StepGroup,
 };
 use adaptdb_join::{HyperJoinPlan, JoinSide};
-use adaptdb_storage::BlockStore;
+use adaptdb_storage::{BlockStore, LazyBlock};
 
 /// Distinct join keys on the build side.
 const KEYS: i64 = 24;
@@ -230,6 +230,11 @@ fn hyper_step_join_matches_nested_loop_in_order() {
     }
 }
 
+/// Every row of a reducer's drained runs, in arrival order.
+fn decode(runs: Vec<LazyBlock>) -> Vec<Row> {
+    runs.into_iter().flat_map(|run| run.into_block().unwrap().rows).collect()
+}
+
 #[test]
 fn shuffle_join_matches_nested_loop_in_order() {
     let (build, probe) = (build_rows(), probe_rows());
@@ -272,7 +277,7 @@ fn shuffle_join_matches_nested_loop_in_order() {
         let mut want = Vec::new();
         for mut stream in streams {
             let (l, r) = svc.drain_partition(&mut stream).unwrap();
-            want.extend(nested_loop(&l, &r, 0, 0));
+            want.extend(nested_loop(&decode(l), &decode(r), 0, 0));
         }
         svc.cleanup();
         assert_eq!(want.len(), nested_loop(left_rows, right_rows, 0, 0).len());

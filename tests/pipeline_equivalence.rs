@@ -13,7 +13,7 @@ use adaptdb::{Database, DbConfig, Mode};
 use adaptdb_common::{row, CostParams, PredicateSet, Query, Row};
 use adaptdb_dfs::SimClock;
 use adaptdb_exec::{shuffle_join, ExecContext, ShuffleJoinSpec, ShuffleOptions};
-use adaptdb_storage::BlockStore;
+use adaptdb_storage::{BlockStore, LazyBlock};
 use adaptdb_workloads::tpch::{li, Template, TpchGen};
 
 fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
@@ -156,7 +156,10 @@ fn failed_node_fetch_failover_mid_stream() {
         let mut rows = Vec::new();
         for mut stream in streams {
             let (l, r) = svc.drain_partition(&mut stream).unwrap();
-            rows.extend(adaptdb_exec::hash_join_rows(l, r, 0, 0));
+            let decode = |runs: Vec<LazyBlock>| -> Vec<Row> {
+                runs.into_iter().flat_map(|run| run.into_block().unwrap().rows).collect()
+            };
+            rows.extend(adaptdb_exec::hash_join_rows(decode(l), decode(r), 0, 0));
         }
         let sh = clock.shuffle_snapshot();
         svc.cleanup();
