@@ -34,13 +34,14 @@ pub struct CostParams {
     /// Degree of parallelism the simulated cluster provides (blocks are
     /// processed by `parallelism` workers; simulated time divides by it).
     pub parallelism: usize,
-    /// Seconds charged for a block served from the node-local cache
-    /// (`ReadKind::CacheHit`). Near-zero — a memory copy plus decode —
-    /// but not free, so cache-heavy plans still pay something per block.
+    /// Never read: the block cache it priced was removed. The field
+    /// stays only so configurations that spell it out keep compiling.
+    #[deprecated(note = "no effect: the block cache was removed")]
     pub cache_hit_secs: f64,
 }
 
 impl Default for CostParams {
+    #[allow(deprecated)]
     fn default() -> Self {
         CostParams {
             c_sj: 3.0,

@@ -77,7 +77,9 @@ pub use query::{JoinQuery, JoinStep, Query, ScanQuery};
 pub use range::ValueRange;
 pub use row::Row;
 pub use schema::{AttrId, Field, Schema};
-pub use stats::{CacheStats, IngestStats, IoStats, OverlapStats, QueryStats, ShuffleStats};
+#[allow(deprecated)]
+pub use stats::CacheStats;
+pub use stats::{IngestStats, IoStats, OverlapStats, QueryStats, ShuffleStats};
 pub use telemetry::{
     chrome_trace_json, AttrValue, Histogram, Journal, JournalEvent, Span, SpanId, Trace, Tracer,
 };

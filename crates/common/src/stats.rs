@@ -175,77 +175,18 @@ impl OverlapStats {
     }
 }
 
-/// Block-cache accounting: what the per-node buffer pool absorbed.
-///
-/// A cache hit is a block access that *would* have been a local or
-/// remote DFS read but was served from the reading node's cache
-/// instead. Hits never land on [`IoStats`] — the cache-off I/O tally is
-/// bit-identical to a run without a cache — so the invariant linking
-/// the two tallies is `local_reads + remote_reads + hits` being
-/// constant for a fixed workload, regardless of cache size. Misses
-/// count cache-enabled reads that fell through to the DFS (and were
-/// charged normally); with the cache disabled every field stays zero.
+/// What the removed per-node block cache used to count. It carries
+/// nothing; the type stays only so callers that spell
+/// [`QueryStats`]'s `cache` field keep compiling.
+#[deprecated(note = "no effect: the block cache was removed")]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Hits that replaced a would-be local read.
-    pub local_hits: usize,
-    /// Hits that replaced a would-be remote read (each worth the full
-    /// remote penalty — the reason remote blocks get a bigger eviction
-    /// weight).
-    pub remote_hits: usize,
-    /// Cache-enabled reads that missed and went to the DFS.
-    pub misses: usize,
-    /// Entries evicted to admit hotter blocks.
-    pub evictions: usize,
-    /// Encoded bytes served from the cache across all hits.
-    pub hit_bytes: usize,
-}
+pub struct CacheStats;
 
+#[allow(deprecated)]
 impl CacheStats {
-    /// Total cache hits.
-    pub fn hits(&self) -> usize {
-        self.local_hits + self.remote_hits
-    }
-
-    /// Cache lookups that had a chance to hit (hits + misses).
-    pub fn lookups(&self) -> usize {
-        self.hits() + self.misses
-    }
-
-    /// Fraction of lookups served from the cache (0.0 when the cache is
-    /// off or nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            return 0.0;
-        }
-        self.hits() as f64 / self.lookups() as f64
-    }
-
-    /// Simulated seconds the hits *cost* (each hit is charged
-    /// [`CostParams::cache_hit_secs`], near-zero but not free), under
-    /// the same parallelism divisor as [`IoStats::simulated_secs`].
-    pub fn hit_secs(&self, params: &CostParams) -> f64 {
-        self.hits() as f64 * params.cache_hit_secs / params.parallelism.max(1) as f64
-    }
-
-    /// Simulated seconds the hits saved relative to paying their
-    /// would-be local/remote read cost (net of the near-zero hit
-    /// charge). Zero when the cache is off.
-    pub fn saved_secs(&self, params: &CostParams) -> f64 {
-        let avoided = self.local_hits as f64 * params.block_read_secs
-            + self.remote_hits as f64 * params.block_read_secs * params.remote_read_penalty
-            + self.hits() as f64 * params.cpu_per_block_secs;
-        avoided / params.parallelism.max(1) as f64 - self.hit_secs(params)
-    }
-
-    /// Merge another tally into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.local_hits += other.local_hits;
-        self.remote_hits += other.remote_hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.hit_bytes += other.hit_bytes;
-    }
+    /// Does nothing: there is nothing to merge.
+    #[deprecated(note = "no effect: the block cache was removed")]
+    pub fn merge(&mut self, _other: &CacheStats) {}
 }
 
 /// Ingest-path accounting: what the append API and the delta-fold
@@ -323,8 +264,9 @@ pub struct QueryStats {
     /// Pipelined-fetch accounting: read latency hidden by overlapping
     /// fetches (zero when `fetch_window = 1`, i.e. serial I/O).
     pub overlap: OverlapStats,
-    /// Block-cache accounting: reads absorbed by the per-node buffer
-    /// pool (all-zero when `cache_blocks_per_node = 0`).
+    /// Always empty: the block cache it reported on was removed.
+    #[deprecated(note = "no effect: the block cache was removed")]
+    #[allow(deprecated)]
     pub cache: CacheStats,
     /// Join strategy chosen.
     pub strategy: JoinStrategy,
@@ -341,13 +283,14 @@ pub struct QueryStats {
 
 impl QueryStats {
     /// A zeroed stats record for a scan.
+    #[allow(deprecated)]
     pub fn empty(strategy: JoinStrategy) -> Self {
         QueryStats {
             query_io: IoStats::default(),
             repartition_io: IoStats::default(),
             shuffle: ShuffleStats::default(),
             overlap: OverlapStats::default(),
-            cache: CacheStats::default(),
+            cache: CacheStats,
             strategy,
             estimated_c_hyj: None,
             wall_secs: 0.0,
@@ -364,12 +307,10 @@ impl QueryStats {
 
     /// Simulated end-to-end seconds for the query including piggybacked
     /// repartitioning — the y-axis of Figs. 13, 15, 18. This is the
-    /// *serial* figure: every block access charged in full — DFS reads
-    /// and writes at their local/remote cost, cache hits at their
-    /// near-zero [`CostParams::cache_hit_secs`] charge (zero term when
-    /// the cache is off).
+    /// *serial* figure: every block read and write charged in full at
+    /// its local/remote cost.
     pub fn simulated_secs(&self, params: &CostParams) -> f64 {
-        self.total_io().simulated_secs(params) + self.cache.hit_secs(params)
+        self.total_io().simulated_secs(params)
     }
 
     /// Simulated seconds with pipelined fetches: the serial figure

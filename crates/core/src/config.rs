@@ -179,16 +179,11 @@ pub struct DbConfig {
     /// ingest block counts identical to bulk ingest of the same rows.
     /// On by default; disable to make every append its own block run.
     pub ingest_merge_tail: bool,
-    /// Per-node block-cache budget, in blocks: each simulated node
-    /// keeps up to this many recently-fetched encoded blocks resident,
-    /// evicting by cost-weighted frequency/recency (a remote block is
-    /// worth its local-vs-remote cost delta more than a local one).
-    /// Cache hits are charged near-zero cost as
-    /// `ReadKind::CacheHit` on the cache breakdown — never on the
-    /// local/remote I/O tallies — so rows *and* every non-cache counter
-    /// are bit-identical with the cache off. `0` (the default) disables
-    /// caching entirely: today's exact behavior. Defaults honor the
-    /// `ADAPTDB_CACHE` environment variable (a non-negative integer).
+    /// Never read: the per-node block cache it sized was removed, and
+    /// every block access is a DFS read as in the paper's cost model.
+    /// The field stays only so configurations that spell it out keep
+    /// compiling.
+    #[deprecated(note = "no effect: the block cache was removed")]
     pub cache_blocks_per_node: usize,
     /// Durable-journal directory: when set, every block write/remove
     /// and every committed catalog snapshot is logged to a write-ahead
@@ -239,7 +234,7 @@ impl Default for DbConfig {
             trace: env_override("ADAPTDB_TRACE", switch).unwrap_or(false),
             ingest_fold_blocks: env_override("ADAPTDB_INGEST_FOLD", positive).unwrap_or(8),
             ingest_merge_tail: true,
-            cache_blocks_per_node: env_override("ADAPTDB_CACHE", |v| v.parse().ok()).unwrap_or(0),
+            cache_blocks_per_node: 0,
             durable_path: env_override("ADAPTDB_DURABLE_PATH", |v| {
                 (!v.is_empty()).then(|| v.to_string())
             }),
@@ -418,16 +413,6 @@ mod tests {
         if std::env::var("ADAPTDB_DURABLE_PATH").is_err() {
             assert_eq!(c.durable_path, None, "durability is opt-in; SimDfs stays the default");
         }
-    }
-
-    #[test]
-    fn cache_defaults_off_and_honors_env() {
-        if std::env::var("ADAPTDB_CACHE").is_err() {
-            assert_eq!(DbConfig::default().cache_blocks_per_node, 0, "caching is opt-in");
-            assert_eq!(DbConfig::small().cache_blocks_per_node, 0);
-        }
-        let c = DbConfig { cache_blocks_per_node: 32, ..DbConfig::small() };
-        assert_eq!(c.cache_blocks_per_node, 32);
     }
 
     #[test]

@@ -93,7 +93,6 @@ impl Database {
     /// Create a database over a fresh simulated cluster.
     pub fn new(config: DbConfig) -> Self {
         let store = Arc::new(BlockStore::new(config.nodes, config.replication, config.seed));
-        store.enable_cache(config.cache_blocks_per_node, config.cost.remote_read_penalty);
         let rng = rng::derived(config.seed, "database");
         Database {
             config,
@@ -608,8 +607,6 @@ impl Database {
         stats.repartition_io = repart_clock.snapshot();
         stats.shuffle = query_clock.shuffle_snapshot();
         stats.overlap = query_clock.overlap_snapshot();
-        stats.cache = query_clock.cache_snapshot();
-        stats.cache.merge(&repart_clock.cache_snapshot());
         stats.estimated_c_hyj = c_hyj;
         stats.wall_secs = started.elapsed().as_secs_f64();
 
@@ -617,10 +614,6 @@ impl Database {
             t.attr_s(root, "strategy", &format!("{strategy:?}"));
             t.attr_i(root, "rows", rows.len() as i64);
             t.attr_i(root, "blocks_read", stats.total_io().reads() as i64);
-            if stats.cache.lookups() > 0 {
-                t.attr_i(root, "cache_hits", stats.cache.hits() as i64);
-                t.attr_i(root, "cache_misses", stats.cache.misses as i64);
-            }
             let total_us =
                 repart_end_us + adaptdb_dfs::secs_to_us(stats.query_io.simulated_secs(&params));
             t.end(root, total_us);
@@ -1017,12 +1010,7 @@ mod tests {
         ));
         let res = d.run(&q).unwrap();
         assert_eq!(res.rows.len(), 5);
-        // Hits replace reads one-for-one, so the sum is budget-invariant:
-        // a full scan touches every block whether or not it is cached.
-        assert_eq!(
-            res.stats.query_io.reads() + res.stats.cache.hits(),
-            d.table("r").unwrap().total_blocks()
-        );
+        assert_eq!(res.stats.query_io.reads(), d.table("r").unwrap().total_blocks());
     }
 
     #[test]

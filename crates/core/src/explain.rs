@@ -69,14 +69,6 @@ pub struct ExplainReport {
     /// The scheduling lane cost classification would admit this query
     /// into under the current `batch_cost_blocks` threshold.
     pub est_lane: Lane,
-    /// Projected block-cache hit rate: the fraction of candidate blocks
-    /// currently resident in their preferred node's cache. `None` when
-    /// no cache is configured ([`crate::DbConfig::cache_blocks_per_node`]
-    /// = 0). A read-only probe — EXPLAIN never bumps recency, admits,
-    /// or evicts. The realized rate can differ when readers are not the
-    /// preferred nodes (reducer fetches) or adaptation retires blocks
-    /// first; `EXPLAIN ANALYZE` shows both side by side.
-    pub est_cache_hit_rate: Option<f64>,
     /// Unfolded ingest delta blocks across the referenced tables —
     /// appended data the query must read outside any partitioning tree
     /// (they classify as `other` blocks). Maintenance folds them into
@@ -130,9 +122,6 @@ impl std::fmt::Display for ExplainReport {
         }
         if let Some(budget) = self.join_mem_budget_blocks {
             writeln!(f, "  join memory budget: {budget} blocks per reducer build")?;
-        }
-        if let Some(rate) = self.est_cache_hit_rate {
-            writeln!(f, "  block cache: ~{:.0}% of candidate blocks resident", rate * 100.0)?;
         }
         writeln!(
             f,
@@ -201,16 +190,6 @@ impl std::fmt::Display for ExplainAnalyzeReport {
                 f,
                 "  zone maps: {} blocks skipped vs ~{} projected",
                 self.stats.query_io.zone_skipped, self.explain.est_zone_skipped
-            )?;
-        }
-        if let Some(projected) = self.explain.est_cache_hit_rate {
-            writeln!(
-                f,
-                "  block cache: {:.0}% realized hit rate vs ~{:.0}% projected ({} hits, {} misses)",
-                self.stats.cache.hit_rate() * 100.0,
-                projected * 100.0,
-                self.stats.cache.hits(),
-                self.stats.cache.misses
             )?;
         }
         if self.stats.overlap.hidden() > 0 {
@@ -289,7 +268,6 @@ impl Database {
                     }
                     (candidates, skipped)
                 };
-                let est_cache_hit_rate = self.projected_cache_hit_rate(&[(&s.table, &blocks)]);
                 Ok(ExplainReport {
                     strategy: JoinStrategy::ScanOnly,
                     candidates: vec![(s.table.clone(), 0, blocks.len())],
@@ -305,7 +283,6 @@ impl Database {
                     build_side: None,
                     groups: None,
                     join_mem_budget_blocks: None,
-                    est_cache_hit_rate,
                     est_cost_blocks: 0,
                     est_lane: Lane::Interactive,
                     delta_blocks: 0,
@@ -345,29 +322,6 @@ impl Database {
         }
     }
 
-    /// Fraction of the given candidate blocks resident in their
-    /// preferred node's block cache — the [`ExplainReport`] hit-rate
-    /// projection. `None` when the store has no cache attached. Pure
-    /// probe: no recency bumps, no admissions, no clock charges.
-    fn projected_cache_hit_rate(&self, legs: &[(&str, &[adaptdb_common::BlockId])]) -> Option<f64> {
-        let cache = self.store().cache()?;
-        let total: usize = legs.iter().map(|(_, blocks)| blocks.len()).sum();
-        if total == 0 {
-            return Some(0.0);
-        }
-        let mut resident = 0usize;
-        for (table, blocks) in legs {
-            for &b in *blocks {
-                if let Ok(node) = self.store().preferred_node(table, b) {
-                    if cache.contains(node, &adaptdb_common::GlobalBlockId::new(*table, b)) {
-                        resident += 1;
-                    }
-                }
-            }
-        }
-        Some(resident as f64 / total as f64)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn explain_join(
         &self,
@@ -383,8 +337,6 @@ impl Database {
         let rt = self.table(right)?;
         let lc = classify_candidates(lt.snapshot(), left_preds, left_attr);
         let rc = classify_candidates(rt.snapshot(), right_preds, right_attr);
-        let est_cache_hit_rate =
-            self.projected_cache_hit_rate(&[(left, &lc.all()), (right, &rc.all())]);
         let candidates = vec![
             (left.to_string(), lc.matching.len(), lc.other.len()),
             (right.to_string(), rc.matching.len(), rc.other.len()),
@@ -424,7 +376,6 @@ impl Database {
                 build_side: None,
                 groups: None,
                 join_mem_budget_blocks: None,
-                est_cache_hit_rate,
                 est_cost_blocks: 0,
                 est_lane: Lane::Interactive,
                 delta_blocks: 0,
@@ -463,7 +414,6 @@ impl Database {
                     build_side: Some(plan.build_side),
                     groups: Some(plan.groups.len()),
                     join_mem_budget_blocks: None,
-                    est_cache_hit_rate,
                     est_cost_blocks: 0,
                     est_lane: Lane::Interactive,
                     delta_blocks: 0,
@@ -491,7 +441,6 @@ impl Database {
                     build_side: None,
                     groups: None,
                     join_mem_budget_blocks: None,
-                    est_cache_hit_rate,
                     est_cost_blocks: 0,
                     est_lane: Lane::Interactive,
                     delta_blocks: 0,
@@ -684,38 +633,6 @@ mod tests {
         let report = d.explain(&join()).unwrap();
         assert!(report.delta_blocks > 0, "append must surface as delta blocks");
         assert!(report.to_string().contains("unfolded delta blocks"));
-    }
-
-    #[test]
-    fn cache_projection_appears_only_with_cache_enabled() {
-        if std::env::var("ADAPTDB_CACHE").is_err() {
-            let d = db(Mode::Fixed);
-            assert_eq!(d.explain(&join()).unwrap().est_cache_hit_rate, None, "cache off: no row");
-        }
-        let config = DbConfig {
-            rows_per_block: 10,
-            buffer_blocks: 4,
-            fetch_window: 4,
-            cache_blocks_per_node: 64,
-            ..DbConfig::small()
-        }
-        .with_mode(Mode::Fixed);
-        let mut d = Database::new(config);
-        let schema = Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)]);
-        d.create_table("l", schema.clone(), vec![1]).unwrap();
-        d.create_table("r", schema, vec![1]).unwrap();
-        d.load_two_phase("l", (0..200i64).map(|i| row![i % 100, i]).collect(), 0, None).unwrap();
-        d.load_two_phase("r", (0..100i64).map(|i| row![i, i]).collect(), 0, None).unwrap();
-        // Cold cache: the projection exists but sees nothing resident.
-        let cold = d.explain(&join()).unwrap();
-        assert_eq!(cold.est_cache_hit_rate, Some(0.0));
-        // Warm with one run, then EXPLAIN sees resident blocks and
-        // EXPLAIN ANALYZE reports the realized rate next to it.
-        d.run(&join()).unwrap();
-        let report = d.explain_analyze(&join()).unwrap();
-        assert!(report.explain.est_cache_hit_rate.unwrap() > 0.0, "warm blocks project as hits");
-        assert!(report.stats.cache.hits() > 0, "the analyze run realized cache hits");
-        assert!(report.to_string().contains("block cache"));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! Maintenance, and Overlapped — are documented canonically in
 //! `docs/ARCHITECTURE.md` (§ "Cost accounting").
 
-use adaptdb_common::{CacheStats, CostParams, IoStats, OverlapStats, ShuffleStats};
+#[allow(deprecated)]
+use adaptdb_common::CacheStats;
+use adaptdb_common::{CostParams, IoStats, OverlapStats, ShuffleStats};
 use parking_lot::Mutex;
 
 use crate::cluster::ReadKind;
@@ -42,11 +44,6 @@ pub struct SimClock {
     /// already counted in `io` — block counts are never reduced, only
     /// the simulated time a consumer derives from them.
     overlap: Mutex<OverlapStats>,
-    /// Block-cache breakdown: reads absorbed by the per-node buffer
-    /// pool. Hits are *not* in `io` — they are the reads that did not
-    /// happen — so `io.reads() + cache.hits()` is the invariant total
-    /// for a fixed workload at any cache size.
-    cache: Mutex<CacheStats>,
     kind: ClockKind,
 }
 
@@ -66,15 +63,12 @@ impl SimClock {
         self.kind
     }
 
-    /// Record a block read of the given kind. Cache hits are tallied by
-    /// [`SimClock::record_cache_hit`] instead — they never touch the
-    /// I/O tally — so a `CacheHit` here is a no-op.
+    /// Record a block read of the given kind.
     pub fn record_read(&self, kind: ReadKind) {
         let mut io = self.io.lock();
         match kind {
             ReadKind::Local => io.local_reads += 1,
             ReadKind::Remote => io.remote_reads += 1,
-            ReadKind::CacheHit => {}
         }
     }
 
@@ -153,10 +147,6 @@ impl SimClock {
         match kind {
             ReadKind::Local => sh.local_fetches += 1,
             ReadKind::Remote => sh.remote_fetches += 1,
-            // Cache-served fetches are on the cache breakdown already;
-            // keeping them off the per-run fetch legs preserves
-            // `fetches() == blocks_spilled` as a cache-off invariant.
-            ReadKind::CacheHit => {}
         }
     }
 
@@ -179,34 +169,6 @@ impl SimClock {
     /// counter, so per-run fetch invariants are undisturbed.
     pub fn record_broadcast_fetch(&self, _kind: ReadKind) {
         self.shuffle.lock().broadcast_fetches += 1;
-    }
-
-    /// Record a block served from the node-local cache. `avoided` is
-    /// the [`ReadKind`] the access *would* have been (classified before
-    /// the cache lookup, so fault-injection behaviour is unchanged);
-    /// `bytes` is the encoded size served. Hits never touch the I/O
-    /// tally — the read they replace simply does not happen.
-    pub fn record_cache_hit(&self, avoided: ReadKind, bytes: usize) {
-        let mut cs = self.cache.lock();
-        match avoided {
-            ReadKind::Remote => cs.remote_hits += 1,
-            // A hit can only avoid a real DFS read; classify anything
-            // else with the conservative (cheaper) local leg.
-            ReadKind::Local | ReadKind::CacheHit => cs.local_hits += 1,
-        }
-        cs.hit_bytes += bytes;
-    }
-
-    /// Record a cache-enabled read that missed and fell through to the
-    /// DFS (the read itself is charged via [`SimClock::record_read`] or
-    /// [`SimClock::record_fetch_window`] as usual).
-    pub fn record_cache_miss(&self) {
-        self.cache.lock().misses += 1;
-    }
-
-    /// Record `n` cache entries evicted to admit hotter blocks.
-    pub fn record_cache_evictions(&self, n: usize) {
-        self.cache.lock().evictions += n;
     }
 
     /// Record one hot partition being split across extra reducers.
@@ -243,9 +205,11 @@ impl SimClock {
         *self.overlap.lock()
     }
 
-    /// Snapshot of the block-cache breakdown so far.
+    /// Always empty: the block cache it reported on was removed.
+    #[deprecated(note = "no effect: the block cache was removed")]
+    #[allow(deprecated)]
     pub fn cache_snapshot(&self) -> CacheStats {
-        *self.cache.lock()
+        CacheStats
     }
 
     /// Reset to zero, returning the previous tally (the shuffle and
@@ -254,7 +218,6 @@ impl SimClock {
         let io = std::mem::take(&mut *self.io.lock());
         let _ = std::mem::take(&mut *self.shuffle.lock());
         let _ = std::mem::take(&mut *self.overlap.lock());
-        let _ = std::mem::take(&mut *self.cache.lock());
         io
     }
 
@@ -394,31 +357,6 @@ mod tests {
         assert_eq!(sh.peak_reducer_mem_blocks, 4);
         // Broadcasts stay out of the per-run fetch breakdown.
         assert_eq!(sh.fetches(), 0);
-    }
-
-    #[test]
-    fn cache_tally_classifies_without_charging_io() {
-        let c = SimClock::new();
-        c.record_cache_hit(ReadKind::Remote, 64);
-        c.record_cache_hit(ReadKind::Local, 32);
-        c.record_cache_miss();
-        c.record_cache_evictions(2);
-        let io = c.snapshot();
-        let cs = c.cache_snapshot();
-        // Hits are the reads that did not happen: the I/O tally is
-        // untouched, so cache-off counters stay bit-identical.
-        assert_eq!(io.reads(), 0);
-        assert_eq!((cs.local_hits, cs.remote_hits), (1, 1));
-        assert_eq!(cs.misses, 1);
-        assert_eq!(cs.evictions, 2);
-        assert_eq!(cs.hit_bytes, 96);
-        assert_eq!(cs.hits(), 2);
-        // A CacheHit never lands on record_read's legs either.
-        c.record_read(ReadKind::CacheHit);
-        assert_eq!(c.snapshot().reads(), 0);
-        // take() resets the cache tally with the rest.
-        c.take();
-        assert_eq!(c.cache_snapshot(), adaptdb_common::CacheStats::default());
     }
 
     #[test]

@@ -26,10 +26,6 @@ pub enum ReadKind {
     Local,
     /// The block is fetched from another node over the network.
     Remote,
-    /// The block was served from the node-local block cache: no DFS
-    /// access happened at all. Charged near-zero cost and tallied on
-    /// the cache breakdown instead of the local/remote read legs.
-    CacheHit,
 }
 
 /// The simulated distributed filesystem.

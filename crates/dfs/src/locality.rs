@@ -168,7 +168,6 @@ pub fn job_response_time(assignments: &[TaskAssignment], nodes: usize, params: &
         let cost = match a.kind {
             ReadKind::Local => params.block_read_secs,
             ReadKind::Remote => params.block_read_secs * params.remote_read_penalty,
-            ReadKind::CacheHit => params.cache_hit_secs,
         } + params.cpu_per_block_secs;
         per_node[a.node as usize] += cost;
     }

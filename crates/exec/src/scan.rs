@@ -1,13 +1,14 @@
 //! Type-1 block processing: scan + filter.
 //!
-//! Every scan reads through `fetch_ordered`: each worker streams its
-//! contiguous share of the manifest through an
-//! [`adaptdb_storage::FetchStream`] of the context's `fetch_window` and
-//! reassembles completions back into manifest order. A window of `w`
+//! Every scan reads through `fetch_ordered`: the whole manifest streams
+//! through one [`adaptdb_storage::FetchStream`] of the context's
+//! `fetch_window`, and completions are reassembled back into manifest
+//! order; the workers then select the fetched blocks. A window of `w`
 //! keeps up to `w` reads in flight, charged max-of-window; a window of
 //! 1 is a one-deep stream that reads one block at a time, exactly as a
 //! serial reader does. The window changes simulated latency, never row
-//! order, counts, or results.
+//! order, counts, or results, and since one stream issues every window,
+//! the thread count changes none of them.
 //!
 //! Every filtered block read — scans here, the hyper-join build and
 //! probe legs, the step-join build, and the shuffle map side — is
@@ -62,8 +63,8 @@ pub fn scan_blocks(
 }
 
 /// Scan body shared by the traced wrapper above: zone skip, then one
-/// fetch stream per worker selecting each block as it arrives, then
-/// the morsel gather.
+/// fetch stream over the surviving blocks, the selections on the
+/// workers, then the morsel gather.
 fn scan_inner(
     ctx: ExecContext<'_>,
     table: &str,
@@ -83,34 +84,15 @@ fn scan_inner(
     if skipped > 0 {
         ctx.clock.record_zone_skips(skipped);
     }
-    let selected = fetch_chunked(ctx, table, &to_read, |lazy| {
+    // Reads issue at each block's preferred node.
+    let fetched = fetch_ordered(ctx, table, &to_read, None, Ok)?;
+    let selected = parallel::map_ordered(fetched, ctx.threads, |lazy| {
         let sel = select_block(ctx, &lazy, preds)?;
         Ok((lazy, sel))
-    })?;
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
     gather_morsels(ctx, &selected)
-}
-
-/// Split the manifest into one contiguous chunk per worker and read
-/// each chunk through [`fetch_ordered`] (reads issue at each block's
-/// preferred node); results come back in manifest order.
-fn fetch_chunked<T: Send>(
-    ctx: ExecContext<'_>,
-    table: &str,
-    blocks: &[BlockId],
-    f: impl Fn(LazyBlock) -> Result<T> + Sync,
-) -> Result<Vec<T>> {
-    if blocks.is_empty() {
-        return Ok(Vec::new());
-    }
-    let chunks: Vec<&[BlockId]> =
-        blocks.chunks(blocks.len().div_ceil(ctx.threads.max(1))).collect();
-    let mut out = Vec::with_capacity(blocks.len());
-    for r in parallel::map_ordered(chunks, ctx.threads, |chunk| {
-        fetch_ordered(ctx, table, chunk, None, &f)
-    }) {
-        out.extend(r?);
-    }
-    Ok(out)
 }
 
 /// The ordered-fetch helper every pipelined read leg shares: push

@@ -10,14 +10,14 @@
 //! fetch leg split local/remote by real placement instead of being
 //! charged flat-local as the old in-process shuffle did.
 //!
-//! Every shuffle — block or row input, with or without a retained hot
-//! build — runs through one streaming exchange: each map task's runs
-//! are pushed into per-reducer fetch streams as the task finishes, and
-//! reducers drain their streams before joining. The stream's window is
-//! the only knob: at 1 nothing is read ahead and every fetch happens in
-//! the reduce phase, one run at a time; a wider window prefetches while
-//! later map tasks still run and overlaps fetch latency. Rows, block
-//! counts, and the shuffle breakdown are the same at every window.
+//! Every shuffle — block or row input — runs through one streaming
+//! exchange: each map task's runs are pushed into per-reducer fetch
+//! streams as the task finishes, and reducers drain their streams
+//! before joining. The stream's window is the only knob: at 1 nothing
+//! is read ahead and every fetch happens in the reduce phase, one run
+//! at a time; a wider window prefetches while later map tasks still run
+//! and overlaps fetch latency. Rows, block counts, and the shuffle
+//! breakdown are the same at every window.
 //!
 //! A reducer materialises late. Its drained runs stay encoded; only
 //! the build side — the smaller by row count, the left on a tie — is
@@ -30,11 +30,11 @@
 //! partition's round-robin shares and a budgeted join's Grace groups
 //! are selections over the runs (groups hash each row's key cell
 //! without gathering the row), and the block-nested-loop leaf streams
-//! the runs past each build chunk. A retained hot build keeps its rows.
+//! the runs past each build chunk.
 
 use adaptdb_common::{AttrId, BitSet, BlockId, PredicateSet, Result, Row};
-use adaptdb_dfs::{secs_to_us, ReadKind, SimClock, SpanGuard};
-use adaptdb_storage::{BuildKey, HotBuild, LazyBlock};
+use adaptdb_dfs::{secs_to_us, SimClock, SpanGuard};
+use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
 use crate::hash_table::{join_into, probe_block, JoinHashTable};
@@ -145,36 +145,8 @@ fn traced_reduce(
     Ok(out)
 }
 
-/// Fingerprint of a join's *build side* — the side with fewer
-/// candidate blocks, the one worth remembering. Equal keys shuffle
-/// identical data: blocks are immutable and ids never reused, so the
-/// sorted block list pins the snapshot epoch.
-fn build_key(spec: &ShuffleJoinSpec<'_>, partitions: usize, build_left: bool) -> BuildKey {
-    let (table, blocks, attr, preds) = if build_left {
-        (spec.left_table, spec.left_blocks, spec.left_attr, spec.left_preds)
-    } else {
-        (spec.right_table, spec.right_blocks, spec.right_attr, spec.right_preds)
-    };
-    let mut ids = blocks.to_vec();
-    ids.sort_unstable();
-    BuildKey {
-        table: table.to_string(),
-        attr,
-        preds: format!("{preds:?}"),
-        partitions,
-        blocks: ids,
-    }
-}
-
 /// Execute a shuffle join over stored blocks through the shuffle
 /// service (map spill to DFS, reducer fetch with locality accounting).
-///
-/// When the store's block cache is on, the build side (fewer candidate
-/// blocks) is also fingerprinted against the hot-build cache: a later
-/// query re-shuffling the identical side skips its map spill and
-/// reducer fetch entirely, paying one [`ReadKind::CacheHit`] per run
-/// block the original spill wrote instead of the full
-/// read + write + fetch round-trip.
 pub fn shuffle_join(ctx: ExecContext<'_>, spec: ShuffleJoinSpec<'_>) -> Result<Vec<Row>> {
     let (ctx, span) = ctx.traced("shuffle-join");
     let mappers = ctx.store.dfs().live_nodes();
@@ -192,67 +164,14 @@ pub fn shuffle_join(ctx: ExecContext<'_>, spec: ShuffleJoinSpec<'_>) -> Result<V
         s.attr_i("partitions", svc.partitions() as i64);
         s.attr_i("input_blocks", (spec.left_blocks.len() + spec.right_blocks.len()) as i64);
     }
-    let build_left = spec.left_blocks.len() <= spec.right_blocks.len();
-    let cache = ctx.store.cache();
-    let key = cache.as_ref().map(|_| build_key(&spec, svc.partitions(), build_left));
-    let hot = match (&cache, &key) {
-        (Some(c), Some(k)) => c.lookup_build(k),
-        _ => None,
-    };
-    if let Some(hot) = &hot {
-        if let Some(s) = &span {
-            s.attr_i("hot_build_reuse_blocks", hot.spill_blocks as i64);
-        }
-        // Reuse is charged as cache hits: one per run block the
-        // original query spilled — the fetch leg the reuse replaces
-        // (its spill-write leg is simply avoided).
-        for _ in 0..hot.spill_blocks {
-            ctx.clock.record_cache_hit(ReadKind::Local, 0);
-        }
-    }
-    // A cold run with the cache on captures the build side's
-    // per-partition rows (and its histogram and spill footprint) so the
-    // hot-build cache can retain them.
-    let mut collected =
-        (cache.is_some() && hot.is_none()).then(|| vec![Vec::new(); svc.partitions()]);
-    let mut build_side = None;
-    let result = exchange(
-        &svc,
-        spec.left_attr,
-        spec.right_attr,
-        hot.as_deref().map(|h| (h, build_left)),
-        |right, on_task| {
-            let (table, blocks, attr, preds) = if right {
-                (spec.right_table, spec.right_blocks, spec.right_attr, spec.right_preds)
-            } else {
-                (spec.left_table, spec.left_blocks, spec.left_attr, spec.left_preds)
-            };
-            if right == build_left {
-                return svc.spill_blocks_collecting(table, blocks, attr, preds, on_task, None);
-            }
-            if let Some(hot) = &hot {
-                // The retained side spills nothing; its histogram is
-                // the one the original query produced, so the split
-                // plan matches the cold run's.
-                return Ok(ShuffledSide {
-                    runs: vec![Vec::new(); svc.partitions()],
-                    rows: hot.hist.clone(),
-                });
-            }
-            let collect = collected.as_deref_mut();
-            let side = svc.spill_blocks_collecting(table, blocks, attr, preds, on_task, collect)?;
-            if collected.is_some() {
-                build_side = Some(side.clone());
-            }
-            Ok(side)
-        },
-    );
-    if let (Ok(_), Some(c), Some(k), Some(rows), Some(side)) =
-        (&result, cache, key, collected, build_side)
-    {
-        let spill_blocks = side.runs.iter().map(Vec::len).sum();
-        c.insert_build(k, HotBuild { rows, hist: side.rows, spill_blocks });
-    }
+    let result = exchange(&svc, spec.left_attr, spec.right_attr, |right, on_task| {
+        let (table, blocks, attr, preds) = if right {
+            (spec.right_table, spec.right_blocks, spec.right_attr, spec.right_preds)
+        } else {
+            (spec.left_table, spec.left_blocks, spec.left_attr, spec.left_preds)
+        };
+        svc.spill_blocks_observed(table, blocks, attr, preds, on_task)
+    });
     svc.cleanup();
     drop(span);
     result
@@ -263,14 +182,11 @@ pub fn shuffle_join(ctx: ExecContext<'_>, spec: ShuffleJoinSpec<'_>) -> Result<V
 /// `spill(right, on_task)` runs one side's map phase (left, then right)
 /// and calls `on_task` as each map task finishes, which pushes that
 /// task's runs into the reducers' streams. Reducers then drain their
-/// streams — in partition order, in parallel — and join. `hot`
-/// substitutes a retained build for one side (`true` = the left): that
-/// side announces no runs, and its rows come from the build instead.
+/// streams — in partition order, in parallel — and join.
 fn exchange<'a>(
     svc: &ShuffleService<'a>,
     left_attr: AttrId,
     right_attr: AttrId,
-    hot: Option<(&HotBuild, bool)>,
     mut spill: impl FnMut(bool, &mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
 ) -> Result<Vec<Row>> {
     let ctx = svc.ctx();
@@ -303,15 +219,7 @@ fn exchange<'a>(
         let results =
             parallel::map_ordered(tasks, ctx.threads, |(p, mut stream)| -> Result<Vec<Row>> {
                 let (l, r) = svc.drain_partition(&mut stream)?;
-                // The hot side announced no runs, so its drained half is
-                // empty: the retained rows stand in for it.
-                let side = |runs, is_left| match hot {
-                    Some((build, build_left)) if build_left == is_left => {
-                        Side::Rows(build.rows[p].clone())
-                    }
-                    _ => Side::runs(runs),
-                };
-                let (l, r) = (side(&l, true), side(&r, false));
+                let (l, r) = (Side::runs(&l), Side::runs(&r));
                 join_partition(svc, p, plan[p], l, r, left_attr, right_attr, &left, &right)
             });
         let mut out = Vec::new();
@@ -343,8 +251,7 @@ pub fn reduce_partition(
 /// One join side of a reduce (sub-)task.
 #[derive(Clone)]
 enum Side<'r> {
-    /// Rows already gathered: a retained hot build, or a build group
-    /// read back from its spill.
+    /// Rows already gathered: a build group read back from its spill.
     Rows(Vec<Row>),
     /// Fetched runs, still encoded, in arrival order.
     Runs(Vec<Run<'r>>),
@@ -719,7 +626,7 @@ pub fn shuffle_join_rows(
         "mid",
     )?;
     let mut inputs = [left, right];
-    let result = exchange(&svc, left_attr, right_attr, None, |right, on_task| {
+    let result = exchange(&svc, left_attr, right_attr, |right, on_task| {
         let attr = if right { right_attr } else { left_attr };
         svc.spill_rows_observed(std::mem::take(&mut inputs[usize::from(right)]), attr, on_task)
     });
@@ -1283,7 +1190,6 @@ mod tests {
             svc: &ShuffleService<'a>,
             left_attr: AttrId,
             right_attr: AttrId,
-            hot: Option<(&HotBuild, bool)>,
             mut spill: impl FnMut(bool, &mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
         ) -> Result<Vec<Row>> {
             let ctx = svc.ctx();
@@ -1314,14 +1220,7 @@ mod tests {
                     tasks,
                     ctx.threads,
                     |(p, mut stream)| -> Result<Vec<Row>> {
-                        let (mut l, mut r) = drain_partition(svc, &mut stream)?;
-                        if let Some((build, build_left)) = hot {
-                            if build_left {
-                                l = build.rows[p].clone();
-                            } else {
-                                r = build.rows[p].clone();
-                            }
-                        }
+                        let (l, r) = drain_partition(svc, &mut stream)?;
                         join_partition(svc, p, plan[p], l, r, left_attr, right_attr, &left, &right)
                     },
                 );
@@ -1522,12 +1421,11 @@ mod tests {
     /// the same order, with identical block I/O and every shuffle
     /// tally (splits, broadcasts, build spills, recursion depth, peak
     /// reducer memory), at budgets ∞, 4 and 1, with splitting off and
-    /// on, with a retained hot build standing in for either side, at
-    /// one to three threads.
+    /// on, at one to three threads.
     #[test]
     fn run_reducer_matches_the_row_reducer() {
         let rpb = 6;
-        let (mut splits, mut spilled, mut capped, mut hot_cases) = (false, false, false, 0);
+        let (mut splits, mut spilled, mut capped) = (false, false, false);
         for seed in 0..6u64 {
             let (left, right) = reducer_case(seed);
             let store = BlockStore::new(3, 1, seed);
@@ -1538,165 +1436,46 @@ mod tests {
             let none = PredicateSet::none();
             let partitions = 4;
             let tables = [("l", &lids), ("r", &rids)];
-            // A retained build of each side, as a cold run would keep it.
-            let retained: Vec<HotBuild> = tables
-                .iter()
-                .map(|(t, ids)| {
-                    let clock = SimClock::new();
-                    let svc = ShuffleService::new(
-                        ExecContext::single(&store, &clock),
-                        partitions,
-                        rpb,
-                        "hot",
-                    )
-                    .unwrap();
-                    let mut rows = vec![Vec::new(); partitions];
-                    let side = svc
-                        .spill_blocks_collecting(t, ids, 0, &none, &mut |_| {}, Some(&mut rows))
-                        .unwrap();
-                    svc.cleanup();
-                    HotBuild {
-                        rows,
-                        spill_blocks: side.runs.iter().map(Vec::len).sum(),
-                        hist: side.rows,
-                    }
-                })
-                .collect();
             for budget in [None, Some(4), Some(1)] {
                 for split_threshold in [None, Some(1.5)] {
-                    for hot_side in [None, Some(true), Some(false)] {
-                        let threads = 1 + (seed as usize + budget.unwrap_or(0)) % 3;
-                        let hot = hot_side.map(|l| (&retained[usize::from(!l)], l));
-                        let run = |reference: bool| {
-                            let clock = SimClock::new();
-                            let ctx = ExecContext::new(&store, &clock, threads)
-                                .with_shuffle(crate::context::ShuffleOptions {
-                                    partitions: None,
-                                    replication: 1,
-                                    split_threshold,
-                                })
-                                .with_join_mem_budget(budget);
-                            let svc = ShuffleService::new(ctx, partitions, rpb, "eq").unwrap();
-                            let spill = |right: bool, on_task: &mut dyn FnMut(&ShuffledSide)| {
-                                if let Some((h, l)) = hot {
-                                    if l != right {
-                                        return Ok(ShuffledSide {
-                                            runs: vec![Vec::new(); partitions],
-                                            rows: h.hist.clone(),
-                                        });
-                                    }
-                                }
-                                let (t, ids) = tables[usize::from(right)];
-                                svc.spill_blocks_collecting(t, ids, 0, &none, on_task, None)
-                            };
-                            let rows = if reference {
-                                row_reducer::exchange(&svc, 0, 0, hot, spill)
-                            } else {
-                                exchange(&svc, 0, 0, hot, spill)
-                            }
-                            .unwrap();
-                            svc.cleanup();
-                            (rows, clock.snapshot(), clock.shuffle_snapshot())
+                    let threads = 1 + (seed as usize + budget.unwrap_or(0)) % 3;
+                    let run = |reference: bool| {
+                        let clock = SimClock::new();
+                        let ctx = ExecContext::new(&store, &clock, threads)
+                            .with_shuffle(crate::context::ShuffleOptions {
+                                partitions: None,
+                                replication: 1,
+                                split_threshold,
+                            })
+                            .with_join_mem_budget(budget);
+                        let svc = ShuffleService::new(ctx, partitions, rpb, "eq").unwrap();
+                        let spill = |right: bool, on_task: &mut dyn FnMut(&ShuffledSide)| {
+                            let (t, ids) = tables[usize::from(right)];
+                            svc.spill_blocks_observed(t, ids, 0, &none, on_task)
                         };
-                        let want = run(true);
-                        let got = run(false);
-                        let case = format!(
-                            "seed {seed} budget {budget:?} split {split_threshold:?} hot {hot_side:?}"
-                        );
-                        assert!(!want.0.is_empty(), "{case}: empty join");
-                        assert_eq!(got.0, want.0, "{case}: rows");
-                        assert_eq!(got.1, want.1, "{case}: io");
-                        assert_eq!(got.2, want.2, "{case}: shuffle tallies");
-                        splits |= want.2.split_partitions > 0;
-                        spilled |= want.2.build_blocks_spilled > 0;
-                        capped |= want.2.max_recursion_depth == MAX_RECURSION_DEPTH;
-                        hot_cases += usize::from(hot.is_some());
-                    }
+                        let rows = if reference {
+                            row_reducer::exchange(&svc, 0, 0, spill)
+                        } else {
+                            exchange(&svc, 0, 0, spill)
+                        }
+                        .unwrap();
+                        svc.cleanup();
+                        (rows, clock.snapshot(), clock.shuffle_snapshot())
+                    };
+                    let want = run(true);
+                    let got = run(false);
+                    let case = format!("seed {seed} budget {budget:?} split {split_threshold:?}");
+                    assert!(!want.0.is_empty(), "{case}: empty join");
+                    assert_eq!(got.0, want.0, "{case}: rows");
+                    assert_eq!(got.1, want.1, "{case}: io");
+                    assert_eq!(got.2, want.2, "{case}: shuffle tallies");
+                    splits |= want.2.split_partitions > 0;
+                    spilled |= want.2.build_blocks_spilled > 0;
+                    capped |= want.2.max_recursion_depth == MAX_RECURSION_DEPTH;
                 }
             }
         }
         assert!(splits && spilled && capped, "split {splits} spill {spilled} cap {capped}");
-        assert!(hot_cases > 0);
-    }
-
-    #[test]
-    fn hot_build_reuse_serves_identical_rows_and_skips_build_io() {
-        let (store, lids, rids) = setup(400, 25);
-        store.enable_cache(64, 1.25);
-        let none = PredicateSet::none();
-        let c1 = SimClock::new();
-        let first =
-            shuffle_join(ctx_with(&store, &c1, 1, 4), spec(&lids, &rids, &none, 25)).unwrap();
-        let report = store.cache().unwrap().report();
-        assert_eq!(report.build_entries, 1, "cold run must retain its build side");
-        assert_eq!(report.build_hits, 0);
-
-        // Identical re-query: the build side neither spills nor fetches.
-        let c2 = SimClock::new();
-        let second =
-            shuffle_join(ctx_with(&store, &c2, 1, 4), spec(&lids, &rids, &none, 25)).unwrap();
-        assert_eq!(sorted(first.clone()), sorted(second), "reuse changed the join");
-        assert_eq!(store.cache().unwrap().report().build_hits, 1);
-        let (s1, s2) = (c1.shuffle_snapshot(), c2.shuffle_snapshot());
-        assert!(
-            s2.blocks_spilled < s1.blocks_spilled,
-            "build side must not re-spill: {} vs {}",
-            s2.blocks_spilled,
-            s1.blocks_spilled
-        );
-        assert_eq!(s2.fetches(), s2.blocks_spilled, "per-run fetch invariant survives reuse");
-        // Reuse is charged on the cache breakdown, one hit per avoided
-        // run block (plus block-cache hits on the probe side's inputs).
-        let cs = c2.cache_snapshot();
-        let avoided = s1.blocks_spilled - s2.blocks_spilled;
-        assert!(cs.hits() >= avoided, "hits {} < avoided run blocks {avoided}", cs.hits());
-
-        // A pipelined re-query reuses the same entry and agrees too.
-        let c3 = SimClock::new();
-        let third = shuffle_join(
-            ctx_with(&store, &c3, 1, 4).with_fetch_window(4),
-            spec(&lids, &rids, &none, 25),
-        )
-        .unwrap();
-        assert_eq!(sorted(first), sorted(third), "pipelined reuse changed the join");
-        assert_eq!(store.cache().unwrap().report().build_hits, 2);
-        assert_eq!(c3.shuffle_snapshot().blocks_spilled, s2.blocks_spilled);
-    }
-
-    #[test]
-    fn retired_build_block_and_changed_predicates_prevent_reuse() {
-        let (store, lids, rids) = setup(100, 10);
-        store.enable_cache(64, 1.25);
-        let none = PredicateSet::none();
-        // Cold pipelined run populates the build cache (collection must
-        // work through the streamed exchange as well).
-        let clock = SimClock::new();
-        shuffle_join(
-            ctx_with(&store, &clock, 1, 4).with_fetch_window(4),
-            spec(&lids, &rids, &none, 10),
-        )
-        .unwrap();
-        let cache = store.cache().unwrap();
-        assert_eq!(cache.report().build_entries, 1);
-
-        // Different predicates fingerprint differently: no reuse.
-        let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Lt, 50i64));
-        let c2 = SimClock::new();
-        let rows =
-            shuffle_join(ctx_with(&store, &c2, 1, 4), spec(&lids, &rids, &preds, 10)).unwrap();
-        assert_eq!(rows.len(), 50);
-        assert_eq!(cache.report().build_hits, 0, "changed predicates must not reuse");
-
-        // Retiring a build-side block kills every retained build for
-        // the table — a reused build may never feed on retired data.
-        store.remove_block("l", *lids.last().unwrap()).unwrap();
-        assert_eq!(cache.report().build_entries, 0, "retirement must purge hot builds");
-        let keep = &lids[..lids.len() - 1];
-        let c3 = SimClock::new();
-        let s = ShuffleJoinSpec { left_blocks: keep, ..spec(&lids, &rids, &none, 10) };
-        let rows = shuffle_join(ctx_with(&store, &c3, 1, 4), s).unwrap();
-        assert_eq!(rows.len(), 90, "post-retirement join sees the surviving blocks");
-        assert_eq!(cache.report().build_hits, 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!
 //! **Streaming.** Reducers fetch their runs through [`FetchStream`]s
 //! at every window: map-side runs become visible to reducers as each
-//! map task finishes ([`ShuffleService::spill_blocks_collecting`] and
+//! map task finishes ([`ShuffleService::spill_blocks_observed`] and
 //! [`ShuffleService::spill_rows_observed`] announce every task's new
 //! runs, [`ShuffleService::push_new_runs`] queues them), and each
 //! reducer drains its stream with
@@ -167,39 +167,30 @@ impl<'a> ShuffleService<'a> {
         attr: AttrId,
         preds: &PredicateSet,
     ) -> Result<ShuffledSide> {
-        self.spill_blocks_collecting(table, blocks, attr, preds, &mut |_| {}, None)
+        self.spill_blocks_observed(table, blocks, attr, preds, &mut |_| {})
     }
 
-    /// [`ShuffleService::spill_blocks`] with streamed run visibility
-    /// and an optional row capture. `on_task` is invoked after **each
+    /// [`ShuffleService::spill_blocks`] with streamed run visibility.
+    /// `on_task` is invoked after **each
     /// map task** finishes, with the side accumulated so far — runs
     /// spilled by completed tasks are already real DFS blocks at that
     /// point, so a reducer stream can begin prefetching them while
     /// later map tasks still execute. Runs lists only ever grow, so
     /// observers track a per-partition high-water mark to find the new
     /// entries.
-    ///
-    /// `collect`, when given, additionally receives a copy of every
-    /// routed row in `collect[partition]` — the exact per-partition row
-    /// sets the reducers will fetch, captured for free during the map
-    /// phase (no extra I/O, the rows pass through the mapper anyway).
-    /// The hot-build cache retains them so a later identical shuffle
-    /// can skip this side's spill *and* fetch.
-    pub fn spill_blocks_collecting(
+    pub fn spill_blocks_observed(
         &self,
         table: &str,
         blocks: &[BlockId],
         attr: AttrId,
         preds: &PredicateSet,
         on_task: &mut dyn FnMut(&ShuffledSide),
-        mut collect: Option<&mut [Vec<Row>]>,
     ) -> Result<ShuffledSide> {
         // One map task per node, processing its blocks in input order.
         let per_node = {
             let dfs = self.ctx.store.dfs();
             TaskScheduler::new(&dfs).map_tasks_by_node(table, blocks)?
         };
-        let keep_rows = collect.is_some();
         let mut side = ShuffledSide::empty(self.partitions);
         for (node, blks) in per_node {
             let mut reads = Vec::with_capacity(blks.len());
@@ -207,7 +198,7 @@ impl<'a> ShuffleService<'a> {
                 reads.push(self.ctx.store.read_lazy_classified(table, b, node, self.ctx.clock)?.0);
             }
             let mapped = parallel::map_ordered(reads, self.ctx.threads, |lazy| {
-                MappedBlock::map(self, lazy, attr, preds, keep_rows)
+                MappedBlock::map(self, lazy, attr, preds)
             });
             let mapped: Vec<MappedBlock> = mapped.into_iter().collect::<Result<_>>()?;
             // Writes replay the row-at-a-time task's order: stretches of
@@ -235,14 +226,6 @@ impl<'a> ShuffleService<'a> {
                 }
             }
             let runs = writer.map(GatherWriter::finish);
-            if let Some(c) = collect.as_deref_mut() {
-                for m in mapped {
-                    let mut gathered = m.rows.expect("rows are kept while collecting").into_iter();
-                    for &(p, start, end) in &m.stretches {
-                        c[p as usize].extend(gathered.by_ref().take(end - start));
-                    }
-                }
-            }
             self.account_task(&mut side, rows, runs)?;
             on_task(&side);
         }
@@ -255,7 +238,7 @@ impl<'a> ShuffleService<'a> {
     /// as the previous phase's reducers would have left them — then
     /// spilled exactly like [`ShuffleService::spill_blocks`], with
     /// `on_task` fired after each node's map task spills (see
-    /// [`ShuffleService::spill_blocks_collecting`]).
+    /// [`ShuffleService::spill_blocks_observed`]).
     pub fn spill_rows_observed(
         &self,
         rows: Vec<Row>,
@@ -600,8 +583,6 @@ struct MappedBlock {
     /// `(partition, start, end)`: `order[start..end]` goes to
     /// `partition`; consecutive stretches differ in partition.
     stretches: Vec<(BucketId, usize, usize)>,
-    /// The selected rows materialized, when the side is collected.
-    rows: Option<Vec<Row>>,
 }
 
 impl MappedBlock {
@@ -612,10 +593,8 @@ impl MappedBlock {
         lazy: LazyBlock,
         attr: AttrId,
         preds: &PredicateSet,
-        keep_rows: bool,
     ) -> Result<MappedBlock> {
         let sel = select_block(svc.ctx, &lazy, preds)?;
-        let rows = keep_rows.then(|| lazy.gather_range(0, lazy.row_count(), &sel)).transpose()?;
         let source = Source::frame(lazy)?;
         let order: Vec<u32> = sel.iter_ones().map(|i| i as u32).collect();
         let mut stretches: Vec<(BucketId, usize, usize)> = Vec::new();
@@ -626,7 +605,7 @@ impl MappedBlock {
                 _ => stretches.push((p, at, at + 1)),
             }
         }
-        Ok(MappedBlock { source, order, stretches, rows })
+        Ok(MappedBlock { source, order, stretches })
     }
 }
 
@@ -862,7 +841,6 @@ mod tests {
         attr: AttrId,
         preds: &PredicateSet,
         on_task: &mut dyn FnMut(&ShuffledSide),
-        mut collect: Option<&mut [Vec<Row>]>,
     ) -> Result<ShuffledSide> {
         let per_node = {
             let dfs = svc.ctx.store.dfs();
@@ -873,11 +851,7 @@ mod tests {
             let mut mapper = MapTask::new(svc, node);
             for b in blks {
                 for row in crate::scan::read_selected(svc.ctx, table, b, node, preds)? {
-                    let hash = row.get(attr).stable_hash();
-                    if let Some(c) = collect.as_deref_mut() {
-                        c[(hash % svc.partitions as u64) as usize].push(row.clone());
-                    }
-                    mapper.push(hash, row);
+                    mapper.push(row.get(attr).stable_hash(), row);
                 }
             }
             mapper.spill(&mut side)?;
@@ -922,13 +896,12 @@ mod tests {
     /// The column map side writes exactly what the row-at-a-time
     /// reference writes — run bytes, run lists, histograms, placements,
     /// block ids (so write order), per-task announcements, I/O and
-    /// shuffle tallies, and the collected rows — at spill replication 1
-    /// and 3, with `ADB1` source blocks, with and without collection,
-    /// at every thread count.
+    /// shuffle tallies — at spill replication 1 and 3, with `ADB1`
+    /// source blocks, at every thread count.
     #[test]
     fn column_map_side_matches_the_row_reference() {
         let mut rng = adaptdb_common::rng::seeded(23);
-        let (mut adb1_cases, mut replicated_cases, mut collected_cases) = (0, 0, 0);
+        let (mut adb1_cases, mut replicated_cases) = (0, 0);
         for case in 0..240u64 {
             let cols = rng.random_range(1..5usize);
             let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..6u32)).collect();
@@ -936,7 +909,6 @@ mod tests {
             let rows_per_block = rng.random_range(1..7usize);
             let partitions = rng.random_range(1..6usize);
             let replication = if case % 2 == 0 { 1 } else { 3 };
-            let collect = case % 3 == 0;
             let threads = 1 + (case % 3) as usize;
             let mut script: Vec<(Vec<Row>, Option<NodeId>)> = Vec::new();
             let mut adb1 = false;
@@ -963,7 +935,6 @@ mod tests {
             }
             adb1_cases += usize::from(adb1);
             replicated_cases += usize::from(replication > 1);
-            collected_cases += usize::from(collect);
             let run = |column: bool| {
                 let store = BlockStore::new(4, 1 + (case % 3) as usize, case);
                 let blocks: Vec<BlockId> = script
@@ -981,53 +952,28 @@ mod tests {
                 let svc = ShuffleService::new(ctx, partitions, rows_per_block, "t").unwrap();
                 let mut tasks = Vec::new();
                 let mut on_task = |s: &ShuffledSide| tasks.push((s.runs.clone(), s.rows.clone()));
-                let mut collected = collect.then(|| vec![Vec::new(); partitions]);
                 let side = if column {
-                    svc.spill_blocks_collecting(
-                        "t",
-                        &blocks,
-                        attr,
-                        &preds,
-                        &mut on_task,
-                        collected.as_deref_mut(),
-                    )
+                    svc.spill_blocks_observed("t", &blocks, attr, &preds, &mut on_task)
                 } else {
-                    reference_spill(
-                        &svc,
-                        "t",
-                        &blocks,
-                        attr,
-                        &preds,
-                        &mut on_task,
-                        collected.as_deref_mut(),
-                    )
+                    reference_spill(&svc, "t", &blocks, attr, &preds, &mut on_task)
                 }
                 .unwrap();
                 let written = scratch_snapshot(&store, svc.scratch_table());
-                (
-                    side.runs,
-                    side.rows,
-                    tasks,
-                    collected,
-                    written,
-                    clock.snapshot(),
-                    clock.shuffle_snapshot(),
-                )
+                (side.runs, side.rows, tasks, written, clock.snapshot(), clock.shuffle_snapshot())
             };
             let want = run(false);
             let got = run(true);
             assert_eq!(got.0, want.0, "case {case}: runs");
             assert_eq!(got.1, want.1, "case {case}: histogram");
             assert_eq!(got.2, want.2, "case {case}: per-task announcements");
-            assert_eq!(got.3, want.3, "case {case}: collected rows");
-            assert_eq!(got.4.len(), want.4.len(), "case {case}: run block count");
-            for (g, w) in got.4.iter().zip(&want.4) {
+            assert_eq!(got.3.len(), want.3.len(), "case {case}: run block count");
+            for (g, w) in got.3.iter().zip(&want.3) {
                 assert_eq!(g, w, "case {case}: run block {}", w.0);
             }
-            assert_eq!(got.5, want.5, "case {case}: io");
-            assert_eq!(got.6, want.6, "case {case}: shuffle tallies");
+            assert_eq!(got.4, want.4, "case {case}: io");
+            assert_eq!(got.5, want.5, "case {case}: shuffle tallies");
         }
-        assert!(adb1_cases > 20 && replicated_cases > 20 && collected_cases > 20);
+        assert!(adb1_cases > 20 && replicated_cases > 20);
     }
 
     use adaptdb_common::Value;

@@ -8,9 +8,10 @@
 //! * **Snapshot reads.** Each table's layout (partition trees + block
 //!   manifests) is an immutable [`adaptdb::TableSnapshot`] behind an
 //!   `Arc`, published in a map the readers consult. A query pins the
-//!   `Arc`s it touches for its whole run, so it always sees one
-//!   consistent layout, and an adaptation installing a new layout is a
-//!   single pointer swap — readers never block behind a rewrite.
+//!   `Arc` of every table it names, all under one read of the map, and
+//!   holds them for its whole run, so it always sees one consistent
+//!   layout, and an adaptation installing a new layout is a single
+//!   pointer swap — readers never block behind a rewrite.
 //! * **Cost-aware scheduling.** Admission goes through one
 //!   [`scheduler::Scheduler`] queue, which an [`adaptdb::SchedPolicy`]
 //!   sets to FIFO, priority lanes, or per-session fair share. Every
@@ -64,7 +65,6 @@ pub mod queue;
 pub mod scheduler;
 
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -295,28 +295,35 @@ pub fn paced_fetch_window(configured: usize, est_wait_ms: f64, threshold_ms: f64
     (full >> levels.min(31)).max(1)
 }
 
-/// The per-query reader view: resolves snapshots from the published map
-/// and pins each table's `Arc` for the duration of the query, so one
-/// query never sees two generations of the same table. Borrows the
-/// server-wide config, and owns a copy only when a per-query override
-/// (the paced fetch window) differs from it.
+/// The per-query reader view: pins the `Arc` of every table the query
+/// names under one read of the published map when the view is built,
+/// so a query never sees two generations of one table, nor one table
+/// before a swap and another after it. A table missing from the map is
+/// not pinned, and resolving it fails with [`Error::UnknownTable`].
+/// Borrows the server-wide config, and owns a copy only when a
+/// per-query override (the paced fetch window) differs from it.
 struct QueryView<'a> {
     shared: &'a Shared,
     config: Cow<'a, DbConfig>,
-    pinned: RefCell<BTreeMap<String, Arc<TableSnapshot>>>,
+    pinned: BTreeMap<String, Arc<TableSnapshot>>,
 }
 
 impl<'a> QueryView<'a> {
-    fn new(shared: &'a Shared) -> Self {
-        QueryView {
-            shared,
-            config: Cow::Borrowed(&shared.config),
-            pinned: RefCell::new(BTreeMap::new()),
-        }
+    fn new(shared: &'a Shared, query: &Query) -> Self {
+        let pinned = {
+            let published = shared.published.read();
+            query
+                .tables()
+                .into_iter()
+                .filter_map(|t| published.get_key_value(t))
+                .map(|(name, snap)| (name.clone(), Arc::clone(snap)))
+                .collect()
+        };
+        QueryView { shared, config: Cow::Borrowed(&shared.config), pinned }
     }
 
-    fn with_fetch_window(shared: &'a Shared, fetch_window: usize) -> Self {
-        let mut view = QueryView::new(shared);
+    fn with_fetch_window(shared: &'a Shared, query: &Query, fetch_window: usize) -> Self {
+        let mut view = QueryView::new(shared, query);
         if fetch_window != shared.config.fetch_window {
             view.config.to_mut().fetch_window = fetch_window;
         }
@@ -334,12 +341,7 @@ impl SnapshotSource for QueryView<'_> {
     }
 
     fn snapshot(&self, table: &str) -> Result<Arc<TableSnapshot>> {
-        if let Some(s) = self.pinned.borrow().get(table) {
-            return Ok(Arc::clone(s));
-        }
-        let snap = readpath::require_snapshot(&self.shared.published.read(), table)?;
-        self.pinned.borrow_mut().insert(table.to_string(), Arc::clone(&snap));
-        Ok(snap)
+        readpath::require_snapshot(&self.pinned, table)
     }
 }
 
@@ -531,7 +533,6 @@ impl DbServer {
             self.shared.maint_deferrals.load(Ordering::SeqCst),
             ingest,
             delta_blocks,
-            self.shared.store.cache().map(|c| c.report()),
         )
     }
 
@@ -722,7 +723,7 @@ fn submit(
 ) -> (Result<QueryResult>, Lane) {
     // An attribute outside its table's schema would panic a worker
     // mid-plan; reject it before it is estimated or queued.
-    let view = QueryView::new(shared);
+    let view = QueryView::new(shared, query);
     if let Err(e) = readpath::check_attrs(&view, query) {
         return (Err(e), opts.lane.unwrap_or(Lane::Interactive));
     }
@@ -790,7 +791,7 @@ fn execute(
     tests::panic_if_trigger(query);
     let unaccounted_before = shared.store.unaccounted_reads();
     let clock = SimClock::new();
-    let view = QueryView::with_fetch_window(shared, fetch_window);
+    let view = QueryView::with_fetch_window(shared, query, fetch_window);
     // Per-query span tree when tracing is on. The simulated clock
     // starts at zero per query; admission wait is wall time, not
     // simulated, so it rides as a zero-duration span attribute.
@@ -819,7 +820,6 @@ fn execute(
             stats.query_io = clock.snapshot();
             stats.shuffle = clock.shuffle_snapshot();
             stats.overlap = clock.overlap_snapshot();
-            stats.cache = clock.cache_snapshot();
             stats.estimated_c_hyj = c_hyj;
             // Submit-to-finish, so admission wait shows up under load.
             stats.wall_secs = meta.submitted.elapsed().as_secs_f64();
@@ -829,10 +829,6 @@ fn execute(
                 t.attr_s(root, "strategy", &format!("{strategy:?}"));
                 t.attr_i(root, "rows", rows.len() as i64);
                 t.attr_i(root, "blocks_read", stats.query_io.reads() as i64);
-                if stats.cache.lookups() > 0 {
-                    t.attr_i(root, "cache_hits", stats.cache.hits() as i64);
-                    t.attr_i(root, "cache_misses", stats.cache.misses as i64);
-                }
                 t.end(root, adaptdb_dfs::secs_to_us(stats.query_io.simulated_secs(params)));
                 Arc::new(t.finish())
             });
@@ -896,7 +892,7 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptdb_common::{row, JoinQuery, ScanQuery, Schema, ValueType};
+    use adaptdb_common::{row, JoinQuery, JoinStep, ScanQuery, Schema, ValueType};
 
     /// A scan of this table panics inside the worker's read path.
     const PANIC_TABLE: &str = "panic-in-read-path";
@@ -968,6 +964,36 @@ mod tests {
         let passes = server.shared.maintenance_passes.load(Ordering::SeqCst) - passes_before;
         assert!(passes >= 8, "only {passes} maintenance passes ran");
         assert_eq!(server.shared.publish_writes.load(Ordering::SeqCst), 0);
+    }
+
+    /// A view pins every table of a multi-way join when it is built: a
+    /// snapshot published afterwards is not the one the query reads.
+    #[test]
+    fn query_view_pins_every_table_when_built() {
+        let mut db = Database::new(DbConfig { rows_per_block: 8, ..DbConfig::small() });
+        let schema = Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)]);
+        for t in ["a", "b", "c"] {
+            db.create_table(t, schema.clone(), vec![0, 1]).unwrap();
+            db.load_rows(t, (0..16i64).map(|i| row![i, i])).unwrap();
+        }
+        let server = DbServer::start(db);
+        let query = Query::MultiJoin {
+            first: JoinQuery::new(ScanQuery::full("a"), ScanQuery::full("b"), 0, 0),
+            steps: vec![JoinStep {
+                intermediate_attr: 0,
+                table: ScanQuery::full("c"),
+                table_attr: 0,
+            }],
+        };
+        let before = Arc::clone(&server.shared.published.read()["b"]);
+        let view = QueryView::new(&server.shared, &query);
+        let fresh = Arc::new(TableSnapshot::clone(&before));
+        server.shared.publish_lock().insert("b".to_string(), Arc::clone(&fresh));
+        let got = view.snapshot("b").unwrap();
+        assert!(Arc::ptr_eq(&got, &before), "the view must keep the pre-publish snapshot");
+        assert!(!Arc::ptr_eq(&got, &fresh));
+        // A table the query does not name is not pinned.
+        assert!(matches!(view.snapshot("missing"), Err(Error::UnknownTable(_))));
     }
 
     #[test]

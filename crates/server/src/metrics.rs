@@ -5,10 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use adaptdb::cost::{Lane, LANES, LANE_COUNT};
-use adaptdb_common::{
-    CacheStats, Histogram, IngestStats, IoStats, OverlapStats, QueryStats, ShuffleStats,
-};
-use adaptdb_storage::CacheReport;
+use adaptdb_common::{Histogram, IngestStats, IoStats, OverlapStats, QueryStats, ShuffleStats};
 use parking_lot::Mutex;
 
 /// Latency aggregate for one lane, kept under a mutex (updated once per
@@ -217,7 +214,6 @@ impl Metrics {
         maintenance_deferrals: u64,
         ingest: IngestStats,
         delta_blocks: usize,
-        cache: Option<CacheReport>,
     ) -> ServerReport {
         let queries = self.queries.load(Ordering::Relaxed);
         let errors = self.errors.load(Ordering::Relaxed);
@@ -275,7 +271,6 @@ impl Metrics {
             shuffle: *self.shuffle.lock(),
             ingest,
             delta_blocks,
-            cache,
         }
     }
 }
@@ -379,10 +374,6 @@ pub struct ServerReport {
     /// (gauge; maintenance folds a table once it crosses
     /// `DbConfig::ingest_fold_blocks`).
     pub delta_blocks: usize,
-    /// Store-lifetime block-cache counters (hits, misses, evictions,
-    /// invalidations, residency, hot-build reuse). `None` when the
-    /// cache is disabled (`cache_blocks_per_node = 0`).
-    pub cache: Option<CacheReport>,
 }
 
 impl std::fmt::Display for ServerReport {
@@ -440,25 +431,6 @@ impl std::fmt::Display for ServerReport {
                 self.shuffle.peak_reducer_mem_blocks
             )?;
         }
-        if let Some(c) = &self.cache {
-            writeln!(
-                f,
-                "cache: {} hits / {} misses ({:.0}% hit rate), {} evictions, \
-                 {} invalidations, {}/{} blocks resident, {} hot-build reuses",
-                c.hits,
-                c.misses,
-                if c.hits + c.misses > 0 {
-                    c.hits as f64 / (c.hits + c.misses) as f64 * 100.0
-                } else {
-                    0.0
-                },
-                c.evictions,
-                c.invalidations,
-                c.resident_blocks,
-                c.budget_per_node,
-                c.build_hits
-            )?;
-        }
         if self.ingest.appends > 0 || self.delta_blocks > 0 {
             writeln!(
                 f,
@@ -506,10 +478,6 @@ pub struct SessionStats {
     /// Merged pipelined-fetch breakdown (windows issued, read latency
     /// hidden by overlap) of this session's queries.
     pub overlap: OverlapStats,
-    /// Merged block-cache breakdown (hits by avoided locality, misses,
-    /// bytes served) of this session's queries. All-zero when the cache
-    /// is disabled.
-    pub cache: CacheStats,
     /// Total wall seconds spent waiting for results.
     pub total_wall_secs: f64,
     /// Of those, seconds spent waiting in the admission queue (the
@@ -525,7 +493,6 @@ impl SessionStats {
         self.io.merge(&stats.query_io);
         self.shuffle.merge(&stats.shuffle);
         self.overlap.merge(&stats.overlap);
-        self.cache.merge(&stats.cache);
         self.total_wall_secs += stats.wall_secs;
         self.queue_wait_secs += stats.queue_wait_secs;
     }
@@ -654,7 +621,6 @@ mod tests {
             0,
             IngestStats::default(),
             0,
-            None,
         );
         assert_eq!(report.shuffle.blocks_spilled, 16);
         assert_eq!(report.shuffle.build_blocks_spilled, 6);
@@ -701,7 +667,6 @@ mod tests {
             0,
             IngestStats::default(),
             0,
-            None,
         );
         assert_eq!(report.session_count, 2);
         assert!(

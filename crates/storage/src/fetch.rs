@@ -14,11 +14,7 @@
 //!   latency hidden ([`adaptdb_common::OverlapStats`]),
 //! * within a window, **local fetches complete before remote ones** —
 //!   the observable reordering a real async backend produces when disk
-//!   reads finish ahead of network transfers,
-//! * with a [`crate::cache::BlockCache`] attached, every pushed request
-//!   is probed against the reader's cache first: hits complete
-//!   immediately as [`ReadKind::CacheHit`] without consuming a window
-//!   slot, so only the misses pay windowed fetch latency.
+//!   reads finish ahead of network transfers.
 //!
 //! A request whose block is unreadable (every replica on a failed
 //! node) yields an `Err` completion without charging any I/O, and the
@@ -28,7 +24,7 @@
 //! mid-stream degrades locality, not correctness.
 //!
 //! `window = 1` is serial fetching: nothing is read ahead, and each
-//! request is probed and read when the consumer asks for it, with
+//! request is read when the consumer asks for it, with
 //! accounting identical to [`crate::BlockStore::read_block_classified`]
 //! (each read is also one overlap window that hides nothing), so a
 //! window-1 stream stands in for a serial read loop.
@@ -158,31 +154,14 @@ impl<'a> FetchStream<'a> {
     /// block's preferred node). `tag` comes back verbatim on the
     /// completion. A full pending window is issued immediately.
     ///
-    /// When the store has a block cache attached, the request is probed
-    /// against `reader`'s cache first: a hit completes immediately as
-    /// [`ReadKind::CacheHit`] and **never occupies a window slot**, so
-    /// the remaining misses form smaller windows and the max-of-window
-    /// latency charge shrinks. A probe that cannot classify the read
-    /// (all replicas dead) falls through to the normal pending path so
-    /// failures surface exactly as they do with the cache off.
-    ///
     /// A stream of window 1 has no second slot to read ahead with, so
-    /// it only queues here: the probe and the read both happen in
+    /// it only queues here: the read happens in
     /// [`FetchStream::next_completion`], one request at a time — the
-    /// same sequence of cache and DFS accesses, at the same points, as
-    /// a loop of [`BlockStore::read_block`] calls.
+    /// same sequence of DFS accesses, at the same points, as a loop of
+    /// [`BlockStore::read_block`] calls.
     pub fn push(&mut self, id: BlockId, reader: Option<NodeId>, tag: u64) {
-        let req = FetchRequest { id, reader, tag };
-        if self.window == 1 {
-            self.pending.push_back(req);
-            return;
-        }
-        if let Some(hit) = self.probe_cache(&req) {
-            self.ready.push_back(hit);
-            return;
-        }
-        self.pending.push_back(req);
-        if self.pending.len() >= self.window {
+        self.pending.push_back(FetchRequest { id, reader, tag });
+        if self.window > 1 && self.pending.len() >= self.window {
             self.issue_window();
         }
     }
@@ -192,39 +171,10 @@ impl<'a> FetchStream<'a> {
     /// window, local completions are yielded before remote ones;
     /// failed requests come last (they "complete" at error detection).
     pub fn next_completion(&mut self) -> Option<Result<FetchCompletion>> {
-        if self.ready.is_empty() && !self.pending.is_empty() {
-            if self.window == 1 {
-                let req = self.pending[0];
-                match self.probe_cache(&req) {
-                    Some(hit) => {
-                        self.pending.pop_front();
-                        self.ready.push_back(hit);
-                    }
-                    None => self.issue_window(),
-                }
-            } else {
-                self.issue_window();
-            }
+        if self.ready.is_empty() {
+            self.issue_window();
         }
         self.ready.pop_front()
-    }
-
-    /// Serve `req` from the reader's block cache if it is resident
-    /// there (hit/miss charged on the clock); `None` when no cache is
-    /// attached, the block is not resident, or the read cannot be
-    /// classified (so failures take the normal fetch path).
-    fn probe_cache(&self, req: &FetchRequest) -> Option<Result<FetchCompletion>> {
-        if !self.store.cache_enabled() {
-            return None;
-        }
-        let gid = GlobalBlockId::new(self.table.as_str(), req.id);
-        let node = req.reader.or_else(|| self.store.dfs().preferred_node(&gid).ok())?;
-        let (bytes, _) = self.store.cache_probe(&gid, node, self.clock)?;
-        Some(self.store.parse_memoized(&gid, bytes).map(|payload| FetchCompletion {
-            tag: req.tag,
-            kind: ReadKind::CacheHit,
-            payload,
-        }))
     }
 
     /// Issue up to one window of pending requests: classify and decode
@@ -267,19 +217,16 @@ impl<'a> FetchStream<'a> {
     /// window-level accounting happens in [`FetchStream::issue_window`].
     fn fetch_one(&self, req: &FetchRequest) -> Result<FetchCompletion> {
         let gid = GlobalBlockId::new(self.table.as_str(), req.id);
-        let (kind, bytes, reader) = {
+        let kind = {
             let dfs = self.store.dfs();
             let reader = match req.reader {
                 Some(n) => n,
                 None => dfs.preferred_node(&gid)?,
             };
-            let kind = dfs.read_from(&gid, reader)?;
-            drop(dfs);
-            let bytes =
-                self.store.block_bytes(&gid).ok_or(adaptdb_common::Error::UnknownBlock(req.id))?;
-            (kind, bytes, reader)
+            dfs.read_from(&gid, reader)?
         };
-        self.store.cache_admit(&gid, reader, &bytes, kind, self.clock);
+        let bytes =
+            self.store.block_bytes(&gid).ok_or(adaptdb_common::Error::UnknownBlock(req.id))?;
         let payload = self.store.parse_memoized(&gid, bytes)?;
         Ok(FetchCompletion { tag: req.tag, kind, payload })
     }
@@ -409,68 +356,6 @@ mod tests {
         assert_eq!(ok, vec![0, 2, 3]);
         // The failed request charged nothing; the 3 survivors did.
         assert_eq!(clock.snapshot().reads(), 3);
-    }
-
-    #[test]
-    fn cache_hits_complete_immediately_without_window_slots() {
-        let (store, ids) = striped_store(4, 4);
-        store.enable_cache(8, 2.0);
-        // Warm the cache at reader node 0: 1 local + 3 remote misses.
-        let warm = SimClock::new();
-        for &id in &ids {
-            store.read_block("t", id, 0, &warm).unwrap();
-        }
-        assert_eq!(warm.snapshot().reads(), 4);
-        assert_eq!(warm.cache_snapshot().misses, 4);
-
-        let clock = SimClock::new();
-        let mut stream = store.fetch_stream("t", &clock, 4);
-        for (i, &id) in ids.iter().enumerate() {
-            stream.push(id, Some(0), i as u64);
-        }
-        // Every push hit the cache: nothing pending, nothing issued.
-        assert_eq!((stream.pending(), stream.issued()), (0, 0));
-        let got = drain(&mut stream);
-        assert_eq!(got.len(), 4);
-        assert!(got.iter().all(|c| c.kind == ReadKind::CacheHit));
-        // Hits are immediate, so they keep push order — no locals-first
-        // reordering because no window was ever formed.
-        assert_eq!(got.iter().map(|c| c.tag).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-        let io = clock.snapshot();
-        assert_eq!(io.reads(), 0, "hits never touch the I/O tally");
-        assert_eq!(clock.overlap_snapshot().windows, 0);
-        let cs = clock.cache_snapshot();
-        assert_eq!((cs.local_hits, cs.remote_hits, cs.misses), (1, 3, 0));
-    }
-
-    #[test]
-    fn mixed_hits_shrink_the_issued_window() {
-        let (store, ids) = striped_store(4, 4);
-        store.enable_cache(8, 2.0);
-        let warm = SimClock::new();
-        store.read_block("t", ids[1], 0, &warm).unwrap();
-        store.read_block("t", ids[2], 0, &warm).unwrap();
-
-        let clock = SimClock::new();
-        let mut stream = store.fetch_stream("t", &clock, 4);
-        for (i, &id) in ids.iter().enumerate() {
-            stream.push(id, Some(0), i as u64);
-        }
-        // The two hits were staged directly; only the two misses pend,
-        // so the "full" window of 4 never triggers an eager issue.
-        assert_eq!((stream.ready(), stream.pending()), (2, 2));
-        let got = drain(&mut stream);
-        assert_eq!(got.len(), 4);
-        let io = clock.snapshot();
-        let cs = clock.cache_snapshot();
-        assert_eq!(io.reads(), 2, "only the misses reached the DFS");
-        assert_eq!((cs.hits(), cs.misses), (2, 2));
-        // Workload invariant: reads + hits covers every request.
-        assert_eq!(io.reads() + cs.hits(), 4);
-        // The misses formed one window of two, not four.
-        let ov = clock.overlap_snapshot();
-        assert_eq!(ov.windows, 1);
-        assert_eq!(ov.max_in_flight, 2);
     }
 
     #[test]

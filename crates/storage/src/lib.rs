@@ -22,10 +22,6 @@
 //! * [`sample::Reservoir`] — reservoir sampling used to pick tree cut
 //!   points (§3.1: "the system collects a sample from the data and uses
 //!   it to choose the appropriate cut points"),
-//! * [`cache::BlockCache`] — the budgeted per-node block cache
-//!   (cost-weighted frequency/recency eviction, strict invalidation on
-//!   block retirement) plus the hot-build cache shuffle joins use to
-//!   reuse an identical build side across queries,
 //! * [`fetch::FetchStream`] — the pipelined (async-style) fetch
 //!   backend: batched block requests with an in-flight window,
 //!   out-of-order completions, and overlapped-latency accounting,
@@ -37,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod cache;
 pub mod codec;
 pub mod durable;
 pub mod fetch;
@@ -46,7 +41,6 @@ pub mod store;
 pub mod writer;
 
 pub use block::{Block, BlockMeta};
-pub use cache::{BlockCache, BuildKey, CacheReport, HotBuild};
 pub use codec::{ColDirectory, LazyBlock};
 pub use durable::{FileJournal, JournalRecord};
 pub use fetch::{FetchCompletion, FetchStream};

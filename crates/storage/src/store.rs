@@ -25,7 +25,6 @@ use bytes::Bytes;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::block::{Block, BlockMeta};
-use crate::cache::BlockCache;
 use crate::codec;
 use crate::durable::{FileJournal, JournalRecord};
 
@@ -47,11 +46,6 @@ pub struct BlockStore {
     /// references it; scratch namespaces (`__`-prefixed tables, e.g.
     /// shuffle spill) are transient by contract and never logged.
     journal: RwLock<Option<Arc<FileJournal>>>,
-    /// Per-node block cache ([`crate::cache`]), `None` when disabled
-    /// (the default — the read path is then bit-identical to a store
-    /// without the caching tier). Strictly invalidated by
-    /// [`BlockStore::remove_block`] and [`BlockStore::drop_table`].
-    cache: RwLock<Option<Arc<BlockCache>>>,
     /// Memoized `ADB2` column directories per live block
     /// ([`codec::ColDirectory`]): multi-column access paths re-reading
     /// a block skip header/directory re-validation. Entries are purged
@@ -70,27 +64,8 @@ impl BlockStore {
             next_id: Mutex::new(HashMap::new()),
             unaccounted: AtomicUsize::new(0),
             journal: RwLock::new(None),
-            cache: RwLock::new(None),
             dirs: RwLock::new(HashMap::new()),
         }
-    }
-
-    /// Attach a per-node block cache holding up to `blocks_per_node`
-    /// blocks per node, with remotely-sourced blocks weighted
-    /// `remote_weight` (the Remote-vs-Local cost ratio) for eviction.
-    /// `blocks_per_node = 0` detaches the cache, restoring the uncached
-    /// read path exactly.
-    pub fn enable_cache(&self, blocks_per_node: usize, remote_weight: f64) {
-        *self.cache.write() = if blocks_per_node == 0 {
-            None
-        } else {
-            Some(Arc::new(BlockCache::new(blocks_per_node, remote_weight)))
-        };
-    }
-
-    /// The attached block cache, if any.
-    pub fn cache(&self) -> Option<Arc<BlockCache>> {
-        self.cache.read().clone()
     }
 
     /// Attach (or detach) a durable manifest journal. See the `journal`
@@ -285,14 +260,8 @@ impl BlockStore {
         self.parse_memoized(&gid, bytes)?.into_block().map(|block| (block, kind))
     }
 
-    /// Classify one block access, consult the per-node cache, and
-    /// return the encoded bytes plus the effective [`ReadKind`]
-    /// (`CacheHit` when served from cache). Classification happens
-    /// *before* the cache lookup, so DFS errors (every replica dead)
-    /// surface identically with the cache on or off. Charges `clock`:
-    /// a hit records on the cache tally only; a miss records the read
-    /// on the I/O tally (plus a cache-miss mark when a cache is
-    /// attached) and admits the block.
+    /// Classify one block access, charge it on `clock`, and return the
+    /// encoded bytes plus how the DFS classified the read.
     fn fetch_bytes(
         &self,
         gid: &GlobalBlockId,
@@ -300,22 +269,8 @@ impl BlockStore {
         clock: &SimClock,
     ) -> Result<(Bytes, ReadKind)> {
         let kind = self.dfs.read().read_from(gid, reader)?;
-        let Some(cache) = self.cache.read().clone() else {
-            clock.record_read(kind);
-            let bytes = self.data.read().get(gid).cloned().ok_or(Error::UnknownBlock(gid.block))?;
-            return Ok((bytes, kind));
-        };
-        if let Some(bytes) = cache.lookup(reader, gid) {
-            clock.record_cache_hit(kind, bytes.len());
-            return Ok((bytes, ReadKind::CacheHit));
-        }
         clock.record_read(kind);
-        clock.record_cache_miss();
         let bytes = self.data.read().get(gid).cloned().ok_or(Error::UnknownBlock(gid.block))?;
-        let evicted = cache.insert(reader, gid.clone(), bytes.clone(), kind);
-        if evicted > 0 {
-            clock.record_cache_evictions(evicted);
-        }
         Ok((bytes, kind))
     }
 
@@ -333,57 +288,6 @@ impl BlockStore {
             self.dirs.write().insert(gid.clone(), dir);
         }
         Ok(lazy)
-    }
-
-    /// Cache-only probe for the pipelined fetch stream: the encoded
-    /// bytes and the avoided [`ReadKind`] if `gid` is resident in
-    /// `reader`'s cache, with hit/miss accounting charged on `clock`
-    /// exactly like [`BlockStore::fetch_bytes`]. Returns `None`
-    /// (deferring to the normal fetch path, errors included) when no
-    /// cache is attached, the block is not resident, or the DFS cannot
-    /// serve the block at all — so fault-injection behavior is
-    /// identical with the cache on.
-    pub(crate) fn cache_probe(
-        &self,
-        gid: &GlobalBlockId,
-        reader: NodeId,
-        clock: &SimClock,
-    ) -> Option<(Bytes, ReadKind)> {
-        let cache = self.cache.read().clone()?;
-        let kind = self.dfs.read().read_from(gid, reader).ok()?;
-        match cache.lookup(reader, gid) {
-            Some(bytes) => {
-                clock.record_cache_hit(kind, bytes.len());
-                Some((bytes, kind))
-            }
-            None => {
-                clock.record_cache_miss();
-                None
-            }
-        }
-    }
-
-    /// Whether a block cache is attached (fetch-stream fast check).
-    pub(crate) fn cache_enabled(&self) -> bool {
-        self.cache.read().is_some()
-    }
-
-    /// Admit a block just fetched by the stream path into `node`'s
-    /// cache, recording evictions on `clock`.
-    pub(crate) fn cache_admit(
-        &self,
-        gid: &GlobalBlockId,
-        node: NodeId,
-        bytes: &Bytes,
-        kind: ReadKind,
-        clock: &SimClock,
-    ) {
-        if let Some(cache) = self.cache.read().clone() {
-            let evicted = cache.insert(node, gid.clone(), bytes.clone(), kind);
-            if evicted > 0 {
-                clock.record_cache_evictions(evicted);
-            }
-        }
     }
 
     /// [`BlockStore::read_block_classified`] without eager row
@@ -496,11 +400,6 @@ impl BlockStore {
         if let Some(m) = self.meta.write().get_mut(table) {
             m.remove(&id);
         }
-        // Strict cache invalidation: a retired block (repartitioning,
-        // GC, delta fold) must never be served from any node's cache.
-        if let Some(cache) = self.cache.read().as_ref() {
-            cache.invalidate(&gid);
-        }
         self.dirs.write().remove(&gid);
         // Journaled only on success: a failed (already-gone) remove
         // leaves no record, so replay never double-frees.
@@ -524,9 +423,6 @@ impl BlockStore {
                 let _ = dfs.remove_block(&gid);
                 data.remove(&gid);
             }
-        }
-        if let Some(cache) = self.cache.read().as_ref() {
-            cache.invalidate_table(table);
         }
         self.dirs.write().retain(|g, _| g.table != table);
         self.next_id.lock().remove(table);

@@ -18,11 +18,11 @@ of the columnar contracts breaks:
 * **zone-map placement** — the unclustered cell must skip zero blocks
   (an unclustered predicate gives zone maps nothing to prune) and the
   clustered cell must skip >= SKIP_RATE_FLOOR of its candidate blocks;
-* **parity** — the full-TPC-H engine cell must match every committed
+* **parity** — the full-TPC-H engine cell must match the committed
   baseline parity cell *bit-identically* on every counter, shuffle
-  accounting included. Older files carry two parity cells (columnar on
-  and off, which must agree); files written since late materialization
-  became the only data plane carry one.
+  accounting included. Late materialization is the only data plane, so
+  each file holds exactly one parity cell; a second one is a stale row
+  and fails the gate.
 
 Wall-clock milliseconds are machine-dependent and are never compared to
 the baseline — only the within-run speedup ratio is gated. Every
@@ -73,7 +73,7 @@ SWEEPS = ("scan", "clustered", "probe")
 PAIR_EXACT = ["blocks", "reads", "zone_skipped", "rows_scanned", "rows_out"]
 # Counters identical to the baseline in every cell (wall_ms excluded).
 BASELINE_EXACT = PAIR_EXACT
-# Parity counters identical across formats and vs the baseline.
+# Parity counters identical to the baseline.
 PARITY_EXACT = [k for k in REQUIRED_PARITY if k != "columnar"]
 SPEEDUP_FLOOR = 4.0
 SKIP_RATE_FLOOR = 0.5
@@ -107,8 +107,8 @@ def validate(doc: dict, path: str) -> None:
                     fail(f"{path}: {sweep} cell missing key {key!r}")
         if [c["columnar"] for c in doc[sweep]] != [False, True]:
             fail(f"{path}: {sweep} cells must be ordered [row, columnar]")
-    if len(doc["parity"]) not in (1, 2):
-        fail(f"{path}: parity must hold one engine cell or [row, columnar] cells")
+    if len(doc["parity"]) != 1:
+        fail(f"{path}: parity must hold exactly one engine cell, found {len(doc['parity'])}")
     for cell in doc["parity"]:
         for key in REQUIRED_PARITY:
             if key not in cell:
@@ -148,14 +148,6 @@ def check_contracts(doc: dict, path: str) -> None:
             f"{SKIP_RATE_FLOOR} floor ({clustered['zone_skipped']}/{clustered['blocks']})"
         )
 
-    p_first, p_last = doc["parity"][0], doc["parity"][-1]
-    for metric in PARITY_EXACT:
-        if p_first[metric] != p_last[metric]:
-            fail(
-                f"{path}: TPC-H parity diverged on {metric}: "
-                f"{p_first[metric]} (row) vs {p_last[metric]} (columnar)"
-            )
-
 
 def check_baseline(fresh: dict, base: dict) -> None:
     """Every simulated counter must match the committed baseline exactly;
@@ -168,14 +160,10 @@ def check_baseline(fresh: dict, base: dict) -> None:
                         f"{sweep} (columnar={f['columnar']}): {metric} "
                         f"{f[metric]} vs baseline {b[metric]}"
                     )
-    for f in fresh["parity"]:
-        for b in base["parity"]:
-            for metric in PARITY_EXACT:
-                if f[metric] != b[metric]:
-                    fail(
-                        f"parity (columnar={f['columnar']}): {metric} "
-                        f"{f[metric]} vs baseline (columnar={b['columnar']}) {b[metric]}"
-                    )
+    (f,), (b,) = fresh["parity"], base["parity"]
+    for metric in PARITY_EXACT:
+        if f[metric] != b[metric]:
+            fail(f"parity: {metric} {f[metric]} vs baseline {b[metric]}")
 
 
 def main() -> None:

@@ -254,3 +254,48 @@ fn switching_workload_steady_state() {
     let adaptive = tail(Mode::Adaptive);
     assert!(adaptive < full * 0.75, "steady-state adaptive {adaptive:.1} vs full scan {full:.1}");
 }
+
+/// A seeded Fig. 13b shifting sequence through `Database::run` gives
+/// every query the same rows and the same simulated counters at every
+/// executor thread count, and the deprecated block-cache budget changes
+/// nothing.
+#[test]
+#[allow(deprecated)]
+fn shifting_sequence_counters_are_thread_and_budget_invariant() {
+    let seq = patterns::shifting(&Template::all(), 3, 5);
+    let run = |threads: usize, cache_blocks_per_node: usize| {
+        let gen = TpchGen::new(0.03, 17);
+        let config = DbConfig {
+            rows_per_block: 50,
+            window_size: 10,
+            buffer_blocks: 4,
+            nodes: 4,
+            replication: 1,
+            fetch_window: 4,
+            threads,
+            cache_blocks_per_node,
+            ..DbConfig::default()
+        }
+        .with_mode(Mode::Adaptive);
+        let mut db = Database::new(config);
+        gen.load_upfront(&mut db).unwrap();
+        let mut q_rng = rng::seeded(13);
+        seq.iter()
+            .map(|t| {
+                let r = db.run(&t.instantiate(&mut q_rng)).unwrap();
+                let s = r.stats;
+                let c_hyj = s.estimated_c_hyj.map(f64::to_bits);
+                (r.rows, s.query_io, s.repartition_io, s.shuffle, s.overlap, s.strategy, c_hyj)
+            })
+            .collect::<Vec<_>>()
+    };
+    let want = run(1, 0);
+    assert!(want.iter().any(|q| q.2.writes > 0), "the sequence must trigger adaptation");
+    for (threads, budget) in [(1, 64), (2, 0), (2, 64), (3, 0), (3, 64)] {
+        let got = run(threads, budget);
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "query {i} at {threads} threads, budget {budget}");
+        }
+    }
+}

@@ -267,9 +267,6 @@ fn adb1_blocks_decode_inside_a_columnar_database() {
             buffer_blocks: 8,
             threads: 1,
             fetch_window: 4,
-            // The rewrite replaces block bytes in place; a cache could
-            // still hold the `ADB2` bytes read during the load.
-            cache_blocks_per_node: 0,
             seed: 13,
             ..DbConfig::default()
         };
