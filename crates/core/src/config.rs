@@ -136,13 +136,12 @@ pub struct DbConfig {
     /// to one observation per paced pass instead of draining its whole
     /// inbox — adaptation defers under load and catches up at idle.
     pub maint_pace_wait_ms: f64,
-    /// Adaptive prefetch pacing, milliseconds: when set and the
-    /// estimated queue wait for a query's lane exceeds this threshold,
-    /// the server shrinks that query's effective `fetch_window`
-    /// (halving per threshold multiple, floor 1) so deep prefetch
-    /// stops amplifying queueing delay on a loaded server. `None` (the
-    /// default) keeps the configured window unconditionally. Block
-    /// counts and results are identical at every setting.
+    /// Deprecated no-op, read nowhere. Prefetch pacing shrank a served
+    /// query's `fetch_window` under queue pressure; a fetch window is
+    /// simulated accounting only, so pacing saved no wall time and was
+    /// removed. The field stays only so configurations that spell it
+    /// out keep compiling.
+    #[deprecated(note = "no effect: prefetch pacing was removed")]
     pub fetch_pace_wait_ms: Option<f64>,
     /// Deprecated no-op, read nowhere. The engine has one data plane:
     /// blocks are written `ADB2` and every filtered read materialises
@@ -389,7 +388,6 @@ mod tests {
         let c = DbConfig::default();
         assert!(c.batch_cost_blocks > 0);
         assert!(c.maint_pace_wait_ms > 0.0);
-        assert_eq!(c.fetch_pace_wait_ms, None, "prefetch pacing is opt-in");
     }
 
     #[test]

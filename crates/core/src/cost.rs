@@ -1,29 +1,29 @@
 //! Cheap per-query cost estimation — the admission-control signal.
 //!
-//! The planner's `EXPLAIN` ([`crate::explain`]) reports everything it
-//! can know about a plan, including the hyper-join schedule, which
-//! requires reading per-block metadata ranges. Admission control needs
-//! something cheaper: a projection good enough to tell a point query
-//! from a scan storm *before* the query waits in a queue, computed from
-//! partition-tree lookups alone (no plan construction, no block
-//! metadata, no data reads).
+//! The planner (`planner::plan_query`, rendered by `EXPLAIN`)
+//! decides everything about a plan, including the hyper-join schedule,
+//! which requires reading per-block metadata ranges. Admission control
+//! needs something cheaper: a projection good enough to tell a point
+//! query from a scan storm *before* the query waits in a queue,
+//! computed from partition-tree lookups alone (no plan construction, no
+//! block metadata, no data reads).
 //!
-//! [`estimate_query`] walks the query's referenced tables through their
-//! layout snapshots and counts candidate blocks after `lookup(T, q)`
-//! pruning, then prices the worst-case execution (every join charged as
-//! a shuffle — the conservative upper bound mid-migration). The server
-//! classifies the result into a scheduling [`Lane`] with
-//! [`CostEstimate::lane`]: queries projected to touch at least
+//! [`estimate_query`] counts each referenced table's candidate blocks
+//! with the planner's own `planner::table_candidates` rule, so
+//! its count equals the candidates `EXPLAIN` reports, then prices the
+//! worst-case execution (every join charged as a shuffle — the
+//! conservative upper bound mid-migration). The server classifies the
+//! result into a scheduling [`Lane`] with [`CostEstimate::lane`]:
+//! queries projected to touch at least
 //! [`crate::DbConfig::batch_cost_blocks`] blocks go to the batch lane,
 //! everything else stays interactive. `EXPLAIN` surfaces the same
 //! classification so operators can see where a query would be admitted.
 
-use adaptdb_common::{CostParams, Query, Result};
+use adaptdb_common::{AttrId, CostParams, Query, Result, ScanQuery};
 
 use crate::config::DbConfig;
-use crate::planner::classify_candidates;
+use crate::planner::table_candidates;
 use crate::readpath::SnapshotSource;
-use crate::Mode;
 
 /// Scheduling lane a query is admitted into — the priority classes of
 /// the server's cost-aware scheduler.
@@ -84,21 +84,12 @@ pub struct CostEstimate {
     /// after tree pruning — the lane-classification signal and the
     /// fair-share scheduling weight.
     pub blocks: usize,
-    /// Eq. 1 shuffle estimate over the candidates (`0` for scans).
-    pub est_shuffle_cost: f64,
     /// Run blocks the map side would spill if every join shuffles (the
     /// conservative mid-migration upper bound; a converged hyper-join
     /// spills nothing).
     pub est_spill_blocks: usize,
-    /// Expected reducer-local fetch fraction under the configured spill
-    /// replication.
-    pub est_locality: f64,
-    /// Projected per-reducer fetch concurrency (`1` = serial fetching).
-    pub est_fetch_concurrency: usize,
     /// Projected fetch-leg seconds charged serially.
     pub est_fetch_secs_serial: f64,
-    /// Projected fetch-leg seconds with pipelined windows.
-    pub est_fetch_secs_pipelined: f64,
 }
 
 impl CostEstimate {
@@ -170,87 +161,41 @@ pub fn project_fetch_costs(
     (concurrency, serial, pipelined)
 }
 
-/// Candidate blocks one table contributes to the query, after tree
-/// pruning (FullScan mode prunes nothing, by definition).
-fn table_candidates<S: SnapshotSource>(
-    src: &S,
-    table: &str,
-    preds: &adaptdb_common::PredicateSet,
-    join_attr: Option<adaptdb_common::AttrId>,
-) -> Result<usize> {
-    let snap = src.snapshot(table)?;
-    if src.config().mode == Mode::FullScan {
-        return Ok(snap.all_blocks().len());
-    }
-    Ok(match join_attr {
-        Some(attr) => classify_candidates(&snap, preds, attr).len(),
-        None => snap.lookup_blocks(preds).len(),
-    })
-}
-
 /// Estimate `query` from layout snapshots alone: candidate blocks per
-/// referenced table, the Eq. 1 shuffle upper bound, and the projected
-/// shuffle fetch leg. No plans are built and no blocks (or block
-/// metadata) are read, so this is cheap enough to run on the admission
-/// path for every submission.
+/// referenced table, by the planner's own `table_candidates` rule, and
+/// the projected shuffle fetch leg. No plan is built and no blocks (or
+/// block metadata) are read, so this is cheap enough to run on the
+/// admission path for every submission.
 pub fn estimate_query<S: SnapshotSource>(src: &S, query: &Query) -> Result<CostEstimate> {
     let config = src.config();
-    let params = &config.cost;
-    let mut est = CostEstimate { est_locality: shuffle_locality(config), ..Default::default() };
-    let mut joined_blocks = 0usize;
-    match query {
-        Query::Scan(s) => {
-            est.blocks = table_candidates(src, &s.table, &s.predicates, None)?;
-        }
+    let count = |scan: &ScanQuery, join_attr: Option<AttrId>| -> Result<usize> {
+        let snap = src.snapshot(&scan.table)?;
+        Ok(table_candidates(config.mode, &snap, &scan.predicates, join_attr).len())
+    };
+    let (blocks, joined) = match query {
+        Query::Scan(s) => (count(s, None)?, false),
         Query::Join(j) => {
-            let l = table_candidates(src, &j.left.table, &j.left.predicates, Some(j.left_attr))?;
-            let r = table_candidates(src, &j.right.table, &j.right.predicates, Some(j.right_attr))?;
-            est.blocks = l + r;
-            joined_blocks = l + r;
-            est.est_shuffle_cost = params.shuffle_join_cost(l, r);
+            (count(&j.left, Some(j.left_attr))? + count(&j.right, Some(j.right_attr))?, true)
         }
         Query::MultiJoin { first, steps } => {
-            let l = table_candidates(
-                src,
-                &first.left.table,
-                &first.left.predicates,
-                Some(first.left_attr),
-            )?;
-            let r = table_candidates(
-                src,
-                &first.right.table,
-                &first.right.predicates,
-                Some(first.right_attr),
-            )?;
-            est.blocks = l + r;
-            joined_blocks = l + r;
-            est.est_shuffle_cost = params.shuffle_join_cost(l, r);
+            let mut blocks = count(&first.left, Some(first.left_attr))?
+                + count(&first.right, Some(first.right_attr))?;
             for step in steps {
-                let b = table_candidates(
-                    src,
-                    &step.table.table,
-                    &step.table.predicates,
-                    Some(step.table_attr),
-                )?;
-                est.blocks += b;
-                joined_blocks += b;
-                est.est_shuffle_cost += params.shuffle_join_cost(0, b);
+                blocks += count(&step.table, Some(step.table_attr))?;
             }
+            (blocks, true)
         }
-    }
+    };
     // Worst case mid-migration: every joined candidate is shuffled.
-    est.est_spill_blocks = joined_blocks;
-    let (concurrency, serial, pipelined) = project_fetch_costs(
-        est.est_spill_blocks,
-        est.est_locality,
+    let est_spill_blocks = if joined { blocks } else { 0 };
+    let (_, est_fetch_secs_serial, _) = project_fetch_costs(
+        est_spill_blocks,
+        shuffle_locality(config),
         config.shuffle_fanout(),
         config.fetch_window,
-        params,
+        &config.cost,
     );
-    est.est_fetch_concurrency = concurrency;
-    est.est_fetch_secs_serial = serial;
-    est.est_fetch_secs_pipelined = pipelined;
-    Ok(est)
+    Ok(CostEstimate { blocks, est_spill_blocks, est_fetch_secs_serial })
 }
 
 #[cfg(test)]
@@ -286,15 +231,13 @@ mod tests {
         assert!(est.blocks < d.config().batch_cost_blocks, "point scan: {} blocks", est.blocks);
         assert_eq!(est.lane(d.config()), Lane::Interactive);
         assert_eq!(est.est_spill_blocks, 0, "scans never shuffle");
-        assert_eq!(est.est_shuffle_cost, 0.0);
 
         let join = Query::Join(JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 0, 0));
         let est = estimate_query(&d, &join).unwrap();
         assert!(est.blocks >= d.config().batch_cost_blocks, "full join: {} blocks", est.blocks);
         assert_eq!(est.lane(d.config()), Lane::Batch);
         assert_eq!(est.est_spill_blocks, est.blocks);
-        assert!(est.est_shuffle_cost > 0.0);
-        assert!(est.est_fetch_secs_pipelined <= est.est_fetch_secs_serial);
+        assert!(est.est_fetch_secs_serial > 0.0);
         assert!(est.est_secs(&d.config().cost) > 0.0);
     }
 

@@ -72,6 +72,22 @@ pub struct Database {
     ingest: IngestStats,
 }
 
+/// Reject rows whose width differs from the table's schema, before a
+/// load or append touches the table. Routing indexes the row by
+/// attribute, so a short row would panic mid-load and a long one would
+/// be stored with columns no query can name.
+fn check_arity(ts: &TableState, rows: &[Row]) -> Result<()> {
+    let width = ts.schema().len();
+    match rows.iter().find(|r| r.arity() != width) {
+        Some(r) => Err(Error::Plan(format!(
+            "write to {}: row arity {} != schema arity {width}",
+            ts.name,
+            r.arity()
+        ))),
+        None => Ok(()),
+    }
+}
+
 impl SnapshotSource for Database {
     fn config(&self) -> &DbConfig {
         &self.config
@@ -300,6 +316,7 @@ impl Database {
     pub fn load_rows(&mut self, table: &str, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
         let buffered: Vec<Row> = rows.into_iter().collect();
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
+        check_arity(ts, &buffered)?;
         for r in &buffered {
             ts.sample.offer(r.clone());
         }
@@ -331,6 +348,7 @@ impl Database {
     ) -> Result<usize> {
         let budget = rows_per_block.unwrap_or(self.config.rows_per_block);
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
+        check_arity(ts, &rows)?;
         for r in &rows {
             ts.sample.offer(r.clone());
         }
@@ -359,6 +377,7 @@ impl Database {
             )));
         }
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
+        check_arity(ts, &rows)?;
         for r in &rows {
             ts.sample.offer(r.clone());
         }
@@ -437,15 +456,7 @@ impl Database {
         }
         let rows_per_block = self.config.rows_per_block;
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
-        for r in &rows {
-            if r.arity() != ts.schema().len() {
-                return Err(Error::Plan(format!(
-                    "append to {table}: row arity {} != schema arity {}",
-                    r.arity(),
-                    ts.schema().len()
-                )));
-            }
-        }
+        check_arity(ts, &rows)?;
         for r in &rows {
             ts.sample.offer(r.clone());
         }
@@ -955,6 +966,29 @@ mod tests {
         assert_eq!(res.rows.len(), 10);
         assert_eq!(res.stats.strategy, JoinStrategy::ScanOnly);
         assert!(res.stats.query_io.reads() > 0);
+    }
+
+    /// Every load checks row width like an append does: a row narrower
+    /// or wider than the schema is an error, and the table is untouched.
+    #[test]
+    fn loads_reject_rows_of_the_wrong_arity() {
+        let mut d = db(Mode::Adaptive);
+        let tree = d.table("l").unwrap().trees()[0].tree.clone();
+        let blocks = d.table("l").unwrap().total_blocks();
+        for bad in [row![1i64], row![1i64, 2i64, 3i64]] {
+            let rows = vec![row![5i64, 5i64], bad];
+            let loads = [
+                d.load_rows("l", rows.clone()),
+                d.load_with_tree("l", rows.clone(), tree.clone(), None),
+                d.load_two_phase("l", rows.clone(), 0, None),
+                d.append_rows("l", rows),
+            ];
+            for (i, res) in loads.into_iter().enumerate() {
+                assert!(matches!(res, Err(Error::Plan(_))), "load {i}: {res:?}");
+            }
+        }
+        assert_eq!(d.table("l").unwrap().total_blocks(), blocks, "nothing was written");
+        assert_eq!(d.run(&Query::Scan(ScanQuery::full("l"))).unwrap().rows.len(), 200);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 use std::sync::Arc;
 
 use adaptdb_common::stats::JoinStrategy;
-use adaptdb_common::{CostParams, Query, QueryStats, Result, Trace};
-use adaptdb_join::{planner as join_planner, JoinDecision, JoinSide};
+use adaptdb_common::{Query, QueryStats, Result, Trace};
+use adaptdb_join::JoinSide;
 
 use crate::cost::{self, Lane};
 use crate::database::Database;
-use crate::planner::{block_ranges, classify_candidates};
+use crate::planner::{plan_query, JoinChoice, JoinPlan, QueryPlan};
 use crate::Mode;
 
 /// What the planner would do for one query, and why.
@@ -212,21 +212,78 @@ impl std::fmt::Display for ExplainAnalyzeReport {
 impl Database {
     /// Explain the plan for `query` without executing it (and without
     /// triggering any adaptation — the query is *not* added to windows).
+    /// The report renders the plan `planner::plan_query` decides, which is the
+    /// plan [`Database::run`] would execute on the current layout.
     pub fn explain(&self, query: &Query) -> Result<ExplainReport> {
-        let params: &CostParams = &self.config().cost;
+        let config = self.config();
         let est = cost::estimate_query(self, query)?;
-        let mut report = self.explain_inner(query, params)?;
-        report.est_cost_blocks = est.blocks;
-        report.est_lane = est.lane(self.config());
-        report.delta_blocks = report
-            .candidates
+        let plan = plan_query(self, query)?;
+        let candidates = plan.candidates();
+        let est_zone_skipped = match &plan {
+            // The baseline passes no predicates to the scan, so zone
+            // maps never exclude anything.
+            QueryPlan::Scan { .. } if config.mode == Mode::FullScan => 0,
+            // Project zone-map skipping with the scan's exact runtime
+            // check over the same block metadata.
+            QueryPlan::Scan { scan, blocks } => {
+                let mut skipped = 0usize;
+                for &b in blocks {
+                    let may_match = self.store().with_block_meta(&scan.table, b, |m| {
+                        scan.predicates.may_match(&m.ranges)
+                    })?;
+                    skipped += usize::from(!may_match);
+                }
+                skipped
+            }
+            QueryPlan::Join { .. } => 0,
+        };
+        let first = plan.first();
+        let hyper = first.and_then(JoinPlan::hyper);
+        let est_hyper_reads = match first.map(|f| &f.choice) {
+            Some(JoinChoice::Hyper { plan, .. }) => Some(plan.est_total_reads()),
+            Some(JoinChoice::Shuffle { costs: Some((_, cost)) }) if cost.is_finite() => {
+                Some(*cost as usize)
+            }
+            _ => None,
+        };
+        // Shuffle-service projection over the plan's own shuffle legs:
+        // rows are conserved through the map phase, so spill ≈ the
+        // stored blocks shuffled; a fetch is local when one of the run's
+        // replicas is the reducer's node.
+        let est_shuffle_spill_blocks: usize = plan.shuffle_legs().iter().map(|(l, r)| l + r).sum();
+        let est_shuffle_locality = cost::shuffle_locality(config);
+        let (est_fetch_concurrency, est_fetch_secs_serial, est_fetch_secs_pipelined) =
+            cost::project_fetch_costs(
+                est_shuffle_spill_blocks,
+                est_shuffle_locality,
+                config.shuffle_fanout(),
+                config.fetch_window,
+                &config.cost,
+            );
+        let delta_blocks = candidates
             .iter()
             .map(|(t, _, _)| self.table(t).map(|ts| ts.delta().len()).unwrap_or(0))
             .sum();
-        if !matches!(query, Query::Scan(_)) {
-            report.join_mem_budget_blocks = self.config().join_mem_budget_blocks;
-        }
-        Ok(report)
+        Ok(ExplainReport {
+            strategy: plan.strategy(),
+            est_zone_skipped,
+            est_shuffle_cost: first
+                .map_or(0.0, |f| config.cost.shuffle_join_cost(f.left.len(), f.right.len())),
+            est_shuffle_spill_blocks,
+            est_shuffle_locality,
+            est_fetch_concurrency,
+            est_fetch_secs_serial,
+            est_fetch_secs_pipelined,
+            est_hyper_reads,
+            est_c_hyj: hyper.map(|p| p.c_hyj),
+            build_side: hyper.map(|p| p.build_side),
+            groups: hyper.map(|p| p.groups.len()),
+            join_mem_budget_blocks: first.and(config.join_mem_budget_blocks),
+            est_cost_blocks: est.blocks,
+            est_lane: est.lane(config),
+            delta_blocks,
+            candidates,
+        })
     }
 
     /// `EXPLAIN ANALYZE`: take the plan projection, then execute the
@@ -243,210 +300,6 @@ impl Database {
         let result = result?;
         let trace = result.trace.expect("tracing was forced on");
         Ok(ExplainAnalyzeReport { explain, stats: result.stats, trace, rows: result.rows.len() })
-    }
-
-    fn explain_inner(&self, query: &Query, params: &CostParams) -> Result<ExplainReport> {
-        match query {
-            Query::Scan(s) => {
-                let ts = self.table(&s.table)?;
-                let (blocks, est_zone_skipped) = if self.config().mode == Mode::FullScan {
-                    // The baseline passes no predicates to the scan, so
-                    // zone maps never exclude anything.
-                    (ts.all_blocks(), 0)
-                } else {
-                    let candidates = ts.lookup_blocks(&s.predicates);
-                    // Project zone-map skipping with the scan's exact
-                    // runtime check over the same block metadata.
-                    let mut skipped = 0usize;
-                    for &b in &candidates {
-                        if !self
-                            .store()
-                            .with_block_meta(&s.table, b, |m| s.predicates.may_match(&m.ranges))?
-                        {
-                            skipped += 1;
-                        }
-                    }
-                    (candidates, skipped)
-                };
-                Ok(ExplainReport {
-                    strategy: JoinStrategy::ScanOnly,
-                    candidates: vec![(s.table.clone(), 0, blocks.len())],
-                    est_zone_skipped,
-                    est_shuffle_cost: 0.0,
-                    est_shuffle_spill_blocks: 0,
-                    est_shuffle_locality: 1.0,
-                    est_fetch_concurrency: 1,
-                    est_fetch_secs_serial: 0.0,
-                    est_fetch_secs_pipelined: 0.0,
-                    est_hyper_reads: None,
-                    est_c_hyj: None,
-                    build_side: None,
-                    groups: None,
-                    join_mem_budget_blocks: None,
-                    est_cost_blocks: 0,
-                    est_lane: Lane::Interactive,
-                    delta_blocks: 0,
-                })
-            }
-            Query::Join(j) => self.explain_join(
-                &j.left.table,
-                &j.left.predicates,
-                j.left_attr,
-                &j.right.table,
-                &j.right.predicates,
-                j.right_attr,
-                params,
-            ),
-            Query::MultiJoin { first, steps } => {
-                let mut report = self.explain_join(
-                    &first.left.table,
-                    &first.left.predicates,
-                    first.left_attr,
-                    &first.right.table,
-                    &first.right.predicates,
-                    first.right_attr,
-                    params,
-                )?;
-                for step in steps {
-                    let ts = self.table(&step.table.table)?;
-                    let c =
-                        classify_candidates(ts.snapshot(), &step.table.predicates, step.table_attr);
-                    report.candidates.push((
-                        step.table.table.clone(),
-                        c.matching.len(),
-                        c.other.len(),
-                    ));
-                }
-                Ok(report)
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn explain_join(
-        &self,
-        left: &str,
-        left_preds: &adaptdb_common::PredicateSet,
-        left_attr: adaptdb_common::AttrId,
-        right: &str,
-        right_preds: &adaptdb_common::PredicateSet,
-        right_attr: adaptdb_common::AttrId,
-        params: &CostParams,
-    ) -> Result<ExplainReport> {
-        let lt = self.table(left)?;
-        let rt = self.table(right)?;
-        let lc = classify_candidates(lt.snapshot(), left_preds, left_attr);
-        let rc = classify_candidates(rt.snapshot(), right_preds, right_attr);
-        let candidates = vec![
-            (left.to_string(), lc.matching.len(), lc.other.len()),
-            (right.to_string(), rc.matching.len(), rc.other.len()),
-        ];
-        let est_shuffle_cost = params.shuffle_join_cost(lc.len(), rc.len());
-        // Shuffle-service projection: rows are conserved through the
-        // map phase, so spill ≈ candidate blocks; a fetch is local when
-        // one of the run's replicas is the reducer's node.
-        let est_shuffle_spill_blocks = lc.len() + rc.len();
-        let est_shuffle_locality = cost::shuffle_locality(self.config());
-        let fetch_costs = |spill: usize| {
-            cost::project_fetch_costs(
-                spill,
-                est_shuffle_locality,
-                self.config().shuffle_fanout(),
-                self.config().fetch_window,
-                params,
-            )
-        };
-        let allow_hyper =
-            matches!(self.config().mode, Mode::Adaptive | Mode::FullRepartition | Mode::Fixed);
-        if !allow_hyper {
-            let (est_fetch_concurrency, est_fetch_secs_serial, est_fetch_secs_pipelined) =
-                fetch_costs(est_shuffle_spill_blocks);
-            return Ok(ExplainReport {
-                strategy: JoinStrategy::ShuffleJoin,
-                candidates,
-                est_zone_skipped: 0,
-                est_shuffle_cost,
-                est_shuffle_spill_blocks,
-                est_shuffle_locality,
-                est_fetch_concurrency,
-                est_fetch_secs_serial,
-                est_fetch_secs_pipelined,
-                est_hyper_reads: None,
-                est_c_hyj: None,
-                build_side: None,
-                groups: None,
-                join_mem_budget_blocks: None,
-                est_cost_blocks: 0,
-                est_lane: Lane::Interactive,
-                delta_blocks: 0,
-            });
-        }
-        let both_matching = !lc.matching.is_empty() && !rc.matching.is_empty();
-        let (l_hyper, r_hyper) = if both_matching {
-            (lc.matching.clone(), rc.matching.clone())
-        } else {
-            (lc.all(), rc.all())
-        };
-        let l_ranges = block_ranges(self.store(), left, &l_hyper, left_attr)?;
-        let r_ranges = block_ranges(self.store(), right, &r_hyper, right_attr)?;
-        let decision =
-            join_planner::plan(&l_ranges, &r_ranges, self.config().buffer_blocks, params);
-        Ok(match decision {
-            JoinDecision::Hyper(plan) => {
-                let mixed = both_matching && (!lc.other.is_empty() || !rc.other.is_empty());
-                // A pure hyper-join shuffles nothing; the mixed
-                // remainder still does.
-                let spill = if mixed { lc.other.len() + rc.other.len() } else { 0 };
-                let (est_fetch_concurrency, est_fetch_secs_serial, est_fetch_secs_pipelined) =
-                    fetch_costs(spill);
-                ExplainReport {
-                    strategy: if mixed { JoinStrategy::Mixed } else { JoinStrategy::HyperJoin },
-                    candidates,
-                    est_zone_skipped: 0,
-                    est_shuffle_cost,
-                    est_shuffle_spill_blocks: spill,
-                    est_shuffle_locality,
-                    est_fetch_concurrency,
-                    est_fetch_secs_serial,
-                    est_fetch_secs_pipelined,
-                    est_hyper_reads: Some(plan.est_total_reads()),
-                    est_c_hyj: Some(plan.c_hyj),
-                    build_side: Some(plan.build_side),
-                    groups: Some(plan.groups.len()),
-                    join_mem_budget_blocks: None,
-                    est_cost_blocks: 0,
-                    est_lane: Lane::Interactive,
-                    delta_blocks: 0,
-                }
-            }
-            JoinDecision::Shuffle { hyper_cost, .. } => {
-                let (est_fetch_concurrency, est_fetch_secs_serial, est_fetch_secs_pipelined) =
-                    fetch_costs(est_shuffle_spill_blocks);
-                ExplainReport {
-                    strategy: JoinStrategy::ShuffleJoin,
-                    candidates,
-                    est_zone_skipped: 0,
-                    est_shuffle_cost,
-                    est_shuffle_spill_blocks,
-                    est_shuffle_locality,
-                    est_fetch_concurrency,
-                    est_fetch_secs_serial,
-                    est_fetch_secs_pipelined,
-                    est_hyper_reads: if hyper_cost.is_finite() {
-                        Some(hyper_cost as usize)
-                    } else {
-                        None
-                    },
-                    est_c_hyj: None,
-                    build_side: None,
-                    groups: None,
-                    join_mem_budget_blocks: None,
-                    est_cost_blocks: 0,
-                    est_lane: Lane::Interactive,
-                    delta_blocks: 0,
-                }
-            }
-        })
     }
 }
 

@@ -1,13 +1,14 @@
 //! The read-only query path, expressed over layout snapshots.
 //!
-//! Everything needed to answer a query — planning, scan, shuffle join,
-//! hyper-join, multi-way steps — lives here as free functions over a
+//! Everything needed to answer a query — scan, shuffle join, hyper-join,
+//! multi-way steps — lives here as free functions over a
 //! [`SnapshotSource`]: any provider of `Arc<TableSnapshot>` handles plus
-//! a store and config. The serial [`crate::Database`] implements it
-//! over its catalog map; the concurrent server implements it over its
-//! published snapshot table, so many reader threads execute this exact
-//! code against pinned layouts while maintenance rewrites blocks
-//! underneath.
+//! a store and config. Each query runs the plan
+//! `planner::plan_query` decides for it. The serial
+//! [`crate::Database`] implements the source over its catalog map; the
+//! concurrent server implements it over its published snapshot table,
+//! so many reader threads execute this exact code against pinned
+//! layouts while maintenance rewrites blocks underneath.
 
 use std::sync::Arc;
 
@@ -18,11 +19,10 @@ use adaptdb_exec::{
     hyper_join, scan_blocks, shuffle_join, shuffle_join_rows, ExecContext, HyperJoinSpec,
     ShuffleJoinSpec,
 };
-use adaptdb_join::{planner as join_planner, JoinDecision};
 use adaptdb_storage::BlockStore;
 
 use crate::config::{DbConfig, Mode};
-use crate::planner::{block_ranges, classify_candidates, SideCandidates};
+use crate::planner::{plan_query, JoinChoice, JoinPlan, QueryPlan, StepChoice, StepPlan};
 use crate::table::TableSnapshot;
 
 /// A provider of everything the read path needs. Implementations must
@@ -111,94 +111,39 @@ pub fn execute_query_traced<'a, S: SnapshotSource>(
     clock: &'a SimClock,
     trace: Option<TraceCtx<'a>>,
 ) -> Result<(Vec<Row>, JoinStrategy, Option<f64>)> {
-    match query {
-        Query::Scan(s) => {
-            let rows = execute_scan(src, &s.table, &s.predicates, clock, trace)?;
-            Ok((rows, JoinStrategy::ScanOnly, None))
+    let plan = plan_query(src, query)?;
+    let (strategy, c_hyj) = (plan.strategy(), plan.c_hyj());
+    let rows = match plan {
+        QueryPlan::Scan { scan, blocks } => {
+            execute_scan(src, &scan.table, &blocks, &scan.predicates, clock, trace)?
         }
-        Query::Join(j) => {
-            let (rows, strategy, c) = execute_join(
-                src,
-                &j.left.table,
-                &j.left.predicates,
-                j.left_attr,
-                &j.right.table,
-                &j.right.predicates,
-                j.right_attr,
-                clock,
-                trace,
-            )?;
-            Ok((rows, strategy, c))
-        }
-        Query::MultiJoin { first, steps } => {
-            let (mut rows, mut strategy, c) = execute_join(
-                src,
-                &first.left.table,
-                &first.left.predicates,
-                first.left_attr,
-                &first.right.table,
-                &first.right.predicates,
-                first.right_attr,
-                clock,
-                trace,
-            )?;
+        QueryPlan::Join { first, steps } => {
+            let mut rows = execute_join(src, &first, clock, trace)?;
             for step in steps {
-                let (step_rows, used_hyper) = execute_step(src, step, rows, clock, trace)?;
-                rows = step_rows;
-                if !used_hyper && strategy == JoinStrategy::HyperJoin {
-                    strategy = JoinStrategy::Mixed;
-                }
+                rows = execute_step(src, step, rows, clock, trace)?;
             }
-            Ok((rows, strategy, c))
+            rows
         }
-    }
+    };
+    Ok((rows, strategy, c_hyj))
 }
 
-/// Execute one multi-way join step (§4.3). When the base table has a
-/// tree on the step's join attribute covering all candidate blocks,
-/// only the intermediate is shuffled and the base table is read
-/// through a hyper-join schedule ("AdaptDB only needs to shuffle
-/// tempLO based on custkey, and can then use hyper-join"). Otherwise
-/// the step falls back to scanning the table and shuffling both
-/// sides. Returns the joined rows and whether the hyper path ran.
+/// Execute one multi-way join step (§4.3): through a hyper-join
+/// schedule over the stored side, shuffling only the intermediate
+/// ("AdaptDB only needs to shuffle tempLO based on custkey, and can then
+/// use hyper-join"), or by scanning the table and shuffling both sides.
 fn execute_step<'a, S: SnapshotSource>(
     src: &'a S,
-    step: &adaptdb_common::JoinStep,
+    plan: StepPlan<'_>,
     intermediate: Vec<Row>,
     clock: &'a SimClock,
     trace: Option<TraceCtx<'a>>,
-) -> Result<(Vec<Row>, bool)> {
+) -> Result<Vec<Row>> {
     let config = src.config();
-    let table = &step.table.table;
-    let preds = &step.table.predicates;
-    let snap = src.snapshot(table)?;
-    let allow_hyper = matches!(config.mode, Mode::Adaptive | Mode::FullRepartition | Mode::Fixed);
-    if allow_hyper {
-        let candidates = classify_candidates(&snap, preds, step.table_attr);
-        if !candidates.matching.is_empty() && candidates.other.is_empty() {
-            // Group the stored side exactly like a two-table
-            // hyper-join would, with per-group key ranges for
-            // routing the intermediate.
-            let ranges = block_ranges(src.store(), table, &candidates.matching, step.table_attr)?;
-            let plain: Vec<adaptdb_common::ValueRange> =
-                ranges.iter().map(|(_, r)| r.clone()).collect();
-            let overlap = adaptdb_join::OverlapMatrix::compute_sweep(&plain, &plain);
-            let grouping = adaptdb_join::bottom_up::solve(&overlap, config.buffer_blocks.max(1));
-            let groups: Vec<adaptdb_exec::StepGroup> = grouping
-                .groups()
-                .iter()
-                .map(|members| {
-                    let mut range = adaptdb_common::ValueRange::empty();
-                    let blocks = members
-                        .iter()
-                        .map(|&i| {
-                            range.merge(&ranges[i].1);
-                            ranges[i].0
-                        })
-                        .collect();
-                    adaptdb_exec::StepGroup { blocks, range }
-                })
-                .collect();
+    let step = plan.step;
+    let (table, preds) = (&step.table.table, &step.table.predicates);
+    match plan.choice {
+        StepChoice::Hyper(groups) => {
             let (child, span) = match trace {
                 Some(t) => {
                     let (c, g) = t.span("hyper-step", clock);
@@ -222,264 +167,116 @@ fn execute_step<'a, S: SnapshotSource>(
                 g.attr_s("table", table);
                 g.attr_i("blocks_read", (a.reads() - b.reads()) as i64);
             }
-            return Ok((rows, true));
+            Ok(rows)
+        }
+        StepChoice::Shuffle(blocks) => {
+            let side = execute_scan(src, table, &blocks, preds, clock, trace)?;
+            shuffle_join_rows(
+                exec_ctx(src, clock, trace),
+                intermediate,
+                side,
+                step.intermediate_attr,
+                step.table_attr,
+                config.rows_per_block,
+            )
         }
     }
-    // Fallback: scan through the trees, shuffle both sides.
-    let side = execute_scan(src, table, preds, clock, trace)?;
-    let rows = shuffle_join_rows(
-        exec_ctx(src, clock, trace),
-        intermediate,
-        side,
-        step.intermediate_attr,
-        step.table_attr,
-        config.rows_per_block,
-    )?;
-    Ok((rows, false))
 }
 
 fn execute_scan<'a, S: SnapshotSource>(
     src: &'a S,
     table: &str,
+    blocks: &[BlockId],
     preds: &PredicateSet,
     clock: &'a SimClock,
     trace: Option<TraceCtx<'a>>,
 ) -> Result<Vec<Row>> {
-    let snap = src.snapshot(table)?;
     if src.config().mode == Mode::FullScan {
-        // Baseline: no tree pruning, no metadata skipping.
-        let blocks = snap.all_blocks();
-        let rows = scan_blocks(exec_ctx(src, clock, trace), table, &blocks, &PredicateSet::none())?;
+        // Baseline: no metadata skipping either; filter after reading.
+        let rows = scan_blocks(exec_ctx(src, clock, trace), table, blocks, &PredicateSet::none())?;
         return Ok(rows.into_iter().filter(|r| preds.matches(r)).collect());
     }
-    let blocks = snap.lookup_blocks(preds);
-    scan_blocks(exec_ctx(src, clock, trace), table, &blocks, preds)
+    scan_blocks(exec_ctx(src, clock, trace), table, blocks, preds)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn execute_join<'a, S: SnapshotSource>(
     src: &'a S,
-    left: &str,
-    left_preds: &PredicateSet,
-    left_attr: AttrId,
-    right: &str,
-    right_preds: &PredicateSet,
-    right_attr: AttrId,
+    plan: &JoinPlan<'_>,
     clock: &'a SimClock,
     trace: Option<TraceCtx<'a>>,
-) -> Result<(Vec<Row>, JoinStrategy, Option<f64>)> {
-    let config = src.config();
-    let lt = src.snapshot(left)?;
-    let rt = src.snapshot(right)?;
-    // Planning reads only in-memory metadata, so this span is
+) -> Result<Vec<Row>> {
+    // The plan was made from in-memory metadata, so this span is
     // zero-duration on the simulated timeline; its attributes carry
     // the candidate sets and the cost-based decision.
-    let plan_span = trace.map(|t| t.span("plan", clock).1);
-    let allow_hyper = matches!(config.mode, Mode::Adaptive | Mode::FullRepartition | Mode::Fixed);
-
-    let (lc, rc) = if config.mode == Mode::FullScan {
-        (
-            SideCandidates { matching: vec![], other: lt.all_blocks() },
-            SideCandidates { matching: vec![], other: rt.all_blocks() },
-        )
-    } else {
-        (
-            classify_candidates(&lt, left_preds, left_attr),
-            classify_candidates(&rt, right_preds, right_attr),
-        )
-    };
-
-    if !allow_hyper {
-        if let Some(g) = plan_span {
-            g.attr_i("left_candidates", lc.len() as i64);
-            g.attr_i("right_candidates", rc.len() as i64);
-            g.attr_s("decision", "shuffle");
-        }
-        let rows = run_shuffle(
-            src,
-            left,
-            &lc.all(),
-            left_preds,
-            left_attr,
-            right,
-            &rc.all(),
-            right_preds,
-            right_attr,
-            clock,
-            trace,
-        )?;
-        return Ok((rows, JoinStrategy::ShuffleJoin, None));
-    }
-
-    // Choose the hyper candidate sets: matching×matching when both
-    // sides are (at least partially) organized for this join;
-    // otherwise try everything (the "up-front partitioning happens to
-    // work out" clause of case 3).
-    let both_matching = !lc.matching.is_empty() && !rc.matching.is_empty();
-    let (l_hyper, l_rest, r_hyper, r_rest) = if both_matching {
-        (lc.matching.clone(), lc.other.clone(), rc.matching.clone(), rc.other.clone())
-    } else {
-        (lc.all(), Vec::new(), rc.all(), Vec::new())
-    };
-
-    let l_ranges = block_ranges(src.store(), left, &l_hyper, left_attr)?;
-    let r_ranges = block_ranges(src.store(), right, &r_hyper, right_attr)?;
-    let decision = join_planner::plan(&l_ranges, &r_ranges, config.buffer_blocks, &config.cost);
-
-    // Cost check for the mixed case (§5.4): the hyper part plus the
-    // remainder shuffles must beat one full shuffle, else shuffling
-    // everything at once is cheaper.
-    let decision = match decision {
-        JoinDecision::Hyper(plan) if !l_rest.is_empty() || !r_rest.is_empty() => {
-            let cost = &config.cost;
-            let mut mixed = plan.est_total_reads() as f64;
-            if !r_rest.is_empty() {
-                mixed += cost.shuffle_join_cost(l_hyper.len(), r_rest.len());
-            }
-            if !l_rest.is_empty() {
-                mixed += cost.shuffle_join_cost(l_rest.len(), rc.len());
-            }
-            let full = cost.shuffle_join_cost(lc.len(), rc.len());
-            if mixed < full {
-                JoinDecision::Hyper(plan)
-            } else {
-                JoinDecision::Shuffle { est_cost: full, hyper_cost: mixed }
-            }
-        }
-        other => other,
-    };
-
-    if let Some(g) = plan_span {
-        g.attr_i("left_candidates", lc.len() as i64);
-        g.attr_i("right_candidates", rc.len() as i64);
-        match &decision {
-            JoinDecision::Hyper(plan) => {
+    if let Some(g) = trace.map(|t| t.span("plan", clock).1) {
+        g.attr_i("left_candidates", plan.left.len() as i64);
+        g.attr_i("right_candidates", plan.right.len() as i64);
+        match &plan.choice {
+            JoinChoice::Hyper { plan: hyper, .. } => {
                 g.attr_s("decision", "hyper");
-                g.attr_f("est_c_hyj", plan.c_hyj);
+                g.attr_f("est_c_hyj", hyper.c_hyj);
             }
-            JoinDecision::Shuffle { est_cost, hyper_cost } => {
+            JoinChoice::Shuffle { costs } => {
                 g.attr_s("decision", "shuffle");
-                g.attr_f("est_shuffle_cost", *est_cost);
-                g.attr_f("est_hyper_cost", *hyper_cost);
+                if let Some((est_cost, hyper_cost)) = costs {
+                    g.attr_f("est_shuffle_cost", *est_cost);
+                    g.attr_f("est_hyper_cost", *hyper_cost);
+                }
             }
         }
     }
-
-    match decision {
-        JoinDecision::Hyper(plan) => {
-            let hspan = match trace {
-                Some(t) => {
-                    let (c, g) = t.span("hyper-join", clock);
-                    Some((c, g, clock.snapshot()))
-                }
-                None => None,
-            };
-            let mut rows = hyper_join(
+    let j = plan.query;
+    let mut rows = match &plan.choice {
+        JoinChoice::Shuffle { .. } => Vec::new(),
+        JoinChoice::Hyper { plan: hyper, .. } => {
+            let hspan = trace.map(|t| {
+                let (c, g) = t.span("hyper-join", clock);
+                (c, g, clock.snapshot())
+            });
+            let rows = hyper_join(
                 exec_ctx(src, clock, hspan.as_ref().map(|(c, _, _)| *c)),
                 HyperJoinSpec {
-                    left_table: left,
-                    right_table: right,
-                    left_attr,
-                    right_attr,
-                    left_preds,
-                    right_preds,
-                    plan: &plan,
+                    left_table: &j.left.table,
+                    right_table: &j.right.table,
+                    left_attr: j.left_attr,
+                    right_attr: j.right_attr,
+                    left_preds: &j.left.predicates,
+                    right_preds: &j.right.predicates,
+                    plan: hyper,
                 },
             )?;
             if let Some((_, g, before)) = &hspan {
                 let after = clock.snapshot();
                 g.attr_i("blocks_read", (after.reads() - before.reads()) as i64);
-                g.attr_f("est_c_hyj", plan.c_hyj);
+                g.attr_f("est_c_hyj", hyper.c_hyj);
             }
-            drop(hspan);
-            let mut mixed = false;
-            // Remainder joins for mid-migration blocks (planner case 2).
-            if !r_rest.is_empty() {
-                mixed = true;
-                rows.extend(run_shuffle(
-                    src,
-                    left,
-                    &l_hyper,
-                    left_preds,
-                    left_attr,
-                    right,
-                    &r_rest,
-                    right_preds,
-                    right_attr,
-                    clock,
-                    trace,
-                )?);
-            }
-            if !l_rest.is_empty() {
-                mixed = true;
-                let r_all = rc.all();
-                rows.extend(run_shuffle(
-                    src,
-                    left,
-                    &l_rest,
-                    left_preds,
-                    left_attr,
-                    right,
-                    &r_all,
-                    right_preds,
-                    right_attr,
-                    clock,
-                    trace,
-                )?);
-            }
-            let strategy = if mixed { JoinStrategy::Mixed } else { JoinStrategy::HyperJoin };
-            Ok((rows, strategy, Some(plan.c_hyj)))
+            rows
         }
-        JoinDecision::Shuffle { .. } => {
-            let rows = run_shuffle(
-                src,
-                left,
-                &lc.all(),
-                left_preds,
-                left_attr,
-                right,
-                &rc.all(),
-                right_preds,
-                right_attr,
-                clock,
-                trace,
-            )?;
-            Ok((rows, JoinStrategy::ShuffleJoin, None))
+    };
+    for (l, r) in plan.shuffle_legs() {
+        let part = shuffle_join(
+            exec_ctx(src, clock, trace),
+            ShuffleJoinSpec {
+                left_table: &j.left.table,
+                left_blocks: &plan.left.part(l),
+                right_table: &j.right.table,
+                right_blocks: &plan.right.part(r),
+                left_attr: j.left_attr,
+                right_attr: j.right_attr,
+                left_preds: &j.left.predicates,
+                right_preds: &j.right.predicates,
+                // Fan-out comes from the context's ShuffleOptions, which
+                // exec_ctx fills from config.shuffle_fanout().
+                rows_per_block: src.config().rows_per_block,
+            },
+        )?;
+        if rows.is_empty() {
+            rows = part;
+        } else {
+            rows.extend(part);
         }
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_shuffle<'a, S: SnapshotSource>(
-    src: &'a S,
-    left: &str,
-    left_blocks: &[BlockId],
-    left_preds: &PredicateSet,
-    left_attr: AttrId,
-    right: &str,
-    right_blocks: &[BlockId],
-    right_preds: &PredicateSet,
-    right_attr: AttrId,
-    clock: &'a SimClock,
-    trace: Option<TraceCtx<'a>>,
-) -> Result<Vec<Row>> {
-    let config = src.config();
-    shuffle_join(
-        exec_ctx(src, clock, trace),
-        ShuffleJoinSpec {
-            left_table: left,
-            left_blocks,
-            right_table: right,
-            right_blocks,
-            left_attr,
-            right_attr,
-            left_preds,
-            right_preds,
-            // Fan-out comes from the context's ShuffleOptions, which
-            // exec_ctx fills from config.shuffle_fanout().
-            rows_per_block: config.rows_per_block,
-        },
-    )
+    Ok(rows)
 }
 
 /// Convenience: resolve a snapshot or fail with [`Error::UnknownTable`].

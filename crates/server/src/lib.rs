@@ -22,9 +22,7 @@
 //!   drive optional load shedding.
 //! * **Worker-pool executor.** A pool of worker threads drains the
 //!   scheduler and runs the exact serial read path
-//!   ([`adaptdb::readpath`]) against the pinned snapshots. Under
-//!   queue pressure the effective prefetch window can shrink
-//!   ([`DbConfig::fetch_pace_wait_ms`]) without changing any result.
+//!   ([`adaptdb::readpath`]) against the pinned snapshots.
 //! * **Background maintenance.** Executed queries are forwarded to a
 //!   maintenance thread that replays the serial engine's window
 //!   bookkeeping and adaptation decisions
@@ -64,7 +62,6 @@ pub mod metrics;
 pub mod queue;
 pub mod scheduler;
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -280,31 +277,13 @@ impl Shared {
     }
 }
 
-/// The effective prefetch depth under queue pressure: the configured
-/// window until the estimated queue wait crosses `threshold_ms`, then
-/// one halving per threshold multiple, floor 1 (serial fetching). A
-/// non-positive threshold disables pacing. Never changes block counts
-/// or results — only how much read latency a loaded server still tries
-/// to overlap.
-pub fn paced_fetch_window(configured: usize, est_wait_ms: f64, threshold_ms: f64) -> usize {
-    let full = configured.max(1);
-    if threshold_ms <= 0.0 || est_wait_ms <= threshold_ms {
-        return full;
-    }
-    let levels = (est_wait_ms / threshold_ms) as u32;
-    (full >> levels.min(31)).max(1)
-}
-
 /// The per-query reader view: pins the `Arc` of every table the query
 /// names under one read of the published map when the view is built,
 /// so a query never sees two generations of one table, nor one table
 /// before a swap and another after it. A table missing from the map is
 /// not pinned, and resolving it fails with [`Error::UnknownTable`].
-/// Borrows the server-wide config, and owns a copy only when a
-/// per-query override (the paced fetch window) differs from it.
 struct QueryView<'a> {
     shared: &'a Shared,
-    config: Cow<'a, DbConfig>,
     pinned: BTreeMap<String, Arc<TableSnapshot>>,
 }
 
@@ -319,21 +298,13 @@ impl<'a> QueryView<'a> {
                 .map(|(name, snap)| (name.clone(), Arc::clone(snap)))
                 .collect()
         };
-        QueryView { shared, config: Cow::Borrowed(&shared.config), pinned }
-    }
-
-    fn with_fetch_window(shared: &'a Shared, query: &Query, fetch_window: usize) -> Self {
-        let mut view = QueryView::new(shared, query);
-        if fetch_window != shared.config.fetch_window {
-            view.config.to_mut().fetch_window = fetch_window;
-        }
-        view
+        QueryView { shared, pinned }
     }
 }
 
 impl SnapshotSource for QueryView<'_> {
     fn config(&self) -> &DbConfig {
-        &self.config
+        &self.shared.config
     }
 
     fn store(&self) -> &BlockStore {
@@ -785,13 +756,12 @@ fn execute(
     query: &Query,
     meta: &JobMeta,
     queue_wait: Duration,
-    fetch_window: usize,
 ) -> Result<QueryResult> {
     #[cfg(test)]
     tests::panic_if_trigger(query);
     let unaccounted_before = shared.store.unaccounted_reads();
     let clock = SimClock::new();
-    let view = QueryView::with_fetch_window(shared, query, fetch_window);
+    let view = QueryView::new(shared, query);
     // Per-query span tree when tracing is on. The simulated clock
     // starts at zero per query; admission wait is wall time, not
     // simulated, so it rides as a zero-duration span attribute.
@@ -848,22 +818,11 @@ fn worker_loop(shared: &Shared) {
         shared.metrics.begin();
         let picked_up = Instant::now();
         let queue_wait = picked_up.duration_since(meta.submitted);
-        // Adaptive prefetch pacing: under queue pressure, deep prefetch
-        // only amplifies delay — shrink the effective window for this
-        // query (results and block counts are invariant to it).
-        let fetch_window = match shared.config.fetch_pace_wait_ms {
-            Some(threshold_ms) => paced_fetch_window(
-                shared.config.fetch_window,
-                shared.est_wait_ms(meta.lane),
-                threshold_ms,
-            ),
-            None => shared.config.fetch_window,
-        };
         // A panic while running the query fails that query, not the
         // worker: without the catch the thread dies, the client sees a
         // dropped reply, and a one-worker server never answers again.
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            execute(shared, &query, &meta, queue_wait, fetch_window)
+            execute(shared, &query, &meta, queue_wait)
         }))
         .unwrap_or_else(|payload| Err(Error::Plan(panic_message(payload))));
         let ok = result.is_ok();
@@ -994,26 +953,5 @@ mod tests {
         assert!(!Arc::ptr_eq(&got, &fresh));
         // A table the query does not name is not pinned.
         assert!(matches!(view.snapshot("missing"), Err(Error::UnknownTable(_))));
-    }
-
-    #[test]
-    fn paced_window_shrinks_with_pressure() {
-        // Under the threshold (or unpaced): full window.
-        assert_eq!(paced_fetch_window(8, 0.0, 5.0), 8);
-        assert_eq!(paced_fetch_window(8, 5.0, 5.0), 8);
-        assert_eq!(paced_fetch_window(8, 100.0, 0.0), 8, "non-positive threshold disables");
-        // One halving per threshold multiple, floor 1.
-        assert_eq!(paced_fetch_window(8, 7.0, 5.0), 4);
-        assert_eq!(paced_fetch_window(8, 11.0, 5.0), 2);
-        assert_eq!(paced_fetch_window(8, 16.0, 5.0), 1);
-        assert_eq!(paced_fetch_window(8, 1e9, 5.0), 1, "saturates at serial");
-        assert_eq!(paced_fetch_window(1, 100.0, 5.0), 1, "serial stays serial");
-        // Monotone in pressure.
-        let mut last = usize::MAX;
-        for est in [0.0, 6.0, 12.0, 20.0, 40.0, 80.0] {
-            let w = paced_fetch_window(16, est, 5.0);
-            assert!(w <= last, "window must not grow with pressure");
-            last = w;
-        }
     }
 }
