@@ -20,9 +20,13 @@
 //!   scan storm lands in the batch lane and cannot starve point
 //!   queries; deadlines promote waiting work; per-lane wait estimates
 //!   drive optional load shedding.
-//! * **Worker-pool executor.** A pool of worker threads drains the
-//!   scheduler and runs the exact serial read path
-//!   ([`adaptdb::readpath`]) against the pinned snapshots.
+//! * **Caller-runs executor.** At most `workers` queries execute at
+//!   once, each on the exact serial read path ([`adaptdb::readpath`])
+//!   against its pinned snapshots. When nothing is queued and an
+//!   execution slot is free, a query runs on the submitting thread, on
+//!   the snapshots admission pinned — no hand-off to another thread and
+//!   back. Otherwise it queues, and a pool of worker threads runs the
+//!   queued queries in the scheduler's order, pinning at pop time.
 //! * **Background maintenance.** Executed queries are forwarded to a
 //!   maintenance thread that replays the serial engine's window
 //!   bookkeeping and adaptation decisions
@@ -31,11 +35,12 @@
 //!   deferred retirement, swaps the new snapshots in, and
 //!   garbage-collects retired blocks once every reader pinned to an
 //!   older snapshot has drained. The pass is *paced* by the same load
-//!   signal the scheduler exposes: on a loaded server it processes one
-//!   observation at a time (deferring the rest), and it drains the
-//!   whole inbox when the queue is idle. Maintenance I/O is charged to
-//!   its own `ClockKind::Maintenance` [`SimClock`], so query-visible
-//!   cost figures stay faithful to the paper.
+//!   signal the scheduler exposes: on a loaded server (a query queued
+//!   or every slot busy) it processes one observation at a time
+//!   (deferring the rest), and it drains the whole inbox when the
+//!   server is idle. Maintenance I/O is charged to its own
+//!   `ClockKind::Maintenance` [`SimClock`], so query-visible cost
+//!   figures stay faithful to the paper.
 //!
 //! ```
 //! use adaptdb::{Database, DbConfig};
@@ -62,6 +67,7 @@ pub mod metrics;
 pub mod queue;
 pub mod scheduler;
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -119,7 +125,8 @@ pub(crate) struct Shared {
     /// The FIFO bound, or per-lane bound under the lane policies.
     queue_capacity: usize,
     metrics: Metrics,
-    /// Executor pool width (the divisor of the admission wait estimate).
+    /// Execution slots, also the worker count (the divisor of the
+    /// admission wait estimate).
     workers: usize,
     /// Latency-aware admission bound; see
     /// [`ServerOptions::max_queue_wait_ms`].
@@ -154,8 +161,16 @@ pub(crate) struct Shared {
 impl Shared {
     fn push_observation(&self, query: Query) {
         self.obs_submitted.fetch_add(1, Ordering::SeqCst);
-        self.inbox.lock().unwrap().push(query);
-        self.inbox_signal.notify_one();
+        let mut inbox = self.inbox.lock().unwrap();
+        let was_empty = inbox.is_empty();
+        inbox.push(query);
+        drop(inbox);
+        // The maintenance thread waits only on an empty inbox (checked
+        // under this lock), so only the first arrival needs to wake it;
+        // this keeps a futex wake-up off most clients' critical path.
+        if was_empty {
+            self.inbox_signal.notify_one();
+        }
     }
 
     /// Estimated queue wait for a new submission into `lane`, under the
@@ -165,11 +180,14 @@ impl Shared {
     }
 
     /// The maintenance pacer's load signal: true while any query is
-    /// waiting for admission or the interactive wait estimate exceeds
+    /// waiting for admission, every execution slot is busy (queries run
+    /// on their clients' threads, so a saturated server can have an
+    /// empty queue), or the interactive wait estimate exceeds
     /// `DbConfig::maint_pace_wait_ms`. Loaded means "defer background
     /// work"; idle means "catch up".
     pub(crate) fn is_loaded(&self) -> bool {
         !self.queue.is_empty()
+            || self.queue.is_saturated()
             || self.est_wait_ms(Lane::Interactive) > self.config.maint_pace_wait_ms
     }
 
@@ -319,8 +337,9 @@ impl SnapshotSource for QueryView<'_> {
 /// Options for [`DbServer::start_with`].
 #[derive(Debug, Clone, Default)]
 pub struct ServerOptions {
-    /// Executor worker threads. Defaults to the engine's
-    /// `DbConfig::threads` (which honors `ADAPTDB_THREADS`).
+    /// Execution slots: at most this many queries execute at once; the
+    /// threads serve the queries that had to queue. Defaults to the
+    /// engine's `DbConfig::threads` (which honors `ADAPTDB_THREADS`).
     pub workers: Option<usize>,
     /// Admission-queue capacity: the FIFO bound, or the *per-lane*
     /// bound under the lane policies (so a batch storm backpressures
@@ -406,7 +425,7 @@ impl DbServer {
             publish_writes: AtomicU64::new(0),
             inbox: StdMutex::new(Vec::new()),
             inbox_signal: Condvar::new(),
-            queue: SchedQueue::new(Scheduler::new(policy, capacity, quantum)),
+            queue: SchedQueue::new(Scheduler::new(policy, capacity, quantum), worker_count),
             queue_capacity: capacity,
             metrics: Metrics::new(),
             workers: worker_count,
@@ -570,8 +589,9 @@ impl DbServer {
     }
 
     /// Graceful shutdown: stop admitting, drain the queue, join the
-    /// workers, run a final maintenance pass, and force-collect retired
-    /// blocks (no readers remain once the pool is joined). Idempotent.
+    /// workers, wait for queries running on client threads, run a final
+    /// maintenance pass, and force-collect retired blocks (no readers
+    /// remain once every slot is released). Idempotent.
     pub fn stop(&mut self) {
         if self.workers.is_empty() && self.maintenance.is_none() {
             return;
@@ -580,6 +600,7 @@ impl DbServer {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        self.shared.queue.await_idle();
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Take and release the inbox lock between setting the flag and
         // notifying: a maintenance thread between its shutdown check and
@@ -684,8 +705,9 @@ fn append_rows(shared: &Shared, table: &str, rows: Vec<Row>) -> Result<usize> {
     Ok(n)
 }
 
-/// Classify, admission-check, enqueue, and await one query. Returns the
-/// result and the lane the query was admitted into.
+/// Classify and admission-check one query, then run it on this thread
+/// if the server is idle, else enqueue it and await a worker's reply.
+/// Returns the result and the lane the query was admitted into.
 fn submit(
     shared: &Arc<Shared>,
     session: u64,
@@ -730,6 +752,14 @@ fn submit(
         Some(w) => JobMeta::new(session, lane, est.blocks, opts.deadline).with_weight(w),
         None => JobMeta::new(session, lane, est.blocks, opts.deadline),
     };
+    // Caller-runs: nothing queued and a slot free, so run here on the
+    // snapshots pinned above. Queued work always runs first.
+    if let Some(_slot) = shared.queue.try_claim() {
+        return (serve(shared, &view, Cow::Borrowed(query), &meta), lane);
+    }
+    // A queued query pins when a worker pops it, so it sees the layout
+    // current then, and holds no old snapshot while it waits.
+    drop(view);
     let (reply, rx) = mpsc::channel();
     if shared.queue.push(Job { query: query.clone(), reply }, meta).is_err() {
         return (Err(Error::Plan("server is shut down".into())), lane);
@@ -753,15 +783,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Run one admitted query on the snapshot read path.
 fn execute(
     shared: &Shared,
+    view: &QueryView<'_>,
     query: &Query,
     meta: &JobMeta,
     queue_wait: Duration,
 ) -> Result<QueryResult> {
     #[cfg(test)]
-    tests::panic_if_trigger(query);
+    tests::on_execute(query);
     let unaccounted_before = shared.store.unaccounted_reads();
     let clock = SimClock::new();
-    let view = QueryView::new(shared, query);
     // Per-query span tree when tracing is on. The simulated clock
     // starts at zero per query; admission wait is wall time, not
     // simulated, so it rides as a zero-duration span attribute.
@@ -784,7 +814,7 @@ fn execute(
         parent: root,
         base_us: 0,
     });
-    let result = readpath::execute_query_traced(&view, query, &clock, trace_ctx).map(
+    let result = readpath::execute_query_traced(view, query, &clock, trace_ctx).map(
         |(rows, strategy, c_hyj)| {
             let mut stats = QueryStats::empty(strategy);
             stats.query_io = clock.snapshot();
@@ -813,36 +843,54 @@ fn execute(
     result
 }
 
+/// Run one admitted query on the calling thread, on the snapshots of
+/// `view` — the one body of both admission paths: a client thread that
+/// found the server idle, and a worker that popped a queued query.
+fn serve(
+    shared: &Shared,
+    view: &QueryView<'_>,
+    query: Cow<'_, Query>,
+    meta: &JobMeta,
+) -> Result<QueryResult> {
+    shared.metrics.begin();
+    let picked_up = Instant::now();
+    let queue_wait = picked_up.duration_since(meta.submitted);
+    // A panic while running the query fails that query, not the thread
+    // running it: without the catch a worker dies (and a one-worker
+    // server never answers again), or the client's own thread unwinds.
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        execute(shared, view, &query, meta, queue_wait)
+    }))
+    .unwrap_or_else(|payload| Err(Error::Plan(panic_message(payload))));
+    let ok = result.is_ok();
+    if let Ok(r) = &result {
+        shared.metrics.note_shuffle(&r.stats.shuffle);
+        // Feed the window/adaptation machinery off the hot path. A
+        // queued query is owned here; an inline one is cloned once, as
+        // enqueuing it would have. A failed query is not observed:
+        // replaying a panicking one on the maintenance thread would
+        // panic there too.
+        shared.push_observation(query.into_owned());
+    }
+    shared.metrics.record(
+        meta.lane,
+        meta.session,
+        meta.cost_blocks,
+        meta.promoted,
+        meta.submitted.elapsed(),
+        picked_up.elapsed(),
+        ok,
+    );
+    result
+}
+
 fn worker_loop(shared: &Shared) {
-    while let Some((Job { query, reply }, meta)) = shared.queue.pop() {
-        shared.metrics.begin();
-        let picked_up = Instant::now();
-        let queue_wait = picked_up.duration_since(meta.submitted);
-        // A panic while running the query fails that query, not the
-        // worker: without the catch the thread dies, the client sees a
-        // dropped reply, and a one-worker server never answers again.
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            execute(shared, &query, &meta, queue_wait)
-        }))
-        .unwrap_or_else(|payload| Err(Error::Plan(panic_message(payload))));
-        let ok = result.is_ok();
-        if let Ok(r) = &result {
-            shared.metrics.note_shuffle(&r.stats.shuffle);
-            // Feed the window/adaptation machinery off the hot path;
-            // the query is owned here, so no clone on the serving path.
-            // A failed query is not observed: replaying a panicking one
-            // on the maintenance thread would panic there too.
-            shared.push_observation(query);
-        }
-        shared.metrics.record(
-            meta.lane,
-            meta.session,
-            meta.cost_blocks,
-            meta.promoted,
-            meta.submitted.elapsed(),
-            picked_up.elapsed(),
-            ok,
-        );
+    while let Some((Job { query, reply }, meta, slot)) = shared.queue.pop() {
+        let view = QueryView::new(shared, &query);
+        let result = serve(shared, &view, Cow::Owned(query), &meta);
+        // Free the slot before replying, so the client's next query can
+        // claim it and run inline.
+        drop((view, slot));
         // A client that gave up waiting is not an error.
         let _ = reply.send(result);
     }
@@ -852,31 +900,275 @@ fn worker_loop(shared: &Shared) {
 mod tests {
     use super::*;
     use adaptdb_common::{row, JoinQuery, JoinStep, ScanQuery, Schema, ValueType};
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
 
-    /// A scan of this table panics inside the worker's read path.
+    /// A scan of this table panics inside `execute`.
     const PANIC_TABLE: &str = "panic-in-read-path";
 
-    pub(super) fn panic_if_trigger(query: &Query) {
-        if matches!(query, Query::Scan(s) if s.table == PANIC_TABLE) {
+    /// A scan of `GATE_PREFIX` + `<gate>/<id>` waits inside `execute` at
+    /// the registered [`Gate`] named `<gate>` until the test opens `id`.
+    /// No such table exists, so once let through the query fails with
+    /// `UnknownTable`.
+    const GATE_PREFIX: &str = "gate-in-read-path/";
+
+    static GATES: StdMutex<BTreeMap<String, Arc<Gate>>> = StdMutex::new(BTreeMap::new());
+
+    /// How long a test waits for the server before calling it stuck.
+    const STUCK: Duration = Duration::from_secs(60);
+
+    thread_local! {
+        /// Queries `execute` ran on this thread.
+        static EXECUTED_HERE: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(super) fn on_execute(query: &Query) {
+        EXECUTED_HERE.with(|n| n.set(n.get() + 1));
+        let Query::Scan(scan) = query else { return };
+        if scan.table == PANIC_TABLE {
             panic!("read path failed on {PANIC_TABLE}");
+        }
+        if let Some((gate, id)) =
+            scan.table.strip_prefix(GATE_PREFIX).and_then(|r| r.split_once('/'))
+        {
+            let gate = Arc::clone(&GATES.lock().unwrap()[gate]);
+            gate.pass(id.parse().expect("gate id"));
         }
     }
 
-    #[test]
-    fn a_panicking_query_fails_alone_and_the_worker_keeps_serving() {
+    fn executed_here() -> usize {
+        EXECUTED_HERE.with(Cell::get)
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        opened: BTreeSet<usize>,
+        all_open: bool,
+        running: usize,
+        max_running: usize,
+        /// Ids in the order their queries reached the gate.
+        started: Vec<usize>,
+    }
+
+    /// A latch inside `execute` that counts the queries waiting at it.
+    #[derive(Default)]
+    struct Gate {
+        state: StdMutex<GateState>,
+        changed: Condvar,
+    }
+
+    impl Gate {
+        /// Register a gate under `name` (one per test: tests share the
+        /// registry and run in parallel).
+        fn register(name: &str) -> Arc<Gate> {
+            let gate = Arc::new(Gate::default());
+            GATES.lock().unwrap().insert(name.to_string(), Arc::clone(&gate));
+            gate
+        }
+
+        fn query(name: &str, id: usize) -> Query {
+            Query::Scan(ScanQuery::full(format!("{GATE_PREFIX}{name}/{id}")))
+        }
+
+        fn pass(&self, id: usize) {
+            let mut st = self.state.lock().unwrap();
+            st.running += 1;
+            st.max_running = st.max_running.max(st.running);
+            st.started.push(id);
+            self.changed.notify_all();
+            while !st.all_open && !st.opened.contains(&id) {
+                st = self.changed.wait(st).unwrap();
+            }
+            st.running -= 1;
+        }
+
+        fn open(&self, id: usize) {
+            self.state.lock().unwrap().opened.insert(id);
+            self.changed.notify_all();
+        }
+
+        /// Wait until `n` queries have reached the gate; their ids in
+        /// arrival order.
+        fn await_started(&self, n: usize) -> Vec<usize> {
+            let st = self.state.lock().unwrap();
+            let (st, timeout) =
+                self.changed.wait_timeout_while(st, STUCK, |st| st.started.len() < n).unwrap();
+            let started = st.started.clone();
+            drop(st);
+            assert!(!timeout.timed_out(), "only {started:?} reached the gate");
+            started
+        }
+
+        fn max_running(&self) -> usize {
+            self.state.lock().unwrap().max_running
+        }
+    }
+
+    /// Opens the gate for every id when dropped, so a failing test
+    /// cannot leave its clients blocked at the gate (a scoped client
+    /// would hang the test instead of failing it).
+    struct OpenOnDrop<'a>(&'a Gate);
+
+    impl Drop for OpenOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.state.lock().unwrap().all_open = true;
+            self.0.changed.notify_all();
+        }
+    }
+
+    /// Wait until `depth` queries are queued.
+    fn await_queued(server: &DbServer, depth: usize) {
+        let deadline = Instant::now() + STUCK;
+        while server.shared.queue.len() < depth {
+            assert!(Instant::now() < deadline, "queue never reached depth {depth}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// `l` (64 rows) joins `r` (32 rows) into 64 rows.
+    fn small_join_db() -> Database {
         let mut db = Database::new(DbConfig { rows_per_block: 8, ..DbConfig::small() });
         let schema = Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)]);
         db.create_table("l", schema.clone(), vec![0, 1]).unwrap();
         db.create_table("r", schema, vec![0, 1]).unwrap();
         db.load_rows("l", (0..64i64).map(|i| row![i % 32, i])).unwrap();
         db.load_rows("r", (0..32i64).map(|i| row![i, i * 2])).unwrap();
-        // One worker: if the panic killed it, nothing would answer the
-        // next query, so wait with a timeout instead of hanging.
+        db
+    }
+
+    fn small_join() -> Query {
+        Query::Join(JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 0, 0))
+    }
+
+    #[test]
+    fn an_idle_server_runs_queries_on_the_callers_thread() {
+        let server = DbServer::start_with(
+            small_join_db(),
+            ServerOptions { workers: Some(2), ..Default::default() },
+        );
+        let mut session = server.session();
+        let before = executed_here();
+        assert_eq!(session.run(&small_join()).unwrap().rows.len(), 64);
+        assert_eq!(executed_here(), before + 1, "Session::run handed the query to a worker");
+        assert_eq!(server.run(&small_join()).unwrap().rows.len(), 64);
+        assert_eq!(executed_here(), before + 2, "DbServer::run handed the query to a worker");
+        server.drain_maintenance();
+        assert_eq!(server.report().in_flight, 0);
+    }
+
+    #[test]
+    fn at_most_workers_queries_execute_and_the_rest_queue_in_fifo_order() {
+        let gate = Gate::register("slot-bound");
+        let server = DbServer::start_with(
+            small_join_db(),
+            ServerOptions {
+                workers: Some(2),
+                sched: Some(SchedPolicy::Fifo),
+                ..Default::default()
+            },
+        );
+        std::thread::scope(|s| {
+            let _open = OpenOnDrop(&gate);
+            let mut clients = Vec::new();
+            for id in 0..5 {
+                let mut session = server.session();
+                clients.push(s.spawn(move || session.run(&Gate::query("slot-bound", id))));
+                // Clients 0 and 1 take the two slots on their own
+                // threads; 2, 3 and 4 queue behind them, in this order.
+                if id < 2 {
+                    gate.await_started(id + 1);
+                } else {
+                    await_queued(&server, id - 1);
+                }
+            }
+            assert_eq!(server.report().in_flight, 2);
+            // Each freed slot starts the oldest queued query.
+            for (freed, next) in [(0, 2), (1, 3), (2, 4)] {
+                gate.open(freed);
+                assert_eq!(
+                    gate.await_started(next + 1)[next],
+                    next,
+                    "queued queries ran out of order"
+                );
+            }
+            gate.open(3);
+            gate.open(4);
+            for c in clients {
+                assert!(matches!(c.join().unwrap(), Err(Error::UnknownTable(_))));
+            }
+        });
+        assert_eq!(gate.max_running(), 2, "more than `workers` queries executed at once");
+        let report = server.report();
+        assert_eq!(report.in_flight, 0);
+        assert_eq!(report.queries, 5);
+    }
+
+    #[test]
+    fn a_queued_panicking_query_fails_alone_and_the_worker_keeps_serving() {
+        let gate = Gate::register("queued-panic");
         let server = Arc::new(DbServer::start_with(
-            db,
+            small_join_db(),
             ServerOptions { workers: Some(1), ..Default::default() },
         ));
-        let join = Query::Join(JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 0, 0));
+        let _open = OpenOnDrop(&gate);
+        let (tx, rx) = mpsc::channel();
+        // Each client reports its answer and how many queries ran on its
+        // own thread.
+        let spawn_client = |name: &'static str, query: Query| {
+            let (server, tx) = (Arc::clone(&server), tx.clone());
+            std::thread::spawn(move || {
+                let before = executed_here();
+                let res = server.run(&query).map(|r| r.rows.len());
+                tx.send((name, (res, executed_here() - before))).unwrap();
+            })
+        };
+        // The gated query holds the only slot, so the next two queue.
+        let clients = [
+            spawn_client("holder", Gate::query("queued-panic", 0)),
+            {
+                gate.await_started(1);
+                spawn_client("panicking", Query::Scan(ScanQuery::full(PANIC_TABLE)))
+            },
+            {
+                await_queued(&server, 1);
+                spawn_client("next", small_join())
+            },
+        ];
+        await_queued(&server, 2);
+        gate.open(0);
+        let answers: BTreeMap<_, _> =
+            (0..3).map(|_| rx.recv_timeout(STUCK).expect("server stopped answering")).collect();
+        for client in clients {
+            client.join().expect("client thread");
+        }
+        assert!(matches!(answers["holder"], (Err(Error::UnknownTable(_)), 1)));
+        match &answers["panicking"] {
+            (Err(Error::Plan(msg)), 0) => assert!(msg.contains(PANIC_TABLE), "{msg}"),
+            other => panic!("expected the panic as an error from the worker, got {other:?}"),
+        }
+        assert!(
+            matches!(answers["next"], (Ok(64), 0)),
+            "the worker must serve the next query: {:?}",
+            answers["next"]
+        );
+        server.drain_maintenance();
+        let report = server.report();
+        assert_eq!(report.in_flight, 0, "the failed query left the in-flight gauge");
+        assert_eq!(report.errors, 2);
+    }
+
+    #[test]
+    fn a_panicking_query_fails_alone_and_the_worker_keeps_serving() {
+        // One slot, and the server idle between queries, so both run on
+        // the client's thread: the panic must come back as an error, and
+        // the slot it held must be free for the next query (the queued
+        // case is `a_queued_panicking_query_fails_alone_…`). Wait with a
+        // timeout instead of hanging if it is not.
+        let server = Arc::new(DbServer::start_with(
+            small_join_db(),
+            ServerOptions { workers: Some(1), ..Default::default() },
+        ));
+        let join = small_join();
         let queries = [Query::Scan(ScanQuery::full(PANIC_TABLE)), join];
         let (tx, rx) = mpsc::channel();
         let client = Arc::clone(&server);

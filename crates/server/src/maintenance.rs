@@ -11,11 +11,11 @@
 //! pinned to a pre-migration snapshot finishes.
 //!
 //! **Pacing.** The quota follows the scheduler's load signal
-//! (`Shared::is_loaded`): while any query waits for admission (or
-//! the estimated interactive queue wait exceeds
-//! `DbConfig::maint_pace_wait_ms`), a pass processes *one* observation
-//! and then backs off for `PACE_BACKOFF`, deferring the rest of the
-//! inbox (counted on the `maintenance_backlog` /
+//! (`Shared::is_loaded`): while any query waits for admission or every
+//! execution slot is busy (or the estimated interactive queue wait
+//! exceeds `DbConfig::maint_pace_wait_ms`), a pass processes *one*
+//! observation and then backs off for `PACE_BACKOFF`, deferring the
+//! rest of the inbox (counted on the `maintenance_backlog` /
 //! `maintenance_deferrals` gauges). On an idle server the pass drains
 //! everything — adaptation throttles itself when the server is loaded
 //! and catches up when it is not, so migration bursts never inflate
@@ -92,10 +92,11 @@ pub(crate) fn run_loop(shared: &Shared) {
         collect(shared, &mut grace, false);
         shared.note_pass(processed, grace.len());
         if stopping {
-            // Workers are already joined by `DbServer::stop`; process
-            // any observations that raced in — quota fully open, the
-            // pacer never defers a shutdown drain — then force-collect
-            // (no reader holds any snapshot anymore).
+            // `DbServer::stop` has joined the workers and waited for
+            // every slot to be released; process any observations that
+            // raced in — quota fully open, the pacer never defers a
+            // shutdown drain — then force-collect (no reader holds any
+            // snapshot anymore).
             loop {
                 let rest = shared.wait_for_observations(Some(Duration::ZERO), usize::MAX);
                 if rest.is_empty() {

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 struct LaneAgg {
     /// Submit-to-finish latency, milliseconds — what clients experience.
     latency_ms: Histogram,
-    /// In-service (pop-to-finish) seconds only — excludes queue wait,
+    /// In-service (start-to-finish) seconds only — excludes queue wait,
     /// so the admission estimate never feeds its own backlog back into
     /// itself.
     service_secs: Histogram,
@@ -42,14 +42,14 @@ struct SessionServe {
     cost_blocks: u64,
 }
 
-/// Live server counters, shared by all workers.
+/// Live server counters, shared by every thread that runs queries.
 #[derive(Debug)]
 pub(crate) struct Metrics {
     started: Instant,
     queries: AtomicU64,
     errors: AtomicU64,
-    /// Queries currently executing on a worker (between queue pop and
-    /// reply) — the in-flight gauge.
+    /// Queries currently executing, on a client thread or a worker —
+    /// the in-flight gauge.
     in_flight: AtomicU64,
     /// Queries served via deadline promotion.
     promoted: AtomicU64,
@@ -99,7 +99,7 @@ impl Metrics {
         self.shuffle.lock().merge(sh);
     }
 
-    /// Mark a query as picked up by a worker (gauge up).
+    /// Mark a query as started, inline or by a worker (gauge up).
     pub(crate) fn begin(&self) {
         self.in_flight.fetch_add(1, Ordering::Relaxed);
     }
@@ -111,7 +111,7 @@ impl Metrics {
 
     /// Record one finished query: `elapsed` is submit-to-finish (what
     /// clients experience, including queue wait), `service` is
-    /// pop-to-finish (pure execution).
+    /// start-to-finish (pure execution).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record(
         &self,
@@ -336,13 +336,13 @@ pub struct ServerReport {
     /// Passes in which pacing deferred part of the inbox to protect
     /// foreground latency.
     pub maintenance_deferrals: u64,
-    /// Executor worker threads.
+    /// Execution slots (and worker threads).
     pub workers: usize,
     /// Admission-queue capacity (per lane under lane-aware policies).
     pub queue_capacity: usize,
     /// Queries waiting in the admission queue right now (gauge).
     pub queue_depth: usize,
-    /// Queries currently executing on workers (gauge, ≤ `workers`).
+    /// Queries currently executing (gauge, ≤ `workers`).
     pub in_flight: usize,
     /// Latency-aware admission estimate for a new *interactive*
     /// submission, milliseconds (see [`LaneReport::est_wait_ms`] for

@@ -1,12 +1,21 @@
-//! The blocking admission queue around the [`Scheduler`].
+//! The blocking admission queue around the [`Scheduler`], and the
+//! execution slots every running query holds.
 //!
 //! `push` blocks while the scheduler reports no room in the job's
 //! queue — that is the server's backpressure: clients cannot submit
-//! faster than the worker pool drains, and under the lane policies a
-//! batch storm backpressures batch producers without touching
-//! interactive admission. `pop` blocks while empty and returns `None`
-//! once the queue is closed and drained, which is how workers learn to
-//! exit.
+//! faster than the server drains, and under the lane policies a batch
+//! storm backpressures batch producers without touching interactive
+//! admission. `pop` blocks while nothing is queued or no slot is free,
+//! and returns `None` once the queue is closed and drained, which is
+//! how workers learn to exit.
+//!
+//! **Slots.** At most `slots` queries execute at once. A worker takes a
+//! slot with each job it pops; a client takes one with
+//! [`SchedQueue::try_claim`] and runs its query on its own thread,
+//! which succeeds only while nothing is queued, so an inline query
+//! never overtakes queued work and no policy's order changes. A
+//! [`Slot`] is released when dropped (also during a panic), waking one
+//! worker for the queued work it may now run.
 //!
 //! Built on `std::sync` (Mutex + two Condvars) rather than the
 //! crossbeam shim because the shim's channel is unbounded. The
@@ -22,24 +31,48 @@ use crate::scheduler::{JobMeta, Scheduler};
 struct State<T> {
     scheduler: Scheduler<T>,
     closed: bool,
+    /// Queries executing now, inline or popped.
+    running: usize,
+    slots: usize,
+}
+
+impl<T> State<T> {
+    fn slot_free(&self) -> bool {
+        self.running < self.slots
+    }
 }
 
 /// Bounded blocking admission queue shared by producers (client
 /// sessions) and consumers (executor workers), ordered by a
-/// [`Scheduler`].
+/// [`Scheduler`], plus the execution slots both take.
 pub struct SchedQueue<T> {
     state: Mutex<State<T>>,
     not_full: Condvar,
-    not_empty: Condvar,
+    /// Waited on by workers (for a queued job and a free slot) and by
+    /// [`SchedQueue::await_idle`].
+    runnable: Condvar,
+}
+
+/// One claimed execution slot; dropping it releases the slot.
+#[must_use = "the slot is released as soon as it is dropped"]
+pub struct Slot<'a, T: Send> {
+    queue: &'a SchedQueue<T>,
+}
+
+impl<T: Send> Drop for Slot<'_, T> {
+    fn drop(&mut self) {
+        self.queue.release();
+    }
 }
 
 impl<T: Send> SchedQueue<T> {
-    /// A queue ordered (and capacity-bounded) by `scheduler`.
-    pub fn new(scheduler: Scheduler<T>) -> Self {
+    /// A queue ordered (and capacity-bounded) by `scheduler`, running at
+    /// most `slots` queries at once.
+    pub fn new(scheduler: Scheduler<T>, slots: usize) -> Self {
         SchedQueue {
-            state: Mutex::new(State { scheduler, closed: false }),
+            state: Mutex::new(State { scheduler, closed: false, running: 0, slots: slots.max(1) }),
             not_full: Condvar::new(),
-            not_empty: Condvar::new(),
+            runnable: Condvar::new(),
         }
     }
 
@@ -58,6 +91,11 @@ impl<T: Send> SchedQueue<T> {
         self.len() == 0
     }
 
+    /// True when every execution slot is taken.
+    pub fn is_saturated(&self) -> bool {
+        !self.state.lock().unwrap().slot_free()
+    }
+
     /// Queued jobs per lane (gauges).
     pub fn lane_depths(&self) -> [usize; LANE_COUNT] {
         self.state.lock().unwrap().scheduler.lane_depths()
@@ -67,6 +105,32 @@ impl<T: Send> SchedQueue<T> {
     /// `lane` under the scheduling policy.
     pub fn depths_ahead(&self, lane: Lane) -> [usize; LANE_COUNT] {
         self.state.lock().unwrap().scheduler.depths_ahead(lane)
+    }
+
+    /// Claim a slot for running a query on the calling thread. Succeeds
+    /// only while the queue is open, nothing is queued and a slot is
+    /// free; otherwise the caller must [`push`](SchedQueue::push).
+    pub fn try_claim(&self) -> Option<Slot<'_, T>> {
+        let mut state = self.state.lock().unwrap();
+        if state.closed || !state.scheduler.is_empty() || !state.slot_free() {
+            return None;
+        }
+        state.running += 1;
+        Some(Slot { queue: self })
+    }
+
+    fn release(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.running -= 1;
+        let closed = state.closed;
+        drop(state);
+        // Workers all wait on one predicate, so one wake-up suffices for
+        // the one freed slot; after close, `await_idle` waits here too.
+        if closed {
+            self.runnable.notify_all();
+        } else {
+            self.runnable.notify_one();
+        }
     }
 
     /// Enqueue, blocking while the job's queue is at capacity. Returns
@@ -81,38 +145,51 @@ impl<T: Send> SchedQueue<T> {
         }
         state.scheduler.push(item, meta);
         drop(state);
-        self.not_empty.notify_one();
+        self.runnable.notify_one();
         Ok(())
     }
 
-    /// Dequeue the scheduler's next job, blocking while empty. `None`
+    /// Dequeue the scheduler's next job together with a slot to run it
+    /// in, blocking while nothing is queued or no slot is free. `None`
     /// means closed and drained.
-    pub fn pop(&self) -> Option<(T, JobMeta)> {
+    pub fn pop(&self) -> Option<(T, JobMeta, Slot<'_, T>)> {
         let mut state = self.state.lock().unwrap();
         loop {
-            if let Some(job) = state.scheduler.pop() {
-                drop(state);
-                // Producers wait on *heterogeneous* predicates (their
-                // own queue's capacity), so notify_one could wake a
-                // producer whose queue is still full and strand the one
-                // whose queue just freed. Wake them all; each re-checks
-                // its own queue.
-                self.not_full.notify_all();
-                return Some(job);
+            if state.slot_free() {
+                if let Some((item, meta)) = state.scheduler.pop() {
+                    state.running += 1;
+                    drop(state);
+                    // Producers wait on *heterogeneous* predicates (their
+                    // own queue's capacity), so notify_one could wake a
+                    // producer whose queue is still full and strand the
+                    // one whose queue just freed. Wake them all; each
+                    // re-checks its own queue.
+                    self.not_full.notify_all();
+                    return Some((item, meta, Slot { queue: self }));
+                }
             }
-            if state.closed {
+            if state.closed && state.scheduler.is_empty() {
                 return None;
             }
-            state = self.not_empty.wait(state).unwrap();
+            state = self.runnable.wait(state).unwrap();
         }
     }
 
-    /// Close the queue: pending jobs still drain, new pushes fail, and
-    /// blocked producers/consumers wake up.
+    /// Close the queue: pending jobs still drain, new pushes and claims
+    /// fail, and blocked producers/consumers wake up.
     pub fn close(&self) {
         self.state.lock().unwrap().closed = true;
-        self.not_empty.notify_all();
+        self.runnable.notify_all();
         self.not_full.notify_all();
+    }
+
+    /// Block until no slot is held. Call after [`SchedQueue::close`],
+    /// which keeps new claims from arriving.
+    pub fn await_idle(&self) {
+        let mut state = self.state.lock().unwrap();
+        while state.running > 0 {
+            state = self.runnable.wait(state).unwrap();
+        }
     }
 }
 
@@ -123,7 +200,7 @@ mod tests {
     use std::sync::Arc;
 
     fn fifo_queue(capacity: usize) -> SchedQueue<usize> {
-        SchedQueue::new(Scheduler::new(SchedPolicy::Fifo, capacity, 8.0))
+        SchedQueue::new(Scheduler::new(SchedPolicy::Fifo, capacity, 8.0), 3)
     }
 
     fn meta() -> JobMeta {
@@ -136,8 +213,8 @@ mod tests {
         q.push(1, meta()).unwrap();
         q.push(2, meta()).unwrap();
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().map(|(v, _)| v), Some(1));
-        assert_eq!(q.pop().map(|(v, _)| v), Some(2));
+        assert_eq!(q.pop().map(|(v, _, _)| v), Some(1));
+        assert_eq!(q.pop().map(|(v, _, _)| v), Some(2));
         assert!(q.is_empty());
         assert_eq!(q.policy_name(), "fifo");
     }
@@ -148,7 +225,7 @@ mod tests {
         q.push(1, meta()).unwrap();
         q.close();
         assert_eq!(q.push(2, meta()), Err(2));
-        assert_eq!(q.pop().map(|(v, _)| v), Some(1));
+        assert_eq!(q.pop().map(|(v, _, _)| v), Some(1));
         assert!(q.pop().is_none());
     }
 
@@ -163,9 +240,9 @@ mod tests {
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(q.len(), 1, "producer must be blocked at capacity");
-        assert_eq!(q.pop().map(|(v, _)| v), Some(0));
+        assert_eq!(q.pop().map(|(v, _, _)| v), Some(0));
         producer.join().unwrap();
-        assert_eq!(q.pop().map(|(v, _)| v), Some(1));
+        assert_eq!(q.pop().map(|(v, _, _)| v), Some(1));
     }
 
     #[test]
@@ -187,7 +264,7 @@ mod tests {
             let q = q.clone();
             consumers.push(std::thread::spawn(move || {
                 let mut got = Vec::new();
-                while let Some((v, _)) = q.pop() {
+                while let Some((v, _, _)) = q.pop() {
                     got.push(v);
                 }
                 got
@@ -213,7 +290,7 @@ mod tests {
         // interactive producer even if a batch producer is also
         // waiting (notify_one could hand the wakeup to the wrong one).
         let q: Arc<SchedQueue<u32>> =
-            Arc::new(SchedQueue::new(Scheduler::new(SchedPolicy::Lanes, 1, 8.0)));
+            Arc::new(SchedQueue::new(Scheduler::new(SchedPolicy::Lanes, 1, 8.0), 1));
         q.push(1, JobMeta::new(1, Lane::Interactive, 1, None)).unwrap();
         q.push(2, JobMeta::new(1, Lane::Batch, 9, None)).unwrap();
         let qb = q.clone();
@@ -230,24 +307,80 @@ mod tests {
         assert_eq!(q.len(), 2, "both producers must be blocked at capacity");
         // Free the interactive slot; the interactive producer must get
         // through promptly even though the batch lane is still full.
-        assert_eq!(q.pop().map(|(v, _)| v), Some(1));
+        assert_eq!(q.pop().map(|(v, _, _)| v), Some(1));
         rx.recv_timeout(Duration::from_secs(2))
             .expect("interactive producer stayed blocked after its lane freed");
         interactive_producer.join().unwrap();
-        assert_eq!(q.pop().map(|(v, _)| v), Some(3), "interactive lane served first");
-        assert_eq!(q.pop().map(|(v, _)| v), Some(2));
+        assert_eq!(q.pop().map(|(v, _, _)| v), Some(3), "interactive lane served first");
+        assert_eq!(q.pop().map(|(v, _, _)| v), Some(2));
         batch_producer.join().unwrap();
-        assert_eq!(q.pop().map(|(v, _)| v), Some(4));
+        assert_eq!(q.pop().map(|(v, _, _)| v), Some(4));
     }
 
     #[test]
     fn lane_aware_backpressure_is_per_lane() {
-        let q: SchedQueue<u32> = SchedQueue::new(Scheduler::new(SchedPolicy::Lanes, 1, 8.0));
+        let q: SchedQueue<u32> = SchedQueue::new(Scheduler::new(SchedPolicy::Lanes, 1, 8.0), 1);
         q.push(1, JobMeta::new(1, Lane::Batch, 9, None)).unwrap();
         // Batch lane full — but interactive admission proceeds without
         // blocking.
         q.push(2, JobMeta::new(2, Lane::Interactive, 1, None)).unwrap();
         assert_eq!(q.lane_depths(), [1, 1, 0]);
-        assert_eq!(q.pop().map(|(v, _)| v), Some(2), "interactive served first");
+        assert_eq!(q.pop().map(|(v, _, _)| v), Some(2), "interactive served first");
+    }
+
+    #[test]
+    fn try_claim_needs_an_open_empty_queue_and_a_free_slot() {
+        let q: SchedQueue<u32> = SchedQueue::new(Scheduler::new(SchedPolicy::Fifo, 4, 8.0), 2);
+        let a = q.try_claim().expect("idle queue, free slot");
+        let b = q.try_claim().expect("second slot");
+        assert!(q.is_saturated());
+        assert!(q.try_claim().is_none(), "no slot free");
+        drop(b);
+        assert!(!q.is_saturated());
+        q.push(1, meta()).unwrap();
+        assert!(q.try_claim().is_none(), "queued work runs first");
+        let (v, _, popped) = q.pop().unwrap();
+        assert_eq!(v, 1);
+        assert!(q.is_saturated(), "a popped job holds a slot");
+        drop((a, popped));
+        q.close();
+        assert!(q.try_claim().is_none(), "closed");
+        q.await_idle();
+    }
+
+    #[test]
+    fn pop_waits_for_a_slot_and_a_release_wakes_it() {
+        use std::time::Duration;
+        let q: Arc<SchedQueue<u32>> =
+            Arc::new(SchedQueue::new(Scheduler::new(SchedPolicy::Fifo, 4, 8.0), 1));
+        let inline = q.try_claim().unwrap();
+        q.push(7, meta()).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let qw = q.clone();
+        let worker = std::thread::spawn(move || {
+            let (v, _, _slot) = qw.pop().unwrap();
+            tx.send(v).unwrap();
+        });
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "a job must not run while every slot is held"
+        );
+        drop(inline);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 7);
+        worker.join().unwrap();
+        q.close();
+        q.await_idle();
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn a_panic_releases_its_slot() {
+        let q: SchedQueue<u32> = SchedQueue::new(Scheduler::new(SchedPolicy::Fifo, 4, 8.0), 1);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = q.try_claim().unwrap();
+            panic!("query failed");
+        }));
+        assert!(caught.is_err());
+        assert!(q.try_claim().is_some(), "the unwound slot was released");
     }
 }

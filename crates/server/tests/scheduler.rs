@@ -3,7 +3,7 @@
 //! pacing, and prefetch pacing count-invariance.
 
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use adaptdb::cost::Lane;
 use adaptdb::{Database, DbConfig, Mode, SchedPolicy};
@@ -253,13 +253,24 @@ fn maintenance_pacing_defers_under_load_and_drains_at_idle() {
         db,
         ServerOptions { workers: Some(4), queue_capacity: Some(64), ..Default::default() },
     );
+    // A storm of a fixed length can finish before a loaded maintenance
+    // pass runs (queries run on the clients' own threads when a slot is
+    // free), so keep storming until a pass has deferred, under a
+    // generous wall bound; the assertion below fails if none ever did.
+    let give_up = Instant::now() + Duration::from_secs(10);
     std::thread::scope(|s| {
         for _ in 0..6 {
             let mut session = server.session();
+            let server = &server;
             s.spawn(move || {
-                for _ in 0..8 {
+                for i in 0.. {
                     let res = session.run(&join_query()).unwrap();
                     assert_eq!(res.rows.len(), 400);
+                    let done = i + 1 >= 8
+                        && (server.report().maintenance_deferrals > 0 || Instant::now() > give_up);
+                    if done {
+                        break;
+                    }
                 }
             });
         }
