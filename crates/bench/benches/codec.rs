@@ -1,12 +1,12 @@
-//! Criterion microbenchmarks of the block codec (every block read pays a
-//! decode; every repartitioned block pays an encode).
+//! Criterion microbenchmarks of the `ADB2` block codec (every block read
+//! pays a decode; every block written from rows pays an encode).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use adaptdb_common::rng::seeded;
 use adaptdb_common::{Row, Value};
-use adaptdb_storage::codec::{decode_block, encode_block};
+use adaptdb_storage::codec::{decode_block, encode_block_columnar};
 use adaptdb_storage::Block;
 use rand::RngExt;
 
@@ -29,8 +29,10 @@ fn block(rows: usize, seed: u64) -> Block {
 
 fn bench_codec(c: &mut Criterion) {
     let b200 = block(200, 3);
-    c.bench_function("encode_block_200rows", |bch| bch.iter(|| black_box(encode_block(&b200))));
-    let encoded = encode_block(&b200);
+    c.bench_function("encode_block_200rows", |bch| {
+        bch.iter(|| black_box(encode_block_columnar(&b200)))
+    });
+    let encoded = encode_block_columnar(&b200);
     c.bench_function("decode_block_200rows", |bch| {
         bch.iter(|| black_box(decode_block(encoded.clone()).unwrap()))
     });

@@ -1,14 +1,14 @@
-//! Criterion microbenchmarks of the columnar (`ADB2`) codec path: the
+//! Criterion microbenchmarks of the columnar (`ADB2`) read path: the
 //! per-block work the morsel-driven scan actually does — parse the
 //! header, select on the predicate columns, gather the few surviving
-//! rows — against the row path's full-block decode it replaces.
+//! rows. `benches/codec.rs` times the full-block encode and decode.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use adaptdb_common::rng::seeded;
 use adaptdb_common::{BitSet, CmpOp, Row, Value};
-use adaptdb_storage::codec::{decode_block, encode_block, encode_block_columnar, LazyBlock};
+use adaptdb_storage::codec::{encode_block_columnar, LazyBlock};
 use adaptdb_storage::Block;
 use rand::RngExt;
 
@@ -75,15 +75,10 @@ fn str_block(rows: usize, seed: u64) -> Block {
 
 fn bench_columnar(c: &mut Criterion) {
     let b200 = block(200, 3);
-    let row_bytes = encode_block(&b200);
     let col_bytes = encode_block_columnar(&b200);
 
     c.bench_function("encode_block_columnar_200rows", |bch| {
         bch.iter(|| black_box(encode_block_columnar(&b200)))
-    });
-    // The row path's per-block cost: decode everything.
-    c.bench_function("row_full_decode_200rows", |bch| {
-        bch.iter(|| black_box(decode_block(row_bytes.clone()).unwrap()))
     });
     // The columnar scan's per-block cost on a selective predicate:
     // parse the directory, decode the one Int predicate column,
@@ -117,8 +112,7 @@ fn bench_columnar(c: &mut Criterion) {
         })
     });
     // Full materialization through the lazy path (worst case: nothing
-    // filtered) — bounds the overhead of ADB2 over ADB1 when late
-    // materialization cannot help.
+    // filtered), where late materialization cannot help.
     c.bench_function("columnar_full_gather_200rows", |bch| {
         bch.iter(|| {
             let lazy = LazyBlock::parse(col_bytes.clone()).unwrap();

@@ -2,11 +2,9 @@
 //!
 //! A [`crate::Row`] holds one boxed [`Value`] per cell; the columnar
 //! read path decodes each attribute a query touches into a contiguous
-//! typed vector ([`ColumnVec`]). Conversion from and to values is
-//! lossless: today's `Value` semantics have no NULLs, so the "validity
-//! story" is trivially all-present — a heterogeneous column simply
-//! falls back to the [`ColumnVec::Mixed`] variant instead of inventing
-//! nullability.
+//! typed vector ([`ColumnVec`]). A column holds cells of one type —
+//! its field's, which every load checks — and `Value` semantics have
+//! no NULLs, so the "validity story" is trivially all-present.
 //!
 //! Predicates evaluate column-wise into a selection [`BitSet`]
 //! (per-predicate vectors combined with word-level AND), reproducing
@@ -19,11 +17,6 @@ use crate::value::{Str, Value, ValueType};
 use std::cmp::Ordering;
 
 /// A single column stored as a contiguous typed vector.
-///
-/// The typed variants cover homogeneous columns (the common case for
-/// generated and TPC-H data); [`ColumnVec::Mixed`] keeps arbitrary
-/// `Value` mixtures representable so cells → column → cells
-/// is lossless for any input.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnVec {
     /// Homogeneous [`ValueType::Int`] column.
@@ -36,48 +29,34 @@ pub enum ColumnVec {
     Date(Vec<i32>),
     /// Homogeneous [`ValueType::Bool`] column.
     Bool(Vec<bool>),
-    /// Heterogeneous fallback: one [`Value`] per cell.
-    Mixed(Vec<Value>),
 }
 
 impl ColumnVec {
-    /// Build a column from cell values: a typed vector when every cell
-    /// shares one type, [`ColumnVec::Mixed`] otherwise. An empty input
-    /// yields an empty `Mixed` column.
-    pub fn from_values(values: Vec<Value>) -> ColumnVec {
-        let Some(first) = values.first() else {
-            return ColumnVec::Mixed(values);
+    /// Build a column of type `ty` from cell values.
+    ///
+    /// # Panics
+    ///
+    /// If a cell is of another type.
+    pub fn from_values(ty: ValueType, values: Vec<Value>) -> ColumnVec {
+        let n = values.len();
+        let mut col = match ty {
+            ValueType::Int => ColumnVec::Int(Vec::with_capacity(n)),
+            ValueType::Double => ColumnVec::Double(Vec::with_capacity(n)),
+            ValueType::Str => ColumnVec::Str(Vec::with_capacity(n)),
+            ValueType::Date => ColumnVec::Date(Vec::with_capacity(n)),
+            ValueType::Bool => ColumnVec::Bool(Vec::with_capacity(n)),
         };
-        let t = first.value_type();
-        if values.iter().any(|v| v.value_type() != t) {
-            return ColumnVec::Mixed(values);
+        for v in values {
+            match (&mut col, v) {
+                (ColumnVec::Int(c), Value::Int(x)) => c.push(x),
+                (ColumnVec::Double(c), Value::Double(x)) => c.push(x),
+                (ColumnVec::Str(c), Value::Str(x)) => c.push(x),
+                (ColumnVec::Date(c), Value::Date(x)) => c.push(x),
+                (ColumnVec::Bool(c), Value::Bool(x)) => c.push(x),
+                (_, v) => panic!("{ty:?} column got a {:?} cell", v.value_type()),
+            }
         }
-        match t {
-            ValueType::Int => ColumnVec::Int(
-                values.into_iter().map(|v| if let Value::Int(x) = v { x } else { 0 }).collect(),
-            ),
-            ValueType::Double => ColumnVec::Double(
-                values
-                    .into_iter()
-                    .map(|v| if let Value::Double(x) = v { x } else { 0.0 })
-                    .collect(),
-            ),
-            ValueType::Str => ColumnVec::Str(
-                values
-                    .into_iter()
-                    .map(|v| if let Value::Str(x) = v { x } else { Str::default() })
-                    .collect(),
-            ),
-            ValueType::Date => ColumnVec::Date(
-                values.into_iter().map(|v| if let Value::Date(x) = v { x } else { 0 }).collect(),
-            ),
-            ValueType::Bool => ColumnVec::Bool(
-                values
-                    .into_iter()
-                    .map(|v| if let Value::Bool(x) = v { x } else { false })
-                    .collect(),
-            ),
-        }
+        col
     }
 
     /// Number of cells.
@@ -88,7 +67,6 @@ impl ColumnVec {
             ColumnVec::Str(v) => v.len(),
             ColumnVec::Date(v) => v.len(),
             ColumnVec::Bool(v) => v.len(),
-            ColumnVec::Mixed(v) => v.len(),
         }
     }
 
@@ -97,16 +75,14 @@ impl ColumnVec {
         self.len() == 0
     }
 
-    /// The shared cell type for typed variants, `None` for
-    /// [`ColumnVec::Mixed`].
-    pub fn value_type(&self) -> Option<ValueType> {
+    /// The cells' type.
+    pub fn value_type(&self) -> ValueType {
         match self {
-            ColumnVec::Int(_) => Some(ValueType::Int),
-            ColumnVec::Double(_) => Some(ValueType::Double),
-            ColumnVec::Str(_) => Some(ValueType::Str),
-            ColumnVec::Date(_) => Some(ValueType::Date),
-            ColumnVec::Bool(_) => Some(ValueType::Bool),
-            ColumnVec::Mixed(_) => None,
+            ColumnVec::Int(_) => ValueType::Int,
+            ColumnVec::Double(_) => ValueType::Double,
+            ColumnVec::Str(_) => ValueType::Str,
+            ColumnVec::Date(_) => ValueType::Date,
+            ColumnVec::Bool(_) => ValueType::Bool,
         }
     }
 
@@ -120,7 +96,6 @@ impl ColumnVec {
             ColumnVec::Str(v) => Value::Str(v[i].clone()),
             ColumnVec::Date(v) => Value::Date(v[i]),
             ColumnVec::Bool(v) => Value::Bool(v[i]),
-            ColumnVec::Mixed(v) => v[i].clone(),
         }
     }
 
@@ -135,11 +110,7 @@ impl ColumnVec {
             (ColumnVec::Str(v), Value::Str(c)) => v[i].as_str().cmp(c.as_str()),
             (ColumnVec::Date(v), Value::Date(c)) => v[i].cmp(c),
             (ColumnVec::Bool(v), Value::Bool(c)) => v[i].cmp(c),
-            (ColumnVec::Mixed(v), c) => v[i].cmp(c),
-            (typed, c) => {
-                let t = typed.value_type().expect("Mixed is matched above");
-                t.rank().cmp(&c.value_type().rank())
-            }
+            (col, c) => col.value_type().rank().cmp(&c.value_type().rank()),
         }
     }
 
@@ -153,7 +124,6 @@ impl ColumnVec {
             ColumnVec::Str(v) => v.iter().map(|s| s.len() + 4).sum(),
             ColumnVec::Date(v) => v.len() * 4,
             ColumnVec::Bool(v) => v.len(),
-            ColumnVec::Mixed(v) => v.iter().map(Value::byte_size).sum(),
         }
     }
 
@@ -162,18 +132,17 @@ impl ColumnVec {
     /// Bit-for-bit equivalent to calling [`crate::Predicate::matches`]
     /// per row: same-type cells compare natively (`total_cmp` for
     /// doubles), differently-typed cells fall back to `Value`'s fixed
-    /// cross-type rank — a constant for a whole typed column, so those
-    /// columns fill in O(words).
+    /// cross-type rank — a constant for the whole column, so such a
+    /// comparison fills in O(words).
     pub fn eval(&self, op: CmpOp, lit: &Value) -> BitSet {
         let n = self.len();
-        // Cross-type comparison against a typed column: every cell
-        // compares identically (rank order), so the answer is all-ones
-        // or all-zeros without touching the payload.
-        if let Some(t) = self.value_type() {
-            if t != lit.value_type() {
-                let ord = t.rank().cmp(&lit.value_type().rank());
-                return if op.accepts(ord) { BitSet::all_set(n) } else { BitSet::new(n) };
-            }
+        // Cross-type comparison: every cell compares identically (rank
+        // order), so the answer is all-ones or all-zeros without
+        // touching the payload.
+        let t = self.value_type();
+        if t != lit.value_type() {
+            let ord = t.rank().cmp(&lit.value_type().rank());
+            return if op.accepts(ord) { BitSet::all_set(n) } else { BitSet::new(n) };
         }
         let mut sel = BitSet::new(n);
         match (self, lit) {
@@ -212,16 +181,8 @@ impl ColumnVec {
                     }
                 }
             }
-            (ColumnVec::Mixed(v), c) => {
-                for (i, x) in v.iter().enumerate() {
-                    if op.accepts(x.cmp(c)) {
-                        sel.set(i);
-                    }
-                }
-            }
-            // Typed column with a same-type literal is covered above;
-            // typed column with a different-type literal early-returned.
-            _ => unreachable!("typed column vs same-type literal handled above"),
+            // A different-type literal early-returned.
+            _ => unreachable!("same-type literals are matched above"),
         }
         sel
     }
@@ -244,7 +205,10 @@ mod tests {
 
     fn columns(rows: &[Row]) -> Vec<ColumnVec> {
         (0..rows[0].arity())
-            .map(|a| ColumnVec::from_values(rows.iter().map(|r| r.values()[a].clone()).collect()))
+            .map(|a| {
+                let ty = rows[0].values()[a].value_type();
+                ColumnVec::from_values(ty, rows.iter().map(|r| r.values()[a].clone()).collect())
+            })
             .collect()
     }
 
@@ -262,22 +226,21 @@ mod tests {
         let rows = sample_rows();
         let cols = columns(&rows);
         // Typed columns for homogeneous input.
-        assert_eq!(cols[0].value_type(), Some(ValueType::Int));
-        assert_eq!(cols[2].value_type(), Some(ValueType::Str));
+        assert_eq!(cols[0].value_type(), ValueType::Int);
+        assert_eq!(cols[2].value_type(), ValueType::Str);
         for (i, r) in rows.iter().enumerate() {
             let back: Vec<Value> = cols.iter().map(|c| c.value_at(i)).collect();
             assert_eq!(&back[..], r.values());
         }
     }
 
+    /// A column has one type: an empty input is an empty column of the
+    /// asked-for type, and a cell of another type panics.
     #[test]
-    fn mixed_columns_round_trip() {
-        let values = vec![Value::Int(1), Value::Double(2.5), Value::Str("x".into())];
-        let col = ColumnVec::from_values(values.clone());
-        assert_eq!(col.value_type(), None);
-        assert_eq!((0..3).map(|i| col.value_at(i)).collect::<Vec<_>>(), values);
-        // An empty input is an empty Mixed column.
-        assert!(ColumnVec::from_values(Vec::new()).is_empty());
+    #[should_panic(expected = "Int column got a Str cell")]
+    fn from_values_panics_on_a_cell_of_another_type() {
+        assert_eq!(ColumnVec::from_values(ValueType::Date, Vec::new()), ColumnVec::Date(vec![]));
+        ColumnVec::from_values(ValueType::Int, vec![Value::Int(1), Value::Str("x".into())]);
     }
 
     #[test]
@@ -329,25 +292,17 @@ mod tests {
             Value::Date(3),
             Value::Bool(true),
         ];
-        let mut cols: Vec<ColumnVec> =
-            cells.iter().map(|v| ColumnVec::from_values(vec![v.clone()])).collect();
-        cols.push(ColumnVec::from_values(cells.to_vec()));
-        for col in &cols {
-            for i in 0..col.len() {
-                for lit in &cells {
-                    assert_eq!(
-                        col.cmp_at(i, lit),
-                        col.value_at(i).cmp(lit),
-                        "{col:?}[{i}] vs {lit:?}"
-                    );
-                }
+        for v in &cells {
+            let col = ColumnVec::from_values(v.value_type(), vec![v.clone()]);
+            for lit in &cells {
+                assert_eq!(col.cmp_at(0, lit), v.cmp(lit), "{col:?} vs {lit:?}");
             }
         }
     }
 
     #[test]
     fn byte_size_matches_row_definition() {
-        for rows in [sample_rows(), vec![row![1i64, "x"], row![2.5, "y"]]] {
+        for rows in [sample_rows(), vec![row![1i64, "x"], row![2i64, "yy"]]] {
             let cols = columns(&rows);
             let row_total: usize = rows.iter().map(Row::byte_size).sum();
             // Each row carries a fixed 8-byte overhead in that definition.

@@ -23,8 +23,8 @@ pub struct IoStats {
     /// (block min/max metadata excluded the predicates) before any
     /// read was issued. Not I/O — never part of [`IoStats::reads`] or
     /// simulated seconds; this tally only makes the second pruning
-    /// tier (tree → zone map) observable. Identical for `ADB1` and
-    /// `ADB2` blocks: the check reads only block metadata.
+    /// tier (tree → zone map) observable: the check reads only block
+    /// metadata.
     pub zone_skipped: usize,
 }
 

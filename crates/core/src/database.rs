@@ -72,20 +72,31 @@ pub struct Database {
     ingest: IngestStats,
 }
 
-/// Reject rows whose width differs from the table's schema, before a
-/// load or append touches the table. Routing indexes the row by
-/// attribute, so a short row would panic mid-load and a long one would
-/// be stored with columns no query can name.
-fn check_arity(ts: &TableState, rows: &[Row]) -> Result<()> {
-    let width = ts.schema().len();
-    match rows.iter().find(|r| r.arity() != width) {
-        Some(r) => Err(Error::Plan(format!(
-            "write to {}: row arity {} != schema arity {width}",
-            ts.name,
-            r.arity()
-        ))),
-        None => Ok(()),
+/// Reject rows that do not fit the table's schema, before a load or
+/// append touches the table: a row of another width, or a cell whose
+/// type is not its field's. Routing indexes the row by attribute, so a
+/// short row would panic mid-load and a long one would be stored with
+/// columns no query can name; and every stored column holds cells of
+/// its field's one type.
+fn check_rows(ts: &TableState, rows: &[Row]) -> Result<()> {
+    let fields = ts.schema().fields();
+    for r in rows {
+        if r.arity() != fields.len() {
+            return Err(Error::Plan(format!(
+                "write to {}: row arity {} != schema arity {}",
+                ts.name,
+                r.arity(),
+                fields.len()
+            )));
+        }
+        if let Some((f, v)) = fields.iter().zip(r.values()).find(|(f, v)| v.value_type() != f.ty) {
+            return Err(Error::Plan(format!(
+                "write to {}: field {} is {:?}, got {v:?}",
+                ts.name, f.name, f.ty
+            )));
+        }
     }
+    Ok(())
 }
 
 impl SnapshotSource for Database {
@@ -293,6 +304,9 @@ impl Database {
         schema: Schema,
         candidate_attrs: Vec<AttrId>,
     ) -> Result<()> {
+        if schema.is_empty() {
+            return Err(Error::InvalidConfig(format!("table {name} has no columns")));
+        }
         if candidate_attrs.iter().any(|a| *a as usize >= schema.len()) {
             return Err(Error::InvalidConfig(format!(
                 "candidate attribute out of range for table {name}"
@@ -316,7 +330,7 @@ impl Database {
     pub fn load_rows(&mut self, table: &str, rows: impl IntoIterator<Item = Row>) -> Result<usize> {
         let buffered: Vec<Row> = rows.into_iter().collect();
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
-        check_arity(ts, &buffered)?;
+        check_rows(ts, &buffered)?;
         for r in &buffered {
             ts.sample.offer(r.clone());
         }
@@ -348,7 +362,7 @@ impl Database {
     ) -> Result<usize> {
         let budget = rows_per_block.unwrap_or(self.config.rows_per_block);
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
-        check_arity(ts, &rows)?;
+        check_rows(ts, &rows)?;
         for r in &rows {
             ts.sample.offer(r.clone());
         }
@@ -377,7 +391,7 @@ impl Database {
             )));
         }
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
-        check_arity(ts, &rows)?;
+        check_rows(ts, &rows)?;
         for r in &rows {
             ts.sample.offer(r.clone());
         }
@@ -456,7 +470,7 @@ impl Database {
         }
         let rows_per_block = self.config.rows_per_block;
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
-        check_arity(ts, &rows)?;
+        check_rows(ts, &rows)?;
         for r in &rows {
             ts.sample.offer(r.clone());
         }
@@ -989,6 +1003,16 @@ mod tests {
         }
         assert_eq!(d.table("l").unwrap().total_blocks(), blocks, "nothing was written");
         assert_eq!(d.run(&Query::Scan(ScanQuery::full("l"))).unwrap().rows.len(), 200);
+    }
+
+    /// A table needs a column: rows of no columns have nothing to
+    /// partition on and no column to carry their count.
+    #[test]
+    fn create_table_rejects_an_empty_schema() {
+        let mut d = Database::new(DbConfig::small());
+        let res = d.create_table("z", Schema::from_pairs(&[]), vec![]);
+        assert!(matches!(res, Err(Error::InvalidConfig(_))), "{res:?}");
+        assert!(d.table("z").is_err(), "nothing was registered");
     }
 
     #[test]

@@ -154,7 +154,7 @@ pub(crate) fn probe_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptdb_common::row;
+    use adaptdb_common::{row, ValueType};
 
     #[test]
     fn build_and_probe() {
@@ -193,12 +193,10 @@ mod tests {
     #[test]
     fn batch_probe_matches_scalar_probe() {
         let t = JoinHashTable::build(vec![row![1i64, "a"], row![2i64, "b"], row![1i64, "c"]], 0);
-        let keys = ColumnVec::from_values(vec![
-            Value::Int(0),
-            Value::Int(1),
-            Value::Int(2),
-            Value::Int(1),
-        ]);
+        let keys = ColumnVec::from_values(
+            ValueType::Int,
+            vec![Value::Int(0), Value::Int(1), Value::Int(2), Value::Int(1)],
+        );
         // All selected: index 0 misses, the rest hit.
         let all = BitSet::all_set(4);
         let hits = t.probe_batch(&keys, &all);

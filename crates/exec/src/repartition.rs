@@ -15,9 +15,7 @@
 //! shuffle map side shares (`exec::gather`) copies each output block's
 //! cells straight from those payloads into the `ADB2` encoder, which
 //! builds the block's zone maps in the same pass
-//! ([`BlockStore::write_gathered`]). A row-format (`ADB1`) block
-//! restored from an older journal has no columns to copy; the output
-//! blocks it feeds are written from rows.
+//! ([`BlockStore::write_gathered`]).
 //!
 //! **Append semantics.** On HDFS the repartitioners append to the target
 //! bucket's existing file ("several repartitioners across the cluster may
@@ -38,11 +36,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use adaptdb_common::{AttrId, BlockId, ColumnVec, Result};
 use adaptdb_dfs::{NodeId, SimClock, TaskScheduler};
+use adaptdb_storage::codec::RawColumn;
 use adaptdb_storage::writer::BucketId;
 use adaptdb_storage::{BlockMeta, BlockStore, LazyBlock};
 use adaptdb_tree::PartitionTree;
 
-use crate::gather::{GatherWriter, Source};
+use crate::gather::{with_ranges, GatherWriter};
 use crate::parallel;
 
 /// When the source (and absorbed tail) blocks are physically deleted.
@@ -146,13 +145,14 @@ pub fn repartition_blocks_with(
     let split_attrs: Vec<AttrId> = target_tree.attr_histogram().into_keys().collect();
     let routed = parallel::map_ordered(reads, threads, |(node, lazy)| -> Result<_> {
         let routes = Routes::of(&lazy, target_tree, &split_attrs)?;
-        Ok((node, Source::frame(lazy)?, routes))
+        Ok((node, lazy.raw_columns()?, routes))
     });
-    let routed: Vec<(NodeId, Source, Routes)> = routed.into_iter().collect::<Result<_>>()?;
+    let routed: Vec<(NodeId, Vec<RawColumn>, Routes)> =
+        routed.into_iter().collect::<Result<_>>()?;
     // Append semantics: each touched bucket's underfull tail block is
     // read now and absorbed, its rows going first into the bucket.
     let touched: BTreeSet<BucketId> = routed.iter().flat_map(|(_, _, r)| r.buckets()).collect();
-    let mut tails: BTreeMap<BucketId, (BlockId, Source, Vec<u32>)> = BTreeMap::new();
+    let mut tails: BTreeMap<BucketId, (BlockId, Vec<RawColumn>, Vec<u32>)> = BTreeMap::new();
     for bucket in touched {
         let Some(tail) = existing.get(&bucket).and_then(|v| v.last()).copied() else {
             continue;
@@ -165,7 +165,7 @@ pub fn repartition_blocks_with(
         let (lazy, _) = store.read_lazy_classified(table, tail, node, clock)?;
         clock.record_rows(lazy.row_count(), 0);
         let all = (0..lazy.row_count() as u32).collect();
-        tails.insert(bucket, (tail, Source::frame_stored(lazy, ranges)?, all));
+        tails.insert(bucket, (tail, with_ranges(lazy.raw_columns()?, ranges), all));
     }
     // Every read succeeded: only now retire the sources and the tails.
     let absorbed: Vec<BlockId> = tails.values().map(|(id, _, _)| *id).collect();
@@ -558,10 +558,8 @@ mod tests {
         Ok(RepartitionOutcome { added, absorbed, retired })
     }
 
-    /// A random cell of type `t` (0..5: Int, Double, Str, Date, Bool),
-    /// or of a random type for `t = 5` (a Mixed column).
+    /// A random cell of type `t` (0..5: Int, Double, Str, Date, Bool).
     fn random_cell(rng: &mut impl RngExt, t: u32) -> Value {
-        let t = if t == 5 { rng.random_range(0..5u32) } else { t };
         match t {
             0 => Value::Int(rng.random_range(-4..5i64)),
             1 => Value::Double([-0.0, 0.0, f64::NAN, 1.5, -2.5][rng.random_range(0..5usize)]),
@@ -581,7 +579,8 @@ mod tests {
             return Node::leaf(*next - 1);
         }
         let attr = rng.random_range(0..cols) as u16;
-        let cut = random_cell(rng, 5);
+        let t = rng.random_range(0..5u32);
+        let cut = random_cell(rng, t);
         let left = random_node(rng, cols, depth - 1, next);
         let right = random_node(rng, cols, depth - 1, next);
         Node::internal(attr, cut, left, right)
@@ -607,7 +606,7 @@ mod tests {
         let mut rng = adaptdb_common::rng::seeded(21);
         for case in 0..300u64 {
             let cols = rng.random_range(1..5usize);
-            let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..6u32)).collect();
+            let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..5u32)).collect();
             let rows_per_block = rng.random_range(2..7usize);
             let mut next = 0;
             let tree =
@@ -621,13 +620,8 @@ mod tests {
             let mut script: Vec<(Vec<Row>, Option<NodeId>)> = Vec::new();
             for _ in 0..rng.random_range(1..6usize) {
                 let n = rng.random_range(0..10usize);
-                let mut rows = random_rows(&mut rng, n);
-                if n > 1 && rng.random_range(0..10u32) == 0 {
-                    // Ragged rows: stored row-format, migrated by the row path.
-                    rows[0] = Row::new(vec![Value::Int(0); cols + 1]);
-                }
                 script.push((
-                    rows,
+                    random_rows(&mut rng, n),
                     (rng.random_range(0..3u32) > 0).then(|| rng.random_range(0..4u16)),
                 ));
             }

@@ -23,9 +23,7 @@
 //! Pruning composes in
 //! a fixed order: partition tree (upstream `lookup`) → zone maps
 //! (block min/max metadata, counted on `IoStats::zone_skipped`, no I/O
-//! charged) → selection bitset within each surviving block. Legacy
-//! `ADB1` blocks take the same path: their rows decode at parse time
-//! and the selection projects them.
+//! charged) → selection bitset within each surviving block.
 
 use adaptdb_common::{BitSet, BlockId, PredicateSet, Result, Row};
 use adaptdb_dfs::NodeId;
@@ -332,30 +330,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Legacy row-format (`ADB1`) blocks, restored the way old journals
-    /// restore them, scan exactly like the `ADB2` blocks the store
-    /// writes: the lazy parse falls back to eager rows and everything
-    /// above it is unchanged.
-    #[test]
-    fn columnar_scan_reads_row_format_blocks() {
-        let (store, ids) = setup();
-        let old = BlockStore::new(4, 1, 1);
-        for (&id, rows) in ids.iter().zip(corpus()) {
-            let node = store.preferred_node("t", id).unwrap();
-            let bytes =
-                adaptdb_storage::codec::encode_block(&adaptdb_storage::Block::new(id, rows));
-            old.restore_block("t", id, 1, vec![node], bytes).unwrap();
-        }
-        let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Lt, 105i64));
-        let c_new = SimClock::new();
-        let got_new = scan_blocks(ExecContext::single(&store, &c_new), "t", &ids, &preds).unwrap();
-        let c_old = SimClock::new();
-        let got_old = scan_blocks(ExecContext::single(&old, &c_old), "t", &ids, &preds).unwrap();
-        assert_eq!(got_new, reference(&preds));
-        assert_eq!(got_old, got_new);
-        assert_eq!(c_old.take(), c_new.take());
     }
 
     /// Zone-map skips are tallied without charging any I/O or

@@ -68,11 +68,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use adaptdb_common::{AttrId, BlockId, GlobalBlockId, PredicateSet, Result, Row};
 use adaptdb_dfs::{NodeId, ReadKind, TaskScheduler};
+use adaptdb_storage::codec::RawColumn;
 use adaptdb_storage::writer::BucketId;
 use adaptdb_storage::{FetchStream, LazyBlock, PartitionedWriter};
 
 use crate::context::ExecContext;
-use crate::gather::{GatherWriter, Source};
+use crate::gather::GatherWriter;
 use crate::parallel;
 use crate::scan::select_block;
 
@@ -210,7 +211,7 @@ impl<'a> ShuffleService<'a> {
                 for &(p, start, end) in &m.stretches {
                     let picked = &m.order[start..end];
                     rows[p as usize] += picked.len();
-                    let arity = m.source.arity(picked[0]);
+                    let arity = m.columns.len();
                     writer
                         .get_or_insert_with(|| {
                             GatherWriter::new(
@@ -222,7 +223,7 @@ impl<'a> ShuffleService<'a> {
                             )
                             .with_replication(Some(self.ctx.shuffle.replication))
                         })
-                        .push(p, &m.source, picked);
+                        .push(p, &m.columns, picked);
                 }
             }
             let runs = writer.map(GatherWriter::finish);
@@ -577,7 +578,7 @@ impl<'s, 'a> MapTask<'s, 'a> {
 /// rows in arrival order, cut into maximal stretches bound for one
 /// partition, over the block's still-encoded columns.
 struct MappedBlock {
-    source: Source,
+    columns: Vec<RawColumn>,
     /// Selected row indices, ascending.
     order: Vec<u32>,
     /// `(partition, start, end)`: `order[start..end]` goes to
@@ -595,17 +596,18 @@ impl MappedBlock {
         preds: &PredicateSet,
     ) -> Result<MappedBlock> {
         let sel = select_block(svc.ctx, &lazy, preds)?;
-        let source = Source::frame(lazy)?;
+        let columns = lazy.raw_columns()?;
         let order: Vec<u32> = sel.iter_ones().map(|i| i as u32).collect();
         let mut stretches: Vec<(BucketId, usize, usize)> = Vec::new();
         for (at, &i) in order.iter().enumerate() {
-            let p = (source.stable_hash(attr as usize, i) % svc.partitions as u64) as BucketId;
+            let hash = columns[attr as usize].stable_hash(i as usize);
+            let p = (hash % svc.partitions as u64) as BucketId;
             match stretches.last_mut() {
                 Some((q, _, end)) if *q == p => *end = at + 1,
                 _ => stretches.push((p, at, at + 1)),
             }
         }
-        Ok(MappedBlock { source, order, stretches })
+        Ok(MappedBlock { columns, order, stretches })
     }
 }
 
@@ -860,10 +862,8 @@ mod tests {
         Ok(side)
     }
 
-    /// A random cell of type `t` (0..5: Int, Double, Str, Date, Bool),
-    /// or of a random type for `t = 5` (a Mixed column).
+    /// A random cell of type `t` (0..5: Int, Double, Str, Date, Bool).
     fn random_cell(rng: &mut impl RngExt, t: u32) -> Value {
-        let t = if t == 5 { rng.random_range(0..5u32) } else { t };
         match t {
             0 => Value::Int(rng.random_range(-6..7i64)),
             1 => Value::Double([-0.0, 0.0, f64::NAN, 1.5, -2.5][rng.random_range(0..5usize)]),
@@ -896,32 +896,26 @@ mod tests {
     /// The column map side writes exactly what the row-at-a-time
     /// reference writes — run bytes, run lists, histograms, placements,
     /// block ids (so write order), per-task announcements, I/O and
-    /// shuffle tallies — at spill replication 1 and 3, with `ADB1`
-    /// source blocks, at every thread count.
+    /// shuffle tallies — at spill replication 1 and 3, at every thread
+    /// count.
     #[test]
     fn column_map_side_matches_the_row_reference() {
         let mut rng = adaptdb_common::rng::seeded(23);
-        let (mut adb1_cases, mut replicated_cases) = (0, 0);
+        let mut replicated_cases = 0;
         for case in 0..240u64 {
             let cols = rng.random_range(1..5usize);
-            let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..6u32)).collect();
+            let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..5u32)).collect();
             let attr = rng.random_range(0..cols) as AttrId;
             let rows_per_block = rng.random_range(1..7usize);
             let partitions = rng.random_range(1..6usize);
             let replication = if case % 2 == 0 { 1 } else { 3 };
             let threads = 1 + (case % 3) as usize;
             let mut script: Vec<(Vec<Row>, Option<NodeId>)> = Vec::new();
-            let mut adb1 = false;
             for _ in 0..rng.random_range(1..8usize) {
                 let n = rng.random_range(0..14usize);
-                let mut rows: Vec<Row> = (0..n)
+                let rows: Vec<Row> = (0..n)
                     .map(|_| Row::new(types.iter().map(|&t| random_cell(&mut rng, t)).collect()))
                     .collect();
-                if n > 1 && rng.random_range(0..6u32) == 0 {
-                    // Ragged rows: stored as an `ADB1` block.
-                    rows[0] = Row::new(vec![Value::Int(0); cols + 1]);
-                    adb1 = true;
-                }
                 let node = (rng.random_range(0..3u32) > 0).then(|| rng.random_range(0..4u16));
                 script.push((rows, node));
             }
@@ -933,7 +927,6 @@ mod tests {
                 let t = types[a as usize];
                 preds = preds.and(Predicate::new(a, op, random_cell(&mut rng, t)));
             }
-            adb1_cases += usize::from(adb1);
             replicated_cases += usize::from(replication > 1);
             let run = |column: bool| {
                 let store = BlockStore::new(4, 1 + (case % 3) as usize, case);
@@ -973,7 +966,7 @@ mod tests {
             assert_eq!(got.4, want.4, "case {case}: io");
             assert_eq!(got.5, want.5, "case {case}: shuffle tallies");
         }
-        assert!(adb1_cases > 20 && replicated_cases > 20);
+        assert!(replicated_cases > 20);
     }
 
     use adaptdb_common::Value;

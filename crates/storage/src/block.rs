@@ -7,7 +7,7 @@
 
 use std::cmp::Ordering;
 
-use adaptdb_common::{BlockId, Row, Str, Value, ValueRange};
+use adaptdb_common::{BlockId, Row, Str, Value, ValueRange, ValueType};
 
 /// An in-memory block of rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,16 +35,20 @@ impl Block {
     }
 
     /// Compute metadata (row/byte counts and per-attribute ranges) for a
-    /// block whose rows have `arity` columns, without encoding it — the
-    /// `ADB1` fallback and journal recovery use this walk; every `ADB2`
+    /// block whose rows have `arity` columns, without encoding it —
+    /// journal recovery uses this walk over the rows it decodes; every
     /// write builds the same per-column zones while it encodes.
+    ///
+    /// # Panics
+    ///
+    /// If a column holds cells of more than one type.
     pub fn compute_meta(&self, arity: usize) -> BlockMeta {
         let mut zones: Vec<Zone<'_>> = (0..arity).map(|_| Zone::Empty).collect();
         let mut bytes = 0usize;
         for row in &self.rows {
             bytes += row.byte_size();
-            for (z, v) in zones.iter_mut().zip(row.values()) {
-                z.add(v);
+            for (a, (z, v)) in zones.iter_mut().zip(row.values()).enumerate() {
+                z.add(a, v);
             }
         }
         let ranges = zones.into_iter().map(Zone::into_range).collect();
@@ -53,12 +57,10 @@ impl Block {
 }
 
 /// Running min/max of one column — the one zone-map implementation
-/// behind every [`BlockMeta::ranges`] entry. While every cell shares a
-/// type the bounds stay typed and compare natively (doubles by
-/// `total_cmp`, strings by their UTF-8 bytes), which is exactly [`Value`]'s order
-/// within a type. The first cell of another type demotes the zone to a
-/// [`ValueRange`], whose cross-type rank order takes over. Either way
-/// the bounds are the column's minimum and maximum under `Value::cmp`.
+/// behind every [`BlockMeta::ranges`] entry. A column holds cells of
+/// one type, so the bounds stay typed and compare natively (doubles by
+/// `total_cmp`, strings by their UTF-8 bytes), which is exactly
+/// [`Value`]'s order within a type.
 #[derive(Debug, Clone)]
 pub(crate) enum Zone<'a> {
     /// No cell seen yet.
@@ -69,8 +71,15 @@ pub(crate) enum Zone<'a> {
     Str(&'a [u8], &'a [u8]),
     Date(i32, i32),
     Bool(bool, bool),
-    /// Cells of more than one type.
-    Mixed(ValueRange),
+}
+
+/// Panic for a cell of type `got` arriving in column `col`, whose zone
+/// already holds cells of another type: a column has one type.
+#[cold]
+#[inline(never)]
+fn type_clash(col: usize, zone: &Zone<'_>, got: ValueType) -> ! {
+    let held = zone.value_type().expect("an empty zone takes a cell of any type");
+    panic!("column {col} holds {held:?} cells, got a {got:?} cell")
 }
 
 /// A `Str` value from bytes that came from a `String` or a validated
@@ -92,20 +101,14 @@ pub(crate) fn widen<T: Copy>(lo: &mut T, hi: &mut T, x: T, cmp: impl Fn(&T, &T) 
 
 macro_rules! typed_widen {
     ($name:ident, $variant:ident, $t:ty, $cmp:expr) => {
-        /// Widen by one cell of this zone's type; `false` (and no
-        /// change) when the zone already holds another type.
+        /// Widen column `col`'s zone by one cell of this type, panicking
+        /// if the column holds cells of another type.
         #[inline]
-        pub(crate) fn $name(&mut self, x: $t) -> bool {
+        pub(crate) fn $name(&mut self, col: usize, x: $t) {
             match self {
-                Zone::$variant(lo, hi) => {
-                    widen(lo, hi, x, $cmp);
-                    true
-                }
-                Zone::Empty => {
-                    *self = Zone::$variant(x, x);
-                    true
-                }
-                _ => false,
+                Zone::$variant(lo, hi) => widen(lo, hi, x, $cmp),
+                Zone::Empty => *self = Zone::$variant(x, x),
+                held => type_clash(col, held, ValueType::$variant),
             }
         }
     };
@@ -118,36 +121,28 @@ impl<'a> Zone<'a> {
     typed_widen!(date, Date, i32, i32::cmp);
     typed_widen!(bool, Bool, bool, bool::cmp);
 
-    /// Widen by one cell of any type.
-    pub(crate) fn add(&mut self, v: &'a Value) {
-        let typed = match v {
-            Value::Int(x) => self.int(*x),
-            Value::Double(x) => self.double(*x),
-            Value::Str(s) => self.str(s.as_bytes()),
-            Value::Date(x) => self.date(*x),
-            Value::Bool(x) => self.bool(*x),
-        };
-        if !typed {
-            self.demote().insert(v);
+    /// Widen column `col`'s zone by one cell of any type, panicking if
+    /// the column holds cells of another type.
+    pub(crate) fn add(&mut self, col: usize, v: &'a Value) {
+        match v {
+            Value::Int(x) => self.int(col, *x),
+            Value::Double(x) => self.double(col, *x),
+            Value::Str(s) => self.str(col, s.as_bytes()),
+            Value::Date(x) => self.date(col, *x),
+            Value::Bool(x) => self.bool(col, *x),
         }
     }
 
-    /// Whether the cells seen so far do not share one type.
-    pub(crate) fn is_mixed(&self) -> bool {
-        matches!(self, Zone::Mixed(_))
-    }
-
-    /// The bounds as a [`ValueRange`], turning this zone into a mixed
-    /// one so cells of any type can widen it further.
-    pub(crate) fn demote(&mut self) -> &mut ValueRange {
-        if !self.is_mixed() {
-            let range = std::mem::replace(self, Zone::Empty).into_range();
-            *self = Zone::Mixed(range);
-        }
-        match self {
-            Zone::Mixed(range) => range,
-            _ => unreachable!("zone was just demoted"),
-        }
+    /// The type of the cells seen so far (`None` before the first).
+    pub(crate) fn value_type(&self) -> Option<ValueType> {
+        Some(match self {
+            Zone::Empty => return None,
+            Zone::Int(..) => ValueType::Int,
+            Zone::Double(..) => ValueType::Double,
+            Zone::Str(..) => ValueType::Str,
+            Zone::Date(..) => ValueType::Date,
+            Zone::Bool(..) => ValueType::Bool,
+        })
     }
 
     /// The finished zone map entry.
@@ -160,7 +155,6 @@ impl<'a> Zone<'a> {
             Zone::Str(lo, hi) => pair(utf8_value(lo), utf8_value(hi)),
             Zone::Date(lo, hi) => pair(Value::Date(lo), Value::Date(hi)),
             Zone::Bool(lo, hi) => pair(Value::Bool(lo), Value::Bool(hi)),
-            Zone::Mixed(range) => range,
         }
     }
 }

@@ -1,15 +1,15 @@
-//! Binary encoding of values, rows, and blocks.
+//! Binary encoding of values and blocks.
 //!
 //! Blocks are stored *encoded* in the block store so every read pays a
 //! realistic decode cost, and so the format is pinned: little-endian,
-//! one tag byte per value. No external serialization framework — a
-//! storage manager's on-disk format should be explicit.
+//! no external serialization framework — a storage manager's on-disk
+//! format should be explicit.
 //!
-//! Two formats coexist, distinguished by magic. The store writes only
-//! the columnar `ADB2` ([`encode_block_columnar`]): a per-column
-//! directory followed by contiguous per-column payloads, so a reader
-//! can decode a single column — or a single row range — without
-//! touching the rest of the block ([`LazyBlock`]):
+//! There is one block format, the columnar `ADB2`
+//! ([`encode_block_columnar`]): a per-column directory followed by
+//! contiguous per-column payloads, so a reader can decode a single
+//! column — or a single row range — without touching the rest of the
+//! block ([`LazyBlock`]):
 //!
 //! ```text
 //! block     := "ADB2" id(u32) row_count(u32) col_count(u16)
@@ -20,29 +20,18 @@
 //!              tag 2   Str    per cell len(u32) + UTF-8 bytes
 //!              tag 3   Date   4×rows bytes, i32 LE each
 //!              tag 4   Bool   1×rows bytes
-//!              tag 255 Mixed  per cell ADB1 value encoding
 //! ```
 //!
-//! The original row-oriented `ADB1` is decode-only — blocks in older
-//! journals — plus the fallback for row sets `ADB2` cannot lay out
-//! (mixed arity, or arity 0 with rows):
-//!
-//! ```text
-//! block  := "ADB1" id(u32) row_count(u32) row*
-//! row    := arity(u16) value*
-//! value  := tag(u8) payload
-//!   tag 0 = Int    payload i64 LE
-//!   tag 1 = Double payload f64 bits LE
-//!   tag 2 = Str    payload len(u32) + UTF-8 bytes
-//!   tag 3 = Date   payload i32 LE
-//!   tag 4 = Bool   payload u8
-//! ```
-//!
-//! `Mixed` columns (heterogeneous cell types) and the `ADB1` fallback
-//! keep the writer lossless for any input [`decode_block`] accepts.
-//! Both directions copy each cell once: the encoder writes columns
-//! straight from the rows, and decoding writes cells straight into
-//! row vectors.
+//! **One type per column.** A column's tag is the single type of its
+//! cells. Loads check every cell against its field's type before a
+//! block is written, so the rows the encoder sees are typed per column;
+//! rows of differing width, or a cell of another type, make the encoder
+//! panic naming the column rather than write a block that decodes to
+//! different values. Both directions copy each cell once: the encoder
+//! writes columns straight from the rows, and decoding writes cells
+//! straight into row vectors. A single value (a partitioning tree's cut)
+//! encodes as its type's tag byte followed by its cell bytes
+//! ([`encode_value`]).
 //!
 //! **One typed write pass.** The encoder also builds the block's
 //! [`BlockMeta`]: one walk per column writes the cells and widens that
@@ -55,45 +44,50 @@
 //! selection on the `ADB2` payload itself ([`LazyBlock::filter_into`]):
 //! fixed-width cells are read where they lie, `Str` cells compare as
 //! bytes, and the column is never decoded. That needs no per-read
-//! checks: parsing walks each variable-width column once (framing,
-//! UTF-8, exact length) and records what a full decode would reject,
-//! and every read path — column decode, predicate, gather, framing for
-//! a copy — returns that error for a faulty column, so each rejects
-//! exactly the corrupt blocks a full decode does.
+//! checks: parsing walks each `Str` column once (framing, UTF-8, exact
+//! length) and records what a full decode would reject, and every read
+//! path — column decode, predicate, gather, framing for a copy —
+//! returns that error for a faulty column, so each rejects exactly the
+//! corrupt blocks a full decode does.
 
 use std::sync::Arc;
 
 use adaptdb_common::{
     stable_hash_bytes, BlockId, CmpOp, ColumnVec, Error, Result, Row, Value, ValueRange, ValueType,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::block::{utf8_value, widen, Block, BlockMeta, Zone};
 
-/// Magic prefix of a row-oriented (`ADB1`) encoded block.
-pub const BLOCK_MAGIC: &[u8; 4] = b"ADB1";
-
-/// Magic prefix of a columnar (`ADB2`) encoded block.
+/// Magic prefix of an encoded (`ADB2`) block.
 pub const BLOCK_MAGIC_V2: &[u8; 4] = b"ADB2";
 
-/// Directory tag of a heterogeneous (`Mixed`) column in `ADB2`.
-const COL_TAG_MIXED: u8 = 255;
+/// The `ADB2` directory tag of a column of `t` cells (also the tag byte
+/// of a single value's encoding).
+fn type_tag(t: ValueType) -> u8 {
+    match t {
+        ValueType::Int => 0,
+        ValueType::Double => 1,
+        ValueType::Str => 2,
+        ValueType::Date => 3,
+        ValueType::Bool => 4,
+    }
+}
 
-/// The wire tag of a value (also the `ADB2` directory tag of a typed
-/// column holding it).
-fn value_tag(v: &Value) -> u8 {
-    match v {
-        Value::Int(_) => 0,
-        Value::Double(_) => 1,
-        Value::Str(_) => 2,
-        Value::Date(_) => 3,
-        Value::Bool(_) => 4,
+/// The cell type of a column tag (validated at parse: 0..=4).
+fn tag_type(tag: u8) -> ValueType {
+    match tag {
+        0 => ValueType::Int,
+        1 => ValueType::Double,
+        2 => ValueType::Str,
+        3 => ValueType::Date,
+        _ => ValueType::Bool,
     }
 }
 
 /// Append the encoding of one value.
 pub fn encode_value(buf: &mut impl BufMut, v: &Value) {
-    buf.put_u8(value_tag(v));
+    buf.put_u8(type_tag(v.value_type()));
     match v {
         Value::Int(x) => buf.put_i64_le(*x),
         Value::Double(x) => buf.put_u64_le(x.to_bits()),
@@ -147,128 +141,34 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
     }
 }
 
-/// Append the encoding of one row.
-pub fn encode_row(buf: &mut BytesMut, row: &Row) {
-    buf.put_u16_le(row.arity() as u16);
-    for v in row.values() {
-        encode_value(buf, v);
-    }
-}
-
-/// Decode one row, advancing `buf`.
-pub fn decode_row(buf: &mut Bytes) -> Result<Row> {
-    if buf.remaining() < 2 {
-        return Err(Error::Codec("truncated row arity".into()));
-    }
-    let arity = buf.get_u16_le() as usize;
-    // Cap the preallocation by what the buffer can possibly hold (the
-    // smallest value is 2 bytes): a corrupt arity must fail with a
-    // truncation error, not allocate first.
-    let mut values = Vec::with_capacity(arity.min(buf.remaining() / 2));
-    for _ in 0..arity {
-        values.push(decode_value(buf)?);
-    }
-    Ok(Row::new(values))
-}
-
-/// Encode a whole block in the row-oriented `ADB1` format (the
-/// fallback [`encode_block_columnar`] uses; the store never calls it
-/// directly).
-pub fn encode_block(block: &Block) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + block.rows.len() * 32);
-    buf.put_slice(BLOCK_MAGIC);
-    buf.put_u32_le(block.id);
-    buf.put_u32_le(block.rows.len() as u32);
-    for row in &block.rows {
-        encode_row(&mut buf, row);
-    }
-    buf.freeze()
-}
-
-/// Decode a whole block in either format (dispatches on magic).
+/// Decode a whole block.
 pub fn decode_block(buf: Bytes) -> Result<Block> {
-    if buf.remaining() >= 4 && &buf[0..4] == BLOCK_MAGIC_V2 {
-        return LazyBlock::parse(buf)?.into_block();
-    }
-    decode_block_v1(buf)
+    LazyBlock::parse(buf)?.into_block()
 }
 
-/// Decode a row-oriented `ADB1` block.
-fn decode_block_v1(mut buf: Bytes) -> Result<Block> {
-    if buf.remaining() < 12 {
-        return Err(Error::Codec("truncated block header".into()));
-    }
-    let magic = buf.split_to(4);
-    if magic.as_ref() != BLOCK_MAGIC {
-        return Err(Error::Codec("bad block magic".into()));
-    }
-    let id = buf.get_u32_le();
-    let row_count = buf.get_u32_le() as usize;
-    // The count is untrusted: cap the preallocation by the bytes that
-    // are actually present (a row encodes to ≥ 2 bytes), so a
-    // bit-flipped header cannot demand gigabytes before the first
-    // truncation error.
-    let mut rows = Vec::with_capacity(row_count.min(buf.remaining() / 2));
-    for _ in 0..row_count {
-        rows.push(decode_row(&mut buf)?);
-    }
-    if buf.has_remaining() {
-        return Err(Error::Codec(format!("{} trailing bytes after block", buf.remaining())));
-    }
-    Ok(Block::new(id, rows))
-}
-
-/// Skip one ADB1-encoded value without materializing it, advancing
-/// `buf`, but rejecting exactly what [`decode_value`] rejects (a `Str`
-/// is checked for UTF-8). Used to check `Mixed` payloads at parse and
-/// to walk them past unselected cells.
-fn skip_value(buf: &mut Bytes) -> Result<()> {
-    if buf.remaining() < 1 {
-        return Err(Error::Codec("truncated value tag".into()));
-    }
-    let tag = buf.get_u8();
-    let fixed = match tag {
-        0 | 1 => 8,
-        3 => 4,
-        4 => 1,
-        2 => {
-            if buf.remaining() < 4 {
-                return Err(Error::Codec("truncated Str length".into()));
-            }
-            buf.get_u32_le() as usize
-        }
-        other => return Err(Error::Codec(format!("unknown value tag {other}"))),
-    };
-    if buf.remaining() < fixed {
-        return Err(Error::Codec("truncated value payload".into()));
-    }
-    if tag == 2 {
-        check_utf8(&buf[..fixed])?;
-    }
-    buf.advance(fixed);
-    Ok(())
-}
-
-/// Encode a block columnar (`ADB2`), the format the store writes —
-/// the bytes half of [`encode_block_with_meta`].
+/// Encode a block — the bytes half of [`encode_block_with_meta`].
 pub fn encode_block_columnar(block: &Block) -> Bytes {
     encode_block_with_meta(block, 0).0
 }
 
-/// Encode a block columnar (`ADB2`) and compute its [`BlockMeta`] for a
-/// schema of `arity` columns in the same pass: one walk per column
-/// writes the cells and widens that column's zone map, and the byte
-/// size falls out of the payload lengths. Ragged row sets (mixed
-/// arity) cannot be laid out column-major, and arity-0 rows have no
-/// column to carry their count, so both fall back to whole-block
-/// `ADB1` and [`Block::compute_meta`] — [`decode_block`] dispatches on
-/// magic, making the fallback invisible to readers.
+/// Encode a block and compute its [`BlockMeta`] for a schema of `arity`
+/// columns in the same pass: one walk per column writes the cells and
+/// widens that column's zone map, and the byte size falls out of the
+/// payload lengths.
+///
+/// # Panics
+///
+/// If the rows differ in width, are zero columns wide, or a column
+/// holds cells of more than one type: no such block can be written
+/// column-major and read back as the same rows.
 pub fn encode_block_with_meta(block: &Block, arity: usize) -> (Bytes, BlockMeta) {
     let rows = &block.rows;
     let cols = rows.first().map_or(0, Row::arity);
-    if rows.iter().any(|r| r.arity() != cols) || (cols == 0 && !rows.is_empty()) {
-        return (encode_block(block), block.compute_meta(arity));
-    }
+    assert!(
+        rows.iter().all(|r| r.arity() == cols) && (cols > 0 || rows.is_empty()),
+        "block {}: rows need one non-zero width",
+        block.id
+    );
     write_columns(block.id, rows.len(), cols, arity, |a, sink| {
         for r in rows {
             sink.value(&r.values()[a]);
@@ -325,14 +225,14 @@ fn write_columns<'a>(
     let mut ranges = Vec::with_capacity(arity);
     let mut byte_size = rows * 8;
     for a in 0..cols {
-        let mut sink = ColumnSink { start: buf.len(), buf, zone: Zone::Empty, cells: 0 };
+        let start = buf.len();
+        let mut sink = ColumnSink { buf, col: a, zone: Zone::Empty };
         fill(a, &mut sink);
         let tag = sink.tag();
-        let len = sink.buf.len() - sink.start;
         buf = sink.buf;
-        // A Mixed payload spends one tag byte per cell beyond the
-        // cells' row-semantic size; typed payloads are exactly it.
-        byte_size += if tag == COL_TAG_MIXED { len - sink.cells } else { len };
+        // A typed payload is exactly its cells' row-semantic size.
+        let len = buf.len() - start;
+        byte_size += len;
         let entry = dir + a * 5;
         buf[entry] = tag;
         buf[entry + 1..entry + 5].copy_from_slice(&(len as u32).to_le_bytes());
@@ -345,17 +245,14 @@ fn write_columns<'a>(
 }
 
 /// One `ADB2` column being appended to a block buffer, together with
-/// its zone map. Cells arrive one at a time, typed or as [`Value`]s;
-/// while they share a type they are written as typed cells, and the
-/// first cell of another type rewrites what is there as a `Mixed`
-/// payload (each cell's `ADB1` value encoding is its tag byte followed
-/// by exactly its typed bytes).
+/// its zone map. Cells arrive one at a time, typed or as [`Value`]s,
+/// and are written as typed cells: the first fixes the column's type,
+/// and a cell of another type panics naming the column.
 struct ColumnSink<'a> {
     buf: Vec<u8>,
-    /// Where this column's payload starts in `buf`.
-    start: usize,
+    /// The column's index in its block.
+    col: usize,
     zone: Zone<'a>,
-    cells: usize,
 }
 
 /// The tight loop of `ColumnSink::gather` for a fixed-width typed
@@ -379,7 +276,6 @@ macro_rules! gather_fixed {
                     $sink.buf.extend_from_slice(&c);
                 }
                 (*lo, *hi) = (l, h);
-                $sink.cells += $picked.len();
                 true
             }
             _ => false,
@@ -388,65 +284,44 @@ macro_rules! gather_fixed {
 }
 
 impl<'a> ColumnSink<'a> {
-    /// Write one cell as typed bytes when it keeps the column uniform
-    /// (`fits`), or as `Mixed` otherwise.
-    #[inline]
-    fn push(
-        &mut self,
-        fits: bool,
-        write: impl FnOnce(&mut Vec<u8>),
-        value: impl FnOnce() -> Value,
-    ) {
-        self.cells += 1;
-        if fits {
-            write(&mut self.buf);
-        } else {
-            self.mixed(&value());
-        }
-    }
-
     #[inline]
     fn int(&mut self, x: i64) {
-        let fits = self.zone.int(x);
-        self.push(fits, |b| b.put_i64_le(x), || Value::Int(x));
+        self.zone.int(self.col, x);
+        self.buf.put_i64_le(x);
     }
 
     #[inline]
     fn double(&mut self, x: f64) {
-        let fits = self.zone.double(x);
-        self.push(fits, |b| b.put_u64_le(x.to_bits()), || Value::Double(x));
+        self.zone.double(self.col, x);
+        self.buf.put_u64_le(x.to_bits());
     }
 
     /// A `Str` cell given by its UTF-8 bytes.
     #[inline]
     fn str(&mut self, s: &'a [u8]) {
-        let fits = self.zone.str(s);
-        let write = |b: &mut Vec<u8>| {
-            b.put_u32_le(s.len() as u32);
-            b.put_slice(s);
-        };
-        self.push(fits, write, || utf8_value(s));
+        self.zone.str(self.col, s);
+        self.buf.put_u32_le(s.len() as u32);
+        self.buf.put_slice(s);
     }
 
     /// A `Str` cell in its encoded form — length prefix, then the UTF-8
     /// bytes — copied in one piece.
     #[inline]
     fn str_cell(&mut self, c: &'a [u8]) {
-        let s = &c[4..];
-        let fits = self.zone.str(s);
-        self.push(fits, |b| b.put_slice(c), || utf8_value(s));
+        self.zone.str(self.col, &c[4..]);
+        self.buf.put_slice(c);
     }
 
     #[inline]
     fn date(&mut self, x: i32) {
-        let fits = self.zone.date(x);
-        self.push(fits, |b| b.put_i32_le(x), || Value::Date(x));
+        self.zone.date(self.col, x);
+        self.buf.put_i32_le(x);
     }
 
     #[inline]
     fn bool(&mut self, x: bool) {
-        let fits = self.zone.bool(x);
-        self.push(fits, |b| b.put_u8(x as u8), || Value::Bool(x));
+        self.zone.bool(self.col, x);
+        self.buf.put_u8(x as u8);
     }
 
     /// Append one cell of any type.
@@ -468,13 +343,12 @@ impl<'a> ColumnSink<'a> {
     /// column's type, a fixed-width column is widened and copied in one
     /// tight loop; anything else goes cell by cell.
     fn gather(&mut self, col: &'a RawColumn, picked: &[u32]) {
-        let whole = self.cells == 0
+        let whole = matches!(self.zone, Zone::Empty)
             && picked.len() == col.rows
             && picked.first() == Some(&0)
             && picked.last() == Some(&(col.rows as u32 - 1));
         if whole && self.seed_zone(col) {
             self.buf.extend_from_slice(&col.payload);
-            self.cells = col.rows;
             return;
         }
         let p: &'a [u8] = &col.payload;
@@ -489,15 +363,14 @@ impl<'a> ColumnSink<'a> {
         };
         if !done {
             for &i in picked {
-                let (tag, c) = col.cell(i as usize);
-                self.value_cell(tag, c);
+                self.value_cell(col.tag, col.cell(i as usize));
             }
         }
     }
 
     /// Take an empty sink's zone from `col`'s stored range, when the
-    /// column is typed (not `Bool`, whose bytes the cell path
-    /// normalises) and the range's bounds are of its type.
+    /// column is not `Bool` (whose bytes the cell path normalises) and
+    /// the range's bounds are of its type.
     fn seed_zone(&mut self, col: &'a RawColumn) -> bool {
         let Some((lo, hi)) = col.range.as_ref().and_then(|r| r.min().zip(r.max())) else {
             return false;
@@ -512,7 +385,7 @@ impl<'a> ColumnSink<'a> {
         true
     }
 
-    /// Append a cell given by its value tag and typed encoding
+    /// Append a cell given by its column tag and typed encoding
     /// ([`RawColumn::cell`]).
     fn value_cell(&mut self, tag: u8, c: &'a [u8]) {
         match tag {
@@ -524,41 +397,9 @@ impl<'a> ColumnSink<'a> {
         }
     }
 
-    /// The column's directory tag: the shared cell type, or `Mixed`.
+    /// The column's directory tag: its cells' type.
     fn tag(&self) -> u8 {
-        match self.zone {
-            Zone::Empty | Zone::Mixed(_) => COL_TAG_MIXED,
-            Zone::Int(..) => 0,
-            Zone::Double(..) => 1,
-            Zone::Str(..) => 2,
-            Zone::Date(..) => 3,
-            Zone::Bool(..) => 4,
-        }
-    }
-
-    /// Append a cell whose type breaks the column's uniformity (or
-    /// arrives after it broke), re-encoding the typed prefix as `Mixed`
-    /// on the first such cell.
-    #[cold]
-    fn mixed(&mut self, v: &Value) {
-        if !self.zone.is_mixed() {
-            let tag = self.tag();
-            let typed = self.buf.split_off(self.start);
-            let mut p = &typed[..];
-            while !p.is_empty() {
-                let width = match tag {
-                    0 | 1 => 8,
-                    3 => 4,
-                    4 => 1,
-                    _ => 4 + u32::from_le_bytes(cell(p, 0)) as usize,
-                };
-                self.buf.push(tag);
-                self.buf.extend_from_slice(&p[..width]);
-                p = &p[width..];
-            }
-        }
-        self.zone.demote().insert(v);
-        encode_value(&mut self.buf, v);
+        type_tag(self.zone.value_type().expect("a written column holds at least one cell"))
     }
 }
 
@@ -569,7 +410,7 @@ struct ColRegion {
     tag: u8,
     start: usize,
     end: usize,
-    /// The error a full decode of this column would raise ([`check_cells`]),
+    /// The error a full decode of this column would raise ([`check_str_cells`]),
     /// returned by every read that touches it (boxed: directories are
     /// memoised per live block, and sound columns are the norm).
     fault: Option<Box<Error>>,
@@ -607,43 +448,33 @@ pub struct ColDirectory {
     encoded_len: usize,
 }
 
-/// Payload of a parsed block that has *not* (necessarily) been
-/// decoded to rows yet.
+/// A parsed block whose columns have *not* (necessarily) been decoded
+/// yet.
 ///
-/// `ADB1` blocks decode eagerly at parse time — the row format offers
-/// no partial access, and eager decoding keeps error behavior
-/// identical to the pre-columnar read path. `ADB2` blocks only
-/// validate the header and column directory and check each
-/// variable-width column's cells once; predicates evaluate on
-/// the encoded columns ([`LazyBlock::filter_into`]), and individual
-/// columns ([`LazyBlock::column`]) and selected row ranges
+/// Parse validates the header and column directory and checks each
+/// `Str` column's cells once; predicates evaluate on the encoded
+/// columns ([`LazyBlock::filter_into`]), and individual columns
+/// ([`LazyBlock::column`]) and selected row ranges
 /// ([`LazyBlock::gather_range`]) decode on demand, which is what makes
 /// late materialization (select on the predicate columns, then decode
 /// only the selected rows) cheap.
 #[derive(Debug, Clone)]
 pub struct LazyBlock {
     id: u32,
-    inner: LazyInner,
-}
-
-#[derive(Debug, Clone)]
-enum LazyInner {
-    /// Row-format payload, fully decoded at parse time.
-    Rows(Vec<Row>),
-    /// Columnar payload: validated (possibly memoized) directory over
-    /// undecoded payload bytes.
-    Columnar { dir: Arc<ColDirectory>, bytes: Bytes },
+    /// Validated (possibly memoized) directory.
+    dir: Arc<ColDirectory>,
+    /// The column payloads, undecoded.
+    bytes: Bytes,
 }
 
 impl LazyBlock {
-    /// Parse an encoded block in either format. `ADB2` headers and
-    /// directories are validated here (bad magic, truncation, length
-    /// mismatches, trailing bytes), and each variable-width column is
-    /// walked once as a full decode would walk it: a column whose cells
-    /// are misframed or not UTF-8 keeps its error, and every later read
-    /// that touches the column returns it. `ADB1` payloads are fully
-    /// decoded, so any codec error in either format still surfaces at
-    /// parse time or at first access — never silently.
+    /// Parse an encoded block. The header and directory are validated
+    /// here (bad magic, truncation, length mismatches, trailing bytes),
+    /// and each `Str` column is walked once as a full decode would walk
+    /// it: a column whose cells are misframed or not UTF-8 keeps its
+    /// error, and every later read that touches the column returns it —
+    /// so a codec error surfaces at parse time or at first access,
+    /// never silently.
     pub fn parse(buf: Bytes) -> Result<LazyBlock> {
         LazyBlock::parse_with_directory(buf, None).map(|(lazy, _)| lazy)
     }
@@ -651,28 +482,26 @@ impl LazyBlock {
     /// Like [`LazyBlock::parse`], but reuse a memoized [`ColDirectory`]
     /// from an earlier parse of the *same* encoded block, skipping
     /// header and directory validation. Returns the freshly validated
-    /// directory when the block is columnar and `memo` was not usable
-    /// (so the caller can memoize it), `None` otherwise. A stale memo
-    /// (encoded length mismatch) silently falls back to a full parse —
-    /// correctness never depends on the memo.
+    /// directory when `memo` was not usable (so the caller can memoize
+    /// it), `None` otherwise. A stale memo (encoded length mismatch)
+    /// silently falls back to a full parse — correctness never depends
+    /// on the memo.
     pub fn parse_with_directory(
         buf: Bytes,
         memo: Option<&Arc<ColDirectory>>,
     ) -> Result<(LazyBlock, Option<Arc<ColDirectory>>)> {
-        if buf.remaining() >= 4 && &buf[0..4] == BLOCK_MAGIC_V2 {
-            if let Some(dir) = memo {
-                if buf.len() == dir.encoded_len {
-                    let id = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-                    let bytes = buf.slice(dir.payload_offset..buf.len());
-                    let inner = LazyInner::Columnar { dir: Arc::clone(dir), bytes };
-                    return Ok((LazyBlock { id, inner }, None));
-                }
-            }
-            let (lazy, dir) = LazyBlock::parse_columnar(buf)?;
-            return Ok((lazy, Some(dir)));
+        if !buf.starts_with(BLOCK_MAGIC_V2) {
+            return Err(Error::Codec("bad block magic".into()));
         }
-        let block = decode_block_v1(buf)?;
-        Ok((LazyBlock { id: block.id, inner: LazyInner::Rows(block.rows) }, None))
+        if let Some(dir) = memo {
+            if buf.len() == dir.encoded_len {
+                let id = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+                let bytes = buf.slice(dir.payload_offset..buf.len());
+                return Ok((LazyBlock { id, dir: Arc::clone(dir), bytes }, None));
+            }
+        }
+        let (lazy, dir) = LazyBlock::parse_columnar(buf)?;
+        Ok((lazy, Some(dir)))
     }
 
     fn parse_columnar(mut buf: Bytes) -> Result<(LazyBlock, Arc<ColDirectory>)> {
@@ -693,15 +522,14 @@ impl LazyBlock {
             let tag = buf.get_u8();
             let len = buf.get_u32_le() as usize;
             // Fixed-width payloads must match the row count exactly;
-            // variable-width ones must at least hold every cell's
-            // smallest encoding (a Str length, a tagged Bool), which
-            // bounds the untrusted row count by the bytes present.
+            // a `Str` payload must at least hold every cell's length
+            // prefix, which bounds the untrusted row count by the bytes
+            // present.
             let (width, exact) = match tag {
                 0 | 1 => (8, true),
                 3 => (4, true),
                 4 => (1, true),
                 2 => (4, false),
-                COL_TAG_MIXED => (2, false),
                 other => return Err(Error::Codec(format!("unknown column tag {other}"))),
             };
             let need = rows.saturating_mul(width);
@@ -724,8 +552,8 @@ impl LazyBlock {
         if col_count == 0 && rows != 0 {
             return Err(Error::Codec(format!("{rows} rows but no columns")));
         }
-        for c in &mut cols {
-            c.fault = check_cells(c.tag, rows, buf.slice(c.start..c.end)).err().map(Box::new);
+        for c in cols.iter_mut().filter(|c| c.tag == 2) {
+            c.fault = check_str_cells(rows, &buf[c.start..c.end]).err().map(Box::new);
         }
         let dir = Arc::new(ColDirectory {
             rows,
@@ -733,9 +561,7 @@ impl LazyBlock {
             payload_offset: encoded_len - buf.remaining(),
             encoded_len,
         });
-        let lazy =
-            LazyBlock { id, inner: LazyInner::Columnar { dir: Arc::clone(&dir), bytes: buf } };
-        Ok((lazy, dir))
+        Ok((LazyBlock { id, dir: Arc::clone(&dir), bytes: buf }, dir))
     }
 
     /// Block id carried in the encoding.
@@ -745,61 +571,35 @@ impl LazyBlock {
 
     /// Number of rows in the block (known without decoding).
     pub fn row_count(&self) -> usize {
-        match &self.inner {
-            LazyInner::Rows(rows) => rows.len(),
-            LazyInner::Columnar { dir, .. } => dir.rows,
-        }
+        self.dir.rows
     }
 
-    /// Number of columns. For row payloads this is the first row's
-    /// arity (0 for an empty block) — columnar callers only see
-    /// uniform-arity blocks, since ragged sets encode as `ADB1` *and*
-    /// decode to the `Rows` variant.
+    /// Number of columns.
     pub fn num_columns(&self) -> usize {
-        match &self.inner {
-            LazyInner::Rows(rows) => rows.first().map_or(0, Row::arity),
-            LazyInner::Columnar { dir, .. } => dir.cols.len(),
-        }
+        self.dir.cols.len()
     }
 
-    /// Decode a single column. For columnar payloads this touches only
-    /// that column's bytes; for row payloads it projects the
-    /// already-decoded rows (failing on ragged arity).
+    /// Column `idx`'s directory entry.
+    fn region(&self, idx: usize) -> Result<&ColRegion> {
+        self.dir.cols.get(idx).ok_or_else(|| Error::Codec(format!("column {idx} out of range")))
+    }
+
+    /// Decode a single column, touching only that column's bytes.
     pub fn column(&self, idx: usize) -> Result<ColumnVec> {
-        match &self.inner {
-            LazyInner::Rows(rows) => {
-                let mut values = Vec::with_capacity(rows.len());
-                for r in rows {
-                    if idx >= r.arity() {
-                        return Err(Error::Codec(format!(
-                            "column {idx} out of range for arity-{} row",
-                            r.arity()
-                        )));
-                    }
-                    values.push(r.get(idx as adaptdb_common::AttrId).clone());
-                }
-                Ok(ColumnVec::from_values(values))
-            }
-            LazyInner::Columnar { dir, bytes } => match dir.cols.get(idx) {
-                Some(col) => {
-                    col.payload(bytes)?;
-                    decode_column(col.tag, dir.rows, bytes.slice(col.start..col.end))
-                }
-                None => Err(Error::Codec(format!("column {idx} out of range"))),
-            },
-        }
+        let col = self.region(idx)?;
+        decode_column(col.tag, self.dir.rows, col.payload(&self.bytes)?)
     }
 
     /// AND `column idx <op> lit` into the running selection `sel` (one
     /// bit per row), in place — stage A of late materialisation.
     /// Bit-for-bit the selection `column(idx)?.eval(op, lit)` would
     /// give, and an error on exactly the blocks `column(idx)` rejects,
-    /// but a typed `ADB2` column is read where it lies: fixed-width
-    /// cells at the selected rows only (doubles by `total_cmp`), and
-    /// `Str` cells as raw bytes against the literal's bytes (UTF-8 byte
-    /// order is `str` order) — no `String` is built. A literal of another
-    /// type compares by the fixed type rank, one answer for the whole
-    /// column. `Mixed` columns and `ADB1` rows decode and evaluate.
+    /// but the column is read where it lies: fixed-width cells at the
+    /// selected rows only (doubles by `total_cmp`), and `Str` cells as
+    /// raw bytes against the literal's bytes (UTF-8 byte order is `str`
+    /// order) — no `String` is built. A literal of another type
+    /// compares by the fixed type rank, one answer for the whole
+    /// column.
     pub fn filter_into(
         &self,
         idx: usize,
@@ -809,14 +609,8 @@ impl LazyBlock {
     ) -> Result<()> {
         let n = self.row_count();
         assert_eq!(sel.len(), n, "selection width mismatch");
-        let (p, tag) = match &self.inner {
-            LazyInner::Columnar { dir, bytes } => match dir.cols.get(idx) {
-                Some(c) if c.tag != COL_TAG_MIXED => (c.payload(bytes)?, c.tag),
-                Some(_) => return self.filter_decoded(idx, op, lit, sel),
-                None => return Err(Error::Codec(format!("column {idx} out of range"))),
-            },
-            LazyInner::Rows(_) => return self.filter_decoded(idx, op, lit, sel),
-        };
+        let col = self.region(idx)?;
+        let (p, tag) = (col.payload(&self.bytes)?, col.tag);
         let ty = tag_type(tag);
         let same_type = ty == lit.value_type();
         match (tag, lit) {
@@ -846,26 +640,13 @@ impl LazyBlock {
         Ok(())
     }
 
-    /// [`LazyBlock::filter_into`] for the payloads it does not read in
-    /// place: decode the column, evaluate, intersect.
-    fn filter_decoded(
-        &self,
-        idx: usize,
-        op: CmpOp,
-        lit: &Value,
-        sel: &mut adaptdb_common::BitSet,
-    ) -> Result<()> {
-        sel.intersect_with(&self.column(idx)?.eval(op, lit));
-        Ok(())
-    }
-
     /// Materialize rows `start..end` whose bit is set in the
     /// block-wide selection `sel`, in ascending row order. Fixed-width
-    /// columns seek directly to each selected cell; variable-width
-    /// columns (Str, Mixed) skip-walk their payload, advancing past
-    /// unselected cells without allocating. Any gather of a block with
-    /// a faulty column fails with that column's error, so every gather
-    /// rejects exactly the blocks a full decode does.
+    /// columns seek directly to each selected cell; `Str` columns
+    /// skip-walk their payload, advancing past unselected cells without
+    /// allocating. Any gather of a block with a faulty column fails with
+    /// that column's error, so every gather rejects exactly the blocks
+    /// a full decode does.
     pub fn gather_range(
         &self,
         start: usize,
@@ -876,55 +657,43 @@ impl LazyBlock {
         assert!(start <= end && end <= n, "gather range {start}..{end} out of {n} rows");
         assert_eq!(sel.len(), n, "selection width mismatch");
         let picked: Vec<usize> = (start..end).filter(|&i| sel.get(i)).collect();
-        match &self.inner {
-            LazyInner::Rows(rows) => Ok(picked.iter().map(|&i| rows[i].clone()).collect()),
-            LazyInner::Columnar { dir, bytes } => gather_columns(dir, bytes, &picked),
-        }
+        gather_columns(&self.dir, &self.bytes, &picked)
     }
 
     /// Every column left encoded, for copying cells into other blocks
-    /// ([`encode_gathered`]); `None` for a row-format (`ADB1`) payload.
-    pub fn raw_columns(&self) -> Result<Option<Vec<RawColumn>>> {
-        match &self.inner {
-            LazyInner::Rows(_) => Ok(None),
-            LazyInner::Columnar { dir, bytes } => dir
-                .cols
-                .iter()
-                .map(|c| {
-                    c.payload(bytes)?;
-                    RawColumn::new(c.tag, dir.rows, bytes.slice(c.start..c.end))
-                })
-                .collect::<Result<_>>()
-                .map(Some),
-        }
+    /// ([`encode_gathered`]).
+    pub fn raw_columns(&self) -> Result<Vec<RawColumn>> {
+        self.dir
+            .cols
+            .iter()
+            .map(|c| {
+                c.payload(&self.bytes)?;
+                Ok(RawColumn::new(c.tag, self.dir.rows, self.bytes.slice(c.start..c.end)))
+            })
+            .collect()
     }
 
     /// Decode everything to a [`Block`] — the eager path, used by
-    /// consumers that need whole rows (`ADB1` repartition sources, a
-    /// reducer's build-spill fetch-back). `ADB2` payloads decode
-    /// straight into rows, one copy per cell.
+    /// consumers that need whole rows (a reducer's build-spill
+    /// fetch-back, journal recovery). Cells decode straight into rows,
+    /// one copy per cell.
     pub fn into_block(self) -> Result<Block> {
-        match self.inner {
-            LazyInner::Rows(rows) => Ok(Block::new(self.id, rows)),
-            LazyInner::Columnar { dir, bytes } => {
-                let all: Vec<usize> = (0..dir.rows).collect();
-                Ok(Block::new(self.id, gather_columns(&dir, &bytes, &all)?))
-            }
-        }
+        let all: Vec<usize> = (0..self.dir.rows).collect();
+        Ok(Block::new(self.id, gather_columns(&self.dir, &self.bytes, &all)?))
     }
 }
 
 /// One `ADB2` column left encoded: its directory tag, its payload, and
-/// where each cell of a variable-width column starts. Copying cells
-/// from it into another block ([`encode_gathered`]) moves bytes without
-/// building values. Only columns that parse found sound are framed.
+/// where each cell of a `Str` column starts. Copying cells from it into
+/// another block ([`encode_gathered`]) moves bytes without building
+/// values. Only columns that parse found sound are framed.
 #[derive(Debug, Clone)]
 pub struct RawColumn {
     tag: u8,
     rows: usize,
     payload: Bytes,
-    /// Cell boundaries (`rows + 1` of them) of a `Str` or `Mixed`
-    /// column; empty for fixed-width columns.
+    /// Cell boundaries (`rows + 1` of them) of a `Str` column; empty
+    /// for fixed-width columns.
     bounds: Vec<u32>,
     /// The column's stored zone map entry, when the caller attached it
     /// ([`RawColumn::with_range`]).
@@ -932,26 +701,19 @@ pub struct RawColumn {
 }
 
 impl RawColumn {
-    fn new(tag: u8, rows: usize, payload: Bytes) -> Result<RawColumn> {
+    /// Frame a column parse found sound (so its `Str` cells frame).
+    fn new(tag: u8, rows: usize, payload: Bytes) -> RawColumn {
         let mut bounds = Vec::new();
         if tag == 2 {
             bounds.reserve(rows + 1);
             bounds.push(0);
             let mut p: &[u8] = &payload;
             for _ in 0..rows {
-                str_frame(&mut p)?;
+                str_frame(&mut p).expect("parse checked every Str cell");
                 bounds.push((payload.len() - p.len()) as u32);
             }
-        } else if tag == COL_TAG_MIXED {
-            bounds.reserve(rows + 1);
-            bounds.push(0);
-            let mut rest = payload.clone();
-            for _ in 0..rows {
-                skip_value(&mut rest)?;
-                bounds.push((payload.len() - rest.len()) as u32);
-            }
         }
-        Ok(RawColumn { tag, rows, payload, bounds, range: None })
+        RawColumn { tag, rows, payload, bounds, range: None }
     }
 
     /// Attach the column's stored zone map entry (its block's
@@ -965,28 +727,24 @@ impl RawColumn {
         self
     }
 
-    /// Cell `i` as its value tag and typed encoding (a `Str` cell keeps
-    /// its length prefix; a `Mixed` cell drops its tag byte).
+    /// Cell `i`'s typed encoding (a `Str` cell keeps its length prefix).
     #[inline]
-    fn cell(&self, i: usize) -> (u8, &[u8]) {
-        let width = match self.tag {
-            0 | 1 => 8,
-            3 => 4,
-            4 => 1,
-            _ => {
-                let c = &self.payload[self.bounds[i] as usize..self.bounds[i + 1] as usize];
-                return if self.tag == 2 { (2, c) } else { (c[0], &c[1..]) };
-            }
+    fn cell(&self, i: usize) -> &[u8] {
+        let (start, end) = match self.tag {
+            0 | 1 => (i * 8, i * 8 + 8),
+            3 => (i * 4, i * 4 + 4),
+            4 => (i, i + 1),
+            _ => (self.bounds[i] as usize, self.bounds[i + 1] as usize),
         };
-        (self.tag, &self.payload[i * width..(i + 1) * width])
+        &self.payload[start..end]
     }
 
     /// [`Value::stable_hash`] of cell `i`, hashed from its encoded
     /// bytes: no value (in particular no `String`) is built.
     #[inline]
     pub fn stable_hash(&self, i: usize) -> u64 {
-        let (tag, c) = self.cell(i);
-        match tag {
+        let c = self.cell(i);
+        match self.tag {
             2 => stable_hash_bytes(ValueType::Str, &c[4..]),
             4 => stable_hash_bytes(ValueType::Bool, &[(c[0] != 0) as u8]),
             t => stable_hash_bytes(tag_type(t), c),
@@ -995,8 +753,8 @@ impl RawColumn {
 
     /// Cell `i` decoded to a [`Value`].
     pub fn value(&self, i: usize) -> Value {
-        let (tag, c) = self.cell(i);
-        match tag {
+        let c = self.cell(i);
+        match self.tag {
             0 => Value::Int(i64::from_le_bytes(fixed(c))),
             1 => Value::Double(f64::from_bits(u64::from_le_bytes(fixed(c)))),
             2 => utf8_value(&c[4..]),
@@ -1047,44 +805,18 @@ fn str_frame<'p>(p: &mut &'p [u8]) -> Result<&'p [u8]> {
     take(p, len, "Str payload")
 }
 
-/// Walk a variable-width (`Str` or `Mixed`) payload of `rows` cells
-/// the way a full decode would — each cell framed, each string UTF-8,
-/// the payload used up exactly — building nothing. Parse runs it once
-/// per column, so reads of a sound column need not repeat the checks.
-fn check_cells(tag: u8, rows: usize, payload: Bytes) -> Result<()> {
-    match tag {
-        2 => {
-            let mut p: &[u8] = &payload;
-            for _ in 0..rows {
-                check_utf8(str_frame(&mut p)?)?;
-            }
-            if !p.is_empty() {
-                return Err(Error::Codec("trailing bytes after Str column".into()));
-            }
-        }
-        COL_TAG_MIXED => {
-            let mut p = payload;
-            for _ in 0..rows {
-                skip_value(&mut p)?;
-            }
-            if p.has_remaining() {
-                return Err(Error::Codec("trailing bytes after Mixed column".into()));
-            }
-        }
-        _ => {}
+/// Walk a `Str` payload of `rows` cells the way a full decode would —
+/// each cell framed, each string UTF-8, the payload used up exactly —
+/// building nothing. Parse runs it once per `Str` column, so reads of a
+/// sound column need not repeat the checks.
+fn check_str_cells(rows: usize, mut p: &[u8]) -> Result<()> {
+    for _ in 0..rows {
+        check_utf8(str_frame(&mut p)?)?;
+    }
+    if !p.is_empty() {
+        return Err(Error::Codec("trailing bytes after Str column".into()));
     }
     Ok(())
-}
-
-/// The cell type of a typed `ADB2` column tag.
-fn tag_type(tag: u8) -> ValueType {
-    match tag {
-        0 => ValueType::Int,
-        1 => ValueType::Double,
-        2 => ValueType::Str,
-        3 => ValueType::Date,
-        _ => ValueType::Bool,
-    }
 }
 
 /// The fixed-width cell at row `i` of a payload of `W`-byte cells
@@ -1103,7 +835,7 @@ fn gather_columns(dir: &ColDirectory, bytes: &Bytes, picked: &[usize]) -> Result
     for col in &dir.cols {
         col.payload(bytes)?;
     }
-    // Variable-width payloads are walked up to the last picked cell.
+    // `Str` payloads are walked up to the last picked cell.
     let end = picked.last().map_or(0, |&i| i + 1);
     for col in &dir.cols {
         let payload = &bytes[col.start..col.end];
@@ -1118,16 +850,6 @@ fn gather_columns(dir: &ColDirectory, bytes: &Bytes, picked: &[usize]) -> Result
                     o.push(Value::Double(f64::from_bits(u64::from_le_bytes(cell(payload, i)))));
                 }
             }
-            3 => {
-                for (o, &i) in out.iter_mut().zip(picked) {
-                    o.push(Value::Date(i32::from_le_bytes(cell(payload, i))));
-                }
-            }
-            4 => {
-                for (o, &i) in out.iter_mut().zip(picked) {
-                    o.push(Value::Bool(payload[i] != 0));
-                }
-            }
             2 => {
                 let mut p = payload;
                 let mut next = picked.iter().zip(out.iter_mut()).peekable();
@@ -1138,17 +860,16 @@ fn gather_columns(dir: &ColDirectory, bytes: &Bytes, picked: &[usize]) -> Result
                     }
                 }
             }
-            COL_TAG_MIXED => {
-                let mut p = bytes.slice(col.start..col.end);
-                let mut next = picked.iter().zip(out.iter_mut()).peekable();
-                for i in 0..end {
-                    match next.next_if(|(k, _)| **k == i) {
-                        Some((_, o)) => o.push(decode_value(&mut p)?),
-                        None => skip_value(&mut p)?,
-                    }
+            3 => {
+                for (o, &i) in out.iter_mut().zip(picked) {
+                    o.push(Value::Date(i32::from_le_bytes(cell(payload, i))));
                 }
             }
-            other => return Err(Error::Codec(format!("unknown column tag {other}"))),
+            _ => {
+                for (o, &i) in out.iter_mut().zip(picked) {
+                    o.push(Value::Bool(payload[i] != 0));
+                }
+            }
         }
     }
     Ok(out.into_iter().map(Row::new).collect())
@@ -1156,44 +877,40 @@ fn gather_columns(dir: &ColDirectory, bytes: &Bytes, picked: &[usize]) -> Result
 
 /// Decode one full column payload (of a column parse found sound) into
 /// a typed vector — the join-key columns of late materialization.
-fn decode_column(tag: u8, rows: usize, bytes: Bytes) -> Result<ColumnVec> {
-    let payload = &bytes[..];
-    match tag {
-        0 => Ok(ColumnVec::Int((0..rows).map(|i| i64::from_le_bytes(cell(payload, i))).collect())),
-        1 => Ok(ColumnVec::Double(
+fn decode_column(tag: u8, rows: usize, payload: &[u8]) -> Result<ColumnVec> {
+    Ok(match tag {
+        0 => ColumnVec::Int((0..rows).map(|i| i64::from_le_bytes(cell(payload, i))).collect()),
+        1 => ColumnVec::Double(
             (0..rows).map(|i| f64::from_bits(u64::from_le_bytes(cell(payload, i)))).collect(),
-        )),
-        3 => Ok(ColumnVec::Date((0..rows).map(|i| i32::from_le_bytes(cell(payload, i))).collect())),
-        4 => Ok(ColumnVec::Bool(payload.iter().map(|&b| b != 0).collect())),
+        ),
         2 => {
             let mut p = payload;
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
                 v.push(utf8(str_frame(&mut p)?)?.into());
             }
-            Ok(ColumnVec::Str(v))
+            ColumnVec::Str(v)
         }
-        COL_TAG_MIXED => {
-            let mut p = bytes;
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(decode_value(&mut p)?);
-            }
-            Ok(ColumnVec::Mixed(v))
-        }
-        other => Err(Error::Codec(format!("unknown column tag {other}"))),
-    }
+        3 => ColumnVec::Date((0..rows).map(|i| i32::from_le_bytes(cell(payload, i))).collect()),
+        _ => ColumnVec::Bool(payload.iter().map(|&b| b != 0).collect()),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adaptdb_common::row;
+    use bytes::BytesMut;
 
+    /// Encode, then decode both eagerly and lazily: each must give the
+    /// block back.
     fn round_trip(block: Block) {
-        let enc = encode_block(&block);
-        let dec = decode_block(enc).unwrap();
-        assert_eq!(dec, block);
+        let enc = encode_block_columnar(&block);
+        assert_eq!(decode_block(enc.clone()).unwrap(), block);
+        let lazy = LazyBlock::parse(enc).unwrap();
+        assert_eq!(lazy.id(), block.id);
+        assert_eq!(lazy.row_count(), block.rows.len());
+        assert_eq!(lazy.into_block().unwrap(), block);
     }
 
     #[test]
@@ -1201,38 +918,57 @@ mod tests {
         round_trip(Block::new(
             7,
             vec![
-                row![1i64, 2.5, "hello", true],
-                Row::new(vec![Value::Date(19000), Value::Str("".into())]),
+                Row::new(vec![
+                    Value::Int(1),
+                    Value::Double(2.5),
+                    Value::Str("hello".into()),
+                    Value::Bool(true),
+                    Value::Date(19_000),
+                ]),
+                Row::new(vec![
+                    Value::Int(-1),
+                    Value::Double(-0.0),
+                    Value::Str("".into()),
+                    Value::Bool(false),
+                    Value::Date(-3),
+                ]),
             ],
         ));
     }
 
     #[test]
     fn empty_block_round_trip() {
-        round_trip(Block::new(0, vec![]));
+        round_trip(Block::new(77, vec![]));
+        let lazy = LazyBlock::parse(encode_block_columnar(&Block::new(77, vec![]))).unwrap();
+        assert_eq!(lazy.num_columns(), 0);
     }
 
     #[test]
     fn truncation_is_detected() {
-        let enc = encode_block(&Block::new(1, vec![row![42i64]]));
-        for cut in 1..enc.len() {
+        let enc = encode_block_columnar(&Block::new(1, vec![row![42i64, "ab"]]));
+        for cut in 0..enc.len() {
             let res = decode_block(enc.slice(0..cut));
-            assert!(res.is_err(), "cut at {cut} should fail");
+            assert!(matches!(res, Err(Error::Codec(_))), "cut at {cut} should fail");
+        }
+    }
+
+    /// Anything but `ADB2` is bad magic — the retired row format's
+    /// `ADB1` included.
+    #[test]
+    fn bad_magic_is_rejected() {
+        for magic in [b"NOPE", b"ADB1"] {
+            let mut raw = BytesMut::new();
+            raw.put_slice(magic);
+            raw.put_u32_le(0);
+            raw.put_u32_le(0);
+            assert!(matches!(decode_block(raw.clone().freeze()), Err(Error::Codec(_))));
+            assert!(matches!(LazyBlock::parse(raw.freeze()), Err(Error::Codec(_))));
         }
     }
 
     #[test]
-    fn bad_magic_is_rejected() {
-        let mut raw = BytesMut::new();
-        raw.put_slice(b"NOPE");
-        raw.put_u32_le(0);
-        raw.put_u32_le(0);
-        assert!(matches!(decode_block(raw.freeze()), Err(Error::Codec(_))));
-    }
-
-    #[test]
     fn trailing_garbage_is_rejected() {
-        let enc = encode_block(&Block::new(1, vec![]));
+        let enc = encode_block_columnar(&Block::new(1, vec![]));
         let mut raw = BytesMut::from(enc.as_ref());
         raw.put_u8(0xFF);
         assert!(decode_block(raw.freeze()).is_err());
@@ -1241,37 +977,36 @@ mod tests {
     #[test]
     fn nan_double_round_trips_bitwise() {
         let block = Block::new(2, vec![Row::new(vec![Value::Double(f64::NAN)])]);
-        let dec = decode_block(encode_block(&block)).unwrap();
+        let dec = decode_block(encode_block_columnar(&block)).unwrap();
         match dec.rows[0].get(0) {
             Value::Double(d) => assert!(d.is_nan()),
             other => panic!("expected Double, got {other:?}"),
         }
     }
 
+    /// An unknown value tag, and an unknown column tag — the retired
+    /// heterogeneous column's 255 among them — are codec errors.
     #[test]
     fn unknown_tag_is_rejected() {
         let mut raw = BytesMut::new();
         raw.put_u8(9);
         let mut b = raw.freeze();
         assert!(decode_value(&mut b).is_err());
-    }
-
-    fn round_trip_columnar(block: Block) {
-        let enc = encode_block_columnar(&block);
-        // Universal decoder accepts it regardless of which magic the
-        // encoder chose (ragged sets fall back to ADB1).
-        let dec = decode_block(enc.clone()).unwrap();
-        assert_eq!(dec, block);
-        // The lazy path agrees.
-        let lazy = LazyBlock::parse(enc).unwrap();
-        assert_eq!(lazy.id(), block.id);
-        assert_eq!(lazy.row_count(), block.rows.len());
-        assert_eq!(lazy.into_block().unwrap(), block);
+        let mut raw = BytesMut::new();
+        raw.put_slice(BLOCK_MAGIC_V2);
+        raw.put_u32_le(1); // id
+        raw.put_u32_le(1); // rows
+        raw.put_u16_le(1); // cols
+        raw.put_u8(255);
+        raw.put_u32_le(9);
+        raw.put_u8(0); // Int tag, then its 8 bytes
+        raw.put_i64_le(5);
+        assert!(matches!(LazyBlock::parse(raw.freeze()), Err(Error::Codec(_))));
     }
 
     #[test]
     fn columnar_round_trip_all_types() {
-        round_trip_columnar(Block::new(
+        round_trip(Block::new(
             9,
             vec![
                 row![1i64, 2.5, "hello", true],
@@ -1286,28 +1021,23 @@ mod tests {
     }
 
     #[test]
-    fn columnar_round_trip_mixed_and_date() {
-        // Heterogeneous column 0 → Mixed payload; column 1 stays typed.
-        round_trip_columnar(Block::new(
-            3,
-            vec![
-                Row::new(vec![Value::Int(1), Value::Date(100)]),
-                Row::new(vec![Value::Str("x".into()), Value::Date(200)]),
-            ],
-        ));
-    }
-
-    #[test]
     fn columnar_empty_block_round_trip() {
-        round_trip_columnar(Block::new(0, vec![]));
+        round_trip(Block::new(0, vec![]));
     }
 
+    /// A cell whose type differs from its column's is never written: the
+    /// encoder panics and names the column.
     #[test]
-    fn ragged_rows_fall_back_to_adb1() {
-        let block = Block::new(5, vec![row![1i64], row![1i64, 2i64]]);
-        let enc = encode_block_columnar(&block);
-        assert_eq!(&enc[0..4], BLOCK_MAGIC, "ragged arity must use the row format");
-        round_trip_columnar(block);
+    #[should_panic(expected = "column 1 holds Int cells, got a Str cell")]
+    fn mistyped_cell_panics_naming_its_column() {
+        encode_block_columnar(&Block::new(3, vec![row![1i64, 2i64], row![3i64, "x"]]));
+    }
+
+    /// Rows of differing width cannot be laid out column-major.
+    #[test]
+    #[should_panic(expected = "rows need one non-zero width")]
+    fn ragged_rows_panic_the_encoder() {
+        encode_block_columnar(&Block::new(5, vec![row![1i64], row![1i64, 2i64]]));
     }
 
     #[test]
@@ -1330,10 +1060,6 @@ mod tests {
             ColumnVec::Str(vec!["aa".into(), "bb".into(), "cc".into()])
         );
         assert!(lazy.column(3).is_err());
-        // The ADB1 lazy path projects decoded rows identically.
-        let lazy1 = LazyBlock::parse(encode_block(&block)).unwrap();
-        assert_eq!(lazy1.column(0).unwrap(), ColumnVec::Int(vec![1, 2, 3]));
-        assert_eq!(lazy1.num_columns(), 3);
     }
 
     #[test]
@@ -1345,22 +1071,20 @@ mod tests {
             row![4i64, "dd", 4.5],
         ];
         let block = Block::new(2, rows.clone());
-        for enc in [encode_block(&block), encode_block_columnar(&block)] {
-            let lazy = LazyBlock::parse(enc).unwrap();
-            let sel = adaptdb_common::BitSet::from_indices(4, &[0, 2, 3]);
-            // Full range.
-            assert_eq!(
-                lazy.gather_range(0, 4, &sel).unwrap(),
-                vec![rows[0].clone(), rows[2].clone(), rows[3].clone()]
-            );
-            // Sub-ranges concatenate to the same output (morsel split).
-            let mut pieces = lazy.gather_range(0, 2, &sel).unwrap();
-            pieces.extend(lazy.gather_range(2, 4, &sel).unwrap());
-            assert_eq!(pieces, lazy.gather_range(0, 4, &sel).unwrap());
-            // Empty selection.
-            let none = adaptdb_common::BitSet::new(4);
-            assert!(lazy.gather_range(0, 4, &none).unwrap().is_empty());
-        }
+        let lazy = LazyBlock::parse(encode_block_columnar(&block)).unwrap();
+        let sel = adaptdb_common::BitSet::from_indices(4, &[0, 2, 3]);
+        // Full range.
+        assert_eq!(
+            lazy.gather_range(0, 4, &sel).unwrap(),
+            vec![rows[0].clone(), rows[2].clone(), rows[3].clone()]
+        );
+        // Sub-ranges concatenate to the same output (morsel split).
+        let mut pieces = lazy.gather_range(0, 2, &sel).unwrap();
+        pieces.extend(lazy.gather_range(2, 4, &sel).unwrap());
+        assert_eq!(pieces, lazy.gather_range(0, 4, &sel).unwrap());
+        // Empty selection.
+        let none = adaptdb_common::BitSet::new(4);
+        assert!(lazy.gather_range(0, 4, &none).unwrap().is_empty());
     }
 
     #[test]
@@ -1368,7 +1092,7 @@ mod tests {
         let block = Block::new(2, vec![row![1i64, "aa", 1.5], row![2i64, "bb", 2.5]]);
         let enc = encode_block_columnar(&block);
         let (first, dir) = LazyBlock::parse_with_directory(enc.clone(), None).unwrap();
-        let dir = dir.expect("columnar parse yields a directory");
+        let dir = dir.expect("a full parse yields a directory");
         // Re-parse with the memo: no new directory, identical payload.
         let (second, fresh) = LazyBlock::parse_with_directory(enc, Some(&dir)).unwrap();
         assert!(fresh.is_none(), "memo hit must not re-validate");
@@ -1381,13 +1105,7 @@ mod tests {
         let (lazy, fresh) = LazyBlock::parse_with_directory(other, Some(&dir)).unwrap();
         assert!(fresh.is_some());
         assert_eq!(lazy.into_block().unwrap(), Block::new(9, vec![row![1i64]]));
-        // ADB1 blocks never produce (or consume) a directory.
-        let (lazy1, none) =
-            LazyBlock::parse_with_directory(encode_block(&block), Some(&dir)).unwrap();
-        assert!(none.is_none());
-        assert_eq!(lazy1.into_block().unwrap(), block);
     }
-
     #[test]
     fn columnar_truncation_is_detected() {
         let enc = encode_block_columnar(&Block::new(
@@ -1427,8 +1145,7 @@ mod tests {
 
     /// Blocks that pin the `ADB2` wire format: every column tag (Int,
     /// Double with `-0.0` and NaN, Str with empty and multi-byte UTF-8,
-    /// Date, Bool, Mixed), an empty block, and both `ADB1` fallbacks
-    /// (ragged arity; arity 0 with rows).
+    /// Date, Bool) and an empty block.
     fn golden_blocks() -> Vec<Block> {
         vec![
             Block::new(
@@ -1440,7 +1157,6 @@ mod tests {
                         Value::Str("".into()),
                         Value::Date(-5),
                         Value::Bool(true),
-                        Value::Int(3),
                     ]),
                     Row::new(vec![
                         Value::Int(-2),
@@ -1448,7 +1164,6 @@ mod tests {
                         Value::Str("h\u{e9}llo \u{2713}".into()),
                         Value::Date(19_000),
                         Value::Bool(false),
-                        Value::Str("x".into()),
                     ]),
                     Row::new(vec![
                         Value::Int(i64::MAX),
@@ -1456,7 +1171,6 @@ mod tests {
                         Value::Str("abc".into()),
                         Value::Date(0),
                         Value::Bool(true),
-                        Value::Double(2.25),
                     ]),
                     Row::new(vec![
                         Value::Int(i64::MIN),
@@ -1464,7 +1178,6 @@ mod tests {
                         Value::Str("\u{1f600}".into()),
                         Value::Date(i32::MAX),
                         Value::Bool(false),
-                        Value::Date(7),
                     ]),
                     Row::new(vec![
                         Value::Int(0),
@@ -1472,13 +1185,10 @@ mod tests {
                         Value::Str("z".into()),
                         Value::Date(1),
                         Value::Bool(true),
-                        Value::Bool(true),
                     ]),
                 ],
             ),
             Block::new(9, vec![]),
-            Block::new(5, vec![row![1i64], row![2i64, "a"]]),
-            Block::new(6, vec![Row::new(vec![]), Row::new(vec![])]),
         ]
     }
     fn hex(bytes: &[u8]) -> String {
@@ -1489,11 +1199,9 @@ mod tests {
     /// them exactly, and they must decode back to the same rows.
     #[test]
     fn adb2_wire_format_is_pinned() {
-        const GOLDEN: [&str; 4] = [
-            "414442320403020105000000060000280000000128000000022600000003140000000405000000ff1f0000000100000000000000feffffffffffffffffffffffffffff7f000000000000008000000000000000000000000000000080000000000000f87f000000000000f83f000000000000f07f9c7500883ce437fe000000000a00000068c3a96c6c6f20e29c930300000061626304000000f09f9880010000007afbffffff384a000000000000ffffff7f01000000010001000100030000000000000002010000007801000000000000024003070000000401",
+        const GOLDEN: [&str; 2] = [
+            "4144423204030201050000000500002800000001280000000226000000031400000004050000000100000000000000feffffffffffffffffffffffffffff7f000000000000008000000000000000000000000000000080000000000000f87f000000000000f83f000000000000f07f9c7500883ce437fe000000000a00000068c3a96c6c6f20e29c930300000061626304000000f09f9880010000007afbffffff384a000000000000ffffff7f010000000100010001",
             "4144423209000000000000000000",
-            "41444231050000000200000001000001000000000000000200000200000000000000020100000061",
-            "41444231060000000200000000000000",
         ];
         for (block, want) in golden_blocks().into_iter().zip(GOLDEN) {
             let enc = encode_block_columnar(&block);
@@ -1502,52 +1210,45 @@ mod tests {
         }
     }
 
-    /// A variable-width region longer than its cells passes the
-    /// directory check, but every decode path must reject it — the
-    /// gather included.
+    /// A `Str` region longer than its cells passes the directory check,
+    /// but every decode path must reject it — the gather included.
     #[test]
     fn overlong_variable_width_column_is_rejected_by_every_path() {
-        for last in [Value::Str("bb".into()), Value::Int(2)] {
-            // Column 1 is Str when both cells are strings, Mixed otherwise.
-            let block = Block::new(1, vec![row![1i64, "aa"], Row::new(vec![Value::Int(2), last])]);
-            let enc = encode_block_columnar(&block);
-            // Grow the last column's directory length by one and append
-            // the extra byte at the end of its payload.
-            let mut raw = enc.to_vec();
-            let entry = 14 + 5;
-            let len = u32::from_le_bytes(raw[entry + 1..entry + 5].try_into().unwrap());
-            raw[entry + 1..entry + 5].copy_from_slice(&(len + 1).to_le_bytes());
-            raw.push(0);
-            let lazy = LazyBlock::parse(Bytes::from(raw)).unwrap();
-            let all = adaptdb_common::BitSet::all_set(2);
-            assert!(matches!(lazy.column(1), Err(Error::Codec(_))));
-            assert!(matches!(lazy.raw_columns(), Err(Error::Codec(_))));
-            assert!(matches!(lazy.gather_range(0, 2, &all), Err(Error::Codec(_))));
-            assert!(matches!(lazy.into_block(), Err(Error::Codec(_))));
-        }
+        let block = Block::new(1, vec![row![1i64, "aa"], row![2i64, "bb"]]);
+        let enc = encode_block_columnar(&block);
+        // Grow the last column's directory length by one and append the
+        // extra byte at the end of its payload.
+        let mut raw = enc.to_vec();
+        let entry = 14 + 5;
+        let len = u32::from_le_bytes(raw[entry + 1..entry + 5].try_into().unwrap());
+        raw[entry + 1..entry + 5].copy_from_slice(&(len + 1).to_le_bytes());
+        raw.push(0);
+        let lazy = LazyBlock::parse(Bytes::from(raw)).unwrap();
+        let all = adaptdb_common::BitSet::all_set(2);
+        assert!(matches!(lazy.column(1), Err(Error::Codec(_))));
+        assert!(matches!(lazy.raw_columns(), Err(Error::Codec(_))));
+        assert!(matches!(lazy.gather_range(0, 2, &all), Err(Error::Codec(_))));
+        assert!(matches!(lazy.into_block(), Err(Error::Codec(_))));
     }
 
     /// A `Str` cell that is not UTF-8 fails every read path, a gather
-    /// that skips it included — whether the column is `Str` or `Mixed`.
+    /// that skips it included.
     #[test]
     fn invalid_utf8_is_rejected_by_every_path() {
-        for first in [Value::Str("aa".into()), Value::Int(7)] {
-            let block = Block::new(1, vec![Row::new(vec![Value::Int(1), first]), row![2i64, "bb"]]);
-            let mut raw = encode_block_columnar(&block).to_vec();
-            let at = raw.len() - 2;
-            raw[at..].copy_from_slice(&[0xFF, 0xFE]);
-            let lazy = LazyBlock::parse(Bytes::from(raw)).unwrap();
-            let first_only = adaptdb_common::BitSet::from_indices(2, &[0]);
-            assert!(matches!(lazy.gather_range(0, 2, &first_only), Err(Error::Codec(_))));
-            assert!(matches!(lazy.column(1), Err(Error::Codec(_))));
-            assert!(matches!(lazy.raw_columns(), Err(Error::Codec(_))));
-            let mut sel = first_only.clone();
-            let lit = Value::Str("aa".into());
-            assert!(matches!(lazy.filter_into(1, CmpOp::Eq, &lit, &mut sel), Err(Error::Codec(_))));
-            assert!(matches!(lazy.into_block(), Err(Error::Codec(_))));
-        }
+        let block = Block::new(1, vec![row![1i64, "aa"], row![2i64, "bb"]]);
+        let mut raw = encode_block_columnar(&block).to_vec();
+        let at = raw.len() - 2;
+        raw[at..].copy_from_slice(&[0xFF, 0xFE]);
+        let lazy = LazyBlock::parse(Bytes::from(raw)).unwrap();
+        let first_only = adaptdb_common::BitSet::from_indices(2, &[0]);
+        assert!(matches!(lazy.gather_range(0, 2, &first_only), Err(Error::Codec(_))));
+        assert!(matches!(lazy.column(1), Err(Error::Codec(_))));
+        assert!(matches!(lazy.raw_columns(), Err(Error::Codec(_))));
+        let mut sel = first_only.clone();
+        let lit = Value::Str("aa".into());
+        assert!(matches!(lazy.filter_into(1, CmpOp::Eq, &lit, &mut sel), Err(Error::Codec(_))));
+        assert!(matches!(lazy.into_block(), Err(Error::Codec(_))));
     }
-
     /// What `filter_into` must equal: decode the column, evaluate,
     /// intersect with the incoming selection.
     fn reference_filter(
@@ -1596,31 +1297,26 @@ mod tests {
         let mut rng = adaptdb_common::rng::seeded(13);
         for case in 0..600u32 {
             let block = random_block(&mut rng, case);
-            for enc in [encode_block_columnar(&block), encode_block(&block)] {
-                check_filter_agrees(&LazyBlock::parse(enc.clone()).unwrap(), &mut rng);
-                // Corrupt one payload byte (past the header): wherever
-                // the damage lands, kernel and decode must agree on
-                // rejecting it.
-                if enc.len() > 14 {
-                    let mut raw = enc.to_vec();
-                    let at = rng.random_range(14..raw.len());
-                    raw[at] = [0xFF, 0x80, 0x00, 0xC3][rng.random_range(0..4usize)];
-                    if let Ok(lazy) = LazyBlock::parse(Bytes::from(raw)) {
-                        check_filter_agrees(&lazy, &mut rng);
-                    }
+            let enc = encode_block_columnar(&block);
+            check_filter_agrees(&LazyBlock::parse(enc.clone()).unwrap(), &mut rng);
+            // Corrupt one payload byte (past the header): wherever the
+            // damage lands, kernel and decode must agree on rejecting it.
+            if enc.len() > 14 {
+                let mut raw = enc.to_vec();
+                let at = rng.random_range(14..raw.len());
+                raw[at] = [0xFF, 0x80, 0x00, 0xC3][rng.random_range(0..4usize)];
+                if let Ok(lazy) = LazyBlock::parse(Bytes::from(raw)) {
+                    check_filter_agrees(&lazy, &mut rng);
                 }
             }
         }
     }
 
     /// The encoder before the fused pass: each column written straight
-    /// from the rows, restarting as `Mixed` on the first odd cell.
+    /// from the rows, a cell's value encoding less its tag byte.
     fn reference_encode(block: &Block) -> Bytes {
         let rows = &block.rows;
         let arity = rows.first().map_or(0, Row::arity);
-        if rows.iter().any(|r| r.arity() != arity) || (arity == 0 && !rows.is_empty()) {
-            return encode_block(block);
-        }
         let mut buf = Vec::new();
         buf.put_slice(BLOCK_MAGIC_V2);
         buf.put_u32_le(block.id);
@@ -1629,20 +1325,13 @@ mod tests {
         buf.resize(14 + arity * 5, 0);
         for a in 0..arity {
             let start = buf.len();
-            let first = value_tag(&rows[0].values()[a]);
-            let uniform = rows.iter().all(|r| value_tag(&r.values()[a]) == first);
             for r in rows {
-                let v = &r.values()[a];
-                if uniform {
-                    let mut one = Vec::new();
-                    encode_value(&mut one, v);
-                    buf.extend_from_slice(&one[1..]);
-                } else {
-                    encode_value(&mut buf, v);
-                }
+                let mut one = Vec::new();
+                encode_value(&mut one, &r.values()[a]);
+                buf.extend_from_slice(&one[1..]);
             }
             let len = (buf.len() - start) as u32;
-            buf[14 + a * 5] = if uniform { first } else { COL_TAG_MIXED };
+            buf[14 + a * 5] = type_tag(rows[0].values()[a].value_type());
             buf[14 + a * 5 + 1..14 + a * 5 + 5].copy_from_slice(&len.to_le_bytes());
         }
         Bytes::from(buf)
@@ -1662,9 +1351,8 @@ mod tests {
         BlockMeta { id: block.id, row_count: block.rows.len(), byte_size: bytes, ranges }
     }
 
-    /// A random cell of type `t` (0..5), or of a random type for 5.
+    /// A random cell of type `t` (0..5, in column tag order).
     fn random_cell(rng: &mut impl RngExt, t: u32) -> Value {
-        let t = if t == 5 { rng.random_range(0..5u32) } else { t };
         match t {
             0 => Value::Int(rng.random_range(-3..4i64)),
             1 => Value::Double(
@@ -1679,21 +1367,17 @@ mod tests {
         }
     }
 
-    /// A random block: typed and mixed columns over every cell type,
-    /// sometimes empty, sometimes ragged.
+    /// A random block of columns over every cell type, each column of
+    /// one type, sometimes empty.
     fn random_block(rng: &mut impl RngExt, id: u32) -> Block {
         let cols = rng.random_range(0..5usize);
-        let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..6u32)).collect();
-        let n = rng.random_range(0..12usize);
-        let mut rows: Vec<Row> = (0..n)
+        let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..5u32)).collect();
+        let n = if cols == 0 { 0 } else { rng.random_range(0..12usize) };
+        let rows = (0..n)
             .map(|_| Row::new(types.iter().map(|&t| random_cell(rng, t)).collect()))
             .collect();
-        if n > 1 && rng.random_range(0..8u32) == 0 {
-            rows[n - 1] = Row::new(vec![Value::Int(1); cols + 1]);
-        }
         Block::new(id, rows)
     }
-
     #[test]
     fn fused_pass_equals_encode_plus_compute_meta() {
         let mut rng = adaptdb_common::rng::seeded(11);
@@ -1717,7 +1401,7 @@ mod tests {
         let mut rng = adaptdb_common::rng::seeded(12);
         for case in 0..1000u32 {
             let cols = rng.random_range(1..5usize);
-            let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..6u32)).collect();
+            let types: Vec<u32> = (0..cols).map(|_| rng.random_range(0..5u32)).collect();
             let sources: Vec<Vec<Row>> = (0..rng.random_range(1..4usize))
                 .map(|_| {
                     let n = rng.random_range(1..10usize);
@@ -1736,7 +1420,7 @@ mod tests {
                 .enumerate()
                 .map(|(s, rows)| {
                     let (enc, meta) = encode_block_with_meta(&Block::new(0, rows.clone()), cols);
-                    let raw = LazyBlock::parse(enc).unwrap().raw_columns().unwrap().unwrap();
+                    let raw = LazyBlock::parse(enc).unwrap().raw_columns().unwrap();
                     if s > 0 || !whole_first {
                         return raw;
                     }
@@ -1770,17 +1454,16 @@ mod tests {
     }
 
     /// The encoded-cell hash equals `Value::stable_hash` cell for cell,
-    /// for every column type (`Mixed` included), NaN and signed-zero
+    /// for every column type, NaN and signed-zero
     /// doubles, and empty or multi-byte strings.
     #[test]
     fn raw_cell_hash_equals_value_hash() {
         let mut rng = adaptdb_common::rng::seeded(13);
-        let mut tags = [0usize; 256];
+        let mut tags = [0usize; 5];
         for case in 0..2000u32 {
             let block = random_block(&mut rng, case);
             let lazy = LazyBlock::parse(encode_block_columnar(&block)).unwrap();
-            let Some(cols) = lazy.raw_columns().unwrap() else { continue };
-            for (a, col) in cols.iter().enumerate() {
+            for (a, col) in lazy.raw_columns().unwrap().iter().enumerate() {
                 tags[col.tag as usize] += 1;
                 for (i, row) in block.rows.iter().enumerate() {
                     let v = row.get(a as adaptdb_common::AttrId);
@@ -1788,7 +1471,7 @@ mod tests {
                 }
             }
         }
-        for tag in [0, 1, 2, 3, 4, COL_TAG_MIXED] {
+        for tag in 0..=4u8 {
             assert!(tags[tag as usize] > 50, "tag {tag} exercised {} times", tags[tag as usize]);
         }
         // The specials, one typed column each.
@@ -1803,7 +1486,7 @@ mod tests {
         for v in specials {
             let block = Block::new(0, vec![Row::new(vec![v.clone()])]);
             let lazy = LazyBlock::parse(encode_block_columnar(&block)).unwrap();
-            let col = &lazy.raw_columns().unwrap().unwrap()[0];
+            let col = &lazy.raw_columns().unwrap()[0];
             assert_eq!(col.stable_hash(0), v.stable_hash(), "{v:?}");
         }
         assert_ne!(Value::Double(0.0).stable_hash(), Value::Double(-0.0).stable_hash());

@@ -65,7 +65,7 @@ pub enum JournalRecord {
         arity: usize,
         /// Replica placement, primary first.
         replicas: Vec<NodeId>,
-        /// The encoded block bytes (`ADB1`/`ADB2`).
+        /// The encoded block bytes (`ADB2`).
         encoded: Bytes,
     },
     /// A block was deleted (retired after a fold or migration).

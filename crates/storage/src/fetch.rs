@@ -57,10 +57,9 @@ pub struct FetchCompletion {
     pub tag: u64,
     /// How the DFS classified the read (remote on fail-over).
     pub kind: ReadKind,
-    /// The fetched payload. Columnar (`ADB2`) blocks arrive
-    /// header-validated with columns still undecoded, so the consumer
-    /// can materialize only what its selection needs; legacy row-format
-    /// (`ADB1`) blocks arrive fully decoded inside the lazy wrapper.
+    /// The fetched payload, header-validated with columns still
+    /// undecoded, so the consumer can materialize only what its
+    /// selection needs.
     pub payload: LazyBlock,
 }
 

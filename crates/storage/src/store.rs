@@ -1,9 +1,7 @@
 //! The table-qualified block store over the simulated DFS.
 //!
-//! Rows live encoded (see [`crate::codec`]): every write encodes the
-//! columnar `ADB2` format, and reads dispatch on magic, so `ADB1`
-//! blocks restored from older journals keep decoding beside them.
-//! Metadata ([`BlockMeta`]) stays in memory like a catalog would keep
+//! Rows live encoded (see [`crate::codec`]) in the columnar `ADB2`
+//! format. Metadata ([`BlockMeta`]) stays in memory like a catalog would keep
 //! it. Every read is classified local/remote by the DFS and recorded
 //! on a [`SimClock`].
 //!
@@ -174,8 +172,7 @@ impl BlockStore {
         let (encoded, meta) = encode(id);
         // The DFS is sized with the canonical row-semantic byte size
         // (Σ `Row::byte_size`, same figure as `meta.byte_size`), not
-        // the encoded length — so placement and any byte accounting
-        // are the same for a block restored from `ADB1` bytes.
+        // the encoded length.
         let gid = GlobalBlockId::new(table, id);
         let placement = {
             let mut dfs = self.dfs.write();
@@ -291,11 +288,10 @@ impl BlockStore {
     }
 
     /// [`BlockStore::read_block_classified`] without eager row
-    /// materialization: `ADB2` payloads come back as a validated
-    /// [`codec::LazyBlock`] whose columns decode on demand (`ADB1`
-    /// payloads decode eagerly inside the lazy wrapper, preserving
-    /// error behavior). Accounting is identical to the eager read —
-    /// one charged, classified block read.
+    /// materialization: the payload comes back as a validated
+    /// [`codec::LazyBlock`] whose columns decode on demand. Accounting
+    /// is identical to the eager read — one charged, classified block
+    /// read.
     pub fn read_lazy_classified(
         &self,
         table: &str,
@@ -545,19 +541,17 @@ mod tests {
         assert_eq!(s.unaccounted_reads(), 2);
     }
 
-    /// Writes always encode `ADB2`; `ADB1` bytes restored through the
+    /// Writes encode `ADB2`, and the same bytes restored through the
     /// journal path decode to the same rows, metadata and DFS sizing.
     #[test]
-    fn writes_adb2_and_restored_adb1_reads_identically() {
+    fn restored_blocks_read_like_written_ones() {
         let rows = vec![row![1i64, "aa", 1.5], row![2i64, "bb", 2.5]];
         let s_new = store();
         let s_old = store();
         let id = s_new.write_block("t", rows.clone(), 3, Some(0));
-        let raw_new = s_new.block_bytes(&GlobalBlockId::new("t", id)).unwrap();
-        assert_eq!(&raw_new[0..4], codec::BLOCK_MAGIC_V2);
-        let raw_old = codec::encode_block(&Block::new(id, rows));
-        assert_eq!(&raw_old[0..4], codec::BLOCK_MAGIC);
-        s_old.restore_block("t", id, 3, vec![0], raw_old).unwrap();
+        let raw = s_new.block_bytes(&GlobalBlockId::new("t", id)).unwrap();
+        assert_eq!(&raw[0..4], codec::BLOCK_MAGIC_V2);
+        s_old.restore_block("t", id, 3, vec![0], raw).unwrap();
         // Decoded rows, metadata, and DFS sizing are identical.
         let clock = SimClock::new();
         let b_new = s_new.read_block("t", id, 0, &clock).unwrap();
@@ -565,7 +559,7 @@ mod tests {
         assert_eq!(b_new, b_old);
         assert_eq!(s_new.block_meta("t", id).unwrap(), s_old.block_meta("t", id).unwrap());
         assert_eq!(s_new.dfs().logical_bytes(), s_old.dfs().logical_bytes());
-        // Both formats read lazily with the same accounting.
+        // Both read lazily with the same accounting.
         let (lazy_new, kind_new) = s_new.read_lazy_classified("t", id, 0, &clock).unwrap();
         let (lazy_old, kind_old) = s_old.read_lazy_classified("t", id, 0, &clock).unwrap();
         assert_eq!((kind_new, kind_old), (ReadKind::Local, ReadKind::Local));
@@ -582,14 +576,7 @@ mod tests {
         assert_eq!(kind, ReadKind::Local);
         assert_eq!(lazy.row_count(), 2);
         assert_eq!(clock.snapshot().local_reads, 1);
-        // Formats coexist: an ADB1 block restored beside it reads too.
-        let id2 = id + 1;
-        let old = codec::encode_block(&Block::new(id2, vec![row![3i64, "z"]]));
-        s.restore_block("t", id2, 2, vec![0], old).unwrap();
-        let (lazy2, _) = s.read_lazy_classified("t", id2, 0, &clock).unwrap();
-        assert_eq!(lazy2.row_count(), 1);
         assert_eq!(lazy.into_block().unwrap().rows[0], row![1i64, "x"]);
-        assert_eq!(lazy2.into_block().unwrap().rows[0], row![3i64, "z"]);
     }
 
     #[test]

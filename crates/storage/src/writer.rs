@@ -14,7 +14,7 @@
 //! Block boundaries are decided by *row count* against the
 //! canonical row-semantic byte size, never by encoded length, so
 //! block boundaries, ids, and metadata do not depend on the wire
-//! format (`ADB2`, or `ADB1` restored from an older journal).
+//! encoding.
 //!
 //! This writer buffers rows; the upfront load and the shuffle of row
 //! inputs use it. The repartitioner and the shuffle map side over

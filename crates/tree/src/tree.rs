@@ -221,7 +221,7 @@ fn decode_node(buf: &mut Bytes) -> Result<Node> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptdb_common::{row, CmpOp, Predicate, Value};
+    use adaptdb_common::{row, CmpOp, Predicate, Value, ValueType};
 
     fn sample_tree() -> PartitionTree {
         let root = Node::internal(
@@ -275,8 +275,12 @@ mod tests {
             .iter()
             .map(|&(a, b)| row![a, b])
             .collect();
-        let cols: Vec<Option<ColumnVec>> = (0..2)
-            .map(|a| Some(ColumnVec::from_values(rows.iter().map(|r| r.get(a).clone()).collect())))
+        let cols: Vec<Option<ColumnVec>> = [ValueType::Int, ValueType::Double]
+            .into_iter()
+            .zip(0..)
+            .map(|(ty, a)| {
+                Some(ColumnVec::from_values(ty, rows.iter().map(|r| r.get(a).clone()).collect()))
+            })
             .collect();
         let want: Vec<BucketId> = rows.iter().map(|r| t.route(r)).collect();
         assert_eq!(t.route_columns(&cols, rows.len()), want);

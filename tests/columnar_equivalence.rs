@@ -7,9 +7,10 @@
 //! a filter plus hash join over the rows the generator loaded. On
 //! TPC-H and on Zipfian synthetic joins the engine must return the
 //! reference's rows; zone-map skipping must never drop a qualifying
-//! row under randomized predicates; and legacy `ADB1` blocks — written
-//! the way old journals restore them — must read with rows and
-//! accounting bit-identical to `ADB2` ones.
+//! row under randomized predicates; and blocks restored from their
+//! encoded bytes — the way journal recovery restores them, re-deriving
+//! metadata by decoding — must read with rows and accounting
+//! bit-identical to the blocks as written.
 
 use std::collections::BTreeMap;
 
@@ -19,7 +20,6 @@ use adaptdb_common::{
 };
 use adaptdb_dfs::SimClock;
 use adaptdb_exec::{scan_blocks, shuffle_join, ExecContext, ShuffleJoinSpec, ShuffleOptions};
-use adaptdb_storage::codec::encode_block;
 use adaptdb_storage::{Block, BlockStore};
 use adaptdb_workloads::tpch::{li, Template, TpchGen};
 use adaptdb_workloads::zipf;
@@ -97,16 +97,16 @@ fn reference(tables: &BTreeMap<&str, Vec<Row>>, q: &Query) -> Vec<Row> {
     }
 }
 
-/// Rewrite every live block of `tables` as `ADB1` bytes through
-/// `restore_block` — the path blocks from older journals take — with
-/// the same id, arity and replicas.
-fn rewrite_as_adb1(store: &BlockStore, tables: &[&str]) {
+/// Re-insert every live block of `tables` from its own encoded bytes
+/// through `restore_block` — the path journal recovery takes, which
+/// re-derives the metadata by decoding — with the same id, arity and
+/// replicas.
+fn restore_from_bytes(store: &BlockStore, tables: &[&str]) {
     for &t in tables {
         for id in store.block_ids(t) {
-            let rows = store.read_block_unaccounted(t, id).unwrap().rows;
+            let bytes = store.encoded_block_unaccounted(t, id).unwrap();
             let arity = store.with_block_meta(t, id, |m| m.ranges.len()).unwrap();
             let replicas = store.dfs().locate(&GlobalBlockId::new(t, id)).unwrap().replicas.clone();
-            let bytes = encode_block(&Block::new(id, rows));
             store.restore_block(t, id, arity, replicas, bytes).unwrap();
         }
     }
@@ -118,32 +118,30 @@ fn stored_rows(store: &BlockStore, table: &str) -> Vec<Row> {
     ids.into_iter().flat_map(|id| store.read_block_unaccounted(table, id).unwrap().rows).collect()
 }
 
-/// The canonical byte-size definition makes block boundaries,
-/// per-block row counts, byte sizes, and zone maps independent of the
-/// wire format: metadata derived from the `ADB2` rows at write time
-/// equals metadata re-derived from the same rows' `ADB1` bytes, and
-/// the blocks hold exactly the generator's rows.
+/// The canonical byte-size definition makes per-block row counts, byte
+/// sizes, and zone maps independent of the wire encoding: the metadata
+/// the encoder builds while it writes a block equals
+/// `Block::compute_meta` over the block's rows, the DFS is sized by
+/// those byte sizes, and the blocks hold exactly the generator's rows.
 #[test]
 fn block_boundaries_and_metadata_are_format_invariant() {
     let db = tpch_db(Mode::Adaptive);
-    let adb1 = tpch_db(Mode::Adaptive);
-    rewrite_as_adb1(adb1.store(), &TPCH_TABLES);
     let loaded = tpch_rows(&tpch_gen());
+    let mut bytes = 0;
     for t in TPCH_TABLES {
         let blocks = db.table(t).unwrap().all_blocks();
         assert!(!blocks.is_empty(), "{t}: corpus must load blocks");
-        assert_eq!(blocks, adb1.table(t).unwrap().all_blocks(), "{t}: boundaries diverged");
-        let meta = |d: &Database, b| {
-            d.store()
-                .with_block_meta(t, b, |m| (m.row_count, m.byte_size, format!("{:?}", m.ranges)))
-                .unwrap()
-        };
+        let arity = db.table(t).unwrap().schema().len();
         for &b in &blocks {
-            assert_eq!(meta(&db, b), meta(&adb1, b), "{t}/{b}: metadata diverged across formats");
+            let rows = db.store().read_block_unaccounted(t, b).unwrap().rows;
+            let want = Block::new(b, rows).compute_meta(arity);
+            let got = db.store().block_meta(t, b).unwrap();
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{t}/{b}: metadata diverged");
+            bytes += got.byte_size;
         }
         assert_eq!(sorted(stored_rows(db.store(), t)), sorted(loaded[t].clone()), "{t}: rows");
     }
-    assert_eq!(db.store().dfs().logical_bytes(), adb1.store().dfs().logical_bytes());
+    assert_eq!(db.store().dfs().logical_bytes(), bytes);
 }
 
 /// TPC-H end-to-end (scans + every join template, adaptation and
@@ -173,13 +171,14 @@ fn tpch_templates_match_reference_executor() {
 }
 
 /// A selective scan on an attribute the tree does not index: zone maps
-/// must actually skip blocks — the same tally over `ADB1` blocks — and
-/// the scan must return the reference's rows.
+/// must actually skip blocks — the same tally over blocks whose zone
+/// maps were re-derived from their bytes — and the scan must return the
+/// reference's rows.
 #[test]
 fn tpch_selective_scan_skips_zones_identically() {
     let mut db = tpch_db(Mode::Fixed);
-    let mut adb1 = tpch_db(Mode::Fixed);
-    rewrite_as_adb1(adb1.store(), &TPCH_TABLES);
+    let mut restored = tpch_db(Mode::Fixed);
+    restore_from_bytes(restored.store(), &TPCH_TABLES);
     // lineitem is partitioned on orderkey; shipdate is only visible to
     // the per-block zone maps.
     let q = Query::Scan(ScanQuery::new(
@@ -187,7 +186,7 @@ fn tpch_selective_scan_skips_zones_identically() {
         PredicateSet::none().and(Predicate::new(li::SHIPDATE, CmpOp::Lt, Value::Date(80))),
     ));
     let r = db.run(&q).unwrap();
-    let o = adb1.run(&q).unwrap();
+    let o = restored.run(&q).unwrap();
     assert_eq!(sorted(r.rows.clone()), sorted(reference(&tpch_rows(&tpch_gen()), &q)));
     assert_eq!(r.rows, o.rows);
     assert_eq!(r.stats.query_io, o.stats.query_io);
@@ -196,13 +195,14 @@ fn tpch_selective_scan_skips_zones_identically() {
 
 /// Zipfian synthetic join on the raw executor surface, skew
 /// mitigations included: the engine must return the reference join,
-/// with rows and counts identical over `ADB2` and `ADB1` blocks.
+/// with rows and counts identical over blocks as written and as
+/// restored from their bytes.
 #[test]
 fn zipfian_shuffle_join_is_format_invariant() {
     let mut rng = adaptdb_common::rng::derived(9, "columnar-zipf");
     let fact = zipf::zipf_rows(2000, 100, 1.1, &mut rng);
     let dim = zipf::key_rows(100);
-    let run = |adb1: bool| {
+    let run = |restore: bool| {
         let store = BlockStore::new(4, 1, 9);
         let mut lids = Vec::new();
         let mut rids = Vec::new();
@@ -212,8 +212,8 @@ fn zipfian_shuffle_join_is_format_invariant() {
         for chunk in dim.chunks(50) {
             rids.push(store.write_block("r", chunk.to_vec(), 2, None));
         }
-        if adb1 {
-            rewrite_as_adb1(&store, &["l", "r"]);
+        if restore {
+            restore_from_bytes(&store, &["l", "r"]);
         }
         let clock = SimClock::new();
         let ctx = ExecContext::new(&store, &clock, 2)
@@ -251,61 +251,20 @@ fn zipfian_shuffle_join_is_format_invariant() {
     assert_eq!(sh, old_sh);
 }
 
-/// Legacy compatibility: the engine keeps reading `ADB1` blocks. One
-/// database has every loaded block rewritten as `ADB1` through
-/// `restore_block`; once adaptation migrates blocks it holds both wire
-/// formats at once. Results and accounting must match an all-`ADB2`
-/// database throughout.
-#[test]
-fn adb1_blocks_decode_inside_a_columnar_database() {
-    let mk = |adb1: bool| {
-        let gen = TpchGen::new(0.01, 13);
-        let config = DbConfig {
-            nodes: 4,
-            replication: 1,
-            rows_per_block: 64,
-            buffer_blocks: 8,
-            threads: 1,
-            fetch_window: 4,
-            seed: 13,
-            ..DbConfig::default()
-        };
-        let mut db = Database::new(config.with_mode(Mode::Adaptive));
-        gen.load_converged(&mut db, li::ORDERKEY).unwrap();
-        if adb1 {
-            rewrite_as_adb1(db.store(), &TPCH_TABLES);
-        }
-        db
-    };
-    let mut new_db = mk(false);
-    let mut old_db = mk(true);
-    let mut q_rng = adaptdb_common::rng::derived(13, "columnar-legacy");
-    // Join templates trigger migrations, so the rewritten database ends
-    // up with ADB1 originals next to freshly-written ADB2 blocks.
-    for (i, t) in Template::all().iter().enumerate() {
-        let q = t.instantiate(&mut q_rng);
-        let r = new_db.run(&q).unwrap();
-        let o = old_db.run(&q).unwrap();
-        assert_eq!(sorted(r.rows), sorted(o.rows), "template {i} diverged on mixed formats");
-        assert_eq!(r.stats.query_io, o.stats.query_io, "template {i}: I/O diverged");
-        assert_eq!(r.stats.shuffle, o.stats.shuffle, "template {i}: shuffle diverged");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Zone-map skipping never drops a qualifying row: for random data
-    /// and random predicates, the scan (over `ADB2` or `ADB1` blocks,
-    /// serial and pipelined) returns exactly the brute-force filter of
-    /// the full corpus, in insertion order.
+    /// and random predicates, the scan (over blocks as written or as
+    /// restored from their bytes, serial and pipelined) returns exactly
+    /// the brute-force filter of the full corpus, in insertion order.
     #[test]
     fn zone_map_skipping_never_drops_rows(
         keys in prop::collection::vec(-50i64..50, 1..120),
         attr in 0u16..3,
         op_pick in 0u8..6,
         bound in -60i64..60,
-        adb1_blocks in any::<bool>(),
+        restored in any::<bool>(),
     ) {
         let op = [CmpOp::Eq, CmpOp::Neq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
             [op_pick as usize];
@@ -328,8 +287,8 @@ proptest! {
         for chunk in rows.chunks(16) {
             ids.push(store.write_block("t", chunk.to_vec(), 3, None));
         }
-        if adb1_blocks {
-            rewrite_as_adb1(&store, &["t"]);
+        if restored {
+            restore_from_bytes(&store, &["t"]);
         }
         for window in [1usize, 4] {
             for morsel in [5usize, 1024] {
@@ -340,8 +299,8 @@ proptest! {
                 let got = scan_blocks(ctx, "t", &ids, &preds).unwrap();
                 prop_assert_eq!(
                     &got, &expect,
-                    "adb1={} window={} morsel={} dropped or invented rows",
-                    adb1_blocks, window, morsel
+                    "restored={} window={} morsel={} dropped or invented rows",
+                    restored, window, morsel
                 );
             }
         }

@@ -18,8 +18,9 @@
 use std::path::{Path, PathBuf};
 
 use adaptdb::{Database, DbConfig, Mode};
-use adaptdb_common::{row, Query, ScanQuery, Schema, ValueType};
+use adaptdb_common::{row, Error, Query, Row, ScanQuery, Schema, ValueType};
 use adaptdb_dfs::SimClock;
+use adaptdb_storage::codec::{decode_block, encode_value};
 use adaptdb_storage::durable::{scan_frames, FileJournal, JournalRecord, JOURNAL_FILE};
 
 fn tmpdir(label: &str) -> PathBuf {
@@ -226,5 +227,62 @@ fn replayed_retirement_records_are_idempotent() {
     );
     drop(rec);
     let _ = std::fs::remove_dir_all(&gdir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `rows` in `ADB1`, the row-oriented block format older builds wrote:
+/// `"ADB1" id count`, then per row its arity and each tagged value.
+fn adb1_block(id: u32, rows: &[Row]) -> bytes::Bytes {
+    let mut buf = b"ADB1".to_vec();
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for row in rows {
+        buf.extend_from_slice(&(row.arity() as u16).to_le_bytes());
+        for v in row.values() {
+            encode_value(&mut buf, v);
+        }
+    }
+    buf.into()
+}
+
+/// A journal written by an older build, whose committed prefix holds
+/// `ADB1` blocks, no longer opens: recovery returns a codec error — it
+/// neither panics nor misreads the rows.
+#[test]
+fn adb1_journal_fails_to_open_cleanly() {
+    let dir = tmpdir("adb1-src");
+    let mut db = Database::open_durable(config_at(&dir)).unwrap();
+    db.create_table("l", schema2(), vec![0, 1]).unwrap();
+    db.load_rows("l", (0..20i64).map(|i| row![i, i * 3])).unwrap();
+    drop(db);
+    let data = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+
+    let old = tmpdir("adb1");
+    let (journal, _) = FileJournal::open_with_recovery(&old).unwrap();
+    let mut rewritten = 0;
+    for (rec, _) in scan_frames(&data) {
+        let rec = match rec {
+            JournalRecord::WriteBlock { table, id, arity, replicas, encoded } => {
+                rewritten += 1;
+                let rows = decode_block(encoded).unwrap().rows;
+                JournalRecord::WriteBlock {
+                    table,
+                    id,
+                    arity,
+                    replicas,
+                    encoded: adb1_block(id, &rows),
+                }
+            }
+            other => other,
+        };
+        journal.append(&rec).unwrap();
+    }
+    journal.sync().unwrap();
+    drop(journal);
+    assert!(rewritten > 0, "the load must journal blocks");
+
+    let res = Database::open_durable(config_at(&old));
+    assert!(matches!(res, Err(Error::Codec(_))), "{:?}", res.err());
+    let _ = std::fs::remove_dir_all(&old);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -291,3 +291,53 @@ fn fixed_mode_is_truly_static() {
     }
     assert_eq!(db.store().block_count("l") + db.store().block_count("r"), blocks_before);
 }
+
+/// Every load and append checks each cell against its field's type:
+/// one mistyped cell — `Int` for a `Date` field included — makes the
+/// whole call `Error::Plan`, through each of the five entry points
+/// (the three bulk loads, `append_rows`, and a server session's
+/// `append`). Nothing is written: the table's blocks and rows are
+/// unchanged, and a full scan returns only the good rows.
+#[test]
+fn loads_reject_rows_of_the_wrong_type() {
+    use adaptdb_common::Error;
+    use adaptdb_server::DbServer;
+
+    let schema =
+        Schema::from_pairs(&[("k", ValueType::Int), ("d", ValueType::Date), ("s", ValueType::Str)]);
+    let good = |i: i64| Row::new(vec![Value::Int(i), Value::Date(i as i32), Value::from("s")]);
+    let mut db = Database::new(DbConfig { rows_per_block: 16, ..DbConfig::small() });
+    db.create_table("t", schema, vec![0, 1]).unwrap();
+    db.load_rows("t", (0..50).map(good)).unwrap();
+    let bad_rows = [
+        Row::new(vec![Value::from("k"), Value::Date(1), Value::from("s")]),
+        Row::new(vec![Value::Int(1), Value::Int(1), Value::from("s")]),
+        Row::new(vec![Value::Int(1), Value::Date(1), Value::Double(1.0)]),
+    ];
+    let tree = db.table("t").unwrap().trees()[0].tree.clone();
+    let blocks = db.table("t").unwrap().all_blocks();
+    let stored = db.store().row_count("t");
+    for bad in &bad_rows {
+        let rows = vec![good(99), bad.clone()];
+        let loads = [
+            db.load_rows("t", rows.clone()),
+            db.load_with_tree("t", rows.clone(), tree.clone(), None),
+            db.load_two_phase("t", rows.clone(), 0, None),
+            db.append_rows("t", rows),
+        ];
+        for (i, res) in loads.into_iter().enumerate() {
+            assert!(matches!(res, Err(Error::Plan(_))), "load {i} of {bad:?}: {res:?}");
+        }
+    }
+    assert_eq!(db.table("t").unwrap().all_blocks(), blocks, "nothing was written");
+    assert_eq!(db.store().row_count("t"), stored);
+    let server = DbServer::start(db);
+    let mut session = server.session();
+    for bad in &bad_rows {
+        let res = session.append("t", vec![good(99), bad.clone()]);
+        assert!(matches!(res, Err(Error::Plan(_))), "session append of {bad:?}: {res:?}");
+    }
+    let mut rows = session.run(&Query::Scan(ScanQuery::full("t"))).unwrap().rows;
+    rows.sort_by(|a, b| a.values().cmp(b.values()));
+    assert_eq!(rows, (0..50).map(good).collect::<Vec<_>>());
+}

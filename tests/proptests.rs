@@ -2,7 +2,7 @@
 
 use adaptdb_common::{CmpOp, Predicate, PredicateSet, Row, Value, ValueRange};
 use adaptdb_join::{approx, bottom_up, exact, OverlapMatrix};
-use adaptdb_storage::codec::{decode_block, encode_block};
+use adaptdb_storage::codec::{decode_block, encode_block_columnar};
 use adaptdb_storage::Block;
 use adaptdb_tree::{TwoPhaseBuilder, UpfrontPartitioner};
 use proptest::prelude::*;
@@ -21,6 +21,36 @@ fn arb_row(arity: usize) -> impl Strategy<Value = Row> {
     prop::collection::vec(arb_value(), arity).prop_map(Row::new)
 }
 
+/// Rows of `arity` columns, each column of one random type.
+fn arb_typed_rows(arity: usize, rows: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Row>> {
+    (prop::collection::vec(0usize..5, arity), prop::collection::vec(arb_cells(arity), rows))
+        .prop_map(|(types, rows)| {
+            rows.into_iter()
+                .map(|cells| {
+                    Row::new(cells.into_iter().zip(&types).map(|(c, &t)| c[t].clone()).collect())
+                })
+                .collect()
+        })
+}
+
+/// Per column, one cell of every type (Int, Double, Str, Date, Bool).
+fn arb_cells(arity: usize) -> impl Strategy<Value = Vec<Vec<Value>>> {
+    let cells = (any::<i64>(), any::<f64>(), "[a-zA-Z0-9 ]{0,24}", any::<i32>(), any::<bool>());
+    prop::collection::vec(cells, arity).prop_map(|cols| {
+        cols.into_iter()
+            .map(|(i, d, s, date, b)| {
+                vec![
+                    Value::Int(i),
+                    Value::Double(d),
+                    Value::from(s),
+                    Value::Date(date),
+                    Value::Bool(b),
+                ]
+            })
+            .collect()
+    })
+}
+
 fn arb_range() -> impl Strategy<Value = ValueRange> {
     (0i64..2_000, 1i64..400).prop_map(|(lo, w)| ValueRange::new(Value::Int(lo), Value::Int(lo + w)))
 }
@@ -36,18 +66,19 @@ fn arb_int_rows(n: usize, arity: usize) -> impl Strategy<Value = Vec<Row>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The block codec is a lossless round trip for any rows.
+    /// The block codec is a lossless round trip for any rows typed per
+    /// column.
     #[test]
-    fn codec_round_trips(rows in prop::collection::vec(arb_row(3), 0..40), id in any::<u32>()) {
+    fn codec_round_trips(rows in arb_typed_rows(3, 0..40), id in any::<u32>()) {
         let block = Block::new(id, rows);
-        let decoded = decode_block(encode_block(&block)).unwrap();
+        let decoded = decode_block(encode_block_columnar(&block)).unwrap();
         prop_assert_eq!(decoded, block);
     }
 
     /// Truncating an encoded block never decodes successfully.
     #[test]
-    fn codec_rejects_any_truncation(rows in prop::collection::vec(arb_row(2), 1..8)) {
-        let enc = encode_block(&Block::new(0, rows));
+    fn codec_rejects_any_truncation(rows in arb_typed_rows(2, 1..8)) {
+        let enc = encode_block_columnar(&Block::new(0, rows));
         // Sample a handful of cut points rather than all (speed).
         let step = (enc.len() / 7).max(1);
         for cut in (1..enc.len()).step_by(step) {

@@ -11,7 +11,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use adaptdb_common::{stable_hash_bytes, BitSet, ColumnVec, Row, Str, Value, ValueType};
-use adaptdb_storage::codec::{decode_block, encode_block, encode_block_columnar};
+use adaptdb_storage::codec::{decode_block, encode_block_columnar};
 use adaptdb_storage::{Block, LazyBlock};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -84,18 +84,6 @@ fn std_hash<T: Hash + ?Sized>(x: &T) -> u64 {
     h.finish()
 }
 
-/// One block per layout: the Str column alone (typed), and interleaved
-/// with Ints (a `Mixed` column).
-fn blocks(refs: &[String]) -> [(Block, Vec<Value>); 2] {
-    let typed: Vec<Value> = refs.iter().map(|s| Value::from(s.as_str())).collect();
-    let mixed: Vec<Value> =
-        typed.iter().enumerate().flat_map(|(i, v)| [v.clone(), Value::Int(i as i64)]).collect();
-    [typed, mixed].map(|cells| {
-        let rows = cells.iter().map(|v| Row::new(vec![v.clone()])).collect();
-        (Block::new(7, rows), cells)
-    })
-}
-
 #[test]
 fn str_behaves_like_string() {
     let mut rng = StdRng::seed_from_u64(0x5742);
@@ -129,36 +117,35 @@ fn str_behaves_like_string() {
 }
 
 #[test]
-fn str_cells_round_trip_through_both_block_formats() {
+fn str_cells_round_trip_through_adb2() {
     let mut rng = StdRng::seed_from_u64(0xadb2);
     for case in 0..200 {
         let refs: Vec<String> =
             (0..rng.random_range(1..30usize)).map(|_| random_string(&mut rng, 48)).collect();
-        let col = ColumnVec::from_values(refs.iter().map(|s| Value::from(s.as_str())).collect());
+        let cells: Vec<Value> = refs.iter().map(|s| Value::from(s.as_str())).collect();
+        let col = ColumnVec::from_values(ValueType::Str, cells.clone());
         assert_eq!(col.byte_size(), refs.iter().map(|s| s.len() + 4).sum::<usize>());
         assert_eq!(
             format!("{col:?}"),
             format!("Str({refs:?})"),
             "case {case}: typed column Debug text"
         );
-        for (block, cells) in blocks(&refs) {
-            let ctx = format!("case {case}, {} cells", cells.len());
-            // ADB1, the row format.
-            assert_eq!(decode_block(encode_block(&block)).unwrap().rows, block.rows, "{ctx}");
-            // ADB2, through every decode path.
-            let bytes = encode_block_columnar(&block);
-            assert_eq!(decode_block(bytes.clone()).unwrap().rows, block.rows, "{ctx}");
-            let lazy = LazyBlock::parse(bytes).unwrap();
-            let n = lazy.row_count();
-            assert_eq!(lazy.column(0).unwrap(), ColumnVec::from_values(cells.clone()), "{ctx}");
-            let every_other = BitSet::from_indices(n, &(0..n).step_by(2).collect::<Vec<_>>());
-            let gathered = lazy.gather_range(0, n, &every_other).unwrap();
-            assert!(gathered.iter().map(|r| &r.values()[0]).eq(cells.iter().step_by(2)), "{ctx}");
-            let raw = lazy.raw_columns().unwrap().expect("columnar block");
-            for (i, v) in cells.iter().enumerate() {
-                assert_eq!(&raw[0].value(i), v, "{ctx}, cell {i}");
-                assert_eq!(raw[0].stable_hash(i), v.stable_hash(), "{ctx}, cell {i}");
-            }
+        // One Str column, beside an Int column, through every decode path.
+        let ctx = format!("case {case}, {} cells", cells.len());
+        let rows = cells.iter().zip(0i64..).map(|(v, i)| Row::new(vec![Value::Int(i), v.clone()]));
+        let block = Block::new(7, rows.collect());
+        let bytes = encode_block_columnar(&block);
+        assert_eq!(decode_block(bytes.clone()).unwrap().rows, block.rows, "{ctx}");
+        let lazy = LazyBlock::parse(bytes).unwrap();
+        let n = lazy.row_count();
+        assert_eq!(lazy.column(1).unwrap(), col, "{ctx}");
+        let every_other = BitSet::from_indices(n, &(0..n).step_by(2).collect::<Vec<_>>());
+        let gathered = lazy.gather_range(0, n, &every_other).unwrap();
+        assert!(gathered.iter().map(|r| &r.values()[1]).eq(cells.iter().step_by(2)), "{ctx}");
+        let raw = lazy.raw_columns().unwrap();
+        for (i, v) in cells.iter().enumerate() {
+            assert_eq!(&raw[1].value(i), v, "{ctx}, cell {i}");
+            assert_eq!(raw[1].stable_hash(i), v.stable_hash(), "{ctx}, cell {i}");
         }
     }
 }
@@ -174,7 +161,7 @@ fn short_strings_never_touch_the_heap() {
             Row::new(vec![Value::from(long.as_str())]),
         ],
     ));
-    let raw = LazyBlock::parse(bytes).unwrap().raw_columns().unwrap().expect("columnar block");
+    let raw = LazyBlock::parse(bytes).unwrap().raw_columns().unwrap();
     let n = allocations(|| {
         let s = Value::from(short.as_str());
         let copy = s.clone();
