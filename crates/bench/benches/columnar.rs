@@ -1,5 +1,5 @@
 //! Criterion microbenchmarks of the columnar (`ADB2`) read path: the
-//! per-block work the morsel-driven scan actually does — parse the
+//! per-block work the late-materialising scan actually does — parse the
 //! header, select on the predicate columns, gather the few surviving
 //! rows. `benches/codec.rs` times the full-block encode and decode.
 

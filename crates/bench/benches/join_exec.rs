@@ -10,8 +10,7 @@
 //! `shuffle_map_lineitem_32_blocks` is a shuffle's map phase alone
 //! (`ShuffleService::spill_blocks`): 32 lineitem blocks of 200 rows
 //! on 10 nodes, hash-partitioned on `l_partkey` into 10 reducer runs
-//! per map task at two threads; the runs are dropped after each
-//! iteration.
+//! per map task; the runs are dropped after each iteration.
 //!
 //! `shuffle_reduce_low_match` is one reduce task alone
 //! (`reduce_partition`): it fetches 32 probe runs of 200 five-column
@@ -102,7 +101,7 @@ fn bench_multi_match_hyper_join(c: &mut Criterion) {
                 right_preds: &none,
                 plan: &plan,
             };
-            let rows = hyper_join(ExecContext::new(&store, &clock, 2), spec).unwrap();
+            let rows = hyper_join(ExecContext::new(&store, &clock), spec).unwrap();
             assert_eq!(rows.len(), (KEYS * MATCHES) as usize);
             black_box(rows.len())
         })
@@ -120,7 +119,7 @@ fn bench_shuffle_map(c: &mut Criterion) {
         .collect();
     let none = PredicateSet::none();
     let clock = SimClock::new();
-    let ctx = ExecContext::new(&store, &clock, 2);
+    let ctx = ExecContext::new(&store, &clock);
     let svc = ShuffleService::new(ctx, 10, ROWS_PER_BLOCK, "bench").unwrap();
     c.bench_function("shuffle_map_lineitem_32_blocks", |b| {
         b.iter(|| {
@@ -147,8 +146,8 @@ fn bench_shuffle_reduce(c: &mut Criterion) {
     let none = PredicateSet::none();
     let clock = SimClock::new();
     // One reducer, fed from one map task per node.
-    let svc = ShuffleService::new(ExecContext::single(&store, &clock), 1, ROWS_PER_BLOCK, "bench")
-        .unwrap();
+    let svc =
+        ShuffleService::new(ExecContext::new(&store, &clock), 1, ROWS_PER_BLOCK, "bench").unwrap();
     let build = svc.spill_blocks("b", &build_ids, 0, &none).unwrap();
     let probe = svc.spill_blocks("p", &probe_ids, 0, &none).unwrap();
     c.bench_function("shuffle_reduce_low_match", |b| {

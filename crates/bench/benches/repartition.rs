@@ -1,6 +1,5 @@
-//! Criterion microbenchmarks of adaptation's two wall-clock costs: one
-//! migration step (the repartitioning iterator, §5.2/§6) and the
-//! dispatch of a small fan-out through the shared worker pool.
+//! Criterion microbenchmark of adaptation's wall-clock cost: one
+//! migration step (the repartitioning iterator, §5.2/§6).
 //!
 //! `repartition_32_blocks_64_buckets` migrates 32 lineitem-shaped
 //! blocks (200 rows each) into a 64-bucket two-phase tree whose every
@@ -8,10 +7,6 @@
 //! sources, absorbs the tails and writes packed blocks. Retirement is
 //! deferred and the written blocks are removed after each iteration,
 //! so every iteration does the same work on the same store.
-//!
-//! `map_ordered_8_tiny_items` is the per-call overhead of
-//! `parallel::map_ordered` at two threads when the items themselves
-//! cost next to nothing.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -20,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use adaptdb_common::BlockId;
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{parallel, repartition_blocks_with, RetireMode};
+use adaptdb_exec::{repartition_blocks_with, RetireMode};
 use adaptdb_storage::writer::BucketId;
 use adaptdb_storage::BlockStore;
 use adaptdb_tree::TwoPhaseBuilder;
@@ -75,7 +70,6 @@ fn bench_repartition(c: &mut Criterion) {
                 ROWS_PER_BLOCK,
                 &existing,
                 RetireMode::Deferred,
-                1,
             )
             .unwrap();
             for &id in out.added.values().flatten() {
@@ -83,10 +77,6 @@ fn bench_repartition(c: &mut Criterion) {
             }
             black_box(out)
         })
-    });
-
-    c.bench_function("map_ordered_8_tiny_items", |b| {
-        b.iter(|| black_box(parallel::map_ordered((0..8u64).collect(), 2, |x| x * 3)))
     });
 }
 

@@ -4,7 +4,7 @@
 //! The simulated currency (block I/Os) is format-blind by design — the
 //! engine's win is *real* CPU time: decode only the predicate and key
 //! columns, evaluate into selection bitsets, and materialize only
-//! surviving rows in morsel-sized gathers. Late materialization is the
+//! surviving rows. Late materialization is the
 //! engine's only data plane, so each timed sweep compares it with a
 //! row-at-a-time reference built into this figure: `read_block` (a
 //! full decode) plus `PredicateSet::matches` per row, and, for the
@@ -149,7 +149,7 @@ fn scan_cell(
     let store = BlockStore::new(NODES, 1, seed);
     let (ids, _) = write_blocks(&store, "li", rows, li::ORDERKEY);
     let clock = SimClock::new();
-    let ctx = ExecContext::single(&store, &clock);
+    let ctx = ExecContext::new(&store, &clock);
     let (out, wall_ms) = min_wall_ms(iters, || {
         clock.take();
         if columnar {
@@ -229,7 +229,7 @@ fn probe_cell(name: &'static str, columnar: bool, rows: &[Row], iters: usize, se
     let decision = planner::plan(&lranges, &dranges, 64, &CostParams::default());
     let JoinDecision::Hyper(plan) = decision else { panic!("expected a hyper-join plan") };
     let clock = SimClock::new();
-    let ctx = ExecContext::single(&store, &clock);
+    let ctx = ExecContext::new(&store, &clock);
     let none = PredicateSet::none();
     let (out, wall_ms) = min_wall_ms(iters, || {
         clock.take();
@@ -273,7 +273,6 @@ fn parity_cell(opts: &BenchOpts) -> Parity {
         replication: 2,
         rows_per_block: 64,
         buffer_blocks: 8,
-        threads: 1,
         adapt_selections: false,
         fetch_window: 4,
         seed: opts.seed,

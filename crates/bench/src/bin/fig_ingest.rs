@@ -67,7 +67,6 @@ fn run_cell(opts: &BenchOpts, rate: usize, rounds: usize) -> Cell {
         replication: 2,
         rows_per_block: ROWS_PER_BLOCK,
         buffer_blocks: 8,
-        threads: 1,
         adapt_selections: false,
         fetch_window: 4,
         ingest_fold_blocks: FOLD_BLOCKS,

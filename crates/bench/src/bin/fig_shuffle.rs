@@ -98,7 +98,7 @@ fn measure(
         parent: root,
         base_us: 0,
     });
-    let ctx = ExecContext::single(&store, &clock)
+    let ctx = ExecContext::new(&store, &clock)
         .with_shuffle(ShuffleOptions {
             partitions: Some(nodes),
             replication,

@@ -84,7 +84,7 @@ fn measure(opts: &BenchOpts, s: f64, budget: Option<usize>, split: bool) -> Cell
     let rids = write("r", dims);
 
     let clock = SimClock::new();
-    let ctx = ExecContext::single(&store, &clock)
+    let ctx = ExecContext::new(&store, &clock)
         .with_shuffle(ShuffleOptions {
             partitions: Some(NODES),
             replication: 1,

@@ -40,16 +40,8 @@ struct Cell {
 
 fn build_db(opts: &BenchOpts, adaptive: bool) -> Database {
     let gen = TpchGen::new(opts.scale, opts.seed);
-    // Per-query executor fan-out stays at 1: the experiment's
-    // parallelism axis is client threads, and nesting both oversubscribes
-    // the machine.
-    let config = DbConfig {
-        rows_per_block: 100,
-        buffer_blocks: 8,
-        threads: 1,
-        seed: opts.seed,
-        ..DbConfig::default()
-    };
+    let config =
+        DbConfig { rows_per_block: 100, buffer_blocks: 8, seed: opts.seed, ..DbConfig::default() };
     if adaptive {
         let mut db = Database::new(config.with_mode(Mode::Adaptive));
         gen.load_upfront(&mut db).unwrap();
@@ -237,7 +229,6 @@ fn measure_mixed(
     let config = DbConfig {
         rows_per_block: 100,
         buffer_blocks: 8,
-        threads: 1,
         batch_cost_blocks: (orders_blocks * 2).max(16),
         seed: opts.seed,
         ..DbConfig::default()

@@ -149,11 +149,11 @@ pub struct DbConfig {
     /// keep compiling.
     #[deprecated(note = "no effect: the columnar data plane is the only one")]
     pub columnar: bool,
-    /// Morsel size in rows for a scan's gather stage: selected row
-    /// ranges split into cache-sized morsels dispatched through the
-    /// ordered parallel executor (deterministic output order at any
-    /// thread count). Defaults honor the `ADAPTDB_MORSEL_ROWS`
-    /// environment variable (a positive integer).
+    /// Deprecated no-op, read nowhere. A query runs on one thread and a
+    /// scan gathers each block's selected rows in one call, so there
+    /// are no morsels to size. The field stays only so configurations
+    /// that spell it out keep compiling.
+    #[deprecated(note = "no effect: scans no longer split blocks into morsels")]
     pub morsel_rows: usize,
     /// Query-lifecycle tracing: when on, every query run through
     /// [`crate::Database`] or the server collects a span tree
@@ -196,11 +196,12 @@ pub struct DbConfig {
     pub cost: CostParams,
     /// System variant.
     pub mode: Mode,
-    /// Worker threads for execution (scan/join fan-out and, in the
-    /// server, the client-facing executor pool). Row order is
-    /// thread-count-invariant, so this only changes wall-clock
-    /// parallelism. Defaults honor the `ADAPTDB_THREADS` environment
-    /// variable (a positive integer).
+    /// The server's default execution slots: how many queries
+    /// `adaptdb_server::DbServer` runs at once when its
+    /// `ServerOptions::workers` is unset. A query itself always runs on
+    /// one thread, so [`crate::Database`] alone never reads this, and
+    /// no simulated number depends on it. Defaults honor the
+    /// `ADAPTDB_THREADS` environment variable (a positive integer).
     pub threads: usize,
     /// Master seed; all randomness derives from it.
     pub seed: u64,
@@ -228,8 +229,7 @@ impl Default for DbConfig {
             maint_pace_wait_ms: 5.0,
             fetch_pace_wait_ms: None,
             columnar: false,
-            morsel_rows: env_override("ADAPTDB_MORSEL_ROWS", positive)
-                .unwrap_or(adaptdb_exec::DEFAULT_MORSEL_ROWS),
+            morsel_rows: 1024,
             trace: env_override("ADAPTDB_TRACE", switch).unwrap_or(false),
             ingest_fold_blocks: env_override("ADAPTDB_INGEST_FOLD", positive).unwrap_or(8),
             ingest_merge_tail: true,
@@ -394,10 +394,7 @@ mod tests {
     #[allow(deprecated)]
     fn columnar_defaults_off_and_morsel_positive() {
         assert!(!DbConfig::default().columnar, "the deprecated flag defaults off");
-        if std::env::var("ADAPTDB_MORSEL_ROWS").is_err() {
-            assert_eq!(DbConfig::default().morsel_rows, adaptdb_exec::DEFAULT_MORSEL_ROWS);
-        }
-        assert!(DbConfig::default().morsel_rows > 0);
+        assert!(DbConfig::default().morsel_rows > 0, "the deprecated field keeps its old default");
     }
 
     #[test]

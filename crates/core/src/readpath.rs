@@ -82,11 +82,10 @@ fn exec_ctx<'a, S: SnapshotSource>(
     clock: &'a SimClock,
     trace: Option<TraceCtx<'a>>,
 ) -> ExecContext<'a> {
-    ExecContext::new(src.store(), clock, src.config().threads)
+    ExecContext::new(src.store(), clock)
         .with_shuffle(src.config().shuffle_options())
         .with_fetch_window(src.config().fetch_window)
         .with_join_mem_budget(src.config().join_mem_budget_blocks)
-        .with_morsel_rows(src.config().morsel_rows)
         .with_trace(trace)
 }
 

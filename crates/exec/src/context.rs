@@ -28,16 +28,14 @@ impl Default for ShuffleOptions {
 }
 
 /// Everything an operator needs to run: the block store, the simulated
-/// clock collecting I/O accounting, the worker-thread budget, and the
-/// shuffle-service knobs.
+/// clock collecting I/O accounting, and the shuffle-service knobs. A
+/// query runs start to finish on the thread that executes it.
 #[derive(Clone, Copy)]
 pub struct ExecContext<'a> {
     /// Block storage (read-only during query execution).
     pub store: &'a BlockStore,
     /// I/O accounting clock.
     pub clock: &'a SimClock,
-    /// Number of worker threads operators may use.
-    pub threads: usize,
     /// How shuffle phases fan out and replicate their spilled runs.
     pub shuffle: ShuffleOptions,
     /// In-flight depth of the `FetchStream` every scan, hyper-join probe
@@ -56,36 +54,20 @@ pub struct ExecContext<'a> {
     /// every operator skips its telemetry calls entirely, keeping all
     /// accounting bit-identical to an untraced run.
     pub trace: Option<TraceCtx<'a>>,
-    /// Morsel size in rows for a scan's gather stage: selected row
-    /// ranges are split into cache-sized morsels dispatched through
-    /// `parallel::map_ordered`, so multi-threaded runs reassemble in
-    /// deterministic input order.
-    pub morsel_rows: usize,
 }
 
-/// Default morsel size in rows (a cache-friendly unit of scan/probe
-/// work; blocks bigger than this split into several morsels).
-pub const DEFAULT_MORSEL_ROWS: usize = 1024;
-
 impl<'a> ExecContext<'a> {
-    /// Context with an explicit thread budget (fetch window 1, serial
-    /// I/O; widen with [`ExecContext::with_fetch_window`]).
-    pub fn new(store: &'a BlockStore, clock: &'a SimClock, threads: usize) -> Self {
+    /// Context with default knobs (fetch window 1, serial I/O; widen
+    /// with [`ExecContext::with_fetch_window`]).
+    pub fn new(store: &'a BlockStore, clock: &'a SimClock) -> Self {
         ExecContext {
             store,
             clock,
-            threads: threads.max(1),
             shuffle: ShuffleOptions::default(),
             fetch_window: 1,
             join_mem_budget_blocks: None,
             trace: None,
-            morsel_rows: DEFAULT_MORSEL_ROWS,
         }
-    }
-
-    /// Single-threaded context (deterministic row order; used in tests).
-    pub fn single(store: &'a BlockStore, clock: &'a SimClock) -> Self {
-        ExecContext::new(store, clock, 1)
     }
 
     /// Same context with explicit shuffle knobs (builder style).
@@ -116,22 +98,10 @@ impl<'a> ExecContext<'a> {
         self
     }
 
-    /// Same context with an explicit morsel size in rows (builder
-    /// style; clamped to ≥ 1).
-    pub fn with_morsel_rows(mut self, rows: usize) -> Self {
-        self.morsel_rows = rows.max(1);
-        self
-    }
-
     /// Begin a span named `name` under the current trace parent. Returns
     /// a context whose subsequent spans nest under the new span, plus a
     /// guard that ends it (at the clock's then-current timestamp) on
     /// drop. A no-op returning `(self, None)` when tracing is off.
-    ///
-    /// Spans must only be opened/closed at *barrier points* on the
-    /// coordinating thread: the clock's tally-derived timestamps are
-    /// deterministic there regardless of how worker threads interleaved
-    /// within the phase (see [`ExecContext::worker_trace`]).
     pub fn traced(self, name: &'static str) -> (Self, Option<SpanGuard<'a>>) {
         match self.trace {
             None => (self, None),
@@ -139,19 +109,6 @@ impl<'a> ExecContext<'a> {
                 let (child, guard) = t.span(name, self.clock);
                 (self.with_trace(Some(child)), Some(guard))
             }
-        }
-    }
-
-    /// The trace handle worker closures may use: the real handle when
-    /// execution is single-threaded (clock readings stay deterministic),
-    /// `None` otherwise — parallel workers share one clock, so their
-    /// mid-phase readings would vary run to run and break the
-    /// byte-reproducibility of traces.
-    pub fn worker_trace(&self) -> Option<TraceCtx<'a>> {
-        if self.threads <= 1 {
-            self.trace
-        } else {
-            None
         }
     }
 }

@@ -75,8 +75,8 @@ impl JoinHashTable {
     /// `sel`, look up that key and return `(row_index, matching build
     /// rows)` for the indices that hit, in ascending index order. This
     /// is `probe_block`'s lookup — the caller materializes probe rows
-    /// only for the returned indices (late materialization), and the
-    /// ascending order makes multi-threaded runs deterministic.
+    /// only for the returned indices (late materialization), in probe-row
+    /// order.
     ///
     /// `sel` must be as wide as `keys`.
     pub fn probe_batch<'t>(&'t self, keys: &ColumnVec, sel: &BitSet) -> Vec<(usize, &'t [Row])> {

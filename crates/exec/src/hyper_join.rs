@@ -31,7 +31,6 @@ use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
 use crate::hash_table::{probe_block, JoinHashTable};
-use crate::parallel;
 use crate::scan::{fetch_ordered, read_selected, select_block};
 
 /// Everything needed to execute one hyper-join.
@@ -76,11 +75,9 @@ pub fn hyper_join(ctx: ExecContext<'_>, spec: HyperJoinSpec<'_>) -> Result<Vec<R
             ),
         };
 
-    let tasks: Vec<(Vec<u32>, Vec<u32>)> =
-        spec.plan.groups.iter().cloned().zip(spec.plan.probes.iter().cloned()).collect();
-
-    let results = parallel::map_ordered(tasks, ctx.threads, |(build_blocks, probe_blocks)| {
-        run_group(
+    let mut out = Vec::new();
+    for (build_blocks, probe_blocks) in spec.plan.groups.iter().zip(&spec.plan.probes) {
+        out.extend(run_group(
             ctx,
             build_table,
             probe_table,
@@ -89,13 +86,9 @@ pub fn hyper_join(ctx: ExecContext<'_>, spec: HyperJoinSpec<'_>) -> Result<Vec<R
             build_preds,
             probe_preds,
             spec.plan.build_side,
-            &build_blocks,
-            &probe_blocks,
-        )
-    });
-    let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
+            build_blocks,
+            probe_blocks,
+        )?);
     }
     Ok(out)
 }
@@ -193,14 +186,13 @@ mod tests {
         left: &[BlockRange],
         right: &[BlockRange],
         buffer: usize,
-        threads: usize,
     ) -> (Vec<Row>, adaptdb_common::IoStats) {
         let decision = plan(left, right, buffer, &CostParams::default());
         let JoinDecision::Hyper(p) = decision else { panic!("expected hyper-join") };
         let clock = SimClock::new();
         let none = PredicateSet::none();
         let rows = hyper_join(
-            ExecContext::new(store, &clock, threads),
+            ExecContext::new(store, &clock),
             HyperJoinSpec {
                 left_table: "l",
                 right_table: "r",
@@ -218,7 +210,7 @@ mod tests {
     #[test]
     fn co_partitioned_join_is_complete_and_correct() {
         let (store, left, right) = setup(64, 8);
-        let (mut rows, io) = run(&store, &left, &right, 2, 1);
+        let (mut rows, io) = run(&store, &left, &right, 2);
         assert_eq!(rows.len(), 64);
         rows.sort_by_key(|r| r.get(0).as_int().unwrap());
         for (i, r) in rows.iter().enumerate() {
@@ -233,15 +225,28 @@ mod tests {
         assert_eq!(io.writes, 0, "hyper-join must not shuffle");
     }
 
+    /// Parallelism comes from queries running side by side: joins on
+    /// their own threads over one store, released together, each on its
+    /// own clock, return the sequential run's rows in order and its
+    /// counts.
     #[test]
     fn parallel_execution_matches_sequential() {
         let (store, left, right) = setup(100, 10);
-        let (mut seq, io1) = run(&store, &left, &right, 3, 1);
-        let (mut par, io2) = run(&store, &left, &right, 3, 4);
-        seq.sort_by_key(|r| r.get(0).as_int().unwrap());
-        par.sort_by_key(|r| r.get(0).as_int().unwrap());
-        assert_eq!(seq, par);
-        assert_eq!(io1.reads(), io2.reads());
+        let want = run(&store, &left, &right, 3);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            let side_by_side: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        run(&store, &left, &right, 3)
+                    })
+                })
+                .collect();
+            for h in side_by_side {
+                assert_eq!(h.join().unwrap(), want);
+            }
+        });
     }
 
     #[test]
@@ -268,7 +273,7 @@ mod tests {
         let clock = SimClock::new();
         let none = PredicateSet::none();
         let rows = hyper_join(
-            ExecContext::single(&store, &clock),
+            ExecContext::new(&store, &clock),
             HyperJoinSpec {
                 left_table: "l",
                 right_table: "r",
@@ -297,7 +302,7 @@ mod tests {
         let lp = PredicateSet::none().and(Predicate::new(0, CmpOp::Lt, 20i64));
         let rp = PredicateSet::none().and(Predicate::new(0, CmpOp::Ge, 10i64));
         let rows = hyper_join(
-            ExecContext::single(&store, &clock),
+            ExecContext::new(&store, &clock),
             HyperJoinSpec {
                 left_table: "l",
                 right_table: "r",
@@ -315,8 +320,8 @@ mod tests {
 
     /// The join must return the naive reference's rows — a filter plus
     /// hash join over the loaded rows — in the same order and with the
-    /// same counts at every fetch window / thread count / morsel size,
-    /// with predicates filtering both sides.
+    /// same counts at every fetch window, with predicates filtering both
+    /// sides.
     #[test]
     fn columnar_and_pipelined_probe_match_row_join() {
         let (store, left, right) = setup(64, 8);
@@ -348,24 +353,18 @@ mod tests {
             .collect();
         assert_eq!(expect.len(), 48);
         let base_clock = SimClock::new();
-        let first = hyper_join(ExecContext::single(&store, &base_clock), spec(&lp, &rp)).unwrap();
+        let first = hyper_join(ExecContext::new(&store, &base_clock), spec(&lp, &rp)).unwrap();
         let base_io = base_clock.take();
         let mut sorted = first.clone();
         sorted.sort_by(|a, b| a.values().cmp(b.values()));
         expect.sort_by(|a, b| a.values().cmp(b.values()));
         assert_eq!(sorted, expect);
         for window in [1, 4] {
-            for threads in [1, 4] {
-                for morsel in [3, 1024] {
-                    let clock = SimClock::new();
-                    let ctx = ExecContext::new(&store, &clock, threads)
-                        .with_fetch_window(window)
-                        .with_morsel_rows(morsel);
-                    let got = hyper_join(ctx, spec(&lp, &rp)).unwrap();
-                    assert_eq!(got, first, "w={window} t={threads} m={morsel}");
-                    assert_eq!(clock.take(), base_io, "w={window} t={threads} m={morsel}");
-                }
-            }
+            let clock = SimClock::new();
+            let ctx = ExecContext::new(&store, &clock).with_fetch_window(window);
+            let got = hyper_join(ctx, spec(&lp, &rp)).unwrap();
+            assert_eq!(got, first, "w={window}");
+            assert_eq!(clock.take(), base_io, "w={window}");
         }
     }
 
@@ -388,11 +387,11 @@ mod tests {
             right_preds: &none,
             plan: &p,
         };
-        hyper_join(ExecContext::single(&store, &clock).with_fetch_window(4), spec.clone()).unwrap();
+        hyper_join(ExecContext::new(&store, &clock).with_fetch_window(4), spec.clone()).unwrap();
         let ov = clock.overlap_snapshot();
         assert!(ov.fetches > 0, "probe blocks must go through the fetch stream");
         let c2 = SimClock::new();
-        hyper_join(ExecContext::single(&store, &c2), spec).unwrap();
+        hyper_join(ExecContext::new(&store, &c2), spec).unwrap();
         assert_eq!(c2.overlap_snapshot().hidden(), 0);
     }
 
@@ -421,7 +420,7 @@ mod tests {
         let clock = SimClock::new();
         let none = PredicateSet::none();
         let rows = hyper_join(
-            ExecContext::single(&store, &clock),
+            ExecContext::new(&store, &clock),
             HyperJoinSpec {
                 left_table: "l",
                 right_table: "r",

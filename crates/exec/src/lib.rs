@@ -3,9 +3,12 @@
 //! Query execution for the AdaptDB reproduction.
 //!
 //! The paper executes queries as Spark jobs over HDFS file splits (§6);
-//! here the same operators run as multi-threaded tasks over the
-//! simulated DFS, with every block access recorded on a
-//! [`adaptdb_dfs::SimClock`]:
+//! here the same operators run over the simulated DFS, with every block
+//! access recorded on a [`adaptdb_dfs::SimClock`]. The cluster's
+//! parallelism lives in the cost model (`CostParams::parallelism`): a
+//! query runs start to finish on the thread that executes it, in a
+//! fixed order, and wall-clock parallelism comes from queries running
+//! side by side.
 //!
 //! * [`scan`] — Type-1 blocks: read, decode, filter ("a scan iterator
 //!   which simply reads all records and filters out ones that cannot
@@ -26,8 +29,7 @@
 //!   partitioning tree through a buffered writer, column-wise and
 //!   without building rows,
 //! * [`aggregate`] — the small aggregation layer used by examples and
-//!   workloads,
-//! * [`parallel`] — the process-wide worker pool shared by the operators.
+//!   workloads.
 
 #![warn(missing_docs)]
 
@@ -36,14 +38,13 @@ pub mod context;
 mod gather;
 pub mod hash_table;
 pub mod hyper_join;
-pub mod parallel;
 pub mod repartition;
 pub mod scan;
 pub mod shuffle_join;
 pub mod shuffle_service;
 pub mod step_join;
 
-pub use context::{ExecContext, ShuffleOptions, DEFAULT_MORSEL_ROWS};
+pub use context::{ExecContext, ShuffleOptions};
 pub use hash_table::JoinHashTable;
 pub use hyper_join::{hyper_join, HyperJoinSpec};
 pub use repartition::{

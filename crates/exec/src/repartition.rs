@@ -5,12 +5,11 @@
 //! each block, looks every record up in the target tree to find its new
 //! bucket, and appends it through a buffered writer.
 //!
-//! **Columnar, end to end.** No row is built. On the worker pool
-//! ([`crate::parallel::map_ordered`]) each source block decodes just
-//! the columns the target tree splits on and routes them whole: every
-//! split partitions the row indices reaching it by one typed `≤ cut`
-//! comparison per row ([`PartitionTree::route_columns`]). Source and
-//! absorbed-tail blocks keep their other columns encoded
+//! **Columnar, end to end.** No row is built. Each source block
+//! decodes just the columns the target tree splits on and routes them
+//! whole: every split partitions the row indices reaching it by one
+//! typed `≤ cut` comparison per row ([`PartitionTree::route_columns`]).
+//! Source and absorbed-tail blocks keep their other columns encoded
 //! ([`adaptdb_storage::codec::RawColumn`]), and the gather writer the
 //! shuffle map side shares (`exec::gather`) copies each output block's
 //! cells straight from those payloads into the `ADB2` encoder, which
@@ -42,7 +41,6 @@ use adaptdb_storage::{BlockMeta, BlockStore, LazyBlock};
 use adaptdb_tree::PartitionTree;
 
 use crate::gather::{with_ranges, GatherWriter};
-use crate::parallel;
 
 /// When the source (and absorbed tail) blocks are physically deleted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,12 +99,10 @@ pub fn repartition_blocks(
         rows_per_block,
         existing,
         RetireMode::Eager,
-        1,
     )
 }
 
-/// [`repartition_blocks`] with an explicit [`RetireMode`], decoding and
-/// routing the source blocks on up to `threads` pool workers.
+/// [`repartition_blocks`] with an explicit [`RetireMode`].
 #[allow(clippy::too_many_arguments)]
 pub fn repartition_blocks_with(
     store: &BlockStore,
@@ -117,7 +113,6 @@ pub fn repartition_blocks_with(
     rows_per_block: usize,
     existing: &BTreeMap<BucketId, Vec<BlockId>>,
     retire: RetireMode,
-    threads: usize,
 ) -> Result<RepartitionOutcome> {
     if blocks.is_empty() {
         return Ok(RepartitionOutcome::default());
@@ -141,14 +136,15 @@ pub fn repartition_blocks_with(
             reads.push((node, lazy));
         }
     }
-    // Frame and route each source block on the pool.
+    // Frame and route each source block.
     let split_attrs: Vec<AttrId> = target_tree.attr_histogram().into_keys().collect();
-    let routed = parallel::map_ordered(reads, threads, |(node, lazy)| -> Result<_> {
-        let routes = Routes::of(&lazy, target_tree, &split_attrs)?;
-        Ok((node, lazy.raw_columns()?, routes))
-    });
-    let routed: Vec<(NodeId, Vec<RawColumn>, Routes)> =
-        routed.into_iter().collect::<Result<_>>()?;
+    let routed: Vec<(NodeId, Vec<RawColumn>, Routes)> = reads
+        .into_iter()
+        .map(|(node, lazy)| {
+            let routes = Routes::of(&lazy, target_tree, &split_attrs)?;
+            Ok((node, lazy.raw_columns()?, routes))
+        })
+        .collect::<Result<_>>()?;
     // Append semantics: each touched bucket's underfull tail block is
     // read now and absorbed, its rows going first into the bucket.
     let touched: BTreeSet<BucketId> = routed.iter().flat_map(|(_, _, r)| r.buckets()).collect();
@@ -398,7 +394,6 @@ mod tests {
             10,
             &none_existing(),
             RetireMode::Deferred,
-            1,
         )
         .unwrap();
         // Sources are reported retired but still physically present, so
@@ -432,7 +427,6 @@ mod tests {
             10,
             &existing,
             RetireMode::Deferred,
-            1,
         )
         .unwrap();
         assert!(!second.absorbed.is_empty(), "tail blocks should be absorbed");
@@ -634,7 +628,6 @@ mod tests {
                 }
             }
             let retire = if case % 2 == 0 { RetireMode::Eager } else { RetireMode::Deferred };
-            let threads = 1 + (case % 3) as usize;
             let build = || {
                 let store = BlockStore::new(4, 1 + (case % 3) as usize, case);
                 let blocks: Vec<BlockId> = script
@@ -671,7 +664,6 @@ mod tests {
                 rows_per_block,
                 &existing,
                 retire,
-                threads,
             )
             .unwrap();
             assert_eq!(got, want, "case {case}: outcome");

@@ -2,13 +2,12 @@
 //!
 //! Every scan reads through `fetch_ordered`: the whole manifest streams
 //! through one [`adaptdb_storage::FetchStream`] of the context's
-//! `fetch_window`, and completions are reassembled back into manifest
-//! order; the workers then select the fetched blocks. A window of `w`
+//! `fetch_window`, each block is selected and gathered as it completes,
+//! and the outputs are reassembled back into manifest order. A window of `w`
 //! keeps up to `w` reads in flight, charged max-of-window; a window of
 //! 1 is a one-deep stream that reads one block at a time, exactly as a
 //! serial reader does. The window changes simulated latency, never row
-//! order, counts, or results, and since one stream issues every window,
-//! the thread count changes none of them.
+//! order, counts, or results.
 //!
 //! Every filtered block read — scans here, the hyper-join build and
 //! probe legs, the step-join build, and the shuffle map side — is
@@ -17,11 +16,9 @@
 //! (`select_block`; fixed-width cells read in place, `Str` cells
 //! compared as bytes, no value built), then only the selected rows are
 //! gathered — or, on the shuffle map side, copied cell by cell into
-//! the spilled runs without ever becoming rows. Scans split the gather into `morsel_rows`-sized morsels
-//! dispatched through [`parallel::map_ordered`] (deterministic input
-//! order); single-block readers gather in one call (`read_selected`).
-//! Pruning composes in
-//! a fixed order: partition tree (upstream `lookup`) → zone maps
+//! the spilled runs without ever becoming rows. A block's selected rows
+//! are gathered in one call. Pruning composes in a fixed order:
+//! partition tree (upstream `lookup`) → zone maps
 //! (block min/max metadata, counted on `IoStats::zone_skipped`, no I/O
 //! charged) → selection bitset within each surviving block.
 
@@ -30,7 +27,6 @@ use adaptdb_dfs::NodeId;
 use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
-use crate::parallel;
 
 /// Read the given blocks of `table`, filter rows by `preds`, and return
 /// the survivors. Block-level skipping has already happened upstream via
@@ -61,8 +57,8 @@ pub fn scan_blocks(
 }
 
 /// Scan body shared by the traced wrapper above: zone skip, then one
-/// fetch stream over the surviving blocks, the selections on the
-/// workers, then the morsel gather.
+/// fetch stream over the surviving blocks, each selected and gathered
+/// as it arrives.
 fn scan_inner(
     ctx: ExecContext<'_>,
     table: &str,
@@ -83,14 +79,15 @@ fn scan_inner(
         ctx.clock.record_zone_skips(skipped);
     }
     // Reads issue at each block's preferred node.
-    let fetched = fetch_ordered(ctx, table, &to_read, None, Ok)?;
-    let selected = parallel::map_ordered(fetched, ctx.threads, |lazy| {
+    let gathered = fetch_ordered(ctx, table, &to_read, None, |lazy| {
         let sel = select_block(ctx, &lazy, preds)?;
-        Ok((lazy, sel))
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>>>()?;
-    gather_morsels(ctx, &selected)
+        lazy.gather_range(0, lazy.row_count(), &sel)
+    })?;
+    let mut out = Vec::with_capacity(gathered.iter().map(Vec::len).sum());
+    for rows in gathered {
+        out.extend(rows);
+    }
+    Ok(out)
 }
 
 /// The ordered-fetch helper every pipelined read leg shares: push
@@ -107,7 +104,7 @@ pub(crate) fn fetch_ordered<T>(
     mut f: impl FnMut(LazyBlock) -> Result<T>,
 ) -> Result<Vec<T>> {
     let mut stream = ctx.store.fetch_stream(table, ctx.clock, ctx.fetch_window);
-    stream.set_trace(ctx.worker_trace());
+    stream.set_trace(ctx.trace);
     for (i, &b) in blocks.iter().enumerate() {
         stream.push(b, reader, i as u64);
     }
@@ -157,33 +154,6 @@ pub(crate) fn read_selected(
     lazy.gather_range(0, lazy.row_count(), &sel)
 }
 
-/// Stage B of a scan: split each block's row space into
-/// `morsel_rows`-sized ranges, gather each morsel's selected rows in
-/// parallel, and concatenate in block-then-row order (deterministic at
-/// any thread count).
-fn gather_morsels(ctx: ExecContext<'_>, selected: &[(LazyBlock, BitSet)]) -> Result<Vec<Row>> {
-    let morsel = ctx.morsel_rows.max(1);
-    let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-    for (bi, (lazy, _)) in selected.iter().enumerate() {
-        let n = lazy.row_count();
-        let mut start = 0;
-        while start < n {
-            let end = (start + morsel).min(n);
-            tasks.push((bi, start, end));
-            start = end;
-        }
-    }
-    let gathered = parallel::map_ordered(tasks, ctx.threads, |(bi, start, end)| {
-        let (lazy, sel) = &selected[bi];
-        lazy.gather_range(start, end, sel)
-    });
-    let mut out = Vec::new();
-    for g in gathered {
-        out.extend(g?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,9 +182,8 @@ mod tests {
     fn full_scan_returns_everything() {
         let (store, ids) = setup();
         let clock = SimClock::new();
-        let rows =
-            scan_blocks(ExecContext::single(&store, &clock), "t", &ids, &PredicateSet::none())
-                .unwrap();
+        let rows = scan_blocks(ExecContext::new(&store, &clock), "t", &ids, &PredicateSet::none())
+            .unwrap();
         assert_eq!(rows.len(), 30);
         assert_eq!(clock.snapshot().reads(), 3);
     }
@@ -224,7 +193,7 @@ mod tests {
         let (store, ids) = setup();
         let clock = SimClock::new();
         let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Ge, 200i64));
-        let rows = scan_blocks(ExecContext::single(&store, &clock), "t", &ids, &preds).unwrap();
+        let rows = scan_blocks(ExecContext::new(&store, &clock), "t", &ids, &preds).unwrap();
         assert_eq!(rows.len(), 10);
         // Only the third block matches [200, 210): exactly 1 read.
         assert_eq!(clock.snapshot().reads(), 1);
@@ -237,7 +206,7 @@ mod tests {
         let preds = PredicateSet::none()
             .and(Predicate::new(0, CmpOp::Ge, 5i64))
             .and(Predicate::new(0, CmpOp::Lt, 103i64));
-        let rows = scan_blocks(ExecContext::single(&store, &clock), "t", &ids, &preds).unwrap();
+        let rows = scan_blocks(ExecContext::new(&store, &clock), "t", &ids, &preds).unwrap();
         assert_eq!(rows.len(), 5 + 3);
         let io = clock.snapshot();
         assert_eq!(io.reads(), 2);
@@ -245,17 +214,34 @@ mod tests {
         assert_eq!(io.rows_out, 8);
     }
 
+    /// Parallelism comes from queries running side by side: scans on
+    /// their own threads over one store, released together, each on its
+    /// own clock, return the sequential scan's rows in order and its
+    /// counts.
     #[test]
     fn parallel_scan_matches_sequential() {
         let (store, ids) = setup();
-        let c1 = SimClock::new();
-        let seq = scan_blocks(ExecContext::single(&store, &c1), "t", &ids, &PredicateSet::none())
-            .unwrap();
-        let c2 = SimClock::new();
-        let par = scan_blocks(ExecContext::new(&store, &c2, 4), "t", &ids, &PredicateSet::none())
-            .unwrap();
-        assert_eq!(seq, par);
-        assert_eq!(c1.snapshot().reads(), c2.snapshot().reads());
+        let scan = || {
+            let clock = SimClock::new();
+            let ctx = ExecContext::new(&store, &clock).with_fetch_window(4);
+            let rows = scan_blocks(ctx, "t", &ids, &PredicateSet::none()).unwrap();
+            (rows, clock.snapshot())
+        };
+        let want = scan();
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            let side_by_side: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        scan()
+                    })
+                })
+                .collect();
+            for h in side_by_side {
+                assert_eq!(h.join().unwrap(), want);
+            }
+        });
     }
 
     #[test]
@@ -263,11 +249,11 @@ mod tests {
         let (store, ids) = setup();
         let c_serial = SimClock::new();
         let serial =
-            scan_blocks(ExecContext::single(&store, &c_serial), "t", &ids, &PredicateSet::none())
+            scan_blocks(ExecContext::new(&store, &c_serial), "t", &ids, &PredicateSet::none())
                 .unwrap();
         let c_piped = SimClock::new();
         let piped = scan_blocks(
-            ExecContext::single(&store, &c_piped).with_fetch_window(4),
+            ExecContext::new(&store, &c_piped).with_fetch_window(4),
             "t",
             &ids,
             &PredicateSet::none(),
@@ -291,20 +277,15 @@ mod tests {
         let (store, ids) = setup();
         let clock = SimClock::new();
         let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Ge, 200i64));
-        let rows = scan_blocks(
-            ExecContext::single(&store, &clock).with_fetch_window(8),
-            "t",
-            &ids,
-            &preds,
-        )
-        .unwrap();
+        let rows =
+            scan_blocks(ExecContext::new(&store, &clock).with_fetch_window(8), "t", &ids, &preds)
+                .unwrap();
         assert_eq!(rows.len(), 10);
         assert_eq!(clock.snapshot().reads(), 1, "skipped blocks are never prefetched");
     }
 
-    /// Wide config sweep: the scan must return the reference's rows in
-    /// order, with the same counts at every fetch window / thread count
-    /// / morsel size.
+    /// Config sweep: the scan must return the reference's rows in
+    /// order, with the same counts at every fetch window.
     #[test]
     fn scan_matches_reference_filter_across_configs() {
         let (store, ids) = setup();
@@ -314,21 +295,15 @@ mod tests {
         let expect = reference(&preds);
         assert_eq!(expect.len(), 7 + 10 + 6);
         for window in [1, 4] {
-            for threads in [1, 4] {
-                for morsel in [1, 3, 1024] {
-                    let clock = SimClock::new();
-                    let ctx = ExecContext::new(&store, &clock, threads)
-                        .with_fetch_window(window)
-                        .with_morsel_rows(morsel);
-                    let got = scan_blocks(ctx, "t", &ids, &preds).unwrap();
-                    assert_eq!(got, expect, "w={window} t={threads} m={morsel}");
-                    let io = clock.take();
-                    assert_eq!(io.reads(), 3, "w={window} t={threads} m={morsel}");
-                    assert_eq!(io.zone_skipped, 0, "w={window} t={threads} m={morsel}");
-                    assert_eq!(io.rows_scanned, 30, "w={window} t={threads} m={morsel}");
-                    assert_eq!(io.rows_out, expect.len(), "w={window} t={threads} m={morsel}");
-                }
-            }
+            let clock = SimClock::new();
+            let ctx = ExecContext::new(&store, &clock).with_fetch_window(window);
+            let got = scan_blocks(ctx, "t", &ids, &preds).unwrap();
+            assert_eq!(got, expect, "w={window}");
+            let io = clock.take();
+            assert_eq!(io.reads(), 3, "w={window}");
+            assert_eq!(io.zone_skipped, 0, "w={window}");
+            assert_eq!(io.rows_scanned, 30, "w={window}");
+            assert_eq!(io.rows_out, expect.len(), "w={window}");
         }
     }
 
@@ -339,7 +314,7 @@ mod tests {
         let (store, ids) = setup();
         let clock = SimClock::new();
         let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Ge, 200i64));
-        let rows = scan_blocks(ExecContext::single(&store, &clock), "t", &ids, &preds).unwrap();
+        let rows = scan_blocks(ExecContext::new(&store, &clock), "t", &ids, &preds).unwrap();
         assert_eq!(rows, reference(&preds));
         let io = clock.take();
         assert_eq!(io.zone_skipped, 2);
@@ -350,12 +325,7 @@ mod tests {
     fn missing_block_is_an_error() {
         let (store, _) = setup();
         let clock = SimClock::new();
-        assert!(scan_blocks(
-            ExecContext::single(&store, &clock),
-            "t",
-            &[99],
-            &PredicateSet::none()
-        )
-        .is_err());
+        assert!(scan_blocks(ExecContext::new(&store, &clock), "t", &[99], &PredicateSet::none())
+            .is_err());
     }
 }

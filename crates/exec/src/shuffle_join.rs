@@ -38,7 +38,6 @@ use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
 use crate::hash_table::{join_into, probe_block, JoinHashTable};
-use crate::parallel;
 use crate::shuffle_service::{ShuffleService, ShuffledSide};
 
 /// Parameters for a storage-backed shuffle join.
@@ -97,10 +96,7 @@ fn annotate_map(
 
 /// Run the reduce phase under a `reduce` span, then synthesize its
 /// `fetch` and `probe` child spans from the phase's shuffle-tally
-/// delta. The per-partition work runs in parallel, so only these
-/// barrier-level totals are deterministic (see
-/// [`ExecContext::worker_trace`]): the fetch leg's duration is its
-/// serial cost share (`local + penalized remote` fetches), the probe
+/// delta: the fetch leg's duration is its serial cost share (`local + penalized remote` fetches), the probe
 /// leg is the remainder — including broadcast re-reads and build-spill
 /// round-trips, which a `skew-mitigation` span itemizes when the
 /// budgeted join had to intervene.
@@ -182,7 +178,7 @@ pub fn shuffle_join(ctx: ExecContext<'_>, spec: ShuffleJoinSpec<'_>) -> Result<V
 /// `spill(right, on_task)` runs one side's map phase (left, then right)
 /// and calls `on_task` as each map task finishes, which pushes that
 /// task's runs into the reducers' streams. Reducers then drain their
-/// streams — in partition order, in parallel — and join.
+/// streams in partition order and join.
 fn exchange<'a>(
     svc: &ShuffleService<'a>,
     left_attr: AttrId,
@@ -192,12 +188,10 @@ fn exchange<'a>(
     let ctx = svc.ctx();
     let mut streams = svc.partition_streams();
     // Prefetch windows issued by the streams may fire during either
-    // phase, so their spans (single-threaded runs only) parent under
-    // the exchange itself rather than under map or reduce.
-    if let Some(t) = ctx.worker_trace() {
-        for s in &mut streams {
-            s.set_trace(Some(t));
-        }
+    // phase, so their spans parent under the exchange itself rather
+    // than under map or reduce.
+    for s in &mut streams {
+        s.set_trace(ctx.trace);
     }
     let (left, right) = {
         let (_mctx, mspan) = ctx.traced("map-spill");
@@ -215,16 +209,13 @@ fn exchange<'a>(
     // plan is known before any stream is drained.
     let plan = svc.split_plan(&left, &right);
     traced_reduce(ctx, || {
-        let tasks: Vec<_> = streams.into_iter().enumerate().collect();
-        let results =
-            parallel::map_ordered(tasks, ctx.threads, |(p, mut stream)| -> Result<Vec<Row>> {
-                let (l, r) = svc.drain_partition(&mut stream)?;
-                let (l, r) = (Side::runs(&l), Side::runs(&r));
-                join_partition(svc, p, plan[p], l, r, left_attr, right_attr, &left, &right)
-            });
         let mut out = Vec::new();
-        for r in results {
-            out.extend(r?);
+        for (p, mut stream) in streams.into_iter().enumerate() {
+            let (l, r) = svc.drain_partition(&mut stream)?;
+            let (l, r) = (Side::runs(&l), Side::runs(&r));
+            out.extend(join_partition(
+                svc, p, plan[p], l, r, left_attr, right_attr, &left, &right,
+            )?);
         }
         Ok(out)
     })
@@ -680,10 +671,9 @@ mod tests {
     fn ctx_with<'a>(
         store: &'a BlockStore,
         clock: &'a SimClock,
-        threads: usize,
         partitions: usize,
     ) -> ExecContext<'a> {
-        ExecContext::new(store, clock, threads).with_shuffle(crate::context::ShuffleOptions {
+        ExecContext::new(store, clock).with_shuffle(crate::context::ShuffleOptions {
             partitions: Some(partitions),
             replication: 1,
             split_threshold: None,
@@ -708,7 +698,7 @@ mod tests {
         let clock = SimClock::new();
         let none = PredicateSet::none();
         let mut rows =
-            shuffle_join(ctx_with(&store, &clock, 1, 4), spec(&lids, &rids, &none, 10)).unwrap();
+            shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 10)).unwrap();
         assert_eq!(rows.len(), 50);
         rows.sort_by_key(|r| r.get(0).as_int().unwrap());
         for (i, r) in rows.iter().enumerate() {
@@ -725,7 +715,7 @@ mod tests {
         let (store, lids, rids) = setup(1600, 100);
         let clock = SimClock::new();
         let none = PredicateSet::none();
-        shuffle_join(ctx_with(&store, &clock, 1, 4), spec(&lids, &rids, &none, 100)).unwrap();
+        shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 100)).unwrap();
         let io = clock.snapshot();
         let sh = clock.shuffle_snapshot();
         // Reads = 32 input reads + one fetch per spilled block.
@@ -747,7 +737,7 @@ mod tests {
         let (store, lids, rids) = setup(1600, 100);
         let clock = SimClock::new();
         let none = PredicateSet::none();
-        shuffle_join(ctx_with(&store, &clock, 1, 1), spec(&lids, &rids, &none, 100)).unwrap();
+        shuffle_join(ctx_with(&store, &clock, 1), spec(&lids, &rids, &none, 100)).unwrap();
         let io = clock.snapshot();
         assert_eq!(io.writes, 32, "spill equals input when runs pack");
         assert_eq!(io.reads() + io.writes, 3 * 32, "C_SJ = 3 exactly");
@@ -762,7 +752,7 @@ mod tests {
         let (store, lids, rids) = setup(400, 25);
         let clock = SimClock::new();
         let none = PredicateSet::none();
-        shuffle_join(ctx_with(&store, &clock, 1, 4), spec(&lids, &rids, &none, 25)).unwrap();
+        shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 25)).unwrap();
         let io = clock.snapshot();
         let sh = clock.shuffle_snapshot();
         assert!(sh.remote_fetches > 0, "reducer ≠ mapper node must fetch remotely");
@@ -782,12 +772,11 @@ mod tests {
         let (store, lids, rids) = setup(100, 10);
         let none = PredicateSet::none();
         let c_full = SimClock::new();
-        shuffle_join(ctx_with(&store, &c_full, 1, 4), spec(&lids, &rids, &none, 10)).unwrap();
+        shuffle_join(ctx_with(&store, &c_full, 4), spec(&lids, &rids, &none, 10)).unwrap();
         let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Lt, 30i64));
         let c_filtered = SimClock::new();
         let rows =
-            shuffle_join(ctx_with(&store, &c_filtered, 1, 4), spec(&lids, &rids, &preds, 10))
-                .unwrap();
+            shuffle_join(ctx_with(&store, &c_filtered, 4), spec(&lids, &rids, &preds, 10)).unwrap();
         assert_eq!(rows.len(), 30);
         assert!(
             c_filtered.snapshot().writes < c_full.snapshot().writes,
@@ -797,22 +786,35 @@ mod tests {
         );
     }
 
+    /// Parallelism comes from queries running side by side: shuffle
+    /// joins on their own threads over one store, released together,
+    /// each on its own clock, return the sequential run's rows in order
+    /// and its counts.
     #[test]
     fn parallel_matches_sequential() {
         let (store, lids, rids) = setup(80, 8);
         let none = PredicateSet::none();
-        let c1 = SimClock::new();
-        let mut a =
-            shuffle_join(ctx_with(&store, &c1, 1, 4), spec(&lids, &rids, &none, 10)).unwrap();
-        let c2 = SimClock::new();
-        let mut b =
-            shuffle_join(ctx_with(&store, &c2, 4, 4), spec(&lids, &rids, &none, 10)).unwrap();
-        a.sort_by_key(|r| r.get(0).as_int().unwrap());
-        b.sort_by_key(|r| r.get(0).as_int().unwrap());
-        assert_eq!(a, b);
-        // Accounting is thread-count-invariant too.
-        assert_eq!(c1.snapshot(), c2.snapshot());
-        assert_eq!(c1.shuffle_snapshot(), c2.shuffle_snapshot());
+        let join = || {
+            let clock = SimClock::new();
+            let rows =
+                shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 10)).unwrap();
+            (rows, clock.snapshot(), clock.shuffle_snapshot())
+        };
+        let want = join();
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            let side_by_side: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        join()
+                    })
+                })
+                .collect();
+            for h in side_by_side {
+                assert_eq!(h.join().unwrap(), want);
+            }
+        });
     }
 
     #[test]
@@ -821,10 +823,10 @@ mod tests {
         let none = PredicateSet::none();
         let c_serial = SimClock::new();
         let mut serial =
-            shuffle_join(ctx_with(&store, &c_serial, 1, 4), spec(&lids, &rids, &none, 25)).unwrap();
+            shuffle_join(ctx_with(&store, &c_serial, 4), spec(&lids, &rids, &none, 25)).unwrap();
         let c_piped = SimClock::new();
         let mut piped = shuffle_join(
-            ctx_with(&store, &c_piped, 1, 4).with_fetch_window(4),
+            ctx_with(&store, &c_piped, 4).with_fetch_window(4),
             spec(&lids, &rids, &none, 25),
         )
         .unwrap();
@@ -850,18 +852,12 @@ mod tests {
         let left: Vec<Row> = (0..80i64).map(|i| row![i % 13, i]).collect();
         let right: Vec<Row> = (0..40i64).map(|i| row![i, i * 7]).collect();
         let c1 = SimClock::new();
-        let mut a = shuffle_join_rows(
-            ExecContext::single(&store, &c1),
-            left.clone(),
-            right.clone(),
-            0,
-            0,
-            10,
-        )
-        .unwrap();
+        let mut a =
+            shuffle_join_rows(ExecContext::new(&store, &c1), left.clone(), right.clone(), 0, 0, 10)
+                .unwrap();
         let c2 = SimClock::new();
         let mut b = shuffle_join_rows(
-            ExecContext::single(&store, &c2).with_fetch_window(4),
+            ExecContext::new(&store, &c2).with_fetch_window(4),
             left,
             right,
             0,
@@ -882,7 +878,7 @@ mod tests {
         let clock = SimClock::new();
         let none = PredicateSet::none();
         let before = store.dfs().block_count();
-        shuffle_join(ctx_with(&store, &clock, 1, 4), spec(&lids, &rids, &none, 10)).unwrap();
+        shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 10)).unwrap();
         assert_eq!(store.dfs().block_count(), before, "spilled runs must be dropped");
     }
 
@@ -901,7 +897,7 @@ mod tests {
     fn shuffle_join_rows_charges_io() {
         let store = BlockStore::new(2, 1, 1);
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         let left: Vec<Row> = (0..25i64).map(|i| row![i]).collect();
         let right: Vec<Row> = (0..25i64).map(|i| row![i]).collect();
         let out = shuffle_join_rows(ctx, left, right, 0, 0, 10).unwrap();
@@ -941,11 +937,11 @@ mod tests {
         let none = PredicateSet::none();
         let c_free = SimClock::new();
         let free =
-            shuffle_join(ctx_with(&store, &c_free, 1, 4), spec(&lids, &rids, &none, 25)).unwrap();
+            shuffle_join(ctx_with(&store, &c_free, 4), spec(&lids, &rids, &none, 25)).unwrap();
         for budget in [1usize, 2, 8] {
             let c = SimClock::new();
             let tight = shuffle_join(
-                ctx_with(&store, &c, 1, 4).with_join_mem_budget(Some(budget)),
+                ctx_with(&store, &c, 4).with_join_mem_budget(Some(budget)),
                 spec(&lids, &rids, &none, 25),
             )
             .unwrap();
@@ -975,7 +971,7 @@ mod tests {
         let none = PredicateSet::none();
         let c = SimClock::new();
         let rows = shuffle_join(
-            ctx_with(&store, &c, 1, 1).with_join_mem_budget(Some(1)),
+            ctx_with(&store, &c, 1).with_join_mem_budget(Some(1)),
             spec(&lids, &rids, &none, 10),
         )
         .unwrap();
@@ -990,9 +986,9 @@ mod tests {
         let none = PredicateSet::none();
         let c_plain = SimClock::new();
         let plain =
-            shuffle_join(ctx_with(&store, &c_plain, 1, 4), spec(&lids, &rids, &none, 50)).unwrap();
+            shuffle_join(ctx_with(&store, &c_plain, 4), spec(&lids, &rids, &none, 50)).unwrap();
         let c_split = SimClock::new();
-        let mut ctx = ctx_with(&store, &c_split, 1, 4);
+        let mut ctx = ctx_with(&store, &c_split, 4);
         ctx.shuffle.split_threshold = Some(1.5);
         let split = shuffle_join(ctx, spec(&lids, &rids, &none, 50)).unwrap();
         assert_eq!(sorted(plain), sorted(split), "splitting changed the join");
@@ -1124,7 +1120,7 @@ mod tests {
         for split_threshold in [None, Some(1.5)] {
             for budget in [None, Some(1), Some(2), Some(4)] {
                 let clock = SimClock::new();
-                let mut ctx = ctx_with(&store, &clock, 1, 4).with_join_mem_budget(budget);
+                let mut ctx = ctx_with(&store, &clock, 4).with_join_mem_budget(budget);
                 ctx.shuffle.split_threshold = split_threshold;
                 let got = shuffle_join(ctx, spec(&lids, &rids, &none, rpb)).unwrap();
                 let sh = clock.shuffle_snapshot();
@@ -1133,7 +1129,7 @@ mod tests {
                 capped |= sh.max_recursion_depth == MAX_RECURSION_DEPTH;
 
                 let ref_clock = SimClock::new();
-                let mut ref_ctx = ctx_with(&store, &ref_clock, 1, 4);
+                let mut ref_ctx = ctx_with(&store, &ref_clock, 4);
                 ref_ctx.shuffle.split_threshold = split_threshold;
                 let svc = ShuffleService::new(ref_ctx, partitions, rpb, "ref").unwrap();
                 let l = svc.spill_blocks("l", &lids, 0, &none).unwrap();
@@ -1194,10 +1190,8 @@ mod tests {
         ) -> Result<Vec<Row>> {
             let ctx = svc.ctx();
             let mut streams = svc.partition_streams();
-            if let Some(t) = ctx.worker_trace() {
-                for s in &mut streams {
-                    s.set_trace(Some(t));
-                }
+            for s in &mut streams {
+                s.set_trace(ctx.trace);
             }
             let (left, right) = {
                 let (_mctx, mspan) = ctx.traced("map-spill");
@@ -1215,18 +1209,12 @@ mod tests {
             };
             let plan = svc.split_plan(&left, &right);
             traced_reduce(ctx, || {
-                let tasks: Vec<_> = streams.into_iter().enumerate().collect();
-                let results = parallel::map_ordered(
-                    tasks,
-                    ctx.threads,
-                    |(p, mut stream)| -> Result<Vec<Row>> {
-                        let (l, r) = drain_partition(svc, &mut stream)?;
-                        join_partition(svc, p, plan[p], l, r, left_attr, right_attr, &left, &right)
-                    },
-                );
                 let mut out = Vec::new();
-                for r in results {
-                    out.extend(r?);
+                for (p, mut stream) in streams.into_iter().enumerate() {
+                    let (l, r) = drain_partition(svc, &mut stream)?;
+                    out.extend(join_partition(
+                        svc, p, plan[p], l, r, left_attr, right_attr, &left, &right,
+                    )?);
                 }
                 Ok(out)
             })
@@ -1421,7 +1409,7 @@ mod tests {
     /// the same order, with identical block I/O and every shuffle
     /// tally (splits, broadcasts, build spills, recursion depth, peak
     /// reducer memory), at budgets ∞, 4 and 1, with splitting off and
-    /// on, at one to three threads.
+    /// on.
     #[test]
     fn run_reducer_matches_the_row_reducer() {
         let rpb = 6;
@@ -1438,10 +1426,9 @@ mod tests {
             let tables = [("l", &lids), ("r", &rids)];
             for budget in [None, Some(4), Some(1)] {
                 for split_threshold in [None, Some(1.5)] {
-                    let threads = 1 + (seed as usize + budget.unwrap_or(0)) % 3;
                     let run = |reference: bool| {
                         let clock = SimClock::new();
-                        let ctx = ExecContext::new(&store, &clock, threads)
+                        let ctx = ExecContext::new(&store, &clock)
                             .with_shuffle(crate::context::ShuffleOptions {
                                 partitions: None,
                                 replication: 1,
@@ -1494,7 +1481,7 @@ mod tests {
             right_preds: &none,
             rows_per_block: 10,
         };
-        let rows = shuffle_join(ExecContext::single(&store, &clock), s).unwrap();
+        let rows = shuffle_join(ExecContext::new(&store, &clock), s).unwrap();
         assert!(rows.is_empty());
     }
 }

@@ -9,7 +9,7 @@
 //! 1. **Map.** Input blocks are placed on nodes by the locality-aware
 //!    [`TaskScheduler`] (one map task per node). Each map task reads
 //!    its blocks in order (charged local/remote like every other
-//!    read), then maps them on the worker pool without building a row:
+//!    read), then maps them in order without building a row:
 //!    the predicate columns select, each selected row's join-key cell
 //!    is hashed where it is encoded
 //!    ([`adaptdb_storage::codec::RawColumn::stable_hash`], equal to
@@ -19,11 +19,11 @@
 //!    repartitioner also uses, which copies cells payload to payload —
 //!    primary replica on the mapper's node, replication from
 //!    [`crate::context::ShuffleOptions`] (1 by default, the
-//!    Spark/MapReduce shuffle-file convention). Writes happen on the
-//!    calling thread in the order a row-at-a-time writer would issue
-//!    them (a partition's block the moment its buffer fills, in row
-//!    arrival order; leftovers at task end in partition order), so run
-//!    ids, bytes and replica draws do not depend on the thread count.
+//!    Spark/MapReduce shuffle-file convention). Writes happen in the
+//!    order a row-at-a-time writer would issue them (a partition's
+//!    block the moment its buffer fills, in row arrival order;
+//!    leftovers at task end in partition order), so run ids, bytes and
+//!    replica draws match that writer's.
 //!    Runs are written in the store's one block format, `ADB2`. Row
 //!    inputs ([`ShuffleService::spill_rows_observed`]) go through the
 //!    row writer instead.
@@ -74,7 +74,6 @@ use adaptdb_storage::{FetchStream, LazyBlock, PartitionedWriter};
 
 use crate::context::ExecContext;
 use crate::gather::GatherWriter;
-use crate::parallel;
 use crate::scan::select_block;
 
 /// Tag bit marking a fetch-stream request as a *right*-side run (the
@@ -198,10 +197,10 @@ impl<'a> ShuffleService<'a> {
             for b in blks {
                 reads.push(self.ctx.store.read_lazy_classified(table, b, node, self.ctx.clock)?.0);
             }
-            let mapped = parallel::map_ordered(reads, self.ctx.threads, |lazy| {
-                MappedBlock::map(self, lazy, attr, preds)
-            });
-            let mapped: Vec<MappedBlock> = mapped.into_iter().collect::<Result<_>>()?;
+            let mapped: Vec<MappedBlock> = reads
+                .into_iter()
+                .map(|lazy| MappedBlock::map(self, lazy, attr, preds))
+                .collect::<Result<_>>()?;
             // Writes replay the row-at-a-time task's order: stretches of
             // each block in arrival order, flushing a partition's block
             // the moment its buffer fills.
@@ -574,7 +573,7 @@ impl<'s, 'a> MapTask<'s, 'a> {
     }
 }
 
-/// One stored block on the map side, mapped on the pool: its selected
+/// One stored block on the map side, mapped: its selected
 /// rows in arrival order, cut into maximal stretches bound for one
 /// partition, over the block's still-encoded columns.
 struct MappedBlock {
@@ -643,7 +642,7 @@ mod tests {
     fn runs_land_on_mapper_nodes_and_fetches_classify() {
         let (store, ids) = setup(4, 400, 100);
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         let svc = ShuffleService::new(ctx, 4, 100, "t").unwrap();
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
         // Every spilled run's primary replica is its mapper's node, so a
@@ -688,7 +687,7 @@ mod tests {
     fn empty_runs_spill_zero_io() {
         let (store, ids) = setup(4, 100, 10);
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         let svc = ShuffleService::new(ctx, 4, 10, "t").unwrap();
         // Predicate matches nothing: map tasks read inputs but must not
         // write a single phantom run block.
@@ -716,7 +715,7 @@ mod tests {
         let store = BlockStore::new(1, 1, 1);
         let ids = vec![store.write_block("t", vec![row![1i64], row![2i64], row![3i64]], 1, None)];
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         let svc = ShuffleService::new(ctx, 8, 10, "t").unwrap();
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
         let nonempty = side.runs.iter().filter(|r| !r.is_empty()).count();
@@ -731,7 +730,7 @@ mod tests {
     fn spill_rows_distributes_intermediates() {
         let store = BlockStore::new(4, 1, 1);
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         let svc = ShuffleService::new(ctx, 4, 10, "mid").unwrap();
         let rows: Vec<Row> = (0..100i64).map(|i| row![i]).collect();
         let side = svc.spill_rows_observed(rows, 0, &mut |_| {}).unwrap();
@@ -754,7 +753,7 @@ mod tests {
     fn single_node_cluster_is_fully_local() {
         let (store, ids) = setup(1, 50, 10);
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         let svc = ShuffleService::new(ctx, 4, 10, "t").unwrap();
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
         for p in 0..svc.partitions() {
@@ -770,7 +769,7 @@ mod tests {
     fn replicated_spill_raises_fetch_locality() {
         let (store, ids) = setup(4, 400, 100);
         let c1 = SimClock::new();
-        let base = ExecContext::single(&store, &c1);
+        let base = ExecContext::new(&store, &c1);
         let svc = ShuffleService::new(base, 4, 100, "t").unwrap();
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
         for p in 0..4 {
@@ -780,7 +779,7 @@ mod tests {
         svc.cleanup();
 
         let c2 = SimClock::new();
-        let full = ExecContext::single(&store, &c2).with_shuffle(crate::context::ShuffleOptions {
+        let full = ExecContext::new(&store, &c2).with_shuffle(crate::context::ShuffleOptions {
             partitions: None,
             replication: 4,
             split_threshold: None,
@@ -811,7 +810,7 @@ mod tests {
         }
         store.dfs_mut().fail_node(0);
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         let svc = ShuffleService::new(ctx, 3, 10, "t").unwrap();
         assert!(svc.reducer_nodes().iter().all(|n| *n != 0), "reducer on dead node");
         let side = svc.spill_blocks("t", &ids, 0, &PredicateSet::none()).unwrap();
@@ -896,8 +895,7 @@ mod tests {
     /// The column map side writes exactly what the row-at-a-time
     /// reference writes — run bytes, run lists, histograms, placements,
     /// block ids (so write order), per-task announcements, I/O and
-    /// shuffle tallies — at spill replication 1 and 3, at every thread
-    /// count.
+    /// shuffle tallies — at spill replication 1 and 3.
     #[test]
     fn column_map_side_matches_the_row_reference() {
         let mut rng = adaptdb_common::rng::seeded(23);
@@ -909,7 +907,6 @@ mod tests {
             let rows_per_block = rng.random_range(1..7usize);
             let partitions = rng.random_range(1..6usize);
             let replication = if case % 2 == 0 { 1 } else { 3 };
-            let threads = 1 + (case % 3) as usize;
             let mut script: Vec<(Vec<Row>, Option<NodeId>)> = Vec::new();
             for _ in 0..rng.random_range(1..8usize) {
                 let n = rng.random_range(0..14usize);
@@ -935,13 +932,12 @@ mod tests {
                     .map(|(rows, node)| store.write_block("t", rows.clone(), cols, *node))
                     .collect();
                 let clock = SimClock::new();
-                let ctx = ExecContext::new(&store, &clock, threads).with_shuffle(
-                    crate::context::ShuffleOptions {
+                let ctx =
+                    ExecContext::new(&store, &clock).with_shuffle(crate::context::ShuffleOptions {
                         partitions: None,
                         replication,
                         split_threshold: None,
-                    },
-                );
+                    });
                 let svc = ShuffleService::new(ctx, partitions, rows_per_block, "t").unwrap();
                 let mut tasks = Vec::new();
                 let mut on_task = |s: &ShuffledSide| tasks.push((s.runs.clone(), s.rows.clone()));

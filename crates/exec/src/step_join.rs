@@ -17,7 +17,6 @@ use adaptdb_common::{AttrId, BlockId, PredicateSet, Result, Row, ValueRange};
 
 use crate::context::ExecContext;
 use crate::hash_table::{join_into, JoinHashTable};
-use crate::parallel;
 use crate::scan::read_selected;
 
 /// One group of the stored side's schedule: its blocks plus the union of
@@ -68,13 +67,17 @@ pub fn hyper_step_join(
         }
         routed[last].push(row);
     }
-    let tasks: Vec<(StepGroup, Vec<Row>)> = groups.into_iter().zip(routed).collect();
-    let results = parallel::map_ordered(tasks, ctx.threads, |(group, probes)| {
-        run_group(ctx, table, &group.blocks, table_attr, preds, probes, intermediate_attr)
-    });
     let mut out = Vec::new();
-    for r in results {
-        out.extend(r?);
+    for (group, probes) in groups.iter().zip(routed) {
+        out.extend(run_group(
+            ctx,
+            table,
+            &group.blocks,
+            table_attr,
+            preds,
+            probes,
+            intermediate_attr,
+        )?);
     }
     Ok(out)
 }
@@ -141,7 +144,7 @@ mod tests {
     fn joins_intermediate_against_stored_groups() {
         let (store, groups) = setup();
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         // Intermediate rows: [payload, key] with key = attr 1.
         let intermediate: Vec<Row> = (0..40i64).map(|k| row![k * 7, k]).collect();
         let out = hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), intermediate, 1, 10)
@@ -162,7 +165,7 @@ mod tests {
     fn io_reads_each_block_once_plus_intermediate_spill() {
         let (store, groups) = setup();
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         let intermediate: Vec<Row> = (0..40i64).map(|k| row![k, k]).collect();
         hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), intermediate, 1, 10).unwrap();
         let io = clock.snapshot();
@@ -175,7 +178,7 @@ mod tests {
     fn groups_without_probes_are_skipped() {
         let (store, groups) = setup();
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         // Keys only in the first group's range.
         let intermediate: Vec<Row> = (0..10i64).map(|k| row![k, k]).collect();
         let out = hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), intermediate, 1, 10)
@@ -189,7 +192,7 @@ mod tests {
     fn predicates_filter_the_stored_side() {
         let (store, groups) = setup();
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Lt, 5i64));
         let intermediate: Vec<Row> = (0..40i64).map(|k| row![k, k]).collect();
         let out = hyper_step_join(ctx, "c", groups, 0, &preds, intermediate, 1, 10).unwrap();
@@ -200,7 +203,7 @@ mod tests {
     fn empty_intermediate_is_free_of_block_reads() {
         let (store, groups) = setup();
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock);
+        let ctx = ExecContext::new(&store, &clock);
         let out =
             hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), Vec::new(), 1, 10).unwrap();
         assert!(out.is_empty());

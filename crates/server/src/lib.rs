@@ -337,9 +337,11 @@ impl SnapshotSource for QueryView<'_> {
 /// Options for [`DbServer::start_with`].
 #[derive(Debug, Clone, Default)]
 pub struct ServerOptions {
-    /// Execution slots: at most this many queries execute at once; the
-    /// threads serve the queries that had to queue. Defaults to the
-    /// engine's `DbConfig::threads` (which honors `ADAPTDB_THREADS`).
+    /// Execution slots: at most this many queries execute at once, and
+    /// as many worker threads serve the queries that had to queue. A
+    /// query runs start to finish on one thread, so this is the
+    /// server's only wall-clock parallelism. Defaults to the engine's
+    /// `DbConfig::threads` (which honors `ADAPTDB_THREADS`).
     pub workers: Option<usize>,
     /// Admission-queue capacity: the FIFO bound, or the *per-lane*
     /// bound under the lane policies (so a batch storm backpressures

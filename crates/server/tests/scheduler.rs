@@ -23,7 +23,6 @@ fn loaded_db(mode: Mode) -> Database {
         rows_per_block: 10,
         window_size: 5,
         buffer_blocks: 2,
-        threads: 1,
         batch_cost_blocks: 32,
         fetch_window: 4,
         mode,

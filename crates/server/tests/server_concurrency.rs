@@ -12,12 +12,11 @@ fn schema2() -> Schema {
     Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)])
 }
 
-fn loaded_db(mode: Mode, threads: usize) -> Database {
+fn loaded_db(mode: Mode) -> Database {
     let config = DbConfig {
         rows_per_block: 10,
         window_size: 5,
         buffer_blocks: 2,
-        threads,
         mode,
         ..DbConfig::small()
     };
@@ -49,7 +48,7 @@ fn concurrent_clients_match_serial_results() {
     let queries: Vec<Query> = (0..12)
         .map(|i| if i % 3 == 2 { scan_query(10 + i as i64) } else { join_query() })
         .collect();
-    let mut serial = loaded_db(Mode::Adaptive, 1);
+    let mut serial = loaded_db(Mode::Adaptive);
     let expected: Vec<Vec<Row>> =
         queries.iter().map(|q| sorted(serial.run(q).unwrap().rows)).collect();
 
@@ -57,7 +56,7 @@ fn concurrent_clients_match_serial_results() {
     // against one server.
     for policy in POLICIES {
         let server = DbServer::start_with(
-            loaded_db(Mode::Adaptive, 1),
+            loaded_db(Mode::Adaptive),
             ServerOptions {
                 workers: Some(4),
                 queue_capacity: Some(8),
@@ -93,7 +92,7 @@ fn serving_continues_while_adaptation_runs_in_background() {
     // under every policy.
     for policy in POLICIES {
         let server = DbServer::start_with(
-            loaded_db(Mode::Adaptive, 1),
+            loaded_db(Mode::Adaptive),
             ServerOptions {
                 workers: Some(4),
                 queue_capacity: Some(16),
@@ -148,7 +147,7 @@ fn out_of_range_attributes_are_plan_errors_not_worker_panics() {
         step(2, 2),
     ];
     for mode in [Mode::Adaptive, Mode::Fixed] {
-        let mut db = loaded_db(mode, 1);
+        let mut db = loaded_db(mode);
         for q in &bad {
             assert!(matches!(db.run(q), Err(Error::Plan(_))), "{mode:?}: {q:?}");
         }
@@ -157,7 +156,7 @@ fn out_of_range_attributes_are_plan_errors_not_worker_panics() {
     // One worker: a panic there would leave nothing to serve the valid
     // query, so wait with a timeout instead of hanging.
     let server = std::sync::Arc::new(DbServer::start_with(
-        loaded_db(Mode::Adaptive, 1),
+        loaded_db(Mode::Adaptive),
         ServerOptions { workers: Some(1), ..Default::default() },
     ));
     let (tx, rx) = std::sync::mpsc::channel();
@@ -177,7 +176,7 @@ fn out_of_range_attributes_are_plan_errors_not_worker_panics() {
 
 #[test]
 fn retired_blocks_are_garbage_collected_after_drain() {
-    let server = DbServer::start(loaded_db(Mode::Adaptive, 1));
+    let server = DbServer::start(loaded_db(Mode::Adaptive));
     let mut session = server.session();
     for _ in 0..12 {
         session.run(&join_query()).unwrap();
@@ -197,7 +196,7 @@ fn retired_blocks_are_garbage_collected_after_drain() {
 
 #[test]
 fn maintenance_io_stays_off_query_clocks() {
-    let server = DbServer::start(loaded_db(Mode::Adaptive, 1));
+    let server = DbServer::start(loaded_db(Mode::Adaptive));
     let mut session = server.session();
     let mut repartition_io = 0usize;
     for _ in 0..10 {
@@ -215,7 +214,7 @@ fn maintenance_io_stays_off_query_clocks() {
 #[test]
 fn queue_backpressure_and_errors_are_reported() {
     let server = DbServer::start_with(
-        loaded_db(Mode::Adaptive, 1),
+        loaded_db(Mode::Adaptive),
         ServerOptions { workers: Some(2), queue_capacity: Some(2), ..Default::default() },
     );
     let mut session = server.session();
@@ -233,7 +232,7 @@ fn queue_backpressure_and_errors_are_reported() {
 
 #[test]
 fn stop_is_graceful_and_idempotent() {
-    let mut server = DbServer::start(loaded_db(Mode::Adaptive, 1));
+    let mut server = DbServer::start(loaded_db(Mode::Adaptive));
     let mut session = server.session();
     session.run(&join_query()).unwrap();
     server.stop();
@@ -244,7 +243,7 @@ fn stop_is_graceful_and_idempotent() {
 
 #[test]
 fn tables_created_mid_serving_become_queryable() {
-    let server = DbServer::start(loaded_db(Mode::Adaptive, 1));
+    let server = DbServer::start(loaded_db(Mode::Adaptive));
     server.with_engine(|db| {
         db.create_table("late", schema2(), vec![0]).unwrap();
         db.load_rows("late", (0..50i64).map(|i| row![i, i])).unwrap();
@@ -257,7 +256,7 @@ fn tables_created_mid_serving_become_queryable() {
 
 #[test]
 fn drain_after_stop_returns_immediately() {
-    let mut server = DbServer::start(loaded_db(Mode::Adaptive, 1));
+    let mut server = DbServer::start(loaded_db(Mode::Adaptive));
     server.run(&join_query()).unwrap();
     server.stop();
     // Must not hang waiting on a joined maintenance thread.
@@ -266,7 +265,7 @@ fn drain_after_stop_returns_immediately() {
 
 #[test]
 fn fixed_mode_serves_without_any_maintenance_writes() {
-    let mut db = loaded_db(Mode::Fixed, 1);
+    let mut db = loaded_db(Mode::Fixed);
     // Pre-converge so Fixed mode hyper-joins from the start.
     db = {
         let config = db.config().clone();
@@ -297,7 +296,7 @@ fn fixed_mode_serves_without_any_maintenance_writes() {
 
 #[test]
 fn report_exposes_queue_and_inflight_gauges() {
-    let db = loaded_db(Mode::Fixed, 1);
+    let db = loaded_db(Mode::Fixed);
     let server = DbServer::start(db);
     // Idle server: both gauges at zero, estimate zero.
     let idle = server.report();
@@ -356,7 +355,7 @@ fn sessions_aggregate_overlap_stats_under_pipelining() {
 
 #[test]
 fn latency_aware_admission_sheds_load_beyond_wait_bound() {
-    let db = loaded_db(Mode::Fixed, 1);
+    let db = loaded_db(Mode::Fixed);
     // One worker, deep queue, and an unsatisfiable wait bound of 0 ms:
     // once one query has completed (mean latency > 0), any queued
     // backlog must trip the estimate.

@@ -1078,7 +1078,7 @@ mod tests {
             lazy.gather_range(0, 4, &sel).unwrap(),
             vec![rows[0].clone(), rows[2].clone(), rows[3].clone()]
         );
-        // Sub-ranges concatenate to the same output (morsel split).
+        // Sub-ranges concatenate to the same output.
         let mut pieces = lazy.gather_range(0, 2, &sel).unwrap();
         pieces.extend(lazy.gather_range(2, 4, &sel).unwrap());
         assert_eq!(pieces, lazy.gather_range(0, 4, &sel).unwrap());

@@ -205,7 +205,17 @@ impl BlockStore {
         replicas: Vec<NodeId>,
         encoded: Bytes,
     ) -> Result<()> {
-        let block = codec::decode_block(encoded.clone())?;
+        let block = codec::decode_block(encoded.clone()).map_err(|e| {
+            // Name the block and the magic found: a journal an older
+            // build wrote (say, `ADB1` blocks) is then told apart from
+            // a corrupt one.
+            let magic = encoded.get(..4).unwrap_or(&encoded[..]).escape_ascii();
+            let cause = match e {
+                Error::Codec(msg) => msg,
+                other => other.to_string(),
+            };
+            Error::Codec(format!("journaled block {table}:{id} (magic b\"{magic}\"): {cause}"))
+        })?;
         if block.id != id {
             return Err(Error::Codec(format!(
                 "journaled block {table}:{id} decodes with id {}",

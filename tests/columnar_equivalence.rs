@@ -2,7 +2,7 @@
 //!
 //! Blocks are written in the columnar `ADB2` format and every filtered
 //! read materialises late (selection bitsets, zone-map skipping,
-//! morsel-driven gathers, batch probes). These tests check the engine
+//! one gather per block, batch probes). These tests check the engine
 //! against a reference that knows nothing of trees, blocks or the DFS:
 //! a filter plus hash join over the rows the generator loaded. On
 //! TPC-H and on Zipfian synthetic joins the engine must return the
@@ -42,10 +42,8 @@ fn tpch_db(mode: Mode) -> Database {
         replication: 2,
         rows_per_block: 64,
         buffer_blocks: 8,
-        threads: 1,
         adapt_selections: false,
         fetch_window: 4,
-        morsel_rows: 24, // several morsels per block
         seed: 5,
         ..DbConfig::default()
     };
@@ -216,14 +214,13 @@ fn zipfian_shuffle_join_is_format_invariant() {
             restore_from_bytes(&store, &["l", "r"]);
         }
         let clock = SimClock::new();
-        let ctx = ExecContext::new(&store, &clock, 2)
+        let ctx = ExecContext::new(&store, &clock)
             .with_shuffle(ShuffleOptions {
                 partitions: Some(4),
                 replication: 1,
                 split_threshold: Some(2.0),
             })
-            .with_fetch_window(4)
-            .with_morsel_rows(16);
+            .with_fetch_window(4);
         let none = PredicateSet::none();
         let rows = shuffle_join(
             ctx,
@@ -291,18 +288,14 @@ proptest! {
             restore_from_bytes(&store, &["t"]);
         }
         for window in [1usize, 4] {
-            for morsel in [5usize, 1024] {
-                let clock = SimClock::new();
-                let ctx = ExecContext::single(&store, &clock)
-                    .with_fetch_window(window)
-                    .with_morsel_rows(morsel);
-                let got = scan_blocks(ctx, "t", &ids, &preds).unwrap();
-                prop_assert_eq!(
-                    &got, &expect,
-                    "restored={} window={} morsel={} dropped or invented rows",
-                    restored, window, morsel
-                );
-            }
+            let clock = SimClock::new();
+            let ctx = ExecContext::new(&store, &clock).with_fetch_window(window);
+            let got = scan_blocks(ctx, "t", &ids, &preds).unwrap();
+            prop_assert_eq!(
+                &got, &expect,
+                "restored={} window={} dropped or invented rows",
+                restored, window
+            );
         }
     }
 }

@@ -259,11 +259,11 @@ fn adb1_journal_fails_to_open_cleanly() {
 
     let old = tmpdir("adb1");
     let (journal, _) = FileJournal::open_with_recovery(&old).unwrap();
-    let mut rewritten = 0;
+    let mut rewritten = Vec::new();
     for (rec, _) in scan_frames(&data) {
         let rec = match rec {
             JournalRecord::WriteBlock { table, id, arity, replicas, encoded } => {
-                rewritten += 1;
+                rewritten.push(format!("journaled block {table}:{id} "));
                 let rows = decode_block(encoded).unwrap().rows;
                 JournalRecord::WriteBlock {
                     table,
@@ -279,10 +279,13 @@ fn adb1_journal_fails_to_open_cleanly() {
     }
     journal.sync().unwrap();
     drop(journal);
-    assert!(rewritten > 0, "the load must journal blocks");
+    assert!(!rewritten.is_empty(), "the load must journal blocks");
 
     let res = Database::open_durable(config_at(&old));
-    assert!(matches!(res, Err(Error::Codec(_))), "{:?}", res.err());
+    let Err(Error::Codec(msg)) = res else { panic!("{:?}", res.err()) };
+    // The error names the table, the id and the magic found.
+    assert!(rewritten.iter().any(|block| msg.starts_with(block.as_str())), "{msg}");
+    assert!(msg.contains("b\"ADB1\""), "{msg}");
     let _ = std::fs::remove_dir_all(&old);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -23,7 +23,6 @@ fn replay_and_compare(mode: Mode) {
         nodes: 4,
         replication: 1,
         join_mem_budget_blocks: None,
-        threads: 1,
         ..DbConfig::default()
     }
     .with_mode(mode);

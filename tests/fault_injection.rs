@@ -23,7 +23,6 @@ fn db(replication: usize) -> Database {
         replication,
         rows_per_block: 16,
         buffer_blocks: 2,
-        threads: 1,
         ..DbConfig::default()
     };
     let mut db = Database::new(config);
@@ -129,7 +128,7 @@ fn reducer_node_death_mid_shuffle_fails_over() {
         let store = BlockStore::new(4, 2, 17);
         let (lids, rids) = write_inputs(&store);
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock).with_shuffle(shuffle);
+        let ctx = ExecContext::new(&store, &clock).with_shuffle(shuffle);
         let svc = ShuffleService::new(ctx, 4, 50, "l+r").unwrap();
         // Map phase completes against a healthy cluster…
         let left = svc.spill_blocks("l", &lids, 0, &none).unwrap();
@@ -171,7 +170,6 @@ fn adaptation_continues_on_degraded_cluster() {
         replication: 2,
         rows_per_block: 16,
         buffer_blocks: 2,
-        threads: 1,
         window_size: 5,
         ..DbConfig::default()
     };

@@ -153,9 +153,9 @@ fn hyper_join_matches_nested_loop_in_order() {
             JoinSide::Left => ("b", "p", &build_preds, &probe_preds),
             JoinSide::Right => ("p", "b", &probe_preds, &build_preds),
         };
-        for (threads, window) in [(1, 1), (3, 4)] {
+        for window in [1, 4] {
             let clock = SimClock::new();
-            let ctx = ExecContext::new(&store, &clock, threads).with_fetch_window(window);
+            let ctx = ExecContext::new(&store, &clock).with_fetch_window(window);
             let got = hyper_join(
                 ctx,
                 HyperJoinSpec {
@@ -169,7 +169,7 @@ fn hyper_join_matches_nested_loop_in_order() {
                 },
             )
             .unwrap();
-            assert_eq!(got, want, "{build_side:?} threads={threads} window={window}");
+            assert_eq!(got, want, "{build_side:?} window={window}");
         }
     }
 }
@@ -212,22 +212,11 @@ fn hyper_step_join_matches_nested_loop_in_order() {
         }
     }
     assert!(want.len() > 40, "{} outputs", want.len());
-    for threads in [1, 3] {
-        let clock = SimClock::new();
-        let ctx = ExecContext::new(&store, &clock, threads);
-        let got = hyper_step_join(
-            ctx,
-            "c",
-            groups.clone(),
-            0,
-            &preds,
-            intermediate.clone(),
-            1,
-            ROWS_PER_BLOCK,
-        )
-        .unwrap();
-        assert_eq!(got, want, "threads={threads}");
-    }
+    let clock = SimClock::new();
+    let ctx = ExecContext::new(&store, &clock);
+    let got =
+        hyper_step_join(ctx, "c", groups, 0, &preds, intermediate, 1, ROWS_PER_BLOCK).unwrap();
+    assert_eq!(got, want);
 }
 
 /// Every row of a reducer's drained runs, in arrival order.
@@ -246,7 +235,7 @@ fn shuffle_join_matches_nested_loop_in_order() {
         let none = PredicateSet::none();
         let options = ShuffleOptions { partitions: Some(3), replication: 1, split_threshold: None };
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock).with_shuffle(options);
+        let ctx = ExecContext::new(&store, &clock).with_shuffle(options);
         let got = shuffle_join(
             ctx,
             ShuffleJoinSpec {
@@ -265,7 +254,7 @@ fn shuffle_join_matches_nested_loop_in_order() {
         // Reference: the same spill and fetch, then a nested loop per
         // partition in partition order.
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock).with_shuffle(options);
+        let ctx = ExecContext::new(&store, &clock).with_shuffle(options);
         let svc = ShuffleService::new(ctx, 3, ROWS_PER_BLOCK, "ref").unwrap();
         let left = svc.spill_blocks("l", &lids, 0, &none).unwrap();
         let right = svc.spill_blocks("r", &rids, 0, &none).unwrap();

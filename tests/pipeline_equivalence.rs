@@ -28,7 +28,6 @@ fn tpch_db(fetch_window: usize, mode: Mode) -> Database {
         replication: 2,
         rows_per_block: 64,
         buffer_blocks: 8,
-        threads: 1,
         adapt_selections: false,
         fetch_window,
         seed: 5,
@@ -91,7 +90,6 @@ fn tpch_adaptive_is_pipelining_invariant() {
             replication: 1,
             rows_per_block: 64,
             buffer_blocks: 8,
-            threads: 1,
             fetch_window: window,
             seed: 7,
             ..DbConfig::default()
@@ -133,7 +131,7 @@ fn failed_node_fetch_failover_mid_stream() {
     let run = |fail_mid_stream: bool| {
         let (store, lids, rids) = mk_store();
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock)
+        let ctx = ExecContext::new(&store, &clock)
             .with_shuffle(ShuffleOptions {
                 partitions: Some(4),
                 replication: 2,
@@ -198,7 +196,7 @@ fn deeper_windows_save_monotonically_at_equal_counts() {
     let mut baseline = None;
     for window in [1usize, 2, 4, 8] {
         let clock = SimClock::new();
-        let ctx = ExecContext::single(&store, &clock)
+        let ctx = ExecContext::new(&store, &clock)
             .with_shuffle(ShuffleOptions {
                 partitions: Some(4),
                 replication: 1,
@@ -241,7 +239,7 @@ fn deeper_windows_save_monotonically_at_equal_counts() {
     // (the acceptance bar of the pipelined backend).
     let (_, sh) = baseline.unwrap();
     let clock = SimClock::new();
-    let ctx = ExecContext::single(&store, &clock)
+    let ctx = ExecContext::new(&store, &clock)
         .with_shuffle(ShuffleOptions { partitions: Some(4), replication: 1, split_threshold: None })
         .with_fetch_window(4);
     shuffle_join(

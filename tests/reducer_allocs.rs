@@ -48,8 +48,7 @@ fn reduce_allocations(runs: usize, rows_per_run: usize) -> usize {
     let pids = vec![store.write_block("p", probe, 3, None)];
     let bids = vec![store.write_block("b", vec![row![-1i64, "build"]], 2, None)];
     let clock = SimClock::new();
-    let svc =
-        ShuffleService::new(ExecContext::single(&store, &clock), 1, rows_per_run, "a").unwrap();
+    let svc = ShuffleService::new(ExecContext::new(&store, &clock), 1, rows_per_run, "a").unwrap();
     let none = PredicateSet::none();
     let build = svc.spill_blocks("b", &bids, 0, &none).unwrap();
     let probe = svc.spill_blocks("p", &pids, 0, &none).unwrap();

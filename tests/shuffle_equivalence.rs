@@ -85,7 +85,7 @@ fn service_join_matches_in_process_reference() {
     let (store, lids, rids) = synthetic_store(4, 1, 600);
     let none = PredicateSet::none();
     let clock = SimClock::new();
-    let got = shuffle_join(ExecContext::single(&store, &clock), spec(&lids, &rids, &none)).unwrap();
+    let got = shuffle_join(ExecContext::new(&store, &clock), spec(&lids, &rids, &none)).unwrap();
     let want = in_process_reference(&store, ("l", &lids), ("r", &rids), &none, 4);
     assert_eq!(sorted(got), sorted(want), "service shuffle must be row-identical");
     // With predicates too.
@@ -94,8 +94,7 @@ fn service_join_matches_in_process_reference() {
         adaptdb_common::CmpOp::Lt,
         40i64,
     ));
-    let got =
-        shuffle_join(ExecContext::single(&store, &clock), spec(&lids, &rids, &preds)).unwrap();
+    let got = shuffle_join(ExecContext::new(&store, &clock), spec(&lids, &rids, &preds)).unwrap();
     let want = in_process_reference(&store, ("l", &lids), ("r", &rids), &preds, 4);
     assert!(!want.is_empty());
     assert_eq!(sorted(got), sorted(want));
@@ -107,13 +106,11 @@ fn service_join_is_identical_after_node_failure() {
     let none = PredicateSet::none();
     let healthy_clock = SimClock::new();
     let healthy =
-        shuffle_join(ExecContext::single(&store, &healthy_clock), spec(&lids, &rids, &none))
-            .unwrap();
+        shuffle_join(ExecContext::new(&store, &healthy_clock), spec(&lids, &rids, &none)).unwrap();
     store.dfs_mut().fail_node(0);
     let degraded_clock = SimClock::new();
     let degraded =
-        shuffle_join(ExecContext::single(&store, &degraded_clock), spec(&lids, &rids, &none))
-            .unwrap();
+        shuffle_join(ExecContext::new(&store, &degraded_clock), spec(&lids, &rids, &none)).unwrap();
     assert_eq!(sorted(healthy), sorted(degraded), "fail-over must not change the join");
     // The degraded run still spills and fetches — on live nodes only.
     let sh = degraded_clock.shuffle_snapshot();
@@ -151,7 +148,7 @@ fn csj_accounting_with_local_remote_split() {
         right_preds: &none,
         rows_per_block: 100,
     };
-    let rows = shuffle_join(ExecContext::single(&store, &clock), s).unwrap();
+    let rows = shuffle_join(ExecContext::new(&store, &clock), s).unwrap();
     assert_eq!(rows.len(), 1600);
 
     let io = clock.snapshot();
@@ -191,7 +188,6 @@ fn tpch_shuffle_matches_hyper_across_templates() {
         replication: 2,
         rows_per_block: 64,
         buffer_blocks: 8,
-        threads: 1,
         adapt_selections: false,
         seed,
         ..DbConfig::default()

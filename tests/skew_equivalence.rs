@@ -91,7 +91,7 @@ fn skew_ctx<'a>(
     budget: Option<usize>,
     split_threshold: Option<f64>,
 ) -> ExecContext<'a> {
-    ExecContext::single(store, clock)
+    ExecContext::new(store, clock)
         .with_shuffle(ShuffleOptions { partitions: Some(4), replication: 1, split_threshold })
         .with_join_mem_budget(budget)
 }
@@ -186,7 +186,7 @@ fn unbounded_budget_reproduces_block_counts_bit_identically() {
     let (store, lids, rids) = zipf_store(4, 2_000, 64, 0.6);
     let none = PredicateSet::none();
     let c_default = SimClock::new();
-    let base = ExecContext::single(&store, &c_default).with_shuffle(ShuffleOptions {
+    let base = ExecContext::new(&store, &c_default).with_shuffle(ShuffleOptions {
         partitions: Some(4),
         replication: 1,
         split_threshold: None,
@@ -217,7 +217,6 @@ fn tpch_budgeted_shuffle_matches_hyper() {
         replication: 2,
         rows_per_block: 64,
         buffer_blocks: 8,
-        threads: 1,
         adapt_selections: false,
         seed,
         join_mem_budget_blocks: Some(2),

@@ -63,12 +63,12 @@ fn histogram_quantiles_track_reference_on_zipfian_samples() {
     assert_quantiles_within_one_bucket(samples, "zipfian");
 }
 
-fn tpch_db(trace: bool) -> Database {
+fn tpch_db(trace: bool, threads: usize) -> Database {
     let gen = TpchGen::new(0.02, 7);
     let config = DbConfig {
         rows_per_block: 100,
         buffer_blocks: 8,
-        threads: 1,
+        threads,
         seed: 7,
         trace,
         ..DbConfig::default()
@@ -84,28 +84,35 @@ fn seed_queries(n: usize) -> Vec<Query> {
     (0..n).map(|i| templates[i % templates.len()].instantiate(&mut r)).collect()
 }
 
+/// Identical runs export byte-identical traces, and `threads` (the
+/// server's execution slots) changes no span: a query runs on one
+/// thread, so its worker spans — fetch windows, reducer streams — are
+/// recorded at every setting with the same names, parents and
+/// simulated timestamps.
 #[test]
 fn identical_traced_runs_export_byte_identical_chrome_json() {
     let queries = seed_queries(3);
-    let run = || {
-        let mut db = tpch_db(true);
+    let run = |threads: usize| {
+        let mut db = tpch_db(true, threads);
         let traces: Vec<Arc<Trace>> =
             queries.iter().map(|q| db.run(q).expect("query").trace.expect("tracing on")).collect();
         let parts: Vec<(u32, &Trace)> =
             traces.iter().enumerate().map(|(i, t)| ((i + 1) as u32, t.as_ref())).collect();
         chrome_trace_json(&parts)
     };
-    let a = run();
-    let b = run();
+    let a = run(1);
+    let b = run(1);
     assert_eq!(a, b, "identical runs must export byte-identical traces");
     assert!(a.contains("\"query\""), "root span must be named 'query'");
+    assert!(a.contains("\"fetch-window\""), "fetch-window spans must be recorded");
+    assert_eq!(run(2), a, "a traced run at threads = 2 must keep every span of threads = 1");
 }
 
 #[test]
 fn tracing_never_changes_accounting() {
     let queries = seed_queries(4);
-    let mut on = tpch_db(true);
-    let mut off = tpch_db(false);
+    let mut on = tpch_db(true, 1);
+    let mut off = tpch_db(false, 1);
     for q in &queries {
         let traced = on.run(q).expect("traced run");
         let plain = off.run(q).expect("plain run");
@@ -127,7 +134,7 @@ fn tracing_never_changes_accounting() {
 
 #[test]
 fn explain_analyze_blocks_are_exact_and_estimates_bounded() {
-    let mut db = tpch_db(false);
+    let mut db = tpch_db(false, 1);
     for q in seed_queries(3) {
         let report = db.explain_analyze(&q).expect("explain analyze");
         assert!(!db.config().trace, "explain_analyze must restore the tracing flag");
@@ -167,7 +174,7 @@ fn explain_analyze_blocks_are_exact_and_estimates_bounded() {
 #[test]
 fn server_journals_maintenance_and_orders_lane_percentiles() {
     let mut server = DbServer::start_with(
-        tpch_db(true),
+        tpch_db(true, 1),
         ServerOptions { workers: Some(2), ..Default::default() },
     );
     let mut session = server.session();
