@@ -331,9 +331,7 @@ impl Database {
         let buffered: Vec<Row> = rows.into_iter().collect();
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
         check_rows(ts, &buffered)?;
-        for r in &buffered {
-            ts.sample.offer(r.clone());
-        }
+        ts.sample.offer_all(&buffered);
         let depth = self.config.depth_for_rows(buffered.len());
         let arity = ts.schema().len();
         let attrs = if ts.candidate_attrs.is_empty() {
@@ -363,9 +361,7 @@ impl Database {
         let budget = rows_per_block.unwrap_or(self.config.rows_per_block);
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
         check_rows(ts, &rows)?;
-        for r in &rows {
-            ts.sample.offer(r.clone());
-        }
+        ts.sample.offer_all(&rows);
         let n = Self::write_through_tree(&self.store, ts, tree, rows, budget)?;
         self.commit_durable()?;
         Ok(n)
@@ -392,9 +388,7 @@ impl Database {
         }
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
         check_rows(ts, &rows)?;
-        for r in &rows {
-            ts.sample.offer(r.clone());
-        }
+        ts.sample.offer_all(&rows);
         let selection: Vec<AttrId> =
             ts.candidate_attrs.iter().copied().filter(|a| *a != join_attr).collect();
         let tree = TwoPhaseBuilder::new(
@@ -471,9 +465,7 @@ impl Database {
         let rows_per_block = self.config.rows_per_block;
         let ts = self.tables.get_mut(table).ok_or_else(|| Error::UnknownTable(table.into()))?;
         check_rows(ts, &rows)?;
-        for r in &rows {
-            ts.sample.offer(r.clone());
-        }
+        ts.sample.offer_all(&rows);
         let arity = ts.schema().len();
         let mut buffered = rows;
         if self.config.ingest_merge_tail {
@@ -501,8 +493,13 @@ impl Database {
             }
         }
         let mut new_ids = Vec::with_capacity(buffered.len() / rows_per_block + 1);
-        for chunk in buffered.chunks(rows_per_block) {
-            new_ids.push(self.store.write_block(table, chunk.to_vec(), arity, None));
+        let mut rest = buffered.into_iter();
+        loop {
+            let chunk: Vec<Row> = rest.by_ref().take(rows_per_block).collect();
+            if chunk.is_empty() {
+                break;
+            }
+            new_ids.push(self.store.write_block(table, chunk, arity, None));
             clock.record_writes(1);
         }
         self.ingest.delta_blocks_written += new_ids.len();
@@ -1002,6 +999,27 @@ mod tests {
         }
         assert_eq!(d.table("l").unwrap().total_blocks(), blocks, "nothing was written");
         assert_eq!(d.run(&Query::Scan(ScanQuery::full("l"))).unwrap().rows.len(), 200);
+    }
+
+    /// Loading and appending offer each table's rows to its sample in
+    /// batches; the sample must be the one offering every row in turn
+    /// builds — past the reservoir's capacity, so rows are replaced.
+    #[test]
+    fn load_then_append_samples_like_row_by_row_offers() {
+        let mut d = Database::new(DbConfig { rows_per_block: 100, ..DbConfig::small() });
+        d.create_table("t", schema2(), vec![0, 1]).unwrap();
+        let loaded: Vec<Row> = (0..2_600i64).map(|i| row![i % 97, i]).collect();
+        let appended: Vec<Row> = (0..900i64).map(|i| row![i % 13, -i]).collect();
+        d.load_rows("t", loaded.clone()).unwrap();
+        d.append_rows("t", appended.clone()).unwrap();
+        let sample = &d.table("t").unwrap().sample;
+        let mut want = Reservoir::new(sample.capacity(), d.config.seed ^ "t".len() as u64);
+        for r in loaded.iter().chain(&appended) {
+            want.offer(r.clone());
+        }
+        assert!(want.seen() > want.capacity(), "the test must overflow the reservoir");
+        assert_eq!(sample.seen(), want.seen());
+        assert_eq!(sample.rows(), want.rows());
     }
 
     /// A table needs a column: rows of no columns have nothing to

@@ -73,12 +73,11 @@ pub(crate) enum Zone<'a> {
     Bool(bool, bool),
 }
 
-/// Panic for a cell of type `got` arriving in column `col`, whose zone
-/// already holds cells of another type: a column has one type.
+/// Panic for a cell of type `got` arriving in column `col`, which
+/// already holds `held` cells: a column has one type.
 #[cold]
 #[inline(never)]
-fn type_clash(col: usize, zone: &Zone<'_>, got: ValueType) -> ! {
-    let held = zone.value_type().expect("an empty zone takes a cell of any type");
+pub(crate) fn type_clash(col: usize, held: ValueType, got: ValueType) -> ! {
     panic!("column {col} holds {held:?} cells, got a {got:?} cell")
 }
 
@@ -108,7 +107,11 @@ macro_rules! typed_widen {
             match self {
                 Zone::$variant(lo, hi) => widen(lo, hi, x, $cmp),
                 Zone::Empty => *self = Zone::$variant(x, x),
-                held => type_clash(col, held, ValueType::$variant),
+                held => type_clash(
+                    col,
+                    held.value_type().expect("an empty zone takes a cell of any type"),
+                    ValueType::$variant,
+                ),
             }
         }
     };

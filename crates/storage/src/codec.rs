@@ -34,11 +34,14 @@
 //! ([`encode_value`]).
 //!
 //! **One typed write pass.** The encoder also builds the block's
-//! [`BlockMeta`]: one walk per column writes the cells and widens that
-//! column's zone map with typed comparisons ([`encode_block_with_meta`]).
-//! Its cells can come from rows or, for migrations, from other blocks'
-//! still-encoded columns ([`RawColumn`], [`encode_gathered`]): cells are
-//! then copied payload to payload, and no value or row is built.
+//! [`BlockMeta`]: each column's type is matched once, and one tight loop
+//! per column writes the cells and widens that column's zone map with
+//! typed comparisons ([`encode_block_with_meta`]). Its cells can come
+//! from rows or, for migrations, from other blocks' still-encoded
+//! columns ([`RawColumn`], [`encode_gathered`]): cells are then copied
+//! payload to payload, and no value or row is built. Either way every
+//! column's length is known before the first byte is written, so the
+//! block is written in place into the one buffer the store keeps.
 //!
 //! **Predicates on encoded cells.** A filtered read narrows its
 //! selection on the `ADB2` payload itself ([`LazyBlock::filter_into`]):
@@ -57,7 +60,7 @@ use adaptdb_common::{
 };
 use bytes::{Buf, BufMut, Bytes};
 
-use crate::block::{utf8_value, widen, Block, BlockMeta, Zone};
+use crate::block::{type_clash, utf8_value, widen, Block, BlockMeta, Zone};
 
 /// Magic prefix of an encoded (`ADB2`) block.
 pub const BLOCK_MAGIC_V2: &[u8; 4] = b"ADB2";
@@ -152,15 +155,17 @@ pub fn encode_block_columnar(block: &Block) -> Bytes {
 }
 
 /// Encode a block and compute its [`BlockMeta`] for a schema of `arity`
-/// columns in the same pass: one walk per column writes the cells and
+/// columns in the same pass. Each column's type is read once, from its
+/// first cell; one typed loop per column then writes the cells and
 /// widens that column's zone map, and the byte size falls out of the
 /// payload lengths.
 ///
 /// # Panics
 ///
 /// If the rows differ in width, are zero columns wide, or a column
-/// holds cells of more than one type: no such block can be written
-/// column-major and read back as the same rows.
+/// holds cells of more than one type (the panic names the column): no
+/// such block can be written column-major and read back as the same
+/// rows.
 pub fn encode_block_with_meta(block: &Block, arity: usize) -> (Bytes, BlockMeta) {
     let rows = &block.rows;
     let cols = rows.first().map_or(0, Row::arity);
@@ -169,11 +174,81 @@ pub fn encode_block_with_meta(block: &Block, arity: usize) -> (Bytes, BlockMeta)
         "block {}: rows need one non-zero width",
         block.id
     );
-    write_columns(block.id, rows.len(), cols, arity, |a, sink| {
-        for r in rows {
-            sink.value(&r.values()[a]);
+    let lens: Vec<usize> = (0..cols).map(|a| rows_payload_len(rows, a)).collect();
+    write_columns(block.id, rows.len(), &lens, arity, |a, out| encode_rows_column(rows, a, out))
+}
+
+/// The byte width of a fixed-width cell type (`None` for `Str`).
+fn fixed_width(t: ValueType) -> Option<usize> {
+    match t {
+        ValueType::Int | ValueType::Double => Some(8),
+        ValueType::Date => Some(4),
+        ValueType::Bool => Some(1),
+        ValueType::Str => None,
+    }
+}
+
+/// The payload length of column `a` of `rows` (at least one row), typed
+/// by its first cell. A `Str` column's cells are measured one by one,
+/// and one of another type panics naming the column.
+fn rows_payload_len(rows: &[Row], a: usize) -> usize {
+    let t = rows[0].values()[a].value_type();
+    match fixed_width(t) {
+        Some(w) => w * rows.len(),
+        None => rows
+            .iter()
+            .map(|r| match &r.values()[a] {
+                Value::Str(s) => 4 + s.len(),
+                v => type_clash(a, t, v.value_type()),
+            })
+            .sum(),
+    }
+}
+
+/// Write column `a` of `rows` into `out`, which is exactly its payload
+/// length ([`rows_payload_len`]), and return its zone map. The column's
+/// type is matched once and its bounds kept in locals: one tight loop
+/// per type, and a cell of another type panics naming the column.
+fn encode_rows_column<'a>(rows: &'a [Row], a: usize, mut out: &mut [u8]) -> Zone<'a> {
+    macro_rules! fixed {
+        ($variant:ident, $w:literal, $bytes:expr, $cmp:expr) => {{
+            let Value::$variant(first) = rows[0].values()[a] else { unreachable!() };
+            let (mut lo, mut hi) = (first, first);
+            for (r, c) in rows.iter().zip(out.chunks_exact_mut($w)) {
+                let x = match r.values()[a] {
+                    Value::$variant(x) => x,
+                    ref v => type_clash(a, ValueType::$variant, v.value_type()),
+                };
+                widen(&mut lo, &mut hi, x, $cmp);
+                c.copy_from_slice(&$bytes(x));
+            }
+            Zone::$variant(lo, hi)
+        }};
+    }
+    match rows[0].values()[a].value_type() {
+        ValueType::Int => fixed!(Int, 8, i64::to_le_bytes, i64::cmp),
+        ValueType::Double => {
+            fixed!(Double, 8, |x: f64| x.to_bits().to_le_bytes(), f64::total_cmp)
         }
-    })
+        ValueType::Date => fixed!(Date, 4, i32::to_le_bytes, i32::cmp),
+        ValueType::Bool => fixed!(Bool, 1, |x: bool| [x as u8], bool::cmp),
+        ValueType::Str => {
+            // `rows_payload_len` checked that every cell is a `Str`.
+            let str_bytes = |r: &'a Row| match &r.values()[a] {
+                Value::Str(s) => s.as_bytes(),
+                _ => unreachable!(),
+            };
+            let first = str_bytes(&rows[0]);
+            let (mut lo, mut hi) = (first, first);
+            for r in rows {
+                let s = str_bytes(r);
+                widen(&mut lo, &mut hi, s, |x, y| x.cmp(y));
+                out.put_u32_le(s.len() as u32);
+                out.put_slice(s);
+            }
+            Zone::Str(lo, hi)
+        }
+    }
 }
 
 /// Encode the rows picked by `chunks` — each a block's still-encoded
@@ -197,59 +272,66 @@ pub fn encode_gathered(
     );
     // No rows, no columns: the layout an empty row block gets.
     let cols = if rows == 0 { 0 } else { cols };
-    write_columns(id, rows, cols, arity, |a, sink| {
+    let lens: Vec<usize> = (0..cols)
+        .map(|a| chunks.iter().map(|(src, picked)| src[a].picked_len(picked)).sum())
+        .collect();
+    write_columns(id, rows, &lens, arity, |a, out| {
+        let mut sink = ColumnSink { out, col: a, zone: Zone::Empty };
         for (src, picked) in chunks {
             sink.gather(&src[a], picked);
         }
+        assert!(sink.out.is_empty(), "column {a} filled short of its length");
+        sink.zone
     })
 }
 
-/// Lay out an `ADB2` block of `rows` rows and `cols` columns, letting
-/// `fill` push column `a`'s cells into its [`ColumnSink`], and build
-/// the block's [`BlockMeta`] for `arity` schema columns alongside.
+/// Lay out an `ADB2` block of `rows` rows whose column `a` has a
+/// payload of `lens[a]` bytes, letting `fill` write that payload into
+/// the slice it is given and return the column's zone map, and build
+/// the block's [`BlockMeta`] for `arity` schema columns alongside. The
+/// block is written in place into the one buffer it is stored in.
 fn write_columns<'a>(
     id: BlockId,
     rows: usize,
-    cols: usize,
+    lens: &[usize],
     arity: usize,
-    mut fill: impl FnMut(usize, &mut ColumnSink<'a>),
+    mut fill: impl FnMut(usize, &mut [u8]) -> Zone<'a>,
 ) -> (Bytes, BlockMeta) {
-    let dir = 14;
-    let mut buf = Vec::with_capacity(dir + cols * (5 + rows * 8));
-    buf.put_slice(BLOCK_MAGIC_V2);
-    buf.put_u32_le(id);
-    buf.put_u32_le(rows as u32);
-    buf.put_u16_le(cols as u16);
-    // Directory entries are patched in as each payload is written.
-    buf.resize(dir + cols * 5, 0);
+    let dir = 14 + lens.len() * 5;
+    let payload: usize = lens.iter().sum();
+    let mut data: Arc<[u8]> = std::iter::repeat_n(0, dir + payload).collect();
+    let (mut head, mut body) =
+        Arc::get_mut(&mut data).expect("a fresh buffer is unshared").split_at_mut(dir);
+    head.put_slice(BLOCK_MAGIC_V2);
+    head.put_u32_le(id);
+    head.put_u32_le(rows as u32);
+    head.put_u16_le(lens.len() as u16);
     let mut ranges = Vec::with_capacity(arity);
-    let mut byte_size = rows * 8;
-    for a in 0..cols {
-        let start = buf.len();
-        let mut sink = ColumnSink { buf, col: a, zone: Zone::Empty };
-        fill(a, &mut sink);
-        let tag = sink.tag();
-        buf = sink.buf;
-        // A typed payload is exactly its cells' row-semantic size.
-        let len = buf.len() - start;
-        byte_size += len;
-        let entry = dir + a * 5;
-        buf[entry] = tag;
-        buf[entry + 1..entry + 5].copy_from_slice(&(len as u32).to_le_bytes());
+    for (a, &len) in lens.iter().enumerate() {
+        let (out, rest) = std::mem::take(&mut body).split_at_mut(len);
+        body = rest;
+        let zone = fill(a, out);
+        let t = zone.value_type().expect("a written column holds at least one cell");
+        head.put_u8(type_tag(t));
+        head.put_u32_le(len as u32);
         if a < arity {
-            ranges.push(sink.zone.into_range());
+            ranges.push(zone.into_range());
         }
     }
     ranges.resize(arity, ValueRange::empty());
-    (Bytes::from(buf), BlockMeta { id, row_count: rows, byte_size, ranges })
+    // A typed payload is exactly its cells' row-semantic size.
+    let byte_size = rows * 8 + payload;
+    (Bytes::from_owner(data), BlockMeta { id, row_count: rows, byte_size, ranges })
 }
 
-/// One `ADB2` column being appended to a block buffer, together with
-/// its zone map. Cells arrive one at a time, typed or as [`Value`]s,
-/// and are written as typed cells: the first fixes the column's type,
-/// and a cell of another type panics naming the column.
-struct ColumnSink<'a> {
-    buf: Vec<u8>,
+/// One `ADB2` column being written into its payload slice, together
+/// with its zone map. Cells arrive one at a time or as runs gathered
+/// from encoded columns, and are written as typed cells: the first
+/// fixes the column's type, and a cell of another type panics naming
+/// the column.
+struct ColumnSink<'a, 'b> {
+    /// What is left of the column's payload slice.
+    out: &'b mut [u8],
     /// The column's index in its block.
     col: usize,
     zone: Zone<'a>,
@@ -269,11 +351,10 @@ macro_rules! gather_fixed {
         match &mut $sink.zone {
             Zone::$variant(lo, hi) => {
                 let (mut l, mut h) = (*lo, *hi);
-                $sink.buf.reserve($picked.len() * $w);
                 for &i in $picked {
                     let c = cell::<$w>($p, i as usize);
                     widen(&mut l, &mut h, $decode(c), $cmp);
-                    $sink.buf.extend_from_slice(&c);
+                    $sink.out.put_slice(&c);
                 }
                 (*lo, *hi) = (l, h);
                 true
@@ -283,25 +364,17 @@ macro_rules! gather_fixed {
     }};
 }
 
-impl<'a> ColumnSink<'a> {
+impl<'a> ColumnSink<'a, '_> {
     #[inline]
     fn int(&mut self, x: i64) {
         self.zone.int(self.col, x);
-        self.buf.put_i64_le(x);
+        self.out.put_i64_le(x);
     }
 
     #[inline]
     fn double(&mut self, x: f64) {
         self.zone.double(self.col, x);
-        self.buf.put_u64_le(x.to_bits());
-    }
-
-    /// A `Str` cell given by its UTF-8 bytes.
-    #[inline]
-    fn str(&mut self, s: &'a [u8]) {
-        self.zone.str(self.col, s);
-        self.buf.put_u32_le(s.len() as u32);
-        self.buf.put_slice(s);
+        self.out.put_u64_le(x.to_bits());
     }
 
     /// A `Str` cell in its encoded form — length prefix, then the UTF-8
@@ -309,31 +382,19 @@ impl<'a> ColumnSink<'a> {
     #[inline]
     fn str_cell(&mut self, c: &'a [u8]) {
         self.zone.str(self.col, &c[4..]);
-        self.buf.put_slice(c);
+        self.out.put_slice(c);
     }
 
     #[inline]
     fn date(&mut self, x: i32) {
         self.zone.date(self.col, x);
-        self.buf.put_i32_le(x);
+        self.out.put_i32_le(x);
     }
 
     #[inline]
     fn bool(&mut self, x: bool) {
         self.zone.bool(self.col, x);
-        self.buf.put_u8(x as u8);
-    }
-
-    /// Append one cell of any type.
-    #[inline]
-    fn value(&mut self, v: &'a Value) {
-        match v {
-            Value::Int(x) => self.int(*x),
-            Value::Double(x) => self.double(*x),
-            Value::Str(s) => self.str(s.as_bytes()),
-            Value::Date(x) => self.date(*x),
-            Value::Bool(x) => self.bool(*x),
-        }
+        self.out.put_u8(x as u8);
     }
 
     /// Append the cells `picked` of a still-encoded column. The whole
@@ -348,7 +409,7 @@ impl<'a> ColumnSink<'a> {
             && picked.first() == Some(&0)
             && picked.last() == Some(&(col.rows as u32 - 1));
         if whole && self.seed_zone(col) {
-            self.buf.extend_from_slice(&col.payload);
+            self.out.put_slice(&col.payload);
             return;
         }
         let p: &'a [u8] = &col.payload;
@@ -395,11 +456,6 @@ impl<'a> ColumnSink<'a> {
             3 => self.date(i32::from_le_bytes(fixed(c))),
             _ => self.bool(c[0] != 0),
         }
-    }
-
-    /// The column's directory tag: its cells' type.
-    fn tag(&self) -> u8 {
-        type_tag(self.zone.value_type().expect("a written column holds at least one cell"))
     }
 }
 
@@ -641,10 +697,11 @@ impl LazyBlock {
     }
 
     /// Materialize rows `start..end` whose bit is set in the
-    /// block-wide selection `sel`, in ascending row order. Fixed-width
-    /// columns seek directly to each selected cell; `Str` columns
-    /// skip-walk their payload, advancing past unselected cells without
-    /// allocating. Any gather of a block with a faulty column fails with
+    /// block-wide selection `sel`, in ascending row order. Only the set
+    /// bits are visited, so a sparse selection costs little more than
+    /// the rows it picks. Fixed-width columns seek directly to each
+    /// selected cell; `Str` columns skip-walk their payload, advancing
+    /// past unselected cells without allocating. Any gather of a block with a faulty column fails with
     /// that column's error, so every gather rejects exactly the blocks
     /// a full decode does.
     pub fn gather_range(
@@ -656,7 +713,8 @@ impl LazyBlock {
         let n = self.row_count();
         assert!(start <= end && end <= n, "gather range {start}..{end} out of {n} rows");
         assert_eq!(sel.len(), n, "selection width mismatch");
-        let picked: Vec<usize> = (start..end).filter(|&i| sel.get(i)).collect();
+        let picked: Vec<usize> =
+            sel.iter_ones().skip_while(|&i| i < start).take_while(|&i| i < end).collect();
         gather_columns(&self.dir, &self.bytes, &picked)
     }
 
@@ -725,6 +783,14 @@ impl RawColumn {
     pub fn with_range(mut self, range: ValueRange) -> RawColumn {
         self.range = Some(range);
         self
+    }
+
+    /// The bytes the cells `picked` take in a payload.
+    fn picked_len(&self, picked: &[u32]) -> usize {
+        match fixed_width(tag_type(self.tag)) {
+            Some(w) => w * picked.len(),
+            None => picked.iter().map(|&i| self.cell(i as usize).len()).sum(),
+        }
     }
 
     /// Cell `i`'s typed encoding (a `Str` cell keeps its length prefix).
@@ -1031,6 +1097,14 @@ mod tests {
     #[should_panic(expected = "column 1 holds Int cells, got a Str cell")]
     fn mistyped_cell_panics_naming_its_column() {
         encode_block_columnar(&Block::new(3, vec![row![1i64, 2i64], row![3i64, "x"]]));
+    }
+
+    /// The same in a `Str` column, whose cells are measured before any
+    /// is written.
+    #[test]
+    #[should_panic(expected = "column 0 holds Str cells, got a Int cell")]
+    fn mistyped_cell_in_a_str_column_panics_naming_it() {
+        encode_block_columnar(&Block::new(3, vec![row!["x", 2i64], row![3i64, 4i64]]));
     }
 
     /// Rows of differing width cannot be laid out column-major.
@@ -1354,13 +1428,23 @@ mod tests {
     /// A random cell of type `t` (0..5, in column tag order).
     fn random_cell(rng: &mut impl RngExt, t: u32) -> Value {
         match t {
-            0 => Value::Int(rng.random_range(-3..4i64)),
+            0 => Value::Int([-3, -1, 0, 2, 3, i64::MIN, i64::MAX][rng.random_range(0..7usize)]),
             1 => Value::Double(
                 [-0.0, 0.0, f64::NAN, -f64::NAN, 1.5, -2.25, f64::INFINITY]
                     [rng.random_range(0..7usize)],
             ),
             2 => Value::Str(
-                ["", "a", "ab", "h\u{e9}", "\u{1f600}x", "z"][rng.random_range(0..6usize)].into(),
+                [
+                    "",
+                    "a",
+                    "ab",
+                    "h\u{e9}",
+                    "\u{1f600}x",
+                    "z",
+                    "a string longer than twenty-two bytes",
+                    "\u{e9}t\u{e9} \u{2713} longer than the inline cap",
+                ][rng.random_range(0..8usize)]
+                .into(),
             ),
             3 => Value::Date(rng.random_range(-2..3i32)),
             _ => Value::Bool(rng.random_range(0..2u32) == 1),
@@ -1390,6 +1474,52 @@ mod tests {
             assert_eq!(meta, want, "meta of {block:?}");
             assert_eq!(format!("{meta:?}"), format!("{want:?}"), "bitwise meta of {block:?}");
             assert_eq!(block.compute_meta(arity), want);
+        }
+    }
+
+    /// The typed encoder against the per-cell reference on the cells
+    /// that stress it: NaN and signed zeros (ordered by `total_cmp`),
+    /// `i64::MIN`/`MAX`, empty strings and strings past the inline cap,
+    /// in one-row blocks and in columns mixing them.
+    #[test]
+    fn typed_encoder_equals_the_per_cell_reference_on_edge_cells() {
+        let columns: [Vec<Value>; 5] = [
+            vec![Value::Int(i64::MAX), Value::Int(i64::MIN), Value::Int(0), Value::Int(-1)],
+            vec![
+                Value::Double(0.0),
+                Value::Double(f64::NAN),
+                Value::Double(-0.0),
+                Value::Double(-f64::NAN),
+            ],
+            vec![
+                Value::Str("".into()),
+                Value::Str("twenty-two bytes, here".into()),
+                Value::Str("a string longer than twenty-two bytes".into()),
+                Value::Str("".into()),
+            ],
+            vec![Value::Date(i32::MIN), Value::Date(i32::MAX), Value::Date(-1), Value::Date(0)],
+            vec![Value::Bool(true), Value::Bool(false), Value::Bool(false), Value::Bool(true)],
+        ];
+        let mut blocks: Vec<Block> = (0..4)
+            .map(|i| {
+                Block::new(
+                    i,
+                    vec![Row::new(columns.iter().map(|c| c[i as usize].clone()).collect())],
+                )
+            })
+            .collect();
+        blocks.push(Block::new(
+            9,
+            (0..4).map(|i| Row::new(columns.iter().map(|c| c[i].clone()).collect())).collect(),
+        ));
+        for block in blocks {
+            for arity in [0, 2, 5, 6] {
+                let (bytes, meta) = encode_block_with_meta(&block, arity);
+                assert_eq!(bytes, reference_encode(&block), "bytes of {block:?}");
+                let want = reference_meta(&block, arity);
+                assert_eq!(format!("{meta:?}"), format!("{want:?}"), "meta of {block:?}");
+                assert_eq!(decode_block(bytes).unwrap(), block);
+            }
         }
     }
 

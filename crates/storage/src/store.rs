@@ -105,7 +105,11 @@ impl BlockStore {
     /// Allocate the next block id for a table.
     pub fn allocate_id(&self, table: &str) -> BlockId {
         let mut next_id = self.next_id.lock();
-        let next = next_id.entry(table.to_string()).or_insert(0);
+        // The name is copied into the map on the table's first id only.
+        if !next_id.contains_key(table) {
+            next_id.insert(table.to_string(), 0);
+        }
+        let next = next_id.get_mut(table).expect("inserted above");
         let id = *next;
         *next += 1;
         id
@@ -172,7 +176,10 @@ impl BlockStore {
         let (encoded, meta) = encode(id);
         // The DFS is sized with the canonical row-semantic byte size
         // (Σ `Row::byte_size`, same figure as `meta.byte_size`), not
-        // the encoded length.
+        // the encoded length. The DFS placements and the block bytes
+        // are two maps, each keyed by its own copy of the id: the only
+        // copies of the table name a write makes after the table's
+        // first block.
         let gid = GlobalBlockId::new(table, id);
         let placement = {
             let mut dfs = self.dfs.write();
@@ -182,7 +189,7 @@ impl BlockStore {
             }
         };
         self.data.write().insert(gid, encoded.clone());
-        self.meta.write().entry(table.to_string()).or_default().insert(id, meta);
+        self.insert_meta(table, meta);
         self.journal_record(table, || JournalRecord::WriteBlock {
             table: table.to_string(),
             id,
@@ -191,6 +198,20 @@ impl BlockStore {
             encoded,
         });
         id
+    }
+
+    /// Record a block's metadata in its table's catalog map, copying
+    /// the table name only for the table's first block.
+    fn insert_meta(&self, table: &str, meta: BlockMeta) {
+        let mut tables = self.meta.write();
+        match tables.get_mut(table) {
+            Some(blocks) => {
+                blocks.insert(meta.id, meta);
+            }
+            None => {
+                tables.insert(table.to_string(), BTreeMap::from([(meta.id, meta)]));
+            }
+        }
     }
 
     /// Re-insert one block from a durable journal's committed prefix:
@@ -226,7 +247,7 @@ impl BlockStore {
         let gid = GlobalBlockId::new(table, id);
         self.dfs.write().restore_block(gid.clone(), meta.byte_size, replicas);
         self.data.write().insert(gid, encoded);
-        self.meta.write().entry(table.to_string()).or_default().insert(id, meta);
+        self.insert_meta(table, meta);
         self.reserve_ids(table, id + 1);
         Ok(())
     }

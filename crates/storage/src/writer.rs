@@ -45,7 +45,9 @@ pub struct PartitionedWriter<'a> {
     /// Per-block replication override (`None` = cluster default).
     /// Shuffle spill runs are written unreplicated.
     replication: Option<usize>,
-    buffers: BTreeMap<BucketId, Vec<Row>>,
+    /// Rows waiting for a flush, indexed by bucket id (ids are dense:
+    /// tree leaves and shuffle partitions count up from zero).
+    buffers: Vec<Vec<Row>>,
     written: BTreeMap<BucketId, Vec<BlockId>>,
     rows_written: usize,
 }
@@ -67,7 +69,7 @@ impl<'a> PartitionedWriter<'a> {
             rows_per_block,
             writer_node,
             replication: None,
-            buffers: BTreeMap::new(),
+            buffers: Vec::new(),
             written: BTreeMap::new(),
             rows_written: 0,
         }
@@ -90,7 +92,11 @@ impl<'a> PartitionedWriter<'a> {
 
     /// Route one row to `bucket`, flushing that bucket's buffer if full.
     pub fn push(&mut self, bucket: BucketId, row: Row) {
-        let buf = self.buffers.entry(bucket).or_default();
+        let b = bucket as usize;
+        if b >= self.buffers.len() {
+            self.buffers.resize_with(b + 1, Vec::new);
+        }
+        let buf = &mut self.buffers[b];
         buf.push(row);
         if buf.len() >= self.rows_per_block {
             let rows = std::mem::take(buf);
@@ -100,7 +106,7 @@ impl<'a> PartitionedWriter<'a> {
 
     /// Total rows pushed so far (buffered + flushed).
     pub fn rows_seen(&self) -> usize {
-        self.rows_written + self.buffers.values().map(Vec::len).sum::<usize>()
+        self.rows_written + self.buffers.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Number of blocks flushed so far.
@@ -123,12 +129,11 @@ impl<'a> PartitionedWriter<'a> {
         self.written.entry(bucket).or_default().push(id);
     }
 
-    /// Flush all remaining buffers and return the bucket → blocks map.
+    /// Flush all remaining buffers, in ascending bucket order, and
+    /// return the bucket → blocks map.
     pub fn finish(mut self) -> BTreeMap<BucketId, Vec<BlockId>> {
-        let pending: Vec<(BucketId, Vec<Row>)> =
-            std::mem::take(&mut self.buffers).into_iter().collect();
-        for (bucket, rows) in pending {
-            self.flush_rows(bucket, rows);
+        for (bucket, rows) in std::mem::take(&mut self.buffers).into_iter().enumerate() {
+            self.flush_rows(bucket as BucketId, rows);
         }
         self.written
     }

@@ -23,6 +23,18 @@ impl Bytes {
         Bytes::default()
     }
 
+    /// A buffer over `owner`'s bytes. The shim's storage is an
+    /// `Arc<[u8]>`, so an `Arc<[u8]>` owner is taken as is, without a
+    /// copy; any other owner is copied into one.
+    pub fn from_owner<T>(owner: T) -> Self
+    where
+        T: AsRef<[u8]> + Send + 'static + Into<Arc<[u8]>>,
+    {
+        let data: Arc<[u8]> = owner.into();
+        let end = data.len();
+        Bytes { data, start: 0, end }
+    }
+
     /// Copy `data` into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes::from(data.to_vec())
@@ -245,6 +257,7 @@ impl Buf for Bytes {
 macro_rules! put_le {
     ($($fn:ident($t:ty)),* $(,)?) => {$(
         /// Append a value in little-endian byte order.
+        #[inline]
         fn $fn(&mut self, v: $t) {
             self.put_slice(&v.to_le_bytes());
         }
@@ -257,6 +270,7 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Append one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
@@ -271,20 +285,35 @@ pub trait BufMut {
     }
 
     /// Append a little-endian f64.
+    #[inline]
     fn put_f64_le(&mut self, v: f64) {
         self.put_u64_le(v.to_bits());
     }
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+}
+
+/// Writes fill the slice from the front and advance it past what they
+/// wrote. Panics if the slice is too short.
+impl BufMut for &mut [u8] {
+    #[inline]
+    fn put_slice(&mut self, src: &[u8]) {
+        assert!(src.len() <= self.len(), "put_slice past end of buffer");
+        let (head, rest) = std::mem::take(self).split_at_mut(src.len());
+        head.copy_from_slice(src);
+        *self = rest;
     }
 }
 
@@ -322,6 +351,28 @@ mod tests {
         assert_eq!(s.as_ref(), &[2, 3, 4]);
         assert_eq!(s, Bytes::from(vec![2, 3, 4]));
         assert_eq!(b.len(), 5);
+    }
+
+    #[test]
+    fn slice_writes_advance_and_owned_arcs_are_not_copied() {
+        let mut data: Arc<[u8]> = Arc::from(vec![0u8; 7]);
+        let mut out: &mut [u8] = Arc::get_mut(&mut data).unwrap();
+        out.put_u8(1);
+        out.put_u16_le(0x0302);
+        out.put_slice(b"abcd");
+        assert!(out.is_empty());
+        let ptr = data.as_ptr();
+        let b = Bytes::from_owner(data);
+        assert_eq!(b.as_ref(), &[1, 2, 3, b'a', b'b', b'c', b'd']);
+        assert_eq!(b.as_ptr(), ptr, "the Arc's bytes are shared, not copied");
+    }
+
+    #[test]
+    #[should_panic(expected = "put_slice past end")]
+    fn writing_past_a_slice_end_panics() {
+        let mut buf = [0u8; 2];
+        let mut out: &mut [u8] = &mut buf;
+        out.put_u32_le(1);
     }
 
     #[test]

@@ -134,6 +134,44 @@ impl Bencher {
     }
 }
 
+/// How many inputs [`Bencher::iter_batched`] prepares at a time
+/// (criterion's variant the workspace uses; the shim prepares one per
+/// iteration).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Inputs too large to hold many of.
+    LargeInput,
+}
+
+impl Bencher {
+    /// Time `routine` on a fresh input from `setup` per iteration —
+    /// for routines that consume or mutate their input. Neither
+    /// `setup` nor dropping the routine's output is timed.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        // Each phase runs until `budget` of wall time, set-up included,
+        // has passed; the measured one keeps every routine's time.
+        let mut run = |budget: Duration, mut batches: Option<&mut Vec<(Duration, u64)>>| {
+            let start = Instant::now();
+            while start.elapsed() < budget {
+                let input = setup();
+                let t = Instant::now();
+                let out = std::hint::black_box(routine(input));
+                let took = t.elapsed();
+                drop(out);
+                if let Some(b) = batches.as_deref_mut() {
+                    b.push((took, 1));
+                }
+            }
+        };
+        run(self.warmup, None);
+        run(self.measure, Some(&mut self.batches));
+    }
+}
+
 fn run_target<F>(id: &str, warmup: Duration, measure: Duration, f: &mut F)
 where
     F: FnMut(&mut Bencher),

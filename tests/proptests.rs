@@ -3,7 +3,7 @@
 use adaptdb_common::{CmpOp, Predicate, PredicateSet, Row, Value, ValueRange};
 use adaptdb_join::{approx, bottom_up, exact, OverlapMatrix};
 use adaptdb_storage::codec::{decode_block, encode_block_columnar};
-use adaptdb_storage::Block;
+use adaptdb_storage::{Block, Reservoir};
 use adaptdb_tree::{TwoPhaseBuilder, UpfrontPartitioner};
 use proptest::prelude::*;
 
@@ -83,6 +83,34 @@ proptest! {
         let step = (enc.len() / 7).max(1);
         for cut in (1..enc.len()).step_by(step) {
             prop_assert!(decode_block(enc.slice(0..cut)).is_err());
+        }
+    }
+
+    /// Offering rows in batches keeps exactly the sample, and the count,
+    /// that offering them one by one does — whatever the capacity, the
+    /// seed, and where the batches split.
+    #[test]
+    fn reservoir_batch_offer_equals_per_row_offer(
+        capacity in 1usize..40,
+        seed in any::<u64>(),
+        n in 0usize..300,
+        cuts in prop::collection::vec(0usize..300, 0..6),
+    ) {
+        let rows: Vec<Row> = (0..n as i64).map(|i| Row::new(vec![Value::Int(i)])).collect();
+        let mut one_by_one = Reservoir::new(capacity, seed);
+        let mut batched = Reservoir::new(capacity, seed);
+        let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(n)).collect();
+        bounds.push(n);
+        bounds.sort_unstable();
+        let mut start = 0;
+        for end in bounds {
+            for r in &rows[start..end] {
+                one_by_one.offer(r.clone());
+            }
+            batched.offer_all(&rows[start..end]);
+            prop_assert_eq!(batched.rows(), one_by_one.rows());
+            prop_assert_eq!(batched.seen(), one_by_one.seen());
+            start = end;
         }
     }
 
