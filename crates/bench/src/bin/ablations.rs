@@ -27,7 +27,7 @@ use rand::RngExt;
 use std::collections::BTreeMap;
 
 fn main() {
-    let (opts, _) = adaptdb_bench::parse_args();
+    let (opts, _) = adaptdb_bench::parse_args(&[]);
     ablation_merge_on_write(opts.seed);
     ablation_median_vs_equiwidth(opts.seed);
     ablation_build_side(opts.seed);

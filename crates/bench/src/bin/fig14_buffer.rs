@@ -1,5 +1,5 @@
 //! Fig. 14 — effect of the hyper-join memory buffer.
 fn main() {
-    let (opts, _) = adaptdb_bench::parse_args();
+    let (opts, _) = adaptdb_bench::parse_args(&[]);
     adaptdb_bench::figures::fig14_buffer(&opts);
 }

@@ -23,17 +23,21 @@
 //!   row-at-a-time probing at identical output;
 //! * **parity** — the full TPC-H template corpus through the engine:
 //!   rows, `IoStats` (including `zone_skipped`), and `ShuffleStats` —
-//!   the committed baseline gates every counter exactly
-//!   (`scripts/check_bench_columnar.py`).
+//!   the committed baseline gates every counter exactly.
 //!
 //! Wall-clock cells report the *minimum* over several iterations (the
 //! noise-robust estimator); counters are deterministic at any speed.
+//! The binary asserts the contracts above before it writes
+//! `BENCH_columnar.json`; CI then diffs every value of the file except
+//! the declared wall-clock fields against the committed baseline
+//! (`scripts/check_bench.py`).
 //!
 //! Usage: `fig_columnar [--scale X] [--seed N] [--quick]`
 
-use adaptdb_bench::{parse_args, print_table, BenchOpts, Stopwatch};
+use adaptdb_bench::{parse_args, BenchOpts, Fields, Report, Stopwatch};
 use adaptdb_common::{
-    row, CmpOp, CostParams, Predicate, PredicateSet, Query, Row, Value, ValueRange,
+    row, CmpOp, CostParams, IoStats, Predicate, PredicateSet, Query, Row, ShuffleStats, Value,
+    ValueRange,
 };
 use adaptdb_dfs::SimClock;
 use adaptdb_exec::{hyper_join, scan_blocks, ExecContext, HyperJoinSpec, JoinHashTable};
@@ -60,19 +64,6 @@ struct Cell {
     rows_scanned: usize,
     rows_out: usize,
     wall_ms: f64,
-}
-
-/// The untimed parity cell: the whole TPC-H corpus through the engine.
-struct Parity {
-    queries: usize,
-    rows_out: usize,
-    reads: usize,
-    writes: usize,
-    zone_skipped: usize,
-    spill_blocks: usize,
-    local_fetches: usize,
-    remote_fetches: usize,
-    bytes_spilled: usize,
 }
 
 /// Write `rows` as blocks of `table`, returning ids and per-block
@@ -265,7 +256,7 @@ fn probe_cell(name: &'static str, columnar: bool, rows: &[Row], iters: usize, se
 
 /// Run the whole TPC-H template corpus through the engine and total
 /// the accounting.
-fn parity_cell(opts: &BenchOpts) -> Parity {
+fn parity_cell(opts: &BenchOpts) -> Fields {
     use adaptdb::{Database, DbConfig, Mode};
     let gen = TpchGen::new(opts.scale.max(0.02), opts.seed);
     let config = DbConfig {
@@ -282,112 +273,36 @@ fn parity_cell(opts: &BenchOpts) -> Parity {
     gen.load_converged(&mut db, li::ORDERKEY).expect("load");
     let mut q_rng = adaptdb_common::rng::derived(opts.seed, "fig-columnar-parity");
     let queries: Vec<Query> = Template::all().iter().map(|t| t.instantiate(&mut q_rng)).collect();
-    let mut p = Parity {
-        queries: queries.len(),
-        rows_out: 0,
-        reads: 0,
-        writes: 0,
-        zone_skipped: 0,
-        spill_blocks: 0,
-        local_fetches: 0,
-        remote_fetches: 0,
-        bytes_spilled: 0,
-    };
+    let (mut rows_out, mut io, mut shuffle) = (0, IoStats::default(), ShuffleStats::default());
     for q in &queries {
         let r = db.run(q).expect("query");
-        p.rows_out += r.rows.len();
-        p.reads += r.stats.query_io.reads();
-        p.writes += r.stats.query_io.writes;
-        p.zone_skipped += r.stats.query_io.zone_skipped;
-        p.spill_blocks += r.stats.shuffle.blocks_spilled;
-        p.local_fetches += r.stats.shuffle.local_fetches;
-        p.remote_fetches += r.stats.shuffle.remote_fetches;
-        p.bytes_spilled += r.stats.shuffle.bytes_spilled;
+        rows_out += r.rows.len();
+        io.merge(&r.stats.query_io);
+        shuffle.merge(&r.stats.shuffle);
     }
-    p
+    Fields::default()
+        .lit("columnar", true)
+        .lit("queries", queries.len())
+        .lit("rows_out", rows_out)
+        .lit("reads", io.reads())
+        .lit("writes", io.writes)
+        .lit("zone_skipped", io.zone_skipped)
+        .lit("spill_blocks", shuffle.blocks_spilled)
+        .lit("local_fetches", shuffle.local_fetches)
+        .lit("remote_fetches", shuffle.remote_fetches)
+        .lit("bytes_spilled", shuffle.bytes_spilled)
 }
 
-fn json_cell(c: &Cell) -> String {
-    format!(
-        "    {{\"name\": \"{}\", \"columnar\": {}, \"blocks\": {}, \"reads\": {}, \
-         \"zone_skipped\": {}, \"rows_scanned\": {}, \"rows_out\": {}, \"wall_ms\": {:.3}}}",
-        c.name,
-        c.columnar,
-        c.blocks,
-        c.reads,
-        c.zone_skipped,
-        c.rows_scanned,
-        c.rows_out,
-        c.wall_ms
-    )
-}
-
-fn json_parity(p: &Parity) -> String {
-    format!(
-        "    {{\"columnar\": true, \"queries\": {}, \"rows_out\": {}, \"reads\": {}, \
-         \"writes\": {}, \"zone_skipped\": {}, \"spill_blocks\": {}, \"local_fetches\": {}, \
-         \"remote_fetches\": {}, \"bytes_spilled\": {}}}",
-        p.queries,
-        p.rows_out,
-        p.reads,
-        p.writes,
-        p.zone_skipped,
-        p.spill_blocks,
-        p.local_fetches,
-        p.remote_fetches,
-        p.bytes_spilled
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    path: &str,
-    scan: &[Cell],
-    clustered: &[Cell],
-    probe: &[Cell],
-    parity: &Parity,
-    scan_speedup: f64,
-    probe_speedup: f64,
-    opts: &BenchOpts,
-) {
-    let fmt = |cells: &[Cell]| cells.iter().map(json_cell).collect::<Vec<_>>().join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"columnar\",\n  \"scale\": {},\n  \"seed\": {},\n  \
-         \"rows_per_block\": {},\n  \"speedup_floor\": {},\n  \"skip_rate_floor\": {},\n  \
-         \"scan_speedup\": {:.2},\n  \"probe_speedup\": {:.2},\n  \"scan\": [\n{}\n  ],\n  \
-         \"clustered\": [\n{}\n  ],\n  \"probe\": [\n{}\n  ],\n  \"parity\": [\n{}\n  ]\n}}\n",
-        opts.scale,
-        opts.seed,
-        ROWS_PER_BLOCK,
-        SPEEDUP_FLOOR,
-        SKIP_RATE_FLOOR,
-        scan_speedup,
-        probe_speedup,
-        fmt(scan),
-        fmt(clustered),
-        fmt(probe),
-        json_parity(parity),
-    );
-    std::fs::write(path, json).expect("write BENCH_columnar.json");
-    println!("wrote {path}");
-}
-
-fn table_rows(cells: &[Cell]) -> Vec<Vec<String>> {
-    cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.name.to_string(),
-                if c.columnar { "engine".into() } else { "reference".into() },
-                c.blocks.to_string(),
-                c.reads.to_string(),
-                c.zone_skipped.to_string(),
-                c.rows_scanned.to_string(),
-                c.rows_out.to_string(),
-                format!("{:.2}", c.wall_ms),
-            ]
-        })
-        .collect()
+fn row(c: &Cell) -> Fields {
+    Fields::default()
+        .text("name", c.name)
+        .lit("columnar", c.columnar)
+        .lit("blocks", c.blocks)
+        .lit("reads", c.reads)
+        .lit("zone_skipped", c.zone_skipped)
+        .lit("rows_scanned", c.rows_scanned)
+        .lit("rows_out", c.rows_out)
+        .wall("wall_ms", c.wall_ms, 3)
 }
 
 /// The reference and engine cells of a sweep must agree on every
@@ -404,7 +319,7 @@ fn assert_counts_and_speedup(pair: &[Cell]) -> f64 {
 }
 
 fn main() {
-    let (opts, _) = parse_args();
+    let (opts, _) = parse_args(&[]);
     let iters = if opts.quick { 3 } else { 10 };
     // A sizeable lineitem corpus, sorted by orderkey so the clustering
     // attribute is real. Every wall-clock cell scans this.
@@ -437,24 +352,27 @@ fn main() {
     ];
     let probe_speedup = assert_counts_and_speedup(&probe);
 
-    let parity = parity_cell(&opts);
+    // Late materialization is the only data plane: one parity cell.
+    let parity = vec![parity_cell(&opts)];
+    assert_eq!(parity.len(), 1, "one parity cell");
 
-    let headers = ["cell", "path", "blocks", "reads", "zskip", "scanned", "out", "wall ms"];
-    print_table(
-        "Selective scan, unclustered predicate (decode-bound)",
-        &headers,
-        &table_rows(&scan),
-    );
-    print_table(
-        "Selective scan, clustered predicate (zone maps)",
-        &headers,
-        &table_rows(&clustered),
-    );
-    print_table("Hyper-join probe leg, ~2% hit rate", &headers, &table_rows(&probe));
+    let rows = |cells: &[Cell]| cells.iter().map(row).collect();
+    let report = Report::new(
+        Fields::header("columnar", &opts)
+            .lit("rows_per_block", ROWS_PER_BLOCK)
+            .lit("speedup_floor", SPEEDUP_FLOOR)
+            .lit("skip_rate_floor", SKIP_RATE_FLOOR)
+            .wall("scan_speedup", scan_speedup, 2)
+            .wall("probe_speedup", probe_speedup, 2),
+    )
+    .table("scan", "Selective scan, unclustered predicate (decode-bound)", rows(&scan))
+    .table("clustered", "Selective scan, clustered predicate (zone maps)", rows(&clustered))
+    .table("probe", "Hyper-join probe leg, ~2% hit rate", rows(&probe))
+    .table("parity", "TPC-H corpus through the engine", parity);
+    report.print();
     println!("\nscan speedup: {scan_speedup:.2}x   probe speedup: {probe_speedup:.2}x");
 
-    // In-binary acceptance: the properties CI gates on must hold here
-    // before a baseline is ever written.
+    // The figure's contracts, asserted before the file is written.
     assert!(
         scan_speedup >= SPEEDUP_FLOOR,
         "engine scan speedup {scan_speedup:.2}x below {SPEEDUP_FLOOR}x"
@@ -470,14 +388,5 @@ fn main() {
     );
     assert_eq!(scan[0].zone_skipped, 0, "unclustered predicate must not zone-skip");
 
-    write_json(
-        "BENCH_columnar.json",
-        &scan,
-        &clustered,
-        &probe,
-        &parity,
-        scan_speedup,
-        probe_speedup,
-        &opts,
-    );
+    report.write("BENCH_columnar.json");
 }

@@ -14,15 +14,16 @@
 //! * **conservation** — after a final drain fold every appended row is
 //!   visible exactly once: `rows_total == base_rows + rate * rounds`.
 //!
-//! Wall-clock cells are machine-dependent and never gated against the
-//! baseline; every simulated counter (append, fold, tail-rewrite, and
-//! read accounting) is deterministic and compared bit-exactly by
-//! `scripts/check_bench_ingest.py`.
+//! The binary asserts these contracts before it writes
+//! `BENCH_ingest.json`. Wall-clock cells are machine-dependent and
+//! never gated against the baseline; every simulated counter (append,
+//! fold, tail-rewrite, and read accounting) is deterministic and
+//! compared exactly by `scripts/check_bench.py`.
 //!
 //! Usage: `fig_ingest [--scale X] [--seed N] [--quick]`
 
 use adaptdb::{Database, DbConfig, Mode};
-use adaptdb_bench::{parse_args, print_table, BenchOpts, Stopwatch};
+use adaptdb_bench::{parse_args, BenchOpts, Fields, Report, Stopwatch};
 use adaptdb_common::rng::derived;
 use adaptdb_common::{Query, Row, ScanQuery};
 use adaptdb_dfs::SimClock;
@@ -129,74 +130,47 @@ fn run_cell(opts: &BenchOpts, rate: usize, rounds: usize) -> Cell {
     }
 }
 
-fn json_cell(c: &Cell) -> String {
-    format!(
-        "    {{\"rate\": {}, \"rounds\": {}, \"appends\": {}, \"rows_appended\": {}, \
-         \"delta_blocks_written\": {}, \"tail_rewrites\": {}, \"folds\": {}, \
-         \"blocks_folded\": {}, \"max_backlog\": {}, \"rows_total\": {}, \
-         \"query_rows_out\": {}, \"reads_p95\": {}, \"p95_ms\": {:.3}}}",
-        c.rate,
-        c.rounds,
-        c.appends,
-        c.rows_appended,
-        c.delta_blocks_written,
-        c.tail_rewrites,
-        c.folds,
-        c.blocks_folded,
-        c.max_backlog,
-        c.rows_total,
-        c.query_rows_out,
-        c.reads_p95,
-        c.p95_ms,
-    )
-}
-
-fn write_json(path: &str, cells: &[Cell], rounds: usize, opts: &BenchOpts) {
-    let json = format!(
-        "{{\n  \"bench\": \"ingest\",\n  \"scale\": {},\n  \"seed\": {},\n  \
-         \"rows_per_block\": {},\n  \"fold_blocks\": {},\n  \"rounds\": {},\n  \
-         \"base_rows\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        opts.scale,
-        opts.seed,
-        ROWS_PER_BLOCK,
-        FOLD_BLOCKS,
-        rounds,
-        cells[0].base_rows,
-        cells.iter().map(json_cell).collect::<Vec<_>>().join(",\n"),
-    );
-    std::fs::write(path, json).expect("write BENCH_ingest.json");
-    println!("wrote {path}");
+fn row(c: &Cell) -> Fields {
+    Fields::default()
+        .lit("rate", c.rate)
+        .lit("rounds", c.rounds)
+        .lit("appends", c.appends)
+        .lit("rows_appended", c.rows_appended)
+        .lit("delta_blocks_written", c.delta_blocks_written)
+        .lit("tail_rewrites", c.tail_rewrites)
+        .lit("folds", c.folds)
+        .lit("blocks_folded", c.blocks_folded)
+        .lit("max_backlog", c.max_backlog)
+        .lit("rows_total", c.rows_total)
+        .lit("query_rows_out", c.query_rows_out)
+        .lit("reads_p95", c.reads_p95)
+        .wall("p95_ms", c.p95_ms, 3)
 }
 
 fn main() {
-    let (opts, _) = parse_args();
+    let (opts, _) = parse_args(&[]);
     let rounds = if opts.quick { 6 } else { 16 };
     let cells: Vec<Cell> = RATES.iter().map(|&r| run_cell(&opts, r, rounds)).collect();
 
-    let headers = [
-        "rate", "appends", "dblocks", "rewr", "folds", "folded", "lag", "total", "p95 rd", "p95 ms",
-    ];
-    let table: Vec<Vec<String>> = cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.rate.to_string(),
-                c.appends.to_string(),
-                c.delta_blocks_written.to_string(),
-                c.tail_rewrites.to_string(),
-                c.folds.to_string(),
-                c.blocks_folded.to_string(),
-                c.max_backlog.to_string(),
-                c.rows_total.to_string(),
-                c.reads_p95.to_string(),
-                format!("{:.2}", c.p95_ms),
-            ]
-        })
-        .collect();
-    print_table("Ingest under load: fold lag and query p95 vs rate", &headers, &table);
+    let report = Report::new(
+        Fields::header("ingest", &opts)
+            .lit("rows_per_block", ROWS_PER_BLOCK)
+            .lit("fold_blocks", FOLD_BLOCKS)
+            .lit("rounds", rounds)
+            .lit("base_rows", cells[0].base_rows),
+    )
+    .table(
+        "cells",
+        "Ingest under load: fold lag and query p95 vs rate",
+        cells.iter().map(row).collect(),
+    );
+    report.print();
 
-    // In-binary acceptance: the properties CI gates on must hold here
-    // before a baseline is ever written.
+    // The figure's contracts, asserted before the file is written.
+    assert!(
+        cells.windows(2).all(|w| w[0].rate < w[1].rate),
+        "cells must be in strictly ascending rate order"
+    );
     for c in &cells {
         assert_eq!(c.appends, c.rounds, "rate {}: every round appends once", c.rate);
         assert_eq!(c.rows_appended, c.rate * c.rounds, "rate {}: appended-row accounting", c.rate);
@@ -220,5 +194,5 @@ fn main() {
         "delta blocks written must grow with the ingest rate"
     );
 
-    write_json("BENCH_ingest.json", &cells, rounds, &opts);
+    report.write("BENCH_ingest.json");
 }

@@ -14,10 +14,12 @@
 //! `fetch_secs_pipelined` falls toward `windows × remote-read-cost`
 //! while `fetch_secs_serial` (and every count column) is unchanged.
 //!
-//! Everything here is deterministic (simulated I/O, fixed seed), which
-//! is what lets CI diff `BENCH_shuffle.json` against a committed
-//! baseline with a tight tolerance — including a minimum overlap
-//! factor on the pipelined series (`scripts/check_bench_shuffle.py`).
+//! The binary asserts the figure's contracts (the `≈ 3` pattern, count
+//! invariance across windows, a minimum overlap factor on the pipelined
+//! series) before it writes `BENCH_shuffle.json`. Everything here is
+//! deterministic (simulated I/O, fixed seed), so CI also diffs every
+//! value of the file against the committed baseline
+//! (`scripts/check_bench.py`).
 //!
 //! With `--trace-out PATH` (or `ADAPTDB_TRACE=1`) every measured cell
 //! additionally records a query-lifecycle span tree on the simulated
@@ -29,7 +31,7 @@
 //! Usage: `fig_shuffle [--scale X] [--seed N] [--quick] [--trace-out PATH]`
 
 use adaptdb::DbConfig;
-use adaptdb_bench::{parse_args, print_table, BenchOpts};
+use adaptdb_bench::{parse_args, BenchOpts, Fields, Report};
 use adaptdb_common::{chrome_trace_json, row, CostParams, PredicateSet, Trace, Tracer};
 use adaptdb_dfs::{secs_to_us, SimClock, TraceCtx};
 use adaptdb_exec::{shuffle_join, ExecContext, ShuffleJoinSpec, ShuffleOptions};
@@ -163,78 +165,29 @@ fn measure(
     }
 }
 
-fn json_cell(c: &Cell) -> String {
-    format!(
-        "    {{\"nodes\": {}, \"replication\": {}, \"fetch_window\": {}, \"input_blocks\": {}, \
-         \"spill_blocks\": {}, \"local_fetches\": {}, \"remote_fetches\": {}, \
-         \"hidden_fetches\": {}, \"locality\": {:.4}, \"cost_per_block\": {:.4}, \
-         \"sim_secs\": {:.4}, \"sim_secs_pipelined\": {:.4}, \"fetch_secs_serial\": {:.4}, \
-         \"fetch_secs_pipelined\": {:.4}}}",
-        c.nodes,
-        c.replication,
-        c.fetch_window,
-        c.input_blocks,
-        c.spill_blocks,
-        c.local_fetches,
-        c.remote_fetches,
-        c.hidden_fetches,
-        c.locality,
-        c.cost_per_block,
-        c.sim_secs,
-        c.sim_secs_pipelined,
-        c.fetch_secs_serial,
-        c.fetch_secs_pipelined
-    )
-}
-
-fn write_json(
-    path: &str,
-    node_sweep: &[Cell],
-    locality_sweep: &[Cell],
-    window_sweep: &[Cell],
-    opts: &BenchOpts,
-) {
-    let ns: Vec<String> = node_sweep.iter().map(json_cell).collect();
-    let ls: Vec<String> = locality_sweep.iter().map(json_cell).collect();
-    let ws: Vec<String> = window_sweep.iter().map(json_cell).collect();
-    let json = format!(
-        "{{\n  \"bench\": \"shuffle\",\n  \"scale\": {},\n  \"seed\": {},\n  \
-         \"rows_per_block\": {},\n  \"node_sweep\": [\n{}\n  ],\n  \
-         \"locality_sweep\": [\n{}\n  ],\n  \"window_sweep\": [\n{}\n  ]\n}}\n",
-        opts.scale,
-        opts.seed,
-        ROWS_PER_BLOCK,
-        ns.join(",\n"),
-        ls.join(",\n"),
-        ws.join(",\n")
-    );
-    std::fs::write(path, json).expect("write BENCH_shuffle.json");
-    println!("wrote {path}");
-}
-
-fn table_rows(cells: &[Cell]) -> Vec<Vec<String>> {
-    cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.nodes.to_string(),
-                c.replication.to_string(),
-                c.fetch_window.to_string(),
-                c.input_blocks.to_string(),
-                c.spill_blocks.to_string(),
-                format!("{}/{}", c.local_fetches, c.remote_fetches),
-                format!("{:.2}", c.locality),
-                format!("{:.2}", c.cost_per_block),
-                format!("{:.1}", c.sim_secs),
-                format!("{:.1}/{:.1}", c.fetch_secs_serial, c.fetch_secs_pipelined),
-            ]
-        })
-        .collect()
+fn row(c: &Cell) -> Fields {
+    Fields::default()
+        .lit("nodes", c.nodes)
+        .lit("replication", c.replication)
+        .lit("fetch_window", c.fetch_window)
+        .lit("input_blocks", c.input_blocks)
+        .lit("spill_blocks", c.spill_blocks)
+        .lit("local_fetches", c.local_fetches)
+        .lit("remote_fetches", c.remote_fetches)
+        .lit("hidden_fetches", c.hidden_fetches)
+        .fixed("locality", c.locality, 4)
+        .fixed("cost_per_block", c.cost_per_block, 4)
+        .fixed("sim_secs", c.sim_secs, 4)
+        .fixed("sim_secs_pipelined", c.sim_secs_pipelined, 4)
+        .fixed("fetch_secs_serial", c.fetch_secs_serial, 4)
+        .fixed("fetch_secs_pipelined", c.fetch_secs_pipelined, 4)
 }
 
 fn main() {
-    let (opts, _) = parse_args();
-    let trace_on = opts.trace_out.is_some() || DbConfig::default().trace;
+    // `--trace-out PATH` is the only own flag, so its path comes last.
+    let (opts, rest) = parse_args(&["--trace-out PATH"]);
+    let trace_out = rest.last();
+    let trace_on = trace_out.is_some() || DbConfig::default().trace;
     let node_counts: &[usize] = if opts.quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let replications: &[usize] = if opts.quick { &[1, 4] } else { &[1, 2, 4] };
     let windows: &[usize] = if opts.quick { &[1, 4] } else { &[1, 2, 4, 8] };
@@ -249,34 +202,27 @@ fn main() {
     let window_sweep: Vec<Cell> =
         windows.iter().map(|&w| measure(&opts, 4, 1, w, trace_on)).collect();
 
-    let headers = [
-        "nodes",
-        "repl",
-        "window",
-        "in blocks",
-        "spill",
-        "local/remote",
-        "locality",
-        "C_SJ/block",
-        "sim s",
-        "fetch s/p",
-    ];
-    print_table(
-        "Shuffle-join cost vs node count (unreplicated runs; paper: C_SJ = 3)",
-        &headers,
-        &table_rows(&node_sweep),
-    );
-    print_table(
-        "Shuffle-join cost vs fetch locality (4 nodes, spill replication sweep)",
-        &headers,
-        &table_rows(&locality_sweep),
-    );
-    print_table(
-        "Shuffle-join fetch leg vs pipelined window (4 nodes; serial vs overlapped)",
-        &headers,
-        &table_rows(&window_sweep),
-    );
+    let rows = |cells: &[Cell]| cells.iter().map(row).collect();
+    let report =
+        Report::new(Fields::header("shuffle", &opts).lit("rows_per_block", ROWS_PER_BLOCK))
+            .table(
+                "node_sweep",
+                "Shuffle-join cost vs node count (unreplicated runs; paper: C_SJ = 3)",
+                rows(&node_sweep),
+            )
+            .table(
+                "locality_sweep",
+                "Shuffle-join cost vs fetch locality (4 nodes, spill replication sweep)",
+                rows(&locality_sweep),
+            )
+            .table(
+                "window_sweep",
+                "Shuffle-join fetch leg vs pipelined window (4 nodes; serial vs overlapped)",
+                rows(&window_sweep),
+            );
+    report.print();
 
+    // The figure's contracts, asserted before the file is written.
     for c in &node_sweep {
         assert!(
             c.cost_per_block >= 2.5 && c.cost_per_block <= 4.5,
@@ -311,7 +257,7 @@ fn main() {
     }
     assert_eq!(serial.hidden_fetches, 0, "serial fetching hides nothing");
 
-    write_json("BENCH_shuffle.json", &node_sweep, &locality_sweep, &window_sweep, &opts);
+    report.write("BENCH_shuffle.json");
 
     if trace_on {
         // Every cell's span tree, one viewer "process" per cell. The
@@ -335,7 +281,7 @@ fn main() {
             "span durations must sum to sim_secs within rounding: {total_span_us} µs vs \
              {total_sim_secs} s (diff {diff_us} µs)"
         );
-        let path = opts.trace_out.as_deref().unwrap_or("BENCH_shuffle_trace.json");
+        let path = trace_out.map_or("BENCH_shuffle_trace.json", String::as_str);
         std::fs::write(path, chrome_trace_json(&parts)).expect("write trace JSON");
         println!(
             "wrote {path} ({} spans, root durations sum to {:.4} sim s)",

@@ -9,7 +9,7 @@
 //! mitigations on the same Zipf-keyed join:
 //!
 //! * **skew sweep** — s ∈ {0.0, 0.6, 1.2} with a fixed budget and
-//!   splitting on: per-task p99 stays within a CI-gated factor of the
+//!   splitting on: per-task p99 stays within an asserted factor of the
 //!   uniform run, and peak reducer memory stays ≤ budget;
 //! * **budget sweep** — s = 1.2 at budget ∞/16/4/1 blocks: tighter
 //!   budgets trade build-spill I/O for bounded memory, rows out are
@@ -22,13 +22,14 @@
 //! concurrently on `k` distinct nodes, so its task time is the
 //! partition's simulated seconds divided by `k` (communication — the
 //! broadcast leg — is charged in full; only computation fans out).
-//! Everything is deterministic (simulated I/O, fixed seed), so CI diffs
-//! `BENCH_skew.json` against a committed baseline
-//! (`scripts/check_bench_skew.py`).
+//! The binary asserts the figure's contracts before it writes
+//! `BENCH_skew.json`. Everything is deterministic (simulated I/O, fixed
+//! seed), so CI also diffs every value of the file against the
+//! committed baseline (`scripts/check_bench.py`).
 //!
 //! Usage: `fig_skew [--scale X] [--seed N] [--quick]`
 
-use adaptdb_bench::{parse_args, print_table, BenchOpts};
+use adaptdb_bench::{parse_args, BenchOpts, Fields, Report};
 use adaptdb_common::{row, CostParams, Histogram, PredicateSet, Row};
 use adaptdb_dfs::SimClock;
 use adaptdb_exec::{reduce_partition, ExecContext, ShuffleOptions, ShuffleService};
@@ -137,77 +138,30 @@ fn measure(opts: &BenchOpts, s: f64, budget: Option<usize>, split: bool) -> Cell
     }
 }
 
-fn json_cell(c: &Cell) -> String {
-    format!(
-        "    {{\"s\": {:.1}, \"budget\": {}, \"split\": {}, \"input_blocks\": {}, \
-         \"spill_blocks\": {}, \"build_spill_blocks\": {}, \"broadcast_fetches\": {}, \
-         \"local_fetches\": {}, \"remote_fetches\": {}, \"split_partitions\": {}, \
-         \"peak_mem_blocks\": {}, \"max_recursion_depth\": {}, \"rows_out\": {}, \
-         \"p99_task_secs\": {:.6}, \"max_task_secs\": {:.6}, \"mean_task_secs\": {:.6}, \
-         \"cost_per_block\": {:.4}, \"sim_secs\": {:.4}}}",
-        c.s,
-        c.budget.map_or("null".to_string(), |b| b.to_string()),
-        c.split,
-        c.input_blocks,
-        c.spill_blocks,
-        c.build_spill_blocks,
-        c.broadcast_fetches,
-        c.local_fetches,
-        c.remote_fetches,
-        c.split_partitions,
-        c.peak_mem_blocks,
-        c.max_recursion_depth,
-        c.rows_out,
-        c.p99_task_secs,
-        c.max_task_secs,
-        c.mean_task_secs,
-        c.cost_per_block,
-        c.sim_secs
-    )
-}
-
-fn write_json(path: &str, skew: &[Cell], budgets: &[Cell], parity: &Cell, opts: &BenchOpts) {
-    let ss: Vec<String> = skew.iter().map(json_cell).collect();
-    let bs: Vec<String> = budgets.iter().map(json_cell).collect();
-    let json = format!(
-        "{{\n  \"bench\": \"skew\",\n  \"scale\": {},\n  \"seed\": {},\n  \
-         \"rows_per_block\": {},\n  \"split_threshold\": {},\n  \"skew_sweep\": [\n{}\n  ],\n  \
-         \"budget_sweep\": [\n{}\n  ],\n  \"parity\": [\n{}\n  ]\n}}\n",
-        opts.scale,
-        opts.seed,
-        ROWS_PER_BLOCK,
-        SPLIT_THRESHOLD,
-        ss.join(",\n"),
-        bs.join(",\n"),
-        json_cell(parity)
-    );
-    std::fs::write(path, json).expect("write BENCH_skew.json");
-    println!("wrote {path}");
-}
-
-fn table_rows(cells: &[Cell]) -> Vec<Vec<String>> {
-    cells
-        .iter()
-        .map(|c| {
-            vec![
-                format!("{:.1}", c.s),
-                c.budget.map_or("∞".into(), |b| b.to_string()),
-                if c.split { "on".into() } else { "off".into() },
-                c.spill_blocks.to_string(),
-                c.build_spill_blocks.to_string(),
-                format!("{}/{}", c.split_partitions, c.broadcast_fetches),
-                c.peak_mem_blocks.to_string(),
-                c.max_recursion_depth.to_string(),
-                format!("{:.2}", c.p99_task_secs),
-                format!("{:.2}", c.mean_task_secs),
-                format!("{:.2}", c.cost_per_block),
-            ]
-        })
-        .collect()
+fn row(c: &Cell) -> Fields {
+    Fields::default()
+        .fixed("s", c.s, 1)
+        .opt("budget", c.budget)
+        .lit("split", c.split)
+        .lit("input_blocks", c.input_blocks)
+        .lit("spill_blocks", c.spill_blocks)
+        .lit("build_spill_blocks", c.build_spill_blocks)
+        .lit("broadcast_fetches", c.broadcast_fetches)
+        .lit("local_fetches", c.local_fetches)
+        .lit("remote_fetches", c.remote_fetches)
+        .lit("split_partitions", c.split_partitions)
+        .lit("peak_mem_blocks", c.peak_mem_blocks)
+        .lit("max_recursion_depth", c.max_recursion_depth)
+        .lit("rows_out", c.rows_out)
+        .fixed("p99_task_secs", c.p99_task_secs, 6)
+        .fixed("max_task_secs", c.max_task_secs, 6)
+        .fixed("mean_task_secs", c.mean_task_secs, 6)
+        .fixed("cost_per_block", c.cost_per_block, 4)
+        .fixed("sim_secs", c.sim_secs, 4)
 }
 
 fn main() {
-    let (opts, _) = parse_args();
+    let (opts, _) = parse_args(&[]);
     let skews: &[f64] = &[0.0, 0.6, 1.2];
     let budgets: &[Option<usize>] =
         if opts.quick { &[None, Some(4)] } else { &[None, Some(16), Some(4), Some(1)] };
@@ -218,47 +172,56 @@ fn main() {
     let budget_sweep: Vec<Cell> = budgets.iter().map(|&b| measure(&opts, 1.2, b, true)).collect();
     let parity = measure(&opts, 1.2, None, false);
 
-    let headers = [
-        "s",
-        "budget",
-        "split",
-        "spill",
-        "bspill",
-        "splits/bcast",
-        "peak",
-        "depth",
-        "p99 s",
-        "mean s",
-        "C/block",
-    ];
-    print_table(
-        &format!("Tail latency & memory vs key skew (budget {WORKING_BUDGET} blocks, split on)"),
-        &headers,
-        &table_rows(&skew_sweep),
-    );
-    print_table(
+    let rows = |cells: &[Cell]| cells.iter().map(row).collect();
+    let report = Report::new(
+        Fields::header("skew", &opts)
+            .lit("rows_per_block", ROWS_PER_BLOCK)
+            .lit("split_threshold", SPLIT_THRESHOLD),
+    )
+    .table(
+        "skew_sweep",
+        format!("Tail latency & memory vs key skew (budget {WORKING_BUDGET} blocks, split on)"),
+        rows(&skew_sweep),
+    )
+    .table(
+        "budget_sweep",
         "Budget sweep at Zipf s=1.2 (split on): spill I/O buys bounded memory",
-        &headers,
-        &table_rows(&budget_sweep),
-    );
-    print_table(
+        rows(&budget_sweep),
+    )
+    .table(
+        "parity",
         "Parity cell (s=1.2, budget ∞, split off): the pre-skew engine",
-        &headers,
-        &table_rows(std::slice::from_ref(&parity)),
+        rows(std::slice::from_ref(&parity)),
     );
+    report.print();
 
-    // In-binary acceptance: the properties CI gates on must hold here
-    // before a baseline is ever written.
-    for c in &skew_sweep {
-        assert!(
-            c.peak_mem_blocks <= WORKING_BUDGET,
-            "peak {} exceeds budget {WORKING_BUDGET} at s={}",
-            c.peak_mem_blocks,
-            c.s
+    // The figure's contracts, asserted before the file is written.
+    for c in skew_sweep.iter().chain(&budget_sweep).chain([&parity]) {
+        assert_eq!(
+            c.local_fetches + c.remote_fetches,
+            c.spill_blocks,
+            "s={} budget {:?}: broadcasts or build spills leaked into run fetches",
+            c.s,
+            c.budget
         );
+        match c.budget {
+            Some(b) => {
+                assert!(c.peak_mem_blocks <= b, "budget {b} exceeded: {}", c.peak_mem_blocks)
+            }
+            None => assert_eq!(c.build_spill_blocks, 0, "budget ∞ must never spill builds"),
+        }
+        if !c.split {
+            assert_eq!(c.split_partitions, 0, "s={}: split off but partitions split", c.s);
+        }
     }
     let uniform = &skew_sweep[0];
     let skewed = skew_sweep.last().expect("cells");
+    assert!(
+        uniform.s == 0.0 && skewed.s >= 1.2,
+        "the skew sweep must span s=0.0 to s>=1.2, got {} to {}",
+        uniform.s,
+        skewed.s
+    );
     assert!(
         skewed.p99_task_secs <= 3.0 * uniform.p99_task_secs.max(1e-9),
         "skewed p99 {:.3} not bounded vs uniform {:.3}",
@@ -269,14 +232,8 @@ fn main() {
     let rows_out = budget_sweep[0].rows_out;
     for c in budget_sweep.iter().chain([&parity]) {
         assert_eq!(c.rows_out, rows_out, "rows out must be budget-invariant");
-        if let Some(b) = c.budget {
-            assert!(c.peak_mem_blocks <= b, "budget {b} exceeded: {}", c.peak_mem_blocks);
-        } else {
-            assert_eq!(c.build_spill_blocks, 0, "budget ∞ must never spill builds");
-        }
     }
-    assert_eq!(parity.split_partitions, 0);
     assert_eq!(parity.broadcast_fetches, 0);
 
-    write_json("BENCH_skew.json", &skew_sweep, &budget_sweep, &parity, &opts);
+    report.write("BENCH_skew.json");
 }

@@ -1,7 +1,7 @@
 //! Run every figure in sequence — the full evaluation reproduction.
 //! `--quick` shrinks sweeps for a fast smoke pass.
 fn main() {
-    let (opts, _) = adaptdb_bench::parse_args();
+    let (opts, _) = adaptdb_bench::parse_args(&[]);
     println!("# AdaptDB reproduction — all figures (scale {}, seed {})", opts.scale, opts.seed);
     adaptdb_bench::figures::fig01_copartition(&opts);
     adaptdb_bench::figures::fig07_locality(&opts);

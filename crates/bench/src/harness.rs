@@ -11,29 +11,26 @@ pub struct BenchOpts {
     pub quick: bool,
     /// Master seed.
     pub seed: u64,
-    /// Where to write a Chrome trace-event JSON of the run's span
-    /// trees (`--trace-out PATH`). Implies tracing on in binaries that
-    /// support it; `ADAPTDB_TRACE=1` also enables tracing, printed to
-    /// a default path next to the figure's JSON.
-    pub trace_out: Option<String>,
 }
 
 impl Default for BenchOpts {
     fn default() -> Self {
-        BenchOpts { scale: 0.2, quick: false, seed: 42, trace_out: None }
+        BenchOpts { scale: 0.2, quick: false, seed: 42 }
     }
 }
 
-const USAGE: &str = "[--scale X] [--seed N] [--quick] [--trace-out PATH]";
-
-/// Parse `--scale X`, `--seed N`, `--quick`, `--trace-out PATH` from
-/// argv; unknown flags are returned for figure-specific handling. A
-/// malformed value prints a usage error and exits with status 2.
-pub fn parse_args() -> (BenchOpts, Vec<String>) {
+/// Parse `--scale X`, `--seed N` and `--quick` from argv, plus the
+/// binary's own flags: `own` spells each as it appears in the usage
+/// text, a flag that takes a value with its placeholder after a space
+/// (`"--trace-out PATH"`). Returns the own flags seen, each followed by
+/// its value if it takes one, in argv order. Any other argument, or a
+/// malformed value, prints the usage text and exits with status 2.
+pub fn parse_args(own: &[&str]) -> (BenchOpts, Vec<String>) {
     let mut argv = std::env::args();
     let program = argv.next().unwrap_or_else(|| "figure".to_string());
-    parse_args_from(argv).unwrap_or_else(|msg| {
-        eprintln!("error: {msg}\nusage: {program} {USAGE}");
+    parse_args_from(argv, own).unwrap_or_else(|msg| {
+        let own: String = own.iter().map(|f| format!(" [{f}]")).collect();
+        eprintln!("error: {msg}\nusage: {program} [--scale X] [--seed N] [--quick]{own}");
         std::process::exit(2);
     })
 }
@@ -42,6 +39,7 @@ pub fn parse_args() -> (BenchOpts, Vec<String>) {
 /// excluded), returning the usage error instead of exiting.
 fn parse_args_from(
     args: impl IntoIterator<Item = String>,
+    own: &[&str],
 ) -> Result<(BenchOpts, Vec<String>), String> {
     let mut opts = BenchOpts::default();
     let mut rest = Vec::new();
@@ -56,10 +54,18 @@ fn parse_args_from(
             }
             "--seed" => opts.seed = flag_value(&mut args, "--seed")?,
             "--quick" => opts.quick = true,
-            "--trace-out" => {
-                opts.trace_out = Some(args.next().ok_or("--trace-out needs a path")?);
+            _ => {
+                let spec = own
+                    .iter()
+                    .find(|f| f.split(' ').next() == Some(a.as_str()))
+                    .ok_or_else(|| format!("unknown argument {a:?}"))?;
+                if let Some((_, what)) = spec.split_once(' ') {
+                    let v = args.next().ok_or_else(|| format!("{a} needs a {what}"))?;
+                    rest.extend([a, v]);
+                } else {
+                    rest.push(a);
+                }
             }
-            other => rest.push(other.to_string()),
         }
     }
     Ok((opts, rest))
@@ -131,18 +137,35 @@ mod tests {
         assert!(!o.quick);
     }
 
-    fn parse(args: &[&str]) -> Result<(BenchOpts, Vec<String>), String> {
-        parse_args_from(args.iter().map(|a| a.to_string()))
+    fn parse(args: &[&str], own: &[&str]) -> Result<(BenchOpts, Vec<String>), String> {
+        parse_args_from(args.iter().map(|a| a.to_string()), own)
     }
 
     #[test]
-    fn parses_flags_and_passes_unknown_ones_through() {
-        let (o, rest) =
-            parse(&["--scale", "0.5", "--seed", "7", "--quick", "--trace-out", "t.json", "--x"])
-                .unwrap();
+    fn parses_shared_and_own_flags() {
+        let own = ["--switching", "--trace-out PATH"];
+        let (o, rest) = parse(
+            &["--scale", "0.5", "--trace-out", "t.json", "--seed", "7", "--quick", "--switching"],
+            &own,
+        )
+        .unwrap();
         assert_eq!((o.scale, o.seed, o.quick), (0.5, 7, true));
-        assert_eq!(o.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(rest, vec!["--x".to_string()]);
+        assert_eq!(rest, ["--trace-out", "t.json", "--switching"]);
+        assert_eq!(parse(&[], &own).unwrap().1, Vec::<String>::new());
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        for (args, own) in [
+            (&["--quik"][..], &[][..]),
+            (&["--trace-out", "t.json"], &[]),
+            (&["--quick", "--shifting"], &["--switching"]),
+            (&["positional"], &["--switching"]),
+            (&["--switching", "x"], &["--switching"]),
+        ] {
+            let err = parse(args, own).expect_err(&format!("{args:?} must be rejected"));
+            assert!(err.starts_with("unknown argument"), "{err}");
+        }
     }
 
     #[test]
@@ -158,7 +181,7 @@ mod tests {
             &["--seed", "1.5"],
             &["--trace-out"],
         ] {
-            assert!(parse(args).is_err(), "{args:?} must be rejected");
+            assert!(parse(args, &["--trace-out PATH"]).is_err(), "{args:?} must be rejected");
         }
     }
 

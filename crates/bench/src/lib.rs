@@ -12,5 +12,7 @@
 
 pub mod figures;
 pub mod harness;
+pub mod report;
 
 pub use harness::{parse_args, print_table, BenchOpts, Stopwatch};
+pub use report::{Fields, Report};
