@@ -21,7 +21,7 @@
 //! value of the file against the committed baseline
 //! (`scripts/check_bench.py`).
 //!
-//! With `--trace-out PATH` (or `ADAPTDB_TRACE=1`) every measured cell
+//! With `--trace-out PATH` every measured cell
 //! additionally records a query-lifecycle span tree on the simulated
 //! clock, exported as one Chrome trace-event JSON (one viewer process
 //! per cell) — and the binary asserts that each cell's root-span
@@ -30,7 +30,6 @@
 //!
 //! Usage: `fig_shuffle [--scale X] [--seed N] [--quick] [--trace-out PATH]`
 
-use adaptdb::DbConfig;
 use adaptdb_bench::{parse_args, BenchOpts, Fields, Report};
 use adaptdb_common::{chrome_trace_json, row, CostParams, PredicateSet, Trace, Tracer};
 use adaptdb_dfs::{secs_to_us, SimClock, TraceCtx};
@@ -187,7 +186,7 @@ fn main() {
     // `--trace-out PATH` is the only own flag, so its path comes last.
     let (opts, rest) = parse_args(&["--trace-out PATH"]);
     let trace_out = rest.last();
-    let trace_on = trace_out.is_some() || DbConfig::default().trace;
+    let trace_on = trace_out.is_some();
     let node_counts: &[usize] = if opts.quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let replications: &[usize] = if opts.quick { &[1, 4] } else { &[1, 2, 4] };
     let windows: &[usize] = if opts.quick { &[1, 4] } else { &[1, 2, 4, 8] };
@@ -259,7 +258,7 @@ fn main() {
 
     report.write("BENCH_shuffle.json");
 
-    if trace_on {
+    if let Some(path) = trace_out {
         // Every cell's span tree, one viewer "process" per cell. The
         // root span was closed at the cell's serial simulated seconds,
         // so the per-cell root durations must sum to the run's total
@@ -281,7 +280,6 @@ fn main() {
             "span durations must sum to sim_secs within rounding: {total_span_us} µs vs \
              {total_sim_secs} s (diff {diff_us} µs)"
         );
-        let path = trace_out.map_or("BENCH_shuffle_trace.json", String::as_str);
         std::fs::write(path, chrome_trace_json(&parts)).expect("write trace JSON");
         println!(
             "wrote {path} ({} spans, root durations sum to {:.4} sim s)",

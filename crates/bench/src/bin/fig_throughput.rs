@@ -145,6 +145,8 @@ struct MixedPolicyCell {
 const MIXED_STORM_SESSIONS: usize = 6;
 const MIXED_INTERACTIVE_SESSIONS: usize = 4;
 const MIXED_WORKERS: usize = 2;
+/// Runs of the mixed cell per policy; odd, so the median is one run.
+const MIXED_RUNS: usize = 31;
 
 /// The mixed scenario: `MIXED_STORM_SESSIONS` sessions flood full join
 /// templates (batch lane) against `MIXED_INTERACTIVE_SESSIONS`
@@ -287,43 +289,45 @@ fn main() {
     }
 
     // Mixed workload: point queries vs a scan storm with adaptation on,
-    // identical offered load per scheduling policy.
+    // identical offered load per scheduling policy. Wall-clock is noisy
+    // (background maintenance, OS scheduling), so the cell runs
+    // `MIXED_RUNS` times per policy, interleaved (fifo, lanes, fair,
+    // fifo, …) so a slow stretch of the host lands on every policy
+    // alike. Each policy reports its median-throughput run, and its
+    // latency percentiles pool the samples of all its runs.
     let (storm_per, interactive_per) = if opts.quick { (6, 16) } else { (8, 25) };
+    let policies = [SchedPolicy::Fifo, SchedPolicy::Lanes, SchedPolicy::Fair];
+    let mut runs: Vec<Vec<(MixedPolicyCell, [Vec<f64>; 2])>> = policies.map(|_| Vec::new()).into();
+    for _ in 0..MIXED_RUNS {
+        for (policy, policy_runs) in policies.into_iter().zip(&mut runs) {
+            policy_runs.push(measure_mixed(&opts, policy, storm_per, interactive_per));
+        }
+    }
     let mut mixed_policies = Vec::new();
     let mut mixed_lanes = Vec::new();
-    for policy in [SchedPolicy::Fifo, SchedPolicy::Lanes, SchedPolicy::Fair] {
-        // Two runs per policy: wall-clock is noisy (background
-        // maintenance, OS scheduling), so throughput takes the better
-        // run while the latency percentiles pool both runs' samples —
-        // the gated p95 is computed over twice the samples instead of
-        // whichever single run happened to win on qps.
-        let (first, first_ms) = measure_mixed(&opts, policy, storm_per, interactive_per);
-        let (second, second_ms) = measure_mixed(&opts, policy, storm_per, interactive_per);
-        let best = if second.qps > first.qps { second } else { first };
-        for (lane, ms) in [Lane::Interactive, Lane::Batch].into_iter().zip(
-            first_ms.into_iter().zip(second_ms).map(|(mut a, b)| {
-                a.extend(b);
-                a
-            }),
-        ) {
-            // Pool both runs' wall samples into a log-bucketed
+    for policy_runs in runs {
+        let (mut cells, samples): (Vec<_>, Vec<_>) = policy_runs.into_iter().unzip();
+        cells.sort_by(|a, b| a.qps.total_cmp(&b.qps));
+        let median = cells.swap_remove(MIXED_RUNS / 2);
+        for (i, lane) in [Lane::Interactive, Lane::Batch].into_iter().enumerate() {
+            // Pool every run's wall samples into a log-bucketed
             // histogram; percentiles are quantized to one bucket width
             // (≲9%), far inside the 2x policy-comparison gates.
             let mut hist = Histogram::new();
-            for &x in &ms {
+            for &x in samples.iter().flat_map(|run| &run[i]) {
                 hist.record(x);
             }
             mixed_lanes.push(MixedLaneCell {
-                policy: best.policy,
+                policy: median.policy,
                 lane: lane.name(),
-                queries: ms.len(),
+                queries: samples.iter().map(|run| run[i].len()).sum(),
                 mean_ms: hist.mean(),
                 p50_ms: hist.quantile(0.50),
                 p95_ms: hist.quantile(0.95),
                 p99_ms: hist.quantile(0.99),
             });
         }
-        mixed_policies.push(best);
+        mixed_policies.push(median);
     }
     let report =
         Report::new(Fields::header("throughput", &opts).text("workload", "tpch-join-templates"))

@@ -104,11 +104,9 @@ pub struct DbConfig {
     /// the overflow to scratch and recursively repartitions it
     /// (Grace-style), falling back to block-nested-loop at the
     /// recursion cap. `None` (the default) is unbounded — the
-    /// pre-budget join, bit-identical block counts. Unlike the other
-    /// overrides, changing it changes the I/O *plan* (budgeted builds
-    /// spill and re-read overflow), but never a query's rows. Defaults
-    /// honor the `ADAPTDB_JOIN_MEM` environment variable (a positive
-    /// integer).
+    /// pre-budget join, bit-identical block counts. Changing it
+    /// changes the I/O *plan* (budgeted builds spill and re-read
+    /// overflow), but never a query's rows.
     pub join_mem_budget_blocks: Option<usize>,
     /// Depth of the fetch streams every scan, hyper-join probe leg, and
     /// shuffle reducer reads through: up to this many block reads
@@ -116,8 +114,6 @@ pub struct DbConfig {
     /// breakdown. `1` is a one-deep stream that reads one block at a
     /// time, when it is needed — serial I/O, hiding nothing. Block
     /// *counts*, rows, and row order are the same at every setting.
-    /// Defaults honor the `ADAPTDB_FETCH_WINDOW` environment variable
-    /// (a positive integer).
     pub fetch_window: usize,
     /// Admission-scheduling policy the server runs
     /// ([`SchedPolicy::Fifo`] | [`SchedPolicy::Lanes`] |
@@ -161,16 +157,14 @@ pub struct DbConfig {
     /// simulated clocks, exportable as Chrome trace-event JSON. Tracing
     /// is observational only — it never charges a clock, so every
     /// stat, block count, and result is bit-identical with it off
-    /// (the default). Defaults honor the `ADAPTDB_TRACE` environment
-    /// variable (`1`/`true`/`on` or `0`/`false`/`off`).
+    /// (the default).
     pub trace: bool,
     /// Delta-fold threshold for the ingest path: once a table has
     /// accumulated at least this many unfolded delta blocks, the next
-    /// adaptation pass folds them into the partition tree (a
-    /// repartition of just the deltas, costed on the maintenance
-    /// clock). Smaller = tighter query plans, more background I/O.
-    /// Defaults honor the `ADAPTDB_INGEST_FOLD` environment variable
-    /// (a positive integer).
+    /// adaptation on a query naming the table folds them into the
+    /// partition tree (a repartition of just the deltas, costed on the
+    /// maintenance clock). An append alone never folds. Smaller =
+    /// tighter query plans, more background I/O.
     pub ingest_fold_blocks: usize,
     /// Merge appended rows into a partial delta tail block instead of
     /// always opening a new block: the tail is read back (charged),
@@ -189,8 +183,7 @@ pub struct DbConfig {
     /// manifest journal under this path (`FileDfs` backend), and
     /// [`crate::Database::open_durable`] can recover the last committed
     /// snapshot after a crash. `None` (the default) keeps the purely
-    /// in-memory `SimDfs`. Defaults honor the `ADAPTDB_DURABLE_PATH`
-    /// environment variable (a non-empty path).
+    /// in-memory `SimDfs`.
     pub durable_path: Option<String>,
     /// Cost model for simulated seconds and plan comparison.
     pub cost: CostParams,
@@ -222,21 +215,19 @@ impl Default for DbConfig {
             shuffle_partitions: None,
             shuffle_replication: 1,
             shuffle_split_threshold: Some(4.0),
-            join_mem_budget_blocks: env_override("ADAPTDB_JOIN_MEM", positive),
-            fetch_window: env_override("ADAPTDB_FETCH_WINDOW", positive).unwrap_or(4),
+            join_mem_budget_blocks: None,
+            fetch_window: 4,
             sched: SchedPolicy::Fifo,
             batch_cost_blocks: 64,
             maint_pace_wait_ms: 5.0,
             fetch_pace_wait_ms: None,
             columnar: false,
             morsel_rows: 1024,
-            trace: env_override("ADAPTDB_TRACE", switch).unwrap_or(false),
-            ingest_fold_blocks: env_override("ADAPTDB_INGEST_FOLD", positive).unwrap_or(8),
+            trace: false,
+            ingest_fold_blocks: 8,
             ingest_merge_tail: true,
             cache_blocks_per_node: 0,
-            durable_path: env_override("ADAPTDB_DURABLE_PATH", |v| {
-                (!v.is_empty()).then(|| v.to_string())
-            }),
+            durable_path: None,
             cost: CostParams::default(),
             mode: Mode::Adaptive,
             threads: env_override("ADAPTDB_THREADS", positive).unwrap_or(2),
@@ -266,14 +257,6 @@ fn parse_override<T>(var: &str, raw: &str, parse: fn(&str) -> Option<T>) -> Resu
 
 fn positive(v: &str) -> Option<usize> {
     v.parse().ok().filter(|n| *n > 0)
-}
-
-fn switch(v: &str) -> Option<bool> {
-    match v.to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
-    }
 }
 
 impl DbConfig {
@@ -372,9 +355,7 @@ mod tests {
         let c = DbConfig::default();
         assert_eq!(c.shuffle_split_threshold, Some(4.0), "splitting on by default at 4x mean");
         assert_eq!(c.shuffle_options().split_threshold, Some(4.0));
-        if std::env::var("ADAPTDB_JOIN_MEM").is_err() {
-            assert_eq!(c.join_mem_budget_blocks, None, "build memory unbounded by default");
-        }
+        assert_eq!(c.join_mem_budget_blocks, None, "build memory unbounded by default");
         let c = DbConfig { shuffle_split_threshold: None, ..c };
         assert_eq!(c.shuffle_options().split_threshold, None);
     }
@@ -398,26 +379,19 @@ mod tests {
     }
 
     #[test]
-    fn ingest_knobs_default_and_guarded_by_env() {
+    fn ingest_knobs_default() {
         let c = DbConfig::default();
-        if std::env::var("ADAPTDB_INGEST_FOLD").is_err() {
-            assert_eq!(c.ingest_fold_blocks, 8);
-        }
-        assert!(c.ingest_fold_blocks > 0);
+        assert_eq!(c.ingest_fold_blocks, 8);
         assert!(c.ingest_merge_tail, "tail merging on by default (trickle == bulk counts)");
-        if std::env::var("ADAPTDB_DURABLE_PATH").is_err() {
-            assert_eq!(c.durable_path, None, "durability is opt-in; SimDfs stays the default");
-        }
+        assert_eq!(c.durable_path, None, "durability is opt-in; SimDfs stays the default");
     }
 
     #[test]
     fn fetch_window_defaults_pipelined() {
-        // Pipelining is on by default (window 4) unless the env
-        // override says otherwise; results never depend on it.
-        if std::env::var("ADAPTDB_FETCH_WINDOW").is_err() {
-            assert_eq!(DbConfig::default().fetch_window, 4);
-            assert_eq!(DbConfig::small().fetch_window, 4);
-        }
+        // Pipelining is on by default (window 4); results never
+        // depend on it.
+        assert_eq!(DbConfig::default().fetch_window, 4);
+        assert_eq!(DbConfig::small().fetch_window, 4);
         let serial = DbConfig { fetch_window: 1, ..DbConfig::small() };
         assert_eq!(serial.fetch_window, 1);
     }
@@ -428,15 +402,6 @@ mod tests {
         for bad in ["abc", "0", "-1", "", "4x"] {
             let err = parse_override("ADAPTDB_THREADS", bad, positive).unwrap_err();
             assert!(err.contains("ADAPTDB_THREADS") && err.contains(&format!("{bad:?}")), "{err}");
-        }
-        for (raw, on) in [("1", true), ("TRUE", true), (" on ", true), ("0", false)] {
-            assert_eq!(parse_override("ADAPTDB_TRACE", raw, switch), Ok(on), "{raw}");
-        }
-        assert_eq!(parse_override("ADAPTDB_TRACE", "False", switch), Ok(false));
-        assert_eq!(parse_override("ADAPTDB_TRACE", "off", switch), Ok(false));
-        for bad in ["yes", "2", ""] {
-            let err = parse_override("ADAPTDB_TRACE", bad, switch).unwrap_err();
-            assert!(err.contains("ADAPTDB_TRACE") && err.contains(&format!("{bad:?}")), "{err}");
         }
     }
 }

@@ -278,6 +278,13 @@ impl Database {
         self.tables.keys().cloned().collect()
     }
 
+    /// Catalog state of every registered table, in name order. Borrows
+    /// and copies nothing — what a serving runtime walks to compare
+    /// each table's current snapshot with the one it published.
+    pub fn tables(&self) -> impl Iterator<Item = &TableState> {
+        self.tables.values()
+    }
+
     /// Fault injection: fail a simulated cluster node. With replication
     /// ≥ 2 queries keep working through surviving replicas (reads that
     /// would have been local become remote); unreplicated blocks on the

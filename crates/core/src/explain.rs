@@ -310,8 +310,8 @@ mod tests {
     use adaptdb_common::{row, JoinQuery, PredicateSet, Row, ScanQuery, Schema, ValueType};
 
     fn db(mode: Mode) -> Database {
-        // fetch_window pinned explicitly so the env override
-        // (ADAPTDB_FETCH_WINDOW) cannot change what these tests assert.
+        // fetch_window pinned explicitly: the pipelined-projection
+        // tests need a window above 1.
         let mut db = Database::new(
             DbConfig { rows_per_block: 10, buffer_blocks: 4, fetch_window: 4, ..DbConfig::small() }
                 .with_mode(mode),

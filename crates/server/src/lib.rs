@@ -68,7 +68,7 @@ pub mod queue;
 pub mod scheduler;
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex};
@@ -77,14 +77,17 @@ use std::time::{Duration, Instant};
 
 use adaptdb::cost::{self, Lane};
 use adaptdb::readpath::{self, SnapshotSource};
-use adaptdb::{Database, DbConfig, QueryResult, RetireMode, SchedPolicy, TableSnapshot};
+use adaptdb::{
+    Database, DbConfig, QueryResult, RetireMode, SchedPolicy, TableSnapshot, TableState,
+};
 use adaptdb_common::{Error, Query, QueryStats, Result, Row};
 use adaptdb_dfs::SimClock;
 use adaptdb_storage::BlockStore;
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock};
 
 pub use metrics::{LaneReport, ServerReport, SessionStats};
 
+use maintenance::{GraceEntry, GC_RETRY};
 use metrics::Metrics;
 use queue::SchedQueue;
 use scheduler::{JobMeta, Scheduler};
@@ -110,10 +113,13 @@ pub(crate) struct Shared {
     /// the maintenance thread (and test inspection) locks it — readers
     /// never touch it.
     engine: Mutex<Database>,
-    /// The snapshots readers pin. Swapped atomically per table by
-    /// maintenance; the lock is held only for map lookup/replace, and
-    /// writers take it through [`Shared::publish_lock`].
+    /// The snapshots readers pin. Written only by [`Shared::publish`]
+    /// (and filled once at start-up); the lock is held only for map
+    /// lookup/replace.
     published: RwLock<BTreeMap<String, Arc<TableSnapshot>>>,
+    /// Retired-block batches awaiting reader drain, oldest first.
+    /// [`Shared::publish`] pushes; the maintenance loop collects.
+    grace: Mutex<VecDeque<GraceEntry>>,
     /// Write acquisitions of `published`, for tests that pin when the
     /// readers' lock is contended.
     #[cfg(test)]
@@ -142,15 +148,6 @@ pub(crate) struct Shared {
     maint_backlog: AtomicU64,
     /// Passes in which pacing deferred part of the inbox.
     maint_deferrals: AtomicU64,
-    /// Grace entries (retired-block batches) still awaiting reader
-    /// drain — a gauge the maintenance loop refreshes every pass.
-    pending_gc: AtomicU64,
-    /// Snapshots displaced by the ingest path ([`DbServer::append`]
-    /// swaps published layouts itself, off the maintenance thread).
-    /// The next maintenance pass folds them into its grace entry, so
-    /// blocks a tail merge retired stay readable until every query
-    /// pinned to a pre-append snapshot drains.
-    append_guards: Mutex<Vec<Arc<TableSnapshot>>>,
     /// JSON-lines journal of maintenance/adaptation decisions
     /// (adaptation passes, snapshot swaps, GC batches, pacing
     /// deferrals). Only written when [`DbConfig::trace`] is on.
@@ -192,24 +189,23 @@ impl Shared {
     }
 
     /// Drain up to `quota` pending observations, waiting (at most once)
-    /// while there are none. `None` blocks until a notify or shutdown —
-    /// an idle server burns no CPU; `Some(t)` also returns after `t`,
-    /// used while retired blocks await garbage collection or pacing
-    /// left a backlog, so both retry even without traffic. Any wakeup
-    /// returns (possibly empty): the maintenance loop counts a pass per
-    /// wakeup, which is what `DbServer::drain_maintenance`'s
+    /// while there are none. With an empty grace queue the wait blocks
+    /// until a notify or shutdown — an idle server burns no CPU; while
+    /// retired blocks await collection it also returns after
+    /// [`GC_RETRY`], so collection retries without traffic. The queue
+    /// is checked under the inbox lock, which [`Shared::publish`]
+    /// cycles before it signals, so a new grace entry is never missed.
+    /// Any wakeup returns (possibly empty): the maintenance loop counts
+    /// a pass per wakeup, which is what `DbServer::drain_maintenance`'s
     /// notify-handshake relies on. Observations beyond the quota stay
     /// queued and are counted on the backlog/deferral gauges.
-    pub(crate) fn wait_for_observations(
-        &self,
-        timeout: Option<std::time::Duration>,
-        quota: usize,
-    ) -> Vec<Query> {
+    pub(crate) fn wait_for_observations(&self, quota: usize) -> Vec<Query> {
         let mut inbox = self.inbox.lock().unwrap();
         if inbox.is_empty() && !self.is_shutdown() {
-            inbox = match timeout {
-                Some(t) => self.inbox_signal.wait_timeout(inbox, t).unwrap().0,
-                None => self.inbox_signal.wait(inbox).unwrap(),
+            inbox = if self.grace.lock().is_empty() {
+                self.inbox_signal.wait(inbox).unwrap()
+            } else {
+                self.inbox_signal.wait_timeout(inbox, GC_RETRY).unwrap().0
             };
         }
         let taken = if inbox.len() <= quota {
@@ -235,11 +231,6 @@ impl Shared {
         taken
     }
 
-    /// Observations currently deferred by pacing (gauge).
-    pub(crate) fn maintenance_backlog(&self) -> usize {
-        self.maint_backlog.load(Ordering::SeqCst) as usize
-    }
-
     pub(crate) fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
@@ -248,19 +239,63 @@ impl Shared {
         &self.engine
     }
 
-    pub(crate) fn published(&self) -> &RwLock<BTreeMap<String, Arc<TableSnapshot>>> {
-        &self.published
+    pub(crate) fn grace(&self) -> &Mutex<VecDeque<GraceEntry>> {
+        &self.grace
     }
 
-    /// The write lock on the published map, taken only to install new
-    /// snapshots. Every writer holds the engine mutex while it holds
-    /// this, so swaps are totally ordered.
-    pub(crate) fn publish_lock(
-        &self,
-    ) -> RwLockWriteGuard<'_, BTreeMap<String, Arc<TableSnapshot>>> {
-        #[cfg(test)]
-        self.publish_writes.fetch_add(1, Ordering::SeqCst);
-        self.published.write()
+    /// The one publish path. Installs every table whose current
+    /// snapshot differs from the published one (or that is new), then
+    /// queues what the swap displaced, together with the blocks the
+    /// engine retired since the last call, as one grace entry, and
+    /// wakes the maintenance loop to collect it once those readers
+    /// drain. `engine` is the caller's engine-mutex guard, so publishes
+    /// are totally ordered and grace entries are queued in retirement
+    /// order; locks nest engine → `published` → `grace`. A call that
+    /// changes nothing takes no write lock and allocates nothing.
+    /// Returns how many retired blocks it queued.
+    pub(crate) fn publish(&self, engine: &mut Database) -> usize {
+        let current = |published: &BTreeMap<String, Arc<TableSnapshot>>, t: &TableState| {
+            published.get(&t.name).is_some_and(|slot| std::ptr::eq(&**slot, t.snapshot()))
+        };
+        let stale = {
+            let published = self.published.read();
+            !engine.tables().all(|t| current(&published, t))
+        };
+        let (mut guards, mut swapped) = (Vec::new(), Vec::new());
+        if stale {
+            #[cfg(test)]
+            self.publish_writes.fetch_add(1, Ordering::SeqCst);
+            let mut published = self.published.write();
+            for t in engine.tables() {
+                if current(&published, t) {
+                    continue;
+                }
+                if let Some(displaced) = published.insert(t.name.clone(), t.snapshot_arc()) {
+                    guards.push(displaced);
+                    swapped.push(&t.name);
+                }
+            }
+        }
+        if let Some(j) = self.journal() {
+            for table in swapped {
+                j.event(
+                    self.journal_ts_us(),
+                    "snapshot-swap",
+                    vec![("table".into(), adaptdb_common::AttrValue::Str(table.clone()))],
+                );
+            }
+        }
+        let blocks = engine.take_retired();
+        let retired = blocks.len();
+        if !guards.is_empty() || !blocks.is_empty() {
+            self.grace.lock().push_back(GraceEntry { guards, blocks });
+            // Cycle the inbox lock before signalling: the loop checks
+            // the grace queue under it, so it either saw this entry or
+            // is already waiting for the signal.
+            drop(self.inbox.lock().unwrap());
+            self.inbox_signal.notify_one();
+        }
+        retired
     }
 
     pub(crate) fn store(&self) -> &Arc<BlockStore> {
@@ -282,15 +317,8 @@ impl Shared {
         adaptdb_dfs::secs_to_us(self.maint_clock.simulated_secs(&self.config.cost))
     }
 
-    /// Drain the snapshots displaced by appends since the last pass
-    /// (maintenance folds them into its grace entry).
-    pub(crate) fn take_append_guards(&self) -> Vec<Arc<TableSnapshot>> {
-        std::mem::take(&mut self.append_guards.lock())
-    }
-
-    pub(crate) fn note_pass(&self, processed: usize, pending_gc: usize) {
+    pub(crate) fn note_pass(&self, processed: usize) {
         self.obs_processed.fetch_add(processed as u64, Ordering::SeqCst);
-        self.pending_gc.store(pending_gc as u64, Ordering::SeqCst);
         self.maintenance_passes.fetch_add(1, Ordering::SeqCst);
     }
 }
@@ -410,19 +438,13 @@ impl DbServer {
         let capacity = opts.queue_capacity.unwrap_or(worker_count * 4).max(1);
         let policy = opts.sched.unwrap_or(config.sched);
         let quantum = opts.fair_quantum.unwrap_or(DEFAULT_FAIR_QUANTUM);
-        let published: BTreeMap<String, Arc<TableSnapshot>> = db
-            .table_names()
-            .into_iter()
-            .map(|name| {
-                let snap = db.table(&name).expect("listed table exists").snapshot_arc();
-                (name, snap)
-            })
-            .collect();
+        let published = db.tables().map(|t| (t.name.clone(), t.snapshot_arc())).collect();
         let shared = Arc::new(Shared {
             store: db.store_arc(),
             config,
             engine: Mutex::new(db),
             published: RwLock::new(published),
+            grace: Mutex::new(VecDeque::new()),
             #[cfg(test)]
             publish_writes: AtomicU64::new(0),
             inbox: StdMutex::new(Vec::new()),
@@ -439,8 +461,6 @@ impl DbServer {
             obs_processed: AtomicU64::new(0),
             maint_backlog: AtomicU64::new(0),
             maint_deferrals: AtomicU64::new(0),
-            pending_gc: AtomicU64::new(0),
-            append_guards: Mutex::new(Vec::new()),
             journal: adaptdb_common::Journal::new(),
             shutdown: AtomicBool::new(false),
         });
@@ -483,9 +503,13 @@ impl DbServer {
     /// land in delta blocks outside any partitioning tree and are
     /// visible to every query admitted after this returns; a query
     /// already pinned to the previous snapshot never sees them
-    /// (snapshot isolation per admission). Maintenance folds
-    /// accumulated deltas into the partition tree once the table
-    /// crosses [`DbConfig::ingest_fold_blocks`]. On a durable engine
+    /// (snapshot isolation per admission). Appending never folds: once
+    /// the table holds at least [`DbConfig::ingest_fold_blocks`] delta
+    /// blocks, the next maintenance pass that replays a query naming
+    /// the table folds them into its partition tree, so under
+    /// append-only traffic the delta keeps growing until such a query
+    /// runs. A tail block the append's merge retired is collected once
+    /// every reader of the displaced snapshot drains. On a durable engine
     /// ([`Database::open_durable`]) the append has been committed to
     /// the manifest journal before this returns.
     pub fn append(&self, table: &str, rows: Vec<Row>) -> Result<usize> {
@@ -506,11 +530,7 @@ impl DbServer {
         // released before any other lock (same order as maintenance).
         let (ingest, delta_blocks) = {
             let engine = self.shared.engine.lock();
-            let delta = engine
-                .table_names()
-                .iter()
-                .map(|n| engine.table(n).map(|t| t.delta().len()).unwrap_or(0))
-                .sum();
+            let delta = engine.tables().map(|t| t.delta().len()).sum();
             (engine.ingest_stats(), delta)
         };
         self.shared.metrics.report(
@@ -559,34 +579,30 @@ impl DbServer {
             self.shared.inbox_signal.notify_one();
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        // One further pass refreshes the gauge after the last batch…
+        // Two further passes, so the loop has run a whole pass (its
+        // collection included) that began after the last batch…
         let pass_target = self.shared.maintenance_passes.load(Ordering::SeqCst) + 2;
         while self.shared.maintenance_passes.load(Ordering::SeqCst) < pass_target {
             self.shared.inbox_signal.notify_one();
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        // …then wait for the grace list to empty (readers drain and GC
-        // retries on its own timer while entries remain).
-        while self.shared.pending_gc.load(Ordering::SeqCst) > 0 {
+        // …then wait for the grace queue to empty (readers drain and
+        // collection retries on its own timer while entries remain).
+        while !self.shared.grace.lock().is_empty() {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
 
     /// Inspect (or mutate) the underlying engine under the maintenance
     /// mutex — catalog state, windows, convergence checks in tests.
-    /// Tables the closure *creates* (and loads) are published to
-    /// readers before this returns; mutating already-served tables is
-    /// not supported mid-serving (maintenance owns their lifecycle).
+    /// Whatever the closure changed (tables it created and loaded, rows
+    /// it appended) is published to readers before this returns, down
+    /// the same path as ingest and maintenance; a closure that changes
+    /// nothing leaves the readers' lock alone.
     pub fn with_engine<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
         let mut engine = self.shared.engine.lock();
         let out = f(&mut engine);
-        let mut published = self.shared.publish_lock();
-        for name in engine.table_names() {
-            if let std::collections::btree_map::Entry::Vacant(slot) = published.entry(name) {
-                let snap = engine.table(slot.key()).expect("listed table exists").snapshot_arc();
-                slot.insert(snap);
-            }
-        }
+        self.shared.publish(&mut engine);
         out
     }
 
@@ -668,32 +684,15 @@ impl Session {
 }
 
 /// The shared ingest write path: run the engine's append under the
-/// maintenance mutex, then publish the table's new snapshot with the
-/// same lock discipline as `maintenance::adapt_and_publish` (engine
-/// lock held across the published-map write, so snapshot swaps are
-/// totally ordered). The displaced snapshot is parked on
-/// `Shared::append_guards` so a tail block retired by the merge is not
-/// garbage-collected while a pre-append reader still pins it.
+/// maintenance mutex, then publish the table's new snapshot
+/// ([`Shared::publish`] queues the displaced one, and any tail block
+/// the merge retired, for collection once its readers drain).
 fn append_rows(shared: &Shared, table: &str, rows: Vec<Row>) -> Result<usize> {
     let engine = &mut *shared.engine.lock();
     let n = engine.append_rows_with(table, rows, shared.maint_clock())?;
-    let ts = engine.table(table)?;
-    let delta_blocks = ts.delta().len();
-    let fresh = ts.snapshot_arc();
-    {
-        let mut published = shared.publish_lock();
-        match published.get_mut(table) {
-            Some(slot) if !Arc::ptr_eq(slot, &fresh) => {
-                let displaced = std::mem::replace(slot, fresh);
-                shared.append_guards.lock().push(displaced);
-            }
-            Some(_) => {}
-            None => {
-                published.insert(table.to_string(), fresh);
-            }
-        }
-    }
+    shared.publish(engine);
     if let Some(j) = shared.journal() {
+        let delta_blocks = engine.table(table)?.delta().len();
         j.event(
             shared.journal_ts_us(),
             "append",
@@ -1219,8 +1218,30 @@ mod tests {
         assert_eq!(server.shared.publish_writes.load(Ordering::SeqCst), 0);
     }
 
+    /// `with_engine` publishes exactly what its closure changed: a
+    /// read-only closure leaves the readers' lock alone, and an append
+    /// made inside one is served and its displaced snapshot queued.
+    #[test]
+    fn with_engine_publishes_only_what_its_closure_changed() {
+        let server = DbServer::start(small_join_db());
+        let before = Arc::clone(&server.shared.published.read()["r"]);
+        let blocks = server.with_engine(|db| db.table("r").unwrap().snapshot().total_blocks());
+        assert_eq!(blocks, 4);
+        assert_eq!(server.shared.publish_writes.load(Ordering::SeqCst), 0);
+        server.with_engine(|db| db.append_rows("r", vec![row![32i64, 64i64]]).unwrap());
+        assert_eq!(server.shared.publish_writes.load(Ordering::SeqCst), 1);
+        assert!(!Arc::ptr_eq(&server.shared.published.read()["r"], &before));
+        // `before` still pins the displaced snapshot, so its entry waits.
+        assert_eq!(server.shared.grace.lock().len(), 1);
+        let scan = Query::Scan(ScanQuery::full("r"));
+        assert_eq!(server.run(&scan).unwrap().rows.len(), 33);
+        drop(before);
+        server.drain_maintenance();
+    }
+
     /// A view pins every table of a multi-way join when it is built: a
-    /// snapshot published afterwards is not the one the query reads.
+    /// snapshot an append publishes afterwards is not the one the query
+    /// reads.
     #[test]
     fn query_view_pins_every_table_when_built() {
         let mut db = Database::new(DbConfig { rows_per_block: 8, ..DbConfig::small() });
@@ -1240,8 +1261,9 @@ mod tests {
         };
         let before = Arc::clone(&server.shared.published.read()["b"]);
         let view = QueryView::new(&server.shared, &query);
-        let fresh = Arc::new(TableSnapshot::clone(&before));
-        server.shared.publish_lock().insert("b".to_string(), Arc::clone(&fresh));
+        server.append("b", vec![row![16i64, 16i64]]).unwrap();
+        let fresh = Arc::clone(&server.shared.published.read()["b"]);
+        assert!(!Arc::ptr_eq(&fresh, &before), "the append must publish a new snapshot");
         let got = view.snapshot("b").unwrap();
         assert!(Arc::ptr_eq(&got, &before), "the view must keep the pre-publish snapshot");
         assert!(!Arc::ptr_eq(&got, &fresh));

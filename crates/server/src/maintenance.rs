@@ -6,9 +6,12 @@
 //! through the serial engine's exact decision procedure
 //! ([`adaptdb::Database::record_observation`] and
 //! [`adaptdb::Database::adapt_now`]) under the engine mutex, with block
-//! migration writing through the concurrent store. Retirement is
+//! migration writing through the concurrent store, then publishes the
+//! result through `Shared::publish` — the one path every snapshot swap
+//! takes, ingest and `DbServer::with_engine` included. Retirement is
 //! deferred: migrated-away blocks stay readable until every query
-//! pinned to a pre-migration snapshot finishes.
+//! pinned to a pre-migration snapshot finishes, and each pass collects
+//! the grace entries whose readers have drained.
 //!
 //! **Pacing.** The quota follows the scheduler's load signal
 //! (`Shared::is_loaded`): while any query waits for admission or every
@@ -34,7 +37,6 @@
 //!    are deleted only after every earlier entry has been collected,
 //!    which implies all older generations have fully drained.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,20 +47,19 @@ use crate::Shared;
 
 /// Blocks awaiting deletion, guarded by the snapshots that were current
 /// when they were retired.
-struct GraceEntry {
+pub(crate) struct GraceEntry {
     /// Displaced snapshot generations. When all are uniquely held, no
     /// reader can reach the blocks below through this generation.
-    guards: Vec<Arc<TableSnapshot>>,
+    pub(crate) guards: Vec<Arc<TableSnapshot>>,
     /// `(table, block)` pairs to delete.
-    blocks: Vec<(String, BlockId)>,
+    pub(crate) blocks: Vec<(String, BlockId)>,
 }
 
-/// Retry interval for pending garbage collection and deferred
-/// observations: while retired blocks await reader drain or pacing
-/// left a backlog, the loop wakes this often even without traffic.
-/// With an empty grace list and no backlog it blocks until an
-/// observation (or shutdown) arrives — an idle server burns no CPU.
-const GC_RETRY: Duration = Duration::from_millis(2);
+/// Retry interval for pending garbage collection: while retired blocks
+/// await reader drain, the loop wakes this often even without traffic.
+/// With an empty grace queue it blocks until an observation, a new
+/// grace entry (or shutdown) arrives — an idle server burns no CPU.
+pub(crate) const GC_RETRY: Duration = Duration::from_millis(2);
 
 /// How many observations a paced pass processes while the server is
 /// loaded. One: the smallest unit that still makes progress, so a
@@ -72,25 +73,19 @@ const PACED_QUOTA: usize = 1;
 const PACE_BACKOFF: Duration = Duration::from_millis(1);
 
 pub(crate) fn run_loop(shared: &Shared) {
-    let mut grace: VecDeque<GraceEntry> = VecDeque::new();
-    let mut backlog = 0usize;
     loop {
-        let timeout = if grace.is_empty() && backlog == 0 { None } else { Some(GC_RETRY) };
         // Re-read the load signal every pass: quota shrinks to
         // PACED_QUOTA under load and opens back up at idle.
         let loaded = shared.is_loaded();
         let quota = if loaded { PACED_QUOTA } else { usize::MAX };
-        let drained = shared.wait_for_observations(timeout, quota);
+        let drained = shared.wait_for_observations(quota);
         let stopping = shared.is_shutdown();
         let processed = drained.len();
-        backlog = shared.maintenance_backlog();
         if !drained.is_empty() {
-            if let Some(entry) = adapt_and_publish(shared, &drained) {
-                grace.push_back(entry);
-            }
+            adapt_and_publish(shared, &drained);
         }
-        collect(shared, &mut grace, false);
-        shared.note_pass(processed, grace.len());
+        collect(shared, false);
+        shared.note_pass(processed);
         if stopping {
             // `DbServer::stop` has joined the workers and waited for
             // every slot to be released; process any observations that
@@ -98,17 +93,15 @@ pub(crate) fn run_loop(shared: &Shared) {
             // shutdown drain — then force-collect (no reader holds any
             // snapshot anymore).
             loop {
-                let rest = shared.wait_for_observations(Some(Duration::ZERO), usize::MAX);
+                let rest = shared.wait_for_observations(usize::MAX);
                 if rest.is_empty() {
                     break;
                 }
-                if let Some(entry) = adapt_and_publish(shared, &rest) {
-                    grace.push_back(entry);
-                }
-                shared.note_pass(rest.len(), grace.len());
+                adapt_and_publish(shared, &rest);
+                shared.note_pass(rest.len());
             }
-            collect(shared, &mut grace, true);
-            shared.note_pass(0, 0);
+            collect(shared, true);
+            shared.note_pass(0);
             break;
         }
         if loaded && processed > 0 {
@@ -118,9 +111,9 @@ pub(crate) fn run_loop(shared: &Shared) {
 }
 
 /// Replay `queries` through the engine's serial decision procedure and
-/// publish any changed layouts. Returns the grace entry guarding the
-/// blocks this round retired.
-fn adapt_and_publish(shared: &Shared, queries: &[adaptdb_common::Query]) -> Option<GraceEntry> {
+/// publish any changed layouts (a pass that changed none, always in
+/// `Fixed` mode, never blocks a reader).
+fn adapt_and_publish(shared: &Shared, queries: &[adaptdb_common::Query]) {
     let io_before = shared.maint_clock().snapshot();
     let mut engine = shared.engine().lock();
     for q in queries {
@@ -129,78 +122,30 @@ fn adapt_and_publish(shared: &Shared, queries: &[adaptdb_common::Query]) -> Opti
         let _ = engine.record_observation(q);
         let _ = engine.adapt_now(q, shared.maint_clock());
     }
-    let blocks = engine.take_retired();
-    // Install the new layouts: one atomic Arc swap per changed table.
-    // Snapshots the ingest path displaced since the last pass guard
-    // this entry too: a tail block retired by an append's merge may
-    // still be pinned by a pre-append reader.
-    let mut guards = shared.take_append_guards();
-    let mut swapped: Vec<String> = Vec::new();
-    let current: Vec<(String, Arc<TableSnapshot>)> = engine
-        .table_names()
-        .into_iter()
-        .map(|name| {
-            let snap = engine.table(&name).expect("listed table exists").snapshot_arc();
-            (name, snap)
-        })
-        .collect();
-    // Every writer of the published map holds the engine mutex, as this
-    // pass does, so the map cannot change between this check and the
-    // write below: a pass that changed no layout (always, in `Fixed`
-    // mode) never blocks a reader.
-    let stale = {
-        let published = shared.published().read();
-        current
-            .iter()
-            .any(|(name, fresh)| !published.get(name).is_some_and(|slot| Arc::ptr_eq(slot, fresh)))
-    };
-    if stale {
-        let mut published = shared.publish_lock();
-        for (name, fresh) in current {
-            match published.get_mut(&name) {
-                Some(slot) if !Arc::ptr_eq(slot, &fresh) => {
-                    guards.push(std::mem::replace(slot, fresh));
-                    swapped.push(name);
-                }
-                Some(_) => {}
-                None => {
-                    published.insert(name.clone(), fresh);
-                }
-            }
-        }
-    }
+    let retired = shared.publish(&mut engine);
     if let Some(j) = shared.journal() {
         // The realized cost of this pass: the maintenance clock's I/O
         // delta (rewrite reads + migration writes, off the hot path).
         let io_after = shared.maint_clock().snapshot();
-        let mut fields = vec![
-            ("queries".into(), AttrValue::Int(queries.len() as i64)),
-            ("reads".into(), AttrValue::Int((io_after.reads() - io_before.reads()) as i64)),
-            ("writes".into(), AttrValue::Int((io_after.writes - io_before.writes) as i64)),
-            ("retired_blocks".into(), AttrValue::Int(blocks.len() as i64)),
-        ];
-        if !swapped.is_empty() {
-            fields.push(("swapped_tables".into(), AttrValue::Str(swapped.join(","))));
-        }
-        j.event(shared.journal_ts_us(), "adaptation-pass", fields);
-        for table in &swapped {
-            j.event(
-                shared.journal_ts_us(),
-                "snapshot-swap",
-                vec![("table".into(), AttrValue::Str(table.clone()))],
-            );
-        }
-    }
-    if guards.is_empty() && blocks.is_empty() {
-        None
-    } else {
-        Some(GraceEntry { guards, blocks })
+        j.event(
+            shared.journal_ts_us(),
+            "adaptation-pass",
+            vec![
+                ("queries".into(), AttrValue::Int(queries.len() as i64)),
+                ("reads".into(), AttrValue::Int((io_after.reads() - io_before.reads()) as i64)),
+                ("writes".into(), AttrValue::Int((io_after.writes - io_before.writes) as i64)),
+                ("retired_blocks".into(), AttrValue::Int(retired as i64)),
+            ],
+        );
     }
 }
 
 /// Delete the blocks of every collectible grace entry, strictly FIFO.
-/// With `force` (shutdown, readers joined) collect everything.
-fn collect(shared: &Shared, grace: &mut VecDeque<GraceEntry>, force: bool) {
+/// With `force` (shutdown, readers joined) collect everything. The
+/// queue stays locked until the blocks are gone, so an empty queue
+/// means nothing retired is left in the store.
+fn collect(shared: &Shared, force: bool) {
+    let mut grace = shared.grace().lock();
     while let Some(front) = grace.front() {
         let drained = force || front.guards.iter().all(|g| Arc::strong_count(g) == 1);
         if !drained {

@@ -254,6 +254,36 @@ fn tables_created_mid_serving_become_queryable() {
     assert_eq!(res.rows.len(), 50);
 }
 
+/// Append-only traffic reclaims what it retires: no query ever runs,
+/// and `drain_maintenance` (which wakes the maintenance loop itself) is
+/// never called, yet every tail block a merge retired is deleted once
+/// no reader pins a snapshot that lists it.
+#[test]
+fn append_only_traffic_reclaims_retired_blocks() {
+    use std::time::{Duration, Instant};
+    let mut db = Database::new(DbConfig { rows_per_block: 8, ..DbConfig::small() });
+    db.create_table("t", schema2(), vec![0, 1]).unwrap();
+    db.load_rows("t", (0..64i64).map(|i| row![i, i])).unwrap();
+    let server = DbServer::start(db);
+    for i in 0..50i64 {
+        server.append("t", vec![row![64 + i, i]]).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let (stored, manifest) = server.with_engine(|db| {
+            (db.store().block_count("t"), db.table("t").unwrap().all_blocks().len())
+        });
+        if stored == manifest {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{stored} blocks stored against {manifest} in the manifest"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn drain_after_stop_returns_immediately() {
     let mut server = DbServer::start(loaded_db(Mode::Adaptive));
@@ -322,9 +352,8 @@ fn report_exposes_queue_and_inflight_gauges() {
 
 #[test]
 fn sessions_aggregate_overlap_stats_under_pipelining() {
-    // Shuffle-heavy mode with a pinned pipelined window (explicit so
-    // the ADAPTDB_FETCH_WINDOW override can't change the assertions):
-    // sessions must see hidden fetch latency accumulate.
+    // Shuffle-heavy mode with a pinned pipelined window: sessions must
+    // see hidden fetch latency accumulate.
     let config = DbConfig {
         rows_per_block: 10,
         window_size: 5,

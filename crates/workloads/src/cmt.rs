@@ -26,7 +26,6 @@ use adaptdb_common::{
     AttrId, CmpOp, JoinQuery, Predicate, PredicateSet, Query, Result, Row, ScanQuery, Schema,
     Value, ValueType,
 };
-use adaptdb_tree::TwoPhaseBuilder;
 use rand::RngExt;
 
 /// trips attribute ids.
@@ -283,20 +282,6 @@ impl CmtGen {
             out.push(q);
         }
         out
-    }
-
-    /// A best-guess fixed tree for an arbitrary table (exposed for tests
-    /// of hand-tuned baselines).
-    pub fn hand_tuned_tree(
-        &self,
-        schema_len: usize,
-        join_attr: AttrId,
-        selection: Vec<AttrId>,
-        depth: usize,
-        sample: &[Row],
-    ) -> adaptdb_tree::PartitionTree {
-        TwoPhaseBuilder::new(schema_len, join_attr, depth / 2, selection, depth, self.seed)
-            .build(sample)
     }
 }
 

@@ -4,7 +4,7 @@
 Usage: check_trace.py <trace.json>
 
 Validates the span trees the engine exports (``chrome_trace_json``,
-produced by ``--trace-out``, ``ADAPTDB_TRACE=1``, or the ``trace_tpch``
+produced by ``fig_shuffle --trace-out`` or the ``trace_tpch``
 example):
 
 * **schema** — a ``traceEvents`` array of complete (``ph: "X"``)
