@@ -26,7 +26,9 @@
 //!   the committed baseline gates every counter exactly.
 //!
 //! Wall-clock cells report the *minimum* over several iterations (the
-//! noise-robust estimator); counters are deterministic at any speed.
+//! noise-robust estimator). The reference and engine runs of a cell
+//! pair alternate, so a burst of host load lands on both sides rather
+//! than on one; counters are deterministic at any speed.
 //! The binary asserts the contracts above before it writes
 //! `BENCH_columnar.json`; CI then diffs every value of the file except
 //! the declared wall-clock fields against the committed baseline
@@ -89,17 +91,40 @@ fn write_blocks(
     (ids, ranges)
 }
 
-/// Minimum wall milliseconds of `f` over `iters` runs.
-fn min_wall_ms<T>(iters: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
+/// Time one cell pair over `blocks` blocks: run `leg(columnar, clock)`
+/// for the reference (`false`) and the engine (`true`) in alternation,
+/// `iters` times each. Each side keeps its minimum wall milliseconds
+/// and its last run's counters; reference cell first.
+fn timed_pair(
+    name: &'static str,
+    blocks: usize,
+    iters: usize,
+    mut leg: impl FnMut(bool, &SimClock) -> Vec<Row>,
+) -> [Cell; 2] {
+    let clocks = [SimClock::new(), SimClock::new()];
+    let (mut wall_ms, mut rows_out) = ([f64::INFINITY; 2], [0; 2]);
     for _ in 0..iters.max(1) {
-        let sw = Stopwatch::start();
-        let v = f();
-        best = best.min(sw.ms());
-        out = Some(v);
+        for (side, clock) in clocks.iter().enumerate() {
+            clock.take();
+            let sw = Stopwatch::start();
+            let out = leg(side == 1, clock);
+            wall_ms[side] = wall_ms[side].min(sw.ms());
+            rows_out[side] = out.len();
+        }
     }
-    (out.unwrap(), best)
+    [0, 1].map(|side| {
+        let io = clocks[side].take();
+        Cell {
+            name,
+            columnar: side == 1,
+            blocks,
+            reads: io.reads(),
+            zone_skipped: io.zone_skipped,
+            rows_scanned: io.rows_scanned,
+            rows_out: rows_out[side],
+            wall_ms: wall_ms[side],
+        }
+    })
 }
 
 /// The row-at-a-time reference scan: the engine's zone-map check,
@@ -128,38 +153,23 @@ fn reference_scan(
     out
 }
 
-/// Measure one scan, by the engine or by the reference.
-fn scan_cell(
+/// Measure one scan by the reference and by the engine.
+fn scan_pair(
     name: &'static str,
-    columnar: bool,
     rows: &[Row],
     preds: &PredicateSet,
     iters: usize,
     seed: u64,
-) -> Cell {
+) -> [Cell; 2] {
     let store = BlockStore::new(NODES, 1, seed);
     let (ids, _) = write_blocks(&store, "li", rows, li::ORDERKEY);
-    let clock = SimClock::new();
-    let ctx = ExecContext::new(&store, &clock);
-    let (out, wall_ms) = min_wall_ms(iters, || {
-        clock.take();
+    timed_pair(name, ids.len(), iters, |columnar, clock| {
         if columnar {
-            scan_blocks(ctx, "li", &ids, preds).expect("scan")
+            scan_blocks(ExecContext::new(&store, clock), "li", &ids, preds).expect("scan")
         } else {
-            reference_scan(&store, &clock, "li", &ids, preds)
+            reference_scan(&store, clock, "li", &ids, preds)
         }
-    });
-    let io = clock.take();
-    Cell {
-        name,
-        columnar,
-        blocks: ids.len(),
-        reads: io.reads(),
-        zone_skipped: io.zone_skipped,
-        rows_scanned: io.rows_scanned,
-        rows_out: out.len(),
-        wall_ms,
-    }
+    })
 }
 
 /// The row-at-a-time reference hyper-join over the same plan as the
@@ -207,11 +217,11 @@ fn reference_hyper_join(
     out
 }
 
-/// Measure one hyper-join probe leg, by the engine or by the
-/// reference: a small dimension side (every ~50th orderkey) built
+/// Measure one hyper-join probe leg by the reference and by the
+/// engine: a small dimension side (every ~50th orderkey) built
 /// against the full lineitem probe side — a ~2% hit rate, the shape
 /// late materialization likes least to waste on.
-fn probe_cell(name: &'static str, columnar: bool, rows: &[Row], iters: usize, seed: u64) -> Cell {
+fn probe_pair(name: &'static str, rows: &[Row], iters: usize, seed: u64) -> [Cell; 2] {
     let store = BlockStore::new(NODES, 1, seed);
     let (_lids, lranges) = write_blocks(&store, "li", rows, li::ORDERKEY);
     let max_key = rows.iter().map(|r| r.get(li::ORDERKEY).as_int().unwrap()).max().unwrap_or(0);
@@ -219,16 +229,13 @@ fn probe_cell(name: &'static str, columnar: bool, rows: &[Row], iters: usize, se
     let (_, dranges) = write_blocks(&store, "dim", &dim, 0);
     let decision = planner::plan(&lranges, &dranges, 64, &CostParams::default());
     let JoinDecision::Hyper(plan) = decision else { panic!("expected a hyper-join plan") };
-    let clock = SimClock::new();
-    let ctx = ExecContext::new(&store, &clock);
     let none = PredicateSet::none();
-    let (out, wall_ms) = min_wall_ms(iters, || {
-        clock.take();
+    timed_pair(name, lranges.len() + dranges.len(), iters, |columnar, clock| {
         if !columnar {
-            return reference_hyper_join(&store, &clock, "li", "dim", (li::ORDERKEY, 0), &plan);
+            return reference_hyper_join(&store, clock, "li", "dim", (li::ORDERKEY, 0), &plan);
         }
         hyper_join(
-            ctx,
+            ExecContext::new(&store, clock),
             HyperJoinSpec {
                 left_table: "li",
                 right_table: "dim",
@@ -240,18 +247,7 @@ fn probe_cell(name: &'static str, columnar: bool, rows: &[Row], iters: usize, se
             },
         )
         .expect("hyper join")
-    });
-    let io = clock.take();
-    Cell {
-        name,
-        columnar,
-        blocks: lranges.len() + dranges.len(),
-        reads: io.reads(),
-        zone_skipped: io.zone_skipped,
-        rows_scanned: io.rows_scanned,
-        rows_out: out.len(),
-        wall_ms,
-    }
+    })
 }
 
 /// Run the whole TPC-H template corpus through the engine and total
@@ -330,26 +326,17 @@ fn main() {
     // Selective predicate on QUANTITY — uncorrelated with block order,
     // so zone maps keep every block and decode cost dominates.
     let unclustered = PredicateSet::none().and(Predicate::new(li::QUANTITY, CmpOp::Eq, 7i64));
-    let scan = [
-        scan_cell("scan-unclustered", false, &rows, &unclustered, iters, opts.seed),
-        scan_cell("scan-unclustered", true, &rows, &unclustered, iters, opts.seed),
-    ];
+    let scan = scan_pair("scan-unclustered", &rows, &unclustered, iters, opts.seed);
     let scan_speedup = assert_counts_and_speedup(&scan);
 
     // The same scan shape on the clustering attribute: zone maps skip.
     let max_key = rows.last().map(|r| r.get(li::ORDERKEY).as_int().unwrap()).unwrap_or(0);
     let clustered_preds =
         PredicateSet::none().and(Predicate::new(li::ORDERKEY, CmpOp::Lt, Value::Int(max_key / 5)));
-    let clustered = [
-        scan_cell("scan-clustered", false, &rows, &clustered_preds, iters, opts.seed),
-        scan_cell("scan-clustered", true, &rows, &clustered_preds, iters, opts.seed),
-    ];
+    let clustered = scan_pair("scan-clustered", &rows, &clustered_preds, iters, opts.seed);
     assert_counts_and_speedup(&clustered);
 
-    let probe = [
-        probe_cell("hyper-probe", false, &rows, iters, opts.seed),
-        probe_cell("hyper-probe", true, &rows, iters, opts.seed),
-    ];
+    let probe = probe_pair("hyper-probe", &rows, iters, opts.seed);
     let probe_speedup = assert_counts_and_speedup(&probe);
 
     // Late materialization is the only data plane: one parity cell.

@@ -236,32 +236,6 @@ impl Database {
         crate::catalog::encode_catalog(self.tables.values())
     }
 
-    /// Restore catalog state from [`Database::export_catalog`] output.
-    /// Every referenced block must still exist in the store; schemas
-    /// must match the registered tables.
-    pub fn import_catalog(&mut self, blob: bytes::Bytes) -> Result<()> {
-        let snaps = crate::catalog::decode_catalog(blob)?;
-        for snap in &snaps {
-            let ts = self
-                .tables
-                .get_mut(&snap.name)
-                .ok_or_else(|| Error::UnknownTable(snap.name.clone()))?;
-            // Validate block references before touching state.
-            for (_, buckets) in &snap.trees {
-                for blocks in buckets.values() {
-                    for b in blocks {
-                        self.store.block_meta(&snap.name, *b)?;
-                    }
-                }
-            }
-            for b in &snap.delta {
-                self.store.block_meta(&snap.name, *b)?;
-            }
-            crate::catalog::apply_snapshot(ts, snap)?;
-        }
-        Ok(())
-    }
-
     /// Read access to the block store (for experiments and tests).
     pub fn store(&self) -> &BlockStore {
         &self.store

@@ -27,13 +27,10 @@
 //!   then join each partition,
 //! * [`repartition`] — Type-2 blocks: scan *and* re-route rows into a new
 //!   partitioning tree through a buffered writer, column-wise and
-//!   without building rows,
-//! * [`aggregate`] — the small aggregation layer used by examples and
-//!   workloads.
+//!   without building rows.
 
 #![warn(missing_docs)]
 
-pub mod aggregate;
 pub mod context;
 mod gather;
 pub mod hash_table;

@@ -1158,6 +1158,58 @@ mod tests {
         assert_eq!(report.errors, 2);
     }
 
+    /// `stop` closes admission but lets every client already queued
+    /// behind a held slot run, and returns once the last one finished.
+    #[test]
+    fn stop_lets_every_queued_client_finish() {
+        let gate = Gate::register("stop-drains");
+        let mut server = DbServer::start_with(
+            small_join_db(),
+            ServerOptions { workers: Some(1), ..Default::default() },
+        );
+        let mut late = server.session();
+        let _open = OpenOnDrop(&gate);
+        let (tx, rx) = mpsc::channel();
+        let spawn_client = |query: Query| {
+            let (mut session, tx) = (server.session(), tx.clone());
+            std::thread::spawn(move || tx.send(session.run(&query).map(|r| r.rows.len())).unwrap())
+        };
+        let mut clients = vec![spawn_client(Gate::query("stop-drains", 0))];
+        gate.await_started(1);
+        for depth in 1..=3 {
+            clients.push(spawn_client(small_join()));
+            await_queued(&server, depth);
+        }
+        let (stopped_tx, stopped) = mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            server.stop();
+            stopped_tx.send(()).unwrap();
+            server
+        });
+        assert!(
+            stopped.recv_timeout(Duration::from_millis(50)).is_err(),
+            "stop returned while a query held the slot"
+        );
+        gate.open(0);
+        let mut answers: Vec<_> = (0..4)
+            .map(|_| rx.recv_timeout(STUCK).expect("a queued client got no answer"))
+            .collect();
+        stopped.recv_timeout(STUCK).expect("stop never returned");
+        for client in clients {
+            client.join().expect("client thread");
+        }
+        let server = stopper.join().expect("stopper thread");
+        answers.sort_by_key(|a| a.is_ok());
+        assert!(matches!(answers[0], Err(Error::UnknownTable(_))), "{answers:?}");
+        assert!(answers[1..].iter().all(|a| matches!(a, Ok(64))), "{answers:?}");
+        assert!(
+            matches!(late.run(&small_join()), Err(Error::Plan(msg)) if msg.contains("shut down")),
+            "a stopped server admits nothing"
+        );
+        let report = server.report();
+        assert_eq!((report.queries, report.in_flight, report.queue_depth), (4, 0, 0));
+    }
+
     #[test]
     fn a_panicking_query_fails_alone_and_the_worker_keeps_serving() {
         // One slot, and the server idle between queries, so both run on

@@ -198,24 +198,48 @@ fn multi_join_matches_reference() {
     }
 }
 
-/// Catalog export/import round-trips the adaptive state: after
-/// converging, snapshot the catalog, clobber the trees, restore, and
-/// get identical plans and results.
+/// The durable catalog round-trips the adaptive state: after
+/// converging, commit the catalog, reopen the directory, and get
+/// identical plans and results.
 #[test]
 fn catalog_snapshot_restores_adaptive_state() {
+    /// Removes the directory when the test ends, failed or not.
+    struct RemoveOnDrop(std::path::PathBuf);
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("adaptdb-catalog-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _cleanup = RemoveOnDrop(dir.clone());
+    let config = DbConfig {
+        rows_per_block: 16,
+        window_size: 5,
+        buffer_blocks: 2,
+        durable_path: Some(dir.to_string_lossy().into_owned()),
+        ..DbConfig::small()
+    }
+    .with_mode(Mode::Adaptive);
     let l = make_rows(300, |i| row![i % 80, i]);
     let r = make_rows(80, |i| row![i, i * 5]);
-    let mut db = loaded_db(Mode::Adaptive, &l, &r);
     let q = Query::Join(JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 0, 0));
-    for _ in 0..8 {
-        db.run(&q).unwrap();
-    }
-    let converged = db.run(&q).unwrap();
-    assert_eq!(converged.stats.strategy, JoinStrategy::HyperJoin);
-    let blob = db.export_catalog();
+    let converged = {
+        let mut db = Database::open_durable(config.clone()).unwrap();
+        db.create_table("l", schema2(), vec![0, 1]).unwrap();
+        db.create_table("r", schema2(), vec![0, 1]).unwrap();
+        db.load_rows("l", l).unwrap();
+        db.load_rows("r", r).unwrap();
+        for _ in 0..8 {
+            db.run(&q).unwrap();
+        }
+        let converged = db.run(&q).unwrap();
+        assert_eq!(converged.stats.strategy, JoinStrategy::HyperJoin);
+        db.commit_durable().unwrap();
+        converged
+    };
 
-    // Import into the same database (idempotent restore).
-    db.import_catalog(blob.clone()).unwrap();
+    let mut db = Database::open_durable(config).unwrap();
     let after = db.run(&q).unwrap();
     assert_eq!(after.stats.strategy, JoinStrategy::HyperJoin);
     assert_eq!(after.rows.len(), converged.rows.len());
@@ -224,11 +248,6 @@ fn catalog_snapshot_restores_adaptive_state() {
         converged.stats.query_io.reads(),
         "restored catalog must plan identically"
     );
-
-    // A blob referencing unknown tables is rejected.
-    let mut other = Database::new(DbConfig::small());
-    other.create_table("zzz", schema2(), vec![0]).unwrap();
-    assert!(other.import_catalog(blob).is_err());
 }
 
 /// §4.3 step optimization: when the step table's tree matches the join
