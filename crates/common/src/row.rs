@@ -56,13 +56,14 @@ impl Row {
         self
     }
 
-    /// `left ++ self` (join output), moving `self`'s values behind a
-    /// copy of `left`'s.
-    pub fn prepend(self, left: &Row) -> Row {
-        let mut values = Vec::with_capacity(left.values.len() + self.values.len());
-        values.extend_from_slice(&left.values);
-        values.extend(self.values);
-        Row::new(values)
+    /// `left ++ self` (join output), reusing `self`'s values: `left`'s
+    /// are copied in behind them and rotated to the front, in place
+    /// when the capacity is already there.
+    pub fn prepend(mut self, left: &Row) -> Row {
+        self.values.reserve_exact(left.values.len());
+        self.values.extend_from_slice(&left.values);
+        self.values.rotate_right(left.values.len());
+        self
     }
 
     /// Consume the row, yielding its values.
@@ -113,6 +114,26 @@ mod tests {
         assert_eq!(b.clone().prepend(&a), a.concat(&b));
         assert_eq!(row![].append(&a), a);
         assert_eq!(row![].prepend(&a), a);
+    }
+
+    #[test]
+    fn append_and_prepend_fill_spare_capacity_in_place() {
+        let spare = || {
+            let mut values = Vec::with_capacity(5);
+            values.extend([Value::Int(1), Value::Int(2)]);
+            Row::new(values)
+        };
+        let build = row![7i64, "b", 9i64];
+        let probe = spare();
+        let at = probe.values().as_ptr();
+        let out = probe.append(&build);
+        assert_eq!(out, row![1i64, 2i64].concat(&build));
+        assert_eq!(out.values().as_ptr(), at, "append moved the row");
+        let probe = spare();
+        let at = probe.values().as_ptr();
+        let out = probe.prepend(&build);
+        assert_eq!(out, build.concat(&row![1i64, 2i64]));
+        assert_eq!(out.values().as_ptr(), at, "prepend moved the row");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! following the perf-book guidance to avoid SipHash for hot integer-keyed
 //! tables while keeping runs reproducible.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -33,18 +34,45 @@ impl Hasher for PassThroughHasher {
 
 type Build = BuildHasherDefault<PassThroughHasher>;
 
-/// A multimap from join-key values to rows.
+/// The rows of one key: a key seen once (the common case on a join's
+/// unique side) keeps its row inline, and only a second row moves the
+/// bucket onto the heap.
+#[derive(Debug)]
+enum Bucket {
+    One(Row),
+    Many(Vec<Row>),
+}
+
+impl Bucket {
+    fn rows(&self) -> &[Row] {
+        match self {
+            Bucket::One(row) => std::slice::from_ref(row),
+            Bucket::Many(rows) => rows,
+        }
+    }
+
+    fn push(&mut self, row: Row) {
+        match self {
+            Bucket::Many(rows) => rows.push(row),
+            Bucket::One(first) => {
+                let first = std::mem::replace(first, Row::new(Vec::new()));
+                *self = Bucket::Many(vec![first, row]);
+            }
+        }
+    }
+}
+
+/// A multimap from join-key values to rows, in insertion order per key.
 #[derive(Debug, Default)]
 pub struct JoinHashTable {
-    map: HashMap<Value, Vec<Row>, Build>,
+    map: HashMap<Value, Bucket, Build>,
     rows: usize,
-    keys: usize,
 }
 
 impl JoinHashTable {
     /// An empty table.
     pub fn new() -> Self {
-        JoinHashTable { map: HashMap::default(), rows: 0, keys: 0 }
+        JoinHashTable { map: HashMap::default(), rows: 0 }
     }
 
     /// Build from rows keyed on `attr`.
@@ -59,16 +87,17 @@ impl JoinHashTable {
     /// Insert one row keyed on `attr`.
     pub fn insert(&mut self, attr: AttrId, row: Row) {
         self.rows += 1;
-        let bucket = self.map.entry(row.get(attr).clone()).or_default();
-        if bucket.is_empty() {
-            self.keys += 1;
+        match self.map.entry(row.get(attr).clone()) {
+            Entry::Occupied(mut bucket) => bucket.get_mut().push(row),
+            Entry::Vacant(slot) => {
+                slot.insert(Bucket::One(row));
+            }
         }
-        bucket.push(row);
     }
 
     /// Rows whose key equals `key`.
     pub fn probe(&self, key: &Value) -> &[Row] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.map.get(key).map_or(&[], Bucket::rows)
     }
 
     /// Probe a whole key column in one call: for every index set in
@@ -85,6 +114,12 @@ impl JoinHashTable {
         for i in sel.iter_ones() {
             let hits = self.probe(&keys.value_at(i));
             if !hits.is_empty() {
+                // One allocation at most: on the first hit, room for
+                // every selected row; a column that misses allocates
+                // nothing.
+                if out.capacity() == 0 {
+                    out.reserve_exact(sel.count_ones());
+                }
                 out.push((i, hits));
             }
         }
@@ -100,24 +135,38 @@ impl JoinHashTable {
     pub fn is_empty(&self) -> bool {
         self.rows == 0
     }
+}
 
-    /// Number of distinct keys, maintained incrementally on insert
-    /// (the hyper-join hot path reads this per probe block — it must
-    /// never rescan the table).
-    pub fn distinct_keys(&self) -> usize {
-        self.keys
+/// `probe ⋈ m` as a fresh row at exactly the output width — probe
+/// columns first when `probe_left`.
+fn joined(probe: &Row, m: &Row, probe_left: bool) -> Row {
+    if probe_left {
+        probe.concat(m)
+    } else {
+        m.concat(probe)
     }
 }
 
 /// Push `probe ⋈ m` for every build row `m` of `matches`, in order —
 /// probe columns first when `probe_left` — moving the probe row into
-/// the last output and copying it only for the earlier ones.
+/// the last output and copying it only for the earlier ones. A probe
+/// row gathered with room for the build cells
+/// ([`LazyBlock::gather_with_spare`]) takes them in place, so every
+/// output row costs one allocation.
 pub(crate) fn join_into(out: &mut Vec<Row>, probe: Row, matches: &[Row], probe_left: bool) {
     let Some((last, rest)) = matches.split_last() else { return };
     for m in rest {
-        out.push(if probe_left { probe.concat(m) } else { m.concat(&probe) });
+        out.push(joined(&probe, m, probe_left));
     }
     out.push(if probe_left { probe.append(last) } else { probe.prepend(last) });
+}
+
+/// Push `probe ⋈ m` for every build row `m` of `matches` of a probe row
+/// the caller keeps: each output row is one fresh row.
+pub(crate) fn join_ref_into(out: &mut Vec<Row>, probe: &Row, matches: &[Row], probe_left: bool) {
+    for m in matches {
+        out.push(joined(probe, m, probe_left));
+    }
 }
 
 /// The one probe kernel over still-encoded blocks, shared by the
@@ -139,11 +188,10 @@ pub(crate) fn probe_block(
 ) -> Result<()> {
     let keys = lazy.column(attr as usize)?;
     let hits = table.probe_batch(&keys, sel);
-    let mut matched = BitSet::new(lazy.row_count());
-    for &(i, _) in &hits {
-        matched.set(i);
-    }
-    let rows = lazy.gather_range(0, lazy.row_count(), &matched)?;
+    // Probe rows are gathered at the output width.
+    let spare = hits.first().map_or(0, |(_, m)| m[0].arity());
+    let rows = lazy.gather_with_spare(hits.iter().map(|&(i, _)| i), spare)?;
+    out.reserve(hits.iter().map(|(_, m)| m.len()).sum());
     debug_assert_eq!(rows.len(), hits.len());
     for ((_, build_rows), row) in hits.iter().zip(rows) {
         join_into(out, row, build_rows, probe_left);
@@ -160,7 +208,6 @@ mod tests {
     fn build_and_probe() {
         let t = JoinHashTable::build(vec![row![1i64, "a"], row![2i64, "b"], row![1i64, "c"]], 0);
         assert_eq!(t.len(), 3);
-        assert_eq!(t.distinct_keys(), 2);
         assert_eq!(t.probe(&Value::Int(1)).len(), 2);
         assert_eq!(t.probe(&Value::Int(2)).len(), 1);
         assert!(t.probe(&Value::Int(9)).is_empty());
@@ -177,17 +224,19 @@ mod tests {
         let t = JoinHashTable::new();
         assert!(t.is_empty());
         assert!(t.probe(&Value::Int(0)).is_empty());
-        assert_eq!(t.distinct_keys(), 0);
     }
 
     #[test]
-    fn distinct_keys_tracks_inserts_incrementally() {
+    fn buckets_keep_insertion_order_per_key() {
         let mut t = JoinHashTable::new();
         for i in 0..100i64 {
             t.insert(0, row![i % 7, i]);
-            assert_eq!(t.distinct_keys(), ((i + 1).min(7)) as usize);
         }
         assert_eq!(t.len(), 100);
+        for k in 0..7i64 {
+            let want: Vec<Row> = (0..100i64).filter(|i| i % 7 == k).map(|i| row![k, i]).collect();
+            assert_eq!(t.probe(&Value::Int(k)), want.as_slice(), "key {k}");
+        }
     }
 
     #[test]
@@ -228,6 +277,9 @@ mod tests {
                     .map(|m| if probe_left { probe.concat(m) } else { m.concat(&probe) })
                     .collect();
                 assert_eq!(out, want, "n={n} probe_left={probe_left}");
+                let mut by_ref = Vec::new();
+                join_ref_into(&mut by_ref, &probe, &matches[..n], probe_left);
+                assert_eq!(by_ref, want, "n={n} probe_left={probe_left}");
             }
         }
     }

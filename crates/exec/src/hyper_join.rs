@@ -77,7 +77,8 @@ pub fn hyper_join(ctx: ExecContext<'_>, spec: HyperJoinSpec<'_>) -> Result<Vec<R
 
     let mut out = Vec::new();
     for (build_blocks, probe_blocks) in spec.plan.groups.iter().zip(&spec.plan.probes) {
-        out.extend(run_group(
+        run_group(
+            &mut out,
             ctx,
             build_table,
             probe_table,
@@ -88,13 +89,15 @@ pub fn hyper_join(ctx: ExecContext<'_>, spec: HyperJoinSpec<'_>) -> Result<Vec<R
             spec.plan.build_side,
             build_blocks,
             probe_blocks,
-        )?);
+        )?;
     }
     Ok(out)
 }
 
+/// Run one group, appending its output rows to `out`.
 #[allow(clippy::too_many_arguments)]
 fn run_group(
+    out: &mut Vec<Row>,
     ctx: ExecContext<'_>,
     build_table: &str,
     probe_table: &str,
@@ -105,9 +108,9 @@ fn run_group(
     build_side: JoinSide,
     build_blocks: &[u32],
     probe_blocks: &[u32],
-) -> Result<Vec<Row>> {
+) -> Result<()> {
     if build_blocks.is_empty() {
-        return Ok(Vec::new());
+        return Ok(());
     }
     // The whole group runs on the node holding the first build block's
     // primary replica (a locality-aware scheduler would do the same);
@@ -126,11 +129,11 @@ fn run_group(
         fetch_ordered(ctx.with_trace(None), probe_table, probe_blocks, Some(node), |lazy| {
             probe_selected(ctx, &table, lazy, probe_attr, probe_preds, build_side)
         })?;
-    let mut out = Vec::with_capacity(probed.iter().map(Vec::len).sum());
+    out.reserve(probed.iter().map(Vec::len).sum());
     for rows in probed {
         out.extend(rows);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Probe one (lazily-read) block against the group's hash table,

@@ -187,11 +187,11 @@ pub fn repartition_blocks_with(
         for bucket in buckets {
             if unmerged.remove(&bucket) {
                 let (_, source, all) = &tails[&bucket];
-                writer.push(bucket, source, all);
+                writer.push(bucket, source, all, 0..all.len());
             }
             for (_, source, routes) in mine {
                 if let Some(picked) = routes.get(bucket) {
-                    writer.push(bucket, source, picked);
+                    writer.push(bucket, source, picked, 0..picked.len());
                 }
             }
         }
@@ -217,17 +217,17 @@ impl Routes {
         let rows = lazy.row_count();
         let mut cols: Vec<Option<ColumnVec>> = Vec::new();
         if rows > 0 {
+            let width = split_attrs.iter().map(|&a| a as usize + 1).max().unwrap_or(0);
+            cols.resize(width, None);
             for &a in split_attrs {
-                let a = a as usize;
-                if cols.len() <= a {
-                    cols.resize(a + 1, None);
-                }
-                cols[a] = Some(lazy.column(a)?);
+                cols[a as usize] = Some(lazy.column(a as usize)?);
             }
         }
         let bucket = tree.route_columns(&cols, rows);
         let mut order: Vec<u32> = (0..rows as u32).collect();
-        order.sort_by_key(|&i| bucket[i as usize]);
+        // Rows in block order within each bucket, without a merge
+        // sort's scratch buffer.
+        order.sort_unstable_by_key(|&i| (bucket[i as usize], i));
         let mut runs: Vec<(BucketId, usize, usize)> = Vec::new();
         for (at, &i) in order.iter().enumerate() {
             match runs.last_mut() {

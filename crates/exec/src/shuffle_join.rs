@@ -37,7 +37,7 @@ use adaptdb_dfs::{secs_to_us, SimClock, SpanGuard};
 use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
-use crate::hash_table::{join_into, probe_block, JoinHashTable};
+use crate::hash_table::{join_into, join_ref_into, probe_block, JoinHashTable};
 use crate::shuffle_service::{ShuffleService, ShuffledSide};
 
 /// Parameters for a storage-backed shuffle join.
@@ -371,10 +371,7 @@ impl<'r> Side<'r> {
         match self {
             Side::Rows(rows) => {
                 for row in rows {
-                    let matches = table.probe(row.get(attr));
-                    if !matches.is_empty() {
-                        join_into(out, row.clone(), matches, probe_left);
-                    }
+                    join_ref_into(out, row, table.probe(row.get(attr)), probe_left);
                 }
             }
             Side::Runs(runs) => {

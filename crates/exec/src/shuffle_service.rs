@@ -206,10 +206,15 @@ impl<'a> ShuffleService<'a> {
             // the moment its buffer fills.
             let mut rows = vec![0usize; self.partitions];
             let mut writer: Option<GatherWriter<'_>> = None;
+            let mut next = Vec::new();
             for m in &mapped {
-                for &(p, start, end) in &m.stretches {
-                    let picked = &m.order[start..end];
-                    rows[p as usize] += picked.len();
+                m.starts(self.partitions, &mut next);
+                for stretch in m.parts.chunk_by(|a, b| a == b) {
+                    let p = stretch[0];
+                    let start = next[p as usize];
+                    let end = start + stretch.len();
+                    next[p as usize] = end;
+                    rows[p as usize] += stretch.len();
                     let arity = m.columns.len();
                     writer
                         .get_or_insert_with(|| {
@@ -222,7 +227,7 @@ impl<'a> ShuffleService<'a> {
                             )
                             .with_replication(Some(self.ctx.shuffle.replication))
                         })
-                        .push(p, &m.columns, picked);
+                        .push(p, &m.columns, &m.order, start..end);
                 }
             }
             let runs = writer.map(GatherWriter::finish);
@@ -573,16 +578,18 @@ impl<'s, 'a> MapTask<'s, 'a> {
     }
 }
 
-/// One stored block on the map side, mapped: its selected
-/// rows in arrival order, cut into maximal stretches bound for one
-/// partition, over the block's still-encoded columns.
+/// One stored block on the map side, mapped: the partition of each
+/// selected row, and the rows grouped by partition, over the block's
+/// still-encoded columns.
 struct MappedBlock {
     columns: Vec<RawColumn>,
-    /// Selected row indices, ascending.
+    /// Each selected row's partition, in arrival order. A run of equal
+    /// partitions is a stretch the writer pushes at once.
+    parts: Vec<BucketId>,
+    /// Selected row indices grouped by partition: ascending partitions,
+    /// block order within each. One partition's stretches follow each
+    /// other here, so the gather writer joins them into one chunk.
     order: Vec<u32>,
-    /// `(partition, start, end)`: `order[start..end]` goes to
-    /// `partition`; consecutive stretches differ in partition.
-    stretches: Vec<(BucketId, usize, usize)>,
 }
 
 impl MappedBlock {
@@ -596,17 +603,34 @@ impl MappedBlock {
     ) -> Result<MappedBlock> {
         let sel = select_block(svc.ctx, &lazy, preds)?;
         let columns = lazy.raw_columns()?;
-        let order: Vec<u32> = sel.iter_ones().map(|i| i as u32).collect();
-        let mut stretches: Vec<(BucketId, usize, usize)> = Vec::new();
-        for (at, &i) in order.iter().enumerate() {
-            let hash = columns[attr as usize].stable_hash(i as usize);
-            let p = (hash % svc.partitions as u64) as BucketId;
-            match stretches.last_mut() {
-                Some((q, _, end)) if *q == p => *end = at + 1,
-                _ => stretches.push((p, at, at + 1)),
-            }
+        let mut parts = Vec::with_capacity(sel.count_ones());
+        parts.extend(
+            sel.iter_ones().map(|i| {
+                (columns[attr as usize].stable_hash(i) % svc.partitions as u64) as BucketId
+            }),
+        );
+        let mut m = MappedBlock { columns, order: vec![0; parts.len()], parts };
+        let mut next = Vec::new();
+        m.starts(svc.partitions, &mut next);
+        for (i, &p) in sel.iter_ones().zip(&m.parts) {
+            m.order[next[p as usize]] = i as u32;
+            next[p as usize] += 1;
         }
-        Ok(MappedBlock { columns, order, stretches })
+        Ok(m)
+    }
+
+    /// Where each of the `partitions` partitions' rows start in
+    /// `order`, into `next`: after every smaller partition's.
+    fn starts(&self, partitions: usize, next: &mut Vec<usize>) {
+        next.clear();
+        next.resize(partitions, 0);
+        for &p in &self.parts {
+            next[p as usize] += 1;
+        }
+        let mut at = 0;
+        for n in next.iter_mut() {
+            (at, *n) = (at + *n, at);
+        }
     }
 }
 

@@ -78,7 +78,7 @@ use std::time::{Duration, Instant};
 use adaptdb::cost::{self, Lane};
 use adaptdb::readpath::{self, SnapshotSource};
 use adaptdb::{
-    Database, DbConfig, QueryResult, RetireMode, SchedPolicy, TableSnapshot, TableState,
+    Database, DbConfig, Mode, QueryResult, RetireMode, SchedPolicy, TableSnapshot, TableState,
 };
 use adaptdb_common::{Error, Query, QueryStats, Result, Row};
 use adaptdb_dfs::SimClock;
@@ -124,6 +124,10 @@ pub(crate) struct Shared {
     /// readers' lock is contended.
     #[cfg(test)]
     publish_writes: AtomicU64,
+    /// Acquisitions of the engine mutex through [`Shared::engine`] —
+    /// the maintenance loop's — for tests that pin when it is taken.
+    #[cfg(test)]
+    engine_locks: AtomicU64,
     /// Executed queries awaiting window bookkeeping + adaptation.
     inbox: StdMutex<Vec<Query>>,
     inbox_signal: Condvar,
@@ -236,7 +240,27 @@ impl Shared {
     }
 
     pub(crate) fn engine(&self) -> &Mutex<Database> {
+        #[cfg(test)]
+        self.engine_locks.fetch_add(1, Ordering::SeqCst);
         &self.engine
+    }
+
+    /// Whether replaying `queries` through the engine can change a
+    /// layout. Under an adapting mode it always can. Under `Fixed` and
+    /// `FullScan` the only change is a delta fold, and it is due only
+    /// when a table the queries name holds `ingest_fold_blocks` delta
+    /// blocks — read off the published snapshots, which every append
+    /// publishes before it returns. Their windows feed nothing but
+    /// adaptation, so such a replay is skipped whole.
+    pub(crate) fn replay_may_change_layout(&self, queries: &[Query]) -> bool {
+        if !matches!(self.config.mode, Mode::Fixed | Mode::FullScan) {
+            return true;
+        }
+        let published = self.published.read();
+        let fold_due = |t: &str| {
+            published.get(t).is_some_and(|s| s.delta.len() >= self.config.ingest_fold_blocks)
+        };
+        queries.iter().any(|q| q.tables().into_iter().any(fold_due))
     }
 
     pub(crate) fn grace(&self) -> &Mutex<VecDeque<GraceEntry>> {
@@ -447,6 +471,8 @@ impl DbServer {
             grace: Mutex::new(VecDeque::new()),
             #[cfg(test)]
             publish_writes: AtomicU64::new(0),
+            #[cfg(test)]
+            engine_locks: AtomicU64::new(0),
             inbox: StdMutex::new(Vec::new()),
             inbox_signal: Condvar::new(),
             queue: SchedQueue::new(Scheduler::new(policy, capacity, quantum), worker_count),
@@ -1243,11 +1269,9 @@ mod tests {
         assert_eq!(report.errors, 1);
     }
 
-    /// A `Fixed` server never changes a layout, so its maintenance
-    /// passes find every published snapshot current and leave the
-    /// readers' lock alone.
-    #[test]
-    fn idle_maintenance_passes_take_no_publish_write_lock() {
+    /// A `Fixed` server over two small tables, `l` (64 rows) and `r`
+    /// (32 rows), eight rows a block.
+    fn fixed_join_server() -> DbServer {
         let config =
             DbConfig { rows_per_block: 8, mode: adaptdb::Mode::Fixed, ..DbConfig::small() };
         let mut db = Database::new(config);
@@ -1256,7 +1280,15 @@ mod tests {
         db.create_table("r", schema, vec![0, 1]).unwrap();
         db.load_rows("l", (0..64i64).map(|i| row![i % 32, i])).unwrap();
         db.load_rows("r", (0..32i64).map(|i| row![i, i * 2])).unwrap();
-        let server = DbServer::start(db);
+        DbServer::start(db)
+    }
+
+    /// A `Fixed` server never changes a layout unless a fold is due, so
+    /// its maintenance passes take neither the engine mutex nor the
+    /// readers' write lock.
+    #[test]
+    fn idle_maintenance_passes_take_no_publish_write_lock() {
+        let server = fixed_join_server();
         let join = Query::Join(JoinQuery::new(ScanQuery::full("l"), ScanQuery::full("r"), 0, 0));
         let passes_before = server.shared.maintenance_passes.load(Ordering::SeqCst);
         for _ in 0..4 {
@@ -1267,7 +1299,30 @@ mod tests {
         }
         let passes = server.shared.maintenance_passes.load(Ordering::SeqCst) - passes_before;
         assert!(passes >= 8, "only {passes} maintenance passes ran");
+        assert_eq!(server.shared.obs_processed.load(Ordering::SeqCst), 12);
+        assert_eq!(server.shared.engine_locks.load(Ordering::SeqCst), 0);
         assert_eq!(server.shared.publish_writes.load(Ordering::SeqCst), 0);
+    }
+
+    /// A due fold is the one layout change a `Fixed` server makes: a
+    /// query on a table whose delta reached `ingest_fold_blocks` sends
+    /// its pass to the engine, which folds the delta; a query on the
+    /// other table does not.
+    #[test]
+    fn fixed_server_maintenance_locks_the_engine_only_for_a_due_fold() {
+        let server = fixed_join_server();
+        let fold = server.shared.config.ingest_fold_blocks;
+        server.append("r", (0..(8 * fold) as i64).map(|i| row![100 + i, i]).collect()).unwrap();
+        assert!(server.report().delta_blocks >= fold);
+        let scan = |t: &str| Query::Scan(ScanQuery::full(t));
+        assert_eq!(server.run(&scan("l")).unwrap().rows.len(), 64);
+        server.drain_maintenance();
+        assert_eq!(server.shared.engine_locks.load(Ordering::SeqCst), 0, "l has no delta");
+        assert_eq!(server.run(&scan("r")).unwrap().rows.len(), 32 + 8 * fold);
+        server.drain_maintenance();
+        assert_eq!(server.shared.engine_locks.load(Ordering::SeqCst), 1);
+        assert_eq!(server.report().delta_blocks, 0, "the pass folded r's delta");
+        assert_eq!(server.run(&scan("r")).unwrap().rows.len(), 32 + 8 * fold);
     }
 
     /// `with_engine` publishes exactly what its closure changed: a

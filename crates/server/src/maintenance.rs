@@ -8,7 +8,10 @@
 //! [`adaptdb::Database::adapt_now`]) under the engine mutex, with block
 //! migration writing through the concurrent store, then publishes the
 //! result through `Shared::publish` — the one path every snapshot swap
-//! takes, ingest and `DbServer::with_engine` included. Retirement is
+//! takes, ingest and `DbServer::with_engine` included. A pass that
+//! cannot change a layout (`Fixed` or `FullScan` with no fold due)
+//! skips the replay: it takes neither the engine mutex nor the
+//! published map's write lock. Retirement is
 //! deferred: migrated-away blocks stay readable until every query
 //! pinned to a pre-migration snapshot finishes, and each pass collects
 //! the grace entries whose readers have drained.
@@ -111,9 +114,14 @@ pub(crate) fn run_loop(shared: &Shared) {
 }
 
 /// Replay `queries` through the engine's serial decision procedure and
-/// publish any changed layouts (a pass that changed none, always in
-/// `Fixed` mode, never blocks a reader).
+/// publish any changed layouts (a pass that changed none never blocks a
+/// reader). A pass that cannot change a layout
+/// ([`Shared::replay_may_change_layout`]) returns before taking the
+/// engine mutex.
 fn adapt_and_publish(shared: &Shared, queries: &[adaptdb_common::Query]) {
+    if !shared.replay_may_change_layout(queries) {
+        return;
+    }
     let io_before = shared.maint_clock().snapshot();
     let mut engine = shared.engine().lock();
     for q in queries {

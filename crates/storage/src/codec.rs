@@ -560,7 +560,19 @@ impl LazyBlock {
         Ok((lazy, Some(dir)))
     }
 
-    fn parse_columnar(mut buf: Bytes) -> Result<(LazyBlock, Arc<ColDirectory>)> {
+    fn parse_columnar(buf: Bytes) -> Result<(LazyBlock, Arc<ColDirectory>)> {
+        let (id, mut dir, bytes) = LazyBlock::read_directory(buf)?;
+        for c in dir.cols.iter_mut().filter(|c| c.tag == 2) {
+            c.fault = check_str_cells(dir.rows, &bytes[c.start..c.end]).err().map(Box::new);
+        }
+        let dir = Arc::new(dir);
+        Ok((LazyBlock { id, dir: Arc::clone(&dir), bytes }, dir))
+    }
+
+    /// Validate an `ADB2` block's header and column directory — not its
+    /// `Str` cells — returning its id, its directory (every column marked
+    /// sound) and its payload bytes.
+    fn read_directory(mut buf: Bytes) -> Result<(u32, ColDirectory, Bytes)> {
         let encoded_len = buf.remaining();
         if buf.remaining() < 14 {
             return Err(Error::Codec("truncated columnar block header".into()));
@@ -608,16 +620,8 @@ impl LazyBlock {
         if col_count == 0 && rows != 0 {
             return Err(Error::Codec(format!("{rows} rows but no columns")));
         }
-        for c in cols.iter_mut().filter(|c| c.tag == 2) {
-            c.fault = check_str_cells(rows, &buf[c.start..c.end]).err().map(Box::new);
-        }
-        let dir = Arc::new(ColDirectory {
-            rows,
-            cols,
-            payload_offset: encoded_len - buf.remaining(),
-            encoded_len,
-        });
-        Ok((LazyBlock { id, dir: Arc::clone(&dir), bytes: buf }, dir))
+        let payload_offset = encoded_len - buf.remaining();
+        Ok((id, ColDirectory { rows, cols, payload_offset, encoded_len }, buf))
     }
 
     /// Block id carried in the encoding.
@@ -713,22 +717,34 @@ impl LazyBlock {
         let n = self.row_count();
         assert!(start <= end && end <= n, "gather range {start}..{end} out of {n} rows");
         assert_eq!(sel.len(), n, "selection width mismatch");
-        let picked: Vec<usize> =
-            sel.iter_ones().skip_while(|&i| i < start).take_while(|&i| i < end).collect();
-        gather_columns(&self.dir, &self.bytes, &picked)
+        let mut picked = sel.iter_ones().skip_while(|&i| i < start).take_while(|&i| i < end);
+        gather_columns(&self.dir, &self.bytes, &mut picked, self.dir.cols.len())
+    }
+
+    /// Materialize the rows at the strictly ascending indices `picked`,
+    /// each with room for `spare` more cells — a join's probe rows,
+    /// which then take their build cells without reallocating. Fails
+    /// exactly as [`LazyBlock::gather_range`] does.
+    pub fn gather_with_spare(
+        &self,
+        picked: impl IntoIterator<Item = usize>,
+        spare: usize,
+    ) -> Result<Vec<Row>> {
+        let width = self.dir.cols.len() + spare;
+        gather_columns(&self.dir, &self.bytes, &mut picked.into_iter(), width)
     }
 
     /// Every column left encoded, for copying cells into other blocks
     /// ([`encode_gathered`]).
     pub fn raw_columns(&self) -> Result<Vec<RawColumn>> {
-        self.dir
-            .cols
-            .iter()
-            .map(|c| {
-                c.payload(&self.bytes)?;
-                Ok(RawColumn::new(c.tag, self.dir.rows, self.bytes.slice(c.start..c.end)))
-            })
-            .collect()
+        // Sized up front: collecting `Result`s grows the vector by
+        // doubling.
+        let mut out = Vec::with_capacity(self.dir.cols.len());
+        for c in &self.dir.cols {
+            c.payload(&self.bytes)?;
+            out.push(RawColumn::new(c.tag, self.dir.rows, self.bytes.slice(c.start..c.end)));
+        }
+        Ok(out)
     }
 
     /// Decode everything to a [`Block`] — the eager path, used by
@@ -736,9 +752,18 @@ impl LazyBlock {
     /// fetch-back, journal recovery). Cells decode straight into rows,
     /// one copy per cell.
     pub fn into_block(self) -> Result<Block> {
-        let all: Vec<usize> = (0..self.dir.rows).collect();
-        Ok(Block::new(self.id, gather_columns(&self.dir, &self.bytes, &all)?))
+        let rows =
+            gather_columns(&self.dir, &self.bytes, &mut (0..self.dir.rows), self.dir.cols.len())?;
+        Ok(Block::new(self.id, rows))
     }
+}
+
+/// The directory of a block this codec encoded from sound cells (rows,
+/// or cells gathered from columns parse found sound): the header walk
+/// of [`LazyBlock::parse`] without its `Str` cell walk, which could
+/// find nothing.
+pub(crate) fn encoded_directory(encoded: Bytes) -> Arc<ColDirectory> {
+    Arc::new(LazyBlock::read_directory(encoded).expect("the codec parses its own encoding").1)
 }
 
 /// One `ADB2` column left encoded: its directory tag, its payload, and
@@ -892,28 +917,59 @@ fn cell<const W: usize>(payload: &[u8], i: usize) -> [u8; W] {
     payload[i * W..i * W + W].try_into().unwrap()
 }
 
-/// Rows at the ascending indices `picked` of a columnar payload,
-/// decoded column by column straight into row vectors; a faulty column
-/// fails the gather.
-fn gather_columns(dir: &ColDirectory, bytes: &Bytes, picked: &[usize]) -> Result<Vec<Row>> {
-    let mut out: Vec<Vec<Value>> =
-        picked.iter().map(|_| Vec::with_capacity(dir.cols.len())).collect();
+/// Gathers of up to this many rows list their row indices on the stack.
+const STACK_PICKS: usize = 256;
+
+/// Rows at the strictly ascending indices `picked` of a columnar
+/// payload, each allocated once with capacity `width`, decoded column
+/// by column straight into the row vectors; a faulty column fails the
+/// gather. The indices are listed once — on the stack for up to
+/// [`STACK_PICKS`] rows — then walked per column. `picked` is a trait
+/// object so that this one loop is compiled once for every caller.
+fn gather_columns(
+    dir: &ColDirectory,
+    bytes: &Bytes,
+    picked: &mut dyn Iterator<Item = usize>,
+    width: usize,
+) -> Result<Vec<Row>> {
     for col in &dir.cols {
         col.payload(bytes)?;
     }
+    let (mut stack, mut heap, mut rows, mut last) = ([0u32; STACK_PICKS], Vec::new(), 0, None);
+    while let Some(i) = picked.next() {
+        assert!(
+            i < dir.rows && last.replace(i).is_none_or(|l| l < i),
+            "gathered rows must ascend within {} rows",
+            dir.rows
+        );
+        match stack.get_mut(rows) {
+            Some(slot) => *slot = i as u32,
+            None => {
+                if heap.is_empty() {
+                    heap.reserve(STACK_PICKS + 1 + picked.size_hint().0);
+                    heap.extend_from_slice(&stack);
+                }
+                heap.push(i as u32);
+            }
+        }
+        rows += 1;
+    }
+    let picked: &[u32] = if rows <= STACK_PICKS { &stack[..rows] } else { &heap };
+    let mut out: Vec<Vec<Value>> = (0..rows).map(|_| Vec::with_capacity(width)).collect();
     // `Str` payloads are walked up to the last picked cell.
-    let end = picked.last().map_or(0, |&i| i + 1);
+    let end = picked.last().map_or(0, |&i| i as usize + 1);
     for col in &dir.cols {
         let payload = &bytes[col.start..col.end];
         match col.tag {
             0 => {
                 for (o, &i) in out.iter_mut().zip(picked) {
-                    o.push(Value::Int(i64::from_le_bytes(cell(payload, i))));
+                    o.push(Value::Int(i64::from_le_bytes(cell(payload, i as usize))));
                 }
             }
             1 => {
                 for (o, &i) in out.iter_mut().zip(picked) {
-                    o.push(Value::Double(f64::from_bits(u64::from_le_bytes(cell(payload, i)))));
+                    let bits = u64::from_le_bytes(cell(payload, i as usize));
+                    o.push(Value::Double(f64::from_bits(bits)));
                 }
             }
             2 => {
@@ -921,23 +977,24 @@ fn gather_columns(dir: &ColDirectory, bytes: &Bytes, picked: &[usize]) -> Result
                 let mut next = picked.iter().zip(out.iter_mut()).peekable();
                 for i in 0..end {
                     let raw = str_frame(&mut p)?;
-                    if let Some((_, o)) = next.next_if(|(k, _)| **k == i) {
+                    if let Some((_, o)) = next.next_if(|(k, _)| **k as usize == i) {
                         o.push(Value::Str(utf8(raw)?.into()));
                     }
                 }
             }
             3 => {
                 for (o, &i) in out.iter_mut().zip(picked) {
-                    o.push(Value::Date(i32::from_le_bytes(cell(payload, i))));
+                    o.push(Value::Date(i32::from_le_bytes(cell(payload, i as usize))));
                 }
             }
             _ => {
                 for (o, &i) in out.iter_mut().zip(picked) {
-                    o.push(Value::Bool(payload[i] != 0));
+                    o.push(Value::Bool(payload[i as usize] != 0));
                 }
             }
         }
     }
+    // Same layout: the row vectors become rows in place.
     Ok(out.into_iter().map(Row::new).collect())
 }
 
@@ -1159,6 +1216,36 @@ mod tests {
         // Empty selection.
         let none = adaptdb_common::BitSet::new(4);
         assert!(lazy.gather_range(0, 4, &none).unwrap().is_empty());
+        // With spare room: the same rows, each allocated for 3 + 2 cells.
+        let wide = lazy.gather_with_spare(sel.iter_ones(), 2).unwrap();
+        assert_eq!(wide, lazy.gather_range(0, 4, &sel).unwrap());
+        for row in wide {
+            assert!(row.into_values().capacity() >= 5);
+        }
+    }
+
+    /// Gathers past the stack's index buffer list the rest on the heap
+    /// and return the same rows.
+    #[test]
+    fn gathers_beyond_the_stack_buffer_return_every_picked_row() {
+        let n = 3 * STACK_PICKS + 7;
+        let rows: Vec<Row> = (0..n as i64).map(|i| row![i, format!("s{i}"), i % 2 == 0]).collect();
+        let lazy = LazyBlock::parse(encode_block_columnar(&Block::new(1, rows.clone()))).unwrap();
+        assert_eq!(lazy.clone().into_block().unwrap().rows, rows);
+        let picked: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
+        let sel = adaptdb_common::BitSet::from_indices(n, &picked);
+        let want: Vec<Row> = picked.iter().map(|&i| rows[i].clone()).collect();
+        assert!(want.len() > STACK_PICKS);
+        assert_eq!(lazy.gather_range(0, n, &sel).unwrap(), want);
+        assert_eq!(lazy.gather_with_spare(picked.iter().copied(), 1).unwrap(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "gathered rows must ascend")]
+    fn gather_with_spare_rejects_unordered_rows() {
+        let block = Block::new(1, (0..4i64).map(|i| row![i]).collect());
+        let lazy = LazyBlock::parse(encode_block_columnar(&block)).unwrap();
+        let _ = lazy.gather_with_spare([2, 1], 0);
     }
 
     #[test]

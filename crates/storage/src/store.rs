@@ -143,12 +143,16 @@ impl BlockStore {
         self.write_encoded(table, arity, writer, replication, |id| {
             codec::encode_block_with_meta(&Block::new(id, rows), arity)
         })
+        .0
     }
 
     /// Write one block made of the rows `chunks` pick out of other
     /// blocks' still-encoded columns ([`codec::encode_gathered`]) — the
     /// repartitioner's write, which never materializes a row. Stores exactly what
-    /// [`BlockStore::write_block_with`] would for those rows.
+    /// [`BlockStore::write_block_with`] would for those rows. The cells
+    /// come from columns parse found sound, so the block's directory is
+    /// memoized as it is written and its first read skips the `Str`
+    /// cell walk.
     pub fn write_gathered(
         &self,
         table: &str,
@@ -157,13 +161,17 @@ impl BlockStore {
         writer: Option<NodeId>,
         replication: Option<usize>,
     ) -> BlockId {
-        self.write_encoded(table, arity, writer, replication, |id| {
+        let (id, encoded) = self.write_encoded(table, arity, writer, replication, |id| {
             codec::encode_gathered(id, chunks, arity)
-        })
+        });
+        let dir = codec::encoded_directory(encoded);
+        self.dirs.write().insert(GlobalBlockId::new(table, id), dir);
+        id
     }
 
     /// Allocate an id, let `encode` produce the block's bytes and
     /// metadata for it, then place, store and journal the block.
+    /// Returns the id and the stored bytes.
     fn write_encoded(
         &self,
         table: &str,
@@ -171,7 +179,7 @@ impl BlockStore {
         writer: Option<NodeId>,
         replication: Option<usize>,
         encode: impl FnOnce(BlockId) -> (Bytes, BlockMeta),
-    ) -> BlockId {
+    ) -> (BlockId, Bytes) {
         let id = self.allocate_id(table);
         let (encoded, meta) = encode(id);
         // The DFS is sized with the canonical row-semantic byte size
@@ -195,9 +203,9 @@ impl BlockStore {
             id,
             arity,
             replicas: placement.replicas,
-            encoded,
+            encoded: encoded.clone(),
         });
-        id
+        (id, encoded)
     }
 
     /// Record a block's metadata in its table's catalog map, copying
@@ -570,6 +578,28 @@ mod tests {
         let clock = SimClock::new();
         s.read_block("t", id, 0, &clock).unwrap();
         assert_eq!(s.unaccounted_reads(), 2);
+    }
+
+    /// A gathered block's directory is memoized as it is written, and
+    /// equals the one a full parse of its bytes finds.
+    #[test]
+    fn gathered_writes_memoize_the_parsed_directory() {
+        let s = store();
+        let rows = vec![row![1i64, "aa", 1.5], row![2i64, "bb", 2.5], row![3i64, "cc", 3.5]];
+        let src = s.write_block("t", rows.clone(), 3, Some(0));
+        let clock = SimClock::new();
+        let (lazy, _) = s.read_lazy_classified("t", src, 0, &clock).unwrap();
+        let cols = lazy.raw_columns().unwrap();
+        let id = s.write_gathered("g", &[(&cols[..], &[2, 0][..])], 3, Some(0), None);
+        let gid = GlobalBlockId::new("g", id);
+        let memo = s.dirs.read().get(&gid).cloned().expect("written directory memoized");
+        let (fresh, dir) =
+            codec::LazyBlock::parse_with_directory(s.block_bytes(&gid).unwrap(), None).unwrap();
+        assert_eq!(format!("{memo:?}"), format!("{:?}", dir.unwrap()));
+        let (read, _) = s.read_lazy_classified("g", id, 0, &clock).unwrap();
+        let want = vec![rows[2].clone(), rows[0].clone()];
+        assert_eq!(read.into_block().unwrap().rows, want);
+        assert_eq!(fresh.into_block().unwrap().rows, want);
     }
 
     /// Writes encode `ADB2`, and the same bytes restored through the

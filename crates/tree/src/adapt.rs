@@ -85,15 +85,6 @@ pub struct Adapter {
     config: AdaptConfig,
 }
 
-/// A candidate transformation site inside the tree.
-struct Site<'a> {
-    /// Path of left(false)/right(true) turns from the root.
-    path: Vec<bool>,
-    node: &'a Node,
-    /// Sample rows that route into this subtree.
-    rows: Vec<&'a Row>,
-}
-
 /// One candidate transformation: the site it replaces and the subtree
 /// rebuilt there from the sample, its leaves labelled `0..n` in build
 /// order until a plan relabels them.
@@ -202,20 +193,24 @@ impl Adapter {
         }
         let (_, candidates) = memo.entry.as_ref().expect("filled above");
 
-        let mut best: Option<(f64, RepartitionPlan)> = None;
+        // Score every candidate, counting block reads into one buffer;
+        // only the winner is materialized as a plan.
+        let mut matched = Vec::new();
+        let mut reads = |node: &Node| -> usize {
+            window
+                .iter()
+                .map(|e| {
+                    matched.clear();
+                    node.collect_matching(e.predicates.predicates(), &mut matched);
+                    matched.len()
+                })
+                .sum()
+        };
+        let mut best: Option<(f64, &Candidate, f64, f64)> = None;
         for c in candidates {
-            let site = node_at(tree.root(), &c.path);
             // Estimate benefit: window block reads through old vs new subtree.
-            let mut old_reads = 0usize;
-            let mut new_reads = 0usize;
-            for e in window.iter() {
-                let mut v = Vec::new();
-                site.collect_matching(e.predicates.predicates(), &mut v);
-                old_reads += v.len();
-                v.clear();
-                c.replacement.collect_matching(e.predicates.predicates(), &mut v);
-                new_reads += v.len();
-            }
+            let old_reads = reads(node_at(tree.root(), &c.path));
+            let new_reads = reads(&c.replacement);
             // Rewriting keeps block count roughly constant; cost scales
             // with the leaves rewritten.
             let est_benefit = old_reads as f64 - new_reads as f64;
@@ -226,27 +221,21 @@ impl Adapter {
             {
                 continue;
             }
-            if best.as_ref().is_none_or(|(b, _)| net > *b) {
-                // Materialize the plan: clone the tree, allocate real bucket
-                // ids, splice the replacement in.
-                let mut new_tree = tree.clone();
-                let fresh = new_tree.allocate_buckets(c.replacement.leaf_count());
-                let mut relabeled = c.replacement.clone();
-                relabel_leaves(&mut relabeled, &fresh);
-                let mut old_buckets = Vec::new();
-                site.collect_buckets(&mut old_buckets);
-                splice(new_tree.root_mut(), &c.path, relabeled);
-                let plan = RepartitionPlan {
-                    new_tree,
-                    old_buckets,
-                    new_buckets: fresh,
-                    est_benefit,
-                    est_cost,
-                };
-                best = Some((net, plan));
+            if best.as_ref().is_none_or(|(b, ..)| net > *b) {
+                best = Some((net, c, est_benefit, est_cost));
             }
         }
-        best.map(|(_, p)| p)
+        // Materialize the plan: clone the tree, allocate real bucket
+        // ids, splice the replacement in.
+        let (_, c, est_benefit, est_cost) = best?;
+        let mut new_tree = tree.clone();
+        let fresh = new_tree.allocate_buckets(c.replacement.leaf_count());
+        let mut relabeled = c.replacement.clone();
+        relabel_leaves(&mut relabeled, &fresh);
+        let mut old_buckets = Vec::new();
+        node_at(tree.root(), &c.path).collect_buckets(&mut old_buckets);
+        splice(new_tree.root_mut(), &c.path, relabeled);
+        Some(RepartitionPlan { new_tree, old_buckets, new_buckets: fresh, est_benefit, est_cost })
     }
 
     /// Candidate generation: every site below the join levels small
@@ -260,59 +249,72 @@ impl Adapter {
         attr_priority: &[AttrId],
         max_rewrite: usize,
     ) -> Vec<Candidate> {
-        let refs: Vec<&Row> = sample.iter().collect();
-        let mut sites = Vec::new();
-        collect_sites(tree.root(), tree.join_levels(), 0, Vec::new(), refs, &mut sites);
-        let mut out = Vec::new();
-        for site in sites {
-            let leaves = site.node.leaf_count();
-            if leaves > max_rewrite {
-                continue;
-            }
-            // Build the replacement subtree over the window's attributes.
-            let mut rng = rng::derived(self.config.seed, "adapt");
-            let mut next_placeholder: BucketId = 0;
-            let mut path_counts = vec![0usize; tree.arity()];
-            let mut global_counts = vec![0usize; tree.arity()];
-            let replacement = upfront::build_subtree(
-                &site.rows,
-                attr_priority,
-                subtree_target_depth(site.node),
-                &mut path_counts,
-                &mut global_counts,
-                &mut rng,
-                &mut next_placeholder,
-            );
-            if replacement != *site.node {
-                out.push(Candidate { path: site.path, leaves, replacement });
-            }
-        }
-        out
+        let mut build = CandidateBuild {
+            adapter: self,
+            attr_priority,
+            max_rewrite,
+            join_levels: tree.join_levels(),
+            path: Vec::new(),
+            path_counts: vec![0; tree.arity()],
+            global_counts: vec![0; tree.arity()],
+            out: Vec::new(),
+        };
+        let mut rows: Vec<&Row> = sample.iter().collect();
+        build.visit(tree.root(), 0, &mut rows);
+        build.out
     }
 }
 
-/// Collect candidate sites: every node strictly below the join levels
-/// (including leaves, which can be *split*), with the sample subset that
-/// routes to it.
-fn collect_sites<'a>(
-    node: &'a Node,
+/// One candidate generation's walk over the tree, with the buffers
+/// every site reuses.
+struct CandidateBuild<'a> {
+    adapter: &'a Adapter,
+    attr_priority: &'a [AttrId],
+    max_rewrite: usize,
     join_levels: usize,
-    level: usize,
+    /// Turns from the root to the node being visited.
     path: Vec<bool>,
-    rows: Vec<&'a Row>,
-    out: &mut Vec<Site<'a>>,
-) {
-    if level >= join_levels {
-        out.push(Site { path: path.clone(), node, rows: rows.clone() });
-    }
-    if let Node::Internal { attr, cut, left, right } = node {
-        let (l, r): (Vec<&Row>, Vec<&Row>) = rows.iter().partition(|row| row.get(*attr) <= cut);
-        let mut lp = path.clone();
-        lp.push(false);
-        collect_sites(left, join_levels, level + 1, lp, l, out);
-        let mut rp = path;
-        rp.push(true);
-        collect_sites(right, join_levels, level + 1, rp, r, out);
+    path_counts: Vec<usize>,
+    global_counts: Vec<usize>,
+    out: Vec<Candidate>,
+}
+
+impl CandidateBuild<'_> {
+    /// Visit `node`, which the sample rows `rows` route to: every node
+    /// strictly below the join levels (leaves included, which can be
+    /// *split*) is a site, visited before its children. `rows` is
+    /// reordered in place — split at each cut for the children, and by
+    /// each site's rebuild — never copied.
+    fn visit(&mut self, node: &Node, level: usize, rows: &mut [&Row]) {
+        let leaves = node.leaf_count();
+        if level >= self.join_levels && leaves <= self.max_rewrite {
+            // Build the replacement subtree over the window's attributes.
+            let mut rng = rng::derived(self.adapter.config.seed, "adapt");
+            let mut next_placeholder: BucketId = 0;
+            self.path_counts.fill(0);
+            self.global_counts.fill(0);
+            let replacement = upfront::build_subtree(
+                rows,
+                self.attr_priority,
+                subtree_target_depth(node),
+                &mut self.path_counts,
+                &mut self.global_counts,
+                &mut rng,
+                &mut next_placeholder,
+            );
+            if replacement != *node {
+                self.out.push(Candidate { path: self.path.clone(), leaves, replacement });
+            }
+        }
+        if let Node::Internal { attr, cut, left, right } = node {
+            let (l, r) = upfront::split_at_cut(rows, *attr, cut);
+            self.path.push(false);
+            self.visit(left, level + 1, l);
+            self.path.pop();
+            self.path.push(true);
+            self.visit(right, level + 1, r);
+            self.path.pop();
+        }
     }
 }
 

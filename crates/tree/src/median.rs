@@ -38,16 +38,19 @@ pub fn median_cut(sorted: &[Value]) -> Option<Value> {
 
 /// Median cut of an attribute over unsorted sample rows: the cut
 /// [`median_cut`] takes from the sorted values, found by selection over
-/// borrowed cells instead of cloning and sorting them all.
-pub fn median_cut_of(rows: &[&Row], attr: AttrId) -> Option<Value> {
-    let mut vals: Vec<&Value> = rows.iter().map(|r| r.get(attr)).collect();
-    if vals.len() < 2 {
+/// the rows themselves instead of cloning and sorting the values. The
+/// rows are reordered; which cut comes out does not depend on their
+/// order.
+pub fn median_cut_of(rows: &mut [&Row], attr: AttrId) -> Option<Value> {
+    if rows.len() < 2 {
         return None;
     }
-    let (lower, median, upper) = vals.select_nth_unstable((rows.len() - 1) / 2);
-    let median: &Value = median;
-    let min = lower.iter().copied().min().map_or(median, |m| m.min(median));
-    let max = upper.iter().copied().max().map_or(median, |m| m.max(median));
+    let k = (rows.len() - 1) / 2;
+    let (lower, median, upper) =
+        rows.select_nth_unstable_by(k, |a, b| a.get(attr).cmp(b.get(attr)));
+    let median = median.get(attr);
+    let min = lower.iter().map(|r| r.get(attr)).min().map_or(median, |m| m.min(median));
+    let max = upper.iter().map(|r| r.get(attr)).max().map_or(median, |m| m.max(median));
     if min == max {
         return None;
     }
@@ -56,7 +59,7 @@ pub fn median_cut_of(rows: &[&Row], attr: AttrId) -> Option<Value> {
     }
     // The median is the maximum (heavy upper skew): back off to the
     // largest smaller value, which only the lower part can hold.
-    lower.iter().copied().filter(|v| *v < max).max().cloned()
+    lower.iter().map(|r| r.get(attr)).filter(|v| *v < max).max().cloned()
 }
 
 /// The `2^levels` quantile cut points used by two-phase partitioning:
@@ -147,9 +150,9 @@ mod tests {
             let rows: Vec<Row> = (0..n)
                 .map(|_| Row::new(vec![pool[rng.random_range(0..distinct)].clone()]))
                 .collect();
-            let refs: Vec<&Row> = rows.iter().collect();
+            let mut refs: Vec<&Row> = rows.iter().collect();
             let want = median_cut(&sorted_attr_values(&refs, 0));
-            let got = median_cut_of(&refs, 0);
+            let got = median_cut_of(&mut refs, 0);
             assert_eq!(format!("{got:?}"), format!("{want:?}"), "rows {rows:?}");
         }
     }
@@ -157,7 +160,7 @@ mod tests {
     #[test]
     fn median_cut_of_rows() {
         let rows: Vec<Row> = (0..10i64).map(|i| row![i * 10]).collect();
-        let refs: Vec<&Row> = rows.iter().collect();
-        assert_eq!(median_cut_of(&refs, 0), Some(Value::Int(40)));
+        let mut refs: Vec<&Row> = rows.iter().collect();
+        assert_eq!(median_cut_of(&mut refs, 0), Some(Value::Int(40)));
     }
 }

@@ -71,17 +71,18 @@ impl TwoPhaseBuilder {
 
     /// Build the tree from a data sample.
     pub fn build(&self, sample: &[Row]) -> PartitionTree {
-        let refs: Vec<&Row> = sample.iter().collect();
+        let mut refs: Vec<&Row> = sample.iter().collect();
         let mut rng = rng::derived(self.seed, "two-phase");
         let mut next_bucket: BucketId = 0;
         let mut global_counts = vec![0usize; self.arity];
-        let root = self.build_join_phase(&refs, 0, &mut global_counts, &mut rng, &mut next_bucket);
+        let root =
+            self.build_join_phase(&mut refs, 0, &mut global_counts, &mut rng, &mut next_bucket);
         PartitionTree::new(root, self.arity, Some(self.join_attr), self.join_levels, next_bucket)
     }
 
     fn build_join_phase(
         &self,
-        rows: &[&Row],
+        rows: &mut [&Row],
         level: usize,
         global_counts: &mut Vec<usize>,
         rng: &mut rand::rngs::StdRng,
@@ -105,12 +106,11 @@ impl TwoPhaseBuilder {
         // Phase 1: median split on the join attribute.
         match median::median_cut_of(rows, self.join_attr) {
             Some(cut) => {
-                let (left_rows, right_rows): (Vec<&Row>, Vec<&Row>) =
-                    rows.iter().partition(|r| r.get(self.join_attr) <= &cut);
+                let (left_rows, right_rows) = upfront::split_at_cut(rows, self.join_attr, &cut);
                 let left =
-                    self.build_join_phase(&left_rows, level + 1, global_counts, rng, next_bucket);
+                    self.build_join_phase(left_rows, level + 1, global_counts, rng, next_bucket);
                 let right =
-                    self.build_join_phase(&right_rows, level + 1, global_counts, rng, next_bucket);
+                    self.build_join_phase(right_rows, level + 1, global_counts, rng, next_bucket);
                 Node::internal(self.join_attr, cut, left, right)
             }
             // Sample subset can't split further (duplicated key region):
@@ -128,7 +128,7 @@ impl TwoPhaseBuilder {
 }
 
 fn leaf_or_selection(
-    rows: &[&Row],
+    rows: &mut [&Row],
     attrs: &[AttrId],
     depth: usize,
     global_counts: &mut Vec<usize>,

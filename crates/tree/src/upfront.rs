@@ -7,9 +7,9 @@
 //! near-equal despite skew.
 
 use adaptdb_common::rng;
-use adaptdb_common::{AttrId, Row};
+use adaptdb_common::{AttrId, Row, Value};
 use rand::rngs::StdRng;
-use rand::seq::IndexedRandom;
+use rand::RngExt;
 
 use crate::median;
 use crate::node::{BucketId, Node};
@@ -34,12 +34,12 @@ impl UpfrontPartitioner {
 
     /// Build a tree from a data sample.
     pub fn build(&self, sample: &[Row]) -> PartitionTree {
-        let refs: Vec<&Row> = sample.iter().collect();
+        let mut refs: Vec<&Row> = sample.iter().collect();
         let mut rng = rng::derived(self.seed, "upfront");
         let mut next_bucket: BucketId = 0;
         let mut global_counts = vec![0usize; self.arity];
         let root = build_subtree(
-            &refs,
+            &mut refs,
             &self.candidate_attrs,
             self.depth,
             &mut vec![0usize; self.arity],
@@ -59,8 +59,13 @@ impl UpfrontPartitioner {
 /// each attribute is partitioned on is almost the same"), then randomly.
 /// Attributes that cannot produce a valid median cut on the local sample
 /// subset are skipped; if none can, the node becomes a leaf early.
+///
+/// `rows` is reordered in place: each node splits its slice at the cut
+/// and hands the two halves down, so the build allocates nothing but
+/// the nodes. The tree depends only on which rows reach a node, never
+/// on their order.
 pub(crate) fn build_subtree(
-    rows: &[&Row],
+    rows: &mut [&Row],
     candidates: &[AttrId],
     depth: usize,
     path_counts: &mut Vec<usize>,
@@ -71,40 +76,24 @@ pub(crate) fn build_subtree(
     if depth == 0 {
         return make_leaf(next_bucket);
     }
-    // Order candidates by (path use, global use); shuffle ties via random
-    // choice among the best.
-    let mut best: Vec<AttrId> = Vec::new();
-    let mut best_key = (usize::MAX, usize::MAX);
-    for &a in candidates {
-        let key = (path_counts[a as usize], global_counts[a as usize]);
-        match key.cmp(&best_key) {
-            std::cmp::Ordering::Less => {
-                best_key = key;
-                best.clear();
-                best.push(a);
-            }
-            std::cmp::Ordering::Equal => best.push(a),
-            std::cmp::Ordering::Greater => {}
-        }
-    }
-    // Try the preferred attribute first, then any other that can split.
-    let mut order: Vec<AttrId> = Vec::with_capacity(candidates.len());
-    if let Some(&pick) = best.choose(rng) {
-        order.push(pick);
-    }
-    for &a in candidates {
-        if !order.contains(&a) {
-            order.push(a);
-        }
-    }
-    for attr in order {
+    // Pick uniformly among the candidates of least (path use, global
+    // use), then try every other candidate in order.
+    let key = |a: AttrId| (path_counts[a as usize], global_counts[a as usize]);
+    let best = candidates.iter().map(|&a| key(a)).min();
+    let is_best = |a: &&AttrId| Some(key(**a)) == best;
+    let ties = candidates.iter().filter(is_best).count();
+    let pick = (ties > 0).then(|| {
+        let nth = rng.random_range(0..ties);
+        *candidates.iter().filter(is_best).nth(nth).expect("nth < ties")
+    });
+    let rest = candidates.iter().copied().filter(|&a| Some(a) != pick);
+    for attr in pick.into_iter().chain(rest) {
         if let Some(cut) = median::median_cut_of(rows, attr) {
-            let (left_rows, right_rows): (Vec<&Row>, Vec<&Row>) =
-                rows.iter().partition(|r| r.get(attr) <= &cut);
+            let (left_rows, right_rows) = split_at_cut(rows, attr, &cut);
             path_counts[attr as usize] += 1;
             global_counts[attr as usize] += 1;
             let left = build_subtree(
-                &left_rows,
+                left_rows,
                 candidates,
                 depth - 1,
                 path_counts,
@@ -113,7 +102,7 @@ pub(crate) fn build_subtree(
                 next_bucket,
             );
             let right = build_subtree(
-                &right_rows,
+                right_rows,
                 candidates,
                 depth - 1,
                 path_counts,
@@ -126,6 +115,23 @@ pub(crate) fn build_subtree(
         }
     }
     make_leaf(next_bucket)
+}
+
+/// Reorder `rows` so those whose `attr` is at most `cut` (the rows a
+/// node routes left) come first, and split the slice there.
+pub(crate) fn split_at_cut<'s, 'r>(
+    rows: &'s mut [&'r Row],
+    attr: AttrId,
+    cut: &Value,
+) -> (&'s mut [&'r Row], &'s mut [&'r Row]) {
+    let mut left = 0;
+    for i in 0..rows.len() {
+        if rows[i].get(attr) <= cut {
+            rows.swap(left, i);
+            left += 1;
+        }
+    }
+    rows.split_at_mut(left)
 }
 
 fn make_leaf(next_bucket: &mut BucketId) -> Node {

@@ -86,7 +86,13 @@ impl QueryWindow {
     pub fn predicate_attr_counts(&self) -> Vec<(AttrId, usize)> {
         let mut counts: Vec<(AttrId, usize)> = Vec::new();
         for e in &self.entries {
-            for a in e.predicates.attrs() {
+            let preds = e.predicates.predicates();
+            // Each attribute once per entry, without collecting them.
+            for (j, p) in preds.iter().enumerate() {
+                let a = p.attr;
+                if preds[..j].iter().any(|q| q.attr == a) {
+                    continue;
+                }
                 match counts.iter_mut().find(|(x, _)| *x == a) {
                     Some((_, c)) => *c += 1,
                     None => counts.push((a, 1)),
