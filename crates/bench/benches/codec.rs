@@ -7,6 +7,10 @@
 //! * `encode_lineitem_200rows` — one 200-row block of the 11-column
 //!   TPC-H lineitem schema (4 Int, 2 Double, 2 Date, 3 Str columns), the
 //!   block the loaders write most.
+//! * `encode_gathered_lineitem_200rows/{contiguous,strided}` — one
+//!   200-row lineitem block written from the still-encoded columns of a
+//!   400-row source block (`encode_gathered`, the migration and shuffle
+//!   spill write): rows 100..300 in one run, or every other row.
 //! * `load_rows_lineitem_sf035` — `Database::load_rows` of TPC-H scale
 //!   0.35 lineitem (21 000 rows, about 105 blocks): check, sample, tree
 //!   build, routing, encoding and the consumed rows' drop. The rows are
@@ -18,7 +22,7 @@ use std::hint::black_box;
 use adaptdb::{Database, DbConfig};
 use adaptdb_common::rng::seeded;
 use adaptdb_common::{Row, Value};
-use adaptdb_storage::codec::{decode_block, encode_block_columnar};
+use adaptdb_storage::codec::{decode_block, encode_block_columnar, encode_gathered, LazyBlock};
 use adaptdb_storage::Block;
 use adaptdb_workloads::TpchGen;
 use rand::RngExt;
@@ -53,6 +57,19 @@ fn bench_codec(c: &mut Criterion) {
     c.bench_function("encode_lineitem_200rows", |bch| {
         bch.iter(|| black_box(encode_block_columnar(&lineitem)))
     });
+    let source = Block::new(0, TpchGen::new(0.35, 1).lineitem()[..400].to_vec());
+    let cols = LazyBlock::parse(encode_block_columnar(&source)).unwrap().raw_columns().unwrap();
+    let arity = cols.len();
+    let mut group = c.benchmark_group("encode_gathered_lineitem_200rows");
+    for (name, picked) in [
+        ("contiguous", (100..300).collect::<Vec<u32>>()),
+        ("strided", (0..400).step_by(2).collect()),
+    ] {
+        group.bench_function(name, |bch| {
+            bch.iter(|| black_box(encode_gathered(0, &[(&cols, &picked)], arity)))
+        });
+    }
+    group.finish();
 }
 
 fn bench_load(c: &mut Criterion) {

@@ -7,6 +7,10 @@
 //! row meets five build rows, so each probe row is copied into four
 //! outputs and moved into the fifth.
 //!
+//! `hyper_join_low_match` is one hyper-join over 32 build blocks of
+//! 200 five-column rows in which one build key in eight appears on the
+//! probe side: the shape where gathering only matched build rows pays.
+//!
 //! `shuffle_map_lineitem_32_blocks` is a shuffle's map phase alone
 //! (`ShuffleService::spill_blocks`): 32 lineitem blocks of 200 rows
 //! on 10 nodes, hash-partitioned on `l_partkey` into 10 reducer runs
@@ -108,6 +112,52 @@ fn bench_multi_match_hyper_join(c: &mut Criterion) {
     });
 }
 
+fn bench_low_match_hyper_join(c: &mut Criterion) {
+    const BLOCKS: i64 = 32;
+    const ROWS: i64 = ROWS_PER_BLOCK as i64;
+    let store = BlockStore::new(4, 1, 1);
+    let write = |table: &str, rows: Vec<Row>, arity| -> Vec<BlockId> {
+        rows.chunks(ROWS_PER_BLOCK)
+            .map(|c| store.write_block(table, c.to_vec(), arity, None))
+            .collect()
+    };
+    // Build keys 0..6400 once each; probe keys every eighth of them,
+    // eight times each, block b of each side over the same key range.
+    let build: Vec<Row> = (0..BLOCKS * ROWS)
+        .map(|k| row![k, k % 97, format!("build-comment-{k:08}"), k as f64 * 0.5, "SHIP"])
+        .collect();
+    let probe: Vec<Row> = (0..BLOCKS * ROWS)
+        .map(|i| row![i / ROWS * ROWS + i % 25 * 8, format!("probe-{i:06}"), i])
+        .collect();
+    let (build_ids, probe_ids) = (write("b", build, 5), write("p", probe, 3));
+    let plan = HyperJoinPlan {
+        build_side: JoinSide::Left,
+        groups: build_ids.chunks(8).map(<[_]>::to_vec).collect(),
+        probes: probe_ids.chunks(8).map(<[_]>::to_vec).collect(),
+        est_build_reads: build_ids.len(),
+        est_probe_reads: probe_ids.len(),
+        c_hyj: 1.0,
+    };
+    let none = PredicateSet::none();
+    let clock = SimClock::new();
+    c.bench_function("hyper_join_low_match", |b| {
+        b.iter(|| {
+            let spec = HyperJoinSpec {
+                left_table: "b",
+                right_table: "p",
+                left_attr: 0,
+                right_attr: 0,
+                left_preds: &none,
+                right_preds: &none,
+                plan: &plan,
+            };
+            let rows = hyper_join(ExecContext::new(&store, &clock), spec).unwrap();
+            assert_eq!(rows.len(), (BLOCKS * ROWS) as usize);
+            black_box(rows.len())
+        })
+    });
+}
+
 fn bench_shuffle_map(c: &mut Criterion) {
     const BLOCKS: usize = 32;
     let rows = TpchGen::new(0.3, 5).lineitem();
@@ -164,6 +214,7 @@ criterion_group!(
     benches,
     bench_join_exec,
     bench_multi_match_hyper_join,
+    bench_low_match_hyper_join,
     bench_shuffle_map,
     bench_shuffle_reduce
 );

@@ -42,7 +42,7 @@ use adaptdb_common::{
     ValueRange,
 };
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{hyper_join, scan_blocks, ExecContext, HyperJoinSpec, JoinHashTable};
+use adaptdb_exec::{hyper_join, scan_blocks, BuildRow, ExecContext, HyperJoinSpec, JoinHashTable};
 use adaptdb_join::{planner, HyperJoinPlan, JoinDecision, JoinSide};
 use adaptdb_storage::BlockStore;
 use adaptdb_workloads::tpch::{li, Template, TpchGen};
@@ -173,9 +173,9 @@ fn scan_pair(
 }
 
 /// The row-at-a-time reference hyper-join over the same plan as the
-/// engine: per group, a full decode of each build block into a
-/// [`JoinHashTable`], then a full decode of each probe block and one
-/// `probe` call per row, all read from the group's node. Predicates are
+/// engine: per group, a full decode of each build block into rows
+/// indexed by a [`JoinHashTable`], then a full decode of each probe
+/// block and one `probe` call per row, all read from the group's node. Predicates are
 /// empty in this figure, so every row is kept.
 fn reference_hyper_join(
     store: &BlockStore,
@@ -193,19 +193,24 @@ fn reference_hyper_join(
     for (group, probes) in plan.groups.iter().zip(&plan.probes) {
         let Some(&first) = group.first() else { continue };
         let node = store.preferred_node(build, first).expect("placement");
-        let mut table = JoinHashTable::new();
+        let (mut table, mut rows) = (JoinHashTable::new(), Vec::new());
         for &b in group {
             let block = store.read_block(build, b, node, clock).expect("read");
             clock.record_rows(block.rows.len(), block.rows.len());
             for row in block.rows {
-                table.insert(build_attr, row);
+                table.insert(
+                    row.get(build_attr).key(),
+                    BuildRow { block: 0, row: rows.len() as u32 },
+                );
+                rows.push(row);
             }
         }
         for &b in probes {
             let block = store.read_block(probe, b, node, clock).expect("read");
             clock.record_rows(block.rows.len(), block.rows.len());
             for row in &block.rows {
-                for hit in table.probe(row.get(probe_attr)) {
+                for id in table.probe(row.get(probe_attr).key()) {
+                    let hit = &rows[id.row as usize];
                     out.push(match plan.build_side {
                         JoinSide::Left => hit.concat(row),
                         JoinSide::Right => row.concat(hit),

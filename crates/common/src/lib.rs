@@ -83,4 +83,4 @@ pub use stats::{IngestStats, IoStats, OverlapStats, QueryStats, ShuffleStats};
 pub use telemetry::{
     chrome_trace_json, AttrValue, Histogram, Journal, JournalEvent, Span, SpanId, Trace, Tracer,
 };
-pub use value::{stable_hash_bytes, Str, Value, ValueType};
+pub use value::{stable_hash_bytes, KeyRef, Str, Value, ValueType};

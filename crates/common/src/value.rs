@@ -272,17 +272,57 @@ impl Value {
     /// (FNV-1a) instead of `DefaultHasher` so shuffle assignment is stable
     /// across runs and Rust versions — experiments must be reproducible.
     pub fn stable_hash(&self) -> u64 {
+        self.key().stable_hash()
+    }
+
+    /// This value as a join key ([`KeyRef`]), borrowing its string.
+    #[inline]
+    pub fn key(&self) -> KeyRef<'_> {
         match self {
-            Value::Int(v) => stable_hash_bytes(ValueType::Int, &v.to_le_bytes()),
-            Value::Double(v) => stable_hash_bytes(ValueType::Double, &v.to_bits().to_le_bytes()),
-            Value::Str(s) => stable_hash_bytes(ValueType::Str, s.as_bytes()),
-            Value::Date(v) => stable_hash_bytes(ValueType::Date, &v.to_le_bytes()),
-            Value::Bool(v) => stable_hash_bytes(ValueType::Bool, &[*v as u8]),
+            Value::Int(v) => KeyRef::Int(*v),
+            Value::Double(v) => KeyRef::Double(v.to_bits()),
+            Value::Str(s) => KeyRef::Str(s.as_bytes()),
+            Value::Date(v) => KeyRef::Date(*v),
+            Value::Bool(v) => KeyRef::Bool(*v),
         }
     }
 
     pub(crate) fn type_rank(&self) -> u8 {
         self.value_type().rank()
+    }
+}
+
+/// A cell as a join key, borrowed from a [`Value`] ([`Value::key`]) or
+/// read where it lies in an encoded block: no value is built, and a
+/// `Str` key is its UTF-8 bytes. Two keys are equal exactly when the
+/// values they stand for are — a `Double` by its bits, as
+/// `Value`'s `total_cmp` equality has it, and keys of different types
+/// never.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyRef<'a> {
+    /// An `Int` cell.
+    Int(i64),
+    /// A `Double` cell's bits.
+    Double(u64),
+    /// A `Str` cell's UTF-8 bytes.
+    Str(&'a [u8]),
+    /// A `Date` cell.
+    Date(i32),
+    /// A `Bool` cell.
+    Bool(bool),
+}
+
+impl KeyRef<'_> {
+    /// [`Value::stable_hash`] of the value this key stands for.
+    #[inline]
+    pub fn stable_hash(self) -> u64 {
+        match self {
+            KeyRef::Int(v) => stable_hash_bytes(ValueType::Int, &v.to_le_bytes()),
+            KeyRef::Double(bits) => stable_hash_bytes(ValueType::Double, &bits.to_le_bytes()),
+            KeyRef::Str(s) => stable_hash_bytes(ValueType::Str, s),
+            KeyRef::Date(v) => stable_hash_bytes(ValueType::Date, &v.to_le_bytes()),
+            KeyRef::Bool(v) => stable_hash_bytes(ValueType::Bool, &[v as u8]),
+        }
     }
 }
 
@@ -414,6 +454,30 @@ mod tests {
         let h3 = Value::Bool(true).stable_hash();
         assert_ne!(h1, h2);
         assert_ne!(h2, h3);
+    }
+
+    /// Keys are equal exactly when their values are, and hash alike.
+    #[test]
+    fn keys_compare_and_hash_like_their_values() {
+        let values = [
+            Value::Int(1),
+            Value::Int(-1),
+            Value::Date(1),
+            Value::Bool(true),
+            Value::Double(0.0),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Double(1.0),
+            Value::Str("".into()),
+            Value::Str("a string longer than twenty-two bytes".into()),
+            Value::Str("h\u{e9}".into()),
+        ];
+        for a in &values {
+            assert_eq!(a.key().stable_hash(), a.stable_hash(), "{a:?}");
+            for b in &values {
+                assert_eq!(a.key() == b.key(), a == b, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

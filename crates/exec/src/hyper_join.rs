@@ -15,23 +15,24 @@
 //! reads: windowing them would change the simulated seconds.
 //!
 //! Both legs materialise late. A build block is selected column-wise
-//! and only its surviving rows are gathered into the hash table. A
-//! probe block stays lazily decoded: predicates evaluate into a
-//! selection bitset, and the selected rows go through the probe kernel
-//! the shuffle reducers share (`hash_table::probe_block`): the
-//! join key column alone is decoded for a batch probe, and only the
-//! probe rows that matched are ever materialised. Each output row is
-//! built once: a gathered probe row is moved into its last match and
-//! copied only for earlier matches of its key, and the groups' outputs
-//! are concatenated by moving them.
+//! and stays encoded: the hash table maps the selected rows' key cells
+//! to (block, row) ids, and a build row is gathered only when a probe
+//! row first matches it — once per group, one gather per block in
+//! ascending row order. A probe block is selected the same way, and
+//! the selected rows go through the probe kernel the shuffle reducers
+//! share (`hash_table::Build::probe_block`): each key cell is looked up
+//! where it lies, and only the probe rows that matched are ever
+//! materialised. Each output row is built once: a gathered probe row
+//! is moved into its last match and copied only for earlier matches of
+//! its key, and the groups' outputs are concatenated by moving them.
 
 use adaptdb_common::{AttrId, PredicateSet, Result, Row};
 use adaptdb_join::{HyperJoinPlan, JoinSide};
 use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
-use crate::hash_table::{probe_block, JoinHashTable};
-use crate::scan::{fetch_ordered, read_selected, select_block};
+use crate::hash_table::Build;
+use crate::scan::{fetch_ordered, read_select, select_block};
 
 /// Everything needed to execute one hyper-join.
 #[derive(Debug, Clone)]
@@ -117,17 +118,16 @@ fn run_group(
     // other blocks may be remote reads.
     let node = ctx.store.preferred_node(build_table, build_blocks[0])?;
 
-    let mut table = JoinHashTable::new();
+    let mut build = Build::blocks();
     for &b in build_blocks {
-        for row in read_selected(ctx, build_table, b, node, build_preds)? {
-            table.insert(build_attr, row);
-        }
+        let (lazy, sel) = read_select(ctx, build_table, b, node, build_preds)?;
+        build.add_block(lazy, build_attr, &sel)?;
     }
     // Probe windows are not traced: the caller's `hyper-join` span
     // already reports the leg's block reads.
     let probed =
         fetch_ordered(ctx.with_trace(None), probe_table, probe_blocks, Some(node), |lazy| {
-            probe_selected(ctx, &table, lazy, probe_attr, probe_preds, build_side)
+            probe_selected(ctx, &mut build, lazy, probe_attr, probe_preds, build_side)
         })?;
     out.reserve(probed.iter().map(Vec::len).sum());
     for rows in probed {
@@ -136,12 +136,12 @@ fn run_group(
     Ok(())
 }
 
-/// Probe one (lazily-read) block against the group's hash table,
-/// returning joined rows in `left ⋈ right` column order: the block's
-/// predicates select, then the shared kernel probes the selected rows.
+/// Probe one (lazily-read) block against the group's build, returning
+/// joined rows in `left ⋈ right` column order: the block's predicates
+/// select, then the shared kernel probes the selected rows.
 fn probe_selected(
     ctx: ExecContext<'_>,
-    table: &JoinHashTable,
+    build: &mut Build,
     lazy: LazyBlock,
     probe_attr: AttrId,
     probe_preds: &PredicateSet,
@@ -151,7 +151,7 @@ fn probe_selected(
     let mut out = Vec::new();
     // Normalize output to left ⋈ right column order.
     let probe_left = build_side == JoinSide::Right;
-    probe_block(&mut out, table, &lazy, probe_attr, &sel, probe_left)?;
+    build.probe_block(&mut out, &lazy, probe_attr, &sel, probe_left)?;
     Ok(out)
 }
 
@@ -161,7 +161,7 @@ mod tests {
     use adaptdb_common::{row, CmpOp, CostParams, Predicate, Value, ValueRange};
     use adaptdb_dfs::SimClock;
     use adaptdb_join::planner::{plan, BlockRange};
-    use adaptdb_join::JoinDecision;
+    use adaptdb_join::{HyperJoinPlan, JoinDecision};
     use adaptdb_storage::BlockStore;
 
     /// Build two co-partitioned tables: left has keys 0..n with payload,
@@ -321,10 +321,49 @@ mod tests {
         assert_eq!(rows.len(), 10);
     }
 
-    /// The join must return the naive reference's rows — a filter plus
-    /// hash join over the loaded rows — in the same order and with the
-    /// same counts at every fetch window, with predicates filtering both
-    /// sides.
+    /// Rows of `blocks` of `table` that pass `preds`, in block order.
+    fn stored(store: &BlockStore, table: &str, blocks: &[u32], preds: &PredicateSet) -> Vec<Row> {
+        let mut rows = Vec::new();
+        for &b in blocks {
+            let block = store.read_block_unaccounted(table, b).unwrap();
+            rows.extend(block.rows.into_iter().filter(|r| preds.matches(r)));
+        }
+        rows
+    }
+
+    /// The kernel's documented order as a nested loop over the plan:
+    /// per group, per probe block in the group's probe list, per probe
+    /// row that passes its predicates, the group's build rows that pass
+    /// theirs and share the key, in build-block order — every output
+    /// `left ⋈ right`. Keys are column 0 of both tables.
+    fn nested_loop(store: &BlockStore, spec: &HyperJoinSpec<'_>) -> Vec<Row> {
+        let p = spec.plan;
+        let (build, probe, build_preds, probe_preds) = match p.build_side {
+            JoinSide::Left => {
+                (spec.left_table, spec.right_table, spec.left_preds, spec.right_preds)
+            }
+            JoinSide::Right => {
+                (spec.right_table, spec.left_table, spec.right_preds, spec.left_preds)
+            }
+        };
+        let mut out = Vec::new();
+        for (group, probes) in p.groups.iter().zip(&p.probes) {
+            let build_rows = stored(store, build, group, build_preds);
+            for pr in stored(store, probe, probes, probe_preds) {
+                for b in build_rows.iter().filter(|b| b.get(0) == pr.get(0)) {
+                    out.push(match p.build_side {
+                        JoinSide::Left => b.concat(&pr),
+                        JoinSide::Right => pr.concat(b),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// The join must return the nested-loop reference's rows in the same
+    /// order, with the same counts at every fetch window, with
+    /// predicates filtering both sides.
     #[test]
     fn columnar_and_pipelined_probe_match_row_join() {
         let (store, left, right) = setup(64, 8);
@@ -333,41 +372,101 @@ mod tests {
         };
         let lp = PredicateSet::none().and(Predicate::new(0, CmpOp::Ge, 8i64));
         let rp = PredicateSet::none().and(Predicate::new(0, CmpOp::Lt, 56i64));
-        let spec = |lpreds, rpreds| HyperJoinSpec {
+        let spec = HyperJoinSpec {
             left_table: "l",
             right_table: "r",
             left_attr: 0,
             right_attr: 0,
-            left_preds: lpreds,
-            right_preds: rpreds,
+            left_preds: &lp,
+            right_preds: &rp,
             plan: &p,
         };
-        let mut reference = JoinHashTable::new();
-        for k in 0..64i64 {
-            let r = row![k, k * 100];
-            if rp.matches(&r) {
-                reference.insert(0, r);
-            }
-        }
-        let mut expect: Vec<Row> = (0..64i64)
-            .map(|k| row![k, k * 10])
-            .filter(|l| lp.matches(l))
-            .flat_map(|l| reference.probe(l.get(0)).iter().map(|r| l.concat(r)).collect::<Vec<_>>())
-            .collect();
+        let expect = nested_loop(&store, &spec);
         assert_eq!(expect.len(), 48);
         let base_clock = SimClock::new();
-        let first = hyper_join(ExecContext::new(&store, &base_clock), spec(&lp, &rp)).unwrap();
+        let first = hyper_join(ExecContext::new(&store, &base_clock), spec.clone()).unwrap();
         let base_io = base_clock.take();
-        let mut sorted = first.clone();
-        sorted.sort_by(|a, b| a.values().cmp(b.values()));
-        expect.sort_by(|a, b| a.values().cmp(b.values()));
-        assert_eq!(sorted, expect);
+        assert_eq!(first, expect);
         for window in [1, 4] {
             let clock = SimClock::new();
             let ctx = ExecContext::new(&store, &clock).with_fetch_window(window);
-            let got = hyper_join(ctx, spec(&lp, &rp)).unwrap();
+            let got = hyper_join(ctx, spec.clone()).unwrap();
             assert_eq!(got, first, "w={window}");
             assert_eq!(clock.take(), base_io, "w={window}");
+        }
+    }
+
+    /// Keys repeat on both sides, and most build rows match nothing:
+    /// the join still returns the nested loop's rows in its order, with
+    /// either side building, `Int` and `Str` keys, and predicates on
+    /// both sides.
+    #[test]
+    fn repeated_keys_with_mostly_unmatched_build_rows_match_nested_loop() {
+        for str_keys in [false, true] {
+            let key = |k: i64| -> Value {
+                if str_keys {
+                    // Past the inline limit every fifth key.
+                    let pad = if k % 5 == 0 { "-padded-beyond-the-inline-cell" } else { "" };
+                    Value::Str(format!("k{k:03}{pad}").as_str().into())
+                } else {
+                    Value::Int(k)
+                }
+            };
+            let store = BlockStore::new(3, 1, 4);
+            // Build side: 96 rows over keys 0..48, each key twice, in
+            // blocks of 8; only keys divisible by 6 reach the probe side.
+            let build: Vec<Row> = (0..96i64)
+                .map(|i| Row::new(vec![key(i % 48), Value::Int(i), format!("b{i}").into()]))
+                .collect();
+            // Probe side: 40 rows over the keys 0, 6, …, 42, each five
+            // times, in blocks of 10.
+            let probe: Vec<Row> =
+                (0..40i64).map(|i| Row::new(vec![key((i % 8) * 6), Value::Int(-i)])).collect();
+            let write = |t: &str, rows: &[Row], per: usize, arity| -> Vec<u32> {
+                rows.chunks(per).map(|c| store.write_block(t, c.to_vec(), arity, None)).collect()
+            };
+            let (bids, pids) = (write("b", &build, 8, 3), write("p", &probe, 10, 2));
+            let groups: Vec<Vec<u32>> = bids.chunks(4).map(<[u32]>::to_vec).collect();
+            let probes = vec![pids.clone(); groups.len()];
+            let bp = PredicateSet::none().and(Predicate::new(1, CmpOp::Neq, 12i64));
+            let pp = PredicateSet::none().and(Predicate::new(1, CmpOp::Neq, -3i64));
+            for build_side in [JoinSide::Left, JoinSide::Right] {
+                let p = HyperJoinPlan {
+                    build_side,
+                    groups: groups.clone(),
+                    probes: probes.clone(),
+                    est_build_reads: 0,
+                    est_probe_reads: 0,
+                    c_hyj: 1.0,
+                };
+                let (lt, rt, lp, rp) = match build_side {
+                    JoinSide::Left => ("b", "p", &bp, &pp),
+                    JoinSide::Right => ("p", "b", &pp, &bp),
+                };
+                let spec = HyperJoinSpec {
+                    left_table: lt,
+                    right_table: rt,
+                    left_attr: 0,
+                    right_attr: 0,
+                    left_preds: lp,
+                    right_preds: rp,
+                    plan: &p,
+                };
+                let want = nested_loop(&store, &spec);
+                let matched: std::collections::BTreeSet<i64> = want
+                    .iter()
+                    .map(|r| r.get(if build_side == JoinSide::Left { 1 } else { 3 }))
+                    .map(|v| v.as_int().unwrap())
+                    .collect();
+                // Each probe row meets its key's two build rows, less
+                // build row 12 (key 12, five probe rows) and probe row
+                // 3 (key 18, two build rows).
+                assert_eq!(want.len(), 40 * 2 - 5 - 2);
+                assert!(matched.len() * 4 < build.len(), "{} build rows match", matched.len());
+                let clock = SimClock::new();
+                let got = hyper_join(ExecContext::new(&store, &clock), spec).unwrap();
+                assert_eq!(got, want, "str keys {str_keys}, {build_side:?} builds");
+            }
         }
     }
 

@@ -13,8 +13,9 @@
 //! * [`scan`] — Type-1 blocks: read, decode, filter ("a scan iterator
 //!   which simply reads all records and filters out ones that cannot
 //!   pass the predicates"),
-//! * [`hash_table`] — build/probe hash tables keyed on join values (with
-//!   a pass-through hasher over [`adaptdb_common::Value::stable_hash`]),
+//! * [`hash_table`] — join hash tables from join keys to build-row ids,
+//!   and the build side every hash join probes: build rows stay encoded
+//!   until a probe row matches them,
 //! * [`mod@hyper_join`] — execute a [`adaptdb_join::HyperJoinPlan`]: per
 //!   group, build hash tables over the build blocks and stream the
 //!   overlapping probe blocks through them,
@@ -42,7 +43,7 @@ pub mod shuffle_service;
 pub mod step_join;
 
 pub use context::{ExecContext, ShuffleOptions};
-pub use hash_table::JoinHashTable;
+pub use hash_table::{BuildRow, JoinHashTable};
 pub use hyper_join::{hyper_join, HyperJoinSpec};
 pub use repartition::{
     repartition_blocks, repartition_blocks_with, RepartitionOutcome, RetireMode,

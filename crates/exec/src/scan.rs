@@ -15,9 +15,10 @@
 //! encoded predicate columns into a selection [`BitSet`]
 //! (`select_block`; fixed-width cells read in place, `Str` cells
 //! compared as bytes, no value built), then only the selected rows are
-//! gathered — or, on the shuffle map side, copied cell by cell into
-//! the spilled runs without ever becoming rows. A block's selected rows
-//! are gathered in one call. Pruning composes in a fixed order:
+//! gathered — or, on a join's build side, only the selected rows a
+//! probe row matches, and on the shuffle map side, the cells are
+//! copied into the spilled runs without ever becoming rows. A block's
+//! rows are gathered in one call. Pruning composes in a fixed order:
 //! partition tree (upstream `lookup`) → zone maps
 //! (block min/max metadata, counted on `IoStats::zone_skipped`, no I/O
 //! charged) → selection bitset within each surviving block.
@@ -138,20 +139,21 @@ pub(crate) fn select_block(
     Ok(sel)
 }
 
-/// The late-materialising read of one block outside a fetch stream:
-/// read block `id` of `table` from `reader` (charged and classified
-/// like every read), select it, and gather the selected rows in row
-/// order. The hyper-join and step-join builds read through this.
-pub(crate) fn read_selected(
+/// The filtered read of one block outside a fetch stream: read block
+/// `id` of `table` from `reader` (charged and classified like every
+/// read) and select it, leaving it encoded. The hyper-join and
+/// step-join builds read through this and gather only the selected
+/// rows a probe row matches.
+pub(crate) fn read_select(
     ctx: ExecContext<'_>,
     table: &str,
     id: BlockId,
     reader: NodeId,
     preds: &PredicateSet,
-) -> Result<Vec<Row>> {
+) -> Result<(LazyBlock, BitSet)> {
     let (lazy, _) = ctx.store.read_lazy_classified(table, id, reader, ctx.clock)?;
     let sel = select_block(ctx, &lazy, preds)?;
-    lazy.gather_range(0, lazy.row_count(), &sel)
+    Ok((lazy, sel))
 }
 
 #[cfg(test)]

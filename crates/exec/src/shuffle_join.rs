@@ -19,25 +19,29 @@
 //! and overlaps fetch latency. Rows, block counts, and the shuffle
 //! breakdown are the same at every window.
 //!
-//! A reducer materialises late. Its drained runs stay encoded; only
-//! the build side — the smaller by row count, the left on a tie — is
-//! gathered into rows, so the memory budget and the reducer-memory
-//! gauge measure exactly what a reducer holds. The probe side streams
-//! run by run through the probe kernel the hyper-join shares
-//! (`hash_table::probe_block`): the run's key column is
-//! probed, and only rows that match are gathered, each output row
+//! A reducer materialises late. Its drained runs stay encoded. The
+//! build side — the smaller by row count, the left on a tie — builds
+//! its hash table from its runs' key cells, and a build row is gathered
+//! only when a probe row first matches it; the memory budget and the
+//! reducer-memory gauge count the build side's rows, which is what a
+//! reducer may have to hold. The probe side streams run by run through
+//! the probe kernel the hyper-join shares
+//! (`hash_table::Build::probe_block`): each key cell is looked up where
+//! it lies, and only rows that match are gathered, each output row
 //! built once. The probe side streams on every path: a split
 //! partition's round-robin shares and a budgeted join's Grace groups
 //! are selections over the runs (groups hash each row's key cell
 //! without gathering the row), and the block-nested-loop leaf streams
-//! the runs past each build chunk.
+//! the runs past each build chunk. Only a Grace group's build side,
+//! which goes through scratch, and a block-nested-loop build chunk are
+//! gathered whole.
 
 use adaptdb_common::{AttrId, BitSet, BlockId, PredicateSet, Result, Row};
 use adaptdb_dfs::{secs_to_us, SimClock, SpanGuard};
 use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
-use crate::hash_table::{join_into, join_ref_into, probe_block, JoinHashTable};
+use crate::hash_table::Build;
 use crate::shuffle_service::{ShuffleService, ShuffledSide};
 
 /// Parameters for a storage-backed shuffle join.
@@ -297,7 +301,8 @@ impl<'r> Side<'r> {
         }
     }
 
-    /// The side's rows, in order — done only to a build side.
+    /// The side's rows, in order — done only to a build side that goes
+    /// through scratch or is chunked.
     fn gather(self) -> Result<Vec<Row>> {
         let n = self.len();
         match self {
@@ -329,21 +334,21 @@ impl<'r> Side<'r> {
                 let mut parts: Vec<Vec<Run<'r>>> = (0..k).map(|_| Vec::new()).collect();
                 let mut i = 0;
                 for run in runs {
-                    let keys = match by {
-                        Deal::Salted { attr, .. } => Some(run.block.column(attr as usize)?),
-                        Deal::RoundRobin => None,
-                    };
                     let n = run.block.row_count();
                     let mut sels: Vec<BitSet> = (0..k).map(|_| BitSet::new(n)).collect();
-                    for r in run.sel.iter_ones() {
-                        let j = by.part(i, k, |_| {
-                            keys.as_ref()
-                                .expect("salted deals decode keys")
-                                .value_at(r)
-                                .stable_hash()
-                        });
-                        sels[j].set(r);
-                        i += 1;
+                    match by {
+                        Deal::Salted { attr, .. } => {
+                            run.block.for_each_key(attr as usize, &run.sel, |r, key| {
+                                sels[by.part(i, k, |_| key.stable_hash())].set(r);
+                                i += 1;
+                            })?
+                        }
+                        Deal::RoundRobin => {
+                            for r in run.sel.iter_ones() {
+                                sels[by.part(i, k, |_| unreachable!("no key is dealt"))].set(r);
+                                i += 1;
+                            }
+                        }
                     }
                     for (part, sel) in parts.iter_mut().zip(sels) {
                         let rows = sel.count_ones();
@@ -357,30 +362,41 @@ impl<'r> Side<'r> {
         }
     }
 
-    /// Probe `table` with every row of this side on key `attr`, in
+    /// A build over this side keyed on `attr`: a build over rows, or
+    /// over the runs' selected key cells, left encoded.
+    fn into_build(self, attr: AttrId) -> Result<Build> {
+        match self {
+            Side::Rows(rows) => Ok(Build::rows(rows, attr)),
+            Side::Runs(runs) => {
+                let mut build = Build::blocks();
+                for r in runs {
+                    build.add_block(r.block.clone(), attr, &r.sel)?;
+                }
+                Ok(build)
+            }
+        }
+    }
+
+    /// Probe `build` with every row of this side on key `attr`, in
     /// order, pushing `probe ⋈ m` per match (probe columns first when
     /// `probe_left`). Runs go through the probe kernel, gathering only
     /// rows that match; gathered rows are copied only when they match.
     fn probe(
         &self,
         out: &mut Vec<Row>,
-        table: &JoinHashTable,
+        build: &mut Build,
         attr: AttrId,
         probe_left: bool,
     ) -> Result<()> {
         match self {
-            Side::Rows(rows) => {
-                for row in rows {
-                    join_ref_into(out, row, table.probe(row.get(attr)), probe_left);
-                }
-            }
+            Side::Rows(rows) => build.probe_rows_ref(out, rows, attr, probe_left),
             Side::Runs(runs) => {
                 for r in runs {
-                    probe_block(out, table, r.block, attr, &r.sel, probe_left)?;
+                    build.probe_block(out, r.block, attr, &r.sel, probe_left)?;
                 }
+                Ok(())
             }
         }
-        Ok(())
     }
 }
 
@@ -536,15 +552,16 @@ fn block_nested_loop(
             break;
         }
         svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
-        let table = JoinHashTable::build(chunk, build_attr);
-        probe.probe(&mut out, &table, probe_attr, !left_build)?;
+        let mut build = Build::rows(chunk, build_attr);
+        probe.probe(&mut out, &mut build, probe_attr, !left_build)?;
     }
     Ok(out)
 }
 
 /// In-memory hash join of two sides: build on the smaller (the left on
 /// a tie), probe with the other in its order; output rows are `left ++
-/// right`. Gathered probe rows are moved into their last match.
+/// right`. Build rows are gathered only when matched, and gathered
+/// probe rows are moved into their last match.
 fn hash_join(
     left: Side<'_>,
     right: Side<'_>,
@@ -557,16 +574,11 @@ fn hash_join(
     } else {
         (right, left, right_attr, left_attr)
     };
-    let table = JoinHashTable::build(build.gather()?, build_attr);
+    let mut build = build.into_build(build_attr)?;
     let mut out = Vec::new();
     match probe {
-        Side::Rows(rows) => {
-            for row in rows {
-                let matches = table.probe(row.get(probe_attr));
-                join_into(&mut out, row, matches, !left_build);
-            }
-        }
-        runs => runs.probe(&mut out, &table, probe_attr, !left_build)?,
+        Side::Rows(rows) => build.probe_rows(&mut out, rows, probe_attr, !left_build)?,
+        runs => runs.probe(&mut out, &mut build, probe_attr, !left_build)?,
     }
     Ok(out)
 }
@@ -1151,6 +1163,7 @@ mod tests {
     /// budgeted join, split and block-nested-loop work on row vectors.
     mod row_reducer {
         use super::super::*;
+        use crate::hash_table::JoinHashTable;
         use crate::shuffle_service::RIGHT_SIDE_TAG;
         use adaptdb_storage::FetchStream;
 
@@ -1329,9 +1342,10 @@ mod tests {
                     break;
                 }
                 svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
-                let table = JoinHashTable::build(chunk, build_attr);
+                let table = JoinHashTable::build(&chunk, build_attr);
                 for row in &probe {
-                    for m in table.probe(row.get(probe_attr)) {
+                    for id in table.probe(row.get(probe_attr).key()) {
+                        let m = &chunk[id.row as usize];
                         out.push(if left_build { m.concat(row) } else { row.concat(m) });
                     }
                 }
@@ -1351,11 +1365,17 @@ mod tests {
             } else {
                 (right, left, right_attr, left_attr)
             };
-            let table = JoinHashTable::build(build, build_attr);
+            let table = JoinHashTable::build(&build, build_attr);
             let mut out = Vec::new();
             for row in probe {
-                let matches = table.probe(row.get(probe_attr));
-                join_into(&mut out, row, matches, !left_build);
+                let ids: Vec<_> = table.probe(row.get(probe_attr).key()).collect();
+                let Some((last, rest)) = ids.split_last() else { continue };
+                for id in rest {
+                    let m = &build[id.row as usize];
+                    out.push(if left_build { m.concat(&row) } else { row.concat(m) });
+                }
+                let m = &build[last.row as usize];
+                out.push(if left_build { row.prepend(m) } else { row.append(m) });
             }
             out
         }

@@ -875,7 +875,8 @@ mod tests {
         for (node, blks) in per_node {
             let mut mapper = MapTask::new(svc, node);
             for b in blks {
-                for row in crate::scan::read_selected(svc.ctx, table, b, node, preds)? {
+                let (lazy, sel) = crate::scan::read_select(svc.ctx, table, b, node, preds)?;
+                for row in lazy.gather_range(0, lazy.row_count(), &sel)? {
                     mapper.push(row.get(attr).stable_hash(), row);
                 }
             }

@@ -9,15 +9,16 @@
 //! (spill + re-read), the stored side is read once per group through its
 //! hyper-join schedule, and nothing else moves. Stored build blocks are
 //! read late-materialising, like every filtered block read: the
-//! predicate columns select, and only surviving rows are gathered. An
-//! intermediate row is moved, not copied, into the last group whose
-//! range holds its key and into its last output row.
+//! predicate columns select, the selected rows' key cells go into the
+//! hash table, and a stored row is gathered only if an intermediate
+//! row matches it. An intermediate row is moved, not copied, into the
+//! last group whose range holds its key and into its last output row.
 
 use adaptdb_common::{AttrId, BlockId, PredicateSet, Result, Row, ValueRange};
 
 use crate::context::ExecContext;
-use crate::hash_table::{join_into, JoinHashTable};
-use crate::scan::read_selected;
+use crate::hash_table::Build;
+use crate::scan::read_select;
 
 /// One group of the stored side's schedule: its blocks plus the union of
 /// their join-attribute ranges (used to route intermediate rows).
@@ -98,17 +99,13 @@ fn run_group(
         return Ok(Vec::new());
     }
     let node = ctx.store.preferred_node(table, blocks[0])?;
-    let mut ht = JoinHashTable::new();
+    let mut build = Build::blocks();
     for &b in blocks {
-        for row in read_selected(ctx, table, b, node, preds)? {
-            ht.insert(table_attr, row);
-        }
+        let (lazy, sel) = read_select(ctx, table, b, node, preds)?;
+        build.add_block(lazy, table_attr, &sel)?;
     }
     let mut out = Vec::new();
-    for probe in probes {
-        let matches = ht.probe(probe.get(intermediate_attr));
-        join_into(&mut out, probe, matches, true);
-    }
+    build.probe_rows(&mut out, probes, intermediate_attr, true)?;
     Ok(out)
 }
 

@@ -98,6 +98,30 @@ pub(crate) fn widen<T: Copy>(lo: &mut T, hi: &mut T, x: T, cmp: impl Fn(&T, &T) 
     }
 }
 
+/// `a.cmp(b)` for byte strings, inlined: eight bytes at a time as
+/// big-endian words, then byte by byte, then by length. Zone maps
+/// compare every `Str` cell they see, and most are short, so the call
+/// into `memcmp` a slice comparison makes would cost more than the
+/// compare.
+#[inline(always)]
+pub(crate) fn bytes_cmp(a: &[u8], b: &[u8]) -> Ordering {
+    let n = a.len().min(b.len());
+    let (mut x, mut y) = (a[..n].chunks_exact(8), b[..n].chunks_exact(8));
+    for (p, q) in x.by_ref().zip(y.by_ref()) {
+        let (p, q) =
+            (u64::from_be_bytes(p.try_into().unwrap()), u64::from_be_bytes(q.try_into().unwrap()));
+        if p != q {
+            return p.cmp(&q);
+        }
+    }
+    for (p, q) in x.remainder().iter().zip(y.remainder()) {
+        if p != q {
+            return p.cmp(q);
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
 macro_rules! typed_widen {
     ($name:ident, $variant:ident, $t:ty, $cmp:expr) => {
         /// Widen column `col`'s zone by one cell of this type, panicking
@@ -120,7 +144,7 @@ macro_rules! typed_widen {
 impl<'a> Zone<'a> {
     typed_widen!(int, Int, i64, i64::cmp);
     typed_widen!(double, Double, f64, f64::total_cmp);
-    typed_widen!(str, Str, &'a [u8], |a: &&[u8], b: &&[u8]| a.cmp(b));
+    typed_widen!(str, Str, &'a [u8], |a: &&[u8], b: &&[u8]| bytes_cmp(a, b));
     typed_widen!(date, Date, i32, i32::cmp);
     typed_widen!(bool, Bool, bool, bool::cmp);
 
@@ -188,6 +212,28 @@ mod tests {
     use super::*;
     use adaptdb_common::row;
     use adaptdb_common::Value;
+
+    /// The inlined compare orders byte strings exactly as slices do,
+    /// across the word boundary and on common prefixes.
+    #[test]
+    fn bytes_cmp_equals_slice_order() {
+        let words: [&[u8]; 9] = [
+            b"",
+            b"a",
+            b"ab",
+            b"abcdefgh",
+            b"abcdefgh\x00",
+            b"abcdefgi",
+            b"abcdefghijklmnopq",
+            b"abcdefghijklmnopr",
+            "\u{e9}t\u{e9}".as_bytes(),
+        ];
+        for a in words {
+            for b in words {
+                assert_eq!(bytes_cmp(a, b), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
 
     #[test]
     fn meta_computes_ranges_per_attribute() {

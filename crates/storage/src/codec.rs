@@ -53,14 +53,14 @@
 //! returns that error for a faulty column, so each rejects exactly the
 //! corrupt blocks a full decode does.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use adaptdb_common::{
-    stable_hash_bytes, BlockId, CmpOp, ColumnVec, Error, Result, Row, Value, ValueRange, ValueType,
+    BitSet, BlockId, CmpOp, ColumnVec, Error, KeyRef, Result, Row, Value, ValueRange, ValueType,
 };
 use bytes::{Buf, BufMut, Bytes};
 
-use crate::block::{type_clash, utf8_value, widen, Block, BlockMeta, Zone};
+use crate::block::{bytes_cmp, type_clash, utf8_value, widen, Block, BlockMeta, Zone};
 
 /// Magic prefix of an encoded (`ADB2`) block.
 pub const BLOCK_MAGIC_V2: &[u8; 4] = b"ADB2";
@@ -402,13 +402,11 @@ impl<'a> ColumnSink<'a, '_> {
     /// empty sink, is copied in one piece and the zone taken from the
     /// stored range. Otherwise, while the zone is empty or holds the
     /// column's type, a fixed-width column is widened and copied in one
-    /// tight loop; anything else goes cell by cell.
+    /// tight loop, and a `Str` column run by run of consecutive picked
+    /// cells ([`ColumnSink::gather_str`]); anything else goes cell by
+    /// cell.
     fn gather(&mut self, col: &'a RawColumn, picked: &[u32]) {
-        let whole = matches!(self.zone, Zone::Empty)
-            && picked.len() == col.rows
-            && picked.first() == Some(&0)
-            && picked.last() == Some(&(col.rows as u32 - 1));
-        if whole && self.seed_zone(col) {
+        if matches!(self.zone, Zone::Empty) && col.is_whole(picked) && self.seed_zone(col) {
             self.out.put_slice(&col.payload);
             return;
         }
@@ -419,6 +417,7 @@ impl<'a> ColumnSink<'a, '_> {
                 let decode = |c| f64::from_bits(u64::from_le_bytes(c));
                 gather_fixed!(self, p, picked, Double, 8, decode, f64::total_cmp)
             }
+            2 => self.gather_str(col, picked),
             3 => gather_fixed!(self, p, picked, Date, 4, i32::from_le_bytes, i32::cmp),
             _ => false,
         };
@@ -427,6 +426,38 @@ impl<'a> ColumnSink<'a, '_> {
                 self.value_cell(col.tag, col.cell(i as usize));
             }
         }
+    }
+
+    /// The tight loop of [`ColumnSink::gather`] for a `Str` column: an
+    /// empty zone is seeded from the first picked cell, then — if the
+    /// zone holds strings — each run of consecutive picked cells is
+    /// copied with one `put_slice`, and its cells widen the bounds with
+    /// an inlined byte compare. Returns whether it took the cells.
+    fn gather_str(&mut self, col: &'a RawColumn, picked: &[u32]) -> bool {
+        let (p, b): (&'a [u8], &'a [u32]) = (&col.payload, col.bounds());
+        let cell = |i: usize| &p[b[i] as usize + 4..b[i + 1] as usize];
+        if let (Zone::Empty, Some(&first)) = (&self.zone, picked.first()) {
+            let c = cell(first as usize);
+            self.zone = Zone::Str(c, c);
+        }
+        let Zone::Str(lo, hi) = &mut self.zone else { return false };
+        let (mut l, mut h) = (*lo, *hi);
+        let mut k = 0;
+        while k < picked.len() {
+            let start = picked[k] as usize;
+            let mut end = start + 1;
+            k += 1;
+            while picked.get(k) == Some(&(end as u32)) {
+                end += 1;
+                k += 1;
+            }
+            self.out.put_slice(&p[b[start] as usize..b[end] as usize]);
+            for i in start..end {
+                widen(&mut l, &mut h, cell(i), |x, y| bytes_cmp(x, y));
+            }
+        }
+        (*lo, *hi) = (l, h);
+        true
     }
 
     /// Take an empty sink's zone from `col`'s stored range, when the
@@ -678,7 +709,7 @@ impl LazyBlock {
                 let want = if let Value::Str(c) = lit { Some(c.as_bytes()) } else { None };
                 let mut rest = p;
                 for i in 0..n {
-                    let s = str_frame(&mut rest)?;
+                    let s = sound_frame(&mut rest);
                     if want.is_some_and(|c| sel.get(i) && !op.accepts(s.cmp(c))) {
                         sel.clear(i);
                     }
@@ -734,17 +765,66 @@ impl LazyBlock {
         gather_columns(&self.dir, &self.bytes, &mut picked.into_iter(), width)
     }
 
-    /// Every column left encoded, for copying cells into other blocks
-    /// ([`encode_gathered`]).
-    pub fn raw_columns(&self) -> Result<Vec<RawColumn>> {
-        // Sized up front: collecting `Result`s grows the vector by
-        // doubling.
-        let mut out = Vec::with_capacity(self.dir.cols.len());
-        for c in &self.dir.cols {
-            c.payload(&self.bytes)?;
-            out.push(RawColumn::new(c.tag, self.dir.rows, self.bytes.slice(c.start..c.end)));
+    /// The error of the block's first faulty column, if any: what every
+    /// gather of the block fails with ([`LazyBlock::gather_range`]).
+    pub fn check_columns(&self) -> Result<()> {
+        for col in &self.dir.cols {
+            col.payload(&self.bytes)?;
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Call `f` with each row `sel` selects and its cell in column
+    /// `idx` as a join key, in ascending row order — the cells read
+    /// where they lie: fixed-width cells at the selected rows only,
+    /// `Str` cells as the bytes a skip-walk of the payload finds, up to
+    /// the last selected row. No value and no column is built. Fails
+    /// exactly as [`LazyBlock::column`] does.
+    pub fn for_each_key(
+        &self,
+        idx: usize,
+        sel: &BitSet,
+        mut f: impl FnMut(usize, KeyRef<'_>),
+    ) -> Result<()> {
+        assert_eq!(sel.len(), self.row_count(), "selection width mismatch");
+        let col = self.region(idx)?;
+        let p = col.payload(&self.bytes)?;
+        match col.tag {
+            0 => sel.iter_ones().for_each(|i| f(i, KeyRef::Int(i64::from_le_bytes(cell(p, i))))),
+            1 => sel.iter_ones().for_each(|i| f(i, KeyRef::Double(u64::from_le_bytes(cell(p, i))))),
+            2 => {
+                let (mut rest, mut at) = (p, 0);
+                for i in sel.iter_ones() {
+                    for _ in at..i {
+                        sound_frame(&mut rest);
+                    }
+                    f(i, KeyRef::Str(sound_frame(&mut rest)));
+                    at = i + 1;
+                }
+            }
+            3 => sel.iter_ones().for_each(|i| f(i, KeyRef::Date(i32::from_le_bytes(cell(p, i))))),
+            _ => sel.iter_ones().for_each(|i| f(i, KeyRef::Bool(p[i] != 0))),
+        }
+        Ok(())
+    }
+
+    /// Every column left encoded, for copying cells into other blocks
+    /// ([`encode_gathered`]). Nothing is framed yet: a `Str` column
+    /// finds its cell boundaries the first time a cell is looked up.
+    pub fn raw_columns(&self) -> Result<Vec<RawColumn>> {
+        self.check_columns()?;
+        Ok(self
+            .dir
+            .cols
+            .iter()
+            .map(|c| RawColumn {
+                tag: c.tag,
+                rows: self.dir.rows,
+                payload: self.bytes.slice(c.start..c.end),
+                bounds: OnceLock::new(),
+                range: None,
+            })
+            .collect())
     }
 
     /// Decode everything to a [`Block`] — the eager path, used by
@@ -767,36 +847,45 @@ pub(crate) fn encoded_directory(encoded: Bytes) -> Arc<ColDirectory> {
 }
 
 /// One `ADB2` column left encoded: its directory tag, its payload, and
-/// where each cell of a `Str` column starts. Copying cells from it into
-/// another block ([`encode_gathered`]) moves bytes without building
-/// values. Only columns that parse found sound are framed.
+/// — once a cell is looked up — where each cell of a `Str` column
+/// starts. Copying cells from it into another block
+/// ([`encode_gathered`]) moves bytes without building values. Only
+/// columns that parse found sound are made into one.
 #[derive(Debug, Clone)]
 pub struct RawColumn {
     tag: u8,
     rows: usize,
     payload: Bytes,
-    /// Cell boundaries (`rows + 1` of them) of a `Str` column; empty
-    /// for fixed-width columns.
-    bounds: Vec<u32>,
+    /// Cell boundaries (`rows + 1` of them) of a `Str` column, framed
+    /// the first time a cell is looked up ([`RawColumn::bounds`]): a
+    /// column only ever copied whole is never framed.
+    bounds: OnceLock<Vec<u32>>,
     /// The column's stored zone map entry, when the caller attached it
     /// ([`RawColumn::with_range`]).
     range: Option<ValueRange>,
 }
 
 impl RawColumn {
-    /// Frame a column parse found sound (so its `Str` cells frame).
-    fn new(tag: u8, rows: usize, payload: Bytes) -> RawColumn {
-        let mut bounds = Vec::new();
-        if tag == 2 {
-            bounds.reserve(rows + 1);
+    /// The cell boundaries of a `Str` column (a column parse found
+    /// sound, so its cells frame), framed on first use.
+    fn bounds(&self) -> &[u32] {
+        self.bounds.get_or_init(|| {
+            let mut bounds = Vec::with_capacity(self.rows + 1);
             bounds.push(0);
-            let mut p: &[u8] = &payload;
-            for _ in 0..rows {
-                str_frame(&mut p).expect("parse checked every Str cell");
-                bounds.push((payload.len() - p.len()) as u32);
+            let mut at = 0;
+            for _ in 0..self.rows {
+                at += 4 + u32::from_le_bytes(cell(&self.payload[at..], 0)) as usize;
+                bounds.push(at as u32);
             }
-        }
-        RawColumn { tag, rows, payload, bounds, range: None }
+            bounds
+        })
+    }
+
+    /// Whether `picked` (ascending) is every row of the column.
+    fn is_whole(&self, picked: &[u32]) -> bool {
+        picked.len() == self.rows
+            && picked.first() == Some(&0)
+            && picked.last() == Some(&(self.rows as u32 - 1))
     }
 
     /// Attach the column's stored zone map entry (its block's
@@ -810,11 +899,16 @@ impl RawColumn {
         self
     }
 
-    /// The bytes the cells `picked` take in a payload.
+    /// The bytes the cells `picked` take in a payload: all of it for
+    /// the whole column, without framing it.
     fn picked_len(&self, picked: &[u32]) -> usize {
         match fixed_width(tag_type(self.tag)) {
             Some(w) => w * picked.len(),
-            None => picked.iter().map(|&i| self.cell(i as usize).len()).sum(),
+            None if self.is_whole(picked) => self.payload.len(),
+            None => {
+                let b = self.bounds();
+                picked.iter().map(|&i| (b[i as usize + 1] - b[i as usize]) as usize).sum()
+            }
         }
     }
 
@@ -825,32 +919,50 @@ impl RawColumn {
             0 | 1 => (i * 8, i * 8 + 8),
             3 => (i * 4, i * 4 + 4),
             4 => (i, i + 1),
-            _ => (self.bounds[i] as usize, self.bounds[i + 1] as usize),
+            _ => {
+                let b = self.bounds();
+                (b[i] as usize, b[i + 1] as usize)
+            }
         };
         &self.payload[start..end]
+    }
+
+    /// Cell `i` as a join key, read where it lies.
+    #[inline]
+    fn key(&self, i: usize) -> KeyRef<'_> {
+        let c = self.cell(i);
+        match self.tag {
+            0 => KeyRef::Int(i64::from_le_bytes(fixed(c))),
+            1 => KeyRef::Double(u64::from_le_bytes(fixed(c))),
+            2 => KeyRef::Str(&c[4..]),
+            3 => KeyRef::Date(i32::from_le_bytes(fixed(c))),
+            _ => KeyRef::Bool(c[0] != 0),
+        }
     }
 
     /// [`Value::stable_hash`] of cell `i`, hashed from its encoded
     /// bytes: no value (in particular no `String`) is built.
     #[inline]
     pub fn stable_hash(&self, i: usize) -> u64 {
-        let c = self.cell(i);
-        match self.tag {
-            2 => stable_hash_bytes(ValueType::Str, &c[4..]),
-            4 => stable_hash_bytes(ValueType::Bool, &[(c[0] != 0) as u8]),
-            t => stable_hash_bytes(tag_type(t), c),
-        }
+        self.key(i).stable_hash()
     }
 
-    /// Cell `i` decoded to a [`Value`].
+    /// Cell `i` decoded to a [`Value`]. A `Str` cell is found by
+    /// walking the payload, so reading a value frames nothing.
     pub fn value(&self, i: usize) -> Value {
-        let c = self.cell(i);
+        let p: &[u8] = &self.payload;
         match self.tag {
-            0 => Value::Int(i64::from_le_bytes(fixed(c))),
-            1 => Value::Double(f64::from_bits(u64::from_le_bytes(fixed(c)))),
-            2 => utf8_value(&c[4..]),
-            3 => Value::Date(i32::from_le_bytes(fixed(c))),
-            _ => Value::Bool(c[0] != 0),
+            0 => Value::Int(i64::from_le_bytes(cell(p, i))),
+            1 => Value::Double(f64::from_bits(u64::from_le_bytes(cell(p, i)))),
+            2 => {
+                let mut rest = p;
+                for _ in 0..i {
+                    sound_frame(&mut rest);
+                }
+                utf8_value(sound_frame(&mut rest))
+            }
+            3 => Value::Date(i32::from_le_bytes(cell(p, i))),
+            _ => Value::Bool(p[i] != 0),
         }
     }
 }
@@ -894,6 +1006,18 @@ fn check_utf8(raw: &[u8]) -> Result<()> {
 fn str_frame<'p>(p: &mut &'p [u8]) -> Result<&'p [u8]> {
     let len = u32::from_le_bytes(cell(take(p, 4, "Str length")?, 0)) as usize;
     take(p, len, "Str payload")
+}
+
+/// The next cell of a `Str` payload parse found sound — a length
+/// prefix, then that many bytes — advancing `p`. Parse checked the
+/// framing, so this only slices: the walks of every read of a sound
+/// column go through here, not through [`str_frame`]'s checks.
+#[inline]
+fn sound_frame<'p>(p: &mut &'p [u8]) -> &'p [u8] {
+    let len = u32::from_le_bytes(cell(p, 0)) as usize;
+    let (c, rest) = p[4..].split_at(len);
+    *p = rest;
+    c
 }
 
 /// Walk a `Str` payload of `rows` cells the way a full decode would —
@@ -976,7 +1100,7 @@ fn gather_columns(
                 let mut p = payload;
                 let mut next = picked.iter().zip(out.iter_mut()).peekable();
                 for i in 0..end {
-                    let raw = str_frame(&mut p)?;
+                    let raw = sound_frame(&mut p);
                     if let Some((_, o)) = next.next_if(|(k, _)| **k as usize == i) {
                         o.push(Value::Str(utf8(raw)?.into()));
                     }
@@ -1010,7 +1134,7 @@ fn decode_column(tag: u8, rows: usize, payload: &[u8]) -> Result<ColumnVec> {
             let mut p = payload;
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                v.push(utf8(str_frame(&mut p)?)?.into());
+                v.push(utf8(sound_frame(&mut p))?.into());
             }
             ColumnVec::Str(v)
         }
@@ -1670,6 +1794,123 @@ mod tests {
         }
     }
 
+    /// `Str` cells the run copy must carry byte for byte: empty,
+    /// exactly the inline cap, past it, and multi-byte UTF-8.
+    const STR_CELLS: [&str; 8] = [
+        "",
+        "twenty-two bytes, here",
+        "a string longer than twenty-two bytes",
+        "h\u{e9}llo \u{2713}",
+        "\u{1f600}",
+        "z",
+        "",
+        "\u{e9}t\u{e9} \u{2713} longer than the inline cap",
+    ];
+
+    /// A block of `n` rows `[Str, Int]`, its `Str` cells cycling
+    /// through [`STR_CELLS`] from `offset`, with its zone maps.
+    fn str_block(n: usize, offset: usize) -> (Vec<Row>, Vec<RawColumn>, Vec<ValueRange>) {
+        assert_eq!(STR_CELLS[1].len(), Str::INLINE_CAP);
+        let rows: Vec<Row> =
+            (0..n).map(|i| row![STR_CELLS[(i + offset) % STR_CELLS.len()], i as i64]).collect();
+        let (enc, meta) = encode_block_with_meta(&Block::new(0, rows.clone()), 2);
+        (rows, LazyBlock::parse(enc).unwrap().raw_columns().unwrap(), meta.ranges)
+    }
+
+    /// Gathered `Str` columns — runs of consecutive picks, strided
+    /// picks, whole columns and mixes of them, from one or two sources,
+    /// with and without a stored range — are byte for byte the per-cell
+    /// encoding of the picked rows, with the same zone maps.
+    #[test]
+    fn gathered_str_runs_equal_the_per_cell_reference() {
+        let n = 13u32;
+        let picks: [Vec<u32>; 6] = [
+            (0..n).collect(),
+            (3..9).collect(),
+            (0..n).step_by(2).collect(),
+            (1..n).step_by(3).collect(),
+            vec![0, 1, 2, 5, 6, 9, 10, 11, 12],
+            vec![7],
+        ];
+        let mut cases = 0;
+        for with_range in [false, true] {
+            let sources: Vec<(Vec<Row>, Vec<RawColumn>)> = (0..2)
+                .map(|s| {
+                    let (rows, cols, ranges) = str_block(n as usize, 3 * s);
+                    let cols = if with_range {
+                        cols.into_iter().zip(ranges).map(|(c, r)| c.with_range(r)).collect()
+                    } else {
+                        cols
+                    };
+                    (rows, cols)
+                })
+                .collect();
+            for first in &picks {
+                for second in [None, Some(&picks[0]), Some(&picks[2]), Some(&picks[4])] {
+                    let mut chunks: Vec<(&[RawColumn], &[u32])> = vec![(&sources[0].1, first)];
+                    chunks.extend(second.map(|p| (&sources[1].1[..], &p[..])));
+                    let rows: Vec<Row> = chunks
+                        .iter()
+                        .zip(&sources)
+                        .flat_map(|((_, p), (src, _))| p.iter().map(|&i| src[i as usize].clone()))
+                        .collect();
+                    let block = Block::new(cases, rows);
+                    let (bytes, meta) = encode_gathered(cases, &chunks, 2);
+                    assert_eq!(bytes, reference_encode(&block), "bytes of {block:?}");
+                    let want = reference_meta(&block, 2);
+                    assert_eq!(format!("{meta:?}"), format!("{want:?}"), "meta of {block:?}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 6 * 4);
+    }
+
+    /// A column copied whole into a fresh block with its stored range —
+    /// an absorbed tail — is never framed: its length is its payload's
+    /// and its zone its stored range. A partial pick frames it.
+    #[test]
+    fn a_column_copied_whole_is_never_framed() {
+        let (rows, cols, ranges) = str_block(9, 0);
+        let cols: Vec<RawColumn> =
+            cols.into_iter().zip(ranges).map(|(c, r)| c.with_range(r)).collect();
+        let all: Vec<u32> = (0..9).collect();
+        let (bytes, _) = encode_gathered(0, &[(&cols, &all)], 2);
+        assert_eq!(bytes, reference_encode(&Block::new(0, rows.clone())));
+        assert!(cols[0].bounds.get().is_none(), "a whole copy framed its Str column");
+        let some = [1u32, 2, 4];
+        let (bytes, _) = encode_gathered(0, &[(&cols, &some)], 2);
+        let picked: Vec<Row> = some.iter().map(|&i| rows[i as usize].clone()).collect();
+        assert_eq!(bytes, reference_encode(&Block::new(0, picked)));
+        assert!(cols[0].bounds.get().is_some());
+    }
+
+    /// `for_each_key` visits the selected rows' cells as the keys of
+    /// their values, for every column type, and fails where `column`
+    /// does.
+    #[test]
+    fn key_cells_equal_the_values_keys() {
+        let mut rng = adaptdb_common::rng::seeded(14);
+        for case in 0..500u32 {
+            let block = random_block(&mut rng, case);
+            let lazy = LazyBlock::parse(encode_block_columnar(&block)).unwrap();
+            let n = block.rows.len();
+            let picks: Vec<usize> = (0..n).filter(|_| rng.random_range(0..3u32) > 0).collect();
+            let sel = BitSet::from_indices(n, &picks);
+            for idx in 0..=lazy.num_columns() {
+                let mut seen = Vec::new();
+                let res = lazy.for_each_key(idx, &sel, |i, key| {
+                    assert_eq!(key, block.rows[i].get(idx as adaptdb_common::AttrId).key());
+                    seen.push(i);
+                });
+                assert_eq!(res.is_ok(), lazy.column(idx).is_ok(), "case {case} column {idx}");
+                if res.is_ok() {
+                    assert_eq!(seen, picks, "case {case} column {idx}");
+                }
+            }
+        }
+    }
+
     /// The encoded-cell hash equals `Value::stable_hash` cell for cell,
     /// for every column type, NaN and signed-zero
     /// doubles, and empty or multi-byte strings.
@@ -1709,6 +1950,6 @@ mod tests {
         assert_ne!(Value::Double(0.0).stable_hash(), Value::Double(-0.0).stable_hash());
     }
 
-    use adaptdb_common::{ColumnVec, Row, Value};
+    use adaptdb_common::{ColumnVec, Row, Str, Value};
     use rand::RngExt;
 }
