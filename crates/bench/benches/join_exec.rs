@@ -16,6 +16,12 @@
 //! on 10 nodes, hash-partitioned on `l_partkey` into 10 reducer runs
 //! per map task; the runs are dropped after each iteration.
 //!
+//! `hyper_step_chain` is a three-table chain, the shape of TPC-H's
+//! multi-way templates: 32 lineitem-like blocks of 200 five-column
+//! rows hyper-joined with 8 orders-like blocks (every probe row meets
+//! one build row), then a step join on a customer-like table whose
+//! predicate keeps one row in five, and the final rows built.
+//!
 //! `shuffle_reduce_low_match` is one reduce task alone
 //! (`reduce_partition`): it fetches 32 probe runs of 200 five-column
 //! rows and 4 build runs, and one probe row in eight has a partner —
@@ -26,9 +32,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use adaptdb::{Database, DbConfig, Mode};
-use adaptdb_common::{row, BlockId, JoinQuery, PredicateSet, Query, Row, ScanQuery};
+use adaptdb_common::{
+    row, BlockId, CmpOp, JoinQuery, Predicate, PredicateSet, Query, Row, ScanQuery, Value,
+    ValueRange,
+};
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{hyper_join, reduce_partition, ExecContext, HyperJoinSpec, ShuffleService};
+use adaptdb_exec::{
+    hyper_join, hyper_step_join, reduce_partition, ExecContext, HyperJoinSpec, Joined,
+    ShuffleService, StepGroup,
+};
 use adaptdb_join::{HyperJoinPlan, JoinSide};
 use adaptdb_storage::BlockStore;
 use adaptdb_workloads::tpch::{li, ord, TpchGen};
@@ -105,7 +117,9 @@ fn bench_multi_match_hyper_join(c: &mut Criterion) {
                 right_preds: &none,
                 plan: &plan,
             };
-            let rows = hyper_join(ExecContext::new(&store, &clock), spec).unwrap();
+            let rows = hyper_join(ExecContext::new(&store, &clock), spec)
+                .and_then(Joined::into_rows)
+                .unwrap();
             assert_eq!(rows.len(), (KEYS * MATCHES) as usize);
             black_box(rows.len())
         })
@@ -151,7 +165,9 @@ fn bench_low_match_hyper_join(c: &mut Criterion) {
                 right_preds: &none,
                 plan: &plan,
             };
-            let rows = hyper_join(ExecContext::new(&store, &clock), spec).unwrap();
+            let rows = hyper_join(ExecContext::new(&store, &clock), spec)
+                .and_then(Joined::into_rows)
+                .unwrap();
             assert_eq!(rows.len(), (BLOCKS * ROWS) as usize);
             black_box(rows.len())
         })
@@ -202,12 +218,73 @@ fn bench_shuffle_reduce(c: &mut Criterion) {
     let probe = svc.spill_blocks("p", &probe_ids, 0, &none).unwrap();
     c.bench_function("shuffle_reduce_low_match", |b| {
         b.iter(|| {
-            let rows = reduce_partition(&svc, 0, 1, &build, &probe, 0, 0).unwrap();
+            let rows = reduce_partition(&svc, 0, 1, &build, &probe, 0, 0)
+                .and_then(Joined::into_rows)
+                .unwrap();
             assert_eq!(rows.len(), (PROBE_ROWS / 8) as usize);
             black_box(rows.len())
         })
     });
     svc.cleanup();
+}
+
+fn bench_hyper_step_chain(c: &mut Criterion) {
+    const ROWS: i64 = ROWS_PER_BLOCK as i64;
+    let store = BlockStore::new(4, 1, 1);
+    let write = |table: &str, rows: Vec<Row>, arity| -> Vec<BlockId> {
+        rows.chunks(ROWS_PER_BLOCK)
+            .map(|c| store.write_block(table, c.to_vec(), arity, None))
+            .collect()
+    };
+    // Order keys 0..1600, four lineitems each; customer keys 0..800.
+    let li: Vec<Row> = (0..32 * ROWS)
+        .map(|i| row![i / 4, (i * 7) % 800, format!("li-{i:06}"), i as f64 * 0.5, "SHIP"])
+        .collect();
+    let ord: Vec<Row> = (0..8 * ROWS).map(|k| row![k, format!("order-{k:05}"), k % 50]).collect();
+    let cust: Vec<Row> = (0..4 * ROWS).map(|k| row![k, format!("cust-{k:04}"), k % 25]).collect();
+    let (li_ids, ord_ids) = (write("li", li, 5), write("ord", ord, 3));
+    let cust_ids = write("cust", cust, 3);
+    // Two orders blocks per group, probed by the eight lineitem blocks
+    // over their keys.
+    let plan = HyperJoinPlan {
+        build_side: JoinSide::Right,
+        groups: ord_ids.chunks(2).map(<[_]>::to_vec).collect(),
+        probes: li_ids.chunks(8).map(<[_]>::to_vec).collect(),
+        est_build_reads: ord_ids.len(),
+        est_probe_reads: li_ids.len(),
+        c_hyj: 1.0,
+    };
+    let groups: Vec<StepGroup> = cust_ids
+        .chunks(2)
+        .zip([0i64, 2 * ROWS])
+        .map(|(blocks, lo)| StepGroup {
+            blocks: blocks.to_vec(),
+            range: ValueRange::new(Value::Int(lo), Value::Int(lo + 2 * ROWS - 1)),
+        })
+        .collect();
+    let none = PredicateSet::none();
+    let keep = PredicateSet::none().and(Predicate::new(2, CmpOp::Lt, 5i64));
+    let clock = SimClock::new();
+    c.bench_function("hyper_step_chain", |b| {
+        b.iter(|| {
+            let ctx = ExecContext::new(&store, &clock);
+            let spec = HyperJoinSpec {
+                left_table: "li",
+                right_table: "ord",
+                left_attr: 0,
+                right_attr: 0,
+                left_preds: &none,
+                right_preds: &none,
+                plan: &plan,
+            };
+            let rows = hyper_join(ctx, spec)
+                .and_then(|j| hyper_step_join(ctx, "cust", groups.clone(), 0, &keep, j, 1, 200))
+                .and_then(Joined::into_rows)
+                .unwrap();
+            assert_eq!(rows.len(), 32 * ROWS_PER_BLOCK / 5);
+            black_box(rows.len())
+        })
+    });
 }
 
 criterion_group!(
@@ -216,6 +293,7 @@ criterion_group!(
     bench_multi_match_hyper_join,
     bench_low_match_hyper_join,
     bench_shuffle_map,
-    bench_shuffle_reduce
+    bench_shuffle_reduce,
+    bench_hyper_step_chain
 );
 criterion_main!(benches);

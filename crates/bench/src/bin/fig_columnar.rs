@@ -42,7 +42,9 @@ use adaptdb_common::{
     ValueRange,
 };
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{hyper_join, scan_blocks, BuildRow, ExecContext, HyperJoinSpec, JoinHashTable};
+use adaptdb_exec::{
+    hyper_join, scan_blocks, ExecContext, HyperJoinSpec, JoinHashTable, Joined, RowId,
+};
 use adaptdb_join::{planner, HyperJoinPlan, JoinDecision, JoinSide};
 use adaptdb_storage::BlockStore;
 use adaptdb_workloads::tpch::{li, Template, TpchGen};
@@ -198,10 +200,7 @@ fn reference_hyper_join(
             let block = store.read_block(build, b, node, clock).expect("read");
             clock.record_rows(block.rows.len(), block.rows.len());
             for row in block.rows {
-                table.insert(
-                    row.get(build_attr).key(),
-                    BuildRow { block: 0, row: rows.len() as u32 },
-                );
+                table.insert(row.get(build_attr).key(), RowId { src: 0, row: rows.len() as u32 });
                 rows.push(row);
             }
         }
@@ -225,7 +224,9 @@ fn reference_hyper_join(
 /// Measure one hyper-join probe leg by the reference and by the
 /// engine: a small dimension side (every ~50th orderkey) built
 /// against the full lineitem probe side — a ~2% hit rate, the shape
-/// late materialization likes least to waste on.
+/// late materialization likes least to waste on. The engine's join
+/// returns row ids; both legs build their output rows inside the
+/// timed leg, so the two sides do the same work.
 fn probe_pair(name: &'static str, rows: &[Row], iters: usize, seed: u64) -> [Cell; 2] {
     let store = BlockStore::new(NODES, 1, seed);
     let (_lids, lranges) = write_blocks(&store, "li", rows, li::ORDERKEY);
@@ -251,6 +252,7 @@ fn probe_pair(name: &'static str, rows: &[Row], iters: usize, seed: u64) -> [Cel
                 plan: &plan,
             },
         )
+        .and_then(Joined::into_rows)
         .expect("hyper join")
     })
 }

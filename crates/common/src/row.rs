@@ -48,24 +48,6 @@ impl Row {
         Row::new(values)
     }
 
-    /// `self ++ right` (join output), reusing `self`'s values: only
-    /// `right`'s are copied.
-    pub fn append(mut self, right: &Row) -> Row {
-        self.values.reserve_exact(right.values.len());
-        self.values.extend_from_slice(&right.values);
-        self
-    }
-
-    /// `left ++ self` (join output), reusing `self`'s values: `left`'s
-    /// are copied in behind them and rotated to the front, in place
-    /// when the capacity is already there.
-    pub fn prepend(mut self, left: &Row) -> Row {
-        self.values.reserve_exact(left.values.len());
-        self.values.extend_from_slice(&left.values);
-        self.values.rotate_right(left.values.len());
-        self
-    }
-
     /// Consume the row, yielding its values.
     pub fn into_values(self) -> Vec<Value> {
         self.values
@@ -104,36 +86,6 @@ mod tests {
         let b = row![2i64, 3i64];
         let c = a.concat(&b);
         assert_eq!(c.values(), &[Value::Int(1), Value::Int(2), Value::Int(3)]);
-    }
-
-    #[test]
-    fn append_and_prepend_equal_concat() {
-        let a = row![1i64, "x"];
-        let b = row![2.5, "yz", 3i64];
-        assert_eq!(a.clone().append(&b), a.concat(&b));
-        assert_eq!(b.clone().prepend(&a), a.concat(&b));
-        assert_eq!(row![].append(&a), a);
-        assert_eq!(row![].prepend(&a), a);
-    }
-
-    #[test]
-    fn append_and_prepend_fill_spare_capacity_in_place() {
-        let spare = || {
-            let mut values = Vec::with_capacity(5);
-            values.extend([Value::Int(1), Value::Int(2)]);
-            Row::new(values)
-        };
-        let build = row![7i64, "b", 9i64];
-        let probe = spare();
-        let at = probe.values().as_ptr();
-        let out = probe.append(&build);
-        assert_eq!(out, row![1i64, 2i64].concat(&build));
-        assert_eq!(out.values().as_ptr(), at, "append moved the row");
-        let probe = spare();
-        let at = probe.values().as_ptr();
-        let out = probe.prepend(&build);
-        assert_eq!(out, build.concat(&row![1i64, 2i64]));
-        assert_eq!(out.values().as_ptr(), at, "prepend moved the row");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use adaptdb_common::stats::JoinStrategy;
 use adaptdb_common::{AttrId, BlockId, Error, PredicateSet, Query, Result, Row};
 use adaptdb_dfs::{SimClock, TraceCtx};
 use adaptdb_exec::{
-    hyper_join, scan_blocks, shuffle_join, shuffle_join_rows, ExecContext, HyperJoinSpec,
+    hyper_join, scan_blocks, shuffle_join, shuffle_join_rows, ExecContext, HyperJoinSpec, Joined,
     ShuffleJoinSpec,
 };
 use adaptdb_storage::BlockStore;
@@ -104,6 +104,9 @@ pub fn execute_query<S: SnapshotSource>(
 /// (plan, scan, shuffle map/fetch/probe, hyper-join) nest under the
 /// handle's parent span. `None` is exactly `execute_query` — tracing
 /// never changes accounting, so the untraced path stays bit-identical.
+///
+/// A join's result moves from step to step as row ids ([`Joined`]);
+/// its rows are built once, at the query's final width, here.
 pub fn execute_query_traced<'a, S: SnapshotSource>(
     src: &'a S,
     query: &Query,
@@ -117,11 +120,11 @@ pub fn execute_query_traced<'a, S: SnapshotSource>(
             execute_scan(src, &scan.table, &blocks, &scan.predicates, clock, trace)?
         }
         QueryPlan::Join { first, steps } => {
-            let mut rows = execute_join(src, &first, clock, trace)?;
+            let mut joined = execute_join(src, &first, clock, trace)?;
             for step in steps {
-                rows = execute_step(src, step, rows, clock, trace)?;
+                joined = execute_step(src, step, joined, clock, trace)?;
             }
-            rows
+            joined.into_rows()?
         }
     };
     Ok((rows, strategy, c_hyj))
@@ -130,14 +133,16 @@ pub fn execute_query_traced<'a, S: SnapshotSource>(
 /// Execute one multi-way join step (§4.3): through a hyper-join
 /// schedule over the stored side, shuffling only the intermediate
 /// ("AdaptDB only needs to shuffle tempLO based on custkey, and can then
-/// use hyper-join"), or by scanning the table and shuffling both sides.
+/// use hyper-join"), or by scanning the table and shuffling both sides;
+/// the shuffle's map side spills rows, so the intermediate is built
+/// into rows first.
 fn execute_step<'a, S: SnapshotSource>(
     src: &'a S,
     plan: StepPlan<'_>,
-    intermediate: Vec<Row>,
+    intermediate: Joined,
     clock: &'a SimClock,
     trace: Option<TraceCtx<'a>>,
-) -> Result<Vec<Row>> {
+) -> Result<Joined> {
     let config = src.config();
     let step = plan.step;
     let (table, preds) = (&step.table.table, &step.table.predicates);
@@ -172,7 +177,7 @@ fn execute_step<'a, S: SnapshotSource>(
             let side = execute_scan(src, table, &blocks, preds, clock, trace)?;
             shuffle_join_rows(
                 exec_ctx(src, clock, trace),
-                intermediate,
+                intermediate.into_rows()?,
                 side,
                 step.intermediate_attr,
                 step.table_attr,
@@ -203,7 +208,7 @@ fn execute_join<'a, S: SnapshotSource>(
     plan: &JoinPlan<'_>,
     clock: &'a SimClock,
     trace: Option<TraceCtx<'a>>,
-) -> Result<Vec<Row>> {
+) -> Result<Joined> {
     // The plan was made from in-memory metadata, so this span is
     // zero-duration on the simulated timeline; its attributes carry
     // the candidate sets and the cost-based decision.
@@ -225,8 +230,8 @@ fn execute_join<'a, S: SnapshotSource>(
         }
     }
     let j = plan.query;
-    let mut rows = match &plan.choice {
-        JoinChoice::Shuffle { .. } => Vec::new(),
+    let mut joined = match &plan.choice {
+        JoinChoice::Shuffle { .. } => Joined::default(),
         JoinChoice::Hyper { plan: hyper, .. } => {
             let hspan = trace.map(|t| {
                 let (c, g) = t.span("hyper-join", clock);
@@ -269,13 +274,9 @@ fn execute_join<'a, S: SnapshotSource>(
                 rows_per_block: src.config().rows_per_block,
             },
         )?;
-        if rows.is_empty() {
-            rows = part;
-        } else {
-            rows.extend(part);
-        }
+        joined.extend(part);
     }
-    Ok(rows)
+    Ok(joined)
 }
 
 /// Convenience: resolve a snapshot or fail with [`Error::UnknownTable`].

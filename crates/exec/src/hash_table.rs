@@ -1,10 +1,13 @@
 //! Join hash tables, and the build side every hash join probes.
 //!
-//! A [`JoinHashTable`] maps join keys to build-row ids ([`BuildRow`])
-//! and holds no rows. A `Build` pairs it with the rows its ids point
-//! into: a `Vec<Row>` for builds over rows (intermediate results, a
-//! reducer's budgeted chunks), or the build's still-encoded blocks,
-//! whose rows are gathered only when a probe row first matches them.
+//! A [`JoinHashTable`] maps join keys to build-row ids ([`RowId`]) and
+//! holds no rows. A `Build` pairs it with the sources its ids point
+//! into: one `Vec<Row>` for builds over rows (intermediate results, a
+//! reducer's budgeted chunks), or the build's still-encoded blocks.
+//! The probe kernel emits (probe row, build id) pairs, never rows: a
+//! join's rows are built once, when the query returns
+//! ([`crate::Joined::into_rows`]), so a build row no probe row meets is
+//! never decoded beyond its key cell.
 //!
 //! Keys are [`KeyRef`]s — a row's cell or an encoded cell read where
 //! it lies — so building and probing from a block builds no value.
@@ -17,17 +20,9 @@
 use adaptdb_common::{AttrId, BitSet, KeyRef, Result, Row};
 use adaptdb_storage::LazyBlock;
 
-/// Where a build row lives: row `row` of the build's block `block`, or
-/// row `row` of the rows a build over rows keeps (`block` 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct BuildRow {
-    /// The build block, in the order blocks were added.
-    pub block: u32,
-    /// The row within it.
-    pub row: u32,
-}
+use crate::joined::{RowId, Source};
 
-/// No id, no slot, no row gathered.
+/// The end of an id chain.
 const NONE: u32 = u32::MAX;
 
 /// A key as the table stores it; a `Str` key's bytes live in the
@@ -77,7 +72,7 @@ pub struct JoinHashTable {
     shift: u32,
     entries: Vec<Entry>,
     /// Every id in insertion order, and the next id of the same key.
-    ids: Vec<BuildRow>,
+    ids: Vec<RowId>,
     next: Vec<u32>,
     /// The bytes of every `Str` key.
     strs: Vec<u8>,
@@ -94,7 +89,7 @@ impl JoinHashTable {
         let mut t = JoinHashTable::new();
         t.reserve(rows.len());
         for (i, r) in rows.iter().enumerate() {
-            t.insert(r.get(attr).key(), BuildRow { block: 0, row: i as u32 });
+            t.insert(r.get(attr).key(), RowId { src: 0, row: i as u32 });
         }
         t
     }
@@ -106,7 +101,7 @@ impl JoinHashTable {
     }
 
     /// Add `id` under `key`, after the ids already under it.
-    pub fn insert(&mut self, key: KeyRef<'_>, id: BuildRow) {
+    pub fn insert(&mut self, key: KeyRef<'_>, id: RowId) {
         let at = self.ids.len() as u32;
         self.ids.push(id);
         self.next.push(NONE);
@@ -240,10 +235,10 @@ pub struct Matches<'t> {
 }
 
 impl Iterator for Matches<'_> {
-    type Item = BuildRow;
+    type Item = RowId;
 
     #[inline]
-    fn next(&mut self) -> Option<BuildRow> {
+    fn next(&mut self) -> Option<RowId> {
         if self.left == 0 {
             return None;
         }
@@ -260,250 +255,77 @@ impl Iterator for Matches<'_> {
 
 impl ExactSizeIterator for Matches<'_> {}
 
-/// The rows a build's ids point into.
-enum Rows {
-    /// A build over rows: an id's `row` indexes them.
-    Rows(Vec<Row>),
-    /// A build over encoded blocks.
-    Blocks(Blocks),
-}
-
-/// A build's still-encoded blocks and the rows gathered from them so
-/// far.
-#[derive(Default)]
-struct Blocks {
-    blocks: Vec<LazyBlock>,
-    /// Where each block's rows start in `slot`.
-    starts: Vec<u32>,
-    /// Per build row: its index in `gathered`, or [`NONE`] until a probe
-    /// row first matches it.
-    slot: Vec<u32>,
-    gathered: Vec<Row>,
-    /// Scratch: matched rows not gathered yet.
-    wanted: Vec<BuildRow>,
-}
-
-/// A build row matched and listed in `Blocks::wanted`.
-const WANTED: u32 = NONE - 1;
-
-impl Blocks {
-    /// Gather every row under the table entries `hits` that is not yet
-    /// gathered: each once, one gather per block, in ascending row
-    /// order.
-    fn gather(&mut self, table: &JoinHashTable, hits: impl Iterator<Item = u32>) -> Result<()> {
-        for e in hits {
-            for id in table.chain(e) {
-                let s = &mut self.slot[(self.starts[id.block as usize] + id.row) as usize];
-                if *s == NONE {
-                    *s = WANTED;
-                    self.wanted.push(id);
-                }
-            }
-        }
-        if self.wanted.is_empty() {
-            return Ok(());
-        }
-        self.wanted.sort_unstable();
-        for ids in self.wanted.chunk_by(|a, b| a.block == b.block) {
-            let block = ids[0].block as usize;
-            let rows =
-                self.blocks[block].gather_with_spare(ids.iter().map(|id| id.row as usize), 0)?;
-            for (id, row) in ids.iter().zip(rows) {
-                let at = (self.starts[block] + id.row) as usize;
-                self.slot[at] = self.gathered.len() as u32;
-                self.gathered.push(row);
-            }
-        }
-        self.wanted.clear();
-        Ok(())
-    }
-}
-
 /// A hash join's build side: a [`JoinHashTable`] over its keys and the
-/// rows the table's ids point into. A build over encoded blocks gathers
-/// a build row only when a probe row first matches it, so build rows
-/// that match nothing are never decoded beyond their key cell.
+/// sources the table's ids point into.
 pub(crate) struct Build {
     table: JoinHashTable,
-    rows: Rows,
+    sources: Vec<Source>,
 }
 
 impl Build {
-    /// A build over `rows` keyed on `attr`.
+    /// A build over `rows` keyed on `attr`: one source.
     pub(crate) fn rows(rows: Vec<Row>, attr: AttrId) -> Build {
-        Build { table: JoinHashTable::build(&rows, attr), rows: Rows::Rows(rows) }
+        Build { table: JoinHashTable::build(&rows, attr), sources: vec![Source::Rows(rows)] }
     }
 
     /// An empty build over encoded blocks ([`Build::add_block`]).
     pub(crate) fn blocks() -> Build {
-        Build { table: JoinHashTable::new(), rows: Rows::Blocks(Blocks::default()) }
+        Build { table: JoinHashTable::new(), sources: Vec::new() }
     }
 
     /// Add the rows `sel` selects of `block`, keyed on column `attr`,
     /// from their encoded key cells. A block with a faulty column fails
     /// here, exactly as gathering its rows would.
     pub(crate) fn add_block(&mut self, block: LazyBlock, attr: AttrId, sel: &BitSet) -> Result<()> {
-        let Rows::Blocks(b) = &mut self.rows else { unreachable!("a row build takes no blocks") };
         block.check_columns()?;
-        let n = b.blocks.len() as u32;
+        let src = self.sources.len() as u32;
         let table = &mut self.table;
         table.reserve(sel.count_ones());
         block.for_each_key(attr as usize, sel, |row, key| {
-            table.insert(key, BuildRow { block: n, row: row as u32 })
+            table.insert(key, RowId { src, row: row as u32 })
         })?;
-        b.starts.push(b.slot.len() as u32);
-        b.slot.resize(b.slot.len() + block.row_count(), NONE);
-        b.blocks.push(block);
+        self.sources.push(Source::Block(block));
         Ok(())
     }
 
-    /// Gather the build rows under the table entries `hits` that are
-    /// not gathered yet.
-    fn gather(&mut self, hits: impl Iterator<Item = u32>) -> Result<()> {
-        match &mut self.rows {
-            Rows::Rows(_) => Ok(()),
-            Rows::Blocks(b) => b.gather(&self.table, hits),
-        }
-    }
-
-    /// The rows under table entry `e` (gathered), in insertion order.
-    fn matches(&self, e: u32) -> impl ExactSizeIterator<Item = &Row> {
-        self.table.chain(e).map(move |id| match &self.rows {
-            Rows::Rows(rows) => &rows[id.row as usize],
-            Rows::Blocks(b) => {
-                let at = b.slot[(b.starts[id.block as usize] + id.row) as usize];
-                &b.gathered[at as usize]
-            }
-        })
+    /// The build rows under `key`, in insertion order.
+    pub(crate) fn probe(&self, key: KeyRef<'_>) -> Matches<'_> {
+        self.table.probe(key)
     }
 
     /// The probe kernel over a still-encoded block, shared by the
     /// hyper-join probe leg and the shuffle reducers: the rows `sel`
     /// selects of `lazy` look their key cell in column `attr` up where
-    /// it lies (no column decoded, no other cell touched), the build
-    /// rows they match are gathered if not yet, only the probe rows
-    /// that hit are gathered — at the output width — and `probe ⋈ m`
-    /// is pushed for each match in ascending probe-row order (see
-    /// [`join_into`]; probe columns first when `probe_left`). A block
-    /// that matches nothing costs its key cells and no row. The probe
-    /// gather runs even then, so a block with a faulty column fails
-    /// here exactly as a full decode would.
+    /// it lies (no column decoded, no other cell touched), and `f(row,
+    /// id)` is called for each build row `id` that probe row `row`
+    /// matches, in ascending probe-row order. Nothing is gathered. The
+    /// block's columns are checked even when nothing matches, so a
+    /// block with a faulty column fails here exactly as a full decode
+    /// would.
     pub(crate) fn probe_block(
-        &mut self,
-        out: &mut Vec<Row>,
+        &self,
         lazy: &LazyBlock,
         attr: AttrId,
         sel: &BitSet,
-        probe_left: bool,
+        mut f: impl FnMut(u32, RowId),
     ) -> Result<()> {
-        let mut hits: Vec<(u32, u32)> = Vec::new();
+        lazy.check_columns()?;
         let table = &self.table;
         lazy.for_each_key(attr as usize, sel, |i, key| {
-            if let Some(e) = table.find(key) {
-                // One allocation at most: on the first hit, room for
-                // every selected row; a block that misses allocates
-                // nothing.
-                if hits.capacity() == 0 {
-                    hits.reserve_exact(sel.count_ones());
-                }
-                hits.push((i as u32, e));
-            }
-        })?;
-        self.gather(hits.iter().map(|&(_, e)| e))?;
-        // Probe rows are gathered at the output width.
-        let spare = hits.first().map_or(0, |&(_, e)| self.matches(e).next().map_or(0, Row::arity));
-        let rows = lazy.gather_with_spare(hits.iter().map(|&(i, _)| i as usize), spare)?;
-        out.reserve(hits.iter().map(|&(_, e)| self.table.entries[e as usize].len as usize).sum());
-        for (&(_, e), row) in hits.iter().zip(rows) {
-            join_into(out, row, self.matches(e), probe_left);
-        }
-        Ok(())
+            table.probe(key).for_each(|id| f(i as u32, id))
+        })
     }
 
-    /// The table entries the rows' keys in column `attr` hit, one per
-    /// row ([`NONE`] for a miss), with their build rows gathered.
-    fn resolve(&mut self, rows: &[Row], attr: AttrId) -> Result<Vec<u32>> {
-        let hits: Vec<u32> =
-            rows.iter().map(|r| self.table.find(r.get(attr).key()).unwrap_or(NONE)).collect();
-        self.gather(hits.iter().copied().filter(|&e| e != NONE))?;
-        Ok(hits)
-    }
-
-    /// Probe with owned rows on key `attr`, in order, moving each into
-    /// its last match (see [`join_into`]).
-    pub(crate) fn probe_rows(
-        &mut self,
-        out: &mut Vec<Row>,
-        rows: Vec<Row>,
-        attr: AttrId,
-        probe_left: bool,
-    ) -> Result<()> {
-        let hits = self.resolve(&rows, attr)?;
-        for (row, e) in rows.into_iter().zip(hits) {
-            if e != NONE {
-                join_into(out, row, self.matches(e), probe_left);
-            }
-        }
-        Ok(())
-    }
-
-    /// Probe with rows the caller keeps on key `attr`, in order: each
-    /// output row is one fresh row.
-    pub(crate) fn probe_rows_ref(
-        &mut self,
-        out: &mut Vec<Row>,
-        rows: &[Row],
-        attr: AttrId,
-        probe_left: bool,
-    ) -> Result<()> {
-        let hits = self.resolve(rows, attr)?;
-        for (row, e) in rows.iter().zip(hits) {
-            if e != NONE {
-                for m in self.matches(e) {
-                    out.push(joined(row, m, probe_left));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// `probe ⋈ m` as a fresh row at exactly the output width — probe
-/// columns first when `probe_left`.
-fn joined(probe: &Row, m: &Row, probe_left: bool) -> Row {
-    if probe_left {
-        probe.concat(m)
-    } else {
-        m.concat(probe)
-    }
-}
-
-/// Push `probe ⋈ m` for every build row `m` of `matches`, in order —
-/// probe columns first when `probe_left` — moving the probe row into
-/// the last output and copying it only for the earlier ones. A probe
-/// row gathered with room for the build cells
-/// ([`LazyBlock::gather_with_spare`]) takes them in place, so every
-/// output row costs one allocation.
-fn join_into<'m>(
-    out: &mut Vec<Row>,
-    probe: Row,
-    matches: impl ExactSizeIterator<Item = &'m Row>,
-    probe_left: bool,
-) {
-    let mut left = matches.len();
-    for m in matches {
-        left -= 1;
-        if left == 0 {
-            out.push(if probe_left { probe.append(m) } else { probe.prepend(m) });
-            return;
-        }
-        out.push(joined(&probe, m, probe_left));
+    /// The sources the build's ids point into.
+    pub(crate) fn into_sources(self) -> Vec<Source> {
+        self.sources
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Joined;
     use adaptdb_common::{row, Value};
     use adaptdb_storage::codec::encode_block_columnar;
     use adaptdb_storage::Block;
@@ -547,7 +369,7 @@ mod tests {
         let mut t = JoinHashTable::new();
         for i in 0..1000u32 {
             let key = if i % 2 == 0 { i as i64 } else { -((i % 7) as i64) - 1 };
-            t.insert(KeyRef::Int(key), BuildRow { block: i / 100, row: i });
+            t.insert(KeyRef::Int(key), RowId { src: i / 100, row: i });
         }
         assert_eq!(t.len(), 1000);
         for i in (0..1000u32).step_by(2) {
@@ -570,51 +392,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn join_into_moves_the_probe_into_its_last_match() {
-        let matches = [row![1i64, "a"], row![1i64, "b"], row![1i64, "c"]];
-        let probe = row!["p", 1i64];
-        for n in 0..=matches.len() {
-            for probe_left in [true, false] {
-                let mut out = Vec::new();
-                join_into(&mut out, probe.clone(), matches[..n].iter(), probe_left);
-                let want: Vec<Row> = matches[..n]
-                    .iter()
-                    .map(|m| if probe_left { probe.concat(m) } else { m.concat(&probe) })
-                    .collect();
-                assert_eq!(out, want, "n={n} probe_left={probe_left}");
-            }
-        }
-    }
-
     /// The block kernel looks up the selected rows' key cells where
     /// they lie and emits what one scalar `probe` per selected row
     /// finds, in row order; unselected rows never match.
     #[test]
     fn batch_probe_matches_scalar_probe() {
-        let build_rows = vec![row![1i64, "a"], row![2i64, "b"], row![1i64, "c"]];
-        let mut build = Build::rows(build_rows.clone(), 0);
+        let build = Build::rows(vec![row![1i64, "a"], row![2i64, "b"], row![1i64, "c"]], 0);
         let probe_rows: Vec<Row> = [0i64, 1, 2, 1].iter().map(|&k| row![k, k * 10]).collect();
         let lazy =
             LazyBlock::parse(encode_block_columnar(&Block::new(0, probe_rows.clone()))).unwrap();
         for picks in [vec![0, 1, 2, 3], vec![0, 2], vec![]] {
             let sel = BitSet::from_indices(4, &picks);
             let mut got = Vec::new();
-            build.probe_block(&mut got, &lazy, 0, &sel, true).unwrap();
+            build.probe_block(&lazy, 0, &sel, |i, id| got.push((i, id))).unwrap();
             let mut want = Vec::new();
             for &i in &picks {
-                let p = &probe_rows[i];
-                for id in build.table.probe(p.get(0).key()) {
-                    want.push(p.concat(&build_rows[id.row as usize]));
-                }
+                want.extend(build.probe(probe_rows[i].get(0).key()).map(|id| (i as u32, id)));
             }
             assert_eq!(got, want, "picks {picks:?}");
         }
     }
 
-    /// A build over encoded blocks returns what a build over the same
-    /// rows returns, probed by blocks and by rows, and gathers only the
-    /// build rows that match.
+    /// The rows of `probe ⋈ build`, probing with every row of `probe`.
+    fn join(build: Build, probe: &LazyBlock, attr: AttrId) -> Vec<Row> {
+        let mut ids = Vec::new();
+        let sel = BitSet::all_set(probe.row_count());
+        build
+            .probe_block(probe, attr, &sel, |row, b| ids.extend([RowId { src: 0, row }, b]))
+            .unwrap();
+        let probe = vec![Source::Block(probe.clone())];
+        Joined::binary(probe, build.into_sources(), ids, true).into_rows().unwrap()
+    }
+
+    /// A build over encoded blocks joins to what a build over the same
+    /// rows joins to, and keeps its blocks encoded: only the rows a
+    /// probe row matches are gathered, when the join's rows are built.
     #[test]
     fn encoded_build_equals_row_build_and_gathers_only_matches() {
         let build_rows: Vec<Vec<Row>> = (0..3i64)
@@ -624,25 +436,32 @@ mod tests {
         let lazy = |rows: &[Row]| {
             LazyBlock::parse(encode_block_columnar(&Block::new(0, rows.to_vec()))).unwrap()
         };
-        let sel = |n: usize| BitSet::all_set(n);
-        let mut by_rows = Build::rows(build_rows.concat(), 0);
         let mut by_blocks = Build::blocks();
         for rows in &build_rows {
-            by_blocks.add_block(lazy(rows), 0, &sel(rows.len())).unwrap();
+            by_blocks.add_block(lazy(rows), 0, &BitSet::all_set(rows.len())).unwrap();
         }
+        assert!(by_blocks.sources.iter().all(|s| matches!(s, Source::Block(_))));
         let probe = lazy(&probe_rows);
-        let mut want = Vec::new();
-        by_rows.probe_block(&mut want, &probe, 1, &sel(12), true).unwrap();
-        let mut got = Vec::new();
-        by_blocks.probe_block(&mut got, &probe, 1, &sel(12), true).unwrap();
-        assert_eq!(got, want);
+        let want = join(Build::rows(build_rows.concat(), 0), &probe, 1);
         // Probe keys 0..5 meet 3, 3, 3, 3 and 2 build rows.
         assert_eq!(want.len(), 3 * 3 + 3 * 3 + 2 * 3 + 2 * 3 + 2 * 2);
-        let Rows::Blocks(b) = &by_blocks.rows else { unreachable!() };
-        assert_eq!(b.gathered.len(), 3 + 3 + 3 + 3 + 2, "only matched build rows are gathered");
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        by_rows.probe_rows(&mut want, probe_rows.clone(), 1, false).unwrap();
-        by_blocks.probe_rows_ref(&mut got, &probe_rows, 1, false).unwrap();
-        assert_eq!(got, want);
+        assert_eq!(join(by_blocks, &probe, 1), want);
+    }
+
+    /// A probed block whose non-key column is corrupt fails the probe
+    /// even when no probe row matches: the contract a full decode
+    /// keeps.
+    #[test]
+    fn a_corrupt_probe_block_fails_even_when_nothing_matches() {
+        let build = Build::rows(vec![row![1i64, "b"]], 0);
+        let rows: Vec<Row> = (10..14i64).map(|k| row![k, format!("zz{k}")]).collect();
+        let mut raw = encode_block_columnar(&Block::new(0, rows)).to_vec();
+        let at = raw.windows(4).position(|w| w == b"zz11").unwrap();
+        raw[at] = 0xFF;
+        let lazy = LazyBlock::parse(raw.into()).unwrap();
+        let mut out = Vec::new();
+        let err = build.probe_block(&lazy, 0, &BitSet::all_set(4), |i, id| out.push((i, id)));
+        assert!(matches!(err, Err(adaptdb_common::Error::Codec(_))), "{err:?}");
+        assert!(out.is_empty());
     }
 }

@@ -16,22 +16,20 @@
 //!
 //! Both legs materialise late. A build block is selected column-wise
 //! and stays encoded: the hash table maps the selected rows' key cells
-//! to (block, row) ids, and a build row is gathered only when a probe
-//! row first matches it — once per group, one gather per block in
-//! ascending row order. A probe block is selected the same way, and
+//! to (block, row) ids. A probe block is selected the same way, and
 //! the selected rows go through the probe kernel the shuffle reducers
 //! share (`hash_table::Build::probe_block`): each key cell is looked up
-//! where it lies, and only the probe rows that matched are ever
-//! materialised. Each output row is built once: a gathered probe row
-//! is moved into its last match and copied only for earlier matches of
-//! its key, and the groups' outputs are concatenated by moving them.
+//! where it lies, and each match is kept as a (probe id, build id)
+//! pair. The join returns those ids ([`Joined`]) with the blocks they
+//! point into, probe blocks that matched nothing dropped; its rows are
+//! built once, when the query returns.
 
-use adaptdb_common::{AttrId, PredicateSet, Result, Row};
+use adaptdb_common::{AttrId, PredicateSet, Result};
 use adaptdb_join::{HyperJoinPlan, JoinSide};
-use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
 use crate::hash_table::Build;
+use crate::joined::{pair, Joined, RowId, Source};
 use crate::scan::{fetch_ordered, read_select, select_block};
 
 /// Everything needed to execute one hyper-join.
@@ -55,7 +53,7 @@ pub struct HyperJoinSpec<'a> {
 
 /// Execute a hyper-join; output rows are `left ⋈ right` (left columns
 /// first) regardless of which side the hash tables were built on.
-pub fn hyper_join(ctx: ExecContext<'_>, spec: HyperJoinSpec<'_>) -> Result<Vec<Row>> {
+pub fn hyper_join(ctx: ExecContext<'_>, spec: HyperJoinSpec<'_>) -> Result<Joined> {
     let (build_table, probe_table, build_attr, probe_attr, build_preds, probe_preds) =
         match spec.plan.build_side {
             JoinSide::Left => (
@@ -76,10 +74,9 @@ pub fn hyper_join(ctx: ExecContext<'_>, spec: HyperJoinSpec<'_>) -> Result<Vec<R
             ),
         };
 
-    let mut out = Vec::new();
+    let mut out = Joined::default();
     for (build_blocks, probe_blocks) in spec.plan.groups.iter().zip(&spec.plan.probes) {
-        run_group(
-            &mut out,
+        out.extend(run_group(
             ctx,
             build_table,
             probe_table,
@@ -90,15 +87,14 @@ pub fn hyper_join(ctx: ExecContext<'_>, spec: HyperJoinSpec<'_>) -> Result<Vec<R
             spec.plan.build_side,
             build_blocks,
             probe_blocks,
-        )?;
+        )?);
     }
     Ok(out)
 }
 
-/// Run one group, appending its output rows to `out`.
+/// Run one group.
 #[allow(clippy::too_many_arguments)]
 fn run_group(
-    out: &mut Vec<Row>,
     ctx: ExecContext<'_>,
     build_table: &str,
     probe_table: &str,
@@ -109,9 +105,9 @@ fn run_group(
     build_side: JoinSide,
     build_blocks: &[u32],
     probe_blocks: &[u32],
-) -> Result<()> {
+) -> Result<Joined> {
     if build_blocks.is_empty() {
-        return Ok(());
+        return Ok(Joined::default());
     }
     // The whole group runs on the node holding the first build block's
     // primary replica (a locality-aware scheduler would do the same);
@@ -124,41 +120,32 @@ fn run_group(
         build.add_block(lazy, build_attr, &sel)?;
     }
     // Probe windows are not traced: the caller's `hyper-join` span
-    // already reports the leg's block reads.
+    // already reports the leg's block reads. Each probe block's
+    // predicates select, then the shared kernel probes the selected
+    // rows.
     let probed =
         fetch_ordered(ctx.with_trace(None), probe_table, probe_blocks, Some(node), |lazy| {
-            probe_selected(ctx, &mut build, lazy, probe_attr, probe_preds, build_side)
+            let sel = select_block(ctx, &lazy, probe_preds)?;
+            let mut hits = Vec::new();
+            build.probe_block(&lazy, probe_attr, &sel, |row, id| hits.push((row, id)))?;
+            Ok((lazy, hits))
         })?;
-    out.reserve(probed.iter().map(Vec::len).sum());
-    for rows in probed {
-        out.extend(rows);
-    }
-    Ok(())
-}
-
-/// Probe one (lazily-read) block against the group's build, returning
-/// joined rows in `left ⋈ right` column order: the block's predicates
-/// select, then the shared kernel probes the selected rows.
-fn probe_selected(
-    ctx: ExecContext<'_>,
-    build: &mut Build,
-    lazy: LazyBlock,
-    probe_attr: AttrId,
-    probe_preds: &PredicateSet,
-    build_side: JoinSide,
-) -> Result<Vec<Row>> {
-    let sel = select_block(ctx, &lazy, probe_preds)?;
-    let mut out = Vec::new();
     // Normalize output to left ⋈ right column order.
     let probe_left = build_side == JoinSide::Right;
-    build.probe_block(&mut out, &lazy, probe_attr, &sel, probe_left)?;
-    Ok(out)
+    let (mut probes, mut ids) = (Vec::new(), Vec::new());
+    ids.reserve_exact(2 * probed.iter().map(|(_, hits)| hits.len()).sum::<usize>());
+    for (lazy, hits) in probed.into_iter().filter(|(_, hits)| !hits.is_empty()) {
+        let src = probes.len() as u32;
+        ids.extend(hits.into_iter().flat_map(|(row, b)| pair(RowId { src, row }, b, probe_left)));
+        probes.push(Source::Block(lazy));
+    }
+    Ok(Joined::binary(probes, build.into_sources(), ids, probe_left))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptdb_common::{row, CmpOp, CostParams, Predicate, Value, ValueRange};
+    use adaptdb_common::{row, CmpOp, CostParams, Predicate, Row, Value, ValueRange};
     use adaptdb_dfs::SimClock;
     use adaptdb_join::planner::{plan, BlockRange};
     use adaptdb_join::{HyperJoinPlan, JoinDecision};
@@ -206,6 +193,7 @@ mod tests {
                 plan: &p,
             },
         )
+        .and_then(Joined::into_rows)
         .unwrap();
         (rows, clock.snapshot())
     }
@@ -287,6 +275,7 @@ mod tests {
                 plan: &p,
             },
         )
+        .and_then(Joined::into_rows)
         .unwrap();
         assert_eq!(rows.len(), 80);
         for r in &rows {
@@ -316,6 +305,7 @@ mod tests {
                 plan: &p,
             },
         )
+        .and_then(Joined::into_rows)
         .unwrap();
         // Keys in [10, 20).
         assert_eq!(rows.len(), 10);
@@ -384,13 +374,15 @@ mod tests {
         let expect = nested_loop(&store, &spec);
         assert_eq!(expect.len(), 48);
         let base_clock = SimClock::new();
-        let first = hyper_join(ExecContext::new(&store, &base_clock), spec.clone()).unwrap();
+        let first = hyper_join(ExecContext::new(&store, &base_clock), spec.clone())
+            .and_then(Joined::into_rows)
+            .unwrap();
         let base_io = base_clock.take();
         assert_eq!(first, expect);
         for window in [1, 4] {
             let clock = SimClock::new();
             let ctx = ExecContext::new(&store, &clock).with_fetch_window(window);
-            let got = hyper_join(ctx, spec.clone()).unwrap();
+            let got = hyper_join(ctx, spec.clone()).and_then(Joined::into_rows).unwrap();
             assert_eq!(got, first, "w={window}");
             assert_eq!(clock.take(), base_io, "w={window}");
         }
@@ -464,7 +456,9 @@ mod tests {
                 assert_eq!(want.len(), 40 * 2 - 5 - 2);
                 assert!(matched.len() * 4 < build.len(), "{} build rows match", matched.len());
                 let clock = SimClock::new();
-                let got = hyper_join(ExecContext::new(&store, &clock), spec).unwrap();
+                let got = hyper_join(ExecContext::new(&store, &clock), spec)
+                    .and_then(Joined::into_rows)
+                    .unwrap();
                 assert_eq!(got, want, "str keys {str_keys}, {build_side:?} builds");
             }
         }
@@ -489,11 +483,13 @@ mod tests {
             right_preds: &none,
             plan: &p,
         };
-        hyper_join(ExecContext::new(&store, &clock).with_fetch_window(4), spec.clone()).unwrap();
+        hyper_join(ExecContext::new(&store, &clock).with_fetch_window(4), spec.clone())
+            .and_then(Joined::into_rows)
+            .unwrap();
         let ov = clock.overlap_snapshot();
         assert!(ov.fetches > 0, "probe blocks must go through the fetch stream");
         let c2 = SimClock::new();
-        hyper_join(ExecContext::new(&store, &c2), spec).unwrap();
+        hyper_join(ExecContext::new(&store, &c2), spec).and_then(Joined::into_rows).unwrap();
         assert_eq!(c2.overlap_snapshot().hidden(), 0);
     }
 
@@ -533,6 +529,7 @@ mod tests {
                 plan: &p,
             },
         )
+        .and_then(Joined::into_rows)
         .unwrap();
         // Every left key 5..85 matches exactly one right key.
         assert_eq!(rows.len(), 80);

@@ -14,8 +14,11 @@
 //!   which simply reads all records and filters out ones that cannot
 //!   pass the predicates"),
 //! * [`hash_table`] — join hash tables from join keys to build-row ids,
-//!   and the build side every hash join probes: build rows stay encoded
-//!   until a probe row matches them,
+//!   and the build side every hash join probes: a probe emits
+//!   (probe id, build id) pairs, not rows,
+//! * [`Joined`] — a join's result as those ids into its inputs' blocks
+//!   and rows, carried between multi-way steps and built into rows
+//!   once, at the final width, when the query returns,
 //! * [`mod@hyper_join`] — execute a [`adaptdb_join::HyperJoinPlan`]: per
 //!   group, build hash tables over the build blocks and stream the
 //!   overlapping probe blocks through them,
@@ -36,6 +39,7 @@ pub mod context;
 mod gather;
 pub mod hash_table;
 pub mod hyper_join;
+mod joined;
 pub mod repartition;
 pub mod scan;
 pub mod shuffle_join;
@@ -43,8 +47,9 @@ pub mod shuffle_service;
 pub mod step_join;
 
 pub use context::{ExecContext, ShuffleOptions};
-pub use hash_table::{BuildRow, JoinHashTable};
+pub use hash_table::JoinHashTable;
 pub use hyper_join::{hyper_join, HyperJoinSpec};
+pub use joined::{Joined, RowId};
 pub use repartition::{
     repartition_blocks, repartition_blocks_with, RepartitionOutcome, RetireMode,
 };

@@ -21,14 +21,16 @@
 //!
 //! A reducer materialises late. Its drained runs stay encoded. The
 //! build side — the smaller by row count, the left on a tie — builds
-//! its hash table from its runs' key cells, and a build row is gathered
-//! only when a probe row first matches it; the memory budget and the
+//! its hash table from its runs' key cells; the memory budget and the
 //! reducer-memory gauge count the build side's rows, which is what a
 //! reducer may have to hold. The probe side streams run by run through
 //! the probe kernel the hyper-join shares
 //! (`hash_table::Build::probe_block`): each key cell is looked up where
-//! it lies, and only rows that match are gathered, each output row
-//! built once. The probe side streams on every path: a split
+//! it lies, and each match is kept as a (probe id, build id) pair. A
+//! join returns those ids with the runs and rows they point into
+//! ([`Joined`]); the runs' bytes are refcounted, so they outlive the
+//! scratch namespace's cleanup, and the rows are built once, when the
+//! query returns. The probe side streams on every path: a split
 //! partition's round-robin shares and a budgeted join's Grace groups
 //! are selections over the runs (groups hash each row's key cell
 //! without gathering the row), and the block-nested-loop leaf streams
@@ -42,6 +44,7 @@ use adaptdb_storage::LazyBlock;
 
 use crate::context::ExecContext;
 use crate::hash_table::Build;
+use crate::joined::{pair, Joined, RowId, Source};
 use crate::shuffle_service::{ShuffleService, ShuffledSide};
 
 /// Parameters for a storage-backed shuffle join.
@@ -104,10 +107,7 @@ fn annotate_map(
 /// leg is the remainder — including broadcast re-reads and build-spill
 /// round-trips, which a `skew-mitigation` span itemizes when the
 /// budgeted join had to intervene.
-fn traced_reduce(
-    ctx: ExecContext<'_>,
-    body: impl FnOnce() -> Result<Vec<Row>>,
-) -> Result<Vec<Row>> {
+fn traced_reduce<T>(ctx: ExecContext<'_>, body: impl FnOnce() -> Result<T>) -> Result<T> {
     let (ctx, span) = ctx.traced("reduce");
     let Some(span) = span else { return body() };
     let t = ctx.trace.expect("traced() yielded a span, so the handle is set");
@@ -147,7 +147,7 @@ fn traced_reduce(
 
 /// Execute a shuffle join over stored blocks through the shuffle
 /// service (map spill to DFS, reducer fetch with locality accounting).
-pub fn shuffle_join(ctx: ExecContext<'_>, spec: ShuffleJoinSpec<'_>) -> Result<Vec<Row>> {
+pub fn shuffle_join(ctx: ExecContext<'_>, spec: ShuffleJoinSpec<'_>) -> Result<Joined> {
     let (ctx, span) = ctx.traced("shuffle-join");
     let mappers = ctx.store.dfs().live_nodes();
     let requested = ctx.shuffle.partitions.unwrap_or(mappers);
@@ -188,7 +188,7 @@ fn exchange<'a>(
     left_attr: AttrId,
     right_attr: AttrId,
     mut spill: impl FnMut(bool, &mut dyn FnMut(&ShuffledSide)) -> Result<ShuffledSide>,
-) -> Result<Vec<Row>> {
+) -> Result<Joined> {
     let ctx = svc.ctx();
     let mut streams = svc.partition_streams();
     // Prefetch windows issued by the streams may fire during either
@@ -213,7 +213,7 @@ fn exchange<'a>(
     // plan is known before any stream is drained.
     let plan = svc.split_plan(&left, &right);
     traced_reduce(ctx, || {
-        let mut out = Vec::new();
+        let mut out = Joined::default();
         for (p, mut stream) in streams.into_iter().enumerate() {
             let (l, r) = svc.drain_partition(&mut stream)?;
             let (l, r) = (Side::runs(&l), Side::runs(&r));
@@ -237,7 +237,7 @@ pub fn reduce_partition(
     right: &ShuffledSide,
     left_attr: AttrId,
     right_attr: AttrId,
-) -> Result<Vec<Row>> {
+) -> Result<Joined> {
     let (l, r) = svc.fetch_partition(p, left, right)?;
     let (l_side, r_side) = (Side::runs(&l), Side::runs(&r));
     join_partition(svc, p, split_k, l_side, r_side, left_attr, right_attr, left, right)
@@ -378,24 +378,32 @@ impl<'r> Side<'r> {
     }
 
     /// Probe `build` with every row of this side on key `attr`, in
-    /// order, pushing `probe ⋈ m` per match (probe columns first when
-    /// `probe_left`). Runs go through the probe kernel, gathering only
-    /// rows that match; gathered rows are copied only when they match.
-    fn probe(
-        &self,
-        out: &mut Vec<Row>,
-        build: &mut Build,
-        attr: AttrId,
-        probe_left: bool,
-    ) -> Result<()> {
+    /// order, calling `f(probe, build)` for each match; a probe id
+    /// points into [`Side::into_sources`]. Runs go through the probe
+    /// kernel, gathering nothing.
+    fn probe(&self, build: &Build, attr: AttrId, mut f: impl FnMut(RowId, RowId)) -> Result<()> {
         match self {
-            Side::Rows(rows) => build.probe_rows_ref(out, rows, attr, probe_left),
-            Side::Runs(runs) => {
-                for r in runs {
-                    build.probe_block(out, r.block, attr, &r.sel, probe_left)?;
+            Side::Rows(rows) => {
+                for (row, r) in (0..).zip(rows) {
+                    build.probe(r.get(attr).key()).for_each(|b| f(RowId { src: 0, row }, b));
                 }
                 Ok(())
             }
+            Side::Runs(runs) => {
+                for (src, r) in (0..).zip(runs) {
+                    build.probe_block(r.block, attr, &r.sel, |row, b| f(RowId { src, row }, b))?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// The sources this side's probe ids point into: its rows, or one
+    /// per run.
+    fn into_sources(self) -> Vec<Source> {
+        match self {
+            Side::Rows(rows) => vec![Source::Rows(rows)],
+            Side::Runs(runs) => runs.into_iter().map(|r| Source::Block(r.block.clone())).collect(),
         }
     }
 }
@@ -422,7 +430,7 @@ fn join_partition(
     right_attr: AttrId,
     left_side: &ShuffledSide,
     right_side: &ShuffledSide,
-) -> Result<Vec<Row>> {
+) -> Result<Joined> {
     if split_k <= 1 {
         return budgeted_join(svc, p, 0, left, right, left_attr, right_attr);
     }
@@ -434,7 +442,7 @@ fn join_partition(
     // hand every sub-task the whole smaller side: a copy for all but
     // the last, which takes the original.
     let (mut small, big) = if left_small { (left, right) } else { (right, left) };
-    let mut out = Vec::new();
+    let mut out = Joined::default();
     for (j, share) in big.deal(split_k, Deal::RoundRobin)?.into_iter().enumerate() {
         let whole = if j + 1 == split_k {
             std::mem::replace(&mut small, Side::Rows(Vec::new()))
@@ -492,7 +500,7 @@ fn budgeted_join(
     right: Side<'_>,
     left_attr: AttrId,
     right_attr: AttrId,
-) -> Result<Vec<Row>> {
+) -> Result<Joined> {
     let rpb = svc.rows_per_block();
     let build_len = left.len().min(right.len());
     let budget = svc.ctx().join_mem_budget_blocks.map(|blocks| blocks.max(1) * rpb);
@@ -508,7 +516,7 @@ fn budgeted_join(
     let left_build = left.len() <= right.len();
     let lgroups = left.deal(fanout, Deal::Salted { attr: left_attr, depth })?;
     let rgroups = right.deal(fanout, Deal::Salted { attr: right_attr, depth })?;
-    let mut out = Vec::new();
+    let mut out = Joined::default();
     for (lg, rg) in lgroups.into_iter().zip(rgroups) {
         if lg.len() == 0 || rg.len() == 0 {
             continue; // No possible matches: the group never touches disk.
@@ -535,7 +543,7 @@ fn block_nested_loop(
     left_attr: AttrId,
     right_attr: AttrId,
     budget_rows: usize,
-) -> Result<Vec<Row>> {
+) -> Result<Joined> {
     let rpb = svc.rows_per_block();
     let chunk_rows = budget_rows.max(1);
     let left_build = left.len() <= right.len();
@@ -544,7 +552,8 @@ fn block_nested_loop(
     } else {
         (right, left, right_attr, left_attr)
     };
-    let mut out = Vec::new();
+    // Each chunk is one source of the build input.
+    let (mut chunks, mut ids) = (Vec::new(), Vec::new());
     let mut build = build.gather()?.into_iter();
     loop {
         let chunk: Vec<Row> = build.by_ref().take(chunk_rows).collect();
@@ -552,41 +561,41 @@ fn block_nested_loop(
             break;
         }
         svc.ctx().clock.record_reducer_peak(chunk.len().div_ceil(rpb));
-        let mut build = Build::rows(chunk, build_attr);
-        probe.probe(&mut out, &mut build, probe_attr, !left_build)?;
+        let src = chunks.len() as u32;
+        let table = Build::rows(chunk, build_attr);
+        probe.probe(&table, probe_attr, |p, b| {
+            ids.extend(pair(p, RowId { src, ..b }, !left_build))
+        })?;
+        chunks.extend(table.into_sources());
     }
-    Ok(out)
+    Ok(Joined::binary(probe.into_sources(), chunks, ids, !left_build))
 }
 
 /// In-memory hash join of two sides: build on the smaller (the left on
 /// a tie), probe with the other in its order; output rows are `left ++
-/// right`. Build rows are gathered only when matched, and gathered
-/// probe rows are moved into their last match.
+/// right`, kept as ids into both sides.
 fn hash_join(
     left: Side<'_>,
     right: Side<'_>,
     left_attr: AttrId,
     right_attr: AttrId,
-) -> Result<Vec<Row>> {
+) -> Result<Joined> {
     let left_build = left.len() <= right.len();
     let (build, probe, build_attr, probe_attr) = if left_build {
         (left, right, left_attr, right_attr)
     } else {
         (right, left, right_attr, left_attr)
     };
-    let mut build = build.into_build(build_attr)?;
-    let mut out = Vec::new();
-    match probe {
-        Side::Rows(rows) => build.probe_rows(&mut out, rows, probe_attr, !left_build)?,
-        runs => runs.probe(&mut out, &mut build, probe_attr, !left_build)?,
-    }
-    Ok(out)
+    let build = build.into_build(build_attr)?;
+    let mut ids = Vec::new();
+    probe.probe(&build, probe_attr, |p, b| ids.extend(pair(p, b, !left_build)))?;
+    Ok(Joined::binary(probe.into_sources(), build.into_sources(), ids, !left_build))
 }
 
 /// Plain in-memory hash join over rows: the reducers' join with both
 /// sides already gathered. Builds on the smaller side (the left on a tie)
 /// and probes with the other in its order; output rows are `left ++
-/// right`, and each probe row is moved into its last match.
+/// right`.
 pub fn hash_join_rows(
     left: Vec<Row>,
     right: Vec<Row>,
@@ -594,6 +603,7 @@ pub fn hash_join_rows(
     right_attr: AttrId,
 ) -> Vec<Row> {
     hash_join(Side::Rows(left), Side::Rows(right), left_attr, right_attr)
+        .and_then(Joined::into_rows)
         .expect("joining gathered rows decodes nothing")
 }
 
@@ -609,7 +619,7 @@ pub fn shuffle_join_rows(
     left_attr: AttrId,
     right_attr: AttrId,
     rows_per_block: usize,
-) -> Result<Vec<Row>> {
+) -> Result<Joined> {
     let (ctx, span) = ctx.traced("shuffle-join");
     if let Some(s) = &span {
         s.attr_s("left", "rows");
@@ -706,8 +716,9 @@ mod tests {
         let (store, lids, rids) = setup(50, 10);
         let clock = SimClock::new();
         let none = PredicateSet::none();
-        let mut rows =
-            shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 10)).unwrap();
+        let mut rows = shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 10))
+            .and_then(Joined::into_rows)
+            .unwrap();
         assert_eq!(rows.len(), 50);
         rows.sort_by_key(|r| r.get(0).as_int().unwrap());
         for (i, r) in rows.iter().enumerate() {
@@ -724,7 +735,9 @@ mod tests {
         let (store, lids, rids) = setup(1600, 100);
         let clock = SimClock::new();
         let none = PredicateSet::none();
-        shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 100)).unwrap();
+        shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 100))
+            .and_then(Joined::into_rows)
+            .unwrap();
         let io = clock.snapshot();
         let sh = clock.shuffle_snapshot();
         // Reads = 32 input reads + one fetch per spilled block.
@@ -746,7 +759,9 @@ mod tests {
         let (store, lids, rids) = setup(1600, 100);
         let clock = SimClock::new();
         let none = PredicateSet::none();
-        shuffle_join(ctx_with(&store, &clock, 1), spec(&lids, &rids, &none, 100)).unwrap();
+        shuffle_join(ctx_with(&store, &clock, 1), spec(&lids, &rids, &none, 100))
+            .and_then(Joined::into_rows)
+            .unwrap();
         let io = clock.snapshot();
         assert_eq!(io.writes, 32, "spill equals input when runs pack");
         assert_eq!(io.reads() + io.writes, 3 * 32, "C_SJ = 3 exactly");
@@ -761,7 +776,9 @@ mod tests {
         let (store, lids, rids) = setup(400, 25);
         let clock = SimClock::new();
         let none = PredicateSet::none();
-        shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 25)).unwrap();
+        shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 25))
+            .and_then(Joined::into_rows)
+            .unwrap();
         let io = clock.snapshot();
         let sh = clock.shuffle_snapshot();
         assert!(sh.remote_fetches > 0, "reducer ≠ mapper node must fetch remotely");
@@ -781,11 +798,14 @@ mod tests {
         let (store, lids, rids) = setup(100, 10);
         let none = PredicateSet::none();
         let c_full = SimClock::new();
-        shuffle_join(ctx_with(&store, &c_full, 4), spec(&lids, &rids, &none, 10)).unwrap();
+        shuffle_join(ctx_with(&store, &c_full, 4), spec(&lids, &rids, &none, 10))
+            .and_then(Joined::into_rows)
+            .unwrap();
         let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Lt, 30i64));
         let c_filtered = SimClock::new();
-        let rows =
-            shuffle_join(ctx_with(&store, &c_filtered, 4), spec(&lids, &rids, &preds, 10)).unwrap();
+        let rows = shuffle_join(ctx_with(&store, &c_filtered, 4), spec(&lids, &rids, &preds, 10))
+            .and_then(Joined::into_rows)
+            .unwrap();
         assert_eq!(rows.len(), 30);
         assert!(
             c_filtered.snapshot().writes < c_full.snapshot().writes,
@@ -805,8 +825,9 @@ mod tests {
         let none = PredicateSet::none();
         let join = || {
             let clock = SimClock::new();
-            let rows =
-                shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 10)).unwrap();
+            let rows = shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 10))
+                .and_then(Joined::into_rows)
+                .unwrap();
             (rows, clock.snapshot(), clock.shuffle_snapshot())
         };
         let want = join();
@@ -832,12 +853,15 @@ mod tests {
         let none = PredicateSet::none();
         let c_serial = SimClock::new();
         let mut serial =
-            shuffle_join(ctx_with(&store, &c_serial, 4), spec(&lids, &rids, &none, 25)).unwrap();
+            shuffle_join(ctx_with(&store, &c_serial, 4), spec(&lids, &rids, &none, 25))
+                .and_then(Joined::into_rows)
+                .unwrap();
         let c_piped = SimClock::new();
         let mut piped = shuffle_join(
             ctx_with(&store, &c_piped, 4).with_fetch_window(4),
             spec(&lids, &rids, &none, 25),
         )
+        .and_then(Joined::into_rows)
         .unwrap();
         serial.sort_by_key(|r| r.get(0).as_int().unwrap());
         piped.sort_by_key(|r| r.get(0).as_int().unwrap());
@@ -863,6 +887,7 @@ mod tests {
         let c1 = SimClock::new();
         let mut a =
             shuffle_join_rows(ExecContext::new(&store, &c1), left.clone(), right.clone(), 0, 0, 10)
+                .and_then(Joined::into_rows)
                 .unwrap();
         let c2 = SimClock::new();
         let mut b = shuffle_join_rows(
@@ -873,6 +898,7 @@ mod tests {
             0,
             10,
         )
+        .and_then(Joined::into_rows)
         .unwrap();
         a.sort_by(|x, y| x.values().cmp(y.values()));
         b.sort_by(|x, y| x.values().cmp(y.values()));
@@ -887,7 +913,9 @@ mod tests {
         let clock = SimClock::new();
         let none = PredicateSet::none();
         let before = store.dfs().block_count();
-        shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 10)).unwrap();
+        shuffle_join(ctx_with(&store, &clock, 4), spec(&lids, &rids, &none, 10))
+            .and_then(Joined::into_rows)
+            .unwrap();
         assert_eq!(store.dfs().block_count(), before, "spilled runs must be dropped");
     }
 
@@ -909,7 +937,8 @@ mod tests {
         let ctx = ExecContext::new(&store, &clock);
         let left: Vec<Row> = (0..25i64).map(|i| row![i]).collect();
         let right: Vec<Row> = (0..25i64).map(|i| row![i]).collect();
-        let out = shuffle_join_rows(ctx, left, right, 0, 0, 10).unwrap();
+        let out =
+            shuffle_join_rows(ctx, left, right, 0, 0, 10).and_then(Joined::into_rows).unwrap();
         assert_eq!(out.len(), 25);
         let io = clock.snapshot();
         let sh = clock.shuffle_snapshot();
@@ -945,14 +974,16 @@ mod tests {
         let (store, lids, rids) = setup(400, 25);
         let none = PredicateSet::none();
         let c_free = SimClock::new();
-        let free =
-            shuffle_join(ctx_with(&store, &c_free, 4), spec(&lids, &rids, &none, 25)).unwrap();
+        let free = shuffle_join(ctx_with(&store, &c_free, 4), spec(&lids, &rids, &none, 25))
+            .and_then(Joined::into_rows)
+            .unwrap();
         for budget in [1usize, 2, 8] {
             let c = SimClock::new();
             let tight = shuffle_join(
                 ctx_with(&store, &c, 4).with_join_mem_budget(Some(budget)),
                 spec(&lids, &rids, &none, 25),
             )
+            .and_then(Joined::into_rows)
             .unwrap();
             assert_eq!(sorted(free.clone()), sorted(tight), "budget {budget} changed the join");
             let sh = c.shuffle_snapshot();
@@ -983,6 +1014,7 @@ mod tests {
             ctx_with(&store, &c, 1).with_join_mem_budget(Some(1)),
             spec(&lids, &rids, &none, 10),
         )
+        .and_then(Joined::into_rows)
         .unwrap();
         assert_eq!(rows.len(), 200, "every hot-key pair must appear");
         let sh = c.shuffle_snapshot();
@@ -994,12 +1026,14 @@ mod tests {
         let (store, lids, rids) = skewed_setup(800, 50);
         let none = PredicateSet::none();
         let c_plain = SimClock::new();
-        let plain =
-            shuffle_join(ctx_with(&store, &c_plain, 4), spec(&lids, &rids, &none, 50)).unwrap();
+        let plain = shuffle_join(ctx_with(&store, &c_plain, 4), spec(&lids, &rids, &none, 50))
+            .and_then(Joined::into_rows)
+            .unwrap();
         let c_split = SimClock::new();
         let mut ctx = ctx_with(&store, &c_split, 4);
         ctx.shuffle.split_threshold = Some(1.5);
-        let split = shuffle_join(ctx, spec(&lids, &rids, &none, 50)).unwrap();
+        let split =
+            shuffle_join(ctx, spec(&lids, &rids, &none, 50)).and_then(Joined::into_rows).unwrap();
         assert_eq!(sorted(plain), sorted(split), "splitting changed the join");
         let sh = c_split.shuffle_snapshot();
         assert!(sh.split_partitions > 0, "one hot key on 4 reducers must trip the threshold");
@@ -1131,7 +1165,9 @@ mod tests {
                 let clock = SimClock::new();
                 let mut ctx = ctx_with(&store, &clock, 4).with_join_mem_budget(budget);
                 ctx.shuffle.split_threshold = split_threshold;
-                let got = shuffle_join(ctx, spec(&lids, &rids, &none, rpb)).unwrap();
+                let got = shuffle_join(ctx, spec(&lids, &rids, &none, rpb))
+                    .and_then(Joined::into_rows)
+                    .unwrap();
                 let sh = clock.shuffle_snapshot();
                 splits |= sh.split_partitions > 0;
                 spilled |= sh.build_blocks_spilled > 0;
@@ -1368,14 +1404,10 @@ mod tests {
             let table = JoinHashTable::build(&build, build_attr);
             let mut out = Vec::new();
             for row in probe {
-                let ids: Vec<_> = table.probe(row.get(probe_attr).key()).collect();
-                let Some((last, rest)) = ids.split_last() else { continue };
-                for id in rest {
+                for id in table.probe(row.get(probe_attr).key()) {
                     let m = &build[id.row as usize];
                     out.push(if left_build { m.concat(&row) } else { row.concat(m) });
                 }
-                let m = &build[last.row as usize];
-                out.push(if left_build { row.prepend(m) } else { row.append(m) });
             }
             out
         }
@@ -1460,7 +1492,7 @@ mod tests {
                         let rows = if reference {
                             row_reducer::exchange(&svc, 0, 0, spill)
                         } else {
-                            exchange(&svc, 0, 0, spill)
+                            exchange(&svc, 0, 0, spill).and_then(Joined::into_rows)
                         }
                         .unwrap();
                         svc.cleanup();
@@ -1498,7 +1530,8 @@ mod tests {
             right_preds: &none,
             rows_per_block: 10,
         };
-        let rows = shuffle_join(ExecContext::new(&store, &clock), s).unwrap();
+        let rows =
+            shuffle_join(ExecContext::new(&store, &clock), s).and_then(Joined::into_rows).unwrap();
         assert!(rows.is_empty());
     }
 }

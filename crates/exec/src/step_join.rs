@@ -1,5 +1,5 @@
-//! Hyper-join between an in-memory intermediate result and a stored
-//! table — the §4.3 multi-way optimization.
+//! Hyper-join between an intermediate result and a stored table — the
+//! §4.3 multi-way optimization.
 //!
 //! For `(lineitem ⋈ orders) ⋈ customer`, if customer's partitioning tree
 //! is keyed on `custkey`, AdaptDB "only needs to shuffle tempLO based on
@@ -9,15 +9,17 @@
 //! (spill + re-read), the stored side is read once per group through its
 //! hyper-join schedule, and nothing else moves. Stored build blocks are
 //! read late-materialising, like every filtered block read: the
-//! predicate columns select, the selected rows' key cells go into the
-//! hash table, and a stored row is gathered only if an intermediate
-//! row matches it. An intermediate row is moved, not copied, into the
-//! last group whose range holds its key and into its last output row.
+//! predicate columns select, and the selected rows' key cells go into
+//! the hash table. The intermediate stays ids ([`Joined`]): only its
+//! join-key column is read, its rows are routed to groups by index, and
+//! each output row is the intermediate row's ids plus the stored row's,
+//! built into a row when the query returns.
 
-use adaptdb_common::{AttrId, BlockId, PredicateSet, Result, Row, ValueRange};
+use adaptdb_common::{AttrId, BlockId, PredicateSet, Result, ValueRange};
 
 use crate::context::ExecContext;
 use crate::hash_table::Build;
+use crate::joined::{Joined, RowId};
 use crate::scan::read_select;
 
 /// One group of the stored side's schedule: its blocks plus the union of
@@ -30,11 +32,11 @@ pub struct StepGroup {
     pub range: ValueRange,
 }
 
-/// Join `intermediate` (probe side, already materialized) against the
-/// stored `table` via a hyper-join schedule. Output rows are
-/// `intermediate ++ table` columns. The intermediate is charged one
-/// shuffle (spill writes + re-reads at `rows_per_block` granularity),
-/// mirroring "only needs to shuffle tempLO".
+/// Join `intermediate` (the probe side) against the stored `table` via
+/// a hyper-join schedule. Output rows are `intermediate ++ table`
+/// columns. The intermediate is charged one shuffle (spill writes +
+/// re-reads at `rows_per_block` granularity), mirroring "only needs to
+/// shuffle tempLO".
 #[allow(clippy::too_many_arguments)]
 pub fn hyper_step_join(
     ctx: ExecContext<'_>,
@@ -42,10 +44,10 @@ pub fn hyper_step_join(
     groups: Vec<StepGroup>,
     table_attr: AttrId,
     preds: &PredicateSet,
-    intermediate: Vec<Row>,
+    intermediate: Joined,
     intermediate_attr: AttrId,
     rows_per_block: usize,
-) -> Result<Vec<Row>> {
+) -> Result<Joined> {
     // The intermediate is hash-distributed to the nodes holding each
     // group: spill + re-read once.
     let spill = intermediate.len().div_ceil(rows_per_block.max(1));
@@ -53,66 +55,47 @@ pub fn hyper_step_join(
     for _ in 0..spill {
         ctx.clock.record_read(adaptdb_dfs::ReadKind::Local);
     }
-    // Route intermediate rows to groups by range. A probe row may fall
-    // into several groups when ranges overlap (it is copied into all
-    // but the last of them and moved into that one); build rows live
-    // in exactly one group, so no duplicate outputs arise.
-    let mut routed: Vec<Vec<Row>> = vec![Vec::new(); groups.len()];
-    for row in intermediate {
-        let key = row.get(intermediate_attr);
-        let Some(last) = groups.iter().rposition(|g| g.range.contains(key)) else { continue };
-        for (g, group) in groups[..last].iter().enumerate() {
+    // Route intermediate rows, by index, to every group whose range
+    // holds their key (several when ranges overlap); build rows live in
+    // exactly one group, so no duplicate outputs arise.
+    let keys = intermediate.column(intermediate_attr)?;
+    let mut routed: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
+    for (i, key) in keys.iter().enumerate() {
+        for (g, group) in groups.iter().enumerate() {
             if group.range.contains(key) {
-                routed[g].push(row.clone());
+                routed[g].push(i as u32);
             }
         }
-        routed[last].push(row);
     }
-    let mut out = Vec::new();
+    let (mut stored, mut pairs) = (Vec::new(), Vec::new());
     for (group, probes) in groups.iter().zip(routed) {
-        out.extend(run_group(
-            ctx,
-            table,
-            &group.blocks,
-            table_attr,
-            preds,
-            probes,
-            intermediate_attr,
-        )?);
+        if group.blocks.is_empty() || probes.is_empty() {
+            // No probe rows route here: the task is skipped entirely (a
+            // real scheduler would not even launch it), so no reads are
+            // charged.
+            continue;
+        }
+        let node = ctx.store.preferred_node(table, group.blocks[0])?;
+        let mut build = Build::blocks();
+        for &b in &group.blocks {
+            let (lazy, sel) = read_select(ctx, table, b, node, preds)?;
+            build.add_block(lazy, table_attr, &sel)?;
+        }
+        let base = stored.len() as u32;
+        for i in probes {
+            for id in build.probe(keys[i as usize].key()) {
+                pairs.push((i, RowId { src: base + id.src, row: id.row }));
+            }
+        }
+        stored.extend(build.into_sources());
     }
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_group(
-    ctx: ExecContext<'_>,
-    table: &str,
-    blocks: &[BlockId],
-    table_attr: AttrId,
-    preds: &PredicateSet,
-    probes: Vec<Row>,
-    intermediate_attr: AttrId,
-) -> Result<Vec<Row>> {
-    if blocks.is_empty() || probes.is_empty() {
-        // No probe rows route here: the task is skipped entirely (a real
-        // scheduler would not even launch it), so no reads are charged.
-        return Ok(Vec::new());
-    }
-    let node = ctx.store.preferred_node(table, blocks[0])?;
-    let mut build = Build::blocks();
-    for &b in blocks {
-        let (lazy, sel) = read_select(ctx, table, b, node, preds)?;
-        build.add_block(lazy, table_attr, &sel)?;
-    }
-    let mut out = Vec::new();
-    build.probe_rows(&mut out, probes, intermediate_attr, true)?;
-    Ok(out)
+    Ok(intermediate.step(stored, &pairs))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptdb_common::{row, CmpOp, Predicate, Value};
+    use adaptdb_common::{row, CmpOp, Predicate, Row, Value};
     use adaptdb_dfs::SimClock;
     use adaptdb_storage::BlockStore;
 
@@ -144,8 +127,10 @@ mod tests {
         let ctx = ExecContext::new(&store, &clock);
         // Intermediate rows: [payload, key] with key = attr 1.
         let intermediate: Vec<Row> = (0..40i64).map(|k| row![k * 7, k]).collect();
-        let out = hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), intermediate, 1, 10)
-            .unwrap();
+        let out =
+            hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), intermediate.into(), 1, 10)
+                .and_then(Joined::into_rows)
+                .unwrap();
         assert_eq!(out.len(), 40);
         for r in &out {
             assert_eq!(r.arity(), 4);
@@ -164,7 +149,9 @@ mod tests {
         let clock = SimClock::new();
         let ctx = ExecContext::new(&store, &clock);
         let intermediate: Vec<Row> = (0..40i64).map(|k| row![k, k]).collect();
-        hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), intermediate, 1, 10).unwrap();
+        hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), intermediate.into(), 1, 10)
+            .and_then(Joined::into_rows)
+            .unwrap();
         let io = clock.snapshot();
         // 4 spill re-reads + 4 block reads; 4 spill writes.
         assert_eq!(io.writes, 4);
@@ -178,8 +165,10 @@ mod tests {
         let ctx = ExecContext::new(&store, &clock);
         // Keys only in the first group's range.
         let intermediate: Vec<Row> = (0..10i64).map(|k| row![k, k]).collect();
-        let out = hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), intermediate, 1, 10)
-            .unwrap();
+        let out =
+            hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), intermediate.into(), 1, 10)
+                .and_then(Joined::into_rows)
+                .unwrap();
         assert_eq!(out.len(), 10);
         // Only the first group's 2 blocks read (+1 spill re-read).
         assert_eq!(clock.snapshot().reads(), 2 + 1);
@@ -192,7 +181,9 @@ mod tests {
         let ctx = ExecContext::new(&store, &clock);
         let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Lt, 5i64));
         let intermediate: Vec<Row> = (0..40i64).map(|k| row![k, k]).collect();
-        let out = hyper_step_join(ctx, "c", groups, 0, &preds, intermediate, 1, 10).unwrap();
+        let out = hyper_step_join(ctx, "c", groups, 0, &preds, intermediate.into(), 1, 10)
+            .and_then(Joined::into_rows)
+            .unwrap();
         assert_eq!(out.len(), 5);
     }
 
@@ -202,7 +193,9 @@ mod tests {
         let clock = SimClock::new();
         let ctx = ExecContext::new(&store, &clock);
         let out =
-            hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), Vec::new(), 1, 10).unwrap();
+            hyper_step_join(ctx, "c", groups, 0, &PredicateSet::none(), Joined::default(), 1, 10)
+                .and_then(Joined::into_rows)
+                .unwrap();
         assert!(out.is_empty());
         assert_eq!(clock.snapshot().reads(), 0);
     }

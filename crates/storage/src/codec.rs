@@ -749,20 +749,37 @@ impl LazyBlock {
         assert!(start <= end && end <= n, "gather range {start}..{end} out of {n} rows");
         assert_eq!(sel.len(), n, "selection width mismatch");
         let mut picked = sel.iter_ones().skip_while(|&i| i < start).take_while(|&i| i < end);
-        gather_columns(&self.dir, &self.bytes, &mut picked, self.dir.cols.len())
+        gather_columns(&self.dir, &self.bytes, &mut picked)
     }
 
-    /// Materialize the rows at the strictly ascending indices `picked`,
-    /// each with room for `spare` more cells — a join's probe rows,
-    /// which then take their build cells without reallocating. Fails
-    /// exactly as [`LazyBlock::gather_range`] does.
-    pub fn gather_with_spare(
+    /// Append the cells of row `r` to `out[t]`, one column after
+    /// another, for each `(r, t)` of `picks` — a join's materialiser
+    /// builds rows from several blocks this way, each row allocated
+    /// once. Rows must not descend; a row may repeat. Fails exactly as
+    /// [`LazyBlock::gather_range`] does.
+    pub fn gather_onto<I>(&self, picks: I, out: &mut [Vec<Value>]) -> Result<()>
+    where
+        I: Iterator<Item = (usize, usize)> + Clone,
+    {
+        self.check_columns()?;
+        for col in &self.dir.cols {
+            let payload = &self.bytes[col.start..col.end];
+            cells(col.tag, payload, picks.clone(), |t, v| out[t].push(v))?;
+        }
+        Ok(())
+    }
+
+    /// Call `f(t, cell)` with the cell of column `idx` at row `r`, for
+    /// each `(r, t)` of `picks`; rows as for [`LazyBlock::gather_onto`].
+    /// Fails exactly as [`LazyBlock::column`] does.
+    pub fn gather_column(
         &self,
-        picked: impl IntoIterator<Item = usize>,
-        spare: usize,
-    ) -> Result<Vec<Row>> {
-        let width = self.dir.cols.len() + spare;
-        gather_columns(&self.dir, &self.bytes, &mut picked.into_iter(), width)
+        idx: usize,
+        picks: impl Iterator<Item = (usize, usize)>,
+        f: impl FnMut(usize, Value),
+    ) -> Result<()> {
+        let col = self.region(idx)?;
+        cells(col.tag, col.payload(&self.bytes)?, picks, f)
     }
 
     /// The error of the block's first faulty column, if any: what every
@@ -832,8 +849,7 @@ impl LazyBlock {
     /// fetch-back, journal recovery). Cells decode straight into rows,
     /// one copy per cell.
     pub fn into_block(self) -> Result<Block> {
-        let rows =
-            gather_columns(&self.dir, &self.bytes, &mut (0..self.dir.rows), self.dir.cols.len())?;
+        let rows = gather_columns(&self.dir, &self.bytes, &mut (0..self.dir.rows))?;
         Ok(Block::new(self.id, rows))
     }
 }
@@ -1045,7 +1061,7 @@ fn cell<const W: usize>(payload: &[u8], i: usize) -> [u8; W] {
 const STACK_PICKS: usize = 256;
 
 /// Rows at the strictly ascending indices `picked` of a columnar
-/// payload, each allocated once with capacity `width`, decoded column
+/// payload, each allocated once at the block's width, decoded column
 /// by column straight into the row vectors; a faulty column fails the
 /// gather. The indices are listed once — on the stack for up to
 /// [`STACK_PICKS`] rows — then walked per column. `picked` is a trait
@@ -1054,7 +1070,6 @@ fn gather_columns(
     dir: &ColDirectory,
     bytes: &Bytes,
     picked: &mut dyn Iterator<Item = usize>,
-    width: usize,
 ) -> Result<Vec<Row>> {
     for col in &dir.cols {
         col.payload(bytes)?;
@@ -1079,47 +1094,47 @@ fn gather_columns(
         rows += 1;
     }
     let picked: &[u32] = if rows <= STACK_PICKS { &stack[..rows] } else { &heap };
+    let width = dir.cols.len();
     let mut out: Vec<Vec<Value>> = (0..rows).map(|_| Vec::with_capacity(width)).collect();
-    // `Str` payloads are walked up to the last picked cell.
-    let end = picked.last().map_or(0, |&i| i as usize + 1);
     for col in &dir.cols {
-        let payload = &bytes[col.start..col.end];
-        match col.tag {
-            0 => {
-                for (o, &i) in out.iter_mut().zip(picked) {
-                    o.push(Value::Int(i64::from_le_bytes(cell(payload, i as usize))));
-                }
-            }
-            1 => {
-                for (o, &i) in out.iter_mut().zip(picked) {
-                    let bits = u64::from_le_bytes(cell(payload, i as usize));
-                    o.push(Value::Double(f64::from_bits(bits)));
-                }
-            }
-            2 => {
-                let mut p = payload;
-                let mut next = picked.iter().zip(out.iter_mut()).peekable();
-                for i in 0..end {
-                    let raw = sound_frame(&mut p);
-                    if let Some((_, o)) = next.next_if(|(k, _)| **k as usize == i) {
-                        o.push(Value::Str(utf8(raw)?.into()));
-                    }
-                }
-            }
-            3 => {
-                for (o, &i) in out.iter_mut().zip(picked) {
-                    o.push(Value::Date(i32::from_le_bytes(cell(payload, i as usize))));
-                }
-            }
-            _ => {
-                for (o, &i) in out.iter_mut().zip(picked) {
-                    o.push(Value::Bool(payload[i as usize] != 0));
-                }
-            }
-        }
+        let picks = picked.iter().zip(out.iter_mut()).map(|(&i, o)| (i as usize, o));
+        cells(col.tag, &bytes[col.start..col.end], picks, Vec::push)?;
     }
     // Same layout: the row vectors become rows in place.
     Ok(out.into_iter().map(Row::new).collect())
+}
+
+/// Call `f(t, cell)` with the cell at row `r` of a sound column
+/// payload of directory tag `tag`, for each `(r, t)` of `picks`. Rows
+/// must not descend and may repeat: `Str` cells are skip-walked up to
+/// the last pick, and a repeated row reuses its framed cell.
+#[inline]
+fn cells<T>(
+    tag: u8,
+    payload: &[u8],
+    picks: impl Iterator<Item = (usize, T)>,
+    mut f: impl FnMut(T, Value),
+) -> Result<()> {
+    match tag {
+        0 => picks.for_each(|(i, t)| f(t, Value::Int(i64::from_le_bytes(cell(payload, i))))),
+        1 => picks.for_each(|(i, t)| {
+            f(t, Value::Double(f64::from_bits(u64::from_le_bytes(cell(payload, i)))))
+        }),
+        2 => {
+            let (mut p, mut framed, mut raw) = (payload, 0, &payload[..0]);
+            for (i, t) in picks {
+                assert!(i + 1 >= framed, "gathered rows must not descend");
+                while framed <= i {
+                    raw = sound_frame(&mut p);
+                    framed += 1;
+                }
+                f(t, Value::Str(utf8(raw)?.into()));
+            }
+        }
+        3 => picks.for_each(|(i, t)| f(t, Value::Date(i32::from_le_bytes(cell(payload, i))))),
+        _ => picks.for_each(|(i, t)| f(t, Value::Bool(payload[i] != 0))),
+    }
+    Ok(())
 }
 
 /// Decode one full column payload (of a column parse found sound) into
@@ -1340,12 +1355,17 @@ mod tests {
         // Empty selection.
         let none = adaptdb_common::BitSet::new(4);
         assert!(lazy.gather_range(0, 4, &none).unwrap().is_empty());
-        // With spare room: the same rows, each allocated for 3 + 2 cells.
-        let wide = lazy.gather_with_spare(sel.iter_ones(), 2).unwrap();
-        assert_eq!(wide, lazy.gather_range(0, 4, &sel).unwrap());
-        for row in wide {
-            assert!(row.into_values().capacity() >= 5);
-        }
+        // Onto rows that already hold cells, in any target order, a
+        // row picked twice: each target gets the row's cells appended.
+        let mut out = vec![vec![Value::Int(7)], vec![], vec![Value::Bool(true)]];
+        lazy.gather_onto([(0, 2), (2, 0), (2, 1)].into_iter(), &mut out).unwrap();
+        let want = |head: Vec<Value>, r: &Row| [head, r.values().to_vec()].concat();
+        assert_eq!(out[0], want(vec![Value::Int(7)], &rows[2]));
+        assert_eq!(out[1], want(vec![], &rows[2]));
+        assert_eq!(out[2], want(vec![Value::Bool(true)], &rows[0]));
+        let mut col = vec![Value::Int(0); 3];
+        lazy.gather_column(1, [(0, 1), (3, 0), (3, 2)].into_iter(), |t, v| col[t] = v).unwrap();
+        assert_eq!(col, [rows[3].get(1).clone(), rows[0].get(1).clone(), rows[3].get(1).clone()]);
     }
 
     /// Gathers past the stack's index buffer list the rest on the heap
@@ -1361,15 +1381,17 @@ mod tests {
         let want: Vec<Row> = picked.iter().map(|&i| rows[i].clone()).collect();
         assert!(want.len() > STACK_PICKS);
         assert_eq!(lazy.gather_range(0, n, &sel).unwrap(), want);
-        assert_eq!(lazy.gather_with_spare(picked.iter().copied(), 1).unwrap(), want);
+        let mut onto = vec![Vec::new(); want.len()];
+        lazy.gather_onto(picked.iter().copied().zip(0..), &mut onto).unwrap();
+        assert_eq!(onto.into_iter().map(Row::new).collect::<Vec<_>>(), want);
     }
 
     #[test]
-    #[should_panic(expected = "gathered rows must ascend")]
-    fn gather_with_spare_rejects_unordered_rows() {
-        let block = Block::new(1, (0..4i64).map(|i| row![i]).collect());
+    #[should_panic(expected = "gathered rows must not descend")]
+    fn gather_onto_rejects_descending_rows() {
+        let block = Block::new(1, (0..4i64).map(|i| row![i, format!("s{i}")]).collect());
         let lazy = LazyBlock::parse(encode_block_columnar(&block)).unwrap();
-        let _ = lazy.gather_with_spare([2, 1], 0);
+        let _ = lazy.gather_onto([(2, 0), (1, 1)].into_iter(), &mut [Vec::new(), Vec::new()]);
     }
 
     #[test]
@@ -1527,6 +1549,11 @@ mod tests {
         let lazy = LazyBlock::parse(Bytes::from(raw)).unwrap();
         let first_only = adaptdb_common::BitSet::from_indices(2, &[0]);
         assert!(matches!(lazy.gather_range(0, 2, &first_only), Err(Error::Codec(_))));
+        let mut onto = [Vec::new()];
+        assert!(matches!(lazy.gather_onto([(0, 0)].into_iter(), &mut onto), Err(Error::Codec(_))));
+        let col = lazy.gather_column(1, [(0, 0)].into_iter(), |_, _| ());
+        assert!(matches!(col, Err(Error::Codec(_))));
+        assert!(lazy.gather_column(0, [(0, 0)].into_iter(), |_, _| ()).is_ok());
         assert!(matches!(lazy.column(1), Err(Error::Codec(_))));
         assert!(matches!(lazy.raw_columns(), Err(Error::Codec(_))));
         let mut sel = first_only.clone();

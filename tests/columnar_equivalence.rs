@@ -19,7 +19,9 @@ use adaptdb_common::{
     row, CmpOp, GlobalBlockId, Predicate, PredicateSet, Query, Row, ScanQuery, Value,
 };
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{scan_blocks, shuffle_join, ExecContext, ShuffleJoinSpec, ShuffleOptions};
+use adaptdb_exec::{
+    scan_blocks, shuffle_join, ExecContext, Joined, ShuffleJoinSpec, ShuffleOptions,
+};
 use adaptdb_storage::{Block, BlockStore};
 use adaptdb_workloads::tpch::{li, Template, TpchGen};
 use adaptdb_workloads::zipf;
@@ -236,6 +238,7 @@ fn zipfian_shuffle_join_is_format_invariant() {
                 rows_per_block: 50,
             },
         )
+        .and_then(Joined::into_rows)
         .unwrap();
         (sorted(rows), clock.snapshot(), clock.shuffle_snapshot())
     };

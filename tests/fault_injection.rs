@@ -10,7 +10,7 @@ use adaptdb_common::{
     row, Error, JoinQuery, PredicateSet, Query, Row, ScanQuery, Schema, ValueType,
 };
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{reduce_partition, ExecContext, ShuffleOptions, ShuffleService};
+use adaptdb_exec::{reduce_partition, ExecContext, Joined, ShuffleOptions, ShuffleService};
 use adaptdb_storage::BlockStore;
 
 fn schema2() -> Schema {
@@ -143,7 +143,11 @@ fn reducer_node_death_mid_shuffle_fails_over() {
         let plan = svc.split_plan(&left, &right);
         let mut rows = Vec::new();
         for (p, &k) in plan.iter().enumerate() {
-            rows.extend(reduce_partition(&svc, p, k, &left, &right, 0, 0).unwrap());
+            rows.extend(
+                reduce_partition(&svc, p, k, &left, &right, 0, 0)
+                    .and_then(Joined::into_rows)
+                    .unwrap(),
+            );
         }
         svc.cleanup();
         rows.sort_by(|a, b| a.values().cmp(b.values()));

@@ -1,18 +1,19 @@
 //! Order-exact join tests.
 //!
-//! Every join operator moves the probe row it owns into its last
-//! output row and copies it only for earlier matches of the same key.
-//! These tests pin that this changes nothing a caller can see: each
-//! operator's output equals a nested-loop reference *in output order*
-//! (not just as a multiset), with 0, 1, 2 and 5 build matches per
-//! probe key and with either side as the build side. The split and
+//! Every join operator emits (probe id, build id) pairs and builds its
+//! rows once, when they are asked for; a multi-way chain carries ids
+//! from step to step. These tests pin that this changes nothing a
+//! caller can see: each operator's output equals a nested-loop
+//! reference *in output order* (not just as a multiset), with 0, 1, 2
+//! and 5 build matches per probe key, with either side as the build
+//! side, and through a chain of steps whose groups overlap. The split and
 //! memory-budgeted reduce paths are pinned the same way in
 //! `adaptdb_exec::shuffle_join`'s unit tests.
 
 use adaptdb_common::{row, AttrId, CmpOp, Predicate, PredicateSet, Row, Value, ValueRange};
 use adaptdb_dfs::SimClock;
 use adaptdb_exec::{
-    hash_join_rows, hyper_join, hyper_step_join, shuffle_join, ExecContext, HyperJoinSpec,
+    hash_join_rows, hyper_join, hyper_step_join, shuffle_join, ExecContext, HyperJoinSpec, Joined,
     ShuffleJoinSpec, ShuffleOptions, ShuffleService, StepGroup,
 };
 use adaptdb_join::{HyperJoinPlan, JoinSide};
@@ -168,6 +169,7 @@ fn hyper_join_matches_nested_loop_in_order() {
                     plan: &plan,
                 },
             )
+            .and_then(Joined::into_rows)
             .unwrap();
             assert_eq!(got, want, "{build_side:?} window={window}");
         }
@@ -182,9 +184,8 @@ fn hyper_step_join_matches_nested_loop_in_order() {
     let ids = write_table(&store, "c", &build);
     let preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Neq, 6i64));
     // Overlapping group ranges: a probe row routes to two or three
-    // groups (copied into all but its last, moved into that one); each
-    // build row still lives in exactly one group, and the last group
-    // has no blocks at all.
+    // groups; each build row still lives in exactly one group, and the
+    // last group has no blocks at all.
     let half = ids.len() / 2;
     let groups = vec![
         StepGroup {
@@ -202,21 +203,120 @@ fn hyper_step_join_matches_nested_loop_in_order() {
         .into_iter()
         .map(|r| Row::new(r.into_values().into_iter().rev().collect()))
         .collect();
-    let mut want = Vec::new();
-    for g in &groups {
-        let stored_rows = stored(&store, "c", &g.blocks, &preds);
-        for p in intermediate.iter().filter(|p| g.range.contains(p.get(1))) {
-            for b in stored_rows.iter().filter(|b| b.get(0) == p.get(1)) {
-                want.push(p.concat(b));
-            }
-        }
-    }
+    let want = step_reference(&store, "c", &groups, &preds, &intermediate, 1);
     assert!(want.len() > 40, "{} outputs", want.len());
     let clock = SimClock::new();
     let ctx = ExecContext::new(&store, &clock);
-    let got =
-        hyper_step_join(ctx, "c", groups, 0, &preds, intermediate, 1, ROWS_PER_BLOCK).unwrap();
+    let got = hyper_step_join(ctx, "c", groups, 0, &preds, intermediate.into(), 1, ROWS_PER_BLOCK)
+        .and_then(Joined::into_rows)
+        .unwrap();
     assert_eq!(got, want);
+}
+
+/// A step join's kernel order as a nested loop: per group, per
+/// intermediate row whose column `attr` lies in the group's range, the
+/// group's stored rows that pass `preds` and share the key (column 0),
+/// in block order — every output `intermediate ++ stored`.
+fn step_reference(
+    store: &BlockStore,
+    table: &str,
+    groups: &[StepGroup],
+    preds: &PredicateSet,
+    intermediate: &[Row],
+    attr: AttrId,
+) -> Vec<Row> {
+    let mut out = Vec::new();
+    for g in groups {
+        let stored_rows = stored(store, table, &g.blocks, preds);
+        for p in intermediate.iter().filter(|p| g.range.contains(p.get(attr))) {
+            for b in stored_rows.iter().filter(|b| b.get(0) == p.get(attr)) {
+                out.push(p.concat(b));
+            }
+        }
+    }
+    out
+}
+
+/// Groups over `blocks` cut in `parts` pieces, with ranges `ranges`
+/// (a group past the last piece has no blocks).
+fn step_groups(blocks: &[u32], parts: usize, ranges: &[(i64, i64)]) -> Vec<StepGroup> {
+    let per = blocks.len().div_ceil(parts);
+    let mut pieces = blocks.chunks(per);
+    ranges
+        .iter()
+        .map(|&(lo, hi)| StepGroup {
+            blocks: pieces.next().map_or(Vec::new(), <[u32]>::to_vec),
+            range: ValueRange::new(Value::Int(lo), Value::Int(hi)),
+        })
+        .collect()
+}
+
+/// A four-table chain: `a ⋈ b` by hyper-join, then two step joins
+/// whose group ranges overlap, so one intermediate row lands in several
+/// groups and a result carries ids through both steps. The rows come
+/// back in the nested-loop order of every stage.
+#[test]
+fn four_table_chain_with_overlapping_step_groups_matches_nested_loop_in_order() {
+    let store = BlockStore::new(4, 1, 7);
+    let mut b = build_rows();
+    b.sort_by(|x, y| x.get(0).cmp(y.get(0)));
+    let (a_ids, b_ids) = (write_table(&store, "a", &probe_rows()), write_table(&store, "b", &b));
+    // `c` rows `[key, d key]`: keys 0..KEYS, every third twice.
+    let c: Vec<Row> =
+        (0..KEYS).flat_map(|k| vec![row![k, (k * 5) % 11]; 1 + usize::from(k % 3 == 0)]).collect();
+    let c_ids = write_table(&store, "c", &c);
+    // `d` rows `[d key, payload]`: d keys 0..11, each once or twice.
+    let d: Vec<Row> = (0..16i64).map(|i| row![(i * 7) % 11, format!("d{i}")]).collect();
+    let d_ids = write_table(&store, "d", &d);
+    let none = PredicateSet::none();
+    let plan = HyperJoinPlan {
+        build_side: JoinSide::Right,
+        groups: b_ids.chunks(3).map(<[u32]>::to_vec).collect(),
+        probes: vec![a_ids.clone(); b_ids.len().div_ceil(3)],
+        est_build_reads: 0,
+        est_probe_reads: 0,
+        c_hyj: 1.0,
+    };
+    let c_groups = step_groups(&c_ids, 3, &[(0, 14), (8, KEYS), (4, 20)]);
+    let d_groups = step_groups(&d_ids, 2, &[(0, 6), (3, 10), (0, 10)]);
+    let c_preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Neq, 9i64));
+    let d_preds = PredicateSet::none().and(Predicate::new(0, CmpOp::Neq, 4i64));
+    // Reference: the first join per group, per probe block, per probe
+    // row, then each step as its nested loop.
+    let mut first = Vec::new();
+    for (g, pbs) in plan.groups.iter().zip(&plan.probes) {
+        let build = stored(&store, "b", g, &none);
+        for p in stored(&store, "a", pbs, &none) {
+            first.extend(build.iter().filter(|b| b.get(0) == p.get(0)).map(|b| p.concat(b)));
+        }
+    }
+    let second = step_reference(&store, "c", &c_groups, &c_preds, &first, 0);
+    let want = step_reference(&store, "d", &d_groups, &d_preds, &second, 5);
+    let in_groups = |groups: &[StepGroup], r: &Row, attr| {
+        groups.iter().filter(|g| !g.blocks.is_empty() && g.range.contains(r.get(attr))).count()
+    };
+    assert!(first.iter().any(|r| in_groups(&c_groups, r, 0) > 1), "no row meets two c groups");
+    assert!(second.iter().any(|r| in_groups(&d_groups, r, 5) > 1), "no row meets two d groups");
+    assert!(want.len() > 40 && want.iter().all(|r| r.arity() == 8), "{} outputs", want.len());
+    for window in [1, 4] {
+        let clock = SimClock::new();
+        let ctx = ExecContext::new(&store, &clock).with_fetch_window(window);
+        let spec = HyperJoinSpec {
+            left_table: "a",
+            right_table: "b",
+            left_attr: 0,
+            right_attr: 0,
+            left_preds: &none,
+            right_preds: &none,
+            plan: &plan,
+        };
+        let got = hyper_join(ctx, spec)
+            .and_then(|j| hyper_step_join(ctx, "c", c_groups.clone(), 0, &c_preds, j, 0, 6))
+            .and_then(|j| hyper_step_join(ctx, "d", d_groups.clone(), 0, &d_preds, j, 5, 6))
+            .and_then(Joined::into_rows)
+            .unwrap();
+        assert_eq!(got, want, "window={window}");
+    }
 }
 
 /// Every row of a reducer's drained runs, in arrival order.
@@ -250,6 +350,7 @@ fn shuffle_join_matches_nested_loop_in_order() {
                 rows_per_block: ROWS_PER_BLOCK,
             },
         )
+        .and_then(Joined::into_rows)
         .unwrap();
         // Reference: the same spill and fetch, then a nested loop per
         // partition in partition order.

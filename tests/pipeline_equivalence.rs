@@ -12,7 +12,7 @@
 use adaptdb::{Database, DbConfig, Mode};
 use adaptdb_common::{row, CostParams, PredicateSet, Query, Row};
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{shuffle_join, ExecContext, ShuffleJoinSpec, ShuffleOptions};
+use adaptdb_exec::{shuffle_join, ExecContext, Joined, ShuffleJoinSpec, ShuffleOptions};
 use adaptdb_storage::{BlockStore, LazyBlock};
 use adaptdb_workloads::tpch::{li, Template, TpchGen};
 
@@ -217,6 +217,7 @@ fn deeper_windows_save_monotonically_at_equal_counts() {
                 rows_per_block: 100,
             },
         )
+        .and_then(Joined::into_rows)
         .unwrap();
         assert_eq!(rows.len(), 1600);
         let io = clock.snapshot();
@@ -256,6 +257,7 @@ fn deeper_windows_save_monotonically_at_equal_counts() {
             rows_per_block: 100,
         },
     )
+    .and_then(Joined::into_rows)
     .unwrap();
     let fetch_serial = (sh.local_fetches as f64 * params.block_read_secs
         + sh.remote_fetches as f64 * params.block_read_secs * params.remote_read_penalty)

@@ -1,10 +1,10 @@
 //! Heap traffic of the query and adaptation paths, counted exactly. A
 //! counting allocator pins three mechanisms down:
 //!
-//! * a hyper-join builds each output row once — the probe row is
-//!   gathered at the output width and takes its build cells in place —
-//!   and gathers a build row only if a probe row matches it, while its
-//!   hash table allocates nothing per key;
+//! * a hyper-join, and a step join after it, build each final row
+//!   once, at the final width, when the rows are asked for — no probe,
+//!   build or intermediate row is built on the way — while the hash
+//!   tables allocate nothing per key;
 //! * an Amoeba proposal scores its candidates into one reused buffer,
 //!   so its allocations do not grow with the query window;
 //! * a seeded Fig. 13b shifting sequence stays within 5 % of the heap
@@ -19,7 +19,7 @@ use adaptdb_common::{
     rng, row, CmpOp, CostParams, Predicate, PredicateSet, Row, Value, ValueRange,
 };
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{hyper_join, ExecContext, HyperJoinSpec};
+use adaptdb_exec::{hyper_join, hyper_step_join, ExecContext, HyperJoinSpec, Joined, StepGroup};
 use adaptdb_join::planner::plan;
 use adaptdb_join::{HyperJoinPlan, JoinDecision, JoinSide};
 use adaptdb_storage::BlockStore;
@@ -104,14 +104,15 @@ fn hyper_join_allocates_once_per_output_row() {
                 plan: &p,
             },
         )
+        .and_then(Joined::into_rows)
         .unwrap()
     });
     let out_rows = out.len();
     assert_eq!(out_rows, 8 * 64);
     assert!(out.iter().all(|r| r.arity() == 5 && r.get(0) == r.get(3)));
-    // One allocation per output row (its probe row, gathered at the
-    // output width), one per build row, and a bounded handful per block
-    // read — no per-key bucket, no realloc of a gathered row.
+    // One allocation per output row (built once, at the output width),
+    // at most one per build row, and a bounded handful per block read —
+    // no per-key bucket, no realloc of a built row.
     let blocks = left.len() + right.len();
     let bound = out_rows + KEYS as usize + 16 * blocks;
     assert!(allocs <= bound, "{allocs} allocations for {out_rows} output rows (bound {bound})");
@@ -163,18 +164,87 @@ fn hyper_join_gathers_only_matched_build_rows() {
                 plan: &p,
             },
         )
+        .and_then(Joined::into_rows)
         .unwrap()
     });
     let out_rows = out.len();
     assert_eq!(out_rows, 2 * BUILD_BLOCKS as usize * 64);
     assert!(out.iter().all(|r| r.arity() == 6 && r.get(0) == r.get(3)));
     let matched = BUILD_BLOCKS as usize * 8;
-    // One allocation per output row, one per *matched* build row, and
-    // a bounded handful per block read: the 448 build rows no probe row
-    // meets are never gathered.
+    // One allocation per output row, at most one per *matched* build
+    // row, and a bounded handful per block read: the 448 build rows no
+    // probe row meets are never gathered.
     let reads = clock.snapshot().reads();
     let bound = out_rows + matched + 16 * reads;
     assert!(allocs <= bound, "{allocs} allocations for {out_rows} output rows (bound {bound})");
+}
+
+#[test]
+fn step_join_allocates_once_per_final_row() {
+    // `a ⋈ b` by hyper-join on column 0, then `⋈ c` by a step join on
+    // the intermediate's column 1. `a`: 16 blocks of 64 rows, keys 0..32
+    // and one `c` key each. `b`: one block, each key once. `c`: 8 blocks
+    // of 64 rows, in two groups; its predicate keeps one row in eight,
+    // so seven intermediate rows in eight match nothing.
+    let store = BlockStore::new(4, 1, 1);
+    let a: Vec<u32> = (0..16i64)
+        .map(|blk| {
+            let rows = (0..64i64).map(|i| row![i % 32, (blk * 64 + i) % 512, "a payload"]);
+            store.write_block("a", rows.collect(), 3, None)
+        })
+        .collect();
+    let b = store.write_block("b", (0..32i64).map(|k| row![k, k * 10]).collect(), 2, None);
+    let c: Vec<u32> = (0..8i64)
+        .map(|blk| {
+            let rows = (0..64i64).map(|i| row![blk * 64 + i, i % 8, "c payload"]);
+            store.write_block("c", rows.collect(), 3, None)
+        })
+        .collect();
+    let p = HyperJoinPlan {
+        build_side: JoinSide::Right,
+        groups: vec![vec![b]],
+        probes: vec![a.clone()],
+        est_build_reads: 1,
+        est_probe_reads: a.len(),
+        c_hyj: 1.0,
+    };
+    let groups: Vec<StepGroup> = c
+        .chunks(4)
+        .zip([0i64, 256])
+        .map(|(blocks, lo)| StepGroup {
+            blocks: blocks.to_vec(),
+            range: ValueRange::new(Value::Int(lo), Value::Int(lo + 255)),
+        })
+        .collect();
+    let none = PredicateSet::none();
+    let keep = PredicateSet::none().and(Predicate::new(1, CmpOp::Eq, 0i64));
+    let clock = SimClock::new();
+    let (out, allocs) = allocations(|| {
+        let ctx = ExecContext::new(&store, &clock);
+        let spec = HyperJoinSpec {
+            left_table: "a",
+            right_table: "b",
+            left_attr: 0,
+            right_attr: 0,
+            left_preds: &none,
+            right_preds: &none,
+            plan: &p,
+        };
+        let first = hyper_join(ctx, spec).unwrap();
+        assert_eq!(first.len(), 16 * 64);
+        hyper_step_join(ctx, "c", groups, 0, &keep, first, 1, 64)
+            .and_then(Joined::into_rows)
+            .unwrap()
+    });
+    let out_rows = out.len();
+    assert_eq!(out_rows, 16 * 64 / 8);
+    assert!(out.iter().all(|r| r.arity() == 8 && r.get(1) == r.get(5) && r.get(6) == &0i64.into()));
+    // One allocation per final row — none per intermediate row — and a
+    // bounded handful per block read.
+    let blocks = a.len() + 1 + c.len();
+    let bound = out_rows + 16 * blocks;
+    println!("step join: {out_rows} final rows, {allocs} allocations");
+    assert!(allocs <= bound, "{allocs} allocations for {out_rows} final rows (bound {bound})");
 }
 
 /// Allocations of one `propose_with` on a memo miss, over a window of
@@ -223,10 +293,11 @@ fn proposal_scoring_allocates_the_same_at_any_window_length() {
 /// release builds.
 const SHIFTING_SEQUENCE_ALLOCATIONS_BEFORE: usize = 319_277;
 
-/// What the same sequence makes now that hash joins gather a build row
-/// only when a probe row matches it, and look keys up where they lie
-/// (198 263 before that step). The test allows 5 % above it.
-const SHIFTING_SEQUENCE_ALLOCATIONS: usize = 169_090;
+/// What the same sequence makes now that joins carry row ids between
+/// steps and build each result row once, at the query's final width
+/// (169 090 before that step, 198 263 before hash joins looked keys up
+/// where they lie). The test allows 5 % above it.
+const SHIFTING_SEQUENCE_ALLOCATIONS: usize = 138_921;
 
 // The allowance stays under seven tenths of the old engine's count.
 const _: () = assert!(

@@ -10,7 +10,7 @@
 use adaptdb::{Database, DbConfig, Mode};
 use adaptdb_common::{row, PredicateSet, Query, Row, Value};
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{hash_join_rows, shuffle_join, ExecContext, ShuffleJoinSpec};
+use adaptdb_exec::{hash_join_rows, shuffle_join, ExecContext, Joined, ShuffleJoinSpec};
 use adaptdb_storage::BlockStore;
 use adaptdb_workloads::tpch::{li, Template, TpchGen};
 
@@ -85,7 +85,9 @@ fn service_join_matches_in_process_reference() {
     let (store, lids, rids) = synthetic_store(4, 1, 600);
     let none = PredicateSet::none();
     let clock = SimClock::new();
-    let got = shuffle_join(ExecContext::new(&store, &clock), spec(&lids, &rids, &none)).unwrap();
+    let got = shuffle_join(ExecContext::new(&store, &clock), spec(&lids, &rids, &none))
+        .and_then(Joined::into_rows)
+        .unwrap();
     let want = in_process_reference(&store, ("l", &lids), ("r", &rids), &none, 4);
     assert_eq!(sorted(got), sorted(want), "service shuffle must be row-identical");
     // With predicates too.
@@ -94,7 +96,9 @@ fn service_join_matches_in_process_reference() {
         adaptdb_common::CmpOp::Lt,
         40i64,
     ));
-    let got = shuffle_join(ExecContext::new(&store, &clock), spec(&lids, &rids, &preds)).unwrap();
+    let got = shuffle_join(ExecContext::new(&store, &clock), spec(&lids, &rids, &preds))
+        .and_then(Joined::into_rows)
+        .unwrap();
     let want = in_process_reference(&store, ("l", &lids), ("r", &rids), &preds, 4);
     assert!(!want.is_empty());
     assert_eq!(sorted(got), sorted(want));
@@ -105,12 +109,15 @@ fn service_join_is_identical_after_node_failure() {
     let (store, lids, rids) = synthetic_store(4, 2, 600);
     let none = PredicateSet::none();
     let healthy_clock = SimClock::new();
-    let healthy =
-        shuffle_join(ExecContext::new(&store, &healthy_clock), spec(&lids, &rids, &none)).unwrap();
+    let healthy = shuffle_join(ExecContext::new(&store, &healthy_clock), spec(&lids, &rids, &none))
+        .and_then(Joined::into_rows)
+        .unwrap();
     store.dfs_mut().fail_node(0);
     let degraded_clock = SimClock::new();
     let degraded =
-        shuffle_join(ExecContext::new(&store, &degraded_clock), spec(&lids, &rids, &none)).unwrap();
+        shuffle_join(ExecContext::new(&store, &degraded_clock), spec(&lids, &rids, &none))
+            .and_then(Joined::into_rows)
+            .unwrap();
     assert_eq!(sorted(healthy), sorted(degraded), "fail-over must not change the join");
     // The degraded run still spills and fetches — on live nodes only.
     let sh = degraded_clock.shuffle_snapshot();
@@ -148,7 +155,8 @@ fn csj_accounting_with_local_remote_split() {
         right_preds: &none,
         rows_per_block: 100,
     };
-    let rows = shuffle_join(ExecContext::new(&store, &clock), s).unwrap();
+    let rows =
+        shuffle_join(ExecContext::new(&store, &clock), s).and_then(Joined::into_rows).unwrap();
     assert_eq!(rows.len(), 1600);
 
     let io = clock.snapshot();

@@ -13,7 +13,9 @@
 use adaptdb::{Database, DbConfig, Mode};
 use adaptdb_common::{row, PredicateSet, Query, Row};
 use adaptdb_dfs::SimClock;
-use adaptdb_exec::{hash_join_rows, shuffle_join, ExecContext, ShuffleJoinSpec, ShuffleOptions};
+use adaptdb_exec::{
+    hash_join_rows, shuffle_join, ExecContext, Joined, ShuffleJoinSpec, ShuffleOptions,
+};
 use adaptdb_storage::BlockStore;
 use adaptdb_workloads::tpch::{li, Template, TpchGen};
 use adaptdb_workloads::zipf;
@@ -107,6 +109,7 @@ fn budgeted_joins_match_reference_at_every_budget() {
     for budget in [None, Some(16), Some(4), Some(1)] {
         let clock = SimClock::new();
         let got = shuffle_join(skew_ctx(&store, &clock, budget, None), spec(&lids, &rids, &none))
+            .and_then(Joined::into_rows)
             .unwrap();
         assert_eq!(sorted(got), sorted(want.clone()), "budget {budget:?} changed the join result");
         let sh = clock.shuffle_snapshot();
@@ -144,8 +147,9 @@ fn recursion_cap_falls_back_without_changing_rows() {
     let want = in_process_reference(&store, ("l", &lids), ("r", &rids), 4);
     assert_eq!(want.len(), 60_000);
     let clock = SimClock::new();
-    let got =
-        shuffle_join(skew_ctx(&store, &clock, Some(1), None), spec(&lids, &rids, &none)).unwrap();
+    let got = shuffle_join(skew_ctx(&store, &clock, Some(1), None), spec(&lids, &rids, &none))
+        .and_then(Joined::into_rows)
+        .unwrap();
     assert_eq!(sorted(got), sorted(want));
     let sh = clock.shuffle_snapshot();
     assert!(sh.peak_reducer_mem_blocks <= 1, "BNL leaf broke the budget");
@@ -165,6 +169,7 @@ fn hot_partition_splitting_matches_reference() {
         let clock = SimClock::new();
         let got =
             shuffle_join(skew_ctx(&store, &clock, budget, Some(1.3)), spec(&lids, &rids, &none))
+                .and_then(Joined::into_rows)
                 .unwrap();
         assert_eq!(
             sorted(got),
@@ -191,9 +196,10 @@ fn unbounded_budget_reproduces_block_counts_bit_identically() {
         replication: 1,
         split_threshold: None,
     });
-    let a = shuffle_join(base, spec(&lids, &rids, &none)).unwrap();
+    let a = shuffle_join(base, spec(&lids, &rids, &none)).and_then(Joined::into_rows).unwrap();
     let c_unbounded = SimClock::new();
     let b = shuffle_join(skew_ctx(&store, &c_unbounded, None, None), spec(&lids, &rids, &none))
+        .and_then(Joined::into_rows)
         .unwrap();
     assert_eq!(sorted(a), sorted(b));
     assert_eq!(c_default.snapshot(), c_unbounded.snapshot(), "block counts must match");
