@@ -58,6 +58,10 @@ pub struct ExplainReport {
     pub build_side: Option<JoinSide>,
     /// Number of build groups in the schedule.
     pub groups: Option<usize>,
+    /// The first join's hyper-join cover and shuffle legs, when it runs
+    /// both (mid-migration), e.g. `hyper-join: left matching × right
+    /// all; shuffle: left other × right all`.
+    pub cover: Option<String>,
     /// Per-reducer build-side memory budget (blocks) the join would run
     /// under ([`crate::DbConfig::join_mem_budget_blocks`]). `None` =
     /// unbounded builds, the pre-budget behavior.
@@ -119,6 +123,9 @@ impl std::fmt::Display for ExplainReport {
         }
         if let (Some(side), Some(groups)) = (self.build_side, self.groups) {
             writeln!(f, "  build side: {side:?}, {groups} groups")?;
+        }
+        if let Some(cover) = &self.cover {
+            writeln!(f, "  {cover}")?;
         }
         if let Some(budget) = self.join_mem_budget_blocks {
             writeln!(f, "  join memory budget: {budget} blocks per reducer build")?;
@@ -278,6 +285,7 @@ impl Database {
             est_c_hyj: hyper.map(|p| p.c_hyj),
             build_side: hyper.map(|p| p.build_side),
             groups: hyper.map(|p| p.groups.len()),
+            cover: first.and_then(JoinPlan::describe_cover),
             join_mem_budget_blocks: first.and(config.join_mem_budget_blocks),
             est_cost_blocks: est.blocks,
             est_lane: est.lane(config),
@@ -374,6 +382,7 @@ mod tests {
         assert_eq!(report.strategy, JoinStrategy::HyperJoin);
         assert_eq!(report.est_shuffle_spill_blocks, 0);
         assert_eq!(report.est_fetch_secs_serial, 0.0, "nothing shuffled, nothing fetched");
+        assert!(report.cover.is_none(), "a pure hyper-join names no cover");
     }
 
     #[test]
@@ -486,6 +495,81 @@ mod tests {
         let report = d.explain(&join()).unwrap();
         assert!(report.delta_blocks > 0, "append must surface as delta blocks");
         assert!(report.to_string().contains("unfolded delta blocks"));
+    }
+
+    /// A database whose tables migrate towards trees on `k` while a
+    /// join on `k` runs: up-front trees on `x` alone, with `l`'s keys
+    /// scattered over its tree, so its unmigrated blocks are not
+    /// co-partitioned with anything. `r` is left for the caller to load.
+    fn migrating() -> Database {
+        let config = DbConfig {
+            rows_per_block: 10,
+            window_size: 20,
+            buffer_blocks: 2,
+            adapt_selections: false,
+            ..DbConfig::small()
+        };
+        let mut d = Database::new(config);
+        let schema = Schema::from_pairs(&[("k", ValueType::Int), ("x", ValueType::Int)]);
+        d.create_table("l", schema.clone(), vec![1]).unwrap();
+        d.create_table("r", schema, vec![1]).unwrap();
+        d.load_rows("l", (0..400i64).map(|i| row![(i * 37) % 200, i])).unwrap();
+        d
+    }
+
+    /// [`migrating`] with `r`'s keys clustered over its up-front tree.
+    fn migrating_both() -> Database {
+        let mut d = migrating();
+        d.load_rows("r", (0..200i64).map(|i| row![i, i])).unwrap();
+        d
+    }
+
+    /// EXPLAIN of a join that hyper-joins its cover and shuffles the
+    /// rest: the cover line, the strategy, and spill blocks equal to
+    /// the blocks the named legs read.
+    fn assert_cover(report: &ExplainReport, cover: &str, spill: usize) {
+        assert_eq!(report.strategy, JoinStrategy::Mixed);
+        assert_eq!(report.cover.as_deref(), Some(cover));
+        assert!(report.to_string().contains(&format!("\n  {cover}\n")), "{report}");
+        assert_eq!(report.est_shuffle_spill_blocks, spill);
+    }
+
+    #[test]
+    fn explain_names_a_matching_by_all_cover() {
+        let mut d = migrating_both();
+        d.run(&join()).unwrap();
+        let report = d.explain(&join()).unwrap();
+        let [(_, _, l_other), (_, r_matching, r_other)] = report.candidates[..] else { panic!() };
+        assert!(l_other > 0 && r_matching > 0 && r_other > 0, "{report}");
+        let cover = "hyper-join: left matching × right all; shuffle: left other × right all";
+        assert_cover(&report, cover, l_other + r_matching + r_other);
+    }
+
+    #[test]
+    fn explain_names_an_all_by_matching_cover() {
+        let mut d = migrating_both();
+        d.run(&join()).unwrap();
+        let swapped = Query::Join(JoinQuery::new(ScanQuery::full("r"), ScanQuery::full("l"), 0, 0));
+        let report = d.explain(&swapped).unwrap();
+        let [(_, r_matching, r_other), (_, _, l_other)] = report.candidates[..] else { panic!() };
+        let cover = "hyper-join: left all × right matching; shuffle: left all × right other";
+        assert_cover(&report, cover, r_matching + r_other + l_other);
+    }
+
+    #[test]
+    fn explain_names_a_matching_by_matching_cover() {
+        // The right table is loaded under a tree on `k`; once the left
+        // one starts migrating, the matching × matching split
+        // hyper-joins the migrated blocks and shuffles the left side's
+        // rest against the whole right side.
+        let mut d = migrating();
+        d.load_two_phase("r", (0..100i64).map(|i| row![i, i]).collect(), 0, None).unwrap();
+        d.run(&join()).unwrap();
+        let report = d.explain(&join()).unwrap();
+        let [(_, _, l_other), (_, r_matching, r_other)] = report.candidates[..] else { panic!() };
+        assert!(l_other > 0 && r_other == 0, "{report}");
+        let cover = "hyper-join: left matching × right matching; shuffle: left other × right all";
+        assert_cover(&report, cover, l_other + r_matching);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!
 //! [`classify_candidates`] splits a table's candidate blocks into the
 //! *matching* set (stored under a tree whose join attribute equals the
-//! query's) and the *other* set; the plan hyper-joins matching ×
-//! matching and shuffles the remainder, if that beats one full shuffle
-//! (§5.4).
+//! query's) and the *other* set; the plan hyper-joins the cheapest
+//! *cover* of those parts and shuffles the rest of L×R, if that beats
+//! one full shuffle (§5.4).
 
 use std::borrow::Cow;
 
@@ -35,6 +35,7 @@ use adaptdb_storage::BlockStore;
 use crate::config::Mode;
 use crate::readpath::SnapshotSource;
 use crate::table::TableSnapshot;
+use Part::{All, Matching, Other};
 
 /// Candidate blocks for one side of a join, split by tree affinity.
 #[derive(Debug, Clone, Default)]
@@ -82,7 +83,7 @@ impl SideCandidates {
     }
 }
 
-/// Which of a side's candidates a shuffle leg reads.
+/// Which of a side's candidates a hyper-join or a shuffle leg reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Part {
     /// [`SideCandidates::matching`].
@@ -91,6 +92,37 @@ pub(crate) enum Part {
     Other,
     /// Both, matching first.
     All,
+}
+
+impl Part {
+    /// Lower-case name, as `EXPLAIN` prints it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Part::Matching => "matching",
+            Part::Other => "other",
+            Part::All => "all",
+        }
+    }
+}
+
+/// Parts of `(left, right)`: a hyper-join's cover, or a shuffle leg.
+pub(crate) type Parts = (Part, Part);
+
+/// Each cover a hyper-join can read, as parts of `(left, right)`, with
+/// the shuffle legs that join the rest of L×R, so that every pair of
+/// blocks is joined exactly once. The matching × matching split comes
+/// first.
+const COVERS: [(Parts, &[Parts]); 4] = [
+    ((Matching, Matching), &[(Matching, Other), (Other, All)]),
+    ((Matching, All), &[(Other, All)]),
+    ((All, Matching), &[(All, Other)]),
+    ((All, All), &[]),
+];
+
+/// The shuffle legs of `cover` ([`COVERS`]) with blocks on both sides.
+fn cover_legs(left: &SideCandidates, right: &SideCandidates, cover: Parts) -> Vec<Parts> {
+    let legs = COVERS.iter().find(|(c, _)| *c == cover).map_or(&[][..], |(_, legs)| legs);
+    legs.iter().copied().filter(|&(l, r)| left.count(l) > 0 && right.count(r) > 0).collect()
 }
 
 /// Classify a table's `lookup` results by whether their tree matches the
@@ -183,11 +215,11 @@ pub(crate) enum JoinChoice {
     /// shuffle cost and the hyper-join alternative's cost, when the mode
     /// let the planner weigh one.
     Shuffle { costs: Option<(f64, f64)> },
-    /// Hyper-join under `plan`. When `split`, the schedule covers the
-    /// matching-tree blocks only, and each side's other blocks are
-    /// shuffled after it (§6 case 2); otherwise it covers every
-    /// candidate.
-    Hyper { plan: HyperJoinPlan, split: bool },
+    /// Hyper-join the parts `cover` names under `plan`, then shuffle
+    /// the rest of L×R ([`JoinPlan::shuffle_legs`]). A cover other than
+    /// all × all is §6 case 2's hyper-join of the blocks already under
+    /// a tree on the join attribute, on one side or both.
+    Hyper { plan: HyperJoinPlan, cover: Parts },
 }
 
 /// The plan of one multi-way step (§4.3), with the step table's
@@ -222,25 +254,24 @@ impl JoinPlan<'_> {
     }
 
     /// The shuffle joins this join runs, in order, as the part of each
-    /// side they read. A full shuffle reads every candidate; a pure
-    /// hyper-join none. A split schedule shuffles the right side's other
-    /// blocks against the left's matching ones, then the left side's
-    /// other blocks against all of the right.
-    pub(crate) fn shuffle_legs(&self) -> Vec<(Part, Part)> {
+    /// side they read. A full shuffle reads every candidate; a
+    /// hyper-join, the legs its cover leaves ([`COVERS`]) that have
+    /// blocks on both sides: none for all × all.
+    pub(crate) fn shuffle_legs(&self) -> Vec<Parts> {
         match self.choice {
             JoinChoice::Shuffle { .. } => vec![(Part::All, Part::All)],
-            JoinChoice::Hyper { split: false, .. } => Vec::new(),
-            JoinChoice::Hyper { split: true, .. } => {
-                let mut legs = Vec::new();
-                if !self.right.other.is_empty() {
-                    legs.push((Part::Matching, Part::Other));
-                }
-                if !self.left.other.is_empty() {
-                    legs.push((Part::Other, Part::All));
-                }
-                legs
-            }
+            JoinChoice::Hyper { cover, .. } => cover_legs(&self.left, &self.right, cover),
         }
+    }
+
+    /// The hyper-join's cover and the shuffle legs, as `EXPLAIN` prints
+    /// them, when the join runs both (mid-migration).
+    pub(crate) fn describe_cover(&self) -> Option<String> {
+        let JoinChoice::Hyper { cover, .. } = self.choice else { return None };
+        let pair = |(l, r): Parts| format!("left {} × right {}", l.name(), r.name());
+        let legs: Vec<String> = self.shuffle_legs().into_iter().map(pair).collect();
+        let shuffle = legs.join(", ");
+        (!legs.is_empty()).then(|| format!("hyper-join: {}; shuffle: {shuffle}", pair(cover)))
     }
 }
 
@@ -336,6 +367,12 @@ pub(crate) fn plan_query<'q, S: SnapshotSource>(
     }
 }
 
+/// Plan a two-table join (§5.4). The baseline cover is matching ×
+/// matching when both sides have matching blocks, else all × all (case
+/// 3's "up-front partitioning happens to work out"). Mid-migration the
+/// other covers are planned too. A cover costs its hyper reads plus
+/// `C_SJ`·blocks per shuffle leg (Eqs. 2 and 1); the cheapest that
+/// beats one full shuffle wins, ties going to the baseline.
 fn plan_join<'q, S: SnapshotSource>(src: &S, query: &'q JoinQuery) -> Result<JoinPlan<'q>> {
     let config = src.config();
     let side = |scan: &ScanQuery, attr| -> Result<SideCandidates> {
@@ -352,32 +389,58 @@ fn plan_join<'q, S: SnapshotSource>(src: &S, query: &'q JoinQuery) -> Result<Joi
     if !allows_hyper(config.mode) {
         return Ok(plan);
     }
-    // Hyper-join matching × matching when both sides are (at least
-    // partially) organized for this join; otherwise try everything
-    // (the "up-front partitioning happens to work out" clause of case 3).
-    let split = !plan.left.matching.is_empty() && !plan.right.matching.is_empty();
-    let part = if split { Part::Matching } else { Part::All };
-    let l_ranges =
-        block_ranges(src.store(), &query.left.table, &plan.left.part(part), query.left_attr)?;
-    let r_ranges =
-        block_ranges(src.store(), &query.right.table, &plan.right.part(part), query.right_attr)?;
     let cost = &config.cost;
-    plan.choice = match join_planner::plan(&l_ranges, &r_ranges, config.buffer_blocks, cost) {
-        JoinDecision::Hyper(hyper) => JoinChoice::Hyper { plan: hyper, split },
-        JoinDecision::Shuffle { est_cost, hyper_cost } => {
-            JoinChoice::Shuffle { costs: Some((est_cost, hyper_cost)) }
-        }
+    let full = cost.shuffle_join_cost(plan.left.len(), plan.right.len());
+    // A cover's plan and price, or the costs by which its hyper part
+    // loses to shuffling that part.
+    let price = |plan: &JoinPlan, cover: Parts| -> Result<std::result::Result<_, _>> {
+        let (l, r) = cover;
+        let l_ranges =
+            block_ranges(src.store(), &query.left.table, &plan.left.part(l), query.left_attr)?;
+        let r_ranges =
+            block_ranges(src.store(), &query.right.table, &plan.right.part(r), query.right_attr)?;
+        Ok(match join_planner::plan(&l_ranges, &r_ranges, config.buffer_blocks, cost) {
+            JoinDecision::Hyper(hyper) => {
+                let legs = cover_legs(&plan.left, &plan.right, cover);
+                let mixed = legs.iter().fold(hyper.est_total_reads() as f64, |acc, &(l, r)| {
+                    acc + cost.shuffle_join_cost(plan.left.count(l), plan.right.count(r))
+                });
+                Ok((JoinChoice::Hyper { plan: hyper, cover }, mixed))
+            }
+            JoinDecision::Shuffle { est_cost, hyper_cost } => Err((est_cost, hyper_cost)),
+        })
     };
+    let both = !plan.left.matching.is_empty() && !plan.right.matching.is_empty();
+    let baseline = if both { (Matching, Matching) } else { (All, All) };
     // §5.4: the hyper part plus the remainder shuffles must beat one
-    // full shuffle, else shuffling everything at once is cheaper.
-    if let JoinChoice::Hyper { plan: hyper, .. } = &plan.choice {
-        let legs = plan.shuffle_legs();
-        let mixed = legs.iter().fold(hyper.est_total_reads() as f64, |acc, &(l, r)| {
-            acc + cost.shuffle_join_cost(plan.left.count(l), plan.right.count(r))
-        });
-        let full = cost.shuffle_join_cost(plan.left.len(), plan.right.len());
-        if !legs.is_empty() && mixed >= full {
-            plan.choice = JoinChoice::Shuffle { costs: Some((full, mixed)) };
+    // full shuffle, else shuffling everything at once is cheaper. (A
+    // cover with no legs already beat it inside the planner.)
+    let mut best = full;
+    plan.choice = match price(&plan, baseline)? {
+        Ok((_, mixed)) if mixed >= full => JoinChoice::Shuffle { costs: Some((full, mixed)) },
+        Ok((choice, mixed)) => {
+            best = mixed;
+            choice
+        }
+        Err(costs) => JoinChoice::Shuffle { costs: Some(costs) },
+    };
+    // Plan each cover that reads other blocks than those planned so
+    // far. On a side with no other blocks matching is all, and a side
+    // with no matching blocks has only all, so a layout where no side
+    // holds both plans the baseline alone.
+    let key = |c: &SideCandidates, p: Part| if c.other.is_empty() { Matching } else { p };
+    let mut planned = vec![(key(&plan.left, baseline.0), key(&plan.right, baseline.1))];
+    for &((l, r), _) in &COVERS {
+        let k = (key(&plan.left, l), key(&plan.right, r));
+        if planned.contains(&k) || plan.left.count(l) == 0 || plan.right.count(r) == 0 {
+            continue;
+        }
+        planned.push(k);
+        if let Ok((choice, mixed)) = price(&plan, (l, r))? {
+            if mixed < best {
+                best = mixed;
+                plan.choice = choice;
+            }
         }
     }
     Ok(plan)

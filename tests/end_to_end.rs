@@ -112,7 +112,10 @@ fn adaptive_beats_full_scan_after_convergence() {
 /// planner's case 2 is the easiest place to double-count or drop).
 #[test]
 fn mixed_strategy_correctness_during_migration() {
-    let l = make_rows(500, |i| row![i % 100, i]);
+    // `l`'s keys are scattered over its up-front tree (on `x`), so its
+    // unmigrated blocks are not co-partitioned with `r` and must be
+    // shuffled.
+    let l = make_rows(500, |i| row![(i * 37) % 100, i]);
     let r = make_rows(100, |i| row![i, i]);
     // Window 8 with a small right table: the right side finishes
     // migrating before the left, opening the mixed-execution phase

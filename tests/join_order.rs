@@ -6,7 +6,8 @@
 //! caller can see: each operator's output equals a nested-loop
 //! reference *in output order* (not just as a multiset), with 0, 1, 2
 //! and 5 build matches per probe key, with either side as the build
-//! side, and through a chain of steps whose groups overlap. The split and
+//! side, through a chain of steps whose groups overlap, and through a
+//! mid-migration cover (a hyper-join, then shuffle legs). The split and
 //! memory-budgeted reduce paths are pinned the same way in
 //! `adaptdb_exec::shuffle_join`'s unit tests.
 
@@ -352,25 +353,139 @@ fn shuffle_join_matches_nested_loop_in_order() {
         )
         .and_then(Joined::into_rows)
         .unwrap();
-        // Reference: the same spill and fetch, then a nested loop per
-        // partition in partition order.
-        let clock = SimClock::new();
-        let ctx = ExecContext::new(&store, &clock).with_shuffle(options);
-        let svc = ShuffleService::new(ctx, 3, ROWS_PER_BLOCK, "ref").unwrap();
-        let left = svc.spill_blocks("l", &lids, 0, &none).unwrap();
-        let right = svc.spill_blocks("r", &rids, 0, &none).unwrap();
-        let mut streams = svc.partition_streams();
-        let mut seen = vec![0usize; svc.partitions()];
-        svc.push_new_runs(&mut streams, &left, &mut seen, false);
-        seen.fill(0);
-        svc.push_new_runs(&mut streams, &right, &mut seen, true);
-        let mut want = Vec::new();
-        for mut stream in streams {
-            let (l, r) = svc.drain_partition(&mut stream).unwrap();
-            want.extend(nested_loop(&decode(l), &decode(r), 0, 0));
-        }
-        svc.cleanup();
+        let want = shuffle_reference(&store, options, &lids, &rids);
         assert_eq!(want.len(), nested_loop(left_rows, right_rows, 0, 0).len());
         assert_eq!(got, want);
     }
+}
+
+/// A shuffle join of blocks `lids` of `l` with `rids` of `r` on column
+/// 0 in its reducers' order: the same spill and fetch, then a nested
+/// loop per partition in partition order.
+fn shuffle_reference(
+    store: &BlockStore,
+    options: ShuffleOptions,
+    lids: &[u32],
+    rids: &[u32],
+) -> Vec<Row> {
+    let none = PredicateSet::none();
+    let clock = SimClock::new();
+    let ctx = ExecContext::new(store, &clock).with_shuffle(options);
+    let svc = ShuffleService::new(ctx, 3, ROWS_PER_BLOCK, "ref").unwrap();
+    let left = svc.spill_blocks("l", lids, 0, &none).unwrap();
+    let right = svc.spill_blocks("r", rids, 0, &none).unwrap();
+    let mut streams = svc.partition_streams();
+    let mut seen = vec![0usize; svc.partitions()];
+    svc.push_new_runs(&mut streams, &left, &mut seen, false);
+    seen.fill(0);
+    svc.push_new_runs(&mut streams, &right, &mut seen, true);
+    let mut want = Vec::new();
+    for mut stream in streams {
+        let (l, r) = svc.drain_partition(&mut stream).unwrap();
+        want.extend(nested_loop(&decode(l), &decode(r), 0, 0));
+    }
+    svc.cleanup();
+    want
+}
+
+/// A mid-migration join as the read path runs it: a hyper-join over
+/// the cover's parts, then each shuffle leg over the rest of L×R, the
+/// parts appended in order. `l` and `r` each hold a *matching* half
+/// (the first blocks) and an *other* half. `cover` and `legs` pick
+/// blocks of `(l, r)` by part. The rows must come back as the per-part
+/// nested loops, in order, at fetch windows 1 and 4.
+fn cover_matches_per_part_nested_loops(cover: (Part, Part), legs: &[(Part, Part)]) {
+    // One node: every leg keeps the 3 reducers [`shuffle_reference`]
+    // replays (a shuffle coalesces to the smaller side's blocks per node).
+    let store = BlockStore::new(1, 1, 7);
+    let mut build = build_rows();
+    build.sort_by(|a, b| a.get(0).cmp(b.get(0)));
+    let (lids, rids) = (write_table(&store, "l", &probe_rows()), write_table(&store, "r", &build));
+    let part = |ids: &[u32], p: Part| -> Vec<u32> {
+        let half = ids.len() / 2;
+        match p {
+            Part::Matching => ids[..half].to_vec(),
+            Part::Other => ids[half..].to_vec(),
+            Part::All => ids.to_vec(),
+        }
+    };
+    // Right builds in groups of three; every group probes the whole
+    // left part (a superset of the overlap is still a correct schedule).
+    let (hl, hr) = (part(&lids, cover.0), part(&rids, cover.1));
+    let groups: Vec<Vec<u32>> = hr.chunks(3).map(<[u32]>::to_vec).collect();
+    let plan = HyperJoinPlan {
+        build_side: JoinSide::Right,
+        probes: vec![hl.clone(); groups.len()],
+        groups,
+        est_build_reads: 0,
+        est_probe_reads: 0,
+        c_hyj: 1.0,
+    };
+    let none = PredicateSet::none();
+    let options = ShuffleOptions { partitions: Some(3), replication: 1, split_threshold: None };
+    let mut want = Vec::new();
+    for (g, pbs) in plan.groups.iter().zip(&plan.probes) {
+        let build = stored(&store, "r", g, &none);
+        for p in stored(&store, "l", pbs, &none) {
+            want.extend(build.iter().filter(|b| b.get(0) == p.get(0)).map(|b| p.concat(b)));
+        }
+    }
+    let hyper_rows = want.len();
+    for &(l, r) in legs {
+        want.extend(shuffle_reference(&store, options, &part(&lids, l), &part(&rids, r)));
+    }
+    assert!(hyper_rows > 20 && want.len() > hyper_rows + 20, "{hyper_rows} of {}", want.len());
+    // Every pair of rows is joined exactly once across the parts.
+    let mut all = want.clone();
+    all.sort_by(|a, b| a.values().cmp(b.values()));
+    let mut full = nested_loop(&probe_rows(), &build, 0, 0);
+    full.sort_by(|a, b| a.values().cmp(b.values()));
+    assert_eq!(all, full);
+    for window in [1, 4] {
+        let clock = SimClock::new();
+        let ctx = ExecContext::new(&store, &clock).with_fetch_window(window).with_shuffle(options);
+        let spec = HyperJoinSpec {
+            left_table: "l",
+            right_table: "r",
+            left_attr: 0,
+            right_attr: 0,
+            left_preds: &none,
+            right_preds: &none,
+            plan: &plan,
+        };
+        let mut joined = hyper_join(ctx, spec).unwrap();
+        for &(l, r) in legs {
+            let leg = ShuffleJoinSpec {
+                left_table: "l",
+                left_blocks: &part(&lids, l),
+                right_table: "r",
+                right_blocks: &part(&rids, r),
+                left_attr: 0,
+                right_attr: 0,
+                left_preds: &none,
+                right_preds: &none,
+                rows_per_block: ROWS_PER_BLOCK,
+            };
+            joined.extend(shuffle_join(ctx, leg).unwrap());
+        }
+        assert_eq!(joined.into_rows().unwrap(), want, "{cover:?} window={window}");
+    }
+}
+
+/// Which half of a table's blocks a cover or leg reads.
+#[derive(Debug, Clone, Copy)]
+enum Part {
+    Matching,
+    Other,
+    All,
+}
+
+#[test]
+fn matching_by_all_cover_then_other_by_all_leg_matches_nested_loops_in_order() {
+    cover_matches_per_part_nested_loops((Part::Matching, Part::All), &[(Part::Other, Part::All)]);
+}
+
+#[test]
+fn all_by_matching_cover_then_all_by_other_leg_matches_nested_loops_in_order() {
+    cover_matches_per_part_nested_loops((Part::All, Part::Matching), &[(Part::All, Part::Other)]);
 }

@@ -293,11 +293,12 @@ fn proposal_scoring_allocates_the_same_at_any_window_length() {
 /// release builds.
 const SHIFTING_SEQUENCE_ALLOCATIONS_BEFORE: usize = 319_277;
 
-/// What the same sequence makes now that joins carry row ids between
-/// steps and build each result row once, at the query's final width
-/// (169 090 before that step, 198 263 before hash joins looked keys up
-/// where they lie). The test allows 5 % above it.
-const SHIFTING_SEQUENCE_ALLOCATIONS: usize = 138_921;
+/// What the same sequence makes now that a mid-migration join
+/// hyper-joins the cheapest cover of its blocks instead of shuffling
+/// them all (138 921 before that step, 169 090 before joins carried row
+/// ids between steps, 198 263 before hash joins looked keys up where
+/// they lie). The test allows 5 % above it.
+const SHIFTING_SEQUENCE_ALLOCATIONS: usize = 119_635;
 
 // The allowance stays under seven tenths of the old engine's count.
 const _: () = assert!(
